@@ -74,14 +74,7 @@ std::vector<int> ParseCommonFlags(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (!std::strcmp(argv[i], "--store")) {
-      auto store = ParseRankingStore(next("--store"));
-      if (!store.ok()) {
-        std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
-        std::exit(2);
-      }
-      Config().store = *store;
-    } else if (!std::strcmp(argv[i], "--mmap")) {
+    if (!std::strcmp(argv[i], "--mmap")) {
       Config().mmap_path = next("--mmap");
     } else if (!std::strcmp(argv[i], "--pipelined")) {
       Config().pipelined = true;
@@ -101,7 +94,6 @@ RunOutcome RunOnce(const std::string& dataset, SimilarityJoinConfig config,
   if (config.num_partitions <= 0) {
     config.num_partitions = options.num_partitions;
   }
-  config.store = Config().store;
 
   Stopwatch watch;
   auto result = RunSimilarityJoin(&ctx, data, config);

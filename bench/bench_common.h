@@ -33,8 +33,6 @@ const RankingDataset& GetDataset(const std::string& name);
 /// Benchmark-process configuration shared by every figure binary,
 /// parsed from the common CLI flags:
 ///
-///   --store flat|legacy   ranking representation A/B knob (see
-///                         SimilarityJoinConfig::store); default flat
 ///   --mmap FILE           register FILE (binary columnar RKJC format,
 ///                         data/io.h) as dataset "MMAP"
 ///   --pipelined           overlap shuffle write/read stages (same as
@@ -42,7 +40,6 @@ const RankingDataset& GetDataset(const std::string& name);
 ///
 /// RunOnce consults this config for every run.
 struct BenchConfig {
-  RankingStore store = RankingStore::kFlat;
   std::string mmap_path;
   bool pipelined = false;
 };

@@ -12,13 +12,13 @@
 //   fig08_dataset_scaling --scale-to 1000000 [--theta 0.1]
 //                         [--budget-bytes 67108864] [--flat-file PATH]
 //                         [--keep-flat-file] [--reuse-flat]
-//                         [--store flat|legacy] [--pipelined]
+//                         [--pipelined]
 //                         [--checkpoint-dir DIR] [--resume]
 //                         [--pairs-out PREFIX]
 //
 // --reuse-flat skips generation when the columnar file already exists
 // (implies keeping it), so a measured run contains only map + join —
-// the configuration for store/pipelined A/B timing.
+// the configuration for pipelined A/B timing.
 //
 // --checkpoint-dir/--resume plumb the durable-execution layer through
 // (same as RANKJOIN_CHECKPOINT_DIR / RANKJOIN_RESUME); --pairs-out
@@ -68,7 +68,6 @@ void RunAtScale(const RankingDataset& dataset, Algorithm algorithm,
   config.theta = theta;
   config.theta_c = 0.03;
   config.delta = algorithm == Algorithm::kCLP ? 900 : 0;
-  config.store = Config().store;
 
   Stopwatch watch;
   auto result = RunSimilarityJoin(&ctx, dataset, config);
@@ -86,7 +85,6 @@ void RunAtScale(const RankingDataset& dataset, Algorithm algorithm,
       .Int("rankings", dataset.size())
       .Int("k", static_cast<uint64_t>(dataset.k))
       .Num("theta", theta)
-      .Str("store", RankingStoreName(config.store))
       .Bool("pipelined", Config().pipelined)
       .Int("shuffle_budget_bytes", budget_bytes)
       .Num("seconds", seconds)

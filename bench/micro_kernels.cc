@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the kernels on the join inner
-// loops: Footrule distance (plain, merge-join, bounded), prefix-size
-// math, Zipf sampling, reordering, and the per-group local joins.
+// loops: Footrule distance (plain, merge-join, bounded, lane kernel),
+// prefix-size math, Zipf sampling, reordering, and the per-group local
+// joins.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 #include "data/generator.h"
 #include "join/local_join.h"
 #include "ranking/footrule.h"
+#include "ranking/join_store.h"
 #include "ranking/prefix.h"
 #include "ranking/reorder.h"
 
@@ -98,11 +100,35 @@ void BM_MakeOrdered(benchmark::State& state) {
 }
 BENCHMARK(BM_MakeOrdered);
 
+/// Args: k, then 1 for the compare written out for the row's chunk
+/// count (what the pair loops run for k <= 32) or 0 for the run-time
+/// chunk count (what they run above).
+void BM_PairKernelDistance(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const bool unrolled = state.range(1) != 0;
+  RankingDataset ds = MakeData(k, 256);
+  const JoinStore store = JoinStore::Build(ds.store(), ItemOrder());
+  const PairKernel& kernel = store.kernel();
+  RowIndex i = 0;
+  for (auto _ : state) {
+    const ItemId* a = store.items(i % store.size());
+    const ItemId* b = store.items((i + 1) % store.size());
+    benchmark::DoNotOptimize(unrolled ? kernel.Distance(a, b)
+                                      : kernel.DistanceAt<0>(a, b));
+    ++i;
+  }
+}
+BENCHMARK(BM_PairKernelDistance)
+    ->Args({10, 1})
+    ->Args({10, 0})
+    ->Args({25, 1})
+    ->Args({25, 0});
+
 /// One posting-list group of the given size, shared key item 0.
-std::pair<std::vector<OrderedRanking>, std::vector<PrefixPosting>>
-MakeGroup(size_t n, int k) {
+std::pair<JoinStore, std::vector<PrefixPosting>> MakeGroup(size_t n, int k) {
   Rng rng(11);
-  std::vector<Ranking> rankings;
+  FlatRankings::Builder builder(k);
+  std::vector<PrefixPosting> group;
   for (size_t i = 0; i < n; ++i) {
     std::vector<ItemId> items{0};
     while (static_cast<int>(items.size()) < k) {
@@ -112,23 +138,21 @@ MakeGroup(size_t n, int k) {
       if (!seen) items.push_back(candidate);
     }
     rng.Shuffle(items);
-    rankings.emplace_back(static_cast<RankingId>(i), items);
-  }
-  auto backing = MakeOrderedDataset(rankings, ItemOrder());
-  std::vector<PrefixPosting> group;
-  for (const OrderedRanking& r : backing) {
+    builder.Append(static_cast<RankingId>(i), items.data());
     uint16_t key_rank = 0;
-    for (const ItemEntry& e : r.by_item) {
-      if (e.item == 0) key_rank = e.rank;
+    for (size_t r = 0; r < items.size(); ++r) {
+      if (items[r] == 0) key_rank = static_cast<uint16_t>(r);
     }
-    group.push_back(PrefixPosting{r.id, key_rank, false, &r});
+    group.push_back(PrefixPosting{static_cast<RowIndex>(i), key_rank, false});
   }
-  return {std::move(backing), std::move(group)};
+  const FlatRankings flat = std::move(builder).Build();
+  return {JoinStore::Build(flat, ItemOrder()), std::move(group)};
 }
 
 void BM_LocalNestedLoopJoin(benchmark::State& state) {
-  auto [backing, group] = MakeGroup(static_cast<size_t>(state.range(0)), 10);
+  auto [store, group] = MakeGroup(static_cast<size_t>(state.range(0)), 10);
   LocalJoinOptions options;
+  options.store = &store;
   options.raw_theta = RawThreshold(0.2, 10);
   options.prefix_size = OverlapPrefix(options.raw_theta, 10);
   for (auto _ : state) {
@@ -142,8 +166,9 @@ void BM_LocalNestedLoopJoin(benchmark::State& state) {
 BENCHMARK(BM_LocalNestedLoopJoin)->Range(64, 1024)->Complexity();
 
 void BM_LocalPrefixJoin(benchmark::State& state) {
-  auto [backing, group] = MakeGroup(static_cast<size_t>(state.range(0)), 10);
+  auto [store, group] = MakeGroup(static_cast<size_t>(state.range(0)), 10);
   LocalJoinOptions options;
+  options.store = &store;
   options.raw_theta = RawThreshold(0.2, 10);
   options.prefix_size = OverlapPrefix(options.raw_theta, 10);
   for (auto _ : state) {

@@ -6,7 +6,7 @@
 //                [--theta-c 0.03] [--delta 500] [--partitions 64]
 //                [--workers 4] [--output pairs.txt] [--stats]
 //                [--metrics] [--trace-out trace.json] [--lint]
-//                [--stats-port N] [--store flat|legacy] [--mmap FILE]
+//                [--stats-port N] [--mmap FILE]
 //                [--pipelined]
 //
 // Input format: one ranking per line, "id: i0 i1 ... ik-1" (see
@@ -54,7 +54,6 @@ void Usage(const char* argv0) {
       "                     see docs/MINISPARK.md) and print the report;\n"
       "                     RANKJOIN_LINT_LEVEL=error additionally rejects\n"
       "                     bad plans before any task runs\n"
-      "  --store NAME       flat (columnar, default) | legacy\n"
       "  --mmap FILE        load a binary columnar dataset (data/io.h\n"
       "                     RKJC format) by mmap instead of --input\n"
       "  --pipelined        overlap shuffle write/read stages (same as\n"
@@ -92,7 +91,6 @@ int main(int argc, char** argv) {
   long long deadline_ms = 0;
   int stats_port = -1;
   std::string trace_out;
-  std::string store_name = "flat";
   std::string mmap_path;
 
   for (int i = 1; i < argc; ++i) {
@@ -131,8 +129,6 @@ int main(int argc, char** argv) {
       stats_port = std::atoi(next("--stats-port"));
     } else if (!std::strcmp(argv[i], "--lint")) {
       lint = true;
-    } else if (!std::strcmp(argv[i], "--store")) {
-      store_name = next("--store");
     } else if (!std::strcmp(argv[i], "--mmap")) {
       mmap_path = next("--mmap");
     } else if (!std::strcmp(argv[i], "--pipelined")) {
@@ -158,11 +154,6 @@ int main(int argc, char** argv) {
   auto parsed = ParseAlgorithm(algorithm);
   if (!parsed.ok()) {
     std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-    return 2;
-  }
-  auto store = ParseRankingStore(store_name);
-  if (!store.ok()) {
-    std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
     return 2;
   }
   auto dataset = mmap_path.empty() ? ReadRankings(input, k)
@@ -196,7 +187,6 @@ int main(int argc, char** argv) {
   config.theta = theta;
   config.theta_c = theta_c;
   config.delta = delta;
-  config.store = *store;
   auto result = RunSimilarityJoin(&ctx, *dataset, config);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());

@@ -37,11 +37,13 @@ Refreshing a committed baseline (after an intentional perf change):
   RANKJOIN_METRICS_JSON=/tmp/fresh.json bench/<bench> ...
   scripts/check_bench_regression.py bench/baselines/ci_small.json \
       /tmp/fresh.json --refresh
+A refresh keeps only the fields the gate reads (label, the timing
+fields, counters and plan.algorithm), so the committed baseline stays
+small; the per-stage "metrics" blob is dropped.
 """
 
 import argparse
 import json
-import shutil
 import sys
 
 TIME_FIELDS = ("wall_seconds", "measured_makespan_s")
@@ -98,6 +100,19 @@ def load_rows(path, role):
     except OSError as e:
         raise SystemExit(f"cannot read {role} {path}: {e}") from e
     return rows
+
+
+def gated_fields(row):
+    """The part of a row the gate reads; what --refresh writes."""
+    slim = {"label": row.get("label", "?")}
+    for field in TIME_FIELDS:
+        if field in row:
+            slim[field] = row[field]
+    slim["counters"] = row.get("counters", {})
+    algorithm = row.get("plan", {}).get("algorithm")
+    if algorithm is not None:
+        slim["plan"] = {"algorithm": algorithm}
+    return slim
 
 
 def stable_counters(row):
@@ -202,10 +217,16 @@ def main():
 
     if args.refresh:
         # Validate before overwriting: a candidate with malformed rows
-        # must not become the committed baseline.
+        # must not become the committed baseline. Rows keep their file
+        # order, so label occurrence indices line up as before.
         load_rows(args.candidate, "candidate")
         try:
-            shutil.copyfile(args.candidate, args.baseline)
+            with open(args.candidate, encoding="utf-8") as src:
+                rows = [json.loads(line) for line in src if line.strip()]
+            with open(args.baseline, "w", encoding="utf-8") as f:
+                for row in rows:
+                    f.write(json.dumps(gated_fields(row),
+                                       separators=(",", ":")) + "\n")
         except OSError as e:
             raise SystemExit(
                 f"cannot refresh baseline {args.baseline}: {e}") from e

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "ranking/flat_rankings.h"
 
 namespace rankjoin {
 
@@ -69,11 +68,6 @@ struct SimilarityJoinConfig {
   /// unconditionally splitting. Set by the kAuto planner for CL plans;
   /// requires delta > 0 to have any effect.
   bool adaptive_repartition = false;
-
-  /// Which in-memory ranking representation the pipelines parallelize
-  /// over: the columnar FlatRankings store (default) or the legacy
-  /// vector<Ranking> path kept for A/B measurements (--store=legacy).
-  RankingStore store = RankingStore::kFlat;
 
   /// Checks parameter ranges and algorithm-specific requirements for a
   /// dataset with rankings of length `k`.

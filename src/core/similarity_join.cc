@@ -19,7 +19,6 @@ VjOptions ToVjOptions(const SimilarityJoinConfig& config) {
   options.local_algorithm = config.algorithm == Algorithm::kVJNL
                                 ? LocalAlgorithm::kNestedLoop
                                 : LocalAlgorithm::kPrefixIndex;
-  options.store = config.store;
   return options;
 }
 
@@ -40,7 +39,6 @@ ClOptions ToClOptions(const SimilarityJoinConfig& config) {
           ? config.delta
           : 0;
   options.adaptive_repartition = config.adaptive_repartition;
-  options.store = config.store;
   return options;
 }
 
@@ -69,7 +67,6 @@ Result<JoinResult> ExecuteJoin(minispark::Context* ctx,
       VSmartOptions options;
       options.theta = config.theta;
       options.num_partitions = config.num_partitions;
-      options.store = config.store;
       return RunVSmartJoin(ctx, dataset, options);
     }
 

@@ -123,6 +123,8 @@ namespace {
 constexpr char kFlatMagic[4] = {'R', 'K', 'J', 'C'};
 constexpr uint32_t kFlatVersion = 1;
 constexpr size_t kFlatHeaderBytes = 20;  // magic + version + k + count
+// Largest k a columnar file may declare: ranks must fit in 16 bits.
+constexpr uint32_t kMaxFlatK = 65535;
 
 void PutU32(char* out, uint32_t v) {
   out[0] = static_cast<char>(v & 0xff);
@@ -213,13 +215,23 @@ Result<RankingDataset> MapFlatRankings(const std::string& path) {
   if (k == 0) {
     return Status::InvalidArgument(path + ": columnar file with k = 0");
   }
-  const uint64_t need =
-      kFlatHeaderBytes + count * sizeof(RankingId) +
-      count * static_cast<uint64_t>(k) * sizeof(ItemId);
-  if (file_bytes < need) {
+  // Ranks are 16-bit (ItemEntry::rank, the join store's canonical order).
+  if (k > kMaxFlatK) {
+    return Status::InvalidArgument(path + ": columnar file with k = " +
+                                   std::to_string(k) + " (at most " +
+                                   std::to_string(kMaxFlatK) + ")");
+  }
+  // Compare the count with what the file can hold instead of computing
+  // the byte size it implies: a crafted count must not wrap the check.
+  const uint64_t row_bytes =
+      sizeof(RankingId) + static_cast<uint64_t>(k) * sizeof(ItemId);
+  if (count > (file_bytes - kFlatHeaderBytes) / row_bytes) {
     return Status::IoError(path + ": truncated columnar file (" +
-                           std::to_string(file_bytes) + " bytes, need " +
-                           std::to_string(need) + ")");
+                           std::to_string(file_bytes) + " bytes hold " +
+                           std::to_string((file_bytes - kFlatHeaderBytes) /
+                                          row_bytes) +
+                           " rankings of k = " + std::to_string(k) +
+                           ", header says " + std::to_string(count) + ")");
   }
   // Both offsets are 4-byte aligned (20 and 20 + 4*count) on a
   // page-aligned base, so the columns are readable in place.

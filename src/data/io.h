@@ -58,10 +58,11 @@ Status WriteFlatRankings(const std::string& path,
                          const RankingDataset& dataset);
 
 /// Memory-maps a columnar file and returns a dataset whose store() wraps
-/// the mapped columns zero-copy (the legacy `rankings` vector stays
-/// empty). Returns InvalidArgument for a bad magic/version and IoError
-/// for a truncated or unreadable file. The distinct-items invariant is
-/// validated once, here.
+/// the mapped columns zero-copy (the `rankings` vector stays empty).
+/// Returns InvalidArgument for a bad magic/version or a k outside
+/// [1, 65535], and IoError for a file shorter than its header promises
+/// or an unreadable one. The distinct-items invariant is validated once,
+/// here.
 Result<RankingDataset> MapFlatRankings(const std::string& path);
 
 }  // namespace rankjoin

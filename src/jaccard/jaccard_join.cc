@@ -9,11 +9,11 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "jaccard/jaccard.h"
-#include "ranking/reorder.h"
 #include "join/local_join.h"
-#include "join/verify.h"
 #include "join/vj.h"
 #include "minispark/dataset.h"
+#include "ranking/join_store.h"
+#include "ranking/reorder.h"
 
 namespace rankjoin {
 namespace {
@@ -50,82 +50,54 @@ Status ValidateOptions(const JaccardJoinOptions& options, int k,
 }
 
 /// Nested-loop kernel over one posting group; emits (pair, overlap).
-void JaccardNestedLoop(const std::vector<PrefixPosting>& group, int k,
-                       double theta, std::vector<ScoredPair>* out,
-                       JoinStats* stats) {
+/// `threshold(a, b)` is the pair's Jaccard distance threshold.
+template <typename Threshold>
+void JaccardNestedLoop(const JoinStore& store,
+                       const std::vector<PrefixPosting>& group,
+                       const Threshold& threshold,
+                       std::vector<ScoredPair>* out, JoinStats* stats) {
   const size_t n = group.size();
+  const int k = store.k();
   for (size_t i = 0; i + 1 < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
-      if (group[i].id == group[j].id) continue;
+      if (group[i].row == group[j].row) continue;
       ++stats->candidates;
       ++stats->verified;
-      const int overlap = SetOverlap(*group[i].ranking, *group[j].ranking);
-      if (JaccardQualifies(overlap, k, theta)) {
-        out->push_back({MakeResultPair(group[i].id, group[j].id),
-                        static_cast<uint32_t>(overlap)});
+      const uint32_t overlap = store.Overlap(group[i].row, group[j].row);
+      if (JaccardQualifies(static_cast<int>(overlap), k,
+                           threshold(group[i], group[j]))) {
+        out->push_back({MakeResultPair(store.id(group[i].row),
+                                       store.id(group[j].row)),
+                        overlap});
       }
     }
   }
 }
 
-/// Mixed-threshold kernel for the centroid join (Lemma 5.3 analog).
+/// Per-type thresholds of the centroid join (Lemma 5.3 analog).
 struct JaccardThresholds {
   double mm = 0;
   double ms = 0;
   double ss = 0;
 
-  double For(const PrefixPosting& a, const PrefixPosting& b) const {
+  double operator()(const PrefixPosting& a, const PrefixPosting& b) const {
     if (a.singleton && b.singleton) return ss;
     if (a.singleton || b.singleton) return ms;
     return mm;
   }
 };
 
-void JaccardMixedNestedLoop(const std::vector<PrefixPosting>& group, int k,
-                            const JaccardThresholds& thresholds,
-                            std::vector<ScoredPair>* out, JoinStats* stats) {
-  const size_t n = group.size();
-  for (size_t i = 0; i + 1 < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (group[i].id == group[j].id) continue;
-      ++stats->candidates;
-      ++stats->verified;
-      const int overlap = SetOverlap(*group[i].ranking, *group[j].ranking);
-      if (JaccardQualifies(overlap, k,
-                           thresholds.For(group[i], group[j]))) {
-        out->push_back({MakeResultPair(group[i].id, group[j].id),
-                        static_cast<uint32_t>(overlap)});
-      }
-    }
-  }
-}
-
-/// Emits (prefix item, posting) pairs for one set under the canonical
-/// (frequency) order.
-std::vector<std::pair<ItemId, PrefixPosting>> EmitPrefix(
-    const OrderedRanking& r, int prefix, bool singleton) {
-  std::vector<std::pair<ItemId, PrefixPosting>> out;
-  const size_t p =
-      std::min(static_cast<size_t>(prefix), r.canonical.size());
-  out.reserve(p);
-  for (size_t i = 0; i < p; ++i) {
-    out.push_back({r.canonical[i].item,
-                   PrefixPosting{r.id, r.canonical[i].rank, singleton, &r}});
-  }
-  return out;
-}
-
-/// Distributed Jaccard prefix self-join over `subset` with a uniform
-/// threshold; returns deduplicated (pair, overlap) records.
-std::vector<ScoredPair> JaccardSelfJoin(
-    minispark::Context* ctx,
-    const std::vector<const OrderedRanking*>& subset, int k, double theta,
-    int num_partitions, JoinStats* stats) {
-  const int prefix = JaccardPrefix(theta, k);
-  auto rankings = minispark::Parallelize(ctx, subset, num_partitions);
+/// Distributed Jaccard prefix self-join over every row of `store` with a
+/// uniform threshold; returns deduplicated (pair, overlap) records.
+std::vector<ScoredPair> JaccardSelfJoin(minispark::Context* ctx,
+                                        const JoinStore& store, double theta,
+                                        int num_partitions, JoinStats* stats) {
+  const int prefix = JaccardPrefix(theta, store.k());
+  auto rankings = minispark::Parallelize(ctx, store.Rows(), num_partitions);
+  const JoinStore* store_ptr = &store;
   auto postings = rankings.FlatMap(
-      [prefix](const OrderedRanking* r) {
-        return EmitPrefix(*r, prefix, false);
+      [store_ptr, prefix](RowIndex row) {
+        return EmitPrefix(*store_ptr, row, prefix, PrefixMode::kOverlap);
       },
       "jaccard/prefix");
   auto groups =
@@ -133,7 +105,7 @@ std::vector<ScoredPair> JaccardSelfJoin(
 
   std::vector<JoinStats> slots(static_cast<size_t>(groups.num_partitions()));
   auto pairs = groups.MapPartitionsWithIndex(
-      [k, theta, &slots](
+      [store_ptr, theta, &slots](
           int index,
           const std::vector<std::pair<ItemId, std::vector<PrefixPosting>>>&
               part) {
@@ -141,8 +113,10 @@ std::vector<ScoredPair> JaccardSelfJoin(
         JoinStats& local = slots[static_cast<size_t>(index)];
         // Retry hygiene: a re-run attempt starts its stat slot from zero.
         local = JoinStats();
+        const auto uniform = [theta](const PrefixPosting&,
+                                     const PrefixPosting&) { return theta; };
         for (const auto& group : part) {
-          JaccardNestedLoop(group.second, k, theta, &out, &local);
+          JaccardNestedLoop(*store_ptr, group.second, uniform, &out, &local);
         }
         return out;
       },
@@ -165,9 +139,8 @@ struct JaccardClustering {
   std::vector<RankingId> singletons;
 };
 
-JaccardClustering FormClusters(
-    const std::vector<ScoredPair>& scored,
-    const std::vector<const OrderedRanking*>& all, JoinStats* stats) {
+JaccardClustering FormClusters(const std::vector<ScoredPair>& scored,
+                               const JoinStore& store, JoinStats* stats) {
   JaccardClustering clustering;
   std::unordered_set<RankingId> centroid_ids;
   std::unordered_set<RankingId> in_any_pair;
@@ -180,9 +153,9 @@ JaccardClustering FormClusters(
   }
   clustering.centroids.assign(centroid_ids.begin(), centroid_ids.end());
   std::sort(clustering.centroids.begin(), clustering.centroids.end());
-  for (const OrderedRanking* r : all) {
-    if (in_any_pair.find(r->id) == in_any_pair.end()) {
-      clustering.singletons.push_back(r->id);
+  for (RowIndex row = 0; row < store.size(); ++row) {
+    if (in_any_pair.find(store.id(row)) == in_any_pair.end()) {
+      clustering.singletons.push_back(store.id(row));
     }
   }
   stats->clusters = clustering.centroids.size();
@@ -205,9 +178,8 @@ struct CentroidPairJ {
 };
 
 /// Applies the metric filters to one candidate and emits/verifies.
-void EmitWithBounds(const RankingTable& table, double theta,
-                    bool upper_shortcut, RankingId a, RankingId b,
-                    double lower, double upper,
+void EmitWithBounds(const JoinStore& store, double theta, bool upper_shortcut,
+                    RankingId a, RankingId b, double lower, double upper,
                     std::vector<ResultPair>* out, JoinStats* stats) {
   if (a == b) return;
   if (lower > theta + kMargin) {
@@ -220,9 +192,8 @@ void EmitWithBounds(const RankingTable& table, double theta,
     return;
   }
   ++stats->verified;
-  const int k = table.Get(a).k;
-  const int overlap = SetOverlap(table.Get(a), table.Get(b));
-  if (JaccardQualifies(overlap, k, theta)) {
+  const uint32_t overlap = store.Overlap(store.RowOf(a), store.RowOf(b));
+  if (JaccardQualifies(static_cast<int>(overlap), store.k(), theta)) {
     out->push_back(MakeResultPair(a, b));
   }
 }
@@ -276,17 +247,13 @@ static Result<JoinResult> RunJaccardVjJoinImpl(
   JoinResult result;
 
   Stopwatch phase;
-  std::vector<OrderedRanking> ordered =
-      internal::OrderDataset(ctx, dataset, options.reorder_by_frequency,
-                             num_partitions, options.store);
-  std::vector<const OrderedRanking*> all;
-  all.reserve(ordered.size());
-  for (const OrderedRanking& r : ordered) all.push_back(&r);
+  const JoinStore store = internal::OrderDataset(
+      ctx, dataset, options.reorder_by_frequency, num_partitions);
   result.stats.ordering_seconds = phase.ElapsedSeconds();
 
   phase.Reset();
   std::vector<ScoredPair> scored =
-      JaccardSelfJoin(ctx, all, dataset.k, options.theta, num_partitions,
+      JaccardSelfJoin(ctx, store, options.theta, num_partitions,
                       &result.stats);
   result.stats.joining_seconds = phase.ElapsedSeconds();
 
@@ -325,21 +292,16 @@ static Result<JoinResult> RunJaccardClusterJoinImpl(
 
   // Phase 1: ordering.
   Stopwatch phase;
-  std::vector<OrderedRanking> ordered =
-      internal::OrderDataset(ctx, dataset, options.reorder_by_frequency,
-                             num_partitions, options.store);
-  RankingTable table(ordered);
-  std::vector<const OrderedRanking*> all;
-  all.reserve(ordered.size());
-  for (const OrderedRanking& r : ordered) all.push_back(&r);
+  const JoinStore store = internal::OrderDataset(
+      ctx, dataset, options.reorder_by_frequency, num_partitions);
   result.stats.ordering_seconds = phase.ElapsedSeconds();
 
   // Phase 2: clustering with theta_c.
   phase.Reset();
   std::vector<ScoredPair> cluster_pairs = JaccardSelfJoin(
-      ctx, all, k, options.theta_c, num_partitions, &result.stats);
+      ctx, store, options.theta_c, num_partitions, &result.stats);
   JaccardClustering clustering =
-      FormClusters(cluster_pairs, all, &result.stats);
+      FormClusters(cluster_pairs, store, &result.stats);
   result.stats.clustering_seconds = phase.ElapsedSeconds();
 
   // Phase 3: centroid join with the enlarged thresholds.
@@ -365,20 +327,21 @@ static Result<JoinResult> RunJaccardClusterJoinImpl(
   for (RankingId id : clustering.centroids) tagged.push_back({id, false});
   for (RankingId id : clustering.singletons) tagged.push_back({id, true});
 
-  const RankingTable* table_ptr = &table;
+  const JoinStore* store_ptr = &store;
   auto centroid_ds =
       minispark::Parallelize(ctx, std::move(tagged), num_partitions);
   auto postings = centroid_ds.FlatMap(
-      [table_ptr, prefix_m, prefix_s](const Tagged& t) {
-        return EmitPrefix(table_ptr->Get(t.id),
-                          t.singleton ? prefix_s : prefix_m, t.singleton);
+      [store_ptr, prefix_m, prefix_s](const Tagged& t) {
+        return EmitPrefix(*store_ptr, store_ptr->RowOf(t.id),
+                          t.singleton ? prefix_s : prefix_m,
+                          PrefixMode::kOverlap, t.singleton);
       },
       "jaccardCl/prefix");
   auto groups =
       minispark::GroupByKey(postings, num_partitions, "jaccardCl/group");
   std::vector<JoinStats> slots(static_cast<size_t>(groups.num_partitions()));
   auto rj_scored = groups.MapPartitionsWithIndex(
-      [k, thresholds, &slots](
+      [store_ptr, thresholds, &slots](
           int index,
           const std::vector<std::pair<ItemId, std::vector<PrefixPosting>>>&
               part) {
@@ -387,7 +350,8 @@ static Result<JoinResult> RunJaccardClusterJoinImpl(
         // Retry hygiene: a re-run attempt starts its stat slot from zero.
         local = JoinStats();
         for (const auto& group : part) {
-          JaccardMixedNestedLoop(group.second, k, thresholds, &out, &local);
+          JaccardNestedLoop(*store_ptr, group.second, thresholds, &out,
+                            &local);
         }
         return out;
       },
@@ -444,7 +408,7 @@ static Result<JoinResult> RunJaccardClusterJoinImpl(
   std::vector<JoinStats> intra_slots(
       static_cast<size_t>(grouped_clusters.num_partitions()));
   auto intra = grouped_clusters.MapPartitionsWithIndex(
-      [table_ptr, theta, shortcut, &intra_slots](
+      [store_ptr, theta, shortcut, &intra_slots](
           int index,
           const std::vector<std::pair<RankingId, std::vector<MemberRec>>>&
               part) {
@@ -458,7 +422,7 @@ static Result<JoinResult> RunJaccardClusterJoinImpl(
           }
           for (size_t i = 0; i + 1 < members.size(); ++i) {
             for (size_t j = i + 1; j < members.size(); ++j) {
-              EmitWithBounds(*table_ptr, theta, shortcut, members[i].first,
+              EmitWithBounds(*store_ptr, theta, shortcut, members[i].first,
                              members[j].first, /*lower=*/0.0,
                              members[i].second + members[j].second, &out,
                              &local);
@@ -494,7 +458,7 @@ static Result<JoinResult> RunJaccardClusterJoinImpl(
                             "jaccardCl/j1");
   std::vector<JoinStats> j1_slots(static_cast<size_t>(j1.num_partitions()));
   auto rm_c1 = j1.MapPartitionsWithIndex(
-      [table_ptr, theta, shortcut, &j1_slots](
+      [store_ptr, theta, shortcut, &j1_slots](
           int index,
           const std::vector<
               std::pair<RankingId, std::pair<CentroidPairJ, MemberRec>>>&
@@ -506,7 +470,7 @@ static Result<JoinResult> RunJaccardClusterJoinImpl(
         for (const auto& [ci, rec] : part) {
           const CentroidPairJ& cp = rec.first;
           const MemberRec& m = rec.second;
-          EmitWithBounds(*table_ptr, theta, shortcut, m.first, cp.cj,
+          EmitWithBounds(*store_ptr, theta, shortcut, m.first, cp.cj,
                          std::abs(cp.distance - m.second),
                          cp.distance + m.second, &out, &local);
         }
@@ -521,7 +485,7 @@ static Result<JoinResult> RunJaccardClusterJoinImpl(
                             "jaccardCl/j2");
   std::vector<JoinStats> j2_slots(static_cast<size_t>(j2.num_partitions()));
   auto rm_c2 = j2.MapPartitionsWithIndex(
-      [table_ptr, theta, shortcut, &j2_slots](
+      [store_ptr, theta, shortcut, &j2_slots](
           int index,
           const std::vector<
               std::pair<RankingId, std::pair<CentroidPairJ, MemberRec>>>&
@@ -533,7 +497,7 @@ static Result<JoinResult> RunJaccardClusterJoinImpl(
         for (const auto& [cj, rec] : part) {
           const CentroidPairJ& cp = rec.first;
           const MemberRec& m = rec.second;
-          EmitWithBounds(*table_ptr, theta, shortcut, m.first, cp.ci,
+          EmitWithBounds(*store_ptr, theta, shortcut, m.first, cp.ci,
                          std::abs(cp.distance - m.second),
                          cp.distance + m.second, &out, &local);
         }
@@ -556,7 +520,7 @@ static Result<JoinResult> RunJaccardClusterJoinImpl(
   std::vector<JoinStats> jmm_slots(
       static_cast<size_t>(jmm.num_partitions()));
   auto rm_m = jmm.MapPartitionsWithIndex(
-      [table_ptr, theta, shortcut, &jmm_slots](
+      [store_ptr, theta, shortcut, &jmm_slots](
           int index,
           const std::vector<std::pair<
               RankingId, std::pair<std::pair<CentroidPairJ, MemberRec>,
@@ -569,7 +533,7 @@ static Result<JoinResult> RunJaccardClusterJoinImpl(
           const CentroidPairJ& cp = rec.first.first;
           const MemberRec& mi = rec.first.second;
           const MemberRec& mj = rec.second;
-          EmitWithBounds(*table_ptr, theta, shortcut, mi.first, mj.first,
+          EmitWithBounds(*store_ptr, theta, shortcut, mi.first, mj.first,
                          cp.distance - mi.second - mj.second,
                          cp.distance + mi.second + mj.second, &out, &local);
         }

@@ -4,7 +4,6 @@
 #include "common/status.h"
 #include "join/stats.h"
 #include "minispark/context.h"
-#include "ranking/flat_rankings.h"
 #include "ranking/ranking.h"
 
 namespace rankjoin {
@@ -30,9 +29,6 @@ struct JaccardJoinOptions {
   /// Expansion: emit pairs whose triangle upper bound already
   /// qualifies without computing their distance.
   bool triangle_upper_shortcut = true;
-  /// Ranking representation the ordering phase parallelizes over (see
-  /// VjOptions::store).
-  RankingStore store = RankingStore::kFlat;
 };
 
 /// Exact O(n^2) Jaccard reference join (ground truth for tests).

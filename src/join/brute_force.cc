@@ -1,7 +1,6 @@
 #include "join/brute_force.h"
 
 #include "common/stopwatch.h"
-#include "join/verify.h"
 #include "ranking/footrule.h"
 #include "ranking/reorder.h"
 
@@ -13,8 +12,9 @@ JoinResult BruteForceJoin(const RankingDataset& dataset, double theta) {
   const uint32_t raw_theta = RawThreshold(theta, dataset.k);
 
   // The identity ordering is fine — brute force needs only the by_item
-  // arrays for O(k) distance computation. Ordering off the columnar
-  // store covers mmap-born datasets whose legacy vector is empty.
+  // arrays for the merge-join distance, which keeps this oracle
+  // independent of the pipelines' lane kernel. Ordering off the columnar
+  // store covers mmap-born datasets whose Ranking vector is empty.
   const ItemOrder order;
   std::vector<OrderedRanking> ordered =
       MakeOrderedDataset(dataset.store(), order);
@@ -23,8 +23,9 @@ JoinResult BruteForceJoin(const RankingDataset& dataset, double theta) {
   for (size_t i = 0; i + 1 < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
       ++result.stats.candidates;
-      if (VerifyPair(ordered[i], ordered[j], raw_theta, &result.stats)
-              .has_value()) {
+      ++result.stats.verified;
+      if (FootruleDistanceBounded(ordered[i], ordered[j], raw_theta)) {
+        ++result.stats.verify_passed;
         result.pairs.push_back(MakeResultPair(ordered[i].id, ordered[j].id));
       }
     }

@@ -21,71 +21,21 @@ struct MixedThresholds {
   uint32_t ms = 0;  // mixed: theta + theta_c
   uint32_t ss = 0;  // both singleton: theta
 
-  uint32_t For(const PrefixPosting& a, const PrefixPosting& b) const {
+  uint32_t operator()(const PrefixPosting& a, const PrefixPosting& b) const {
     if (a.singleton && b.singleton) return ss;
     if (a.singleton || b.singleton) return ms;
     return mm;
   }
 };
 
-/// Nested-loop kernel with per-pair thresholds (Algorithm 1's
-/// compute_sim): candidates share the group's key item; the position
-/// filter and the verification bound use the pair's own threshold.
-void MixedNestedLoop(const std::vector<PrefixPosting>& group,
-                     const MixedThresholds& thresholds, bool position_filter,
-                     std::vector<ScoredPair>* out, JoinStats* stats) {
-  const size_t n = group.size();
-  for (size_t i = 0; i + 1 < n; ++i) {
-    const PrefixPosting& a = group[i];
-    for (size_t j = i + 1; j < n; ++j) {
-      const PrefixPosting& b = group[j];
-      if (a.id == b.id) continue;
-      const uint32_t theta = thresholds.For(a, b);
-      ++stats->candidates;
-      if (position_filter &&
-          !PositionFilterPasses(a.key_rank, b.key_rank, theta)) {
-        ++stats->position_filtered;
-        continue;
-      }
-      if (auto d = VerifyPair(*a.ranking, *b.ranking, theta, stats)) {
-        out->push_back({MakeResultPair(a.id, b.id), *d});
-      }
-    }
-  }
-}
-
-/// R-S variant of MixedNestedLoop for repartitioned posting lists.
-void MixedNestedLoopRS(const std::vector<PrefixPosting>& left,
-                       const std::vector<PrefixPosting>& right,
-                       const MixedThresholds& thresholds,
-                       bool position_filter, std::vector<ScoredPair>* out,
-                       JoinStats* stats) {
-  for (const PrefixPosting& a : left) {
-    for (const PrefixPosting& b : right) {
-      if (a.id == b.id) continue;
-      const uint32_t theta = thresholds.For(a, b);
-      ++stats->candidates;
-      if (position_filter &&
-          !PositionFilterPasses(a.key_rank, b.key_rank, theta)) {
-        ++stats->position_filtered;
-        continue;
-      }
-      if (auto d = VerifyPair(*a.ranking, *b.ranking, theta, stats)) {
-        out->push_back({MakeResultPair(a.id, b.id), *d});
-      }
-    }
-  }
-}
-
 }  // namespace
 
-Clustering RunClusteringPhase(minispark::Context* ctx,
-                              const std::vector<const OrderedRanking*>& all,
+Clustering RunClusteringPhase(minispark::Context* ctx, const JoinStore& store,
                               const internal::SelfJoinSpec& spec,
                               JoinStats* stats) {
   Clustering clustering;
   std::vector<ScoredPair> scored =
-      internal::DistributedSelfJoin(ctx, all, spec, stats);
+      internal::DistributedSelfJoin(ctx, store, spec, stats);
 
   // Cluster formation (Fig. 3): the smaller id of each qualifying pair
   // is the centroid, the larger one its member.
@@ -104,9 +54,9 @@ Clustering RunClusteringPhase(minispark::Context* ctx,
   std::sort(clustering.centroids.begin(), clustering.centroids.end());
 
   // Singletons: rankings with no theta_c-similar partner at all.
-  for (const OrderedRanking* r : all) {
-    if (in_any_pair.find(r->id) == in_any_pair.end()) {
-      clustering.singletons.push_back(r->id);
+  for (RowIndex row = 0; row < store.size(); ++row) {
+    if (in_any_pair.find(store.id(row)) == in_any_pair.end()) {
+      clustering.singletons.push_back(store.id(row));
     }
   }
 
@@ -133,64 +83,64 @@ Clustering RunClusteringPhase(minispark::Context* ctx,
   return clustering;
 }
 
-Clustering RunRandomCentroidClustering(
-    minispark::Context* ctx, const std::vector<const OrderedRanking*>& all,
-    int num_centroids, uint32_t raw_theta_c, uint64_t seed,
-    JoinStats* stats) {
+Clustering RunRandomCentroidClustering(minispark::Context* ctx,
+                                       const JoinStore& store,
+                                       int num_centroids,
+                                       uint32_t raw_theta_c, uint64_t seed,
+                                       JoinStats* stats) {
   Clustering clustering;
-  if (all.empty()) return clustering;
+  if (store.size() == 0) return clustering;
 
   // Pick centroids uniformly at random (without replacement).
   Rng rng(seed);
-  std::vector<uint32_t> positions(all.size());
-  for (size_t i = 0; i < positions.size(); ++i) {
-    positions[i] = static_cast<uint32_t>(i);
-  }
+  std::vector<RowIndex> positions = store.Rows();
   rng.Shuffle(positions);
   const size_t centroid_count =
-      std::min(static_cast<size_t>(std::max(1, num_centroids)), all.size());
-  std::vector<const OrderedRanking*> centroid_rankings;
-  centroid_rankings.reserve(centroid_count);
-  for (size_t i = 0; i < centroid_count; ++i) {
-    centroid_rankings.push_back(all[positions[i]]);
-    clustering.centroids.push_back(all[positions[i]]->id);
+      std::min(static_cast<size_t>(std::max(1, num_centroids)), store.size());
+  std::vector<RowIndex> centroid_rows(positions.begin(),
+                                      positions.begin() + centroid_count);
+  for (RowIndex row : centroid_rows) {
+    clustering.centroids.push_back(store.id(row));
   }
   std::sort(clustering.centroids.begin(), clustering.centroids.end());
 
   // Assign every non-centroid to its closest centroid within theta_c —
   // the [27]-style assignment, broadcast + map over the dataset.
-  minispark::Broadcast<std::vector<const OrderedRanking*>> centroids_bc =
-      ctx->MakeBroadcast(std::move(centroid_rankings), "cl/centroids");
-  minispark::Dataset<const OrderedRanking*> rankings =
-      minispark::Parallelize(ctx, all, ctx->default_partitions());
+  minispark::Broadcast<std::vector<RowIndex>> centroids_bc =
+      ctx->MakeBroadcast(std::move(centroid_rows), "cl/centroids");
+  minispark::Dataset<RowIndex> rankings =
+      minispark::Parallelize(ctx, store.Rows(), ctx->default_partitions());
   std::vector<JoinStats> slots(
       static_cast<size_t>(rankings.num_partitions()));
+  const JoinStore* store_ptr = &store;
   auto assignments = rankings.MapPartitionsWithIndex(
-      [centroids_bc, raw_theta_c, &slots](
-          int index, const std::vector<const OrderedRanking*>& part) {
+      [store_ptr, centroids_bc, raw_theta_c, &slots](
+          int index, const std::vector<RowIndex>& part) {
+        const JoinStore& s = *store_ptr;
         JoinStats& local = slots[static_cast<size_t>(index)];
         // Retry hygiene: a re-run attempt starts its stat slot from zero.
         local = JoinStats();
         // (centroid id, member id, distance); centroid id == member id
         // encodes "no centroid in range".
         std::vector<ClusterPair> out;
-        for (const OrderedRanking* r : part) {
-          ClusterPair assignment{r->id, r->id, 0};
+        for (RowIndex row : part) {
+          const RankingId id = s.id(row);
+          ClusterPair assignment{id, id, 0};
           uint32_t best = raw_theta_c + 1;
-          for (const OrderedRanking* centroid : *centroids_bc) {
-            if (centroid->id == r->id) {
+          for (RowIndex centroid : *centroids_bc) {
+            if (s.id(centroid) == id) {
               // A centroid represents itself.
-              assignment = ClusterPair{r->id, r->id, 0};
+              assignment = ClusterPair{id, id, 0};
               best = 0;
               break;
             }
             ++local.candidates;
-            if (auto d = VerifyPair(*r, *centroid,
-                                    best == raw_theta_c + 1 ? raw_theta_c
-                                                            : best - 1,
-                                    &local)) {
-              assignment = ClusterPair{centroid->id, r->id, *d};
-              best = *d;
+            ++local.verified;
+            const uint32_t d = s.Distance(row, centroid);
+            if (d < best) {
+              ++local.verify_passed;
+              assignment = ClusterPair{s.id(centroid), id, d};
+              best = d;
               if (best == 0) break;
             }
           }
@@ -232,7 +182,7 @@ Clustering RunRandomCentroidClustering(
 }
 
 std::vector<CentroidPair> RunCentroidJoin(
-    minispark::Context* ctx, const RankingTable& table,
+    minispark::Context* ctx, const JoinStore& store,
     const std::vector<RankingId>& centroids,
     const std::vector<RankingId>& singletons, const CentroidJoinSpec& spec,
     JoinStats* stats) {
@@ -268,37 +218,31 @@ std::vector<CentroidPair> RunCentroidJoin(
 
   minispark::Dataset<Tagged> centroid_ds =
       minispark::Parallelize(ctx, std::move(tagged), spec.num_partitions);
-  const RankingTable* table_ptr = &table;
+  const JoinStore* store_ptr = &store;
   auto postings = centroid_ds.FlatMap(
-      [table_ptr, prefix_m, prefix_s](const Tagged& t) {
-        const OrderedRanking& r = table_ptr->Get(t.id);
-        const size_t p = static_cast<size_t>(
-            std::min<int>(t.singleton ? prefix_s : prefix_m,
-                          static_cast<int>(r.canonical.size())));
-        std::vector<std::pair<ItemId, PrefixPosting>> out;
-        out.reserve(p);
-        for (size_t i = 0; i < p; ++i) {
-          const ItemEntry& e = r.canonical[i];
-          out.push_back(
-              {e.item, PrefixPosting{r.id, e.rank, t.singleton, &r}});
-        }
-        return out;
+      [store_ptr, prefix_m, prefix_s](const Tagged& t) {
+        return EmitPrefix(*store_ptr, store_ptr->RowOf(t.id),
+                          t.singleton ? prefix_s : prefix_m,
+                          PrefixMode::kOverlap, t.singleton);
       },
       "centroidJoin/prefix");
   minispark::Dataset<PostingGroup> groups = minispark::GroupByKey(
       postings, spec.num_partitions, "centroidJoin/groupByItem");
 
   const bool position_filter = spec.position_filter;
-  LocalJoinFn local_join = [thresholds, position_filter](
+  // Algorithm 1's compute_sim: every pair under its own Lemma 5.3
+  // threshold.
+  LocalJoinFn local_join = [store_ptr, thresholds, position_filter](
                                const std::vector<PrefixPosting>& group,
                                std::vector<ScoredPair>* out, JoinStats* s) {
-    MixedNestedLoop(group, thresholds, position_filter, out, s);
+    NestedLoopJoin(*store_ptr, group, thresholds, position_filter, out, s);
   };
-  LocalRsJoinFn rs_join = [thresholds, position_filter](
+  LocalRsJoinFn rs_join = [store_ptr, thresholds, position_filter](
                               const std::vector<PrefixPosting>& left,
                               const std::vector<PrefixPosting>& right,
                               std::vector<ScoredPair>* out, JoinStats* s) {
-    MixedNestedLoopRS(left, right, thresholds, position_filter, out, s);
+    NestedLoopJoinRS(*store_ptr, left, right, thresholds, position_filter,
+                     out, s);
   };
 
   // Phase-local stats, published under the centroid join's own scope:

@@ -5,9 +5,9 @@
 #include <vector>
 
 #include "join/stats.h"
-#include "join/verify.h"
 #include "join/vj.h"
 #include "minispark/context.h"
+#include "ranking/join_store.h"
 #include "ranking/ranking.h"
 
 namespace rankjoin {
@@ -34,12 +34,11 @@ struct Clustering {
   std::vector<RankingId> singletons;
 };
 
-/// Runs the clustering phase: a distributed self-join of the whole
-/// dataset with the clustering threshold (spec.raw_theta = raw theta_c),
-/// followed by cluster formation (smaller id of each pair becomes the
-/// centroid). Join work counters accumulate into `stats`.
-Clustering RunClusteringPhase(minispark::Context* ctx,
-                              const std::vector<const OrderedRanking*>& all,
+/// Runs the clustering phase: a distributed self-join of every ranking
+/// in `store` with the clustering threshold (spec.raw_theta = raw
+/// theta_c), followed by cluster formation (smaller id of each pair
+/// becomes the centroid). Join work counters accumulate into `stats`.
+Clustering RunClusteringPhase(minispark::Context* ctx, const JoinStore& store,
                               const internal::SelfJoinSpec& spec,
                               JoinStats* stats);
 
@@ -52,10 +51,11 @@ Clustering RunClusteringPhase(minispark::Context* ctx,
 /// ablation bench confirms) the drawbacks: the centroid count must be
 /// guessed, and with a small theta_c most random centroids attract no
 /// members, leaving many de-facto singletons.
-Clustering RunRandomCentroidClustering(
-    minispark::Context* ctx, const std::vector<const OrderedRanking*>& all,
-    int num_centroids, uint32_t raw_theta_c, uint64_t seed,
-    JoinStats* stats);
+Clustering RunRandomCentroidClustering(minispark::Context* ctx,
+                                       const JoinStore& store,
+                                       int num_centroids,
+                                       uint32_t raw_theta_c, uint64_t seed,
+                                       JoinStats* stats);
 
 /// One joining-phase result: a qualifying centroid pair with its
 /// distance and the singleton markers needed by the expansion.
@@ -101,7 +101,7 @@ struct CentroidJoinSpec {
 /// prefixes cover the pair's threshold; with get_prefix(theta) an (m, s)
 /// pair at distance in (theta, theta + theta_c] can be missed.
 std::vector<CentroidPair> RunCentroidJoin(
-    minispark::Context* ctx, const RankingTable& table,
+    minispark::Context* ctx, const JoinStore& store,
     const std::vector<RankingId>& centroids,
     const std::vector<RankingId>& singletons, const CentroidJoinSpec& spec,
     JoinStats* stats);

@@ -9,7 +9,6 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "join/cluster.h"
-#include "join/verify.h"
 #include "minispark/dataset.h"
 #include "ranking/footrule.h"
 
@@ -50,7 +49,7 @@ using MemberRec = std::pair<RankingId, uint32_t>;
 
 /// Shared context for the expansion kernels.
 struct ExpansionContext {
-  const RankingTable* table = nullptr;
+  const JoinStore* store = nullptr;
   uint32_t raw_theta = 0;
   bool upper_shortcut = true;
 };
@@ -74,9 +73,10 @@ void EmitWithTriangleBounds(const ExpansionContext& ectx, RankingId a,
     out->push_back(MakeResultPair(a, b));
     return;
   }
-  if (VerifyPair(ectx.table->Get(a), ectx.table->Get(b), ectx.raw_theta,
-                 stats)
-          .has_value()) {
+  ++stats->verified;
+  const JoinStore& store = *ectx.store;
+  if (store.Distance(store.RowOf(a), store.RowOf(b)) <= ectx.raw_theta) {
+    ++stats->verify_passed;
     out->push_back(MakeResultPair(a, b));
   }
 }
@@ -123,12 +123,12 @@ void ResolveOverlaps(Clustering* clustering) {
 /// joining-phase centroid pairs R_j with the clustering-phase tuples R_c
 /// to produce the final result set.
 std::vector<ResultPair> RunExpansion(minispark::Context* ctx,
-                                     const RankingTable& table,
+                                     const JoinStore& store,
                                      const Clustering& clustering,
                                      const std::vector<CentroidPair>& rj,
                                      uint32_t raw_theta, int num_partitions,
                                      bool upper_shortcut, JoinStats* stats) {
-  ExpansionContext ectx{&table, raw_theta, upper_shortcut};
+  ExpansionContext ectx{&store, raw_theta, upper_shortcut};
   // All expansion kernels below tally into this phase-local accumulator
   // (via per-partition slot vectors merged after each Cache() barrier);
   // it is merged into the caller's stats AND published to the counter
@@ -376,13 +376,8 @@ static Result<JoinResult> RunClusterJoinImpl(minispark::Context* ctx,
 
   // Phase 1: Ordering (once, reused by both joins — Section 5).
   Stopwatch phase;
-  std::vector<OrderedRanking> ordered =
-      internal::OrderDataset(ctx, dataset, options.reorder_by_frequency,
-                             num_partitions, options.store);
-  RankingTable table(ordered);
-  std::vector<const OrderedRanking*> all;
-  all.reserve(ordered.size());
-  for (const OrderedRanking& r : ordered) all.push_back(&r);
+  const JoinStore store = internal::OrderDataset(
+      ctx, dataset, options.reorder_by_frequency, num_partitions);
   result.stats.ordering_seconds = phase.ElapsedSeconds();
 
   // Phase 2: Clustering with theta_c.
@@ -397,13 +392,13 @@ static Result<JoinResult> RunClusterJoinImpl(minispark::Context* ctx,
   cluster_spec.counter_scope = "cl.clustering";
   Clustering clustering;
   if (options.clustering_strategy == ClusteringStrategy::kJoinBased) {
-    clustering = RunClusteringPhase(ctx, all, cluster_spec, &result.stats);
+    clustering = RunClusteringPhase(ctx, store, cluster_spec, &result.stats);
   } else {
     const int centroids =
         options.random_centroids > 0
             ? options.random_centroids
-            : std::max(1, static_cast<int>(all.size() / 10));
-    clustering = RunRandomCentroidClustering(ctx, all, centroids,
+            : std::max(1, static_cast<int>(store.size() / 10));
+    clustering = RunRandomCentroidClustering(ctx, store, centroids,
                                              raw_theta_c,
                                              options.random_centroid_seed,
                                              &result.stats);
@@ -422,7 +417,7 @@ static Result<JoinResult> RunClusterJoinImpl(minispark::Context* ctx,
   join_spec.repartition_delta = options.repartition_delta;
   join_spec.adaptive_repartition = options.adaptive_repartition;
   std::vector<CentroidPair> rj =
-      RunCentroidJoin(ctx, table, clustering.centroids, clustering.singletons,
+      RunCentroidJoin(ctx, store, clustering.centroids, clustering.singletons,
                       join_spec, &result.stats);
   result.stats.joining_seconds = phase.ElapsedSeconds();
 
@@ -432,7 +427,7 @@ static Result<JoinResult> RunClusterJoinImpl(minispark::Context* ctx,
     ResolveOverlaps(&clustering);
     result.stats.cluster_members = clustering.pairs.size();
   }
-  result.pairs = RunExpansion(ctx, table, clustering, rj, raw_theta,
+  result.pairs = RunExpansion(ctx, store, clustering, rj, raw_theta,
                               num_partitions, options.triangle_upper_shortcut,
                               &result.stats);
   result.stats.expansion_seconds = phase.ElapsedSeconds();

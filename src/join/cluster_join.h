@@ -68,9 +68,6 @@ struct ClOptions {
   int random_centroids = 0;
   /// kRandomCentroids only: RNG seed for the centroid draw.
   uint64_t random_centroid_seed = 1234;
-  /// Ranking representation the ordering phase parallelizes over (see
-  /// VjOptions::store).
-  RankingStore store = RankingStore::kFlat;
 };
 
 /// Runs the four-phase clustering join (Ordering, Clustering, Joining,

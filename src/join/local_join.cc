@@ -1,130 +1,109 @@
 #include "join/local_join.h"
 
-#include <unordered_map>
-
-#include "common/logging.h"
-#include "join/verify.h"
 #include "ranking/footrule.h"
 
 namespace rankjoin {
-namespace {
 
-/// Per-candidate state during one probe round of the prefix join.
-enum class CandidateState : uint8_t { kUnseen = 0, kAlive, kDead };
-
-}  // namespace
+std::vector<std::pair<ItemId, PrefixPosting>> EmitPrefix(
+    const JoinStore& store, RowIndex row, int prefix_size, PrefixMode mode,
+    bool singleton) {
+  std::vector<std::pair<ItemId, PrefixPosting>> out;
+  out.reserve(static_cast<size_t>(std::min(prefix_size, store.k())));
+  const ItemId* items = store.items(row);
+  ForEachPrefixRank(store, row, prefix_size, mode, [&](uint16_t rank) {
+    out.push_back({items[rank], PrefixPosting{row, rank, singleton}});
+  });
+  return out;
+}
 
 void LocalPrefixJoin(const std::vector<PrefixPosting>& group,
                      const LocalJoinOptions& options,
                      std::vector<ScoredPair>* out, JoinStats* stats) {
   const size_t n = group.size();
   if (n < 2) return;
+  const JoinStore& store = *options.store;
+  const PairKernel& kernel = store.kernel();
+  const uint32_t raw_theta = options.raw_theta;
+  const uint64_t pairs = static_cast<uint64_t>(n) * (n - 1) / 2;
+  uint64_t filtered = 0;
+  uint64_t passed = 0;
+  auto emit = [&](size_t i, size_t j, uint32_t distance) {
+    ++passed;
+    out->push_back({MakeResultPair(store.id(group[i].row),
+                                   store.id(group[j].row)),
+                    distance});
+  };
 
-  // Inverted index over the prefix items of already-processed rankings:
-  // item -> (group position, original rank of the item there).
-  std::unordered_map<ItemId, std::vector<std::pair<uint32_t, uint16_t>>>
-      index;
-  // Probe-round bookkeeping, reset lazily via stamps.
-  std::vector<CandidateState> state(n, CandidateState::kUnseen);
-  std::vector<uint32_t> stamp(n, 0);
-  std::vector<uint32_t> alive;
-  uint32_t round = 0;
-
-  const size_t prefix = static_cast<size_t>(options.prefix_size);
-  for (uint32_t i = 0; i < n; ++i) {
-    const OrderedRanking& ri = *group[i].ranking;
-    ++round;
-    alive.clear();
-    const size_t pi = std::min(prefix, ri.canonical.size());
-    for (size_t t = 0; t < pi; ++t) {
-      const ItemEntry& entry = ri.canonical[t];
-      auto it = index.find(entry.item);
-      if (it == index.end()) continue;
-      for (const auto& [j, rank_j] : it->second) {
-        if (stamp[j] != round) {
-          stamp[j] = round;
-          state[j] = CandidateState::kUnseen;
+  PrefixFilterKernel filter(kernel, raw_theta);
+  if (!options.position_filter || !filter.can_fail()) {
+    kernel.WithChunks([&](auto width) {
+      constexpr int kChunks = decltype(width)::value;
+      for (size_t i = 0; i + 1 < n; ++i) {
+        const ItemId* a = store.items(group[i].row);
+        for (size_t j = i + 1; j < n; ++j) {
+          const uint32_t d =
+              kernel.DistanceAt<kChunks>(a, store.items(group[j].row));
+          if (d <= raw_theta) emit(i, j, d);
         }
-        if (state[j] == CandidateState::kDead) continue;
-        if (options.position_filter &&
-            !PositionFilterPasses(entry.rank, rank_j, options.raw_theta)) {
-          // The position filter is a necessary condition over ANY shared
-          // item, so one failing item kills the pair outright.
-          if (state[j] == CandidateState::kAlive) {
-            state[j] = CandidateState::kDead;
-          } else {
-            state[j] = CandidateState::kDead;
-            ++stats->candidates;
-            ++stats->position_filtered;
+      }
+    });
+  } else {
+    // Prefix lanes of every member, all-ones on the ranks of its prefix
+    // items (the rule EmitPrefix used to put it into this group).
+    const size_t stride = static_cast<size_t>(kernel.stride());
+    thread_local std::vector<uint32_t> prefix;
+    prefix.assign(n * stride, 0);
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t* lanes = &prefix[i * stride];
+      ForEachPrefixRank(store, group[i].row, options.prefix_size,
+                        options.prefix_mode,
+                        [lanes](uint16_t rank) { lanes[rank] = ~0u; });
+    }
+    kernel.WithChunks([&](auto width) {
+      constexpr int kChunks = decltype(width)::value;
+      for (size_t i = 0; i + 1 < n; ++i) {
+        filter.SetOuter(store.items(group[i].row), &prefix[i * stride]);
+        for (size_t j = i + 1; j < n; ++j) {
+          const PairVerdict v = filter.CheckAt<kChunks>(
+              store.items(group[j].row), &prefix[j * stride]);
+          if (v.filtered) {
+            ++filtered;
+          } else if (v.distance <= raw_theta) {
+            emit(i, j, v.distance);
           }
-          continue;
-        }
-        if (state[j] == CandidateState::kUnseen) {
-          state[j] = CandidateState::kAlive;
-          alive.push_back(j);
-          ++stats->candidates;
         }
       }
-    }
-    for (uint32_t j : alive) {
-      if (state[j] != CandidateState::kAlive) {
-        ++stats->position_filtered;
-        continue;
-      }
-      const OrderedRanking& rj = *group[j].ranking;
-      if (auto d = VerifyPair(ri, rj, options.raw_theta, stats)) {
-        out->push_back({MakeResultPair(ri.id, rj.id), *d});
-      }
-    }
-    // Index this ranking's prefix for subsequent probes.
-    for (size_t t = 0; t < pi; ++t) {
-      const ItemEntry& entry = ri.canonical[t];
-      index[entry.item].push_back({i, entry.rank});
-    }
+    });
   }
+  stats->candidates += pairs;
+  stats->position_filtered += filtered;
+  stats->verified += pairs - filtered;
+  stats->verify_passed += passed;
 }
 
 void LocalNestedLoopJoin(const std::vector<PrefixPosting>& group,
                          const LocalJoinOptions& options,
                          std::vector<ScoredPair>* out, JoinStats* stats) {
-  const size_t n = group.size();
-  for (size_t i = 0; i + 1 < n; ++i) {
-    const PrefixPosting& a = group[i];
-    for (size_t j = i + 1; j < n; ++j) {
-      const PrefixPosting& b = group[j];
-      ++stats->candidates;
-      if (options.position_filter &&
-          !PositionFilterPasses(a.key_rank, b.key_rank, options.raw_theta)) {
-        ++stats->position_filtered;
-        continue;
-      }
-      if (auto d = VerifyPair(*a.ranking, *b.ranking, options.raw_theta,
-                              stats)) {
-        out->push_back({MakeResultPair(a.id, b.id), *d});
-      }
-    }
-  }
+  const uint32_t raw_theta = options.raw_theta;
+  NestedLoopJoin(
+      *options.store, group,
+      [raw_theta](const PrefixPosting&, const PrefixPosting&) {
+        return raw_theta;
+      },
+      options.position_filter, out, stats);
 }
 
 void LocalNestedLoopJoinRS(const std::vector<PrefixPosting>& left,
                            const std::vector<PrefixPosting>& right,
                            const LocalJoinOptions& options,
                            std::vector<ScoredPair>* out, JoinStats* stats) {
-  for (const PrefixPosting& a : left) {
-    for (const PrefixPosting& b : right) {
-      if (a.id == b.id) continue;
-      ++stats->candidates;
-      if (options.position_filter &&
-          !PositionFilterPasses(a.key_rank, b.key_rank, options.raw_theta)) {
-        ++stats->position_filtered;
-        continue;
-      }
-      if (auto d = VerifyPair(*a.ranking, *b.ranking, options.raw_theta,
-                              stats)) {
-        out->push_back({MakeResultPair(a.id, b.id), *d});
-      }
-    }
-  }
+  const uint32_t raw_theta = options.raw_theta;
+  NestedLoopJoinRS(
+      *options.store, left, right,
+      [raw_theta](const PrefixPosting&, const PrefixPosting&) {
+        return raw_theta;
+      },
+      options.position_filter, out, stats);
 }
 
 }  // namespace rankjoin

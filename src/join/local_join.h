@@ -1,54 +1,168 @@
 #ifndef RANKJOIN_JOIN_LOCAL_JOIN_H_
 #define RANKJOIN_JOIN_LOCAL_JOIN_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "join/stats.h"
+#include "ranking/footrule.h"
+#include "ranking/join_store.h"
 #include "ranking/ranking.h"
 
 namespace rankjoin {
 
+/// Which prefix derivation to use (paper Section 4).
+enum class PrefixMode {
+  /// Overlap-based prefix under the global frequency order — required
+  /// when rankings are reordered; the paper's default.
+  kOverlap,
+  /// Ordered prefix of Lemma 4.1 (best-ranked items); slightly tighter
+  /// but fixes the prefix to the original top ranks.
+  kOrdered,
+};
+
 /// One element of a posting list after the prefix flat-map: a ranking
-/// that contains the list's key item in its prefix.
-///
-/// The `ranking` pointer refers into the shared RankingTable (see
-/// verify.h); postings are what travels through shuffles.
+/// that contains the list's key item in its prefix. Plain values only —
+/// `row` indexes the job's JoinStore — so postings shuffle and spill as
+/// they are.
 struct PrefixPosting {
-  RankingId id = 0;
+  RowIndex row = 0;
   /// Original rank of the key item inside this ranking — lets the
   /// nested-loop variant apply the position filter without a lookup.
   uint16_t key_rank = 0;
   /// Centroid type marker used by the CL joining phase (Lemma 5.3):
   /// true when the ranking is the representative of a singleton cluster.
   bool singleton = false;
-  const OrderedRanking* ranking = nullptr;
 };
+
+/// Calls `fn(rank)` for every prefix item of `row`, in canonical order:
+/// the first `prefix_size` canonical items under kOverlap, the items at
+/// ranks below `prefix_size` (the best-ranked ones) under kOrdered. The
+/// one prefix rule: the pipelines emit postings with it and
+/// LocalPrefixJoin filters with it.
+template <typename Fn>
+void ForEachPrefixRank(const JoinStore& store, RowIndex row, int prefix_size,
+                       PrefixMode mode, Fn&& fn) {
+  const uint16_t* canonical = store.canonical(row);
+  if (mode == PrefixMode::kOverlap) {
+    const int p = std::min(prefix_size, store.k());
+    for (int t = 0; t < p; ++t) fn(canonical[t]);
+  } else {
+    for (int t = 0; t < store.k(); ++t) {
+      if (canonical[t] < prefix_size) fn(canonical[t]);
+    }
+  }
+}
+
+/// The (prefix item, posting) pairs of one row: the flat-map step of
+/// every prefix-filtering pipeline.
+std::vector<std::pair<ItemId, PrefixPosting>> EmitPrefix(
+    const JoinStore& store, RowIndex row, int prefix_size, PrefixMode mode,
+    bool singleton = false);
 
 /// Options shared by the per-partition join kernels.
 struct LocalJoinOptions {
+  /// The job's join store; postings index its rows. Must outlive every
+  /// local join that reads it.
+  const JoinStore* store = nullptr;
   /// Raw (integer) distance threshold.
   uint32_t raw_theta = 0;
-  /// Prefix size used when (re-)indexing rankings inside a group.
+  /// Prefix size and rule the postings were emitted with.
   int prefix_size = 1;
+  PrefixMode prefix_mode = PrefixMode::kOverlap;
   /// Apply the rank-difference position filter (paper Section 4).
   bool position_filter = true;
 };
 
-/// VJ-style per-group join (paper Section 4): rankings in `group` all
-/// share the key item; their prefixes are indexed with an in-memory
-/// inverted index, candidates are generated by probing it, the position
-/// filter is applied per shared item, and survivors are verified.
-/// Emits qualifying pairs into `out` (smaller id first; duplicates across
-/// groups are possible and removed by the caller's distinct stage).
+namespace local_join_internal {
+
+/// One nested-loop candidate under the pair's own raw threshold: the
+/// position filter on the key item's ranks, then the kernel at width
+/// kChunks (see PairKernel::WithChunks).
+template <int kChunks>
+void VerifyPair(const JoinStore& store, const PrefixPosting& a,
+                const PrefixPosting& b, uint32_t raw_theta,
+                bool position_filter, std::vector<ScoredPair>* out,
+                JoinStats* stats) {
+  ++stats->candidates;
+  if (position_filter &&
+      !PositionFilterPasses(a.key_rank, b.key_rank, raw_theta)) {
+    ++stats->position_filtered;
+    return;
+  }
+  ++stats->verified;
+  const uint32_t d = store.kernel().DistanceAt<kChunks>(store.items(a.row),
+                                                        store.items(b.row));
+  if (d <= raw_theta) {
+    ++stats->verify_passed;
+    out->push_back({MakeResultPair(store.id(a.row), store.id(b.row)), d});
+  }
+}
+
+}  // namespace local_join_internal
+
+/// Nested-loop join over all pairs of `group` (paper Section 4.1, and
+/// Algorithm 1's compute_sim in the CL joining phase): each pair is
+/// filtered on the key item's ranks and verified under its own raw
+/// threshold `threshold(a, b)`.
+template <typename Threshold>
+void NestedLoopJoin(const JoinStore& store,
+                    const std::vector<PrefixPosting>& group,
+                    const Threshold& threshold, bool position_filter,
+                    std::vector<ScoredPair>* out, JoinStats* stats) {
+  const size_t n = group.size();
+  JoinStats counts;  // stack-local, so the loop keeps it in registers
+  store.kernel().WithChunks([&](auto width) {
+    for (size_t i = 0; i + 1 < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j) {
+        if (group[i].row == group[j].row) continue;
+        local_join_internal::VerifyPair<decltype(width)::value>(
+            store, group[i], group[j], threshold(group[i], group[j]),
+            position_filter, out, &counts);
+      }
+    }
+  });
+  stats->MergeCounters(counts);
+}
+
+/// R-S variant of NestedLoopJoin: every pair of one posting from `left`
+/// and one from `right` (two sub-partitions of one posting list).
+template <typename Threshold>
+void NestedLoopJoinRS(const JoinStore& store,
+                      const std::vector<PrefixPosting>& left,
+                      const std::vector<PrefixPosting>& right,
+                      const Threshold& threshold, bool position_filter,
+                      std::vector<ScoredPair>* out, JoinStats* stats) {
+  JoinStats counts;  // stack-local, so the loop keeps it in registers
+  store.kernel().WithChunks([&](auto width) {
+    for (const PrefixPosting& a : left) {
+      for (const PrefixPosting& b : right) {
+        if (a.row == b.row) continue;
+        local_join_internal::VerifyPair<decltype(width)::value>(
+            store, a, b, threshold(a, b), position_filter, out, &counts);
+      }
+    }
+  });
+  stats->MergeCounters(counts);
+}
+
+/// VJ-style per-group join (paper Section 4). Every member of a group
+/// holds the key item in its prefix, so every pair of members shares a
+/// prefix item: a plain pair loop over the group yields exactly the
+/// candidates an inverted index over the members' prefixes would. Each
+/// pair is verified with the position filter applied to the items in
+/// both prefixes, in the same pass as the distance. Emits qualifying
+/// pairs into `out` (smaller id first; duplicates across groups are
+/// possible and removed by the caller's distinct stage).
 void LocalPrefixJoin(const std::vector<PrefixPosting>& group,
                      const LocalJoinOptions& options,
                      std::vector<ScoredPair>* out, JoinStats* stats);
 
 /// VJ-NL per-group join (paper Section 4.1): iterator-style nested loop
-/// over all ordered pairs of the group, applying the position filter on
-/// the key item's ranks before verification. No index is built and no
-/// per-group allocations are made — the Spark-friendly variant.
+/// over all pairs of the group, applying the position filter on the key
+/// item's ranks before verification.
 void LocalNestedLoopJoin(const std::vector<PrefixPosting>& group,
                          const LocalJoinOptions& options,
                          std::vector<ScoredPair>* out, JoinStats* stats);

@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "join/local_join.h"
-#include "join/verify.h"
 #include "minispark/dataset.h"
 #include "ranking/footrule.h"
 #include "ranking/prefix.h"
@@ -24,10 +23,13 @@ struct SidedPosting {
 };
 
 /// R x S kernel over one posting group: every cross-side pair that
-/// survives the key-item position filter is verified.
-void RsGroupJoin(const std::vector<SidedPosting>& group, uint32_t raw_theta,
+/// survives the key-item position filter is verified. Rows of R index
+/// `r`, rows of S index `s`.
+void RsGroupJoin(const JoinStore& r, const JoinStore& s,
+                 const std::vector<SidedPosting>& group, uint32_t raw_theta,
                  bool position_filter, std::vector<ScoredPair>* out,
                  JoinStats* stats) {
+  const PairKernel& kernel = r.kernel();
   for (const SidedPosting& a : group) {
     if (a.from_s) continue;
     for (const SidedPosting& b : group) {
@@ -39,10 +41,13 @@ void RsGroupJoin(const std::vector<SidedPosting>& group, uint32_t raw_theta,
         ++stats->position_filtered;
         continue;
       }
-      if (auto d = VerifyPair(*a.posting.ranking, *b.posting.ranking,
-                              raw_theta, stats)) {
+      ++stats->verified;
+      const uint32_t d =
+          kernel.Distance(r.items(a.posting.row), s.items(b.posting.row));
+      if (d <= raw_theta) {
+        ++stats->verify_passed;
         // (r_id, s_id) — deliberately NOT normalized by id.
-        out->push_back({{a.posting.id, b.posting.id}, *d});
+        out->push_back({{r.id(a.posting.row), s.id(b.posting.row)}, d});
       }
     }
   }
@@ -75,7 +80,9 @@ JoinResult BruteForceRsJoin(const RankingDataset& r, const RankingDataset& s,
   for (const OrderedRanking& a : ro) {
     for (const OrderedRanking& b : so) {
       ++result.stats.candidates;
-      if (VerifyPair(a, b, raw_theta, &result.stats).has_value()) {
+      ++result.stats.verified;
+      if (FootruleDistanceBounded(a, b, raw_theta)) {
+        ++result.stats.verify_passed;
         result.pairs.push_back({a.id, b.id});
       }
     }
@@ -125,30 +132,21 @@ static Result<JoinResult> RunRsJoinImpl(minispark::Context* ctx,
     }
     order = ItemOrder::FromFrequencies(freq);
   }
-  std::vector<OrderedRanking> ro = MakeOrderedDataset(r.store(), order);
-  std::vector<OrderedRanking> so = MakeOrderedDataset(s.store(), order);
+  const JoinStore ro = JoinStore::Build(r.store(), order);
+  const JoinStore so = JoinStore::Build(s.store(), order);
   result.stats.ordering_seconds = phase.ElapsedSeconds();
 
   phase.Reset();
   // Both sides emit prefix postings tagged with their origin.
-  auto emit_side = [&](const std::vector<OrderedRanking>& side,
-                       bool from_s) {
-    std::vector<const OrderedRanking*> ptrs;
-    ptrs.reserve(side.size());
-    for (const OrderedRanking& rk : side) ptrs.push_back(&rk);
-    auto ds = minispark::Parallelize(ctx, std::move(ptrs), num_partitions);
+  auto emit_side = [&](const JoinStore& side, bool from_s) {
+    auto ds = minispark::Parallelize(ctx, side.Rows(), num_partitions);
+    const JoinStore* side_ptr = &side;
     return ds.FlatMap(
-        [prefix, from_s](const OrderedRanking* rk) {
+        [side_ptr, prefix, from_s](RowIndex row) {
           std::vector<std::pair<ItemId, SidedPosting>> out;
-          const size_t p = std::min(static_cast<size_t>(prefix),
-                                    rk->canonical.size());
-          out.reserve(p);
-          for (size_t i = 0; i < p; ++i) {
-            const ItemEntry& e = rk->canonical[i];
-            out.push_back(
-                {e.item,
-                 SidedPosting{from_s,
-                              PrefixPosting{rk->id, e.rank, false, rk}}});
+          for (const auto& [item, posting] :
+               EmitPrefix(*side_ptr, row, prefix, PrefixMode::kOverlap)) {
+            out.push_back({item, SidedPosting{from_s, posting}});
           }
           return out;
         },
@@ -163,7 +161,7 @@ static Result<JoinResult> RunRsJoinImpl(minispark::Context* ctx,
   const bool position_filter = options.position_filter;
   std::vector<JoinStats> slots(static_cast<size_t>(groups.num_partitions()));
   auto raw_pairs = groups.MapPartitionsWithIndex(
-      [raw_theta, position_filter, &slots](
+      [&ro, &so, raw_theta, position_filter, &slots](
           int index,
           const std::vector<std::pair<ItemId, std::vector<SidedPosting>>>&
               part) {
@@ -172,7 +170,7 @@ static Result<JoinResult> RunRsJoinImpl(minispark::Context* ctx,
         // Retry hygiene: a re-run attempt starts its stat slot from zero.
         local = JoinStats();
         for (const auto& group : part) {
-          RsGroupJoin(group.second, raw_theta, position_filter, &out,
+          RsGroupJoin(ro, so, group.second, raw_theta, position_filter, &out,
                       &local);
         }
         return out;

@@ -37,149 +37,84 @@ Status ValidateVjOptions(const VjOptions& options, int k) {
   return Status::OK();
 }
 
-namespace {
+JoinStore OrderDataset(minispark::Context* ctx, const RankingDataset& dataset,
+                       bool reorder_by_frequency, int num_partitions) {
+  // The views borrow the columnar store's memory, which outlives the
+  // stages here because the caller holds the dataset across the join.
+  const FlatRankings& flat = dataset.store();
+  minispark::Dataset<RankingView> rankings =
+      minispark::Parallelize(ctx, flat.Views(), num_partitions);
 
-/// Shared tail of both OrderDataset branches: reduce per-item ones into
-/// global frequencies and build the broadcastable order.
-template <typename RecordT, typename EmitOnes>
-ItemOrder ComputeItemOrder(minispark::Context* ctx,
-                           const minispark::Dataset<RecordT>& rankings,
-                           EmitOnes emit_ones, int num_partitions) {
-  (void)ctx;
-  auto item_ones = rankings.FlatMap(emit_ones, "vj/itemFrequency");
-  auto freq = minispark::ReduceByKey(
-      item_ones, [](uint32_t a, uint32_t b) { return a + b; },
-      num_partitions, "vj/itemFrequency");
-  std::unordered_map<ItemId, uint32_t> freq_map;
-  for (const auto& [item, count] : freq.Collect()) {
-    freq_map.emplace(item, count);
-  }
-  return ItemOrder::FromFrequencies(freq_map);
-}
-
-}  // namespace
-
-std::vector<OrderedRanking> OrderDataset(minispark::Context* ctx,
-                                         const RankingDataset& dataset,
-                                         bool reorder_by_frequency,
-                                         int num_partitions,
-                                         RankingStore store) {
-  if (store == RankingStore::kFlat) {
-    // Canonical path: parallelize zero-copy views over the columnar
-    // store. The views borrow the store's column memory, which outlives
-    // the stages here because the caller holds the dataset (and with it
-    // the store) across the whole join.
-    const FlatRankings& flat = dataset.store();
-    minispark::Dataset<RankingView> rankings =
-        minispark::Parallelize(ctx, flat.Views(), num_partitions);
-
-    ItemOrder order;  // identity (by item id) unless reordering is on
-    if (reorder_by_frequency) {
-      order = ComputeItemOrder(
-          ctx, rankings,
-          [](const RankingView& v) {
-            std::vector<std::pair<ItemId, uint32_t>> out;
-            out.reserve(v.k);
-            for (uint32_t r = 0; r < v.k; ++r) out.push_back({v.items[r], 1});
-            return out;
-          },
-          num_partitions);
-    }
-
-    minispark::Broadcast<ItemOrder> order_bc =
-        ctx->MakeBroadcast(std::move(order), "vj/itemOrder");
-    minispark::Dataset<OrderedRanking> ordered = rankings.Map(
-        [order_bc](const RankingView& v) { return MakeOrdered(v, *order_bc); },
-        "vj/canonicalize");
-    return ordered.Collect();
-  }
-
-  // Legacy A/B path: one heap-allocated Ranking per record. An mmap-born
-  // dataset has no legacy vector; materialize one for the duration.
-  const std::vector<Ranking> materialized =
-      dataset.rankings.empty() && dataset.size() > 0
-          ? dataset.MaterializeLegacy()
-          : std::vector<Ranking>();
-  const std::vector<Ranking>& legacy =
-      materialized.empty() ? dataset.rankings : materialized;
-  minispark::Dataset<Ranking> rankings =
-      minispark::Parallelize(ctx, legacy, num_partitions);
-
-  ItemOrder order;
+  ItemOrder order;  // identity (by item id) unless reordering is on
   if (reorder_by_frequency) {
-    order = ComputeItemOrder(
-        ctx, rankings,
-        [](const Ranking& r) {
+    auto item_ones = rankings.FlatMap(
+        [](const RankingView& v) {
           std::vector<std::pair<ItemId, uint32_t>> out;
-          out.reserve(r.items().size());
-          for (ItemId item : r.items()) out.push_back({item, 1});
+          out.reserve(v.k);
+          for (uint32_t r = 0; r < v.k; ++r) out.push_back({v.items[r], 1});
           return out;
         },
-        num_partitions);
+        "vj/itemFrequency");
+    auto freq = minispark::ReduceByKey(
+        item_ones, [](uint32_t a, uint32_t b) { return a + b; },
+        num_partitions, "vj/itemFrequency");
+    std::unordered_map<ItemId, uint32_t> freq_map;
+    for (const auto& [item, count] : freq.Collect()) {
+      freq_map.emplace(item, count);
+    }
+    order = ItemOrder::FromFrequencies(freq_map);
   }
 
   minispark::Broadcast<ItemOrder> order_bc =
       ctx->MakeBroadcast(std::move(order), "vj/itemOrder");
-  minispark::Dataset<OrderedRanking> ordered = rankings.Map(
-      [order_bc](const Ranking& r) { return MakeOrdered(r, *order_bc); },
-      "vj/canonicalize");
-  return ordered.Collect();
-}
-
-namespace {
-
-/// Emits (prefix item, posting) pairs for one ranking.
-std::vector<std::pair<ItemId, PrefixPosting>> EmitPrefix(
-    const OrderedRanking& ranking, int prefix_size, PrefixMode mode,
-    bool singleton = false) {
-  std::vector<std::pair<ItemId, PrefixPosting>> out;
-  const size_t p =
-      std::min(static_cast<size_t>(prefix_size), ranking.canonical.size());
-  out.reserve(p);
-  if (mode == PrefixMode::kOverlap) {
-    // First p entries in canonical (frequency) order.
-    for (size_t t = 0; t < p; ++t) {
-      const ItemEntry& e = ranking.canonical[t];
-      out.push_back({e.item, PrefixPosting{ranking.id, e.rank, singleton,
-                                           &ranking}});
-    }
-  } else {
-    // Ordered prefix (Lemma 4.1): the best-ranked p items, regardless of
-    // canonical position.
-    for (const ItemEntry& e : ranking.canonical) {
-      if (e.rank < p) {
-        out.push_back({e.item, PrefixPosting{ranking.id, e.rank, singleton,
-                                             &ranking}});
-      }
-    }
+  // One block of canonical ranks per partition (k per ranking, in input
+  // order); the driver concatenates the blocks into the store.
+  const int k = flat.k();
+  minispark::Dataset<std::vector<uint16_t>> blocks =
+      rankings.MapPartitionsWithIndex(
+          [order_bc, k](int /*index*/, const std::vector<RankingView>& part) {
+            const size_t width = static_cast<size_t>(k);
+            std::vector<uint16_t> block(part.size() * width);
+            for (size_t i = 0; i < part.size(); ++i) {
+              CanonicalRanks(part[i].items, k, *order_bc,
+                             block.data() + i * width);
+            }
+            return std::vector<std::vector<uint16_t>>{std::move(block)};
+          },
+          "vj/canonicalize");
+  std::vector<uint16_t> canonical;
+  canonical.reserve(flat.size() * static_cast<size_t>(k));
+  for (const std::vector<uint16_t>& block : blocks.Collect()) {
+    canonical.insert(canonical.end(), block.begin(), block.end());
   }
-  return out;
+  return JoinStore::Assemble(flat, std::move(canonical));
 }
 
-}  // namespace
-
-std::vector<ScoredPair> DistributedSelfJoin(
-    minispark::Context* ctx,
-    const std::vector<const OrderedRanking*>& subset,
-    const SelfJoinSpec& spec, JoinStats* stats) {
+std::vector<ScoredPair> DistributedSelfJoin(minispark::Context* ctx,
+                                            const JoinStore& store,
+                                            const SelfJoinSpec& spec,
+                                            JoinStats* stats) {
   const int prefix_size =
       spec.prefix_mode == PrefixMode::kOverlap
           ? OverlapPrefix(spec.raw_theta, spec.k)
           : OrderedPrefix(spec.raw_theta, spec.k);
 
-  minispark::Dataset<const OrderedRanking*> rankings =
-      minispark::Parallelize(ctx, subset, spec.num_partitions);
+  minispark::Dataset<RowIndex> rankings =
+      minispark::Parallelize(ctx, store.Rows(), spec.num_partitions);
+  const JoinStore* store_ptr = &store;
   auto postings = rankings.FlatMap(
-      [prefix_size, mode = spec.prefix_mode](const OrderedRanking* r) {
-        return EmitPrefix(*r, prefix_size, mode);
+      [store_ptr, prefix_size, mode = spec.prefix_mode](RowIndex row) {
+        return EmitPrefix(*store_ptr, row, prefix_size, mode);
       },
       "selfJoin/prefix");
   minispark::Dataset<PostingGroup> groups = minispark::GroupByKey(
       postings, spec.num_partitions, "selfJoin/groupByItem");
 
   LocalJoinOptions local_options;
+  local_options.store = &store;
   local_options.raw_theta = spec.raw_theta;
   local_options.prefix_size = prefix_size;
+  local_options.prefix_mode = spec.prefix_mode;
   local_options.position_filter = spec.position_filter;
 
   LocalJoinFn local_join;
@@ -251,12 +186,8 @@ static Result<JoinResult> RunVjJoinImpl(minispark::Context* ctx,
   JoinResult result;
 
   Stopwatch phase;
-  std::vector<OrderedRanking> ordered =
-      internal::OrderDataset(ctx, dataset, options.reorder_by_frequency,
-                             num_partitions, options.store);
-  std::vector<const OrderedRanking*> all;
-  all.reserve(ordered.size());
-  for (const OrderedRanking& r : ordered) all.push_back(&r);
+  const JoinStore store = internal::OrderDataset(
+      ctx, dataset, options.reorder_by_frequency, num_partitions);
   result.stats.ordering_seconds = phase.ElapsedSeconds();
 
   phase.Reset();
@@ -271,7 +202,7 @@ static Result<JoinResult> RunVjJoinImpl(minispark::Context* ctx,
   spec.adaptive_repartition = options.adaptive_repartition;
   spec.counter_scope = options.counter_scope;
   std::vector<ScoredPair> scored =
-      internal::DistributedSelfJoin(ctx, all, spec, &result.stats);
+      internal::DistributedSelfJoin(ctx, store, spec, &result.stats);
   result.stats.joining_seconds = phase.ElapsedSeconds();
 
   result.pairs.reserve(scored.size());

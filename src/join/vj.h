@@ -6,26 +6,18 @@
 #include <vector>
 
 #include "common/status.h"
+#include "join/local_join.h"
 #include "join/stats.h"
 #include "minispark/context.h"
-#include "ranking/flat_rankings.h"
+#include "ranking/join_store.h"
 #include "ranking/ranking.h"
 
 namespace rankjoin {
 
-/// Which prefix derivation to use (paper Section 4).
-enum class PrefixMode {
-  /// Overlap-based prefix under the global frequency order — required
-  /// when rankings are reordered; the paper's default.
-  kOverlap,
-  /// Ordered prefix of Lemma 4.1 (best-ranked items); slightly tighter
-  /// but fixes the prefix to the original top ranks.
-  kOrdered,
-};
-
 /// Per-posting-list join kernel (paper Sections 4 and 4.1).
 enum class LocalAlgorithm {
-  /// Inverted-index prefix join per group (VJ).
+  /// Prefix join per group (VJ): every pair of the group, with the
+  /// position filter on the items both prefixes hold.
   kPrefixIndex,
   /// Iterator-style nested loop with the position filter (VJ-NL).
   kNestedLoop,
@@ -57,10 +49,6 @@ struct VjOptions {
   /// "<scope>.candidates", "<scope>.verified", ... VJ-NL overrides this
   /// to "vj_nl" so the two variants stay distinguishable in one trace.
   std::string counter_scope = "vj";
-  /// Which ranking representation the ordering phase parallelizes over:
-  /// the columnar FlatRankings store (default; zero-copy RankingViews)
-  /// or the legacy vector<Ranking> path kept for A/B measurements.
-  RankingStore store = RankingStore::kFlat;
 };
 
 /// Runs the Vernica-Join adaptation for top-k rankings (paper Section 4)
@@ -75,15 +63,11 @@ namespace internal {
 /// Validates option/threshold combinations shared by the pipelines.
 Status ValidateVjOptions(const VjOptions& options, int k);
 
-/// Ordering phase: counts item frequencies and produces the canonical
-/// per-ranking representation, all as dataflow stages. Returns rankings
-/// in input order; stage metrics accumulate into the context.
-std::vector<OrderedRanking> OrderDataset(minispark::Context* ctx,
-                                         const RankingDataset& dataset,
-                                         bool reorder_by_frequency,
-                                         int num_partitions,
-                                         RankingStore store =
-                                             RankingStore::kFlat);
+/// Ordering phase: counts item frequencies and canonicalizes every
+/// ranking, all as dataflow stages, into the job's JoinStore (rows in
+/// input order). Stage metrics accumulate into the context.
+JoinStore OrderDataset(minispark::Context* ctx, const RankingDataset& dataset,
+                       bool reorder_by_frequency, int num_partitions);
 
 /// Spec for a distributed prefix-filter self-join over already-ordered
 /// rankings (reused by the CL clustering phase, which joins the whole
@@ -104,13 +88,12 @@ struct SelfJoinSpec {
   std::string counter_scope = "selfJoin";
 };
 
-/// Distributed self-join over `subset` (pointers must stay valid for the
-/// duration of the call). Returns deduplicated scored pairs with raw
-/// distance <= spec.raw_theta.
-std::vector<ScoredPair> DistributedSelfJoin(
-    minispark::Context* ctx,
-    const std::vector<const OrderedRanking*>& subset,
-    const SelfJoinSpec& spec, JoinStats* stats);
+/// Distributed self-join over every row of `store`. Returns
+/// deduplicated scored pairs with raw distance <= spec.raw_theta.
+std::vector<ScoredPair> DistributedSelfJoin(minispark::Context* ctx,
+                                            const JoinStore& store,
+                                            const SelfJoinSpec& spec,
+                                            JoinStats* stats);
 
 }  // namespace internal
 }  // namespace rankjoin

@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "minispark/dataset.h"
+#include "ranking/flat_rankings.h"
 #include "ranking/footrule.h"
 
 namespace rankjoin {
@@ -54,40 +55,20 @@ static Result<JoinResult> RunVSmartJoinImpl(minispark::Context* ctx,
   JoinResult result;
 
   // Joining phase: full inverted index (item -> (id, rank) records),
-  // emitted from the columnar store (zero-copy views) or the legacy
-  // vector depending on the A/B knob.
+  // emitted from zero-copy views of the columnar store.
   using Posting = std::pair<ItemId, std::pair<RankingId, uint16_t>>;
-  minispark::Dataset<Posting> postings = [&] {
-    if (options.store == RankingStore::kFlat) {
-      const FlatRankings& flat = dataset.store();
-      minispark::Dataset<RankingView> rankings =
-          minispark::Parallelize(ctx, flat.Views(), num_partitions);
-      return rankings.FlatMap(
-          [](const RankingView& v) {
-            std::vector<Posting> out;
-            out.reserve(v.k);
-            for (uint32_t rank = 0; rank < v.k; ++rank) {
-              out.push_back({v.items[rank],
-                             {v.id, static_cast<uint16_t>(rank)}});
-            }
-            return out;
-          },
-          "vsmart/invertedIndex");
-    }
-    minispark::Dataset<Ranking> rankings = minispark::Parallelize(
-        ctx, dataset.MaterializeLegacy(), num_partitions);
-    return rankings.FlatMap(
-        [](const Ranking& r) {
-          std::vector<Posting> out;
-          out.reserve(r.items().size());
-          for (int rank = 0; rank < r.k(); ++rank) {
-            out.push_back({r.ItemAt(rank),
-                           {r.id(), static_cast<uint16_t>(rank)}});
-          }
-          return out;
-        },
-        "vsmart/invertedIndex");
-  }();
+  minispark::Dataset<RankingView> rankings =
+      minispark::Parallelize(ctx, dataset.store().Views(), num_partitions);
+  minispark::Dataset<Posting> postings = rankings.FlatMap(
+      [](const RankingView& v) {
+        std::vector<Posting> out;
+        out.reserve(v.k);
+        for (uint32_t rank = 0; rank < v.k; ++rank) {
+          out.push_back({v.items[rank], {v.id, static_cast<uint16_t>(rank)}});
+        }
+        return out;
+      },
+      "vsmart/invertedIndex");
   auto lists =
       minispark::GroupByKey(postings, num_partitions, "vsmart/group");
 

@@ -4,7 +4,6 @@
 #include "common/status.h"
 #include "join/stats.h"
 #include "minispark/context.h"
-#include "ranking/flat_rankings.h"
 #include "ranking/ranking.h"
 
 namespace rankjoin {
@@ -35,9 +34,6 @@ struct VSmartOptions {
   double theta = 0.2;
   /// Shuffle partitions; -1 uses the context default.
   int num_partitions = -1;
-  /// Ranking representation the inverted-index phase parallelizes over
-  /// (see VjOptions::store).
-  RankingStore store = RankingStore::kFlat;
 };
 
 /// Runs the V-SMART-style join. Exact (equals brute force).

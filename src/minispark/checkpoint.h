@@ -43,9 +43,9 @@ const char* DiskPressurePolicyName(DiskPressurePolicy policy);
 
 /// Whether a checkpoint of T is valid ACROSS processes. Stricter than
 /// has_serde_v: the in-process Serde round-trips raw pointers inside
-/// trivially-copyable records (PrefixPosting::ranking and friends) as
-/// plain values, which is fine for spill files that never outlive the
-/// process but poison for a checkpoint a *different* process restores.
+/// trivially-copyable records (RankingView::items and friends) as plain
+/// values, which is fine for spill files that never outlive the process
+/// but poison for a checkpoint a *different* process restores.
 /// Only arithmetic/enum scalars and std::string/pair/vector
 /// compositions thereof default to portable; a custom record type must
 /// opt in explicitly (specialize next to the type) after verifying it

@@ -27,8 +27,9 @@ namespace rankjoin::minispark {
 /// (postings, posting groups, scored pairs, centroid records).
 ///
 /// The encoding is IN-PROCESS only: spill files never outlive the
-/// process, so raw pointers inside records (e.g. PrefixPosting::ranking,
-/// which points into a driver-held table) round-trip as plain values.
+/// process, so raw pointers inside records (e.g. RankingView::items,
+/// which points into the driver-held columnar store) round-trip as plain
+/// values. Join postings need no such care: they carry row indices.
 /// Nothing here handles endianness or versioning on purpose.
 ///
 /// The primary template is deliberately DECLARED but not defined: a

@@ -6,23 +6,6 @@
 
 namespace rankjoin {
 
-const char* RankingStoreName(RankingStore store) {
-  switch (store) {
-    case RankingStore::kFlat:
-      return "flat";
-    case RankingStore::kLegacy:
-      return "legacy";
-  }
-  return "unknown";
-}
-
-Result<RankingStore> ParseRankingStore(const std::string& text) {
-  if (text == "flat") return RankingStore::kFlat;
-  if (text == "legacy") return RankingStore::kLegacy;
-  return Status::InvalidArgument("unknown ranking store '" + text +
-                                 "' (expected flat|legacy)");
-}
-
 FlatRankings FlatRankings::FromRankings(int k,
                                         const std::vector<Ranking>& rankings) {
   Builder builder(k);
@@ -55,13 +38,6 @@ std::vector<RankingView> FlatRankings::Views() const {
 Ranking FlatRankings::ToRanking(size_t i) const {
   const ItemId* begin = items_ + i * static_cast<size_t>(k_);
   return Ranking(ids_[i], std::vector<ItemId>(begin, begin + k_));
-}
-
-std::vector<Ranking> FlatRankings::MaterializeRankings() const {
-  std::vector<Ranking> out;
-  out.reserve(count_);
-  for (size_t i = 0; i < count_; ++i) out.push_back(ToRanking(i));
-  return out;
 }
 
 Status FlatRankings::Validate() const {

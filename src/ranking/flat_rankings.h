@@ -12,15 +12,6 @@
 
 namespace rankjoin {
 
-/// Which in-memory representation a pipeline parallelizes over. kFlat is
-/// the canonical columnar store; kLegacy keeps the historical
-/// vector<Ranking> (one heap allocation per ranking) path alive for A/B
-/// measurements.
-enum class RankingStore { kFlat, kLegacy };
-
-const char* RankingStoreName(RankingStore store);
-Result<RankingStore> ParseRankingStore(const std::string& text);
-
 /// A non-owning view of one fixed-k ranking inside a FlatRankings store:
 /// `items` points at k contiguous ItemIds in rank order. Trivially
 /// copyable (16 bytes), so minispark's memcpy Serde applies — spilling a
@@ -65,8 +56,8 @@ class FlatRankings {
  public:
   FlatRankings() = default;
 
-  /// Copies a legacy vector<Ranking> into columnar form. All rankings
-  /// must have length k (call Validate() to enforce).
+  /// Copies a vector<Ranking> into columnar form. All rankings must have
+  /// length k (call Validate() to enforce).
   static FlatRankings FromRankings(int k, const std::vector<Ranking>& rankings);
 
   /// Wraps external column memory without copying; `owner` keeps the
@@ -90,12 +81,8 @@ class FlatRankings {
   /// All views, in store order — the unit the pipelines parallelize.
   std::vector<RankingView> Views() const;
 
-  /// Materializes ranking i as a legacy heap-allocated Ranking.
+  /// Materializes ranking i as a heap-allocated Ranking.
   Ranking ToRanking(size_t i) const;
-
-  /// Materializes the whole store as legacy Rankings (the --store=legacy
-  /// A/B path for mmap-born datasets).
-  std::vector<Ranking> MaterializeRankings() const;
 
   /// Checks the distinct-items invariant for every ranking. O(count * k)
   /// with a reusable scratch set — no per-ranking allocation. The result

@@ -32,8 +32,8 @@ uint32_t RawThreshold(double theta, int k);
 double NormalizeDistance(uint32_t raw, int k);
 
 /// Raw Footrule distance between two rankings of the same length.
-/// O(k) extra space; intended for tests, examples, and the brute-force
-/// reference. Join inner loops use the OrderedRanking overload.
+/// O(k) extra space; intended for tests, examples, and as an independent
+/// reference for the kernels.
 uint32_t FootruleDistance(const Ranking& a, const Ranking& b);
 
 /// Raw Footrule distance via merge-join over the item-sorted entries.
@@ -42,7 +42,9 @@ uint32_t FootruleDistance(const OrderedRanking& a, const OrderedRanking& b);
 
 /// Threshold-bounded distance: returns the raw distance if it is
 /// <= `bound`, otherwise nullopt (early exit once the partial sum
-/// exceeds the bound). This is the verification kernel of every join.
+/// exceeds the bound). The kernel of the brute-force oracles, range
+/// search and planner sampling; the distributed joins verify with
+/// PairKernel over join-store rows (ranking/join_store.h).
 std::optional<uint32_t> FootruleDistanceBounded(const OrderedRanking& a,
                                                 const OrderedRanking& b,
                                                 uint32_t bound);

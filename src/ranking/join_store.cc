@@ -1,0 +1,129 @@
+#include "ranking/join_store.h"
+
+#include <algorithm>
+#include <cstdlib>
+#include <numeric>
+#include <utility>
+
+#include "common/logging.h"
+#include "ranking/footrule.h"
+#include "ranking/reorder.h"
+
+namespace rankjoin {
+
+using kernel_internal::kLanes;
+using kernel_internal::Lanes;
+using kernel_internal::Splat;
+
+PairKernel::PairKernel(int k)
+    : k_(k),
+      chunks_((k + kLanes - 1) / kLanes),
+      max_distance_(MaxFootrule(k)),
+      left_(static_cast<size_t>(stride()), Splat(0)),
+      diagonal_(static_cast<size_t>(stride()), Splat(0)),
+      right_(static_cast<size_t>(chunks_), Splat(0)),
+      real_(static_cast<size_t>(chunks_), Splat(0)) {
+  for (int s = 0; s < k; ++s) {
+    right_[static_cast<size_t>(s / kLanes)][s % kLanes] =
+        static_cast<uint32_t>(k - s);
+    real_[static_cast<size_t>(s / kLanes)][s % kLanes] = 1;
+  }
+  for (int r = 0; r < k; ++r) {
+    left_[static_cast<size_t>(r)] = Splat(static_cast<uint32_t>(k - r));
+    const int first = r / kLanes * kLanes;
+    for (int s = first; s < std::min(first + kLanes, k); ++s) {
+      diagonal_[static_cast<size_t>(r)][s - first] =
+          static_cast<uint32_t>(k - std::max(r, s));
+    }
+  }
+}
+
+PrefixFilterKernel::PrefixFilterKernel(const PairKernel& kernel,
+                                       uint32_t raw_theta)
+    : kernel_(&kernel),
+      half_theta_(static_cast<int>(std::min<uint32_t>(
+          raw_theta / 2, static_cast<uint32_t>(kernel.k())))) {}
+
+void PrefixFilterKernel::SetOuter(const ItemId* a, const uint32_t* a_prefix) {
+  a_ = a;
+  outer_ranks_.clear();
+  outer_far_.clear();
+  const int k = kernel_->k();
+  const int chunks = kernel_->chunks();
+  for (int r = 0; r < k; ++r) {
+    if (a_prefix[r] == 0) continue;
+    outer_ranks_.push_back(r);
+    const size_t first = outer_far_.size();
+    outer_far_.resize(first + static_cast<size_t>(chunks), Splat(0));
+    // 2|r - s| > raw_theta  <=>  |r - s| > floor(raw_theta / 2).
+    for (int s = 0; s < k; ++s) {
+      if (std::abs(r - s) > half_theta_) {
+        outer_far_[first + static_cast<size_t>(s / kLanes)][s % kLanes] = ~0u;
+      }
+    }
+  }
+}
+
+JoinStore JoinStore::Build(const FlatRankings& rankings,
+                           const ItemOrder& order) {
+  const size_t k = static_cast<size_t>(rankings.k());
+  std::vector<uint16_t> canonical(rankings.size() * k);
+  for (size_t i = 0; i < rankings.size(); ++i) {
+    CanonicalRanks(rankings.items() + i * k, rankings.k(), order,
+                   canonical.data() + i * k);
+  }
+  return Assemble(rankings, std::move(canonical));
+}
+
+JoinStore JoinStore::Assemble(const FlatRankings& rankings,
+                              std::vector<uint16_t> canonical) {
+  const size_t n = rankings.size();
+  const size_t k = static_cast<size_t>(rankings.k());
+  RANKJOIN_CHECK(canonical.size() == n * k);
+  RANKJOIN_CHECK(n < kEmpty) << "too many rankings for 32-bit row indices";
+  JoinStore store;
+  store.kernel_ = PairKernel(rankings.k());
+  store.stride_ = static_cast<size_t>(store.kernel_.stride());
+  store.ids_.assign(rankings.ids(), rankings.ids() + n);
+  store.items_.assign(n * store.stride_, 0);
+  for (size_t i = 0; i < n; ++i) {
+    std::copy_n(rankings.items() + i * k, k,
+                store.items_.data() + i * store.stride_);
+  }
+  store.canonical_ = std::move(canonical);
+
+  size_t capacity = 16;
+  while (capacity < 2 * n) capacity <<= 1;
+  store.slots_.assign(capacity, Slot{});
+  for (size_t i = 0; i < n; ++i) {
+    Slot& slot = store.slots_[store.SlotOf(store.ids_[i])];
+    slot.id = store.ids_[i];
+    slot.row = static_cast<RowIndex>(i);
+  }
+  return store;
+}
+
+std::vector<RowIndex> JoinStore::Rows() const {
+  std::vector<RowIndex> rows(size());
+  std::iota(rows.begin(), rows.end(), RowIndex{0});
+  return rows;
+}
+
+size_t JoinStore::SlotOf(RankingId id) const {
+  // Fibonacci hashing; linear probing ends at the id or an empty slot.
+  const size_t mask = slots_.size() - 1;
+  size_t slot =
+      static_cast<size_t>((uint64_t{id} * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+  while (slots_[slot].row != kEmpty && slots_[slot].id != id) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+RowIndex JoinStore::RowOf(RankingId id) const {
+  const RowIndex row = slots_.empty() ? kEmpty : slots_[SlotOf(id)].row;
+  RANKJOIN_CHECK(row != kEmpty) << "ranking " << id << " is not in the store";
+  return row;
+}
+
+}  // namespace rankjoin

@@ -1,0 +1,353 @@
+#ifndef RANKJOIN_RANKING_JOIN_STORE_H_
+#define RANKJOIN_RANKING_JOIN_STORE_H_
+
+#include <cstdint>
+#include <cstring>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "ranking/flat_rankings.h"
+#include "ranking/ranking.h"
+
+namespace rankjoin {
+
+class ItemOrder;
+
+/// Position of a ranking inside a JoinStore. Postings carry a row index
+/// instead of a pointer, so every shuffled join record is plain values.
+using RowIndex = uint32_t;
+
+namespace kernel_internal {
+
+/// Four 32-bit lanes, written with the GCC/Clang vector extension: the
+/// compiler lowers it to baseline SSE2 on x86-64 and NEON on AArch64.
+typedef uint32_t Lanes __attribute__((vector_size(16)));
+
+inline constexpr int kLanes = 4;
+
+inline Lanes Splat(uint32_t x) { return Lanes{x, x, x, x}; }
+
+/// All-ones on the lanes of chunk `c` of row `b` that hold `item`.
+inline Lanes Equal(Lanes item, const uint32_t* b, int c) {
+  Lanes chunk;
+  std::memcpy(&chunk, b + c * kLanes, sizeof(chunk));
+  return (Lanes)(item == chunk);
+}
+
+inline uint32_t SumLanes(Lanes v) { return (v[0] + v[1]) + (v[2] + v[3]); }
+
+inline bool AnyLane(Lanes v) { return ((v[0] | v[1]) | (v[2] | v[3])) != 0; }
+
+/// One row of the unrolled compare: item a_r against every chunk of b,
+/// with the weight table picked at compile time (see SharedWeight).
+template <int kRow, int... C>
+inline void AddRow(Lanes& sum, int k, const uint32_t* a, const uint32_t* b,
+                   const Lanes* left, const Lanes* diagonal,
+                   const Lanes* right, std::integer_sequence<int, C...>) {
+  constexpr int kOwn = kRow / kLanes;
+  // Rows of the last chunk may be padding; their weights are zero, so
+  // skipping them (a branch on k, the same for every pair) saves work.
+  if constexpr (kOwn == sizeof...(C) - 1) {
+    if (kRow >= k) return;
+  }
+  const Lanes item = Splat(a[kRow]);
+  ((sum += Equal(item, b, C) &
+           (C < kOwn ? left[kRow] : C == kOwn ? diagonal[kRow] : right[C])),
+   ...);
+}
+
+template <int kChunks, int... R>
+inline uint32_t SharedWeightRows(int k, const uint32_t* a, const uint32_t* b,
+                                 const Lanes* left, const Lanes* diagonal,
+                                 const Lanes* right,
+                                 std::integer_sequence<int, R...>) {
+  Lanes sum = Splat(0);
+  (AddRow<R>(sum, k, a, b, left, diagonal, right,
+             std::make_integer_sequence<int, kChunks>{}),
+   ...);
+  return SumLanes(sum);
+}
+
+/// Sum over a_r = b_s of k - max(r, s). The compare is written out by
+/// fold expressions over the rows and chunks of whole-chunk rows; the
+/// rows r >= k are padding and weigh zero. Row r takes weight left[r]
+/// on the chunks before its own, diagonal[r] on its own and right[c] on
+/// the chunks after it, so the weights need O(k) tables, and each one
+/// is picked at compile time.
+template <int kChunks>
+inline uint32_t SharedWeight(int k, const uint32_t* a, const uint32_t* b,
+                             const Lanes* left, const Lanes* diagonal,
+                             const Lanes* right) {
+  return SharedWeightRows<kChunks>(
+      k, a, b, left, diagonal, right,
+      std::make_integer_sequence<int, kChunks * kLanes>{});
+}
+
+/// The same sum with the chunk count known only at run time (k > 32).
+/// Smaller k do not use it: a VJ job at k = 10 took twice as long with
+/// it (EXPERIMENTS.md "Kernel width and row access").
+inline uint32_t SharedWeight(int chunks, const uint32_t* a,
+                             const uint32_t* b, const Lanes* left,
+                             const Lanes* diagonal, const Lanes* right) {
+  Lanes sum = Splat(0);
+  for (int r = 0; r < chunks * kLanes; ++r) {
+    const int own = r / kLanes;
+    const Lanes item = Splat(a[r]);
+    for (int c = 0; c < own; ++c) sum += Equal(item, b, c) & left[r];
+    sum += Equal(item, b, own) & diagonal[r];
+    for (int c = own + 1; c < chunks; ++c) sum += Equal(item, b, c) & right[c];
+  }
+  return SumLanes(sum);
+}
+
+/// Sum over r < k and the lanes s of b with a_r = b_s of real[c][s].
+/// kChunks > 0 fixes the chunk count at compile time.
+template <int kChunks>
+inline uint32_t SharedCount(int k, int chunks, const uint32_t* a,
+                            const uint32_t* b, const Lanes* real) {
+  const int n = kChunks > 0 ? kChunks : chunks;
+  Lanes sum = Splat(0);
+  for (int r = 0; r < k; ++r) {
+    const Lanes item = Splat(a[r]);
+    for (int c = 0; c < n; ++c) sum += Equal(item, b, c) & real[c];
+  }
+  return SumLanes(sum);
+}
+
+/// True when some a_r, r in `ranks`, equals a lane s of b that is set in
+/// `b_prefix` and in far[i][s] (`far` holds one row of chunks per rank).
+/// kChunks > 0 fixes the chunk count at compile time.
+template <int kChunks>
+inline bool AnyFar(int chunks, const uint32_t* a, const int* ranks,
+                   size_t count, const Lanes* far, const uint32_t* b,
+                   const uint32_t* b_prefix) {
+  const int n = kChunks > 0 ? kChunks : chunks;
+  Lanes hit = Splat(0);
+  for (size_t i = 0; i < count; ++i) {
+    const Lanes item = Splat(a[ranks[i]]);
+    for (int c = 0; c < n; ++c) {
+      Lanes in_prefix;
+      std::memcpy(&in_prefix, b_prefix + c * kLanes, sizeof(in_prefix));
+      hit |= Equal(item, b, c) & in_prefix & far[i * n + c];
+    }
+  }
+  return AnyLane(hit);
+}
+
+}  // namespace kernel_internal
+
+/// The verification kernel of the distributed joins. It reads join-store
+/// rows: a ranking's k items in rank order, padded to a whole number of
+/// 4-lane chunks.
+///
+/// Footrule with missing items at rank k gives two disjoint rankings the
+/// distance k(k+1); every shared item a_r = b_s takes back
+/// (k - r) + (k - s) - |r - s| = 2(k - max(r, s)) of it:
+///
+///   d(a, b) = k(k+1) - 2 * sum over a_r = b_s of (k - max(r, s))
+///
+/// The kernel evaluates the sum as a k x ceil(k/4) lane-equality compare:
+/// each item of a is broadcast against every chunk of b, and each equal
+/// lane adds its weight. Left of lane r every lane weighs k - r, right of
+/// it lane s weighs k - s, so the weights take O(k) tables. Pad lanes
+/// weigh zero, whatever item they hold. Jaccard's overlap is the same
+/// compare with unit weights. Nothing branches on the items; the
+/// merge-join FootruleDistanceBounded stays as the independent oracle.
+class PairKernel {
+ public:
+  PairKernel() = default;
+  explicit PairKernel(int k);
+
+  int k() const { return k_; }
+  int chunks() const { return chunks_; }
+  /// Lanes per row: k rounded up to whole chunks.
+  int stride() const { return chunks_ * kernel_internal::kLanes; }
+
+  /// Calls fn(std::integral_constant<int, kChunks>) with the row width as
+  /// a compile-time constant (kChunks = chunks() for k <= 32, and 0 for
+  /// "known at run time" beyond). A pair loop written inside `fn` and
+  /// calling the *At<kChunks> kernels inlines an unrolled compare and
+  /// pays for the width dispatch once.
+  template <typename Fn>
+  decltype(auto) WithChunks(Fn&& fn) const {
+    switch (chunks_) {
+      case 1: return fn(std::integral_constant<int, 1>{});
+      case 2: return fn(std::integral_constant<int, 2>{});
+      case 3: return fn(std::integral_constant<int, 3>{});
+      case 4: return fn(std::integral_constant<int, 4>{});
+      case 5: return fn(std::integral_constant<int, 5>{});
+      case 6: return fn(std::integral_constant<int, 6>{});
+      case 7: return fn(std::integral_constant<int, 7>{});
+      case 8: return fn(std::integral_constant<int, 8>{});
+      default: return fn(std::integral_constant<int, 0>{});
+    }
+  }
+
+  /// Raw Footrule distance of two rows.
+  template <int kChunks>
+  uint32_t DistanceAt(const ItemId* a, const ItemId* b) const {
+    if constexpr (kChunks > 0) {
+      return max_distance_ -
+             2 * kernel_internal::SharedWeight<kChunks>(
+                     k_, a, b, left_.data(), diagonal_.data(), right_.data());
+    } else {
+      return max_distance_ -
+             2 * kernel_internal::SharedWeight(chunks_, a, b, left_.data(),
+                                               diagonal_.data(),
+                                               right_.data());
+    }
+  }
+  uint32_t Distance(const ItemId* a, const ItemId* b) const {
+    return WithChunks([&](auto width) {
+      return DistanceAt<decltype(width)::value>(a, b);
+    });
+  }
+
+  /// Number of items two rows share.
+  uint32_t Overlap(const ItemId* a, const ItemId* b) const {
+    return WithChunks([&](auto width) {
+      return kernel_internal::SharedCount<decltype(width)::value>(
+          k_, chunks_, a, b, real_.data());
+    });
+  }
+
+ private:
+  int k_ = 0;
+  int chunks_ = 0;
+  uint32_t max_distance_ = 0;
+  /// Per row r of a padded row (r < stride()); zero for r >= k.
+  /// left_[r]: every lane weighs k - r (the lanes s < r).
+  std::vector<kernel_internal::Lanes> left_;
+  /// diagonal_[r]: the chunk holding lane r; lane s weighs k - max(r, s).
+  std::vector<kernel_internal::Lanes> diagonal_;
+  /// right_[c]: lane s weighs k - s, its weight for every row r < s.
+  std::vector<kernel_internal::Lanes> right_;
+  /// real_[c]: lane s weighs 1.
+  std::vector<kernel_internal::Lanes> real_;
+};
+
+/// Outcome of one pair under the prefix join's position filter.
+struct PairVerdict {
+  /// Raw Footrule distance; computed for filtered pairs too.
+  uint32_t distance = 0;
+  /// The position filter removed the pair.
+  bool filtered = false;
+};
+
+/// The prefix join's position filter (paper Section 4), evaluated in the
+/// same pass as the distance: a pair fails when an item in both prefixes
+/// has ranks r and s with 2|r - s| > raw_theta. A row's prefix is given
+/// as lanes, all-ones on the ranks in the prefix. The pair loop fixes the
+/// outer row once with SetOuter and then checks every inner row against
+/// it: the outer row's prefix items are compared with the inner row's
+/// chunks, and an equal lane counts when it is in the inner prefix and
+/// far from the outer item's rank.
+class PrefixFilterKernel {
+ public:
+  PrefixFilterKernel(const PairKernel& kernel, uint32_t raw_theta);
+
+  /// False when no rank difference can exceed raw_theta / 2: then the
+  /// filter passes every pair and the plain Distance() is enough.
+  bool can_fail() const { return half_theta_ + 1 < kernel_->k(); }
+
+  /// Fixes the outer row `a` and its prefix lanes (stride() lanes).
+  void SetOuter(const ItemId* a, const uint32_t* a_prefix);
+
+  /// Distance of the outer row to `b`, and whether the filter fires.
+  /// kChunks as in PairKernel::WithChunks.
+  template <int kChunks>
+  PairVerdict CheckAt(const ItemId* b, const uint32_t* b_prefix) const {
+    PairVerdict verdict;
+    verdict.distance = kernel_->DistanceAt<kChunks>(a_, b);
+    verdict.filtered = kernel_internal::AnyFar<kChunks>(
+        kernel_->chunks(), a_, outer_ranks_.data(), outer_ranks_.size(),
+        outer_far_.data(), b, b_prefix);
+    return verdict;
+  }
+
+ private:
+  const PairKernel* kernel_;
+  int half_theta_ = 0;
+  const ItemId* a_ = nullptr;
+  /// Ranks of the outer row's prefix items.
+  std::vector<int> outer_ranks_;
+  /// Per outer prefix rank, per chunk: all-ones on the real lanes s with
+  /// |r - s| > raw_theta / 2.
+  std::vector<kernel_internal::Lanes> outer_far_;
+};
+
+/// The flat join store: one row per ranking, built once per job by the
+/// ordering phase and shared read-only by every stage of the join.
+///
+/// Row i holds ranking i's k items in rank order, padded with zero items
+/// to PairKernel::stride() lanes, so a row is whole 4-lane chunks and no
+/// kernel load reads past the allocation. Beside it the store keeps the
+/// row's canonical order (the ranks of its items sorted by the global
+/// item order, rarest first; prefixes are taken from it), the ranking
+/// ids, and an id -> row lookup sized by the row count.
+class JoinStore {
+ public:
+  JoinStore() = default;
+
+  /// Builds the store on the calling thread, canonicalizing every
+  /// ranking under `order`.
+  static JoinStore Build(const FlatRankings& rankings, const ItemOrder& order);
+
+  /// Assembles the store from canonical orders computed elsewhere (the
+  /// ordering stage): `canonical` holds k ranks per ranking, in the
+  /// order of `rankings`.
+  static JoinStore Assemble(const FlatRankings& rankings,
+                            std::vector<uint16_t> canonical);
+
+  int k() const { return kernel_.k(); }
+  size_t size() const { return ids_.size(); }
+  const PairKernel& kernel() const { return kernel_; }
+
+  /// Every row index, in order — what the pipelines parallelize.
+  std::vector<RowIndex> Rows() const;
+
+  RankingId id(RowIndex row) const { return ids_[row]; }
+  /// stride() items in rank order; the lanes past k are padding.
+  const ItemId* items(RowIndex row) const {
+    return items_.data() + static_cast<size_t>(row) * stride_;
+  }
+  /// k ranks in canonical order: canonical(row)[t] is the rank of the
+  /// row's t-th rarest item.
+  const uint16_t* canonical(RowIndex row) const {
+    return canonical_.data() + static_cast<size_t>(row) * kernel_.k();
+  }
+
+  /// Row of ranking `id`, which must be in the store. When ids repeat,
+  /// the last row with the id wins.
+  RowIndex RowOf(RankingId id) const;
+
+  uint32_t Distance(RowIndex a, RowIndex b) const {
+    return kernel_.Distance(items(a), items(b));
+  }
+  uint32_t Overlap(RowIndex a, RowIndex b) const {
+    return kernel_.Overlap(items(a), items(b));
+  }
+
+ private:
+  static constexpr RowIndex kEmpty = ~RowIndex{0};
+  /// One open-addressing slot of the id -> row lookup.
+  struct Slot {
+    RankingId id = 0;
+    RowIndex row = kEmpty;
+  };
+
+  size_t SlotOf(RankingId id) const;
+
+  PairKernel kernel_;
+  size_t stride_ = 0;
+  std::vector<RankingId> ids_;
+  std::vector<ItemId> items_;
+  std::vector<uint16_t> canonical_;
+  /// Power-of-two table of at least twice the row count.
+  std::vector<Slot> slots_;
+};
+
+}  // namespace rankjoin
+
+#endif  // RANKJOIN_RANKING_JOIN_STORE_H_

@@ -35,7 +35,7 @@ size_t RankingDataset::size() const {
 }
 
 Status RankingDataset::Validate() const {
-  // The fixed-k invariant can only be broken through the legacy vector —
+  // The fixed-k invariant can only be broken through the Ranking vector —
   // the flat store is fixed-k by construction.
   for (const Ranking& r : rankings) {
     if (r.k() != k) {
@@ -66,11 +66,6 @@ const FlatRankings& RankingDataset::store() const {
 
 void RankingDataset::AttachStore(std::shared_ptr<const FlatRankings> store) {
   flat_ = std::move(store);
-}
-
-std::vector<Ranking> RankingDataset::MaterializeLegacy() const {
-  if (!rankings.empty() || !flat_) return rankings;
-  return flat_->MaterializeRankings();
 }
 
 }  // namespace rankjoin

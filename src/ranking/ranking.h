@@ -55,11 +55,10 @@ class Ranking {
 
 /// A dataset of fixed-length rankings, all sharing the same k. The
 /// canonical in-memory representation is the columnar FlatRankings store
-/// returned by store(); the legacy `rankings` vector is kept for
-/// construction convenience (generators, tests) and for the
-/// --store=legacy A/B path. Datasets loaded from the columnar mmap
-/// format are born flat: `rankings` stays empty and store() serves the
-/// mapped columns zero-copy.
+/// returned by store(); the `rankings` vector is kept for construction
+/// convenience (generators, tests). Datasets loaded from the columnar
+/// mmap format are born flat: `rankings` stays empty and store() serves
+/// the mapped columns zero-copy.
 struct RankingDataset {
   int k = 0;
   std::vector<Ranking> rankings;
@@ -82,10 +81,6 @@ struct RankingDataset {
 
   bool has_store() const { return flat_ != nullptr; }
 
-  /// Legacy Ranking objects for the --store=legacy path: `rankings` when
-  /// populated, otherwise materialized copies from the flat store.
-  std::vector<Ranking> MaterializeLegacy() const;
-
  private:
   mutable std::shared_ptr<const FlatRankings> flat_;
 };
@@ -104,7 +99,9 @@ struct ItemEntry {
 /// items carry their original rank, and two orders are materialized —
 /// the canonical (ascending global frequency) order that determines
 /// prefixes, and an item-id order enabling O(k) merge-join distance
-/// computation.
+/// computation. The distributed joins use the flat JoinStore instead
+/// (ranking/join_store.h); this form serves the brute-force oracles,
+/// range search and planner sampling.
 struct OrderedRanking {
   RankingId id = 0;
   uint16_t k = 0;

@@ -1,6 +1,8 @@
 #include "ranking/reorder.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -53,6 +55,20 @@ std::unordered_map<ItemId, uint32_t> CountItemFrequencies(
   return freq;
 }
 
+void CanonicalRanks(const ItemId* items, int k, const ItemOrder& order,
+                    uint16_t* ranks) {
+  // Order positions are distinct for distinct items, so sorting the
+  // (position, rank) keys needs no tie-break; each position is looked up
+  // once instead of once per comparison.
+  thread_local std::vector<std::pair<uint64_t, uint16_t>> keys;
+  keys.clear();
+  for (int r = 0; r < k; ++r) {
+    keys.push_back({order.PositionOf(items[r]), static_cast<uint16_t>(r)});
+  }
+  std::sort(keys.begin(), keys.end());
+  for (int t = 0; t < k; ++t) ranks[t] = keys[static_cast<size_t>(t)].second;
+}
+
 namespace {
 
 OrderedRanking MakeOrderedImpl(RankingId id, const ItemId* items, size_t k,
@@ -60,17 +76,11 @@ OrderedRanking MakeOrderedImpl(RankingId id, const ItemId* items, size_t k,
   OrderedRanking out;
   out.id = id;
   out.k = static_cast<uint16_t>(k);
+  thread_local std::vector<uint16_t> ranks;
+  ranks.resize(k);
+  CanonicalRanks(items, static_cast<int>(k), order, ranks.data());
   out.canonical.reserve(k);
-  for (size_t r = 0; r < k; ++r) {
-    out.canonical.push_back(ItemEntry{items[r], static_cast<uint16_t>(r)});
-  }
-  std::sort(out.canonical.begin(), out.canonical.end(),
-            [&order](const ItemEntry& a, const ItemEntry& b) {
-              const uint64_t pa = order.PositionOf(a.item);
-              const uint64_t pb = order.PositionOf(b.item);
-              if (pa != pb) return pa < pb;
-              return a.item < b.item;
-            });
+  for (uint16_t r : ranks) out.canonical.push_back(ItemEntry{items[r], r});
   out.by_item = out.canonical;
   std::sort(out.by_item.begin(), out.by_item.end(),
             [](const ItemEntry& a, const ItemEntry& b) {

@@ -40,6 +40,13 @@ std::unordered_map<ItemId, uint32_t> CountItemFrequencies(
 std::unordered_map<ItemId, uint32_t> CountItemFrequencies(
     const FlatRankings& rankings);
 
+/// Writes the canonical order of one ranking: the ranks of its k items
+/// sorted by ascending order position, so the rarest item comes first.
+/// The one canonical rule of the library; MakeOrdered and the join store
+/// both use it.
+void CanonicalRanks(const ItemId* items, int k, const ItemOrder& order,
+                    uint16_t* ranks);
+
 /// Transforms one ranking into its join representation: entries carry the
 /// original rank; `canonical` is sorted by the global item order and
 /// `by_item` by item id (see OrderedRanking).
@@ -47,12 +54,13 @@ OrderedRanking MakeOrdered(const Ranking& ranking, const ItemOrder& order);
 /// Same, reading straight out of a columnar store slice.
 OrderedRanking MakeOrdered(const RankingView& view, const ItemOrder& order);
 
-/// Convenience: orders a whole dataset (driver-side; the distributed
-/// pipelines do the same through minispark stages).
+/// Convenience: orders a whole dataset on the driver (the oracles,
+/// range search and planner sampling; the distributed pipelines build a
+/// JoinStore through minispark stages instead).
 std::vector<OrderedRanking> MakeOrderedDataset(
     const std::vector<Ranking>& rankings, const ItemOrder& order);
 /// Same, straight off the columnar store (works for mmap-born datasets
-/// whose legacy vector is empty).
+/// whose Ranking vector is empty).
 std::vector<OrderedRanking> MakeOrderedDataset(const FlatRankings& rankings,
                                                const ItemOrder& order);
 

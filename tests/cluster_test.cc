@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "ranking/footrule.h"
+#include "ranking/join_store.h"
 #include "ranking/prefix.h"
 #include "ranking/reorder.h"
 #include "tests/test_util.h"
@@ -18,15 +19,17 @@ using testutil::TestCluster;
 
 struct ClusterFixture {
   RankingDataset dataset;
+  /// Merge-join representation for the oracle distances (ids are dense,
+  /// so ordered[id] is ranking `id`).
   std::vector<OrderedRanking> ordered;
-  std::vector<const OrderedRanking*> all;
+  JoinStore store;
 
   explicit ClusterFixture(uint64_t seed, size_t n = 300) {
     dataset = SmallSkewedDataset(seed, n);
     ItemOrder order =
         ItemOrder::FromFrequencies(CountItemFrequencies(dataset.rankings));
     ordered = MakeOrderedDataset(dataset.rankings, order);
-    for (const OrderedRanking& r : ordered) all.push_back(&r);
+    store = JoinStore::Build(dataset.store(), order);
   }
 
   internal::SelfJoinSpec Spec(double theta_c) const {
@@ -44,7 +47,7 @@ TEST(ClusteringPhaseTest, PairsAreWithinThetaC) {
   JoinStats stats;
   const double theta_c = 0.05;
   Clustering clustering =
-      RunClusteringPhase(&ctx, fx.all, fx.Spec(theta_c), &stats);
+      RunClusteringPhase(&ctx, fx.store, fx.Spec(theta_c), &stats);
   const uint32_t raw = RawThreshold(theta_c, fx.dataset.k);
   for (const ClusterPair& cp : clustering.pairs) {
     EXPECT_LT(cp.centroid, cp.member);  // smaller id is the centroid
@@ -61,7 +64,7 @@ TEST(ClusteringPhaseTest, MatchesBruteForcePairs) {
   JoinStats stats;
   const double theta_c = 0.05;
   Clustering clustering =
-      RunClusteringPhase(&ctx, fx.all, fx.Spec(theta_c), &stats);
+      RunClusteringPhase(&ctx, fx.store, fx.Spec(theta_c), &stats);
   std::set<ResultPair> found;
   for (const ClusterPair& cp : clustering.pairs) {
     found.insert(MakeResultPair(cp.centroid, cp.member));
@@ -75,7 +78,7 @@ TEST(ClusteringPhaseTest, SingletonsHaveNoClosePartner) {
   JoinStats stats;
   const double theta_c = 0.04;
   Clustering clustering =
-      RunClusteringPhase(&ctx, fx.all, fx.Spec(theta_c), &stats);
+      RunClusteringPhase(&ctx, fx.store, fx.Spec(theta_c), &stats);
   const uint32_t raw = RawThreshold(theta_c, fx.dataset.k);
   std::unordered_set<RankingId> singleton_set(
       clustering.singletons.begin(), clustering.singletons.end());
@@ -102,7 +105,7 @@ TEST(ClusteringPhaseTest, CentroidsAreFirstElements) {
   minispark::Context ctx(TestCluster());
   JoinStats stats;
   Clustering clustering =
-      RunClusteringPhase(&ctx, fx.all, fx.Spec(0.05), &stats);
+      RunClusteringPhase(&ctx, fx.store, fx.Spec(0.05), &stats);
   std::unordered_set<RankingId> centroid_set(
       clustering.centroids.begin(), clustering.centroids.end());
   for (const ClusterPair& cp : clustering.pairs) {
@@ -120,7 +123,7 @@ struct CentroidJoinFixture : ClusterFixture {
 
   CentroidJoinFixture(uint64_t seed, double tc) : ClusterFixture(seed),
                                                   theta_c(tc) {
-    clustering = RunClusteringPhase(&ctx, all, Spec(theta_c), &stats);
+    clustering = RunClusteringPhase(&ctx, store, Spec(theta_c), &stats);
   }
 
   CentroidJoinSpec JoinSpec(double theta, bool singleton_opt = true) {
@@ -136,9 +139,8 @@ struct CentroidJoinFixture : ClusterFixture {
 
 TEST(CentroidJoinTest, RespectsPerTypeThresholds) {
   CentroidJoinFixture fx(204, 0.03);
-  RankingTable table(fx.ordered);
   CentroidJoinSpec spec = fx.JoinSpec(0.2);
-  auto pairs = RunCentroidJoin(&fx.ctx, table, fx.clustering.centroids,
+  auto pairs = RunCentroidJoin(&fx.ctx, fx.store, fx.clustering.centroids,
                                fx.clustering.singletons, spec, &fx.stats);
   for (const CentroidPair& cp : pairs) {
     uint32_t bound;
@@ -150,16 +152,15 @@ TEST(CentroidJoinTest, RespectsPerTypeThresholds) {
       bound = spec.raw_theta + 2 * spec.raw_theta_c;
     }
     EXPECT_LE(cp.distance, bound);
-    EXPECT_EQ(FootruleDistance(table.Get(cp.ci), table.Get(cp.cj)),
+    EXPECT_EQ(FootruleDistance(fx.ordered[cp.ci], fx.ordered[cp.cj]),
               cp.distance);
   }
 }
 
 TEST(CentroidJoinTest, FindsAllQualifyingCentroidPairs) {
   CentroidJoinFixture fx(205, 0.03);
-  RankingTable table(fx.ordered);
   CentroidJoinSpec spec = fx.JoinSpec(0.2);
-  auto pairs = RunCentroidJoin(&fx.ctx, table, fx.clustering.centroids,
+  auto pairs = RunCentroidJoin(&fx.ctx, fx.store, fx.clustering.centroids,
                                fx.clustering.singletons, spec, &fx.stats);
   std::set<ResultPair> found;
   for (const CentroidPair& cp : pairs) {
@@ -184,7 +185,7 @@ TEST(CentroidJoinTest, FindsAllQualifyingCentroidPairs) {
         bound = spec.raw_theta + spec.raw_theta_c;
       }
       const bool qualifies =
-          FootruleDistance(table.Get(a), table.Get(b)) <= bound;
+          FootruleDistance(fx.ordered[a], fx.ordered[b]) <= bound;
       EXPECT_EQ(found.count(MakeResultPair(a, b)) > 0, qualifies)
           << a << "," << b;
     }
@@ -193,9 +194,8 @@ TEST(CentroidJoinTest, FindsAllQualifyingCentroidPairs) {
 
 TEST(CentroidJoinTest, SingletonOptimizationOffUsesUniformThreshold) {
   CentroidJoinFixture fx(206, 0.03);
-  RankingTable table(fx.ordered);
   CentroidJoinSpec spec = fx.JoinSpec(0.2, /*singleton_opt=*/false);
-  auto pairs = RunCentroidJoin(&fx.ctx, table, fx.clustering.centroids,
+  auto pairs = RunCentroidJoin(&fx.ctx, fx.store, fx.clustering.centroids,
                                fx.clustering.singletons, spec, &fx.stats);
   const uint32_t bound = spec.raw_theta + 2 * spec.raw_theta_c;
   for (const CentroidPair& cp : pairs) {
@@ -204,7 +204,7 @@ TEST(CentroidJoinTest, SingletonOptimizationOffUsesUniformThreshold) {
   // The uniform threshold retrieves at least the pairs of the optimized
   // join (it may add ss/ms pairs between theta and theta + 2*theta_c).
   auto optimized =
-      RunCentroidJoin(&fx.ctx, table, fx.clustering.centroids,
+      RunCentroidJoin(&fx.ctx, fx.store, fx.clustering.centroids,
                       fx.clustering.singletons, fx.JoinSpec(0.2), &fx.stats);
   EXPECT_GE(pairs.size(), optimized.size());
 }

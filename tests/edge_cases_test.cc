@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/similarity_join.h"
+#include "jaccard/jaccard_join.h"
 #include "tests/test_util.h"
 
 namespace rankjoin {
@@ -163,6 +164,36 @@ TEST(EdgeCaseTest, SparseIdsSupported) {
     ASSERT_TRUE(result.ok()) << AlgorithmName(algorithm);
     EXPECT_EQ(PairSet(result->pairs), Truth(ds, 0.2))
         << AlgorithmName(algorithm);
+  }
+}
+
+TEST(EdgeCaseTest, IdsNearTwoToThe32) {
+  // The join store's id -> row lookup is sized by the row count, never
+  // by the largest id; the CL expansion and centroid join look rows up
+  // by id.
+  RankingDataset ds;
+  ds.k = 5;
+  ds.rankings = {Ranking(7, {1, 2, 3, 4, 5}),
+                 Ranking(0xFFFFFFF0u, {1, 2, 3, 5, 4}),
+                 Ranking(9, {1, 2, 3, 4, 6})};
+  minispark::Context ctx(TestCluster());
+  for (Algorithm algorithm : AllDistributed()) {
+    SimilarityJoinConfig config = BaseConfig(algorithm, 0.3);
+    config.theta_c = 0.1;  // raw 3: pairs at distance 2 form clusters
+    auto result = RunSimilarityJoin(&ctx, ds, config);
+    ASSERT_TRUE(result.ok()) << AlgorithmName(algorithm);
+    EXPECT_EQ(PairSet(result->pairs), Truth(ds, 0.3))
+        << AlgorithmName(algorithm);
+  }
+  JaccardJoinOptions jaccard;
+  jaccard.theta = 0.4;
+  jaccard.theta_c = 0.1;
+  for (bool clustering : {false, true}) {
+    auto result = clustering ? RunJaccardClusterJoin(&ctx, ds, jaccard)
+                             : RunJaccardVjJoin(&ctx, ds, jaccard);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(PairSet(result->pairs),
+              PairSet(JaccardBruteForceJoin(ds, jaccard.theta).pairs));
   }
 }
 

@@ -10,6 +10,8 @@
 #include "data/generator.h"
 #include "data/io.h"
 #include "minispark/serde.h"
+#include "ranking/join_store.h"
+#include "ranking/reorder.h"
 #include "tests/test_util.h"
 
 namespace rankjoin {
@@ -25,7 +27,7 @@ std::string TempPath(const std::string& name) {
 // Store construction and views
 // ---------------------------------------------------------------------
 
-TEST(FlatRankingsTest, FromRankingsMirrorsLegacyVector) {
+TEST(FlatRankingsTest, FromRankingsMirrorsRankingVector) {
   RankingDataset ds = SmallSkewedDataset(7, 64, 6);
   FlatRankings flat = FlatRankings::FromRankings(ds.k, ds.rankings);
   ASSERT_EQ(flat.size(), ds.size());
@@ -67,13 +69,10 @@ TEST(FlatRankingsTest, BuilderAppendsInOrder) {
   EXPECT_TRUE(flat.Validate().ok());
 }
 
-TEST(FlatRankingsTest, ToRankingAndMaterializeRoundTrip) {
+TEST(FlatRankingsTest, ToRankingRoundTrip) {
   RankingDataset ds = SmallSkewedDataset(9, 32, 5);
   const FlatRankings& flat = ds.store();
-  std::vector<Ranking> back = flat.MaterializeRankings();
-  ASSERT_EQ(back.size(), ds.size());
   for (size_t i = 0; i < ds.size(); ++i) {
-    EXPECT_EQ(back[i], ds.rankings[i]);
     EXPECT_EQ(flat.ToRanking(i), ds.rankings[i]);
   }
 }
@@ -138,7 +137,8 @@ TEST(ColumnarIoTest, WriteMapRoundTrip) {
 
   auto mapped = MapFlatRankings(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status();
-  // Mmap-born: legacy vector stays empty, the store serves the columns.
+  // Mmap-born: the Ranking vector stays empty, the store serves the
+  // columns.
   EXPECT_TRUE(mapped->rankings.empty());
   EXPECT_TRUE(mapped->has_store());
   ASSERT_EQ(mapped->size(), original.size());
@@ -149,11 +149,8 @@ TEST(ColumnarIoTest, WriteMapRoundTrip) {
   for (size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(flat.view(i), truth.view(i));
   }
-  // The legacy A/B path materializes identical Rankings.
-  std::vector<Ranking> legacy = mapped->MaterializeLegacy();
-  ASSERT_EQ(legacy.size(), original.size());
   for (size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(legacy[i], original.rankings[i]);
+    EXPECT_EQ(flat.ToRanking(i), original.rankings[i]);
   }
   std::remove(path.c_str());
 }
@@ -225,16 +222,63 @@ TEST(ColumnarIoTest, MapValidatesDistinctItems) {
 }
 
 // ---------------------------------------------------------------------
-// Store name parsing and view serde
+// Join store
 // ---------------------------------------------------------------------
 
-TEST(RankingStoreTest, NamesRoundTrip) {
-  EXPECT_EQ(*ParseRankingStore("flat"), RankingStore::kFlat);
-  EXPECT_EQ(*ParseRankingStore("legacy"), RankingStore::kLegacy);
-  EXPECT_STREQ(RankingStoreName(RankingStore::kFlat), "flat");
-  EXPECT_STREQ(RankingStoreName(RankingStore::kLegacy), "legacy");
-  EXPECT_FALSE(ParseRankingStore("columnar?").ok());
+TEST(JoinStoreTest, RowsArePaddedRankOrderCopies) {
+  for (int k : {1, 4, 5, 10, 25}) {
+    RankingDataset ds = SmallSkewedDataset(15, 40, k);
+    const JoinStore store = JoinStore::Build(ds.store(), ItemOrder());
+    ASSERT_EQ(store.size(), ds.size());
+    ASSERT_EQ(store.k(), k);
+    const int stride = store.kernel().stride();
+    EXPECT_EQ(stride % 4, 0);
+    EXPECT_GE(stride, k);
+    EXPECT_LT(stride, k + 4);
+    for (RowIndex row = 0; row < store.size(); ++row) {
+      EXPECT_EQ(store.id(row), ds.rankings[row].id());
+      for (int r = 0; r < k; ++r) {
+        EXPECT_EQ(store.items(row)[r], ds.rankings[row].ItemAt(r));
+      }
+      EXPECT_EQ(store.RowOf(store.id(row)), row);
+    }
+  }
 }
+
+TEST(JoinStoreTest, CanonicalOrderMatchesMakeOrdered) {
+  RankingDataset ds = SmallSkewedDataset(16, 80, 10);
+  const ItemOrder order =
+      ItemOrder::FromFrequencies(CountItemFrequencies(ds.store()));
+  const JoinStore store = JoinStore::Build(ds.store(), order);
+  for (RowIndex row = 0; row < store.size(); ++row) {
+    const OrderedRanking ordered = MakeOrdered(ds.rankings[row], order);
+    for (int t = 0; t < store.k(); ++t) {
+      EXPECT_EQ(store.canonical(row)[t], ordered.canonical[t].rank);
+    }
+  }
+}
+
+TEST(JoinStoreTest, IdLookupIsSizedByRowCount) {
+  // Ids near 2^32 must not size anything: the lookup is a hash table
+  // over the rows.
+  FlatRankings::Builder builder(3);
+  const ItemId a[] = {1, 2, 3};
+  const ItemId b[] = {3, 2, 1};
+  const ItemId c[] = {7, 8, 9};
+  builder.Append(7, a);
+  builder.Append(0xFFFFFFF0u, b);
+  builder.Append(0xFFFFFFFFu, c);
+  const FlatRankings flat = std::move(builder).Build();
+  const JoinStore store = JoinStore::Build(flat, ItemOrder());
+  EXPECT_EQ(store.RowOf(7), 0u);
+  EXPECT_EQ(store.RowOf(0xFFFFFFF0u), 1u);
+  EXPECT_EQ(store.RowOf(0xFFFFFFFFu), 2u);
+  EXPECT_EQ(store.Distance(0, 1), 4u);  // ranks 0<->2 swap: 2 + 0 + 2
+}
+
+// ---------------------------------------------------------------------
+// View serde
+// ---------------------------------------------------------------------
 
 TEST(RankingViewSerdeTest, EncodesHeaderOnly) {
   RankingDataset ds = SmallSkewedDataset(14, 4, 10);

@@ -99,6 +99,52 @@ TEST_F(IoTest, RejectsNegativeItems) {
   std::remove(path.c_str());
 }
 
+/// Writes a columnar (RKJC) file: the 20-byte header with the given k
+/// and count, then `payload_bytes` zero bytes.
+void WriteColumnarHeader(const std::string& path, uint32_t k, uint64_t count,
+                         size_t payload_bytes) {
+  std::string bytes = "RKJC";
+  auto put_u32 = [&bytes](uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      bytes += static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+  };
+  put_u32(1);  // version
+  put_u32(k);
+  put_u32(static_cast<uint32_t>(count & 0xffffffffULL));
+  put_u32(static_cast<uint32_t>(count >> 32));
+  bytes.append(payload_bytes, '\0');
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+TEST_F(IoTest, ColumnarHeaderWithHugeKIsRejected) {
+  // k = 0xFFFFFFFF and count = 2^30 once wrapped the size check to 20
+  // bytes, and the loader then spun over the 88-byte file.
+  const std::string path = TempPath("huge_k.rkjc");
+  WriteColumnarHeader(path, 0xFFFFFFFFu, uint64_t{1} << 30, 68);
+  auto mapped = MapFlatRankings(path);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+
+  // Ranks are 16-bit: one past the largest k is rejected as well.
+  WriteColumnarHeader(path, 65536, 0, 0);
+  mapped = MapFlatRankings(path);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST_F(IoTest, ColumnarHeaderWithWrappingCountIsTruncation) {
+  // 20 + count * (4 + 4k) wraps past 2^64 for this count; the file is
+  // still just a header plus a few bytes.
+  const std::string path = TempPath("huge_count.rkjc");
+  WriteColumnarHeader(path, 10, uint64_t{1} << 62, 64);
+  auto mapped = MapFlatRankings(path);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), StatusCode::kIoError);
+  std::remove(path.c_str());
+}
+
 TEST(PreprocessSetsTest, CutsToFirstKDistinctTokens) {
   std::vector<std::vector<ItemId>> records = {
       {5, 5, 1, 2, 9, 9, 3},  // first 4 distinct tokens: 5 1 2 9

@@ -3,26 +3,30 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "common/random.h"
 #include "ranking/footrule.h"
 #include "ranking/prefix.h"
 #include "ranking/reorder.h"
+#include "tests/test_util.h"
 
 namespace rankjoin {
 namespace {
 
 /// Builds a posting group whose rankings all contain item 0 (the group
-/// key), with random tails. Returns the backing ordered rankings (must
-/// outlive the group) plus the group postings.
+/// key), with random tails. Under the identity order item 0 is every
+/// ranking's first canonical item, so it is in every prefix — the
+/// invariant the pipelines' groups have.
 struct GroupFixture {
-  std::vector<OrderedRanking> backing;
+  RankingDataset dataset;
+  JoinStore store;
   std::vector<PrefixPosting> group;
 
   GroupFixture(int n, int k, uint32_t domain, uint64_t seed) {
     Rng rng(seed);
-    std::vector<Ranking> rankings;
+    dataset.k = k;
     for (int i = 0; i < n; ++i) {
       std::vector<ItemId> items{0};  // shared key item
       while (static_cast<int>(items.size()) < k) {
@@ -32,26 +36,33 @@ struct GroupFixture {
         }
       }
       rng.Shuffle(items);
-      rankings.emplace_back(static_cast<RankingId>(i), items);
+      dataset.rankings.emplace_back(static_cast<RankingId>(i), items);
     }
-    backing = MakeOrderedDataset(rankings, ItemOrder());
-    for (const OrderedRanking& r : backing) {
-      uint16_t key_rank = 0;
-      for (const ItemEntry& e : r.by_item) {
-        if (e.item == 0) key_rank = e.rank;
-      }
-      group.push_back(PrefixPosting{r.id, key_rank, false, &r});
+    store = JoinStore::Build(dataset.store(), ItemOrder());
+    for (RowIndex row = 0; row < store.size(); ++row) {
+      const int key_rank = dataset.rankings[row].RankOf(0);
+      group.push_back(
+          PrefixPosting{row, static_cast<uint16_t>(key_rank), false});
     }
+  }
+
+  LocalJoinOptions Options(uint32_t raw_theta) const {
+    LocalJoinOptions options;
+    options.store = &store;
+    options.raw_theta = raw_theta;
+    options.prefix_size = OverlapPrefix(raw_theta, store.k());
+    options.position_filter = true;
+    return options;
   }
 };
 
 std::set<ResultPair> GroundTruth(const GroupFixture& fx, uint32_t raw_theta) {
   std::set<ResultPair> expected;
-  for (size_t i = 0; i < fx.backing.size(); ++i) {
-    for (size_t j = i + 1; j < fx.backing.size(); ++j) {
-      if (FootruleDistance(fx.backing[i], fx.backing[j]) <= raw_theta) {
-        expected.insert(
-            MakeResultPair(fx.backing[i].id, fx.backing[j].id));
+  const std::vector<Ranking>& rankings = fx.dataset.rankings;
+  for (size_t i = 0; i < rankings.size(); ++i) {
+    for (size_t j = i + 1; j < rankings.size(); ++j) {
+      if (FootruleDistance(rankings[i], rankings[j]) <= raw_theta) {
+        expected.insert(MakeResultPair(rankings[i].id(), rankings[j].id()));
       }
     }
   }
@@ -64,21 +75,13 @@ std::set<ResultPair> PairsOf(const std::vector<ScoredPair>& scored) {
   return out;
 }
 
-LocalJoinOptions MakeOptions(uint32_t raw_theta, int k) {
-  LocalJoinOptions options;
-  options.raw_theta = raw_theta;
-  options.prefix_size = OverlapPrefix(raw_theta, k);
-  options.position_filter = true;
-  return options;
-}
-
 TEST(LocalNestedLoopJoinTest, MatchesGroundTruth) {
   const int k = 10;
   GroupFixture fx(60, k, 30, 42);
   const uint32_t raw_theta = RawThreshold(0.3, k);
   JoinStats stats;
   std::vector<ScoredPair> out;
-  LocalNestedLoopJoin(fx.group, MakeOptions(raw_theta, k), &out, &stats);
+  LocalNestedLoopJoin(fx.group, fx.Options(raw_theta), &out, &stats);
   EXPECT_EQ(PairsOf(out), GroundTruth(fx, raw_theta));
   EXPECT_EQ(stats.candidates, 60u * 59u / 2u);
 }
@@ -89,87 +92,75 @@ TEST(LocalNestedLoopJoinTest, DistancesAreCorrect) {
   const uint32_t raw_theta = RawThreshold(0.4, k);
   JoinStats stats;
   std::vector<ScoredPair> out;
-  LocalNestedLoopJoin(fx.group, MakeOptions(raw_theta, k), &out, &stats);
+  LocalNestedLoopJoin(fx.group, fx.Options(raw_theta), &out, &stats);
   for (const ScoredPair& sp : out) {
-    const OrderedRanking& a = fx.backing[sp.first.first];
-    const OrderedRanking& b = fx.backing[sp.first.second];
-    EXPECT_EQ(FootruleDistance(a, b), sp.second);
+    EXPECT_EQ(FootruleDistance(fx.dataset.rankings[sp.first.first],
+                               fx.dataset.rankings[sp.first.second]),
+              sp.second);
   }
 }
 
-TEST(LocalPrefixJoinTest, MatchesNestedLoop) {
+TEST(LocalPrefixJoinTest, MatchesGroundTruth) {
+  // Every member holds the key item in its prefix, so the pair loop sees
+  // every pair; the prefix-item position filter only drops pairs that
+  // cannot qualify.
   const int k = 10;
   for (uint64_t seed : {1u, 2u, 3u}) {
     GroupFixture fx(50, k, 20, seed);
-    for (double theta : {0.1, 0.2, 0.3, 0.4}) {
+    for (double theta : {0.05, 0.1, 0.2, 0.3, 0.4}) {
       const uint32_t raw_theta = RawThreshold(theta, k);
-      LocalJoinOptions options = MakeOptions(raw_theta, k);
-      JoinStats s1, s2;
-      std::vector<ScoredPair> nl, pf;
-      LocalNestedLoopJoin(fx.group, options, &nl, &s1);
-      LocalPrefixJoin(fx.group, options, &pf, &s2);
-      // Every nested-loop result that the prefix join can see (pairs
-      // sharing a prefix token inside the group) must be found. Since
-      // all group members share item 0, completeness requires item 0 to
-      // be in every prefix... it is not necessarily, so compare against
-      // ground truth restricted to prefix-sharing pairs instead: the
-      // distributed pipeline guarantees the global union covers all
-      // pairs. Here we assert soundness (no false positives) and that
-      // found pairs agree with ground truth.
-      std::set<ResultPair> truth = GroundTruth(fx, raw_theta);
-      for (const ScoredPair& sp : pf) {
-        EXPECT_TRUE(truth.count(sp.first))
-            << sp.first.first << "," << sp.first.second;
+      JoinStats stats;
+      std::vector<ScoredPair> out;
+      LocalPrefixJoin(fx.group, fx.Options(raw_theta), &out, &stats);
+      EXPECT_EQ(PairsOf(out), GroundTruth(fx, raw_theta)) << theta;
+      EXPECT_EQ(stats.candidates, 50u * 49u / 2u);
+      EXPECT_EQ(stats.candidates, stats.position_filtered + stats.verified);
+      EXPECT_EQ(stats.verify_passed, out.size());
+      for (const ScoredPair& sp : out) {
+        EXPECT_EQ(FootruleDistance(fx.dataset.rankings[sp.first.first],
+                                   fx.dataset.rankings[sp.first.second]),
+                  sp.second);
       }
-      EXPECT_EQ(PairsOf(nl), truth);
     }
   }
-}
-
-TEST(LocalPrefixJoinTest, FindsAllPairsWhenPrefixIsFull) {
-  // With prefix_size = k every shared item is indexed, so the prefix
-  // join within one group is complete.
-  const int k = 8;
-  GroupFixture fx(40, k, 15, 7);
-  const uint32_t raw_theta = RawThreshold(0.3, k);
-  LocalJoinOptions options;
-  options.raw_theta = raw_theta;
-  options.prefix_size = k;
-  options.position_filter = true;
-  JoinStats stats;
-  std::vector<ScoredPair> out;
-  LocalPrefixJoin(fx.group, options, &out, &stats);
-  EXPECT_EQ(PairsOf(out), GroundTruth(fx, raw_theta));
 }
 
 TEST(LocalJoinTest, PositionFilterOnlyPrunes) {
   const int k = 10;
   GroupFixture fx(50, k, 25, 11);
-  const uint32_t raw_theta = RawThreshold(0.2, k);
-  LocalJoinOptions with = MakeOptions(raw_theta, k);
+  const uint32_t raw_theta = RawThreshold(0.1, k);
+  LocalJoinOptions with = fx.Options(raw_theta);
   LocalJoinOptions without = with;
   without.position_filter = false;
-  JoinStats s1, s2;
-  std::vector<ScoredPair> a, b;
-  LocalNestedLoopJoin(fx.group, with, &a, &s1);
-  LocalNestedLoopJoin(fx.group, without, &b, &s2);
-  EXPECT_EQ(PairsOf(a), PairsOf(b));
-  EXPECT_LE(s1.verified, s2.verified);  // the filter saves verifications
+  for (bool prefix_join : {false, true}) {
+    JoinStats s1, s2;
+    std::vector<ScoredPair> a, b;
+    if (prefix_join) {
+      LocalPrefixJoin(fx.group, with, &a, &s1);
+      LocalPrefixJoin(fx.group, without, &b, &s2);
+    } else {
+      LocalNestedLoopJoin(fx.group, with, &a, &s1);
+      LocalNestedLoopJoin(fx.group, without, &b, &s2);
+    }
+    EXPECT_EQ(PairsOf(a), PairsOf(b));
+    EXPECT_GT(s1.position_filtered, 0u);
+    EXPECT_EQ(s2.position_filtered, 0u);
+    EXPECT_LT(s1.verified, s2.verified);  // the filter saves verifications
+  }
 }
 
 TEST(LocalJoinTest, EmptyAndTinyGroups) {
+  GroupFixture fx(1, 10, 20, 3);
   JoinStats stats;
   std::vector<ScoredPair> out;
   std::vector<PrefixPosting> empty;
-  LocalJoinOptions options = MakeOptions(10, 10);
+  LocalJoinOptions options = fx.Options(10);
   LocalNestedLoopJoin(empty, options, &out, &stats);
   LocalPrefixJoin(empty, options, &out, &stats);
-  EXPECT_TRUE(out.empty());
-
-  GroupFixture fx(1, 10, 20, 3);
   LocalNestedLoopJoin(fx.group, options, &out, &stats);
   LocalPrefixJoin(fx.group, options, &out, &stats);
   EXPECT_TRUE(out.empty());
+  EXPECT_EQ(stats.candidates, 0u);
 }
 
 TEST(LocalRsJoinTest, ChunkedEqualsWhole) {
@@ -179,7 +170,7 @@ TEST(LocalRsJoinTest, ChunkedEqualsWhole) {
   const int k = 10;
   GroupFixture fx(60, k, 25, 13);
   const uint32_t raw_theta = RawThreshold(0.3, k);
-  LocalJoinOptions options = MakeOptions(raw_theta, k);
+  LocalJoinOptions options = fx.Options(raw_theta);
 
   std::vector<PrefixPosting> left(fx.group.begin(), fx.group.begin() + 30);
   std::vector<PrefixPosting> right(fx.group.begin() + 30, fx.group.end());
@@ -196,13 +187,91 @@ TEST(LocalRsJoinTest, ChunkedEqualsWhole) {
 TEST(LocalRsJoinTest, SkipsSelfPairs) {
   const int k = 10;
   GroupFixture fx(10, k, 25, 17);
-  LocalJoinOptions options = MakeOptions(MaxFootrule(k) - 1, k);
+  LocalJoinOptions options = fx.Options(MaxFootrule(k) - 1);
   JoinStats stats;
   std::vector<ScoredPair> out;
   // Same postings on both sides: no (x, x) pairs may be emitted.
   LocalNestedLoopJoinRS(fx.group, fx.group, options, &out, &stats);
   for (const ScoredPair& sp : out) {
     EXPECT_NE(sp.first.first, sp.first.second);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Counter contract: the pair loop and the lane kernel reproduce the
+// counters of the per-group inverted index and the merge-join kernel
+// they replaced. The values below were captured from that
+// implementation on the same fixtures.
+// ---------------------------------------------------------------------
+
+struct Counts {
+  uint64_t candidates;
+  uint64_t position_filtered;
+  uint64_t verified;
+  uint64_t verify_passed;
+};
+
+struct PinnedCase {
+  uint64_t seed;
+  size_t n;
+  int k;
+  double theta;
+  Counts prefix_join;
+  Counts nested_loop;
+};
+
+const PinnedCase kPinned[] = {
+    {21, 300, 10, 0.05, {603, 289, 314, 37}, {603, 289, 314, 37}},
+    {21, 300, 10, 0.10, {1435, 233, 1202, 73}, {1435, 230, 1205, 73}},
+    {21, 300, 10, 0.20, {4892, 0, 4892, 263}, {4892, 0, 4892, 263}},
+    {21, 300, 10, 0.30, {8188, 0, 8188, 367}, {8188, 0, 8188, 367}},
+    {22, 200, 25, 0.05, {3093, 333, 2760, 235}, {3093, 298, 2795, 235}},
+    {22, 200, 25, 0.10, {5294, 0, 5294, 476}, {5294, 0, 5294, 476}},
+    {22, 200, 25, 0.20, {9936, 0, 9936, 794}, {9936, 0, 9936, 794}},
+    {22, 200, 25, 0.30, {16991, 0, 16991, 1071}, {16991, 0, 16991, 1071}},
+    {23, 300, 5, 0.05, {128, 90, 38, 0}, {128, 90, 38, 0}},
+    {23, 300, 5, 0.10, {664, 300, 364, 32}, {664, 298, 366, 32}},
+    {23, 300, 5, 0.20, {2158, 155, 2003, 92}, {2158, 148, 2010, 92}},
+    {23, 300, 5, 0.30, {2158, 0, 2158, 108}, {2158, 0, 2158, 108}},
+};
+
+void ExpectCounts(const JoinStats& got, const Counts& want,
+                  const std::string& what) {
+  EXPECT_EQ(got.candidates, want.candidates) << what;
+  EXPECT_EQ(got.position_filtered, want.position_filtered) << what;
+  EXPECT_EQ(got.verified, want.verified) << what;
+  EXPECT_EQ(got.verify_passed, want.verify_passed) << what;
+}
+
+TEST(LocalJoinCountersTest, MatchPinnedValues) {
+  for (const PinnedCase& c : kPinned) {
+    RankingDataset ds = testutil::SmallSkewedDataset(c.seed, c.n, c.k);
+    const ItemOrder order =
+        ItemOrder::FromFrequencies(CountItemFrequencies(ds.rankings));
+    const JoinStore store = JoinStore::Build(ds.store(), order);
+    LocalJoinOptions options;
+    options.store = &store;
+    options.raw_theta = RawThreshold(c.theta, c.k);
+    options.prefix_size = OverlapPrefix(options.raw_theta, c.k);
+    // The posting groups the VJ pipeline would build.
+    std::map<ItemId, std::vector<PrefixPosting>> groups;
+    for (RowIndex row = 0; row < store.size(); ++row) {
+      for (const auto& [item, posting] :
+           EmitPrefix(store, row, options.prefix_size, PrefixMode::kOverlap)) {
+        groups[item].push_back(posting);
+      }
+    }
+    JoinStats prefix_join;
+    JoinStats nested_loop;
+    std::vector<ScoredPair> out;
+    for (const auto& [item, group] : groups) {
+      LocalPrefixJoin(group, options, &out, &prefix_join);
+      LocalNestedLoopJoin(group, options, &out, &nested_loop);
+    }
+    const std::string what = "seed " + std::to_string(c.seed) + " theta " +
+                             std::to_string(c.theta);
+    ExpectCounts(prefix_join, c.prefix_join, "prefix join, " + what);
+    ExpectCounts(nested_loop, c.nested_loop, "nested loop, " + what);
   }
 }
 

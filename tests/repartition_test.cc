@@ -19,7 +19,7 @@ using testutil::TestCluster;
 /// way the VJ pipeline would, against a stable backing vector.
 struct GroupsFixture {
   RankingDataset dataset;
-  std::vector<OrderedRanking> ordered;
+  JoinStore store;
   std::vector<PostingGroup> group_vec;
   LocalJoinOptions options;
 
@@ -27,16 +27,17 @@ struct GroupsFixture {
     dataset = testutil::SmallSkewedDataset(seed, 250);
     ItemOrder order =
         ItemOrder::FromFrequencies(CountItemFrequencies(dataset.rankings));
-    ordered = MakeOrderedDataset(dataset.rankings, order);
+    store = JoinStore::Build(dataset.store(), order);
+    options.store = &store;
     options.raw_theta = RawThreshold(theta, dataset.k);
     options.prefix_size = OverlapPrefix(options.raw_theta, dataset.k);
     options.position_filter = true;
 
     std::unordered_map<ItemId, std::vector<PrefixPosting>> index;
-    for (const OrderedRanking& r : ordered) {
-      for (int t = 0; t < options.prefix_size; ++t) {
-        const ItemEntry& e = r.canonical[static_cast<size_t>(t)];
-        index[e.item].push_back(PrefixPosting{r.id, e.rank, false, &r});
+    for (RowIndex row = 0; row < store.size(); ++row) {
+      for (const auto& [item, posting] :
+           EmitPrefix(store, row, options.prefix_size, PrefixMode::kOverlap)) {
+        index[item].push_back(posting);
       }
     }
     for (auto& [item, postings] : index) {

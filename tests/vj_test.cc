@@ -60,6 +60,31 @@ TEST(VjTest, OrderedPrefixModeCorrect) {
   EXPECT_EQ(PairSet(result->pairs), Truth(ds, 0.3));
 }
 
+TEST(VjTest, OrderedPrefixFindsPairsSharingOnlyTopItems) {
+  // The ordered prefix (Lemma 4.1, p = 5 here) keys the groups by each
+  // ranking's best-ranked items, while the canonical order (item ids,
+  // reordering off) starts with items 1..5 and 6..9. The pair shares
+  // only its top five items, at distance 30 <= 33: the group join must
+  // filter with the same prefix rule that built the group.
+  RankingDataset ds;
+  ds.k = 10;
+  ds.rankings = {Ranking(0, {10, 11, 12, 13, 14, 1, 2, 3, 4, 5}),
+                 Ranking(1, {10, 11, 12, 13, 14, 6, 7, 8, 9, 15})};
+  ASSERT_EQ(Truth(ds, 0.3), (std::set<ResultPair>{{0, 1}}));
+  minispark::Context ctx(TestCluster());
+  for (LocalAlgorithm local :
+       {LocalAlgorithm::kPrefixIndex, LocalAlgorithm::kNestedLoop}) {
+    VjOptions options;
+    options.theta = 0.3;
+    options.reorder_by_frequency = false;
+    options.prefix_mode = PrefixMode::kOrdered;
+    options.local_algorithm = local;
+    auto result = RunVjJoin(&ctx, ds, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(PairSet(result->pairs), Truth(ds, 0.3));
+  }
+}
+
 TEST(VjTest, OrderedPrefixRejectsReordering) {
   RankingDataset ds = SmallSkewedDataset(104, 50);
   minispark::Context ctx(TestCluster());
