@@ -14,6 +14,9 @@
 // --k is inferred from the file header). Output: "id1 id2" lines
 // sorted by pair.
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -68,6 +71,26 @@ void Usage(const char* argv0) {
       argv0);
 }
 
+/// Reads the value of a numeric flag strictly: the whole string must be
+/// a finite number in [lo, hi], and a whole one for an `integer` flag.
+/// Anything else exits 2 with a message that names the flag.
+double ParseNumber(const char* flag, const char* text, double lo, double hi,
+                   bool integer) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  const bool ok = end != text && *end == '\0' &&
+                  !std::isspace(static_cast<unsigned char>(text[0])) &&
+                  errno == 0 && value >= lo && value <= hi &&
+                  (!integer || value == std::floor(value));
+  if (!ok) {
+    std::fprintf(stderr, "%s: '%s' is not %s in [%.17g, %.17g]\n", flag,
+                 text, integer ? "an integer" : "a number", lo, hi);
+    std::exit(2);
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -108,17 +131,20 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--algorithm")) {
       algorithm = next("--algorithm");
     } else if (!std::strcmp(argv[i], "--k")) {
-      k = std::atoi(next("--k"));
+      k = static_cast<int>(ParseNumber("--k", next("--k"), 1, 65535, true));
     } else if (!std::strcmp(argv[i], "--theta")) {
-      theta = std::atof(next("--theta"));
+      theta = ParseNumber("--theta", next("--theta"), 0, 1, false);
     } else if (!std::strcmp(argv[i], "--theta-c")) {
-      theta_c = std::atof(next("--theta-c"));
+      theta_c = ParseNumber("--theta-c", next("--theta-c"), 0, 1, false);
     } else if (!std::strcmp(argv[i], "--delta")) {
-      delta = std::strtoull(next("--delta"), nullptr, 10);
+      delta = static_cast<uint64_t>(
+          ParseNumber("--delta", next("--delta"), 0, 1e15, true));
     } else if (!std::strcmp(argv[i], "--partitions")) {
-      partitions = std::atoi(next("--partitions"));
+      partitions = static_cast<int>(
+          ParseNumber("--partitions", next("--partitions"), 1, 1 << 20, true));
     } else if (!std::strcmp(argv[i], "--workers")) {
-      workers = std::atoi(next("--workers"));
+      workers = static_cast<int>(
+          ParseNumber("--workers", next("--workers"), 1, 1024, true));
     } else if (!std::strcmp(argv[i], "--stats")) {
       print_stats = true;
     } else if (!std::strcmp(argv[i], "--metrics")) {
@@ -126,7 +152,8 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--trace-out")) {
       trace_out = next("--trace-out");
     } else if (!std::strcmp(argv[i], "--stats-port")) {
-      stats_port = std::atoi(next("--stats-port"));
+      stats_port = static_cast<int>(
+          ParseNumber("--stats-port", next("--stats-port"), 0, 65535, true));
     } else if (!std::strcmp(argv[i], "--lint")) {
       lint = true;
     } else if (!std::strcmp(argv[i], "--mmap")) {
@@ -138,7 +165,8 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--resume")) {
       resume = true;
     } else if (!std::strcmp(argv[i], "--deadline-ms")) {
-      deadline_ms = std::strtoll(next("--deadline-ms"), nullptr, 10);
+      deadline_ms = static_cast<long long>(
+          ParseNumber("--deadline-ms", next("--deadline-ms"), 0, 1e15, true));
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       Usage(argv[0]);

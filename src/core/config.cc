@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 
 #include "ranking/footrule.h"
 
@@ -45,11 +46,14 @@ const char* AlgorithmName(Algorithm algorithm) {
 
 Status SimilarityJoinConfig::Validate(int k) const {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (theta < 0.0 || theta >= 1.0) {
+  if (!(theta >= 0.0 && theta < 1.0)) {
     return Status::InvalidArgument("theta must be in [0, 1)");
   }
+  if (std::isnan(theta_c)) {
+    return Status::InvalidArgument("theta_c must be a number");
+  }
   if (algorithm == Algorithm::kCL || algorithm == Algorithm::kCLP) {
-    if (theta_c < 0.0 || theta_c > theta) {
+    if (!(theta_c >= 0.0 && theta_c <= theta)) {
       return Status::InvalidArgument("theta_c must be in [0, theta]");
     }
     const uint32_t enlarged =
@@ -63,7 +67,7 @@ Status SimilarityJoinConfig::Validate(int k) const {
     return Status::InvalidArgument(
         "CL-P requires a positive partitioning threshold delta");
   }
-  if (algorithm == Algorithm::kAuto && theta_c < 0.0) {
+  if (algorithm == Algorithm::kAuto && !(theta_c >= 0.0)) {
     // The planner picks theta_c/delta itself (clamping theta_c into the
     // feasible [0, theta] band), so only outright-invalid inputs are
     // rejected here; the chosen concrete plan is re-validated before

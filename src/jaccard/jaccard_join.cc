@@ -33,11 +33,14 @@ double DistanceOf(const ScoredPair& sp, int k) {
 Status ValidateOptions(const JaccardJoinOptions& options, int k,
                        bool clustering) {
   if (k < 1) return Status::InvalidArgument("dataset k must be >= 1");
-  if (options.theta < 0.0 || options.theta >= 1.0) {
+  if (!(options.theta >= 0.0 && options.theta < 1.0)) {
     return Status::InvalidArgument("theta must be in [0, 1)");
   }
+  if (std::isnan(options.theta_c)) {
+    return Status::InvalidArgument("theta_c must be a number");
+  }
   if (clustering) {
-    if (options.theta_c < 0.0 || options.theta_c > options.theta) {
+    if (!(options.theta_c >= 0.0 && options.theta_c <= options.theta)) {
       return Status::InvalidArgument("theta_c must be in [0, theta]");
     }
     if (options.theta + 2 * options.theta_c >= 1.0) {

@@ -17,10 +17,10 @@ namespace internal {
 
 Status ValidateClOptions(const ClOptions& options, int k) {
   if (k < 1) return Status::InvalidArgument("dataset k must be >= 1");
-  if (options.theta < 0.0 || options.theta >= 1.0) {
+  if (!(options.theta >= 0.0 && options.theta < 1.0)) {
     return Status::InvalidArgument("theta must be in [0, 1)");
   }
-  if (options.theta_c < 0.0) {
+  if (!(options.theta_c >= 0.0)) {
     return Status::InvalidArgument("theta_c must be >= 0");
   }
   if (options.theta_c > options.theta) {

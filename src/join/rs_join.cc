@@ -59,7 +59,7 @@ Status ValidateRs(const RankingDataset& r, const RankingDataset& s,
     return Status::InvalidArgument("R and S must share the same k");
   }
   if (r.k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (options.theta < 0.0 || options.theta >= 1.0) {
+  if (!(options.theta >= 0.0 && options.theta < 1.0)) {
     return Status::InvalidArgument("theta must be in [0, 1)");
   }
   RANKJOIN_RETURN_NOT_OK(r.Validate());

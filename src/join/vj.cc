@@ -18,7 +18,7 @@ namespace internal {
 
 Status ValidateVjOptions(const VjOptions& options, int k) {
   if (k < 1) return Status::InvalidArgument("dataset k must be >= 1");
-  if (options.theta < 0.0 || options.theta >= 1.0) {
+  if (!(options.theta >= 0.0 && options.theta < 1.0)) {
     return Status::InvalidArgument(
         "theta must be in [0, 1); prefix filtering requires that disjoint "
         "rankings cannot qualify");

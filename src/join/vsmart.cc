@@ -39,7 +39,7 @@ static Result<JoinResult> RunVSmartJoinImpl(minispark::Context* ctx,
   if (dataset.k < 1) {
     return Status::InvalidArgument("dataset k must be >= 1");
   }
-  if (options.theta < 0.0 || options.theta >= 1.0) {
+  if (!(options.theta >= 0.0 && options.theta < 1.0)) {
     return Status::InvalidArgument("theta must be in [0, 1)");
   }
   RANKJOIN_RETURN_NOT_OK(dataset.Validate());

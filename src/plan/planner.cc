@@ -41,7 +41,7 @@ std::string FormatDouble(double v) {
 /// threshold must stay below the maximum distance, and theta_c below
 /// theta (ValidateClOptions).
 bool ClFeasible(double theta, double theta_c, int k) {
-  if (theta_c < 0.0 || theta_c > theta) return false;
+  if (!(theta_c >= 0.0 && theta_c <= theta)) return false;
   return RawThreshold(theta, k) + 2 * RawThreshold(theta_c, k) <
          MaxFootrule(k);
 }
@@ -118,7 +118,7 @@ Result<JoinPlan> PlanJoin(minispark::Context* ctx,
   if (ctx == nullptr) return Status::InvalidArgument("null context");
   const int k = dataset.k;
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (config.theta < 0.0 || config.theta >= 1.0) {
+  if (!(config.theta >= 0.0 && config.theta < 1.0)) {
     return Status::InvalidArgument("theta must be in [0, 1)");
   }
 

@@ -42,8 +42,8 @@ uint32_t FootruleDistance(const OrderedRanking& a, const OrderedRanking& b);
 
 /// Threshold-bounded distance: returns the raw distance if it is
 /// <= `bound`, otherwise nullopt (early exit once the partial sum
-/// exceeds the bound). The kernel of the brute-force oracles, range
-/// search and planner sampling; the distributed joins verify with
+/// exceeds the bound). The kernel of the brute-force oracles and planner
+/// sampling; the distributed joins and range search verify with
 /// PairKernel over join-store rows (ranking/join_store.h).
 std::optional<uint32_t> FootruleDistanceBounded(const OrderedRanking& a,
                                                 const OrderedRanking& b,

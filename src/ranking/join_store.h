@@ -137,9 +137,9 @@ inline bool AnyFar(int chunks, const uint32_t* a, const int* ranks,
 
 }  // namespace kernel_internal
 
-/// The verification kernel of the distributed joins. It reads join-store
-/// rows: a ranking's k items in rank order, padded to a whole number of
-/// 4-lane chunks.
+/// The verification kernel of the distributed joins and range search. It
+/// reads join-store rows: a ranking's k items in rank order, padded to a
+/// whole number of 4-lane chunks.
 ///
 /// Footrule with missing items at rank k gives two disjoint rankings the
 /// distance k(k+1); every shared item a_r = b_s takes back
@@ -278,7 +278,8 @@ class PrefixFilterKernel {
 };
 
 /// The flat join store: one row per ranking, built once per job by the
-/// ordering phase and shared read-only by every stage of the join.
+/// ordering phase and shared read-only by every stage of the join (the
+/// range indexes build and keep one too).
 ///
 /// Row i holds ranking i's k items in rank order, padded with zero items
 /// to PairKernel::stride() lanes, so a row is whole 4-lane chunks and no

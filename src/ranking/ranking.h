@@ -99,9 +99,9 @@ struct ItemEntry {
 /// items carry their original rank, and two orders are materialized —
 /// the canonical (ascending global frequency) order that determines
 /// prefixes, and an item-id order enabling O(k) merge-join distance
-/// computation. The distributed joins use the flat JoinStore instead
-/// (ranking/join_store.h); this form serves the brute-force oracles,
-/// range search and planner sampling.
+/// computation. The distributed joins and range search use the flat
+/// JoinStore instead (ranking/join_store.h); this form serves the
+/// brute-force oracles and planner sampling.
 struct OrderedRanking {
   RankingId id = 0;
   uint16_t k = 0;

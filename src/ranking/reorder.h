@@ -54,9 +54,9 @@ OrderedRanking MakeOrdered(const Ranking& ranking, const ItemOrder& order);
 /// Same, reading straight out of a columnar store slice.
 OrderedRanking MakeOrdered(const RankingView& view, const ItemOrder& order);
 
-/// Convenience: orders a whole dataset on the driver (the oracles,
-/// range search and planner sampling; the distributed pipelines build a
-/// JoinStore through minispark stages instead).
+/// Convenience: orders a whole dataset on the driver (the oracles and
+/// planner sampling; the distributed pipelines build a JoinStore through
+/// minispark stages instead, and range search builds one directly).
 std::vector<OrderedRanking> MakeOrderedDataset(
     const std::vector<Ranking>& rankings, const ItemOrder& order);
 /// Same, straight off the columnar store (works for mmap-born datasets

@@ -3,94 +3,165 @@
 #include <algorithm>
 #include <limits>
 
-#include "common/logging.h"
 #include "common/random.h"
+#include "join/local_join.h"
 #include "ranking/footrule.h"
 #include "ranking/prefix.h"
 
 namespace rankjoin {
+
+namespace {
+
+Status CheckQuery(const Ranking& query, int k) {
+  if (query.k() != k) {
+    return Status::InvalidArgument("query length differs from index k");
+  }
+  if (!query.IsValid()) {
+    return Status::InvalidArgument("query items must be distinct");
+  }
+  return Status::OK();
+}
+
+/// The query as a join-store row: its items in rank order, zero-padded
+/// to whole kernel chunks.
+std::vector<ItemId> QueryRow(const Ranking& query, const PairKernel& kernel) {
+  std::vector<ItemId> row(static_cast<size_t>(kernel.stride()), 0);
+  std::copy(query.items().begin(), query.items().end(), row.begin());
+  return row;
+}
+
+/// Per-thread candidate marks over the rows of whichever index the thread
+/// queries. A row is alive when its stamp is the query's generation g and
+/// dead (position-filtered) at g + 1; any older stamp means unseen. Each
+/// query advances g by two, so the marks clear in O(1), and the stamps
+/// only grow when the thread meets a larger index.
+struct CandidateMarks {
+  std::vector<uint32_t> stamps;
+  uint32_t generation = 0;
+  /// Rows marked alive this query, in first-seen order.
+  std::vector<RowIndex> alive_rows;
+
+  void Begin(size_t rows) {
+    if (stamps.size() < rows) stamps.resize(rows, 0);
+    if (generation > std::numeric_limits<uint32_t>::max() - 3) {
+      std::fill(stamps.begin(), stamps.end(), 0);
+      generation = 0;
+    }
+    generation += 2;
+    alive_rows.clear();
+  }
+};
+
+}  // namespace
 
 Result<PrefixRangeIndex> PrefixRangeIndex::Build(
     const RankingDataset& dataset, double max_theta) {
   if (dataset.k < 1) {
     return Status::InvalidArgument("dataset k must be >= 1");
   }
-  if (max_theta < 0.0 || max_theta >= 1.0) {
+  if (!(max_theta >= 0.0 && max_theta < 1.0)) {
     return Status::InvalidArgument("max_theta must be in [0, 1)");
   }
   RANKJOIN_RETURN_NOT_OK(dataset.Validate());
 
   PrefixRangeIndex index;
-  index.k_ = dataset.k;
   index.max_theta_ = max_theta;
   index.order_ =
       ItemOrder::FromFrequencies(CountItemFrequencies(dataset.store()));
-  index.ordered_ = MakeOrderedDataset(dataset.store(), index.order_);
+  index.store_ = JoinStore::Build(dataset.store(), index.order_);
+  const JoinStore& store = index.store_;
 
+  // Two passes over the prefixes: size every list, then put each posting
+  // at its list's next free slot, so rows ascend within a list.
   const int prefix =
       OverlapPrefix(RawThreshold(max_theta, dataset.k), dataset.k);
-  for (uint32_t pos = 0; pos < index.ordered_.size(); ++pos) {
-    const OrderedRanking& r = index.ordered_[pos];
-    const size_t p =
-        std::min(static_cast<size_t>(prefix), r.canonical.size());
-    for (size_t i = 0; i < p; ++i) {
-      index.index_[r.canonical[i].item].push_back(
-          {pos, r.canonical[i].rank});
+  auto for_each_posting = [&](auto&& fn) {
+    for (RowIndex row = 0; row < store.size(); ++row) {
+      const ItemId* items = store.items(row);
+      ForEachPrefixRank(store, row, prefix, PrefixMode::kOverlap,
+                        [&](uint16_t rank) { fn(items[rank], row, rank); });
     }
+  };
+  index.lists_.reserve(index.order_.num_items());
+  for_each_posting([&](ItemId item, RowIndex, uint16_t) {
+    ++index.lists_[item].end;
+  });
+  size_t offset = 0;
+  for (auto& entry : index.lists_) {
+    PostingRange& list = entry.second;
+    list.begin = offset;
+    offset += list.end;
+    list.end = list.begin;
   }
+  index.postings_.resize(offset);
+  for_each_posting([&](ItemId item, RowIndex row, uint16_t rank) {
+    index.postings_[index.lists_[item].end++] = {row, rank};
+  });
   return index;
 }
 
 Result<std::vector<RankingId>> PrefixRangeIndex::Query(
     const Ranking& query, double theta, JoinStats* stats) const {
-  if (query.k() != k_) {
-    return Status::InvalidArgument("query length differs from index k");
-  }
-  if (theta < 0.0 || theta > max_theta_) {
+  RANKJOIN_RETURN_NOT_OK(CheckQuery(query, k()));
+  if (!(theta >= 0.0 && theta <= max_theta_)) {
     return Status::InvalidArgument(
         "theta must be within the index's max_theta");
   }
   JoinStats local;
   if (stats == nullptr) stats = &local;
 
-  const uint32_t raw_theta = RawThreshold(theta, k_);
-  const int prefix = OverlapPrefix(raw_theta, k_);
-  const OrderedRanking q = MakeOrdered(query, order_);
+  const int k = this->k();
+  const uint32_t raw_theta = RawThreshold(theta, k);
+  const int prefix = OverlapPrefix(raw_theta, k);
+  const PairKernel& kernel = store_.kernel();
+  const std::vector<ItemId> q = QueryRow(query, kernel);
+  std::vector<uint16_t> canonical(static_cast<size_t>(k));
+  CanonicalRanks(q.data(), k, order_, canonical.data());
 
-  // Stamp-based candidate set over positions: 0 = unseen this query.
-  std::vector<uint8_t> state(ordered_.size(), 0);  // 1 alive, 2 dead
-  std::vector<uint32_t> alive;
-  const size_t p = std::min(static_cast<size_t>(prefix), q.canonical.size());
-  for (size_t i = 0; i < p; ++i) {
-    const ItemEntry& entry = q.canonical[i];
-    auto it = index_.find(entry.item);
-    if (it == index_.end()) continue;
-    for (const auto& [pos, rank] : it->second) {
-      if (state[pos] == 2) continue;
-      if (!PositionFilterPasses(entry.rank, rank, raw_theta)) {
-        if (state[pos] == 0) ++stats->candidates;
-        if (state[pos] != 2) ++stats->position_filtered;
-        state[pos] = 2;
-        continue;
-      }
-      if (state[pos] == 0) {
-        state[pos] = 1;
-        alive.push_back(pos);
-        ++stats->candidates;
+  thread_local CandidateMarks marks;
+  marks.Begin(store_.size());
+  const uint32_t alive = marks.generation;
+  const uint32_t dead = alive + 1;
+  uint64_t candidates = 0;
+  uint64_t filtered = 0;
+  for (int t = 0; t < prefix; ++t) {
+    const uint16_t q_rank = canonical[static_cast<size_t>(t)];
+    auto it = lists_.find(q[q_rank]);
+    if (it == lists_.end()) continue;
+    for (size_t i = it->second.begin; i < it->second.end; ++i) {
+      const Posting& posting = postings_[i];
+      uint32_t& stamp = marks.stamps[posting.row];
+      if (stamp == dead) continue;
+      if (!PositionFilterPasses(q_rank, posting.rank, raw_theta)) {
+        if (stamp != alive) ++candidates;
+        ++filtered;
+        stamp = dead;
+      } else if (stamp != alive) {
+        stamp = alive;
+        marks.alive_rows.push_back(posting.row);
+        ++candidates;
       }
     }
   }
 
   std::vector<RankingId> result;
-  for (uint32_t pos : alive) {
-    if (state[pos] != 1) continue;
-    const OrderedRanking& candidate = ordered_[pos];
-    if (candidate.id == query.id()) continue;
-    ++stats->verified;
-    if (FootruleDistanceBounded(q, candidate, raw_theta).has_value()) {
-      result.push_back(candidate.id);
+  uint64_t verified = 0;
+  kernel.WithChunks([&](auto width) {
+    constexpr int kChunks = decltype(width)::value;
+    for (RowIndex row : marks.alive_rows) {
+      if (marks.stamps[row] != alive || store_.id(row) == query.id()) {
+        continue;
+      }
+      ++verified;
+      if (kernel.DistanceAt<kChunks>(q.data(), store_.items(row)) <=
+          raw_theta) {
+        result.push_back(store_.id(row));
+      }
     }
-  }
+  });
+  stats->candidates += candidates;
+  stats->position_filtered += filtered;
+  stats->verified += verified;
   stats->result_pairs += result.size();
   return result;
 }
@@ -106,76 +177,70 @@ Result<CoarseRangeIndex> CoarseRangeIndex::Build(
   RANKJOIN_RETURN_NOT_OK(dataset.Validate());
 
   CoarseRangeIndex index;
-  index.k_ = dataset.k;
-  index.ordered_ = MakeOrderedDataset(dataset.store(), ItemOrder());
-  const size_t n = index.ordered_.size();
+  index.store_ = JoinStore::Build(dataset.store(), ItemOrder());
+  const JoinStore& store = index.store_;
+  const size_t n = store.size();
   if (n == 0) return index;
 
-  const size_t pivots =
-      std::min(static_cast<size_t>(num_pivots), n);
+  const size_t max_pivots = std::min(static_cast<size_t>(num_pivots), n);
 
   // Greedy farthest-first pivot selection: spreads the pivots out so
   // group radii stay small (tight triangle pruning).
   Rng rng(seed);
-  std::vector<uint32_t> pivot_positions;
-  pivot_positions.push_back(static_cast<uint32_t>(rng.Uniform(n)));
+  std::vector<RowIndex> pivots;
+  pivots.push_back(static_cast<RowIndex>(rng.Uniform(n)));
   std::vector<uint32_t> nearest_distance(
       n, std::numeric_limits<uint32_t>::max());
   std::vector<uint32_t> nearest_pivot(n, 0);
   auto relax = [&](size_t pivot_index) {
-    const OrderedRanking& pivot =
-        index.ordered_[pivot_positions[pivot_index]];
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t d = FootruleDistance(pivot, index.ordered_[i]);
-      if (d < nearest_distance[i]) {
-        nearest_distance[i] = d;
-        nearest_pivot[i] = static_cast<uint32_t>(pivot_index);
+    for (RowIndex row = 0; row < n; ++row) {
+      const uint32_t d = store.Distance(pivots[pivot_index], row);
+      if (d < nearest_distance[row]) {
+        nearest_distance[row] = d;
+        nearest_pivot[row] = static_cast<uint32_t>(pivot_index);
       }
     }
   };
   relax(0);
-  while (pivot_positions.size() < pivots) {
+  while (pivots.size() < max_pivots) {
     size_t farthest = 0;
     for (size_t i = 1; i < n; ++i) {
       if (nearest_distance[i] > nearest_distance[farthest]) farthest = i;
     }
     if (nearest_distance[farthest] == 0) break;  // all points covered
-    pivot_positions.push_back(static_cast<uint32_t>(farthest));
-    relax(pivot_positions.size() - 1);
+    pivots.push_back(static_cast<RowIndex>(farthest));
+    relax(pivots.size() - 1);
   }
 
-  index.groups_.resize(pivot_positions.size());
-  for (size_t g = 0; g < pivot_positions.size(); ++g) {
-    index.groups_[g].pivot_position = pivot_positions[g];
+  index.groups_.resize(pivots.size());
+  for (size_t g = 0; g < pivots.size(); ++g) {
+    index.groups_[g].pivot = pivots[g];
   }
-  for (size_t i = 0; i < n; ++i) {
-    Group& group = index.groups_[nearest_pivot[i]];
-    group.members.push_back(
-        {static_cast<uint32_t>(i), nearest_distance[i]});
-    group.radius = std::max(group.radius, nearest_distance[i]);
+  for (RowIndex row = 0; row < n; ++row) {
+    Group& group = index.groups_[nearest_pivot[row]];
+    group.members.push_back({row, nearest_distance[row]});
+    group.radius = std::max(group.radius, nearest_distance[row]);
   }
   return index;
 }
 
 Result<std::vector<RankingId>> CoarseRangeIndex::Query(
     const Ranking& query, double theta, JoinStats* stats) const {
-  if (query.k() != k_) {
-    return Status::InvalidArgument("query length differs from index k");
-  }
-  if (theta < 0.0 || theta >= 1.0) {
+  RANKJOIN_RETURN_NOT_OK(CheckQuery(query, k()));
+  if (!(theta >= 0.0 && theta < 1.0)) {
     return Status::InvalidArgument("theta must be in [0, 1)");
   }
   JoinStats local;
   if (stats == nullptr) stats = &local;
 
-  const uint32_t raw_theta = RawThreshold(theta, k_);
-  const OrderedRanking q = MakeOrdered(query, ItemOrder());
+  const uint32_t raw_theta = RawThreshold(theta, k());
+  const PairKernel& kernel = store_.kernel();
+  const std::vector<ItemId> q = QueryRow(query, kernel);
 
   std::vector<RankingId> result;
   for (const Group& group : groups_) {
-    const OrderedRanking& pivot = ordered_[group.pivot_position];
     ++stats->verified;
-    const uint32_t dq = FootruleDistance(q, pivot);
+    const uint32_t dq = kernel.Distance(q.data(), store_.items(group.pivot));
     // Whole-group pruning: every member m satisfies
     // d(q, m) >= d(q, pivot) - d(pivot, m) >= dq - radius.
     if (dq > group.radius + raw_theta) {
@@ -183,8 +248,8 @@ Result<std::vector<RankingId>> CoarseRangeIndex::Query(
       continue;
     }
     for (const Member& member : group.members) {
-      const OrderedRanking& candidate = ordered_[member.position];
-      if (candidate.id == query.id()) continue;
+      const RankingId id = store_.id(member.row);
+      if (id == query.id()) continue;
       ++stats->candidates;
       // Per-member triangle bound through the pivot.
       const uint32_t lower = dq > member.distance_to_pivot
@@ -197,12 +262,12 @@ Result<std::vector<RankingId>> CoarseRangeIndex::Query(
       // Upper bound: qualification without verification.
       if (dq + member.distance_to_pivot <= raw_theta) {
         ++stats->emitted_unverified;
-        result.push_back(candidate.id);
+        result.push_back(id);
         continue;
       }
       ++stats->verified;
-      if (FootruleDistanceBounded(q, candidate, raw_theta).has_value()) {
-        result.push_back(candidate.id);
+      if (kernel.Distance(q.data(), store_.items(member.row)) <= raw_theta) {
+        result.push_back(id);
       }
     }
   }

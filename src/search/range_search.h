@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "join/stats.h"
+#include "ranking/join_store.h"
 #include "ranking/ranking.h"
 #include "ranking/reorder.h"
 
@@ -17,7 +18,7 @@ namespace rankjoin {
 /// Metric-Space Indexing"), whose prefix bounds, position filter, and
 /// posting-list estimate this paper reuses. Two index structures are
 /// provided; both answer Query(q, theta) = { x | d(q, x) <= theta }
-/// exactly.
+/// exactly, verifying on join-store rows with the joins' PairKernel.
 
 /// Inverted index over canonical prefixes. Built once for a maximum
 /// supported threshold; queries may use any theta <= max_theta.
@@ -25,7 +26,7 @@ namespace rankjoin {
 /// Query cost is driven by the posting lists of the query's prefix
 /// items — cheap for small theta (short prefixes of rare items), and
 /// degrading as theta grows, which is precisely the VJ behavior the
-/// paper measures in Figure 6.
+/// paper measures in Figure 6. Queries are safe to run concurrently.
 class PrefixRangeIndex {
  public:
   /// Builds the index. `max_theta` (normalized, < 1) bounds the
@@ -40,20 +41,34 @@ class PrefixRangeIndex {
   Result<std::vector<RankingId>> Query(const Ranking& query, double theta,
                                        JoinStats* stats = nullptr) const;
 
-  size_t size() const { return ordered_.size(); }
-  int k() const { return k_; }
+  size_t size() const { return store_.size(); }
+  int k() const { return store_.k(); }
   double max_theta() const { return max_theta_; }
 
  private:
   PrefixRangeIndex() = default;
 
-  int k_ = 0;
+  /// One prefix item of an indexed ranking.
+  struct Posting {
+    RowIndex row = 0;
+    /// Original rank of the item inside that ranking.
+    uint16_t rank = 0;
+  };
+  /// The slice [begin, end) of postings_ that holds one item's list.
+  struct PostingRange {
+    size_t begin = 0;
+    size_t end = 0;
+  };
+
   double max_theta_ = 0;
+  /// The global frequency order; queries are canonicalized under it.
   ItemOrder order_;
-  std::vector<OrderedRanking> ordered_;
-  /// item -> (position in ordered_, original rank of item).
-  std::unordered_map<ItemId, std::vector<std::pair<uint32_t, uint16_t>>>
-      index_;
+  /// One row per indexed ranking, canonicalized under order_.
+  JoinStore store_;
+  /// Every posting list, one after another, rows ascending in each.
+  std::vector<Posting> postings_;
+  /// item -> its list in postings_.
+  std::unordered_map<ItemId, PostingRange> lists_;
 };
 
 /// Metric-space index: rankings are grouped around pivots (greedy
@@ -73,25 +88,25 @@ class CoarseRangeIndex {
   Result<std::vector<RankingId>> Query(const Ranking& query, double theta,
                                        JoinStats* stats = nullptr) const;
 
-  size_t size() const { return ordered_.size(); }
-  int k() const { return k_; }
+  size_t size() const { return store_.size(); }
+  int k() const { return store_.k(); }
   int num_pivots() const { return static_cast<int>(groups_.size()); }
 
  private:
   CoarseRangeIndex() = default;
 
   struct Member {
-    uint32_t position = 0;  // into ordered_
+    RowIndex row = 0;
     uint32_t distance_to_pivot = 0;
   };
   struct Group {
-    uint32_t pivot_position = 0;
+    RowIndex pivot = 0;
     uint32_t radius = 0;  // max member distance
     std::vector<Member> members;
   };
 
-  int k_ = 0;
-  std::vector<OrderedRanking> ordered_;
+  /// One row per indexed ranking; only the rank-order items are read.
+  JoinStore store_;
   std::vector<Group> groups_;
 };
 

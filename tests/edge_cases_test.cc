@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
+
 #include "core/similarity_join.h"
 #include "jaccard/jaccard_join.h"
+#include "join/rs_join.h"
+#include "search/range_search.h"
 #include "tests/test_util.h"
 
 namespace rankjoin {
@@ -194,6 +200,62 @@ TEST(EdgeCaseTest, IdsNearTwoToThe32) {
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(PairSet(result->pairs),
               PairSet(JaccardBruteForceJoin(ds, jaccard.theta).pairs));
+  }
+}
+
+TEST(EdgeCaseTest, NanThresholdsAreInvalidArguments) {
+  // Every range check must fail on NaN: a NaN that passed one would
+  // reach RawThreshold's CHECK and abort the process.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const RankingDataset ds = testutil::SmallSkewedDataset(811, 60, 5);
+  minispark::Context ctx(TestCluster());
+  std::vector<std::pair<std::string, std::function<Status()>>> cases;
+  for (Algorithm algorithm :
+       {Algorithm::kBruteForce, Algorithm::kVJ, Algorithm::kVJNL,
+        Algorithm::kCL, Algorithm::kCLP, Algorithm::kVSmart,
+        Algorithm::kAuto}) {
+    for (bool on_theta_c : {false, true}) {
+      cases.emplace_back(
+          std::string(AlgorithmName(algorithm)) +
+              (on_theta_c ? " theta_c" : " theta"),
+          [&, algorithm, on_theta_c] {
+            SimilarityJoinConfig config = BaseConfig(algorithm, 0.3);
+            (on_theta_c ? config.theta_c : config.theta) = nan;
+            return RunSimilarityJoin(&ctx, ds, config).status();
+          });
+    }
+  }
+  cases.emplace_back("rs theta", [&] {
+    RsJoinOptions options;
+    options.theta = nan;
+    return RunRsJoin(&ctx, ds, ds, options).status();
+  });
+  for (bool clustering : {false, true}) {
+    for (bool on_theta_c : {false, true}) {
+      cases.emplace_back(
+          std::string(clustering ? "jaccard cl" : "jaccard vj") +
+              (on_theta_c ? " theta_c" : " theta"),
+          [&, clustering, on_theta_c] {
+            JaccardJoinOptions options;
+            (on_theta_c ? options.theta_c : options.theta) = nan;
+            return (clustering ? RunJaccardClusterJoin(&ctx, ds, options)
+                               : RunJaccardVjJoin(&ctx, ds, options))
+                .status();
+          });
+    }
+  }
+  const Ranking& query = ds.rankings[0];
+  cases.emplace_back("prefix index build", [&] {
+    return PrefixRangeIndex::Build(ds, nan).status();
+  });
+  cases.emplace_back("prefix index query", [&] {
+    return PrefixRangeIndex::Build(ds, 0.3)->Query(query, nan).status();
+  });
+  cases.emplace_back("coarse index query", [&] {
+    return CoarseRangeIndex::Build(ds, 4)->Query(query, nan).status();
+  });
+  for (const auto& [name, run] : cases) {
+    EXPECT_EQ(run().code(), StatusCode::kInvalidArgument) << name;
   }
 }
 
