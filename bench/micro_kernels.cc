@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the kernels on the join inner
 // loops: Footrule distance (plain, merge-join, bounded, lane kernel),
+// the signature bound, both also over random pairs of a 20k-row store,
 // prefix-size math, Zipf sampling, reordering, and the per-group local
 // joins.
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -123,6 +125,70 @@ BENCHMARK(BM_PairKernelDistance)
     ->Args({10, 0})
     ->Args({25, 1})
     ->Args({25, 0});
+
+/// Arg: k. The signature bound the pair loops test on every candidate
+/// before the kernel, over the same neighbouring rows.
+void BM_SignatureBound(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  RankingDataset ds = MakeData(k, 256);
+  const JoinStore store = JoinStore::Build(ds.store(), ItemOrder());
+  RowIndex i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        SignatureBound(store.signature(i % store.size()),
+                       store.signature((i + 1) % store.size())));
+    ++i;
+  }
+}
+BENCHMARK(BM_SignatureBound)->Arg(10)->Arg(25);
+
+/// The shape of a pipeline's candidates: seeded random row pairs of a
+/// 20k-row store, so most rows come from L2 or beyond instead of L1.
+struct ColdPairs {
+  static constexpr size_t kRows = 20000;
+  static constexpr size_t kPairs = size_t{1} << 16;
+
+  explicit ColdPairs(int k) : store(BuildStore(k)) {
+    Rng rng(20);
+    for (size_t i = 0; i < kPairs; ++i) {
+      pairs.push_back({static_cast<RowIndex>(rng.Uniform(kRows)),
+                       static_cast<RowIndex>(rng.Uniform(kRows))});
+    }
+  }
+
+  static JoinStore BuildStore(int k) {
+    RankingDataset ds = MakeData(k, kRows);
+    return JoinStore::Build(ds.store(), ItemOrder());
+  }
+
+  JoinStore store;
+  std::vector<std::pair<RowIndex, RowIndex>> pairs;
+};
+
+/// Arg: k. BM_PairKernelDistance over ColdPairs.
+void BM_PairKernelDistanceCold(benchmark::State& state) {
+  const ColdPairs cold(static_cast<int>(state.range(0)));
+  const PairKernel& kernel = cold.store.kernel();
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [a, b] = cold.pairs[i++ % ColdPairs::kPairs];
+    benchmark::DoNotOptimize(
+        kernel.Distance(cold.store.items(a), cold.store.items(b)));
+  }
+}
+BENCHMARK(BM_PairKernelDistanceCold)->Arg(10)->Arg(25);
+
+/// Arg: k. BM_SignatureBound over ColdPairs.
+void BM_SignatureBoundCold(benchmark::State& state) {
+  const ColdPairs cold(static_cast<int>(state.range(0)));
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [a, b] = cold.pairs[i++ % ColdPairs::kPairs];
+    benchmark::DoNotOptimize(
+        SignatureBound(cold.store.signature(a), cold.store.signature(b)));
+  }
+}
+BENCHMARK(BM_SignatureBoundCold)->Arg(10)->Arg(25);
 
 /// One posting-list group of the given size, shared key item 0.
 std::pair<JoinStore, std::vector<PrefixPosting>> MakeGroup(size_t n, int k) {

@@ -57,7 +57,8 @@ struct ExpansionContext {
 /// Processes one (candidate pair, known-distance bounds) according to
 /// the metric filters of Section 5.3: prune when the triangle lower
 /// bound exceeds theta, emit unverified when the upper bound already
-/// qualifies, verify otherwise.
+/// qualifies, and otherwise verify unless the signature bound rules the
+/// pair out.
 void EmitWithTriangleBounds(const ExpansionContext& ectx, RankingId a,
                             RankingId b, int64_t lower_bound,
                             int64_t upper_bound,
@@ -73,9 +74,16 @@ void EmitWithTriangleBounds(const ExpansionContext& ectx, RankingId a,
     out->push_back(MakeResultPair(a, b));
     return;
   }
-  ++stats->verified;
   const JoinStore& store = *ectx.store;
-  if (store.Distance(store.RowOf(a), store.RowOf(b)) <= ectx.raw_theta) {
+  const RowIndex row_a = store.RowOf(a);
+  const RowIndex row_b = store.RowOf(b);
+  if (SignatureBound(store.signature(row_a), store.signature(row_b)) >
+      ectx.raw_theta) {
+    ++stats->signature_filtered;
+    return;
+  }
+  ++stats->verified;
+  if (store.Distance(row_a, row_b) <= ectx.raw_theta) {
     ++stats->verify_passed;
     out->push_back(MakeResultPair(a, b));
   }

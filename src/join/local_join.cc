@@ -16,6 +16,15 @@ std::vector<std::pair<ItemId, PrefixPosting>> EmitPrefix(
   return out;
 }
 
+namespace local_join_internal {
+
+std::vector<uint32_t>& SurvivorBuffer() {
+  thread_local std::vector<uint32_t> survivors;
+  return survivors;
+}
+
+}  // namespace local_join_internal
+
 void LocalPrefixJoin(const std::vector<PrefixPosting>& group,
                      const LocalJoinOptions& options,
                      std::vector<ScoredPair>* out, JoinStats* stats) {
@@ -24,28 +33,51 @@ void LocalPrefixJoin(const std::vector<PrefixPosting>& group,
   const JoinStore& store = *options.store;
   const PairKernel& kernel = store.kernel();
   const uint32_t raw_theta = options.raw_theta;
-  const uint64_t pairs = static_cast<uint64_t>(n) * (n - 1) / 2;
-  uint64_t filtered = 0;
+  std::vector<uint32_t>& survivors = local_join_internal::SurvivorBuffer();
+  survivors.resize(n);
+  uint64_t near_pairs = 0;
+  uint64_t verified = 0;
   uint64_t passed = 0;
-  auto emit = [&](size_t i, size_t j, uint32_t distance) {
-    ++passed;
-    out->push_back({MakeResultPair(store.id(group[i].row),
-                                   store.id(group[j].row)),
-                    distance});
+
+  // Per outer row i, a branch-free first pass appends the inner rows j
+  // that `far(j)` keeps and the signature bound does not rule out to
+  // `survivors`; the kernel then runs on those only. `set_outer(i)` runs
+  // before row i's first pass.
+  auto pair_loop = [&](auto width, auto&& set_outer, auto&& far) {
+    constexpr int kChunks = decltype(width)::value;
+    for (size_t i = 0; i + 1 < n; ++i) {
+      set_outer(i);
+      const ItemSignature& a_signature = store.signature(group[i].row);
+      size_t near = 0;
+      size_t kept = 0;
+      for (size_t j = i + 1; j < n; ++j) {
+        const bool filtered = far(j);
+        const bool close =
+            SignatureBound(a_signature, store.signature(group[j].row)) <=
+            raw_theta;
+        survivors[kept] = static_cast<uint32_t>(j);
+        near += !filtered;
+        kept += !filtered & close;
+      }
+      near_pairs += near;
+      verified += kept;
+      const ItemId* a = store.items(group[i].row);
+      for (size_t s = 0; s < kept; ++s) {
+        const RowIndex b = group[survivors[s]].row;
+        const uint32_t d = kernel.DistanceAt<kChunks>(a, store.items(b));
+        if (d <= raw_theta) {
+          ++passed;
+          out->push_back(
+              {MakeResultPair(store.id(group[i].row), store.id(b)), d});
+        }
+      }
+    }
   };
 
   PrefixFilterKernel filter(kernel, raw_theta);
   if (!options.position_filter || !filter.can_fail()) {
     kernel.WithChunks([&](auto width) {
-      constexpr int kChunks = decltype(width)::value;
-      for (size_t i = 0; i + 1 < n; ++i) {
-        const ItemId* a = store.items(group[i].row);
-        for (size_t j = i + 1; j < n; ++j) {
-          const uint32_t d =
-              kernel.DistanceAt<kChunks>(a, store.items(group[j].row));
-          if (d <= raw_theta) emit(i, j, d);
-        }
-      }
+      pair_loop(width, [](size_t) {}, [](size_t) { return false; });
     });
   } else {
     // Prefix lanes of every member, all-ones on the ranks of its prefix
@@ -61,23 +93,22 @@ void LocalPrefixJoin(const std::vector<PrefixPosting>& group,
     }
     kernel.WithChunks([&](auto width) {
       constexpr int kChunks = decltype(width)::value;
-      for (size_t i = 0; i + 1 < n; ++i) {
-        filter.SetOuter(store.items(group[i].row), &prefix[i * stride]);
-        for (size_t j = i + 1; j < n; ++j) {
-          const PairVerdict v = filter.CheckAt<kChunks>(
-              store.items(group[j].row), &prefix[j * stride]);
-          if (v.filtered) {
-            ++filtered;
-          } else if (v.distance <= raw_theta) {
-            emit(i, j, v.distance);
-          }
-        }
-      }
+      pair_loop(
+          width,
+          [&](size_t i) {
+            filter.SetOuter(store.items(group[i].row), &prefix[i * stride]);
+          },
+          [&](size_t j) {
+            return filter.FiresAt<kChunks>(store.items(group[j].row),
+                                           &prefix[j * stride]);
+          });
     });
   }
+  const uint64_t pairs = static_cast<uint64_t>(n) * (n - 1) / 2;
   stats->candidates += pairs;
-  stats->position_filtered += filtered;
-  stats->verified += pairs - filtered;
+  stats->position_filtered += pairs - near_pairs;
+  stats->signature_filtered += near_pairs - verified;
+  stats->verified += verified;
   stats->verify_passed += passed;
 }
 

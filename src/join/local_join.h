@@ -78,26 +78,53 @@ struct LocalJoinOptions {
 
 namespace local_join_internal {
 
-/// One nested-loop candidate under the pair's own raw threshold: the
-/// position filter on the key item's ranks, then the kernel at width
-/// kChunks (see PairKernel::WithChunks).
-template <int kChunks>
-void VerifyPair(const JoinStore& store, const PrefixPosting& a,
-                const PrefixPosting& b, uint32_t raw_theta,
-                bool position_filter, std::vector<ScoredPair>* out,
-                JoinStats* stats) {
-  ++stats->candidates;
-  if (position_filter &&
-      !PositionFilterPasses(a.key_rank, b.key_rank, raw_theta)) {
-    ++stats->position_filtered;
-    return;
+/// The calling thread's index buffer for the compacted pair loops.
+std::vector<uint32_t>& SurvivorBuffer();
+
+/// The nested-loop pairs of outer posting `a` and `inner[0, count)`, each
+/// under its own raw threshold. A branch-free first pass applies the
+/// position filter on the key item's ranks and then the signature bound,
+/// and appends the survivors' indices to `survivors` (room for `count`);
+/// the second pass runs the kernel at width kChunks (see
+/// PairKernel::WithChunks) on the survivors only.
+template <int kChunks, typename Threshold>
+void JoinOuterPosting(const JoinStore& store, const PrefixPosting& a,
+                      const PrefixPosting* inner, size_t count,
+                      const Threshold& threshold, bool position_filter,
+                      uint32_t* survivors, std::vector<ScoredPair>* out,
+                      JoinStats* stats) {
+  const ItemSignature& a_signature = store.signature(a.row);
+  size_t others = 0;
+  size_t near = 0;
+  size_t kept = 0;
+  for (size_t j = 0; j < count; ++j) {
+    const PrefixPosting& b = inner[j];
+    const uint32_t theta = threshold(a, b);
+    const bool other = a.row != b.row;
+    const bool ranks_close =
+        !position_filter ||
+        PositionFilterPasses(a.key_rank, b.key_rank, theta);
+    const bool passes = other & ranks_close;
+    const bool close =
+        SignatureBound(a_signature, store.signature(b.row)) <= theta;
+    survivors[kept] = static_cast<uint32_t>(j);
+    others += other;
+    near += passes;
+    kept += passes & close;
   }
-  ++stats->verified;
-  const uint32_t d = store.kernel().DistanceAt<kChunks>(store.items(a.row),
-                                                        store.items(b.row));
-  if (d <= raw_theta) {
-    ++stats->verify_passed;
-    out->push_back({MakeResultPair(store.id(a.row), store.id(b.row)), d});
+  stats->candidates += others;
+  stats->position_filtered += others - near;
+  stats->signature_filtered += near - kept;
+  stats->verified += kept;
+  const ItemId* a_items = store.items(a.row);
+  for (size_t s = 0; s < kept; ++s) {
+    const PrefixPosting& b = inner[survivors[s]];
+    const uint32_t d =
+        store.kernel().DistanceAt<kChunks>(a_items, store.items(b.row));
+    if (d <= threshold(a, b)) {
+      ++stats->verify_passed;
+      out->push_back({MakeResultPair(store.id(a.row), store.id(b.row)), d});
+    }
   }
 }
 
@@ -105,23 +132,23 @@ void VerifyPair(const JoinStore& store, const PrefixPosting& a,
 
 /// Nested-loop join over all pairs of `group` (paper Section 4.1, and
 /// Algorithm 1's compute_sim in the CL joining phase): each pair is
-/// filtered on the key item's ranks and verified under its own raw
-/// threshold `threshold(a, b)`.
+/// filtered on the key item's ranks and on the signature bound and
+/// verified under its own raw threshold `threshold(a, b)`.
 template <typename Threshold>
 void NestedLoopJoin(const JoinStore& store,
                     const std::vector<PrefixPosting>& group,
                     const Threshold& threshold, bool position_filter,
                     std::vector<ScoredPair>* out, JoinStats* stats) {
   const size_t n = group.size();
+  if (n < 2) return;
+  std::vector<uint32_t>& survivors = local_join_internal::SurvivorBuffer();
+  survivors.resize(n);
   JoinStats counts;  // stack-local, so the loop keeps it in registers
   store.kernel().WithChunks([&](auto width) {
     for (size_t i = 0; i + 1 < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        if (group[i].row == group[j].row) continue;
-        local_join_internal::VerifyPair<decltype(width)::value>(
-            store, group[i], group[j], threshold(group[i], group[j]),
-            position_filter, out, &counts);
-      }
+      local_join_internal::JoinOuterPosting<decltype(width)::value>(
+          store, group[i], &group[i + 1], n - i - 1, threshold,
+          position_filter, survivors.data(), out, &counts);
     }
   });
   stats->MergeCounters(counts);
@@ -135,14 +162,15 @@ void NestedLoopJoinRS(const JoinStore& store,
                       const std::vector<PrefixPosting>& right,
                       const Threshold& threshold, bool position_filter,
                       std::vector<ScoredPair>* out, JoinStats* stats) {
+  if (left.empty() || right.empty()) return;
+  std::vector<uint32_t>& survivors = local_join_internal::SurvivorBuffer();
+  survivors.resize(right.size());
   JoinStats counts;  // stack-local, so the loop keeps it in registers
   store.kernel().WithChunks([&](auto width) {
     for (const PrefixPosting& a : left) {
-      for (const PrefixPosting& b : right) {
-        if (a.row == b.row) continue;
-        local_join_internal::VerifyPair<decltype(width)::value>(
-            store, a, b, threshold(a, b), position_filter, out, &counts);
-      }
+      local_join_internal::JoinOuterPosting<decltype(width)::value>(
+          store, a, right.data(), right.size(), threshold, position_filter,
+          survivors.data(), out, &counts);
     }
   });
   stats->MergeCounters(counts);
@@ -152,8 +180,8 @@ void NestedLoopJoinRS(const JoinStore& store,
 /// holds the key item in its prefix, so every pair of members shares a
 /// prefix item: a plain pair loop over the group yields exactly the
 /// candidates an inverted index over the members' prefixes would. Each
-/// pair is verified with the position filter applied to the items in
-/// both prefixes, in the same pass as the distance. Emits qualifying
+/// pair passes the position filter over the items in both prefixes and
+/// the signature bound before the kernel runs on it. Emits qualifying
 /// pairs into `out` (smaller id first; duplicates across groups are
 /// possible and removed by the caller's distinct stage).
 void LocalPrefixJoin(const std::vector<PrefixPosting>& group,

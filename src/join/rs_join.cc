@@ -23,8 +23,8 @@ struct SidedPosting {
 };
 
 /// R x S kernel over one posting group: every cross-side pair that
-/// survives the key-item position filter is verified. Rows of R index
-/// `r`, rows of S index `s`.
+/// survives the key-item position filter and the signature bound is
+/// verified. Rows of R index `r`, rows of S index `s`.
 void RsGroupJoin(const JoinStore& r, const JoinStore& s,
                  const std::vector<SidedPosting>& group, uint32_t raw_theta,
                  bool position_filter, std::vector<ScoredPair>* out,
@@ -39,6 +39,11 @@ void RsGroupJoin(const JoinStore& r, const JoinStore& s,
           !PositionFilterPasses(a.posting.key_rank, b.posting.key_rank,
                                 raw_theta)) {
         ++stats->position_filtered;
+        continue;
+      }
+      if (SignatureBound(r.signature(a.posting.row),
+                         s.signature(b.posting.row)) > raw_theta) {
+        ++stats->signature_filtered;
         continue;
       }
       ++stats->verified;

@@ -9,6 +9,7 @@ void JoinStats::MergeCounters(const JoinStats& other) {
   candidates += other.candidates;
   position_filtered += other.position_filtered;
   triangle_filtered += other.triangle_filtered;
+  signature_filtered += other.signature_filtered;
   verified += other.verified;
   verify_passed += other.verify_passed;
   emitted_unverified += other.emitted_unverified;
@@ -26,6 +27,7 @@ void JoinStats::PublishCounters(minispark::CounterRegistry* registry,
   registry->Add(prefix + ".candidates", candidates);
   registry->Add(prefix + ".position_filtered", position_filtered);
   registry->Add(prefix + ".triangle_filtered", triangle_filtered);
+  registry->Add(prefix + ".signature_filtered", signature_filtered);
   registry->Add(prefix + ".verified", verified);
   registry->Add(prefix + ".verify_passed", verify_passed);
   registry->Add(prefix + ".emitted_unverified", emitted_unverified);
@@ -36,6 +38,7 @@ std::string JoinStats::ToString() const {
   os << "candidates=" << candidates
      << " position_filtered=" << position_filtered
      << " triangle_filtered=" << triangle_filtered
+     << " signature_filtered=" << signature_filtered
      << " verified=" << verified
      << " verify_passed=" << verify_passed
      << " emitted_unverified=" << emitted_unverified

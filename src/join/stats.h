@@ -43,6 +43,10 @@ struct JoinStats {
   uint64_t position_filtered = 0;
   /// Candidates removed by triangle-inequality bounds (CL expansion).
   uint64_t triangle_filtered = 0;
+  /// Candidates that passed the other filters but whose item signatures
+  /// already prove a distance above the threshold (SignatureBound), so
+  /// the kernel did not run on them.
+  uint64_t signature_filtered = 0;
   /// Pairs whose distance was actually computed (verification calls).
   uint64_t verified = 0;
   /// Verification calls whose distance qualified (<= theta). The

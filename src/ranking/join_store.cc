@@ -15,6 +15,14 @@ using kernel_internal::kLanes;
 using kernel_internal::Lanes;
 using kernel_internal::Splat;
 
+namespace {
+
+/// 2^64 / golden ratio: Fibonacci hashing for the id -> row lookup and
+/// the item signatures.
+constexpr uint64_t kFibonacci = 0x9E3779B97F4A7C15ull;
+
+}  // namespace
+
 PairKernel::PairKernel(int k)
     : k_(k),
       chunks_((k + kLanes - 1) / kLanes),
@@ -64,6 +72,15 @@ void PrefixFilterKernel::SetOuter(const ItemId* a, const uint32_t* a_prefix) {
   }
 }
 
+ItemSignature SignatureOf(const ItemId* items, int k) {
+  ItemSignature signature;
+  for (int r = 0; r < k; ++r) {
+    const uint64_t bit = (uint64_t{items[r]} * kFibonacci) >> 57;
+    signature.words[bit >> 6] |= uint64_t{1} << (bit & 63);
+  }
+  return signature;
+}
+
 JoinStore JoinStore::Build(const FlatRankings& rankings,
                            const ItemOrder& order) {
   const size_t k = static_cast<size_t>(rankings.k());
@@ -86,9 +103,11 @@ JoinStore JoinStore::Assemble(const FlatRankings& rankings,
   store.stride_ = static_cast<size_t>(store.kernel_.stride());
   store.ids_.assign(rankings.ids(), rankings.ids() + n);
   store.items_.assign(n * store.stride_, 0);
+  store.signatures_.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    std::copy_n(rankings.items() + i * k, k,
-                store.items_.data() + i * store.stride_);
+    const ItemId* items = rankings.items() + i * k;
+    std::copy_n(items, k, store.items_.data() + i * store.stride_);
+    store.signatures_[i] = SignatureOf(items, rankings.k());
   }
   store.canonical_ = std::move(canonical);
 
@@ -113,7 +132,7 @@ size_t JoinStore::SlotOf(RankingId id) const {
   // Fibonacci hashing; linear probing ends at the id or an empty slot.
   const size_t mask = slots_.size() - 1;
   size_t slot =
-      static_cast<size_t>((uint64_t{id} * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+      static_cast<size_t>((uint64_t{id} * kFibonacci) >> 32) & mask;
   while (slots_[slot].row != kEmpty && slots_[slot].id != id) {
     slot = (slot + 1) & mask;
   }

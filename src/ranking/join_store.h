@@ -227,43 +227,32 @@ class PairKernel {
   std::vector<kernel_internal::Lanes> real_;
 };
 
-/// Outcome of one pair under the prefix join's position filter.
-struct PairVerdict {
-  /// Raw Footrule distance; computed for filtered pairs too.
-  uint32_t distance = 0;
-  /// The position filter removed the pair.
-  bool filtered = false;
-};
-
-/// The prefix join's position filter (paper Section 4), evaluated in the
-/// same pass as the distance: a pair fails when an item in both prefixes
-/// has ranks r and s with 2|r - s| > raw_theta. A row's prefix is given
-/// as lanes, all-ones on the ranks in the prefix. The pair loop fixes the
-/// outer row once with SetOuter and then checks every inner row against
-/// it: the outer row's prefix items are compared with the inner row's
-/// chunks, and an equal lane counts when it is in the inner prefix and
-/// far from the outer item's rank.
+/// The prefix join's position filter (paper Section 4): a pair fails
+/// when an item in both prefixes has ranks r and s with
+/// 2|r - s| > raw_theta. A row's prefix is given as lanes, all-ones on
+/// the ranks in the prefix. The pair loop fixes the outer row once with
+/// SetOuter and then checks every inner row against it: the outer row's
+/// prefix items are compared with the inner row's chunks, and an equal
+/// lane counts when it is in the inner prefix and far from the outer
+/// item's rank.
 class PrefixFilterKernel {
  public:
   PrefixFilterKernel(const PairKernel& kernel, uint32_t raw_theta);
 
   /// False when no rank difference can exceed raw_theta / 2: then the
-  /// filter passes every pair and the plain Distance() is enough.
+  /// filter passes every pair.
   bool can_fail() const { return half_theta_ + 1 < kernel_->k(); }
 
   /// Fixes the outer row `a` and its prefix lanes (stride() lanes).
   void SetOuter(const ItemId* a, const uint32_t* a_prefix);
 
-  /// Distance of the outer row to `b`, and whether the filter fires.
+  /// Whether the filter removes the pair of the outer row and `b`.
   /// kChunks as in PairKernel::WithChunks.
   template <int kChunks>
-  PairVerdict CheckAt(const ItemId* b, const uint32_t* b_prefix) const {
-    PairVerdict verdict;
-    verdict.distance = kernel_->DistanceAt<kChunks>(a_, b);
-    verdict.filtered = kernel_internal::AnyFar<kChunks>(
+  bool FiresAt(const ItemId* b, const uint32_t* b_prefix) const {
+    return kernel_internal::AnyFar<kChunks>(
         kernel_->chunks(), a_, outer_ranks_.data(), outer_ranks_.size(),
         outer_far_.data(), b, b_prefix);
-    return verdict;
   }
 
  private:
@@ -277,6 +266,54 @@ class PrefixFilterKernel {
   std::vector<kernel_internal::Lanes> outer_far_;
 };
 
+/// A row's item set folded into 128 bits: item x sets bit
+/// (x * 0x9E3779B97F4A7C15) >> 57, the Fibonacci hash of the id -> row
+/// lookup. Pad lanes are not included, and the bits depend only on the
+/// item ids, so signatures of rows from different stores (R and S, a
+/// query row) compare directly.
+struct ItemSignature {
+  uint64_t words[2] = {0, 0};
+};
+
+/// The signature of the k items at `items`.
+ItemSignature SignatureOf(const ItemId* items, int k);
+
+namespace kernel_internal {
+
+/// Set bits of x and y together, counted with shifts and masks: nibble
+/// counts of both words are summed, then folded once. Without -mpopcnt,
+/// std::popcount lowers to a libgcc call per word, which made a probe
+/// of the pair loops' first pass 1.34x slower (DESIGN.md "Join store").
+inline uint32_t PopcountPair(uint64_t x, uint64_t y) {
+  constexpr uint64_t kOdd = 0x5555555555555555ull;
+  constexpr uint64_t kPairs = 0x3333333333333333ull;
+  constexpr uint64_t kNibbles = 0x0F0F0F0F0F0F0F0Full;
+  x -= (x >> 1) & kOdd;
+  y -= (y >> 1) & kOdd;
+  x = (x & kPairs) + ((x >> 2) & kPairs);
+  y = (y & kPairs) + ((y >> 2) & kPairs);
+  uint64_t sum = x + y;  // every nibble <= 8
+  sum = (sum & kNibbles) + ((sum >> 4) & kNibbles);  // every byte <= 16
+  return static_cast<uint32_t>((sum * 0x0101010101010101ull) >> 56);
+}
+
+}  // namespace kernel_internal
+
+/// A lower bound on the Footrule distance of two valid top-k rows (k
+/// distinct items each) from their signatures alone. A bit set in one
+/// signature and clear in the other stands for at least one item the
+/// other row lacks, and both rows miss as many items of each other, so
+/// with m = ceil(popcount(a ^ b) / 2) each row holds at least m items
+/// the other lacks. A Footrule distance with m unshared items per side
+/// is at least m(m + 1) (the fact MinOverlap uses), and so is d(a, b).
+inline uint32_t SignatureBound(const ItemSignature& a,
+                               const ItemSignature& b) {
+  const uint32_t differing = kernel_internal::PopcountPair(
+      a.words[0] ^ b.words[0], a.words[1] ^ b.words[1]);
+  const uint32_t m = (differing + 1) / 2;
+  return m * (m + 1);
+}
+
 /// The flat join store: one row per ranking, built once per job by the
 /// ordering phase and shared read-only by every stage of the join (the
 /// range indexes build and keep one too).
@@ -286,7 +323,8 @@ class PrefixFilterKernel {
 /// kernel load reads past the allocation. Beside it the store keeps the
 /// row's canonical order (the ranks of its items sorted by the global
 /// item order, rarest first; prefixes are taken from it), the ranking
-/// ids, and an id -> row lookup sized by the row count.
+/// ids, the rows' item signatures (16 B per row) and an id -> row lookup
+/// sized by the row count.
 class JoinStore {
  public:
   JoinStore() = default;
@@ -319,6 +357,11 @@ class JoinStore {
     return canonical_.data() + static_cast<size_t>(row) * kernel_.k();
   }
 
+  /// The signature of the row's k items.
+  const ItemSignature& signature(RowIndex row) const {
+    return signatures_[row];
+  }
+
   /// Row of ranking `id`, which must be in the store. When ids repeat,
   /// the last row with the id wins.
   RowIndex RowOf(RankingId id) const;
@@ -345,6 +388,7 @@ class JoinStore {
   std::vector<RankingId> ids_;
   std::vector<ItemId> items_;
   std::vector<uint16_t> canonical_;
+  std::vector<ItemSignature> signatures_;
   /// Power-of-two table of at least twice the row count.
   std::vector<Slot> slots_;
 };

@@ -144,12 +144,18 @@ Result<std::vector<RankingId>> PrefixRangeIndex::Query(
     }
   }
 
+  const ItemSignature q_signature = SignatureOf(q.data(), k);
   std::vector<RankingId> result;
+  uint64_t pruned = 0;
   uint64_t verified = 0;
   kernel.WithChunks([&](auto width) {
     constexpr int kChunks = decltype(width)::value;
     for (RowIndex row : marks.alive_rows) {
       if (marks.stamps[row] != alive || store_.id(row) == query.id()) {
+        continue;
+      }
+      if (SignatureBound(q_signature, store_.signature(row)) > raw_theta) {
+        ++pruned;
         continue;
       }
       ++verified;
@@ -161,6 +167,7 @@ Result<std::vector<RankingId>> PrefixRangeIndex::Query(
   });
   stats->candidates += candidates;
   stats->position_filtered += filtered;
+  stats->signature_filtered += pruned;
   stats->verified += verified;
   stats->result_pairs += result.size();
   return result;
@@ -236,6 +243,7 @@ Result<std::vector<RankingId>> CoarseRangeIndex::Query(
   const uint32_t raw_theta = RawThreshold(theta, k());
   const PairKernel& kernel = store_.kernel();
   const std::vector<ItemId> q = QueryRow(query, kernel);
+  const ItemSignature q_signature = SignatureOf(q.data(), k());
 
   std::vector<RankingId> result;
   for (const Group& group : groups_) {
@@ -263,6 +271,11 @@ Result<std::vector<RankingId>> CoarseRangeIndex::Query(
       if (dq + member.distance_to_pivot <= raw_theta) {
         ++stats->emitted_unverified;
         result.push_back(id);
+        continue;
+      }
+      if (SignatureBound(q_signature, store_.signature(member.row)) >
+          raw_theta) {
+        ++stats->signature_filtered;
         continue;
       }
       ++stats->verified;

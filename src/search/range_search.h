@@ -18,7 +18,9 @@ namespace rankjoin {
 /// Metric-Space Indexing"), whose prefix bounds, position filter, and
 /// posting-list estimate this paper reuses. Two index structures are
 /// provided; both answer Query(q, theta) = { x | d(q, x) <= theta }
-/// exactly, verifying on join-store rows with the joins' PairKernel.
+/// exactly, verifying on join-store rows with the joins' PairKernel the
+/// candidates that the signature bound (SignatureBound) does not rule
+/// out.
 
 /// Inverted index over canonical prefixes. Built once for a maximum
 /// supported threshold; queries may use any theta <= max_theta.

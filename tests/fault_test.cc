@@ -29,42 +29,9 @@ namespace rankjoin::minispark {
 namespace {
 
 using rankjoin::testutil::PairSet;
+using rankjoin::testutil::ScopedEnv;
 using rankjoin::testutil::SmallSkewedDataset;
 using rankjoin::testutil::TestCluster;
-
-/// Pins an environment variable for one test's scope, restoring the
-/// prior state on destruction. Every test here that constructs a
-/// Context pins RANKJOIN_FAULT_SPEC (and the spill budget): CI runs the
-/// whole suite under chaos overrides, which would otherwise clobber the
-/// Options the test set.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 /// Pins the fault-relevant environment for one test.
 struct PinnedEnv {

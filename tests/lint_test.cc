@@ -23,11 +23,13 @@
 #include "minispark/extra_ops.h"
 #include "minispark/serde.h"
 #include "test_util.h"
+#include "tests/test_util.h"
 
 namespace rankjoin::minispark {
 namespace {
 
 using Kv = std::pair<uint32_t, uint32_t>;
+using rankjoin::testutil::ScopedEnv;
 
 std::vector<Kv> MakeKv(size_t n) {
   std::vector<Kv> data;
@@ -44,40 +46,6 @@ Context::Options LintCluster(LintLevel level = LintLevel::kOff) {
   options.lint_level = level;
   return options;
 }
-
-/// Pins an environment variable for one test's scope, restoring the
-/// prior state on destruction. Tests that depend on a specific lint
-/// level must pin RANKJOIN_LINT_LEVEL: CI runs this whole suite under
-/// several values of the override, which would otherwise clobber the
-/// Options level the test set.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 /// Filters diagnostics down to one code.
 std::vector<LintDiagnostic> Only(const std::vector<LintDiagnostic>& diags,
@@ -347,10 +315,14 @@ TEST(LintCheckTest, Ms006OversizedUnsplitShuffleBucket) {
   // Splitting disabled (split_partition_bytes = 0): the skewed shuffle
   // materializes one oversized bucket and records it on the plan node
   // without slice tasks. Linting with a tiny threshold flags it. The
-  // env override is pinned: CI's adaptive job would otherwise enable
-  // splitting and silence the diagnostic.
+  // env overrides are pinned: CI's adaptive job would otherwise enable
+  // splitting, and its pipelined job pipelined stages (whose exchanges
+  // report no bucket bytes), and either would silence the diagnostic.
   ScopedEnv split_env("RANKJOIN_SPLIT_PARTITION_BYTES", nullptr);
-  Context ctx(LintCluster());
+  ScopedEnv pipelined_env("RANKJOIN_PIPELINED_STAGES", nullptr);
+  Context::Options options = LintCluster();
+  options.pipelined_stages = false;
+  Context ctx(options);
   std::vector<Kv> skewed(64, Kv{1, 1});  // every record on one key
   auto grouped = PartitionByKey(Parallelize(&ctx, skewed, 4), 8,
                                 "fixture/skewedShuffle");
@@ -366,7 +338,7 @@ TEST(LintCheckTest, Ms006OversizedUnsplitShuffleBucket) {
 
   // With runtime splitting enabled the same plan adds slice tasks and
   // the check stays quiet.
-  Context::Options split_options = LintCluster();
+  Context::Options split_options = options;
   split_options.split_partition_bytes = 64;
   Context split_ctx(split_options);
   auto split_grouped =

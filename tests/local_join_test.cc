@@ -114,7 +114,9 @@ TEST(LocalPrefixJoinTest, MatchesGroundTruth) {
       LocalPrefixJoin(fx.group, fx.Options(raw_theta), &out, &stats);
       EXPECT_EQ(PairsOf(out), GroundTruth(fx, raw_theta)) << theta;
       EXPECT_EQ(stats.candidates, 50u * 49u / 2u);
-      EXPECT_EQ(stats.candidates, stats.position_filtered + stats.verified);
+      EXPECT_EQ(stats.candidates, stats.position_filtered +
+                                      stats.signature_filtered +
+                                      stats.verified);
       EXPECT_EQ(stats.verify_passed, out.size());
       for (const ScoredPair& sp : out) {
         EXPECT_EQ(FootruleDistance(fx.dataset.rankings[sp.first.first],
@@ -145,7 +147,10 @@ TEST(LocalJoinTest, PositionFilterOnlyPrunes) {
     EXPECT_EQ(PairsOf(a), PairsOf(b));
     EXPECT_GT(s1.position_filtered, 0u);
     EXPECT_EQ(s2.position_filtered, 0u);
-    EXPECT_LT(s1.verified, s2.verified);  // the filter saves verifications
+    // The filter saves distance decisions (verified or ruled out by
+    // the signature bound).
+    EXPECT_LT(s1.verified + s1.signature_filtered,
+              s2.verified + s2.signature_filtered);
   }
 }
 
@@ -200,14 +205,18 @@ TEST(LocalRsJoinTest, SkipsSelfPairs) {
 // ---------------------------------------------------------------------
 // Counter contract: the pair loop and the lane kernel reproduce the
 // counters of the per-group inverted index and the merge-join kernel
-// they replaced. The values below were captured from that
-// implementation on the same fixtures.
+// they replaced. The candidates, position_filtered, decided and
+// verify_passed values below were captured from that implementation on
+// the same fixtures; the signature bound splits the pairs that reach
+// the distance decision into signature_filtered and verified.
 // ---------------------------------------------------------------------
 
 struct Counts {
   uint64_t candidates;
   uint64_t position_filtered;
-  uint64_t verified;
+  /// Pairs past the position filter: signature_filtered + verified.
+  uint64_t decided;
+  uint64_t signature_filtered;
   uint64_t verify_passed;
 };
 
@@ -221,25 +230,35 @@ struct PinnedCase {
 };
 
 const PinnedCase kPinned[] = {
-    {21, 300, 10, 0.05, {603, 289, 314, 37}, {603, 289, 314, 37}},
-    {21, 300, 10, 0.10, {1435, 233, 1202, 73}, {1435, 230, 1205, 73}},
-    {21, 300, 10, 0.20, {4892, 0, 4892, 263}, {4892, 0, 4892, 263}},
-    {21, 300, 10, 0.30, {8188, 0, 8188, 367}, {8188, 0, 8188, 367}},
-    {22, 200, 25, 0.05, {3093, 333, 2760, 235}, {3093, 298, 2795, 235}},
-    {22, 200, 25, 0.10, {5294, 0, 5294, 476}, {5294, 0, 5294, 476}},
-    {22, 200, 25, 0.20, {9936, 0, 9936, 794}, {9936, 0, 9936, 794}},
-    {22, 200, 25, 0.30, {16991, 0, 16991, 1071}, {16991, 0, 16991, 1071}},
-    {23, 300, 5, 0.05, {128, 90, 38, 0}, {128, 90, 38, 0}},
-    {23, 300, 5, 0.10, {664, 300, 364, 32}, {664, 298, 366, 32}},
-    {23, 300, 5, 0.20, {2158, 155, 2003, 92}, {2158, 148, 2010, 92}},
-    {23, 300, 5, 0.30, {2158, 0, 2158, 108}, {2158, 0, 2158, 108}},
+    {21, 300, 10, 0.05, {603, 289, 314, 228, 37}, {603, 289, 314, 228, 37}},
+    {21, 300, 10, 0.10, {1435, 233, 1202, 1031, 73},
+     {1435, 230, 1205, 1034, 73}},
+    {21, 300, 10, 0.20, {4892, 0, 4892, 4505, 263},
+     {4892, 0, 4892, 4505, 263}},
+    {21, 300, 10, 0.30, {8188, 0, 8188, 7218, 367},
+     {8188, 0, 8188, 7218, 367}},
+    {22, 200, 25, 0.05, {3093, 333, 2760, 2346, 235},
+     {3093, 298, 2795, 2381, 235}},
+    {22, 200, 25, 0.10, {5294, 0, 5294, 4710, 476},
+     {5294, 0, 5294, 4710, 476}},
+    {22, 200, 25, 0.20, {9936, 0, 9936, 9084, 794},
+     {9936, 0, 9936, 9084, 794}},
+    {22, 200, 25, 0.30, {16991, 0, 16991, 14077, 1071},
+     {16991, 0, 16991, 14077, 1071}},
+    {23, 300, 5, 0.05, {128, 90, 38, 31, 0}, {128, 90, 38, 31, 0}},
+    {23, 300, 5, 0.10, {664, 300, 364, 285, 32}, {664, 298, 366, 286, 32}},
+    {23, 300, 5, 0.20, {2158, 155, 2003, 1679, 92},
+     {2158, 148, 2010, 1682, 92}},
+    {23, 300, 5, 0.30, {2158, 0, 2158, 1815, 108},
+     {2158, 0, 2158, 1815, 108}},
 };
 
 void ExpectCounts(const JoinStats& got, const Counts& want,
                   const std::string& what) {
   EXPECT_EQ(got.candidates, want.candidates) << what;
   EXPECT_EQ(got.position_filtered, want.position_filtered) << what;
-  EXPECT_EQ(got.verified, want.verified) << what;
+  EXPECT_EQ(got.signature_filtered + got.verified, want.decided) << what;
+  EXPECT_EQ(got.signature_filtered, want.signature_filtered) << what;
   EXPECT_EQ(got.verify_passed, want.verify_passed) << what;
 }
 

@@ -406,10 +406,13 @@ TEST(LazyTest, NarrowChainFusesIntoShuffleWrite) {
       "key");
   EXPECT_EQ(GroupByKey(keyed, 2, "g").Collect().size(), 3u);
   // The pending map runs inside the shuffle-write tasks instead of
-  // materializing an intermediate dataset.
+  // materializing an intermediate dataset. Under pipelined stages (the
+  // RANKJOIN_PIPELINED_STAGES override) the fused write carries its own
+  // label.
   bool fused_into_write = false;
   for (const auto& stage : ctx.metrics().stages()) {
-    fused_into_write |= stage.fused_ops == "map+shuffleWrite";
+    fused_into_write |= stage.fused_ops == "map+shuffleWrite" ||
+                        stage.fused_ops == "map+shuffleWrite(pipelined)";
   }
   EXPECT_TRUE(fused_into_write);
 }

@@ -24,40 +24,9 @@ namespace rankjoin::minispark {
 namespace {
 
 using rankjoin::testutil::PairSet;
+using rankjoin::testutil::ScopedEnv;
 using rankjoin::testutil::SmallSkewedDataset;
 using rankjoin::testutil::TestCluster;
-
-/// Pins an environment variable for one test's scope (same pattern as
-/// fault_test.cc): CI runs the suite under chaos/pipelined overrides,
-/// which would otherwise clobber the Options a test sets explicitly.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 struct PinnedEnv {
   ScopedEnv fault{"RANKJOIN_FAULT_SPEC", nullptr};

@@ -21,6 +21,7 @@
 #include "plan/cost_model.h"
 #include "ranking/reorder.h"
 #include "test_util.h"
+#include "tests/test_util.h"
 
 namespace rankjoin {
 namespace {
@@ -32,41 +33,10 @@ using plan::JoinPlan;
 using plan::PlannerOptions;
 using plan::ProfileDataset;
 using testutil::PairSet;
+using testutil::ScopedEnv;
 using testutil::SmallSkewedDataset;
 using testutil::TestCluster;
 using testutil::Truth;
-
-/// Pins an environment variable for one test's scope, restoring the
-/// prior state on destruction (same rationale as in fault_test.cc: CI
-/// runs the suite under several env overrides).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 /// Pins the env knobs that change engine behavior mid-suite.
 struct PinnedEnv {

@@ -181,7 +181,10 @@ TEST_F(RangeSearchTest, PrefixIndexCountersPinned) {
   }
   EXPECT_EQ(stats.candidates, 27415u);
   EXPECT_EQ(stats.position_filtered, 674u);
-  EXPECT_EQ(stats.verified, 26525u);
+  // 26525 candidates reach the distance decision; the signature bound
+  // rules out the rest of them before the kernel.
+  EXPECT_EQ(stats.signature_filtered + stats.verified, 26525u);
+  EXPECT_EQ(stats.verified, 5005u);
   EXPECT_EQ(stats.result_pairs, 288u);
 }
 
@@ -197,7 +200,9 @@ TEST_F(RangeSearchTest, CoarseIndexCountersPinned) {
   EXPECT_EQ(stats.candidates, 177761u);
   EXPECT_EQ(stats.triangle_filtered, 83187u);
   EXPECT_EQ(stats.emitted_unverified, 30u);
-  EXPECT_EQ(stats.verified, 139479u);
+  // Pivot distances stay exact; only members meet the signature bound.
+  EXPECT_EQ(stats.signature_filtered + stats.verified, 139479u);
+  EXPECT_EQ(stats.verified, 13355u);
   EXPECT_EQ(stats.result_pairs, 288u);
 }
 

@@ -19,6 +19,7 @@ namespace rankjoin::minispark {
 namespace {
 
 using rankjoin::testutil::PairSet;
+using rankjoin::testutil::ScopedEnv;
 using rankjoin::testutil::SmallSkewedDataset;
 using rankjoin::testutil::TestCluster;
 
@@ -309,11 +310,15 @@ TEST(PipelineSpillTest, JaccardPipelinesIdenticalUnderSpill) {
 }
 
 // ---------------------------------------------------------------------
-// Adaptive coalescing through the wide operations
+// Adaptive coalescing through the wide operations. Pipelined exchanges
+// are never coalesced, so the tests that expect coalescing pin barrier
+// stages (the CI pipelined job sets RANKJOIN_PIPELINED_STAGES=on).
 // ---------------------------------------------------------------------
 
 TEST(CoalesceTest, SmallShuffleCollapsesReadTasks) {
+  ScopedEnv pipelined_env("RANKJOIN_PIPELINED_STAGES", nullptr);
   Context::Options options = TestCluster(/*workers=*/4, /*partitions=*/16);
+  options.pipelined_stages = false;
   options.target_partition_bytes = 1 << 20;  // far above the data size
   Context ctx(options);
   auto ds = Parallelize(&ctx, KeyedRecords(500), 4);
@@ -341,7 +346,9 @@ TEST(CoalesceTest, DistinctHeavyJobUsesFewerReadTasks) {
   // The acceptance scenario: a Distinct-heavy job with a byte target
   // reports coalesced partitions and fewer read tasks than
   // default_partitions.
+  ScopedEnv pipelined_env("RANKJOIN_PIPELINED_STAGES", nullptr);
   Context::Options options = TestCluster(/*workers=*/4, /*partitions=*/12);
+  options.pipelined_stages = false;
   options.target_partition_bytes = 1 << 20;
   Context ctx(options);
   std::vector<int> data;
@@ -394,12 +401,14 @@ TEST(CoalesceTest, PipelineResultsUnchangedUnderCoalescing) {
   config.algorithm = Algorithm::kCLP;
   config.theta = 0.3;
   config.delta = 40;
+  ScopedEnv pipelined_env("RANKJOIN_PIPELINED_STAGES", nullptr);
 
   Context baseline_ctx(TestCluster());
   auto baseline = RunSimilarityJoin(&baseline_ctx, ds, config);
   ASSERT_TRUE(baseline.ok());
 
   Context::Options options = TestCluster();
+  options.pipelined_stages = false;
   options.target_partition_bytes = 1 << 16;
   Context coalesced_ctx(options);
   auto coalesced = RunSimilarityJoin(&coalesced_ctx, ds, config);

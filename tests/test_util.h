@@ -2,7 +2,9 @@
 #define RANKJOIN_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstdlib>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "data/generator.h"
@@ -36,6 +38,40 @@ inline std::set<ResultPair> PairSet(const std::vector<ResultPair>& pairs) {
 inline std::set<ResultPair> Truth(const RankingDataset& ds, double theta) {
   return PairSet(BruteForceJoin(ds, theta).pairs);
 }
+
+/// Pins an environment variable for one test's scope (nullptr unsets
+/// it) and restores the prior state on destruction. CI runs the suite
+/// under RANKJOIN_* overrides (chaos, pipelined stages, shuffle budget,
+/// trace and lint levels), and an override beats the Options a test
+/// sets, so a test that needs a specific setting pins the variable.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) {
+      had_old_ = true;
+      old_ = old;
+    }
+    if (value != nullptr) {
+      setenv(name, value, 1);
+    } else {
+      unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (had_old_) {
+      setenv(name_.c_str(), old_.c_str(), 1);
+    } else {
+      unsetenv(name_.c_str());
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  std::string name_;
+  std::string old_;
+  bool had_old_ = false;
+};
 
 inline minispark::Context::Options TestCluster(int workers = 4,
                                                int partitions = 8) {

@@ -1,7 +1,8 @@
 // The verification kernel of the join store (ranking/join_store.h),
 // checked against independent references: the hash-map
 // FootruleDistance(const Ranking&, const Ranking&), a naive set overlap,
-// and a naive prefix position filter.
+// a naive prefix position filter and a bit-by-bit popcount; and the
+// signature bound, which must never exceed the distance.
 
 #include <gtest/gtest.h>
 
@@ -125,8 +126,10 @@ TEST(PairKernelTest, PadLanesNeverMatch) {
 }
 
 TEST(PairKernelTest, BoundsAtDistanceAndOneBelow) {
-  // Through the nested-loop join: a pair at distance d qualifies under
-  // raw_theta = d and not under d - 1.
+  // Directly, at both kernel widths, and through the nested-loop join: a
+  // pair at distance d qualifies under raw_theta = d and not under
+  // d - 1. The join decides the pair either with the kernel or with the
+  // signature bound.
   Rng rng(20203);
   for (int k : kSizes) {
     for (int trial = 0; trial < 40; ++trial) {
@@ -136,6 +139,17 @@ TEST(PairKernelTest, BoundsAtDistanceAndOneBelow) {
       const uint32_t d = FootruleDistance(a, b);
       if (d == 0) continue;
       const JoinStore store = PairStore(a, b);
+      const PairKernel& kernel = store.kernel();
+      const uint32_t unrolled = kernel.WithChunks([&](auto width) {
+        return kernel.DistanceAt<decltype(width)::value>(store.items(0),
+                                                         store.items(1));
+      });
+      const uint32_t looped =
+          kernel.DistanceAt<0>(store.items(0), store.items(1));
+      for (uint32_t distance : {unrolled, looped}) {
+        EXPECT_TRUE(distance <= d) << "k " << k;
+        EXPECT_FALSE(distance <= d - 1) << "k " << k;
+      }
       const std::vector<PrefixPosting> group = {
           PrefixPosting{0, 0, false}, PrefixPosting{1, 0, false}};
       for (uint32_t bound : {d, d - 1}) {
@@ -146,7 +160,7 @@ TEST(PairKernelTest, BoundsAtDistanceAndOneBelow) {
         JoinStats stats;
         std::vector<ScoredPair> out;
         LocalNestedLoopJoin(group, options, &out, &stats);
-        EXPECT_EQ(stats.verified, 1u);
+        EXPECT_EQ(stats.verified + stats.signature_filtered, 1u);
         ASSERT_EQ(out.size(), bound == d ? 1u : 0u) << "k " << k;
         if (!out.empty()) {
           EXPECT_EQ(out[0].first, MakeResultPair(10, 20));
@@ -154,6 +168,140 @@ TEST(PairKernelTest, BoundsAtDistanceAndOneBelow) {
         }
       }
     }
+  }
+}
+
+/// Signature bit of `item`, as SignatureOf sets it.
+int SignatureBit(ItemId item) {
+  return static_cast<int>((uint64_t{item} * 0x9E3779B97F4A7C15ull) >> 57);
+}
+
+TEST(SignatureBoundTest, PopcountMatchesBitLoop) {
+  Rng rng(20205);
+  for (int trial = 0; trial < 1000; ++trial) {
+    const uint64_t x = rng.Next();
+    const uint64_t y = trial % 5 == 0 ? ~uint64_t{0} : rng.Next() & rng.Next();
+    uint32_t expected = 0;
+    for (int bit = 0; bit < 64; ++bit) {
+      expected += static_cast<uint32_t>((x >> bit) & 1);
+      expected += static_cast<uint32_t>((y >> bit) & 1);
+    }
+    EXPECT_EQ(kernel_internal::PopcountPair(x, y), expected);
+  }
+  EXPECT_EQ(kernel_internal::PopcountPair(~uint64_t{0}, ~uint64_t{0}), 128u);
+  EXPECT_EQ(kernel_internal::PopcountPair(0, 0), 0u);
+}
+
+TEST(SignatureBoundTest, NeverExceedsFootrule) {
+  // Every k, both kernel widths, items 0 and 0xFFFFFFFF included.
+  Rng rng(20206);
+  for (int k : kSizes) {
+    for (int trial = 0; trial < 300; ++trial) {
+      const std::vector<ItemId> items = RandomItems(k, rng);
+      const Ranking a(0, items);
+      const Ranking b(1, trial % 3 == 0 ? RandomItems(k, rng)
+                                        : Perturb(items, rng));
+      const JoinStore store = PairStore(a, b);
+      const uint32_t bound =
+          SignatureBound(store.signature(0), store.signature(1));
+      const uint32_t d = FootruleDistance(a, b);
+      EXPECT_LE(bound, d) << "k " << k;
+      EXPECT_LE(bound, store.Distance(0, 1)) << "k " << k;
+      EXPECT_EQ(bound,
+                SignatureBound(store.signature(1), store.signature(0)));
+    }
+  }
+}
+
+TEST(SignatureBoundTest, IdenticalRowsGiveZero) {
+  Rng rng(20207);
+  for (int k : kSizes) {
+    const std::vector<ItemId> items = RandomItems(k, rng);
+    std::vector<ItemId> reversed(items.rbegin(), items.rend());
+    const JoinStore store =
+        PairStore(Ranking(0, items), Ranking(1, reversed));
+    EXPECT_EQ(SignatureBound(store.signature(0), store.signature(0)), 0u);
+    // Same item set, other order: the signatures cannot tell them apart.
+    EXPECT_EQ(SignatureBound(store.signature(0), store.signature(1)), 0u);
+  }
+}
+
+TEST(SignatureBoundTest, CollidingItemsStaySound) {
+  // Items that share signature bits hide each other's absence: rows
+  // built only from items of a few bits are far apart by Footrule but
+  // close by signature, and the bound must stay below the distance.
+  std::vector<std::vector<ItemId>> by_bit(128);
+  auto filled = [&by_bit] {
+    for (const std::vector<ItemId>& items : by_bit) {
+      if (items.empty()) return false;
+    }
+    return by_bit[3].size() >= 80 && by_bit[77].size() >= 80;
+  };
+  for (ItemId item = 0; !filled(); ++item) {
+    by_bit[static_cast<size_t>(SignatureBit(item))].push_back(item);
+  }
+  std::vector<ItemId> one_per_bit(128);
+  for (int bit = 0; bit < 128; ++bit) {
+    one_per_bit[static_cast<size_t>(bit)] =
+        by_bit[static_cast<size_t>(bit)].front();
+  }
+  for (int k : kSizes) {
+    // Disjoint rows on 2k distinct bits: the bound is the distance.
+    const Ranking spread_a(
+        0, std::vector<ItemId>(one_per_bit.begin(), one_per_bit.begin() + k));
+    const Ranking spread_b(1, std::vector<ItemId>(one_per_bit.begin() + 64,
+                                                  one_per_bit.begin() + 64 +
+                                                      k));
+    const JoinStore spread = PairStore(spread_a, spread_b);
+    EXPECT_EQ(SignatureBound(spread.signature(0), spread.signature(1)),
+              MaxFootrule(k));
+
+    // a: items of bit 3 only; b: disjoint items of bit 3 and bit 77.
+    std::vector<ItemId> a_items(by_bit[3].begin(), by_bit[3].begin() + k);
+    std::vector<ItemId> b_items;
+    for (int r = 0; r < k; ++r) {
+      b_items.push_back(r % 2 == 0 ? by_bit[3][static_cast<size_t>(40 + r)]
+                                   : by_bit[77][static_cast<size_t>(r)]);
+    }
+    const Ranking a(0, a_items);
+    const Ranking b(1, b_items);
+    const JoinStore store = PairStore(a, b);
+    const uint32_t bound =
+        SignatureBound(store.signature(0), store.signature(1));
+    EXPECT_EQ(FootruleDistance(a, b), MaxFootrule(k));
+    EXPECT_LE(bound, FootruleDistance(a, b)) << "k " << k;
+    EXPECT_EQ(bound, k > 1 ? 2u : 0u) << "k " << k;  // one bit differs
+  }
+}
+
+TEST(SignatureBoundTest, SeparatelyBuiltStoresAgree) {
+  // R and S rows, and query rows, are signed without any shared state:
+  // two stores built under different item orders give one row the same
+  // signature.
+  Rng rng(20208);
+  for (int k : kSizes) {
+    const Ranking a(0, RandomItems(k, rng));
+    const Ranking b(1, Perturb(a.items(), rng));
+    const Ranking c(2, RandomItems(k, rng));
+    FlatRankings::Builder r_builder(k);
+    r_builder.Append(a.id(), a.items().data());
+    r_builder.Append(c.id(), c.items().data());
+    const FlatRankings r_flat = std::move(r_builder).Build();
+    FlatRankings::Builder s_builder(k);
+    s_builder.Append(b.id(), b.items().data());
+    const FlatRankings s_flat = std::move(s_builder).Build();
+    const JoinStore r =
+        JoinStore::Build(r_flat, ItemOrder::FromFrequencies(
+                                     CountItemFrequencies(r_flat)));
+    const JoinStore s = JoinStore::Build(s_flat, ItemOrder());
+    const JoinStore both = PairStore(a, b);
+    EXPECT_EQ(SignatureBound(r.signature(0), s.signature(0)),
+              SignatureBound(both.signature(0), both.signature(1)));
+    const ItemSignature direct = SignatureOf(b.items().data(), k);
+    EXPECT_EQ(direct.words[0], s.signature(0).words[0]);
+    EXPECT_EQ(direct.words[1], s.signature(0).words[1]);
+    EXPECT_LE(SignatureBound(r.signature(0), s.signature(0)),
+              FootruleDistance(a, b));
   }
 }
 
@@ -187,14 +335,13 @@ TEST(PrefixFilterKernelTest, MatchesNaivePrefixFilter) {
       }
       PrefixFilterKernel filter(kernel, raw_theta);
       filter.SetOuter(store.items(0), a_prefix.data());
-      const PairVerdict verdict = kernel.WithChunks([&](auto width) {
-        return filter.CheckAt<decltype(width)::value>(store.items(1),
+      const bool fires = kernel.WithChunks([&](auto width) {
+        return filter.FiresAt<decltype(width)::value>(store.items(1),
                                                       b_prefix.data());
       });
-      EXPECT_EQ(verdict.filtered, expected) << "k " << k;
-      EXPECT_EQ(verdict.distance, FootruleDistance(a, b));
+      EXPECT_EQ(fires, expected) << "k " << k;
       if (!filter.can_fail()) {
-        EXPECT_FALSE(verdict.filtered);
+        EXPECT_FALSE(fires);
       }
     }
   }
