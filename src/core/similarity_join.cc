@@ -53,6 +53,7 @@ Result<JoinResult> ExecuteJoin(minispark::Context* ctx,
                                const SimilarityJoinConfig& config) {
   switch (config.algorithm) {
     case Algorithm::kBruteForce:
+      RANKJOIN_RETURN_NOT_OK(dataset.Validate());
       return BruteForceJoin(dataset, config.theta);
 
     case Algorithm::kVJ:

@@ -231,18 +231,20 @@ std::vector<CentroidPair> RunCentroidJoin(
 
   const bool position_filter = spec.position_filter;
   // Algorithm 1's compute_sim: every pair under its own Lemma 5.3
-  // threshold.
+  // threshold. Under kOverlap the ownership rule needs no prefix length,
+  // so one rank limit (k) serves both classes' prefixes (PrefixOwner).
   LocalJoinFn local_join = [store_ptr, thresholds, position_filter](
                                const std::vector<PrefixPosting>& group,
                                std::vector<ScoredPair>* out, JoinStats* s) {
-    NestedLoopJoin(*store_ptr, group, thresholds, position_filter, out, s);
+    NestedLoopJoin(*store_ptr, group, thresholds, position_filter,
+                   store_ptr->k(), out, s);
   };
   LocalRsJoinFn rs_join = [store_ptr, thresholds, position_filter](
                               const std::vector<PrefixPosting>& left,
                               const std::vector<PrefixPosting>& right,
                               std::vector<ScoredPair>* out, JoinStats* s) {
     NestedLoopJoinRS(*store_ptr, left, right, thresholds, position_filter,
-                     out, s);
+                     store_ptr->k(), out, s);
   };
 
   // Phase-local stats, published under the centroid join's own scope:
@@ -250,16 +252,16 @@ std::vector<CentroidPair> RunCentroidJoin(
   // thresholds of Lemma 5.1/5.3, the number the paper uses to argue the
   // cluster-level join is cheap relative to expansion.
   JoinStats phase_stats;
-  minispark::Dataset<ScoredPair> raw_pairs = JoinGroupsWithRepartitioning(
+  // Each centroid pair arrives once: groups emit only the pairs they
+  // own, under either class's prefix length.
+  minispark::Dataset<ScoredPair> pairs = JoinGroupsWithRepartitioning(
       groups, spec.repartition_delta, spec.num_partitions, local_join,
       rs_join, &phase_stats, spec.adaptive_repartition);
-  minispark::Dataset<ScoredPair> unique = minispark::Distinct(
-      raw_pairs, spec.num_partitions, "centroidJoin/distinct");
 
   std::unordered_set<RankingId> singleton_set(singletons.begin(),
                                               singletons.end());
   std::vector<CentroidPair> result;
-  for (const ScoredPair& sp : unique.Collect()) {
+  for (const ScoredPair& sp : pairs.Collect()) {
     CentroidPair cp;
     cp.ci = sp.first.first;
     cp.cj = sp.first.second;

@@ -33,16 +33,20 @@ void LocalPrefixJoin(const std::vector<PrefixPosting>& group,
   const JoinStore& store = *options.store;
   const PairKernel& kernel = store.kernel();
   const uint32_t raw_theta = options.raw_theta;
+  const int rank_limit =
+      PrefixRankLimit(store.k(), options.prefix_size, options.prefix_mode);
   std::vector<uint32_t>& survivors = local_join_internal::SurvivorBuffer();
   survivors.resize(n);
   uint64_t near_pairs = 0;
   uint64_t verified = 0;
   uint64_t passed = 0;
+  uint64_t repeats = 0;
 
   // Per outer row i, a branch-free first pass appends the inner rows j
   // that `far(j)` keeps and the signature bound does not rule out to
-  // `survivors`; the kernel then runs on those only. `set_outer(i)` runs
-  // before row i's first pass.
+  // `survivors`; the kernel then runs on those only, and a qualifying
+  // pair is emitted when the group owns it. `set_outer(i)` runs before
+  // row i's first pass.
   auto pair_loop = [&](auto width, auto&& set_outer, auto&& far) {
     constexpr int kChunks = decltype(width)::value;
     for (size_t i = 0; i + 1 < n; ++i) {
@@ -61,12 +65,17 @@ void LocalPrefixJoin(const std::vector<PrefixPosting>& group,
       }
       near_pairs += near;
       verified += kept;
+      if (kept == 0) continue;
+      const PrefixOwner owner(store, group[i], rank_limit);
       const ItemId* a = store.items(group[i].row);
       for (size_t s = 0; s < kept; ++s) {
         const RowIndex b = group[survivors[s]].row;
         const uint32_t d = kernel.DistanceAt<kChunks>(a, store.items(b));
-        if (d <= raw_theta) {
-          ++passed;
+        if (d > raw_theta) continue;
+        ++passed;
+        if (owner.Repeats(store.items(b))) {
+          ++repeats;
+        } else {
           out->push_back(
               {MakeResultPair(store.id(group[i].row), store.id(b)), d});
         }
@@ -110,6 +119,7 @@ void LocalPrefixJoin(const std::vector<PrefixPosting>& group,
   stats->signature_filtered += near_pairs - verified;
   stats->verified += verified;
   stats->verify_passed += passed;
+  stats->repeat_pairs += repeats;
 }
 
 void LocalNestedLoopJoin(const std::vector<PrefixPosting>& group,
@@ -121,7 +131,10 @@ void LocalNestedLoopJoin(const std::vector<PrefixPosting>& group,
       [raw_theta](const PrefixPosting&, const PrefixPosting&) {
         return raw_theta;
       },
-      options.position_filter, out, stats);
+      options.position_filter,
+      PrefixRankLimit(options.store->k(), options.prefix_size,
+                      options.prefix_mode),
+      out, stats);
 }
 
 void LocalNestedLoopJoinRS(const std::vector<PrefixPosting>& left,
@@ -134,7 +147,10 @@ void LocalNestedLoopJoinRS(const std::vector<PrefixPosting>& left,
       [raw_theta](const PrefixPosting&, const PrefixPosting&) {
         return raw_theta;
       },
-      options.position_filter, out, stats);
+      options.position_filter,
+      PrefixRankLimit(options.store->k(), options.prefix_size,
+                      options.prefix_mode),
+      out, stats);
 }
 
 }  // namespace rankjoin

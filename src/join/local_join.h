@@ -56,6 +56,59 @@ void ForEachPrefixRank(const JoinStore& store, RowIndex row, int prefix_size,
   }
 }
 
+/// The ranks a prefix item of a row may hold, the limit PrefixOwner
+/// takes: any of the k ranks under kOverlap, the ranks below
+/// `prefix_size` under kOrdered.
+inline int PrefixRankLimit(int k, int prefix_size, PrefixMode mode) {
+  return mode == PrefixMode::kOrdered ? std::min(prefix_size, k) : k;
+}
+
+/// The one ownership rule of the prefix joins: two rows that share
+/// several prefix items meet in the posting group of each, and only the
+/// group of their first shared prefix item in canonical order emits the
+/// pair, so no pipeline needs a distinct stage (ALGORITHMS.md §4).
+/// Built once per outer posting `a` of a group, it finds the key item's
+/// canonical position in `a`; Repeats(b) then tells whether the pair
+/// with inner row `b` also meets in an earlier group, that is whether
+/// `b` holds one of `a`'s prefix items before the key in its own prefix.
+/// `rank_limit` is PrefixRankLimit of the postings' prefix rule and
+/// applies to both rows. Under kOverlap it is k and any real lane of `b`
+/// counts: the key is in `b`'s prefix, so every item of `b` before it is
+/// too, whatever `b`'s prefix length (the centroid join gives singletons
+/// a shorter one), and the rule needs no prefix length. Under kOrdered
+/// only ranks below the prefix size count. Pad lanes hold item 0 and
+/// never count. `b` may come from another store of the same k and item
+/// order (the R-S join).
+class PrefixOwner {
+ public:
+  PrefixOwner(const JoinStore& store, const PrefixPosting& a, int rank_limit)
+      : items_(store.items(a.row)),
+        canonical_(store.canonical(a.row)),
+        ranks_(rank_limit) {
+    while (canonical_[key_position_] != a.key_rank) ++key_position_;
+  }
+
+  /// Whether the pair of the outer posting and row `b` (k items in rank
+  /// order) belongs to the group of an earlier shared prefix item.
+  bool Repeats(const ItemId* b) const {
+    for (int t = 0; t < key_position_; ++t) {
+      const uint16_t rank = canonical_[t];
+      if (rank >= ranks_) continue;  // outside an ordered prefix
+      for (int s = 0; s < ranks_; ++s) {
+        if (b[s] == items_[rank]) return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  const ItemId* items_;
+  const uint16_t* canonical_;
+  /// Ranks a prefix item may hold (PrefixRankLimit).
+  int ranks_;
+  int key_position_ = 0;
+};
+
 /// The (prefix item, posting) pairs of one row: the flat-map step of
 /// every prefix-filtering pipeline.
 std::vector<std::pair<ItemId, PrefixPosting>> EmitPrefix(
@@ -86,13 +139,14 @@ std::vector<uint32_t>& SurvivorBuffer();
 /// position filter on the key item's ranks and then the signature bound,
 /// and appends the survivors' indices to `survivors` (room for `count`);
 /// the second pass runs the kernel at width kChunks (see
-/// PairKernel::WithChunks) on the survivors only.
+/// PairKernel::WithChunks) on the survivors only and emits the
+/// qualifying pairs that the group owns (PrefixOwner).
 template <int kChunks, typename Threshold>
 void JoinOuterPosting(const JoinStore& store, const PrefixPosting& a,
                       const PrefixPosting* inner, size_t count,
                       const Threshold& threshold, bool position_filter,
-                      uint32_t* survivors, std::vector<ScoredPair>* out,
-                      JoinStats* stats) {
+                      int rank_limit, uint32_t* survivors,
+                      std::vector<ScoredPair>* out, JoinStats* stats) {
   const ItemSignature& a_signature = store.signature(a.row);
   size_t others = 0;
   size_t near = 0;
@@ -116,13 +170,18 @@ void JoinOuterPosting(const JoinStore& store, const PrefixPosting& a,
   stats->position_filtered += others - near;
   stats->signature_filtered += near - kept;
   stats->verified += kept;
+  if (kept == 0) return;
+  const PrefixOwner owner(store, a, rank_limit);
   const ItemId* a_items = store.items(a.row);
   for (size_t s = 0; s < kept; ++s) {
     const PrefixPosting& b = inner[survivors[s]];
-    const uint32_t d =
-        store.kernel().DistanceAt<kChunks>(a_items, store.items(b.row));
-    if (d <= threshold(a, b)) {
-      ++stats->verify_passed;
+    const ItemId* b_items = store.items(b.row);
+    const uint32_t d = store.kernel().DistanceAt<kChunks>(a_items, b_items);
+    if (d > threshold(a, b)) continue;
+    ++stats->verify_passed;
+    if (owner.Repeats(b_items)) {
+      ++stats->repeat_pairs;
+    } else {
       out->push_back({MakeResultPair(store.id(a.row), store.id(b.row)), d});
     }
   }
@@ -133,12 +192,15 @@ void JoinOuterPosting(const JoinStore& store, const PrefixPosting& a,
 /// Nested-loop join over all pairs of `group` (paper Section 4.1, and
 /// Algorithm 1's compute_sim in the CL joining phase): each pair is
 /// filtered on the key item's ranks and on the signature bound and
-/// verified under its own raw threshold `threshold(a, b)`.
+/// verified under its own raw threshold `threshold(a, b)`. A qualifying
+/// pair is emitted only when the group owns it (PrefixOwner, with the
+/// postings' `rank_limit`).
 template <typename Threshold>
 void NestedLoopJoin(const JoinStore& store,
                     const std::vector<PrefixPosting>& group,
                     const Threshold& threshold, bool position_filter,
-                    std::vector<ScoredPair>* out, JoinStats* stats) {
+                    int rank_limit, std::vector<ScoredPair>* out,
+                    JoinStats* stats) {
   const size_t n = group.size();
   if (n < 2) return;
   std::vector<uint32_t>& survivors = local_join_internal::SurvivorBuffer();
@@ -148,7 +210,7 @@ void NestedLoopJoin(const JoinStore& store,
     for (size_t i = 0; i + 1 < n; ++i) {
       local_join_internal::JoinOuterPosting<decltype(width)::value>(
           store, group[i], &group[i + 1], n - i - 1, threshold,
-          position_filter, survivors.data(), out, &counts);
+          position_filter, rank_limit, survivors.data(), out, &counts);
     }
   });
   stats->MergeCounters(counts);
@@ -161,7 +223,8 @@ void NestedLoopJoinRS(const JoinStore& store,
                       const std::vector<PrefixPosting>& left,
                       const std::vector<PrefixPosting>& right,
                       const Threshold& threshold, bool position_filter,
-                      std::vector<ScoredPair>* out, JoinStats* stats) {
+                      int rank_limit, std::vector<ScoredPair>* out,
+                      JoinStats* stats) {
   if (left.empty() || right.empty()) return;
   std::vector<uint32_t>& survivors = local_join_internal::SurvivorBuffer();
   survivors.resize(right.size());
@@ -170,7 +233,7 @@ void NestedLoopJoinRS(const JoinStore& store,
     for (const PrefixPosting& a : left) {
       local_join_internal::JoinOuterPosting<decltype(width)::value>(
           store, a, right.data(), right.size(), threshold, position_filter,
-          survivors.data(), out, &counts);
+          rank_limit, survivors.data(), out, &counts);
     }
   });
   stats->MergeCounters(counts);
@@ -181,9 +244,9 @@ void NestedLoopJoinRS(const JoinStore& store,
 /// prefix item: a plain pair loop over the group yields exactly the
 /// candidates an inverted index over the members' prefixes would. Each
 /// pair passes the position filter over the items in both prefixes and
-/// the signature bound before the kernel runs on it. Emits qualifying
-/// pairs into `out` (smaller id first; duplicates across groups are
-/// possible and removed by the caller's distinct stage).
+/// the signature bound before the kernel runs on it. Emits the qualifying
+/// pairs the group owns (PrefixOwner) into `out`, smaller id first, so
+/// across all groups every pair is emitted once.
 void LocalPrefixJoin(const std::vector<PrefixPosting>& group,
                      const LocalJoinOptions& options,
                      std::vector<ScoredPair>* out, JoinStats* stats);

@@ -24,7 +24,9 @@ struct SidedPosting {
 
 /// R x S kernel over one posting group: every cross-side pair that
 /// survives the key-item position filter and the signature bound is
-/// verified. Rows of R index `r`, rows of S index `s`.
+/// verified, and a qualifying pair is emitted when the group owns it
+/// (PrefixOwner; both sides were emitted under kOverlap, where the rule
+/// needs no prefix length). Rows of R index `r`, rows of S index `s`.
 void RsGroupJoin(const JoinStore& r, const JoinStore& s,
                  const std::vector<SidedPosting>& group, uint32_t raw_theta,
                  bool position_filter, std::vector<ScoredPair>* out,
@@ -32,6 +34,7 @@ void RsGroupJoin(const JoinStore& r, const JoinStore& s,
   const PairKernel& kernel = r.kernel();
   for (const SidedPosting& a : group) {
     if (a.from_s) continue;
+    const PrefixOwner owner(r, a.posting, r.k());
     for (const SidedPosting& b : group) {
       if (!b.from_s) continue;
       ++stats->candidates;
@@ -47,10 +50,13 @@ void RsGroupJoin(const JoinStore& r, const JoinStore& s,
         continue;
       }
       ++stats->verified;
-      const uint32_t d =
-          kernel.Distance(r.items(a.posting.row), s.items(b.posting.row));
-      if (d <= raw_theta) {
-        ++stats->verify_passed;
+      const ItemId* b_items = s.items(b.posting.row);
+      const uint32_t d = kernel.Distance(r.items(a.posting.row), b_items);
+      if (d > raw_theta) continue;
+      ++stats->verify_passed;
+      if (owner.Repeats(b_items)) {
+        ++stats->repeat_pairs;
+      } else {
         // (r_id, s_id) — deliberately NOT normalized by id.
         out->push_back({{r.id(a.posting.row), s.id(b.posting.row)}, d});
       }
@@ -165,7 +171,7 @@ static Result<JoinResult> RunRsJoinImpl(minispark::Context* ctx,
 
   const bool position_filter = options.position_filter;
   std::vector<JoinStats> slots(static_cast<size_t>(groups.num_partitions()));
-  auto raw_pairs = groups.MapPartitionsWithIndex(
+  auto pairs = groups.MapPartitionsWithIndex(
       [&ro, &so, raw_theta, position_filter, &slots](
           int index,
           const std::vector<std::pair<ItemId, std::vector<SidedPosting>>>&
@@ -181,19 +187,15 @@ static Result<JoinResult> RunRsJoinImpl(minispark::Context* ctx,
         return out;
       },
       "rsJoin/localJoin");
-  // Force the fused group+localJoin chain before reading the stat
-  // slots. Force(), not Cache(): the chain has a single downstream
-  // consumer, so a cache pin would be wasted materialization (MS007).
-  raw_pairs.Force();
+  // Groups emit only the pairs they own, so each pair arrives once.
+  // Collect runs the fused group+localJoin chain before the stat slots
+  // are read.
+  std::vector<ScoredPair> collected = pairs.Collect();
   for (const JoinStats& stats : slots) result.stats.MergeCounters(stats);
-
-  std::vector<ScoredPair> unique =
-      minispark::Distinct(raw_pairs, num_partitions, "rsJoin/distinct")
-          .Collect();
   result.stats.joining_seconds = phase.ElapsedSeconds();
 
-  result.pairs.reserve(unique.size());
-  for (const ScoredPair& sp : unique) result.pairs.push_back(sp.first);
+  result.pairs.reserve(collected.size());
+  for (const ScoredPair& sp : collected) result.pairs.push_back(sp.first);
   result.stats.result_pairs = result.pairs.size();
   result.stats.total_seconds = total.ElapsedSeconds();
   return result;

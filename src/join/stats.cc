@@ -12,6 +12,7 @@ void JoinStats::MergeCounters(const JoinStats& other) {
   signature_filtered += other.signature_filtered;
   verified += other.verified;
   verify_passed += other.verify_passed;
+  repeat_pairs += other.repeat_pairs;
   emitted_unverified += other.emitted_unverified;
   result_pairs += other.result_pairs;
   clusters += other.clusters;
@@ -30,6 +31,7 @@ void JoinStats::PublishCounters(minispark::CounterRegistry* registry,
   registry->Add(prefix + ".signature_filtered", signature_filtered);
   registry->Add(prefix + ".verified", verified);
   registry->Add(prefix + ".verify_passed", verify_passed);
+  registry->Add(prefix + ".repeat_pairs", repeat_pairs);
   registry->Add(prefix + ".emitted_unverified", emitted_unverified);
 }
 
@@ -41,6 +43,7 @@ std::string JoinStats::ToString() const {
      << " signature_filtered=" << signature_filtered
      << " verified=" << verified
      << " verify_passed=" << verify_passed
+     << " repeat_pairs=" << repeat_pairs
      << " emitted_unverified=" << emitted_unverified
      << " result_pairs=" << result_pairs;
   if (clusters > 0 || singletons > 0) {

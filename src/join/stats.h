@@ -51,9 +51,13 @@ struct JoinStats {
   uint64_t verified = 0;
   /// Verification calls whose distance qualified (<= theta). The
   /// difference verified - verify_passed is the price of imperfect
-  /// filtering; verify_passed + emitted_unverified ~ result pairs
-  /// before dedup.
+  /// filtering.
   uint64_t verify_passed = 0;
+  /// Qualifying pairs a prefix join's posting group verified but did
+  /// not emit, because the pair also meets in the group of an earlier
+  /// shared prefix item, which emits it (PrefixOwner). In a prefix
+  /// join, verify_passed - repeat_pairs is the number of pairs emitted.
+  uint64_t repeat_pairs = 0;
   /// Pairs emitted without a distance computation because a metric upper
   /// bound already guaranteed qualification (CL expansion shortcut).
   uint64_t emitted_unverified = 0;

@@ -145,14 +145,13 @@ std::vector<ScoredPair> DistributedSelfJoin(minispark::Context* ctx,
   // scope, no matter who embeds the self-join (VJ driver, CL
   // clustering).
   JoinStats phase_stats;
-  minispark::Dataset<ScoredPair> raw_pairs = JoinGroupsWithRepartitioning(
-      groups, spec.repartition_delta, spec.num_partitions, local_join,
-      rs_join, &phase_stats, spec.adaptive_repartition);
-  // Final phase of VJ: remove the duplicates produced by rankings that
-  // share several prefix items.
-  minispark::Dataset<ScoredPair> unique =
-      minispark::Distinct(raw_pairs, spec.num_partitions, "selfJoin/distinct");
-  std::vector<ScoredPair> collected = unique.Collect();
+  // Every group emits only the pairs it owns (PrefixOwner), so each
+  // qualifying pair arrives once.
+  std::vector<ScoredPair> collected =
+      JoinGroupsWithRepartitioning(groups, spec.repartition_delta,
+                                   spec.num_partitions, local_join, rs_join,
+                                   &phase_stats, spec.adaptive_repartition)
+          .Collect();
   phase_stats.PublishCounters(&ctx->counters(), spec.counter_scope);
   ctx->counters().Add(spec.counter_scope + ".pairs", collected.size());
   stats->MergeCounters(phase_stats);

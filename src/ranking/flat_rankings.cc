@@ -51,8 +51,9 @@ Status FlatRankings::Validate() const {
       return validate_status_;
     }
   }
-  validated_ = 1;
-  validate_status_ = Status::OK();
+  validate_status_ =
+      internal::CheckIdsUnique(count_, [this](size_t i) { return ids_[i]; });
+  validated_ = validate_status_.ok() ? 1 : 2;
   return validate_status_;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -84,9 +85,10 @@ class FlatRankings {
   /// Materializes ranking i as a heap-allocated Ranking.
   Ranking ToRanking(size_t i) const;
 
-  /// Checks the distinct-items invariant for every ranking. O(count * k)
-  /// with a reusable scratch set — no per-ranking allocation. The result
-  /// is memoized so validation runs once per load, not once per copy.
+  /// Checks the distinct-items invariant for every ranking and that no
+  /// ranking id repeats. O(count * k) with reusable scratch sets — no
+  /// per-ranking allocation. The result is memoized so validation runs
+  /// once per load, not once per copy.
   Status Validate() const;
 
   /// Incremental builder for an owned store.
@@ -143,6 +145,24 @@ class ScratchItemSet {
 /// True if the k items are pairwise distinct; uses a thread_local
 /// ScratchItemSet so the check is allocation-free in steady state.
 bool ItemsDistinct(const ItemId* items, size_t k);
+
+/// InvalidArgument naming the first ranking id among id_of(0), ...,
+/// id_of(count - 1) that an earlier one repeats; OK when all differ.
+/// The joins identify a ranking by its id, so a repeated id would make
+/// them report pairs of one id and lose the pairs of the other row.
+template <typename IdOf>
+Status CheckIdsUnique(size_t count, IdOf id_of) {
+  ScratchItemSet seen;  // RankingId and ItemId are both 32-bit ids
+  seen.Begin(count);
+  for (size_t i = 0; i < count; ++i) {
+    if (!seen.Insert(id_of(i))) {
+      return Status::InvalidArgument("ranking id " +
+                                     std::to_string(id_of(i)) +
+                                     " appears more than once");
+    }
+  }
+  return Status::OK();
+}
 
 }  // namespace internal
 

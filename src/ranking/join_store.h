@@ -362,8 +362,7 @@ class JoinStore {
     return signatures_[row];
   }
 
-  /// Row of ranking `id`, which must be in the store. When ids repeat,
-  /// the last row with the id wins.
+  /// Row of ranking `id`, which must be in the store.
   RowIndex RowOf(RankingId id) const;
 
   uint32_t Distance(RowIndex a, RowIndex b) const {

@@ -53,7 +53,8 @@ Status RankingDataset::Validate() const {
                                      " contains duplicate items");
     }
   }
-  return Status::OK();
+  return internal::CheckIdsUnique(
+      rankings.size(), [this](size_t i) { return rankings[i].id(); });
 }
 
 const FlatRankings& RankingDataset::store() const {

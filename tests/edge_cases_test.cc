@@ -259,5 +259,45 @@ TEST(EdgeCaseTest, NanThresholdsAreInvalidArguments) {
   }
 }
 
+TEST(EdgeCaseTest, RepeatedIdsAreInvalidArguments) {
+  // Two rows with id 5 and one with id 7 would make the joins report a
+  // pair (5, 5), or (5, 7) twice; every algorithm rejects the input,
+  // through the Ranking-vector check and through the memoized flat store.
+  RankingDataset ds;
+  ds.k = 4;
+  ds.rankings = {Ranking(5, {1, 2, 3, 4}), Ranking(5, {1, 2, 3, 4}),
+                 Ranking(7, {1, 2, 4, 3})};
+  RankingDataset single;
+  single.k = 4;
+  single.rankings = {Ranking(5, {1, 2, 3, 4})};
+  minispark::Context ctx(TestCluster());
+  for (bool flat : {false, true}) {
+    if (flat) ds.store();
+    for (Algorithm algorithm :
+         {Algorithm::kBruteForce, Algorithm::kVJ, Algorithm::kVJNL,
+          Algorithm::kCL, Algorithm::kCLP, Algorithm::kVSmart,
+          Algorithm::kAuto}) {
+      auto result = RunSimilarityJoin(&ctx, ds, BaseConfig(algorithm, 0.3));
+      ASSERT_FALSE(result.ok()) << AlgorithmName(algorithm);
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(result.status().message().find("ranking id 5"),
+                std::string::npos)
+          << result.status();
+    }
+    RsJoinOptions options;
+    options.theta = 0.3;
+    EXPECT_EQ(RunRsJoin(&ctx, ds, single, options).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(RunRsJoin(&ctx, single, ds, options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // R and S are two datasets: one id on both sides is no repeat.
+  RsJoinOptions options;
+  options.theta = 0.3;
+  auto rs = RunRsJoin(&ctx, single, single, options);
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->pairs, (std::vector<ResultPair>{{5, 5}}));
+}
+
 }  // namespace
 }  // namespace rankjoin

@@ -13,7 +13,10 @@
 #include "common/random.h"
 #include "data/generator.h"
 #include "jaccard/jaccard.h"
+#include "join/local_join.h"
+#include "ranking/flat_rankings.h"
 #include "ranking/footrule.h"
+#include "ranking/join_store.h"
 #include "ranking/prefix.h"
 #include "ranking/reorder.h"
 
@@ -106,11 +109,48 @@ TEST(FuzzReferenceTest, BoundedDistanceConsistentWithFull) {
   }
 }
 
+/// The posting groups rows `a` and `b` of `store` meet in, when a's
+/// postings were emitted with prefix length `prefix_a` and b's with
+/// `prefix_b`, and how many of them own the pair (PrefixOwner, the rule
+/// every prefix-join pair loop applies). Either row may be the outer
+/// posting of a group's pair loop, and both must get the same answer.
+struct Ownership {
+  int met = 0;
+  int owners = 0;
+};
+
+Ownership OwnershipOf(const JoinStore& store, RowIndex a, int prefix_a,
+                      RowIndex b, int prefix_b, PrefixMode mode) {
+  Ownership result;
+  for (const auto& [item, posting_a] : EmitPrefix(store, a, prefix_a, mode)) {
+    for (const auto& [other, posting_b] :
+         EmitPrefix(store, b, prefix_b, mode)) {
+      if (other != item) continue;
+      ++result.met;
+      const bool a_outer =
+          !PrefixOwner(store, posting_a,
+                       PrefixRankLimit(store.k(), prefix_a, mode))
+               .Repeats(store.items(b));
+      const bool b_outer =
+          !PrefixOwner(store, posting_b,
+                       PrefixRankLimit(store.k(), prefix_b, mode))
+               .Repeats(store.items(a));
+      EXPECT_EQ(a_outer, b_outer) << "group of item " << item;
+      result.owners += a_outer;
+    }
+  }
+  return result;
+}
+
 /// Exhaustive completeness of overlap-prefix filtering: for every pair
 /// of top-k lists over a small universe, if the pair qualifies for a
 /// threshold, their canonical-order prefixes of size OverlapPrefix must
 /// intersect. This validates the theory the distributed pipelines rely
-/// on, independent of the pipelines themselves.
+/// on, independent of the pipelines themselves. Exactly one of the
+/// posting groups a qualifying pair meets in must own it, also when the
+/// two rows have different prefix lengths of at least OverlapPrefix (the
+/// centroid join's prefix_m and prefix_s). k = 3 leaves one pad lane,
+/// which holds item 0, and item 0 is in the universe.
 TEST(FuzzReferenceTest, OverlapPrefixCompletenessExhaustive) {
   const int k = 3;
   const uint32_t universe = 6;
@@ -141,6 +181,8 @@ TEST(FuzzReferenceTest, OverlapPrefixCompletenessExhaustive) {
                                                {3, 2}, {4, 6}, {5, 4}};
   ItemOrder order = ItemOrder::FromFrequencies(freq);
   auto ordered = MakeOrderedDataset(lists, order);
+  const JoinStore store =
+      JoinStore::Build(FlatRankings::FromRankings(k, lists), order);
 
   for (uint32_t raw_theta = 0; raw_theta < MaxFootrule(k); ++raw_theta) {
     const size_t p = static_cast<size_t>(OverlapPrefix(raw_theta, k));
@@ -157,13 +199,27 @@ TEST(FuzzReferenceTest, OverlapPrefixCompletenessExhaustive) {
         ASSERT_TRUE(shared)
             << "prefix filter would miss pair (" << i << "," << j
             << ") at raw_theta " << raw_theta;
+        for (int prefix_i = static_cast<int>(p); prefix_i <= k; ++prefix_i) {
+          for (int prefix_j = static_cast<int>(p); prefix_j <= k;
+               ++prefix_j) {
+            const Ownership o =
+                OwnershipOf(store, static_cast<RowIndex>(i), prefix_i,
+                            static_cast<RowIndex>(j), prefix_j,
+                            PrefixMode::kOverlap);
+            ASSERT_EQ(o.owners, 1)
+                << "pair (" << i << "," << j << ") meets in " << o.met
+                << " groups at raw_theta " << raw_theta << ", prefixes "
+                << prefix_i << "/" << prefix_j;
+          }
+        }
       }
     }
   }
 }
 
 /// Same exhaustive completeness for the ordered prefix (Lemma 4.1),
-/// within its validity region raw_theta < k^2/2.
+/// within its validity region raw_theta < k^2/2, and the same ownership:
+/// exactly one group owns each qualifying pair.
 TEST(FuzzReferenceTest, OrderedPrefixCompletenessExhaustive) {
   const int k = 3;
   const uint32_t universe = 6;
@@ -185,6 +241,9 @@ TEST(FuzzReferenceTest, OrderedPrefixCompletenessExhaustive) {
     }
   };
   enumerate(enumerate);
+  // The ordered prefix runs without reordering: identity item order.
+  const JoinStore store =
+      JoinStore::Build(FlatRankings::FromRankings(k, lists), ItemOrder());
 
   for (uint32_t raw_theta = 0; OrderedPrefixApplicable(raw_theta, k);
        ++raw_theta) {
@@ -201,6 +260,12 @@ TEST(FuzzReferenceTest, OrderedPrefixCompletenessExhaustive) {
         }
         ASSERT_TRUE(shared)
             << "ordered prefix would miss pair at raw_theta " << raw_theta;
+        const Ownership o =
+            OwnershipOf(store, static_cast<RowIndex>(i), p,
+                        static_cast<RowIndex>(j), p, PrefixMode::kOrdered);
+        ASSERT_EQ(o.owners, 1)
+            << "pair (" << i << "," << j << ") meets in " << o.met
+            << " groups at raw_theta " << raw_theta;
       }
     }
   }

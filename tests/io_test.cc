@@ -134,6 +134,21 @@ TEST_F(IoTest, ColumnarHeaderWithHugeKIsRejected) {
   std::remove(path.c_str());
 }
 
+TEST_F(IoTest, ColumnarFileWithRepeatedIdIsRejected) {
+  RankingDataset ds;
+  ds.k = 4;
+  ds.rankings = {Ranking(5, {1, 2, 3, 4}), Ranking(7, {1, 2, 4, 3}),
+                 Ranking(5, {1, 2, 3, 4})};
+  const std::string path = TempPath("repeated_id.rkjc");
+  ASSERT_TRUE(WriteFlatRankings(path, ds).ok());
+  auto mapped = MapFlatRankings(path);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(mapped.status().message().find("ranking id 5"), std::string::npos)
+      << mapped.status();
+  std::remove(path.c_str());
+}
+
 TEST_F(IoTest, ColumnarHeaderWithWrappingCountIsTruncation) {
   // 20 + count * (4 + 4k) wraps past 2^64 for this count; the file is
   // still just a header plus a few bytes.

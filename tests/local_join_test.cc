@@ -208,7 +208,9 @@ TEST(LocalRsJoinTest, SkipsSelfPairs) {
 // they replaced. The candidates, position_filtered, decided and
 // verify_passed values below were captured from that implementation on
 // the same fixtures; the signature bound splits the pairs that reach
-// the distance decision into signature_filtered and verified.
+// the distance decision into signature_filtered and verified, and the
+// ownership rule splits verify_passed into the emitted pairs (one per
+// distinct qualifying pair) and repeat_pairs.
 // ---------------------------------------------------------------------
 
 struct Counts {
@@ -218,6 +220,7 @@ struct Counts {
   uint64_t decided;
   uint64_t signature_filtered;
   uint64_t verify_passed;
+  uint64_t repeat_pairs;
 };
 
 struct PinnedCase {
@@ -230,27 +233,29 @@ struct PinnedCase {
 };
 
 const PinnedCase kPinned[] = {
-    {21, 300, 10, 0.05, {603, 289, 314, 228, 37}, {603, 289, 314, 228, 37}},
-    {21, 300, 10, 0.10, {1435, 233, 1202, 1031, 73},
-     {1435, 230, 1205, 1034, 73}},
-    {21, 300, 10, 0.20, {4892, 0, 4892, 4505, 263},
-     {4892, 0, 4892, 4505, 263}},
-    {21, 300, 10, 0.30, {8188, 0, 8188, 7218, 367},
-     {8188, 0, 8188, 7218, 367}},
-    {22, 200, 25, 0.05, {3093, 333, 2760, 2346, 235},
-     {3093, 298, 2795, 2381, 235}},
-    {22, 200, 25, 0.10, {5294, 0, 5294, 4710, 476},
-     {5294, 0, 5294, 4710, 476}},
-    {22, 200, 25, 0.20, {9936, 0, 9936, 9084, 794},
-     {9936, 0, 9936, 9084, 794}},
-    {22, 200, 25, 0.30, {16991, 0, 16991, 14077, 1071},
-     {16991, 0, 16991, 14077, 1071}},
-    {23, 300, 5, 0.05, {128, 90, 38, 31, 0}, {128, 90, 38, 31, 0}},
-    {23, 300, 5, 0.10, {664, 300, 364, 285, 32}, {664, 298, 366, 286, 32}},
-    {23, 300, 5, 0.20, {2158, 155, 2003, 1679, 92},
-     {2158, 148, 2010, 1682, 92}},
-    {23, 300, 5, 0.30, {2158, 0, 2158, 1815, 108},
-     {2158, 0, 2158, 1815, 108}},
+    {21, 300, 10, 0.05, {603, 289, 314, 228, 37, 17},
+     {603, 289, 314, 228, 37, 17}},
+    {21, 300, 10, 0.10, {1435, 233, 1202, 1031, 73, 46},
+     {1435, 230, 1205, 1034, 73, 46}},
+    {21, 300, 10, 0.20, {4892, 0, 4892, 4505, 263, 201},
+     {4892, 0, 4892, 4505, 263, 201}},
+    {21, 300, 10, 0.30, {8188, 0, 8188, 7218, 367, 294},
+     {8188, 0, 8188, 7218, 367, 294}},
+    {22, 200, 25, 0.05, {3093, 333, 2760, 2346, 235, 194},
+     {3093, 298, 2795, 2381, 235, 194}},
+    {22, 200, 25, 0.10, {5294, 0, 5294, 4710, 476, 412},
+     {5294, 0, 5294, 4710, 476, 412}},
+    {22, 200, 25, 0.20, {9936, 0, 9936, 9084, 794, 714},
+     {9936, 0, 9936, 9084, 794, 714}},
+    {22, 200, 25, 0.30, {16991, 0, 16991, 14077, 1071, 987},
+     {16991, 0, 16991, 14077, 1071, 987}},
+    {23, 300, 5, 0.05, {128, 90, 38, 31, 0, 0}, {128, 90, 38, 31, 0, 0}},
+    {23, 300, 5, 0.10, {664, 300, 364, 285, 32, 15},
+     {664, 298, 366, 286, 32, 15}},
+    {23, 300, 5, 0.20, {2158, 155, 2003, 1679, 92, 56},
+     {2158, 148, 2010, 1682, 92, 56}},
+    {23, 300, 5, 0.30, {2158, 0, 2158, 1815, 108, 63},
+     {2158, 0, 2158, 1815, 108, 63}},
 };
 
 void ExpectCounts(const JoinStats& got, const Counts& want,
@@ -260,6 +265,7 @@ void ExpectCounts(const JoinStats& got, const Counts& want,
   EXPECT_EQ(got.signature_filtered + got.verified, want.decided) << what;
   EXPECT_EQ(got.signature_filtered, want.signature_filtered) << what;
   EXPECT_EQ(got.verify_passed, want.verify_passed) << what;
+  EXPECT_EQ(got.repeat_pairs, want.repeat_pairs) << what;
 }
 
 TEST(LocalJoinCountersTest, MatchPinnedValues) {
@@ -282,15 +288,26 @@ TEST(LocalJoinCountersTest, MatchPinnedValues) {
     }
     JoinStats prefix_join;
     JoinStats nested_loop;
-    std::vector<ScoredPair> out;
+    std::vector<ScoredPair> prefix_out;
+    std::vector<ScoredPair> nested_out;
     for (const auto& [item, group] : groups) {
-      LocalPrefixJoin(group, options, &out, &prefix_join);
-      LocalNestedLoopJoin(group, options, &out, &nested_loop);
+      LocalPrefixJoin(group, options, &prefix_out, &prefix_join);
+      LocalNestedLoopJoin(group, options, &nested_out, &nested_loop);
     }
     const std::string what = "seed " + std::to_string(c.seed) + " theta " +
                              std::to_string(c.theta);
     ExpectCounts(prefix_join, c.prefix_join, "prefix join, " + what);
     ExpectCounts(nested_loop, c.nested_loop, "nested loop, " + what);
+    const std::set<ResultPair> truth = testutil::Truth(ds, c.theta);
+    for (const auto& [stats, out] :
+         {std::pair(&prefix_join, &prefix_out),
+          std::pair(&nested_loop, &nested_out)}) {
+      EXPECT_EQ(stats->verify_passed - stats->repeat_pairs, truth.size())
+          << what;
+      std::vector<ResultPair> pairs;
+      for (const ScoredPair& sp : *out) pairs.push_back(sp.first);
+      EXPECT_EQ(testutil::PairSet(pairs), truth) << what;
+    }
   }
 }
 

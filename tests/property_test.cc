@@ -50,9 +50,10 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, AlgorithmEquivalenceTest,
     ::testing::Combine(
         ::testing::Values(Algorithm::kVJ, Algorithm::kVJNL, Algorithm::kCL,
-                          Algorithm::kCLP, Algorithm::kVSmart),
+                          Algorithm::kCLP, Algorithm::kVSmart,
+                          Algorithm::kAuto),
         ::testing::Values(0.1, 0.25, 0.4),
-        ::testing::Values(5, 10, 25),
+        ::testing::Values(1, 2, 5, 10, 25),
         ::testing::Values(uint64_t{11}, uint64_t{12})),
     [](const ::testing::TestParamInfo<Params>& info) {
       std::string name = AlgorithmName(std::get<0>(info.param));
@@ -65,6 +66,24 @@ INSTANTIATE_TEST_SUITE_P(
              "_k" + std::to_string(std::get<2>(info.param)) + "_seed" +
              std::to_string(std::get<3>(info.param));
     });
+
+/// CL-P with a delta far below the posting-list sizes: lists are split
+/// into chunks and chunk pairs are joined, and each pair is still
+/// emitted once (PairSet checks) by the group that owns it.
+TEST(ChunkJoinEquivalenceTest, ClpChunkJoinsMatchBruteForce) {
+  RankingDataset ds = testutil::SmallSkewedDataset(31, 400, 10);
+  minispark::Context ctx(TestCluster());
+  SimilarityJoinConfig config;
+  config.algorithm = Algorithm::kCLP;
+  config.theta = 0.3;
+  config.theta_c = 0.03;
+  config.delta = 6;
+  auto result = RunSimilarityJoin(&ctx, ds, config);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_GT(result->stats.lists_repartitioned, 0u);
+  EXPECT_GT(result->stats.chunk_pair_joins, 0u);
+  EXPECT_EQ(PairSet(result->pairs), Truth(ds, config.theta));
+}
 
 /// Threshold-monotonicity property: results for a smaller theta are a
 /// subset of results for a larger theta, per algorithm.

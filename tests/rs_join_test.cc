@@ -9,16 +9,12 @@
 namespace rankjoin {
 namespace {
 
+using testutil::PairSet;
 using testutil::TestCluster;
 
 std::set<ResultPair> RsTruth(const RankingDataset& r,
                              const RankingDataset& s, double theta) {
-  auto bf = BruteForceRsJoin(r, s, theta);
-  return std::set<ResultPair>(bf.pairs.begin(), bf.pairs.end());
-}
-
-std::set<ResultPair> AsSet(const std::vector<ResultPair>& pairs) {
-  return std::set<ResultPair>(pairs.begin(), pairs.end());
+  return PairSet(BruteForceRsJoin(r, s, theta).pairs);
 }
 
 TEST(RsJoinTest, MatchesBruteForceAcrossThetas) {
@@ -30,7 +26,7 @@ TEST(RsJoinTest, MatchesBruteForceAcrossThetas) {
     options.theta = theta;
     auto result = RunRsJoin(&ctx, r, s, options);
     ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(AsSet(result->pairs), RsTruth(r, s, theta)) << theta;
+    EXPECT_EQ(PairSet(result->pairs), RsTruth(r, s, theta)) << theta;
   }
 }
 
@@ -90,7 +86,7 @@ TEST(RsJoinTest, PositionFilterPreservesResults) {
   auto b = RunRsJoin(&ctx, r, s, without);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(AsSet(a->pairs), AsSet(b->pairs));
+  EXPECT_EQ(PairSet(a->pairs), PairSet(b->pairs));
   EXPECT_LE(a->stats.verified, b->stats.verified);
 }
 
@@ -103,7 +99,7 @@ TEST(RsJoinTest, NoReorderingStillCorrect) {
   options.reorder_by_frequency = false;
   auto result = RunRsJoin(&ctx, r, s, options);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(AsSet(result->pairs), RsTruth(r, s, 0.25));
+  EXPECT_EQ(PairSet(result->pairs), RsTruth(r, s, 0.25));
 }
 
 TEST(RsJoinTest, PartitionInvariance) {
@@ -117,7 +113,7 @@ TEST(RsJoinTest, PartitionInvariance) {
     options.num_partitions = partitions;
     auto result = RunRsJoin(&ctx, r, s, options);
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(AsSet(result->pairs), expected) << partitions;
+    EXPECT_EQ(PairSet(result->pairs), expected) << partitions;
   }
 }
 
@@ -130,7 +126,7 @@ TEST(RsJoinTest, SelfJoinAsRsContainsSelfPairs) {
   options.theta = 0.0;
   auto result = RunRsJoin(&ctx, r, r, options);
   ASSERT_TRUE(result.ok());
-  std::set<ResultPair> pairs = AsSet(result->pairs);
+  std::set<ResultPair> pairs = PairSet(result->pairs);
   for (const Ranking& ranking : r.rankings) {
     EXPECT_TRUE(pairs.count({ranking.id(), ranking.id()}));
   }

@@ -1,6 +1,8 @@
 #ifndef RANKJOIN_TESTS_TEST_UTIL_H_
 #define RANKJOIN_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <set>
@@ -30,8 +32,12 @@ inline RankingDataset SmallSkewedDataset(uint64_t seed = 1,
   return GenerateDataset(options);
 }
 
+/// The pairs as a set; fails the calling test when a pair is listed
+/// twice, since every join emits each result pair once.
 inline std::set<ResultPair> PairSet(const std::vector<ResultPair>& pairs) {
-  return std::set<ResultPair>(pairs.begin(), pairs.end());
+  std::set<ResultPair> set(pairs.begin(), pairs.end());
+  EXPECT_EQ(set.size(), pairs.size()) << "a pair is listed twice";
+  return set;
 }
 
 /// Ground truth via brute force.

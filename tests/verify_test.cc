@@ -125,11 +125,31 @@ TEST(PairKernelTest, PadLanesNeverMatch) {
   }
 }
 
+/// The two-posting group of rows 0 and 1 of `store` keyed by their
+/// first shared item in canonical order, as EmitPrefix would key the
+/// group that owns the pair. Rows that share no item meet in no group;
+/// they get the group keyed at rank 0 of both, where the join decides
+/// them with the kernel or the signature bound all the same.
+std::vector<PrefixPosting> FirstSharedGroup(const JoinStore& store) {
+  const ItemId* a = store.items(0);
+  const ItemId* b = store.items(1);
+  for (int t = 0; t < store.k(); ++t) {
+    const uint16_t a_rank = store.canonical(0)[t];
+    for (int b_rank = 0; b_rank < store.k(); ++b_rank) {
+      if (b[b_rank] == a[a_rank]) {
+        return {PrefixPosting{0, a_rank, false},
+                PrefixPosting{1, static_cast<uint16_t>(b_rank), false}};
+      }
+    }
+  }
+  return {PrefixPosting{0, 0, false}, PrefixPosting{1, 0, false}};
+}
+
 TEST(PairKernelTest, BoundsAtDistanceAndOneBelow) {
   // Directly, at both kernel widths, and through the nested-loop join: a
   // pair at distance d qualifies under raw_theta = d and not under
   // d - 1. The join decides the pair either with the kernel or with the
-  // signature bound.
+  // signature bound, in the group of the pair's first shared item.
   Rng rng(20203);
   for (int k : kSizes) {
     for (int trial = 0; trial < 40; ++trial) {
@@ -150,8 +170,7 @@ TEST(PairKernelTest, BoundsAtDistanceAndOneBelow) {
         EXPECT_TRUE(distance <= d) << "k " << k;
         EXPECT_FALSE(distance <= d - 1) << "k " << k;
       }
-      const std::vector<PrefixPosting> group = {
-          PrefixPosting{0, 0, false}, PrefixPosting{1, 0, false}};
+      const std::vector<PrefixPosting> group = FirstSharedGroup(store);
       for (uint32_t bound : {d, d - 1}) {
         LocalJoinOptions options;
         options.store = &store;
