@@ -220,7 +220,6 @@ void BM_LocalNestedLoopJoin(benchmark::State& state) {
   LocalJoinOptions options;
   options.store = &store;
   options.raw_theta = RawThreshold(0.2, 10);
-  options.prefix_size = OverlapPrefix(options.raw_theta, 10);
   for (auto _ : state) {
     std::vector<ScoredPair> out;
     JoinStats stats;
@@ -236,7 +235,6 @@ void BM_LocalPrefixJoin(benchmark::State& state) {
   LocalJoinOptions options;
   options.store = &store;
   options.raw_theta = RawThreshold(0.2, 10);
-  options.prefix_size = OverlapPrefix(options.raw_theta, 10);
   for (auto _ : state) {
     std::vector<ScoredPair> out;
     JoinStats stats;

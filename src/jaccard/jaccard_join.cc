@@ -52,6 +52,22 @@ Status ValidateOptions(const JaccardJoinOptions& options, int k,
   return Status::OK();
 }
 
+/// The (prefix item, posting) pairs of one row: its first `prefix`
+/// canonical items. Jaccard weighs every item alike, so the prefix has
+/// the fixed length JaccardPrefix instead of the Footrule rank-weighted
+/// one (ForEachPrefixRank).
+std::vector<std::pair<ItemId, PrefixPosting>> JaccardPostings(
+    const JoinStore& store, RowIndex row, int prefix, bool singleton) {
+  std::vector<std::pair<ItemId, PrefixPosting>> out;
+  const ItemId* items = store.items(row);
+  const uint16_t* canonical = store.canonical(row);
+  for (int t = 0; t < std::min(prefix, store.k()); ++t) {
+    out.push_back({items[canonical[t]],
+                   PrefixPosting{row, canonical[t], singleton}});
+  }
+  return out;
+}
+
 /// Nested-loop kernel over one posting group; emits (pair, overlap).
 /// `threshold(a, b)` is the pair's Jaccard distance threshold.
 template <typename Threshold>
@@ -100,7 +116,7 @@ std::vector<ScoredPair> JaccardSelfJoin(minispark::Context* ctx,
   const JoinStore* store_ptr = &store;
   auto postings = rankings.FlatMap(
       [store_ptr, prefix](RowIndex row) {
-        return EmitPrefix(*store_ptr, row, prefix, PrefixMode::kOverlap);
+        return JaccardPostings(*store_ptr, row, prefix, false);
       },
       "jaccard/prefix");
   auto groups =
@@ -335,9 +351,9 @@ static Result<JoinResult> RunJaccardClusterJoinImpl(
       minispark::Parallelize(ctx, std::move(tagged), num_partitions);
   auto postings = centroid_ds.FlatMap(
       [store_ptr, prefix_m, prefix_s](const Tagged& t) {
-        return EmitPrefix(*store_ptr, store_ptr->RowOf(t.id),
-                          t.singleton ? prefix_s : prefix_m,
-                          PrefixMode::kOverlap, t.singleton);
+        return JaccardPostings(*store_ptr, store_ptr->RowOf(t.id),
+                               t.singleton ? prefix_s : prefix_m,
+                               t.singleton);
       },
       "jaccardCl/prefix");
   auto groups =

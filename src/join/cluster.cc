@@ -10,7 +10,6 @@
 #include "join/repartition.h"
 #include "minispark/dataset.h"
 #include "ranking/footrule.h"
-#include "ranking/prefix.h"
 
 namespace rankjoin {
 namespace {
@@ -197,16 +196,12 @@ std::vector<CentroidPair> RunCentroidJoin(
     thresholds.ss = thresholds.mm;
   }
 
-  const int prefix_m = OverlapPrefix(thresholds.mm, spec.k);
-  // Completeness requires the singleton prefix to cover the (m, s) pair
-  // threshold (see cluster.h); with the optimization off all prefixes
-  // are the same.
-  const int prefix_s =
-      spec.singleton_optimization ? OverlapPrefix(thresholds.ms, spec.k)
-                                  : prefix_m;
-
   // Emit prefix postings for both centroid classes, tagged with their
-  // type, then group by item (Algorithm 1's transform_and_emit).
+  // type, then group by item (Algorithm 1's transform_and_emit). Each
+  // class posts under the largest threshold of its pairs: mm for
+  // centroids, ms for singletons (mm with the optimization off).
+  // Completeness requires the singleton prefix to cover the (m, s) pair
+  // threshold (see cluster.h).
   struct Tagged {
     RankingId id;
     bool singleton;
@@ -220,9 +215,9 @@ std::vector<CentroidPair> RunCentroidJoin(
       minispark::Parallelize(ctx, std::move(tagged), spec.num_partitions);
   const JoinStore* store_ptr = &store;
   auto postings = centroid_ds.FlatMap(
-      [store_ptr, prefix_m, prefix_s](const Tagged& t) {
+      [store_ptr, thresholds](const Tagged& t) {
         return EmitPrefix(*store_ptr, store_ptr->RowOf(t.id),
-                          t.singleton ? prefix_s : prefix_m,
+                          t.singleton ? thresholds.ms : thresholds.mm,
                           PrefixMode::kOverlap, t.singleton);
       },
       "centroidJoin/prefix");
@@ -253,7 +248,7 @@ std::vector<CentroidPair> RunCentroidJoin(
   // cluster-level join is cheap relative to expansion.
   JoinStats phase_stats;
   // Each centroid pair arrives once: groups emit only the pairs they
-  // own, under either class's prefix length.
+  // own, under either class's prefix.
   minispark::Dataset<ScoredPair> pairs = JoinGroupsWithRepartitioning(
       groups, spec.repartition_delta, spec.num_partitions, local_join,
       rs_join, &phase_stats, spec.adaptive_repartition);

@@ -5,12 +5,12 @@
 namespace rankjoin {
 
 std::vector<std::pair<ItemId, PrefixPosting>> EmitPrefix(
-    const JoinStore& store, RowIndex row, int prefix_size, PrefixMode mode,
-    bool singleton) {
+    const JoinStore& store, RowIndex row, uint32_t raw_theta,
+    PrefixMode mode, bool singleton) {
   std::vector<std::pair<ItemId, PrefixPosting>> out;
-  out.reserve(static_cast<size_t>(std::min(prefix_size, store.k())));
+  out.reserve(static_cast<size_t>(store.k()));
   const ItemId* items = store.items(row);
-  ForEachPrefixRank(store, row, prefix_size, mode, [&](uint16_t rank) {
+  ForEachPrefixRank(store, row, raw_theta, mode, [&](uint16_t rank) {
     out.push_back({items[rank], PrefixPosting{row, rank, singleton}});
   });
   return out;
@@ -34,7 +34,7 @@ void LocalPrefixJoin(const std::vector<PrefixPosting>& group,
   const PairKernel& kernel = store.kernel();
   const uint32_t raw_theta = options.raw_theta;
   const int rank_limit =
-      PrefixRankLimit(store.k(), options.prefix_size, options.prefix_mode);
+      PrefixRankLimit(store.k(), raw_theta, options.prefix_mode);
   std::vector<uint32_t>& survivors = local_join_internal::SurvivorBuffer();
   survivors.resize(n);
   uint64_t near_pairs = 0;
@@ -96,8 +96,7 @@ void LocalPrefixJoin(const std::vector<PrefixPosting>& group,
     prefix.assign(n * stride, 0);
     for (size_t i = 0; i < n; ++i) {
       uint32_t* lanes = &prefix[i * stride];
-      ForEachPrefixRank(store, group[i].row, options.prefix_size,
-                        options.prefix_mode,
+      ForEachPrefixRank(store, group[i].row, raw_theta, options.prefix_mode,
                         [lanes](uint16_t rank) { lanes[rank] = ~0u; });
     }
     kernel.WithChunks([&](auto width) {
@@ -132,8 +131,7 @@ void LocalNestedLoopJoin(const std::vector<PrefixPosting>& group,
         return raw_theta;
       },
       options.position_filter,
-      PrefixRankLimit(options.store->k(), options.prefix_size,
-                      options.prefix_mode),
+      PrefixRankLimit(options.store->k(), raw_theta, options.prefix_mode),
       out, stats);
 }
 
@@ -148,8 +146,7 @@ void LocalNestedLoopJoinRS(const std::vector<PrefixPosting>& left,
         return raw_theta;
       },
       options.position_filter,
-      PrefixRankLimit(options.store->k(), options.prefix_size,
-                      options.prefix_mode),
+      PrefixRankLimit(options.store->k(), raw_theta, options.prefix_mode),
       out, stats);
 }
 

@@ -1,7 +1,6 @@
 #ifndef RANKJOIN_JOIN_LOCAL_JOIN_H_
 #define RANKJOIN_JOIN_LOCAL_JOIN_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -9,14 +8,17 @@
 #include "join/stats.h"
 #include "ranking/footrule.h"
 #include "ranking/join_store.h"
+#include "ranking/prefix.h"
 #include "ranking/ranking.h"
 
 namespace rankjoin {
 
 /// Which prefix derivation to use (paper Section 4).
 enum class PrefixMode {
-  /// Overlap-based prefix under the global frequency order — required
-  /// when rankings are reordered; the paper's default.
+  /// Prefix in the global frequency order — required when rankings are
+  /// reordered; the paper's default. Its length is set by the items'
+  /// rank weights (ForEachPrefixRank) and never exceeds the paper's
+  /// overlap prefix k - o + 1.
   kOverlap,
   /// Ordered prefix of Lemma 4.1 (best-ranked items); slightly tighter
   /// but fixes the prefix to the original top ranks.
@@ -37,30 +39,47 @@ struct PrefixPosting {
   bool singleton = false;
 };
 
-/// Calls `fn(rank)` for every prefix item of `row`, in canonical order:
-/// the first `prefix_size` canonical items under kOverlap, the items at
-/// ranks below `prefix_size` (the best-ranked ones) under kOrdered. The
-/// one prefix rule: the pipelines emit postings with it and
+/// Calls `fn(rank)` for every prefix item of `row`, in canonical order,
+/// when the row is joined under raw threshold `raw_theta`. The one prefix
+/// rule of the joins: the pipelines emit postings with it and
 /// LocalPrefixJoin filters with it.
+///
+/// kOverlap posts the rank-weighted prefix (ALGORITHMS.md §2): canonical
+/// position p while W(p) = sum over t >= p of (k - canonical[t]) is at
+/// least T = ceil((k(k+1) - raw_theta) / 2). A pair's distance is
+/// k(k+1) - 2 * sum over shared items of (k - max(r, s)), and every
+/// shared item sits at or after the pair's first shared item x in both
+/// canonical orders, so a qualifying pair has W(x) >= T in both rows:
+/// x is in both prefixes. W falls as p grows, so the posted positions
+/// start the canonical order, and W(0) = k(k+1)/2 >= T keeps at least
+/// one. kOrdered posts the items at ranks below OrderedPrefix (Lemma
+/// 4.1), the best-ranked ones.
 template <typename Fn>
-void ForEachPrefixRank(const JoinStore& store, RowIndex row, int prefix_size,
-                       PrefixMode mode, Fn&& fn) {
+void ForEachPrefixRank(const JoinStore& store, RowIndex row,
+                       uint32_t raw_theta, PrefixMode mode, Fn&& fn) {
   const uint16_t* canonical = store.canonical(row);
+  const int k = store.k();
   if (mode == PrefixMode::kOverlap) {
-    const int p = std::min(prefix_size, store.k());
-    for (int t = 0; t < p; ++t) fn(canonical[t]);
+    const int64_t max_distance = int64_t{k} * (k + 1);
+    const int64_t needed = (max_distance - raw_theta + 1) / 2;
+    int64_t weight = max_distance / 2;
+    for (int t = 0; t < k && weight >= needed; ++t) {
+      fn(canonical[t]);
+      weight -= k - canonical[t];
+    }
   } else {
-    for (int t = 0; t < store.k(); ++t) {
-      if (canonical[t] < prefix_size) fn(canonical[t]);
+    const int ranks = OrderedPrefix(raw_theta, k);
+    for (int t = 0; t < k; ++t) {
+      if (canonical[t] < ranks) fn(canonical[t]);
     }
   }
 }
 
 /// The ranks a prefix item of a row may hold, the limit PrefixOwner
 /// takes: any of the k ranks under kOverlap, the ranks below
-/// `prefix_size` under kOrdered.
-inline int PrefixRankLimit(int k, int prefix_size, PrefixMode mode) {
-  return mode == PrefixMode::kOrdered ? std::min(prefix_size, k) : k;
+/// OrderedPrefix(raw_theta) under kOrdered.
+inline int PrefixRankLimit(int k, uint32_t raw_theta, PrefixMode mode) {
+  return mode == PrefixMode::kOrdered ? OrderedPrefix(raw_theta, k) : k;
 }
 
 /// The one ownership rule of the prefix joins: two rows that share
@@ -73,12 +92,12 @@ inline int PrefixRankLimit(int k, int prefix_size, PrefixMode mode) {
 /// `b` holds one of `a`'s prefix items before the key in its own prefix.
 /// `rank_limit` is PrefixRankLimit of the postings' prefix rule and
 /// applies to both rows. Under kOverlap it is k and any real lane of `b`
-/// counts: the key is in `b`'s prefix, so every item of `b` before it is
-/// too, whatever `b`'s prefix length (the centroid join gives singletons
-/// a shorter one), and the rule needs no prefix length. Under kOrdered
-/// only ranks below the prefix size count. Pad lanes hold item 0 and
-/// never count. `b` may come from another store of the same k and item
-/// order (the R-S join).
+/// counts: the key is in `b`'s prefix, which is prefix-closed, so every
+/// item of `b` before it is too, whatever threshold `b` posted under
+/// (the centroid join gives singletons a shorter prefix), and the rule
+/// needs no prefix length. Under kOrdered only ranks below the prefix
+/// size count. Pad lanes hold item 0 and never count. `b` may come
+/// from another store of the same k and item order (the R-S join).
 class PrefixOwner {
  public:
   PrefixOwner(const JoinStore& store, const PrefixPosting& a, int rank_limit)
@@ -109,21 +128,22 @@ class PrefixOwner {
   int key_position_ = 0;
 };
 
-/// The (prefix item, posting) pairs of one row: the flat-map step of
-/// every prefix-filtering pipeline.
+/// The (prefix item, posting) pairs of one row joined under raw
+/// threshold `raw_theta` (ForEachPrefixRank): the flat-map step of every
+/// Footrule prefix-filtering pipeline.
 std::vector<std::pair<ItemId, PrefixPosting>> EmitPrefix(
-    const JoinStore& store, RowIndex row, int prefix_size, PrefixMode mode,
-    bool singleton = false);
+    const JoinStore& store, RowIndex row, uint32_t raw_theta,
+    PrefixMode mode, bool singleton = false);
 
 /// Options shared by the per-partition join kernels.
 struct LocalJoinOptions {
   /// The job's join store; postings index its rows. Must outlive every
   /// local join that reads it.
   const JoinStore* store = nullptr;
-  /// Raw (integer) distance threshold.
+  /// Raw (integer) distance threshold; the postings were emitted under
+  /// it.
   uint32_t raw_theta = 0;
-  /// Prefix size and rule the postings were emitted with.
-  int prefix_size = 1;
+  /// Prefix rule the postings were emitted with.
   PrefixMode prefix_mode = PrefixMode::kOverlap;
   /// Apply the rank-difference position filter (paper Section 4).
   bool position_filter = true;

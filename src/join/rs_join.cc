@@ -10,7 +10,6 @@
 #include "join/local_join.h"
 #include "minispark/dataset.h"
 #include "ranking/footrule.h"
-#include "ranking/prefix.h"
 #include "ranking/reorder.h"
 
 namespace rankjoin {
@@ -126,7 +125,6 @@ static Result<JoinResult> RunRsJoinImpl(minispark::Context* ctx,
                                  : ctx->default_partitions();
   const int k = r.k;
   const uint32_t raw_theta = RawThreshold(options.theta, k);
-  const int prefix = OverlapPrefix(raw_theta, k);
 
   Stopwatch total;
   JoinResult result;
@@ -153,10 +151,10 @@ static Result<JoinResult> RunRsJoinImpl(minispark::Context* ctx,
     auto ds = minispark::Parallelize(ctx, side.Rows(), num_partitions);
     const JoinStore* side_ptr = &side;
     return ds.FlatMap(
-        [side_ptr, prefix, from_s](RowIndex row) {
+        [side_ptr, raw_theta, from_s](RowIndex row) {
           std::vector<std::pair<ItemId, SidedPosting>> out;
           for (const auto& [item, posting] :
-               EmitPrefix(*side_ptr, row, prefix, PrefixMode::kOverlap)) {
+               EmitPrefix(*side_ptr, row, raw_theta, PrefixMode::kOverlap)) {
             out.push_back({item, SidedPosting{from_s, posting}});
           }
           return out;

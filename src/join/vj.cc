@@ -94,17 +94,13 @@ std::vector<ScoredPair> DistributedSelfJoin(minispark::Context* ctx,
                                             const JoinStore& store,
                                             const SelfJoinSpec& spec,
                                             JoinStats* stats) {
-  const int prefix_size =
-      spec.prefix_mode == PrefixMode::kOverlap
-          ? OverlapPrefix(spec.raw_theta, spec.k)
-          : OrderedPrefix(spec.raw_theta, spec.k);
-
   minispark::Dataset<RowIndex> rankings =
       minispark::Parallelize(ctx, store.Rows(), spec.num_partitions);
   const JoinStore* store_ptr = &store;
   auto postings = rankings.FlatMap(
-      [store_ptr, prefix_size, mode = spec.prefix_mode](RowIndex row) {
-        return EmitPrefix(*store_ptr, row, prefix_size, mode);
+      [store_ptr, raw_theta = spec.raw_theta,
+       mode = spec.prefix_mode](RowIndex row) {
+        return EmitPrefix(*store_ptr, row, raw_theta, mode);
       },
       "selfJoin/prefix");
   minispark::Dataset<PostingGroup> groups = minispark::GroupByKey(
@@ -113,7 +109,6 @@ std::vector<ScoredPair> DistributedSelfJoin(minispark::Context* ctx,
   LocalJoinOptions local_options;
   local_options.store = &store;
   local_options.raw_theta = spec.raw_theta;
-  local_options.prefix_size = prefix_size;
   local_options.prefix_mode = spec.prefix_mode;
   local_options.position_filter = spec.position_filter;
 

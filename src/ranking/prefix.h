@@ -18,9 +18,12 @@ int MinOverlap(uint32_t raw_theta, int k);
 
 /// Prefix size based on overlap: p = k - MinOverlap + 1 (clamped to
 /// [1, k]). Any two rankings within raw_theta share at least one item in
-/// their canonical-order prefixes of this size. Requires raw_theta <
-/// MaxFootrule(k); at or beyond that bound disjoint rankings qualify and
-/// prefix filtering is inapplicable (MinOverlap would be 0).
+/// their canonical-order prefixes of this size. The joins post the
+/// rank-weighted prefix instead (ForEachPrefixRank in join/local_join.h),
+/// which is never longer; this length bounds it and sizes the planner's
+/// posting-list estimates. Requires raw_theta < MaxFootrule(k); at or
+/// beyond that bound disjoint rankings qualify and prefix filtering is
+/// inapplicable (MinOverlap would be 0).
 int OverlapPrefix(uint32_t raw_theta, int k);
 
 /// Ordered prefix (paper Lemma 4.1): using the ORIGINAL rank order, the

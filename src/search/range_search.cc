@@ -72,14 +72,21 @@ Result<PrefixRangeIndex> PrefixRangeIndex::Build(
   const JoinStore& store = index.store_;
 
   // Two passes over the prefixes: size every list, then put each posting
-  // at its list's next free slot, so rows ascend within a list.
+  // at its list's next free slot, so rows ascend within a list. Rows and
+  // queries keep the overlap prefix, not the joins' rank-weighted one
+  // (ForEachPrefixRank): the weighted prefix made queries 3.5x faster,
+  // and the range-query benchmark, which keeps every latency sample,
+  // then grew its peak RSS past its bound (EXPERIMENTS.md "Rank-weighted
+  // prefix", ROADMAP.md item 1).
   const int prefix =
       OverlapPrefix(RawThreshold(max_theta, dataset.k), dataset.k);
   auto for_each_posting = [&](auto&& fn) {
     for (RowIndex row = 0; row < store.size(); ++row) {
       const ItemId* items = store.items(row);
-      ForEachPrefixRank(store, row, prefix, PrefixMode::kOverlap,
-                        [&](uint16_t rank) { fn(items[rank], row, rank); });
+      const uint16_t* canonical = store.canonical(row);
+      for (int t = 0; t < prefix; ++t) {
+        fn(items[canonical[t]], row, canonical[t]);
+      }
     }
   };
   index.lists_.reserve(index.order_.num_items());

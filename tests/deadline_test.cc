@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -91,9 +92,24 @@ TEST(DeadlineTest, MidShuffleDeadlineWithinTwiceTheBudgetNoLeakedThreads) {
     // Without the deadline this shuffle takes > 2x kDeadlineMs: the map
     // side sleeps 1 ms every 500 records (~250 ms per task, two waves
     // over 4 workers), so the deadline always lands mid-shuffle and is
-    // noticed by a record-boundary probe, not at submission.
+    // noticed by a record-boundary probe, not at submission. The tasks
+    // make the 1M records themselves, 1000 per block id: built up front
+    // on the test thread, they took most of the budget under sanitizers
+    // before the shuffle was submitted, and the job then failed at
+    // submission.
     start = std::chrono::steady_clock::now();
-    auto slow = Parallelize(&ctx, IntPairs(1'000'000, 97), 8)
+    std::vector<int> blocks(1000);
+    std::iota(blocks.begin(), blocks.end(), 0);
+    auto slow = Parallelize(&ctx, std::move(blocks), 8)
+                    .FlatMap([](int block) {
+                      std::vector<std::pair<int, int>> records;
+                      records.reserve(1000);
+                      for (int i = block * 1000; i < (block + 1) * 1000;
+                           ++i) {
+                        records.push_back({i % 97, i});
+                      }
+                      return records;
+                    })
                     .Map([](std::pair<int, int> kv) {
                       if (kv.second % 500 == 0) {
                         std::this_thread::sleep_for(

@@ -110,8 +110,8 @@ TEST(FuzzReferenceTest, BoundedDistanceConsistentWithFull) {
 }
 
 /// The posting groups rows `a` and `b` of `store` meet in, when a's
-/// postings were emitted with prefix length `prefix_a` and b's with
-/// `prefix_b`, and how many of them own the pair (PrefixOwner, the rule
+/// postings were emitted under raw threshold `theta_a` and b's under
+/// `theta_b`, and how many of them own the pair (PrefixOwner, the rule
 /// every prefix-join pair loop applies). Either row may be the outer
 /// posting of a group's pair loop, and both must get the same answer.
 struct Ownership {
@@ -119,21 +119,21 @@ struct Ownership {
   int owners = 0;
 };
 
-Ownership OwnershipOf(const JoinStore& store, RowIndex a, int prefix_a,
-                      RowIndex b, int prefix_b, PrefixMode mode) {
+Ownership OwnershipOf(const JoinStore& store, RowIndex a, uint32_t theta_a,
+                      RowIndex b, uint32_t theta_b, PrefixMode mode) {
   Ownership result;
-  for (const auto& [item, posting_a] : EmitPrefix(store, a, prefix_a, mode)) {
+  for (const auto& [item, posting_a] : EmitPrefix(store, a, theta_a, mode)) {
     for (const auto& [other, posting_b] :
-         EmitPrefix(store, b, prefix_b, mode)) {
+         EmitPrefix(store, b, theta_b, mode)) {
       if (other != item) continue;
       ++result.met;
       const bool a_outer =
           !PrefixOwner(store, posting_a,
-                       PrefixRankLimit(store.k(), prefix_a, mode))
+                       PrefixRankLimit(store.k(), theta_a, mode))
                .Repeats(store.items(b));
       const bool b_outer =
           !PrefixOwner(store, posting_b,
-                       PrefixRankLimit(store.k(), prefix_b, mode))
+                       PrefixRankLimit(store.k(), theta_b, mode))
                .Repeats(store.items(a));
       EXPECT_EQ(a_outer, b_outer) << "group of item " << item;
       result.owners += a_outer;
@@ -142,19 +142,8 @@ Ownership OwnershipOf(const JoinStore& store, RowIndex a, int prefix_a,
   return result;
 }
 
-/// Exhaustive completeness of overlap-prefix filtering: for every pair
-/// of top-k lists over a small universe, if the pair qualifies for a
-/// threshold, their canonical-order prefixes of size OverlapPrefix must
-/// intersect. This validates the theory the distributed pipelines rely
-/// on, independent of the pipelines themselves. Exactly one of the
-/// posting groups a qualifying pair meets in must own it, also when the
-/// two rows have different prefix lengths of at least OverlapPrefix (the
-/// centroid join's prefix_m and prefix_s). k = 3 leaves one pad lane,
-/// which holds item 0, and item 0 is in the universe.
-TEST(FuzzReferenceTest, OverlapPrefixCompletenessExhaustive) {
-  const int k = 3;
-  const uint32_t universe = 6;
-  // All k-permutations of the universe.
+/// All k-permutations of the items 0 .. universe - 1, ids in order.
+std::vector<Ranking> AllLists(int k, uint32_t universe) {
   std::vector<Ranking> lists;
   std::vector<ItemId> current;
   std::vector<bool> used(universe, false);
@@ -173,48 +162,128 @@ TEST(FuzzReferenceTest, OverlapPrefixCompletenessExhaustive) {
     }
   };
   enumerate(enumerate);
-  ASSERT_EQ(lists.size(), 120u);  // 6*5*4
+  return lists;
+}
 
+/// The items of a row's rank-weighted prefix under `raw_theta`, in
+/// canonical order, as the pipelines emit them.
+std::vector<ItemId> PrefixItems(const JoinStore& store, RowIndex row,
+                                uint32_t raw_theta) {
+  std::vector<ItemId> items;
+  for (const auto& [item, posting] :
+       EmitPrefix(store, row, raw_theta, PrefixMode::kOverlap)) {
+    items.push_back(item);
+  }
+  return items;
+}
+
+/// Exhaustive check of the rank-weighted prefix (ForEachPrefixRank under
+/// kOverlap) over every top-k list of a small universe and every raw
+/// threshold: each prefix holds 1 to OverlapPrefix items and is the
+/// start of the row's canonical order, and the first shared item in
+/// canonical order of every qualifying pair is in both rows' prefixes.
+/// With `check_ownership`, exactly one of the posting groups a
+/// qualifying pair meets in owns it, also when the two rows post under
+/// different thresholds at or above the pair's (the centroid join's mm
+/// and ms classes).
+void CheckWeightedPrefix(int k, uint32_t universe, bool check_ownership) {
+  const std::vector<Ranking> lists = AllLists(k, universe);
+  size_t permutations = 1;  // universe! / (universe - k)!
+  for (int i = 0; i < k; ++i) permutations *= universe - i;
+  ASSERT_EQ(lists.size(), permutations);
   // Canonical order: any fixed total order works; use a scrambled one
   // to avoid accidentally aligning with item ids.
   std::unordered_map<ItemId, uint32_t> freq = {{0, 3}, {1, 1}, {2, 5},
                                                {3, 2}, {4, 6}, {5, 4}};
-  ItemOrder order = ItemOrder::FromFrequencies(freq);
-  auto ordered = MakeOrderedDataset(lists, order);
+  const ItemOrder order = ItemOrder::FromFrequencies(freq);
+  const auto ordered = MakeOrderedDataset(lists, order);
   const JoinStore store =
       JoinStore::Build(FlatRankings::FromRankings(k, lists), order);
+  const uint32_t max_theta = MaxFootrule(k);
 
-  for (uint32_t raw_theta = 0; raw_theta < MaxFootrule(k); ++raw_theta) {
-    const size_t p = static_cast<size_t>(OverlapPrefix(raw_theta, k));
+  // prefixes[theta][row]: the row's prefix items under theta.
+  std::vector<std::vector<std::vector<ItemId>>> prefixes(max_theta);
+  for (uint32_t theta = 0; theta < max_theta; ++theta) {
+    const size_t longest = static_cast<size_t>(OverlapPrefix(theta, k));
+    for (RowIndex row = 0; row < store.size(); ++row) {
+      std::vector<ItemId> items = PrefixItems(store, row, theta);
+      EXPECT_GE(items.size(), 1u) << "row " << row << " theta " << theta;
+      EXPECT_LE(items.size(), longest) << "row " << row << " theta "
+                                       << theta;
+      for (size_t t = 0; t < items.size(); ++t) {
+        EXPECT_EQ(items[t], ordered[row].canonical[t].item)
+            << "not a canonical prefix: row " << row << " theta " << theta;
+      }
+      prefixes[theta].push_back(std::move(items));
+    }
+  }
+  auto holds = [](const std::vector<ItemId>& items, ItemId item) {
+    return std::find(items.begin(), items.end(), item) != items.end();
+  };
+
+  size_t checked = 0;
+  for (uint32_t raw_theta = 0; raw_theta < max_theta; ++raw_theta) {
     for (size_t i = 0; i < ordered.size(); ++i) {
       for (size_t j = i + 1; j < ordered.size(); ++j) {
         if (FootruleDistance(ordered[i], ordered[j]) > raw_theta) continue;
-        bool shared = false;
-        for (size_t x = 0; x < p && !shared; ++x) {
-          for (size_t y = 0; y < p && !shared; ++y) {
-            shared = ordered[i].canonical[x].item ==
-                     ordered[j].canonical[y].item;
+        ++checked;
+        // The first shared item in canonical order: the order is global,
+        // so it is i's first canonical item that j holds.
+        ItemId first = 0;
+        for (const auto& entry : ordered[i].canonical) {
+          if (lists[j].RankOf(entry.item) >= 0) {
+            first = entry.item;
+            break;
           }
         }
-        ASSERT_TRUE(shared)
+        ASSERT_TRUE(holds(prefixes[raw_theta][i], first) &&
+                    holds(prefixes[raw_theta][j], first))
             << "prefix filter would miss pair (" << i << "," << j
             << ") at raw_theta " << raw_theta;
-        for (int prefix_i = static_cast<int>(p); prefix_i <= k; ++prefix_i) {
-          for (int prefix_j = static_cast<int>(p); prefix_j <= k;
-               ++prefix_j) {
-            const Ownership o =
-                OwnershipOf(store, static_cast<RowIndex>(i), prefix_i,
-                            static_cast<RowIndex>(j), prefix_j,
-                            PrefixMode::kOverlap);
+        if (!check_ownership) continue;
+        // One posting threshold per distinct prefix of each row, from the
+        // pair's threshold up.
+        auto posting_thetas = [&](size_t row) {
+          std::vector<uint32_t> thetas;
+          for (uint32_t theta = raw_theta; theta < max_theta; ++theta) {
+            if (thetas.empty() ||
+                prefixes[theta][row].size() !=
+                    prefixes[thetas.back()][row].size()) {
+              thetas.push_back(theta);
+            }
+          }
+          return thetas;
+        };
+        for (uint32_t theta_i : posting_thetas(i)) {
+          for (uint32_t theta_j : posting_thetas(j)) {
+            const Ownership o = OwnershipOf(
+                store, static_cast<RowIndex>(i), theta_i,
+                static_cast<RowIndex>(j), theta_j, PrefixMode::kOverlap);
             ASSERT_EQ(o.owners, 1)
                 << "pair (" << i << "," << j << ") meets in " << o.met
-                << " groups at raw_theta " << raw_theta << ", prefixes "
-                << prefix_i << "/" << prefix_j;
+                << " groups at raw_theta " << raw_theta
+                << ", posted under " << theta_i << "/" << theta_j;
           }
         }
       }
     }
   }
+  EXPECT_GT(checked, 0u);
+}
+
+/// The rank-weighted prefix at k = 3 over 6 items (120 lists; k = 3
+/// leaves one pad lane, which holds item 0, and item 0 is in the
+/// universe), with the ownership check. This validates the theory the
+/// distributed pipelines rely on, through the library's own EmitPrefix
+/// and PrefixOwner, independent of the pipelines themselves.
+TEST(FuzzReferenceTest, OverlapPrefixCompletenessExhaustive) {
+  CheckWeightedPrefix(3, 6, /*check_ownership=*/true);
+}
+
+/// Completeness of the rank-weighted prefix at k = 4 over 6 items (360
+/// lists).
+TEST(FuzzReferenceTest, WeightedPrefixCompletenessExhaustiveK4) {
+  CheckWeightedPrefix(4, 6, /*check_ownership=*/false);
 }
 
 /// Same exhaustive completeness for the ordered prefix (Lemma 4.1),
@@ -222,25 +291,7 @@ TEST(FuzzReferenceTest, OverlapPrefixCompletenessExhaustive) {
 /// exactly one group owns each qualifying pair.
 TEST(FuzzReferenceTest, OrderedPrefixCompletenessExhaustive) {
   const int k = 3;
-  const uint32_t universe = 6;
-  std::vector<Ranking> lists;
-  std::vector<ItemId> current;
-  std::vector<bool> used(universe, false);
-  auto enumerate = [&](auto&& self) -> void {
-    if (static_cast<int>(current.size()) == k) {
-      lists.emplace_back(static_cast<RankingId>(lists.size()), current);
-      return;
-    }
-    for (ItemId item = 0; item < universe; ++item) {
-      if (used[item]) continue;
-      used[item] = true;
-      current.push_back(item);
-      self(self);
-      current.pop_back();
-      used[item] = false;
-    }
-  };
-  enumerate(enumerate);
+  const std::vector<Ranking> lists = AllLists(k, 6);
   // The ordered prefix runs without reordering: identity item order.
   const JoinStore store =
       JoinStore::Build(FlatRankings::FromRankings(k, lists), ItemOrder());
@@ -260,9 +311,9 @@ TEST(FuzzReferenceTest, OrderedPrefixCompletenessExhaustive) {
         }
         ASSERT_TRUE(shared)
             << "ordered prefix would miss pair at raw_theta " << raw_theta;
-        const Ownership o =
-            OwnershipOf(store, static_cast<RowIndex>(i), p,
-                        static_cast<RowIndex>(j), p, PrefixMode::kOrdered);
+        const Ownership o = OwnershipOf(store, static_cast<RowIndex>(i),
+                                        raw_theta, static_cast<RowIndex>(j),
+                                        raw_theta, PrefixMode::kOrdered);
         ASSERT_EQ(o.owners, 1)
             << "pair (" << i << "," << j << ") meets in " << o.met
             << " groups at raw_theta " << raw_theta;

@@ -8,7 +8,6 @@
 
 #include "common/random.h"
 #include "ranking/footrule.h"
-#include "ranking/prefix.h"
 #include "ranking/reorder.h"
 #include "tests/test_util.h"
 
@@ -50,7 +49,6 @@ struct GroupFixture {
     LocalJoinOptions options;
     options.store = &store;
     options.raw_theta = raw_theta;
-    options.prefix_size = OverlapPrefix(raw_theta, store.k());
     options.position_filter = true;
     return options;
   }
@@ -203,14 +201,14 @@ TEST(LocalRsJoinTest, SkipsSelfPairs) {
 }
 
 // ---------------------------------------------------------------------
-// Counter contract: the pair loop and the lane kernel reproduce the
-// counters of the per-group inverted index and the merge-join kernel
-// they replaced. The candidates, position_filtered, decided and
-// verify_passed values below were captured from that implementation on
-// the same fixtures; the signature bound splits the pairs that reach
-// the distance decision into signature_filtered and verified, and the
-// ownership rule splits verify_passed into the emitted pairs (one per
-// distinct qualifying pair) and repeat_pairs.
+// Counter contract: the pair loops' counters over the posting groups the
+// VJ pipeline builds with the rank-weighted prefix (EmitPrefix). Any
+// change to the prefix rule, the position filter, the signature bound
+// or the ownership rule shows here. The signature bound splits the
+// pairs that reach the distance decision into signature_filtered and
+// verified, and the ownership rule splits verify_passed into the
+// emitted pairs (one per distinct qualifying pair, checked against
+// brute force) and repeat_pairs.
 // ---------------------------------------------------------------------
 
 struct Counts {
@@ -233,29 +231,28 @@ struct PinnedCase {
 };
 
 const PinnedCase kPinned[] = {
-    {21, 300, 10, 0.05, {603, 289, 314, 228, 37, 17},
-     {603, 289, 314, 228, 37, 17}},
-    {21, 300, 10, 0.10, {1435, 233, 1202, 1031, 73, 46},
-     {1435, 230, 1205, 1034, 73, 46}},
-    {21, 300, 10, 0.20, {4892, 0, 4892, 4505, 263, 201},
-     {4892, 0, 4892, 4505, 263, 201}},
-    {21, 300, 10, 0.30, {8188, 0, 8188, 7218, 367, 294},
-     {8188, 0, 8188, 7218, 367, 294}},
-    {22, 200, 25, 0.05, {3093, 333, 2760, 2346, 235, 194},
-     {3093, 298, 2795, 2381, 235, 194}},
-    {22, 200, 25, 0.10, {5294, 0, 5294, 4710, 476, 412},
-     {5294, 0, 5294, 4710, 476, 412}},
-    {22, 200, 25, 0.20, {9936, 0, 9936, 9084, 794, 714},
-     {9936, 0, 9936, 9084, 794, 714}},
-    {22, 200, 25, 0.30, {16991, 0, 16991, 14077, 1071, 987},
-     {16991, 0, 16991, 14077, 1071, 987}},
+    {21, 300, 10, 0.05, {196, 97, 99, 59, 22, 2}, {196, 97, 99, 59, 22, 2}},
+    {21, 300, 10, 0.10, {318, 45, 273, 212, 37, 10},
+     {318, 45, 273, 212, 37, 10}},
+    {21, 300, 10, 0.20, {1156, 0, 1156, 1013, 115, 53},
+     {1156, 0, 1156, 1013, 115, 53}},
+    {21, 300, 10, 0.30, {1975, 0, 1975, 1687, 163, 90},
+     {1975, 0, 1975, 1687, 163, 90}},
+    {22, 200, 25, 0.05, {413, 32, 381, 269, 77, 36},
+     {413, 32, 381, 269, 77, 36}},
+    {22, 200, 25, 0.10, {1033, 0, 1033, 839, 172, 108},
+     {1033, 0, 1033, 839, 172, 108}},
+    {22, 200, 25, 0.20, {2920, 0, 2920, 2545, 361, 281},
+     {2920, 0, 2920, 2545, 361, 281}},
+    {22, 200, 25, 0.30, {5833, 0, 5833, 4670, 557, 473},
+     {5833, 0, 5833, 4670, 557, 473}},
     {23, 300, 5, 0.05, {128, 90, 38, 31, 0, 0}, {128, 90, 38, 31, 0, 0}},
-    {23, 300, 5, 0.10, {664, 300, 364, 285, 32, 15},
-     {664, 298, 366, 286, 32, 15}},
-    {23, 300, 5, 0.20, {2158, 155, 2003, 1679, 92, 56},
-     {2158, 148, 2010, 1682, 92, 56}},
-    {23, 300, 5, 0.30, {2158, 0, 2158, 1815, 108, 63},
-     {2158, 0, 2158, 1815, 108, 63}},
+    {23, 300, 5, 0.10, {192, 68, 124, 88, 17, 0},
+     {192, 68, 124, 88, 17, 0}},
+    {23, 300, 5, 0.20, {426, 36, 390, 295, 46, 10},
+     {426, 35, 391, 296, 46, 10}},
+    {23, 300, 5, 0.30, {667, 0, 667, 526, 68, 23},
+     {667, 0, 667, 526, 68, 23}},
 };
 
 void ExpectCounts(const JoinStats& got, const Counts& want,
@@ -277,12 +274,11 @@ TEST(LocalJoinCountersTest, MatchPinnedValues) {
     LocalJoinOptions options;
     options.store = &store;
     options.raw_theta = RawThreshold(c.theta, c.k);
-    options.prefix_size = OverlapPrefix(options.raw_theta, c.k);
     // The posting groups the VJ pipeline would build.
     std::map<ItemId, std::vector<PrefixPosting>> groups;
     for (RowIndex row = 0; row < store.size(); ++row) {
       for (const auto& [item, posting] :
-           EmitPrefix(store, row, options.prefix_size, PrefixMode::kOverlap)) {
+           EmitPrefix(store, row, options.raw_theta, PrefixMode::kOverlap)) {
         groups[item].push_back(posting);
       }
     }

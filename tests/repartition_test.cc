@@ -6,7 +6,6 @@
 
 #include "common/random.h"
 #include "ranking/footrule.h"
-#include "ranking/prefix.h"
 #include "ranking/reorder.h"
 #include "tests/test_util.h"
 
@@ -30,13 +29,12 @@ struct GroupsFixture {
     store = JoinStore::Build(dataset.store(), order);
     options.store = &store;
     options.raw_theta = RawThreshold(theta, dataset.k);
-    options.prefix_size = OverlapPrefix(options.raw_theta, dataset.k);
     options.position_filter = true;
 
     std::unordered_map<ItemId, std::vector<PrefixPosting>> index;
     for (RowIndex row = 0; row < store.size(); ++row) {
       for (const auto& [item, posting] :
-           EmitPrefix(store, row, options.prefix_size, PrefixMode::kOverlap)) {
+           EmitPrefix(store, row, options.raw_theta, PrefixMode::kOverlap)) {
         index[item].push_back(posting);
       }
     }
