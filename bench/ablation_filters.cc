@@ -11,7 +11,6 @@
 
 #include "bench/bench_common.h"
 #include "join/vj.h"
-#include "join/cluster_join.h"
 #include "join/vj_nl.h"
 #include "minispark/dataset.h"
 
@@ -83,47 +82,6 @@ void RunPrefixModeAblation(const std::string& dataset, double theta) {
               ", theta=" + std::to_string(theta));
 }
 
-// Clustering-strategy ablation (paper Section 5.1): the join-based
-// clustering vs the random-centroid alternative of [22, 27], which the
-// paper rejects for producing mostly singletons at small theta_c.
-void RunClusteringStrategyAblation(const std::string& dataset,
-                                   double theta) {
-  const RankingDataset& data = GetDataset(dataset);
-  Table table({"strategy", "makespan", "clusters", "members", "singletons"});
-  struct Row {
-    std::string name;
-    ClusteringStrategy strategy;
-    int centroids;
-  };
-  for (const Row& row :
-       {Row{"join-based (paper)", ClusteringStrategy::kJoinBased, 0},
-        Row{"random centroids, n/10", ClusteringStrategy::kRandomCentroids,
-            0},
-        Row{"random centroids, n/50", ClusteringStrategy::kRandomCentroids,
-            static_cast<int>(data.size() / 50)}}) {
-    minispark::Context ctx({.num_workers = 4, .default_partitions = 64});
-    ClOptions options;
-    options.theta = theta;
-    options.theta_c = 0.03;
-    options.clustering_strategy = row.strategy;
-    options.random_centroids = row.centroids;
-    auto result = RunClusterJoin(&ctx, data, options);
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-      std::exit(1);
-    }
-    char makespan[32];
-    std::snprintf(makespan, sizeof(makespan), "%.3f",
-                  ctx.metrics().SimulatedMakespan(kPaperExecutors));
-    table.AddRow({row.name, makespan,
-                  std::to_string(result->stats.clusters),
-                  std::to_string(result->stats.cluster_members),
-                  std::to_string(result->stats.singletons)});
-  }
-  table.Print("Ablation — clustering strategy on " + dataset +
-              ", theta=" + std::to_string(theta) + ", theta_c=0.03");
-}
-
 }  // namespace
 }  // namespace rankjoin::bench
 
@@ -158,6 +116,5 @@ int main(int argc, char** argv) {
                 [](SimilarityJoinConfig* c) { c->resolve_overlaps = true; }}});
 
   RunPrefixModeAblation("DBLP", 0.3);
-  RunClusteringStrategyAblation("DBLPx5", 0.3);
   return 0;
 }

@@ -288,7 +288,8 @@ void CheckAgreement(const std::string& context,
     } else if (*reference != *count) {
       std::printf("!! RESULT MISMATCH at %s: %zu vs %zu\n", context.c_str(),
                   *reference, *count);
-      return;
+      std::fflush(stdout);
+      std::exit(1);
     }
   }
 }

@@ -200,8 +200,9 @@ class Table {
 };
 
 /// Asserts that every optional count in `counts` that is set agrees;
-/// prints a warning line when they diverge (the benches double as
-/// integration checks).
+/// when they diverge, prints the mismatch and exits the process with
+/// status 1, so a bench run in CI fails on a wrong answer (the benches
+/// double as integration checks).
 void CheckAgreement(const std::string& context,
                     const std::vector<std::optional<size_t>>& counts);
 

@@ -132,11 +132,11 @@ void BM_SignatureBound(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   RankingDataset ds = MakeData(k, 256);
   const JoinStore store = JoinStore::Build(ds.store(), ItemOrder());
+  const SignatureBound bound = store.kernel().signature_bound();
   RowIndex i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        SignatureBound(store.signature(i % store.size()),
-                       store.signature((i + 1) % store.size())));
+    benchmark::DoNotOptimize(bound(store.signature(i % store.size()),
+                                   store.signature((i + 1) % store.size())));
     ++i;
   }
 }
@@ -181,11 +181,12 @@ BENCHMARK(BM_PairKernelDistanceCold)->Arg(10)->Arg(25);
 /// Arg: k. BM_SignatureBound over ColdPairs.
 void BM_SignatureBoundCold(benchmark::State& state) {
   const ColdPairs cold(static_cast<int>(state.range(0)));
+  const SignatureBound bound = cold.store.kernel().signature_bound();
   size_t i = 0;
   for (auto _ : state) {
     const auto& [a, b] = cold.pairs[i++ % ColdPairs::kPairs];
     benchmark::DoNotOptimize(
-        SignatureBound(cold.store.signature(a), cold.store.signature(b)));
+        bound(cold.store.signature(a), cold.store.signature(b)));
   }
 }
 BENCHMARK(BM_SignatureBoundCold)->Arg(10)->Arg(25);

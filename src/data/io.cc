@@ -6,13 +6,42 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
-#include <sstream>
+#include <string_view>
+#include <system_error>
 #include <unordered_set>
 
 namespace rankjoin {
+
+namespace {
+
+/// The whitespace-separated tokens of `text`.
+std::vector<std::string_view> Tokens(std::string_view text) {
+  constexpr std::string_view kSpace = " \t\r\n\v\f";
+  std::vector<std::string_view> tokens;
+  size_t begin = text.find_first_not_of(kSpace);
+  while (begin != std::string_view::npos) {
+    const size_t end = std::min(text.find_first_of(kSpace, begin),
+                                text.size());
+    tokens.push_back(text.substr(begin, end - begin));
+    begin = text.find_first_not_of(kSpace, end);
+  }
+  return tokens;
+}
+
+/// Parses `token` as a whole unsigned decimal number below 2^32: no
+/// sign, fraction, suffix or wrap-around.
+bool ParseUint32(std::string_view token, uint32_t* value) {
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, *value);
+  return error == std::errc() && stop == end;
+}
+
+}  // namespace
 
 Result<RankingDataset> ReadRankings(const std::string& path, int k) {
   std::ifstream in(path);
@@ -22,46 +51,55 @@ Result<RankingDataset> ReadRankings(const std::string& path, int k) {
   dataset.k = k;
   std::string line;
   size_t line_number = 0;
-  RankingId next_id = 0;
+  // The id of the next line without one; 2^32 once id 4294967295 is
+  // taken, which no line may then need.
+  uint64_t next_id = 0;
   while (std::getline(in, line)) {
     ++line_number;
     if (line.empty() || line[0] == '#') continue;
+    auto error = [&](const std::string& what) {
+      return Status::IoError(path + ":" + std::to_string(line_number) +
+                             ": " + what);
+    };
 
-    RankingId id = next_id;
-    std::string items_part = line;
+    RankingId id = 0;
+    std::string_view items_part = line;
     const size_t colon = line.find(':');
     if (colon != std::string::npos) {
-      try {
-        id = static_cast<RankingId>(std::stoul(line.substr(0, colon)));
-      } catch (...) {
-        return Status::IoError(path + ":" + std::to_string(line_number) +
-                               ": malformed id before ':'");
+      const std::vector<std::string_view> id_part =
+          Tokens(items_part.substr(0, colon));
+      if (id_part.size() != 1 || !ParseUint32(id_part[0], &id)) {
+        return error("ranking id '" +
+                     std::string(id_part.empty() ? "" : id_part[0]) +
+                     "' is not an unsigned 32-bit integer");
       }
-      items_part = line.substr(colon + 1);
+      items_part = items_part.substr(colon + 1);
+    } else if (next_id > std::numeric_limits<RankingId>::max()) {
+      return error("a ranking without an id follows id " +
+                   std::to_string(next_id - 1) + ", the largest 32-bit id");
+    } else {
+      id = static_cast<RankingId>(next_id);
     }
 
-    std::istringstream tokens(items_part);
     std::vector<ItemId> items;
-    long long value = 0;
-    while (tokens >> value) {
-      if (value < 0) {
-        return Status::IoError(path + ":" + std::to_string(line_number) +
-                               ": negative item id");
+    for (std::string_view token : Tokens(items_part)) {
+      ItemId item = 0;
+      if (!ParseUint32(token, &item)) {
+        return error("item '" + std::string(token) +
+                     "' is not an unsigned 32-bit integer");
       }
-      items.push_back(static_cast<ItemId>(value));
+      items.push_back(item);
     }
     if (static_cast<int>(items.size()) != k) {
-      return Status::IoError(path + ":" + std::to_string(line_number) +
-                             ": expected " + std::to_string(k) +
-                             " items, found " + std::to_string(items.size()));
+      return error("expected " + std::to_string(k) + " items, found " +
+                   std::to_string(items.size()));
     }
     Ranking ranking(id, std::move(items));
     if (!ranking.IsValid()) {
-      return Status::IoError(path + ":" + std::to_string(line_number) +
-                             ": duplicate item in ranking");
+      return error("duplicate item in ranking");
     }
     dataset.rankings.push_back(std::move(ranking));
-    next_id = std::max(next_id, id) + 1;
+    next_id = std::max<uint64_t>(next_id, id) + 1;
   }
   return dataset;
 }

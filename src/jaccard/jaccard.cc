@@ -1,7 +1,5 @@
 #include "jaccard/jaccard.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace rankjoin {
@@ -54,12 +52,6 @@ int JaccardMinOverlap(double theta, int k) {
     if (JaccardQualifies(o, k, theta)) return o;
   }
   return k + 1;  // theta < 0: nothing qualifies
-}
-
-int JaccardPrefix(double theta, int k) {
-  const int o = JaccardMinOverlap(theta, k);
-  RANKJOIN_CHECK(o >= 1) << "prefix filtering needs theta < 1";
-  return std::clamp(k - o + 1, 1, k);
 }
 
 }  // namespace rankjoin

@@ -37,14 +37,9 @@ bool JaccardQualifies(int overlap, int k, double theta);
 /// Minimum overlap two size-k sets must share for their Jaccard
 /// distance to possibly be <= theta: the closed form is
 /// ceil(2k(1-theta) / (2-theta)); computed here by scanning the exact
-/// predicate.
+/// predicate. The joins map theta to the raw threshold
+/// 2(k - JaccardMinOverlap) on |A xor B| = 2(k - overlap), exactly.
 int JaccardMinOverlap(double theta, int k);
-
-/// Prefix size for the prefix-filtering framework under Jaccard:
-/// k - JaccardMinOverlap + 1, clamped to [1, k]. Requires theta < 1
-/// (at theta = 1 disjoint sets qualify and prefix filtering is
-/// inapplicable).
-int JaccardPrefix(double theta, int k);
 
 }  // namespace rankjoin
 

@@ -9,7 +9,10 @@
 namespace rankjoin {
 
 /// Options for the Jaccard-distance set similarity joins (the paper's
-/// Section 8 outlook, built on the same minispark pipelines).
+/// Section 8 outlook). They run the Footrule pipelines on a join store
+/// whose kernel computes |A xor B| = 2(k - overlap) (Distance::kJaccard),
+/// under the raw threshold 2(k - JaccardMinOverlap(theta, k)), which
+/// keeps exactly the pairs within Jaccard distance theta.
 ///
 /// The input RankingDataset is interpreted as a collection of size-k
 /// sets; item positions are ignored.
@@ -34,16 +37,17 @@ struct JaccardJoinOptions {
 /// Exact O(n^2) Jaccard reference join (ground truth for tests).
 JoinResult JaccardBruteForceJoin(const RankingDataset& dataset, double theta);
 
-/// Distributed prefix-filtering self-join under Jaccard distance
-/// (VJ adaptation; no position filter — sets are unordered).
+/// Distributed prefix-filtering self-join under Jaccard distance: the VJ
+/// self-join on unit rank weights, without the position filter (sets
+/// are unordered).
 Result<JoinResult> RunJaccardVjJoin(minispark::Context* ctx,
                                     const RankingDataset& dataset,
                                     const JaccardJoinOptions& options);
 
-/// The CL framework under Jaccard distance: cluster with theta_c, join
-/// centroids with theta + 2*theta_c (mixed thresholds for singletons),
-/// expand members with triangle-inequality filters. Valid because the
-/// Jaccard distance is a metric.
+/// The CL framework under Jaccard distance: CL's clustering, centroid
+/// join and expansion phases under the raw thresholds, so the centroids
+/// join under raw theta + 2 * raw theta_c (mixed thresholds for
+/// singletons). Valid because |A xor B| is a metric.
 Result<JoinResult> RunJaccardClusterJoin(minispark::Context* ctx,
                                          const RankingDataset& dataset,
                                          const JaccardJoinOptions& options);

@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "common/logging.h"
-#include "common/random.h"
 #include "join/local_join.h"
 #include "join/repartition.h"
 #include "minispark/dataset.h"
@@ -79,104 +78,6 @@ Clustering RunClusteringPhase(minispark::Context* ctx, const JoinStore& store,
     }
   }
   registry.Add("cl.clustering.max_cluster_size", max_cluster);
-  return clustering;
-}
-
-Clustering RunRandomCentroidClustering(minispark::Context* ctx,
-                                       const JoinStore& store,
-                                       int num_centroids,
-                                       uint32_t raw_theta_c, uint64_t seed,
-                                       JoinStats* stats) {
-  Clustering clustering;
-  if (store.size() == 0) return clustering;
-
-  // Pick centroids uniformly at random (without replacement).
-  Rng rng(seed);
-  std::vector<RowIndex> positions = store.Rows();
-  rng.Shuffle(positions);
-  const size_t centroid_count =
-      std::min(static_cast<size_t>(std::max(1, num_centroids)), store.size());
-  std::vector<RowIndex> centroid_rows(positions.begin(),
-                                      positions.begin() + centroid_count);
-  for (RowIndex row : centroid_rows) {
-    clustering.centroids.push_back(store.id(row));
-  }
-  std::sort(clustering.centroids.begin(), clustering.centroids.end());
-
-  // Assign every non-centroid to its closest centroid within theta_c —
-  // the [27]-style assignment, broadcast + map over the dataset.
-  minispark::Broadcast<std::vector<RowIndex>> centroids_bc =
-      ctx->MakeBroadcast(std::move(centroid_rows), "cl/centroids");
-  minispark::Dataset<RowIndex> rankings =
-      minispark::Parallelize(ctx, store.Rows(), ctx->default_partitions());
-  std::vector<JoinStats> slots(
-      static_cast<size_t>(rankings.num_partitions()));
-  const JoinStore* store_ptr = &store;
-  auto assignments = rankings.MapPartitionsWithIndex(
-      [store_ptr, centroids_bc, raw_theta_c, &slots](
-          int index, const std::vector<RowIndex>& part) {
-        const JoinStore& s = *store_ptr;
-        JoinStats& local = slots[static_cast<size_t>(index)];
-        // Retry hygiene: a re-run attempt starts its stat slot from zero.
-        local = JoinStats();
-        // (centroid id, member id, distance); centroid id == member id
-        // encodes "no centroid in range".
-        std::vector<ClusterPair> out;
-        for (RowIndex row : part) {
-          const RankingId id = s.id(row);
-          ClusterPair assignment{id, id, 0};
-          uint32_t best = raw_theta_c + 1;
-          for (RowIndex centroid : *centroids_bc) {
-            if (s.id(centroid) == id) {
-              // A centroid represents itself.
-              assignment = ClusterPair{id, id, 0};
-              best = 0;
-              break;
-            }
-            ++local.candidates;
-            ++local.verified;
-            const uint32_t d = s.Distance(row, centroid);
-            if (d < best) {
-              ++local.verify_passed;
-              assignment = ClusterPair{s.id(centroid), id, d};
-              best = d;
-              if (best == 0) break;
-            }
-          }
-          out.push_back(assignment);
-        }
-        return out;
-      },
-      "randomClustering/assign");
-  // Force the assignment stage before reading the per-partition stat
-  // slots (lazy execution defers the lambda until materialization).
-  assignments.Cache();
-  JoinStats assign_stats;
-  for (const JoinStats& s : slots) assign_stats.MergeCounters(s);
-  assign_stats.PublishCounters(&ctx->counters(), "cl.randomClustering");
-  stats->MergeCounters(assign_stats);
-
-  std::unordered_set<RankingId> centroid_ids(clustering.centroids.begin(),
-                                             clustering.centroids.end());
-  for (const ClusterPair& assignment : assignments.Collect()) {
-    if (centroid_ids.count(assignment.member) > 0) continue;  // centroid
-    if (assignment.centroid == assignment.member) {
-      // No centroid within theta_c: de-facto singleton (the random
-      // strategy's weakness — this ranking may well have close
-      // neighbors that simply were not drawn as centroids).
-      clustering.singletons.push_back(assignment.member);
-    } else {
-      clustering.pairs.push_back(assignment);
-    }
-  }
-
-  stats->clusters = clustering.centroids.size();
-  stats->singletons = clustering.singletons.size();
-  stats->cluster_members = clustering.pairs.size();
-  minispark::CounterRegistry& registry = ctx->counters();
-  registry.Add("cl.clustering.clusters", stats->clusters);
-  registry.Add("cl.clustering.singletons", stats->singletons);
-  registry.Add("cl.clustering.members", stats->cluster_members);
   return clustering;
 }
 

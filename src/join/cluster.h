@@ -14,7 +14,7 @@ namespace rankjoin {
 
 /// One clustering-phase result tuple: `member` belongs to the cluster
 /// represented by `centroid` (the smaller id of the qualifying pair),
-/// at the given raw Footrule distance <= raw_theta_c.
+/// at the given raw distance <= raw_theta_c.
 struct ClusterPair {
   RankingId centroid = 0;
   RankingId member = 0;
@@ -41,21 +41,6 @@ struct Clustering {
 Clustering RunClusteringPhase(minispark::Context* ctx, const JoinStore& store,
                               const internal::SelfJoinSpec& spec,
                               JoinStats* stats);
-
-/// The alternative clustering the paper argues against (Section 5.1,
-/// following [22, 27]): `num_centroids` rankings are picked at random as
-/// centroids up front, every other ranking joins its closest centroid if
-/// that distance is within raw_theta_c, and everything else becomes a
-/// singleton. Radius stays bounded by theta_c, so the joining and
-/// expansion phases work unchanged. The paper predicts (and the
-/// ablation bench confirms) the drawbacks: the centroid count must be
-/// guessed, and with a small theta_c most random centroids attract no
-/// members, leaving many de-facto singletons.
-Clustering RunRandomCentroidClustering(minispark::Context* ctx,
-                                       const JoinStore& store,
-                                       int num_centroids,
-                                       uint32_t raw_theta_c, uint64_t seed,
-                                       JoinStats* stats);
 
 /// One joining-phase result: a qualifying centroid pair with its
 /// distance and the singleton markers needed by the expansion.

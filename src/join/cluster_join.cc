@@ -1,7 +1,7 @@
 #include "join/cluster_join.h"
 
-#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -77,7 +77,8 @@ void EmitWithTriangleBounds(const ExpansionContext& ectx, RankingId a,
   const JoinStore& store = *ectx.store;
   const RowIndex row_a = store.RowOf(a);
   const RowIndex row_b = store.RowOf(b);
-  if (SignatureBound(store.signature(row_a), store.signature(row_b)) >
+  if (store.kernel().signature_bound()(store.signature(row_a),
+                                      store.signature(row_b)) >
       ectx.raw_theta) {
     ++stats->signature_filtered;
     return;
@@ -376,9 +377,6 @@ static Result<JoinResult> RunClusterJoinImpl(minispark::Context* ctx,
   const int num_partitions = options.num_partitions > 0
                                  ? options.num_partitions
                                  : ctx->default_partitions();
-  const uint32_t raw_theta = RawThreshold(options.theta, dataset.k);
-  const uint32_t raw_theta_c = RawThreshold(options.theta_c, dataset.k);
-
   Stopwatch total;
   JoinResult result;
 
@@ -388,37 +386,40 @@ static Result<JoinResult> RunClusterJoinImpl(minispark::Context* ctx,
       ctx, dataset, options.reorder_by_frequency, num_partitions);
   result.stats.ordering_seconds = phase.ElapsedSeconds();
 
+  internal::RunClusterPhases(ctx, store,
+                             RawThreshold(options.theta, dataset.k),
+                             RawThreshold(options.theta_c, dataset.k),
+                             options, num_partitions, &result);
+  result.stats.total_seconds = total.ElapsedSeconds();
+  return result;
+}
+
+namespace internal {
+
+void RunClusterPhases(minispark::Context* ctx, const JoinStore& store,
+                      uint32_t raw_theta, uint32_t raw_theta_c,
+                      const ClOptions& options, int num_partitions,
+                      JoinResult* result) {
   // Phase 2: Clustering with theta_c.
-  phase.Reset();
-  internal::SelfJoinSpec cluster_spec;
+  Stopwatch phase;
+  SelfJoinSpec cluster_spec;
   cluster_spec.raw_theta = raw_theta_c;
-  cluster_spec.k = dataset.k;
+  cluster_spec.k = store.k();
   cluster_spec.num_partitions = num_partitions;
   cluster_spec.position_filter = options.position_filter;
   cluster_spec.prefix_mode = PrefixMode::kOverlap;
   cluster_spec.local_algorithm = options.clustering_algorithm;
   cluster_spec.counter_scope = "cl.clustering";
-  Clustering clustering;
-  if (options.clustering_strategy == ClusteringStrategy::kJoinBased) {
-    clustering = RunClusteringPhase(ctx, store, cluster_spec, &result.stats);
-  } else {
-    const int centroids =
-        options.random_centroids > 0
-            ? options.random_centroids
-            : std::max(1, static_cast<int>(store.size() / 10));
-    clustering = RunRandomCentroidClustering(ctx, store, centroids,
-                                             raw_theta_c,
-                                             options.random_centroid_seed,
-                                             &result.stats);
-  }
-  result.stats.clustering_seconds = phase.ElapsedSeconds();
+  Clustering clustering =
+      RunClusteringPhase(ctx, store, cluster_spec, &result->stats);
+  result->stats.clustering_seconds = phase.ElapsedSeconds();
 
   // Phase 3: Joining the centroids (Algorithm 1).
   phase.Reset();
   CentroidJoinSpec join_spec;
   join_spec.raw_theta = raw_theta;
   join_spec.raw_theta_c = raw_theta_c;
-  join_spec.k = dataset.k;
+  join_spec.k = store.k();
   join_spec.num_partitions = num_partitions;
   join_spec.position_filter = options.position_filter;
   join_spec.singleton_optimization = options.singleton_optimization;
@@ -426,24 +427,24 @@ static Result<JoinResult> RunClusterJoinImpl(minispark::Context* ctx,
   join_spec.adaptive_repartition = options.adaptive_repartition;
   std::vector<CentroidPair> rj =
       RunCentroidJoin(ctx, store, clustering.centroids, clustering.singletons,
-                      join_spec, &result.stats);
-  result.stats.joining_seconds = phase.ElapsedSeconds();
+                      join_spec, &result->stats);
+  result->stats.joining_seconds = phase.ElapsedSeconds();
 
   // Phase 4: Expansion (Algorithm 2).
   phase.Reset();
   if (options.resolve_overlaps) {
     ResolveOverlaps(&clustering);
-    result.stats.cluster_members = clustering.pairs.size();
+    result->stats.cluster_members = clustering.pairs.size();
   }
-  result.pairs = RunExpansion(ctx, store, clustering, rj, raw_theta,
-                              num_partitions, options.triangle_upper_shortcut,
-                              &result.stats);
-  result.stats.expansion_seconds = phase.ElapsedSeconds();
+  result->pairs = RunExpansion(ctx, store, clustering, rj, raw_theta,
+                               num_partitions,
+                               options.triangle_upper_shortcut,
+                               &result->stats);
+  result->stats.expansion_seconds = phase.ElapsedSeconds();
 
-  result.stats.result_pairs = result.pairs.size();
-  result.stats.total_seconds = total.ElapsedSeconds();
-  ctx->counters().Add("cl.result_pairs", result.stats.result_pairs);
-  return result;
+  result->stats.result_pairs = result->pairs.size();
+  ctx->counters().Add("cl.result_pairs", result->stats.result_pairs);
 }
 
+}  // namespace internal
 }  // namespace rankjoin

@@ -11,17 +11,6 @@
 
 namespace rankjoin {
 
-/// How the clustering phase forms its clusters.
-enum class ClusteringStrategy {
-  /// The paper's method: a theta_c self-join; the smaller id of each
-  /// qualifying pair becomes the centroid (Section 5.1).
-  kJoinBased,
-  /// The [22, 27]-style alternative the paper argues against: random
-  /// centroids chosen up front, points assigned to the closest centroid
-  /// within theta_c. Exposed for the ablation benchmark.
-  kRandomCentroids,
-};
-
 /// Configuration of the clustering-based join (paper Section 5).
 struct ClOptions {
   /// Normalized join threshold in [0, 1).
@@ -61,13 +50,6 @@ struct ClOptions {
   /// member keeps one representative, and cross-cluster pairs are
   /// recovered through the joining phase as before.
   bool resolve_overlaps = false;
-  /// Clustering phase variant; kJoinBased is the paper's algorithm.
-  ClusteringStrategy clustering_strategy = ClusteringStrategy::kJoinBased;
-  /// kRandomCentroids only: number of random centroids (0 picks
-  /// dataset_size / 10, a generous guess).
-  int random_centroids = 0;
-  /// kRandomCentroids only: RNG seed for the centroid draw.
-  uint64_t random_centroid_seed = 1234;
 };
 
 /// Runs the four-phase clustering join (Ordering, Clustering, Joining,
@@ -81,6 +63,20 @@ namespace internal {
 /// Validates CL parameter combinations (theta_c <= theta, enlarged
 /// threshold still below the disjoint-pair distance, ...).
 Status ValidateClOptions(const ClOptions& options, int k);
+
+/// Phases 2-4 of the clustering join (clustering, joining, expansion)
+/// over the store the ordering phase built, under raw thresholds of the
+/// store's distance: RunClusterJoin's Footrule thresholds or
+/// RunJaccardClusterJoin's |A xor B| ones. Lemmas 5.1 and 5.3 hold for
+/// both, since both raw distances are metrics, as long as
+/// raw_theta + 2 * raw_theta_c stays below the kernel's max_distance().
+/// Reads every field of `options` but theta, theta_c and
+/// reorder_by_frequency, and fills `result` but for its ordering and
+/// total times.
+void RunClusterPhases(minispark::Context* ctx, const JoinStore& store,
+                      uint32_t raw_theta, uint32_t raw_theta_c,
+                      const ClOptions& options, int num_partitions,
+                      JoinResult* result);
 }  // namespace internal
 
 }  // namespace rankjoin

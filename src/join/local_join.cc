@@ -49,6 +49,7 @@ void LocalPrefixJoin(const std::vector<PrefixPosting>& group,
   // row i's first pass.
   auto pair_loop = [&](auto width, auto&& set_outer, auto&& far) {
     constexpr int kChunks = decltype(width)::value;
+    const SignatureBound bound = kernel.signature_bound();
     for (size_t i = 0; i + 1 < n; ++i) {
       set_outer(i);
       const ItemSignature& a_signature = store.signature(group[i].row);
@@ -57,8 +58,7 @@ void LocalPrefixJoin(const std::vector<PrefixPosting>& group,
       for (size_t j = i + 1; j < n; ++j) {
         const bool filtered = far(j);
         const bool close =
-            SignatureBound(a_signature, store.signature(group[j].row)) <=
-            raw_theta;
+            bound(a_signature, store.signature(group[j].row)) <= raw_theta;
         survivors[kept] = static_cast<uint32_t>(j);
         near += !filtered;
         kept += !filtered & close;

@@ -44,28 +44,33 @@ struct PrefixPosting {
 /// rule of the joins: the pipelines emit postings with it and
 /// LocalPrefixJoin filters with it.
 ///
-/// kOverlap posts the rank-weighted prefix (ALGORITHMS.md §2): canonical
-/// position p while W(p) = sum over t >= p of (k - canonical[t]) is at
-/// least T = ceil((k(k+1) - raw_theta) / 2). A pair's distance is
-/// k(k+1) - 2 * sum over shared items of (k - max(r, s)), and every
-/// shared item sits at or after the pair's first shared item x in both
-/// canonical orders, so a qualifying pair has W(x) >= T in both rows:
-/// x is in both prefixes. W falls as p grows, so the posted positions
-/// start the canonical order, and W(0) = k(k+1)/2 >= T keeps at least
-/// one. kOrdered posts the items at ranks below OrderedPrefix (Lemma
-/// 4.1), the best-ranked ones.
+/// kOverlap posts the rank-weighted prefix (ALGORITHMS.md §2) under the
+/// rank weights w of the store's kernel: canonical position p while
+/// W(p) = sum over t >= p of w(canonical[t]) is at least
+/// T = ceil((max_distance - raw_theta) / 2). A pair's distance is
+/// max_distance - 2 * sum over shared items of min(w(r), w(s)), and
+/// every shared item sits at or after the pair's first shared item x in
+/// both canonical orders, so a qualifying pair has W(x) >= T in both
+/// rows: x is in both prefixes. W falls as p grows, so the posted
+/// positions start the canonical order, and W(0) = max_distance / 2 >= T
+/// keeps at least one. Footrule weighs rank r with k - r; Jaccard's unit
+/// weights post the overlap prefix of k - o + 1 items, o the least
+/// overlap the threshold lets through. kOrdered (Footrule only) posts
+/// the items at ranks below OrderedPrefix (Lemma 4.1), the best-ranked
+/// ones.
 template <typename Fn>
 void ForEachPrefixRank(const JoinStore& store, RowIndex row,
                        uint32_t raw_theta, PrefixMode mode, Fn&& fn) {
   const uint16_t* canonical = store.canonical(row);
   const int k = store.k();
   if (mode == PrefixMode::kOverlap) {
-    const int64_t max_distance = int64_t{k} * (k + 1);
+    const PairKernel& kernel = store.kernel();
+    const int64_t max_distance = kernel.max_distance();
     const int64_t needed = (max_distance - raw_theta + 1) / 2;
     int64_t weight = max_distance / 2;
     for (int t = 0; t < k && weight >= needed; ++t) {
       fn(canonical[t]);
-      weight -= k - canonical[t];
+      weight -= kernel.weight(canonical[t]);
     }
   } else {
     const int ranks = OrderedPrefix(raw_theta, k);
@@ -130,7 +135,7 @@ class PrefixOwner {
 
 /// The (prefix item, posting) pairs of one row joined under raw
 /// threshold `raw_theta` (ForEachPrefixRank): the flat-map step of every
-/// Footrule prefix-filtering pipeline.
+/// prefix-filtering pipeline.
 std::vector<std::pair<ItemId, PrefixPosting>> EmitPrefix(
     const JoinStore& store, RowIndex row, uint32_t raw_theta,
     PrefixMode mode, bool singleton = false);
@@ -168,6 +173,7 @@ void JoinOuterPosting(const JoinStore& store, const PrefixPosting& a,
                       int rank_limit, uint32_t* survivors,
                       std::vector<ScoredPair>* out, JoinStats* stats) {
   const ItemSignature& a_signature = store.signature(a.row);
+  const SignatureBound bound = store.kernel().signature_bound();
   size_t others = 0;
   size_t near = 0;
   size_t kept = 0;
@@ -179,8 +185,7 @@ void JoinOuterPosting(const JoinStore& store, const PrefixPosting& a,
         !position_filter ||
         PositionFilterPasses(a.key_rank, b.key_rank, theta);
     const bool passes = other & ranks_close;
-    const bool close =
-        SignatureBound(a_signature, store.signature(b.row)) <= theta;
+    const bool close = bound(a_signature, store.signature(b.row)) <= theta;
     survivors[kept] = static_cast<uint32_t>(j);
     others += other;
     near += passes;

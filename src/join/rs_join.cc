@@ -31,6 +31,7 @@ void RsGroupJoin(const JoinStore& r, const JoinStore& s,
                  bool position_filter, std::vector<ScoredPair>* out,
                  JoinStats* stats) {
   const PairKernel& kernel = r.kernel();
+  const SignatureBound bound = kernel.signature_bound();
   for (const SidedPosting& a : group) {
     if (a.from_s) continue;
     const PrefixOwner owner(r, a.posting, r.k());
@@ -43,8 +44,8 @@ void RsGroupJoin(const JoinStore& r, const JoinStore& s,
         ++stats->position_filtered;
         continue;
       }
-      if (SignatureBound(r.signature(a.posting.row),
-                         s.signature(b.posting.row)) > raw_theta) {
+      if (bound(r.signature(a.posting.row), s.signature(b.posting.row)) >
+          raw_theta) {
         ++stats->signature_filtered;
         continue;
       }

@@ -19,7 +19,8 @@ constexpr ResultPair MakeResultPair(RankingId a, RankingId b) {
   return a < b ? ResultPair{a, b} : ResultPair{b, a};
 }
 
-/// A result pair annotated with its raw Footrule distance. Join stages
+/// A result pair annotated with its raw distance (the store kernel's:
+/// Footrule, or |A xor B| in the Jaccard joins). Join stages
 /// emit these so downstream phases (cluster formation, expansion
 /// filters) can reuse the distance without recomputation.
 using ScoredPair = std::pair<ResultPair, uint32_t>;

@@ -38,7 +38,8 @@ Status ValidateVjOptions(const VjOptions& options, int k) {
 }
 
 JoinStore OrderDataset(minispark::Context* ctx, const RankingDataset& dataset,
-                       bool reorder_by_frequency, int num_partitions) {
+                       bool reorder_by_frequency, int num_partitions,
+                       Distance distance) {
   // The views borrow the columnar store's memory, which outlives the
   // stages here because the caller holds the dataset across the join.
   const FlatRankings& flat = dataset.store();
@@ -87,7 +88,7 @@ JoinStore OrderDataset(minispark::Context* ctx, const RankingDataset& dataset,
   for (const std::vector<uint16_t>& block : blocks.Collect()) {
     canonical.insert(canonical.end(), block.begin(), block.end());
   }
-  return JoinStore::Assemble(flat, std::move(canonical));
+  return JoinStore::Assemble(flat, std::move(canonical), distance);
 }
 
 std::vector<ScoredPair> DistributedSelfJoin(minispark::Context* ctx,

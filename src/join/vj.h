@@ -53,7 +53,8 @@ struct VjOptions {
 
 /// Runs the Vernica-Join adaptation for top-k rankings (paper Section 4)
 /// as a minispark pipeline: frequency ordering, prefix flat-map,
-/// group-by-item, per-group local join, global deduplication.
+/// group-by-item, per-group local join (each pair from the one group
+/// that owns it).
 Result<JoinResult> RunVjJoin(minispark::Context* ctx,
                              const RankingDataset& dataset,
                              const VjOptions& options);
@@ -65,9 +66,11 @@ Status ValidateVjOptions(const VjOptions& options, int k);
 
 /// Ordering phase: counts item frequencies and canonicalizes every
 /// ranking, all as dataflow stages, into the job's JoinStore (rows in
-/// input order). Stage metrics accumulate into the context.
+/// input order), whose kernel computes `distance`. Stage metrics
+/// accumulate into the context.
 JoinStore OrderDataset(minispark::Context* ctx, const RankingDataset& dataset,
-                       bool reorder_by_frequency, int num_partitions);
+                       bool reorder_by_frequency, int num_partitions,
+                       Distance distance = Distance::kFootrule);
 
 /// Spec for a distributed prefix-filter self-join over already-ordered
 /// rankings (reused by the CL clustering phase, which joins the whole
@@ -88,8 +91,8 @@ struct SelfJoinSpec {
   std::string counter_scope = "selfJoin";
 };
 
-/// Distributed self-join over every row of `store`. Returns
-/// deduplicated scored pairs with raw distance <= spec.raw_theta.
+/// Distributed self-join over every row of `store`. Returns each scored
+/// pair with raw distance <= spec.raw_theta once.
 std::vector<ScoredPair> DistributedSelfJoin(minispark::Context* ctx,
                                             const JoinStore& store,
                                             const SelfJoinSpec& spec,

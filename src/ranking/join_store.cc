@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "ranking/footrule.h"
 #include "ranking/reorder.h"
 
 namespace rankjoin {
@@ -21,28 +20,54 @@ namespace {
 /// the item signatures.
 constexpr uint64_t kFibonacci = 0x9E3779B97F4A7C15ull;
 
+/// The rank weights of a distance (PairKernel): the one place that
+/// tells Footrule and Jaccard apart.
+uint32_t RankWeight(Distance distance, int k, int rank) {
+  return distance == Distance::kFootrule ? static_cast<uint32_t>(k - rank)
+                                         : 1;
+}
+
 }  // namespace
 
-PairKernel::PairKernel(int k)
+PairKernel::PairKernel(int k, rankjoin::Distance distance)
     : k_(k),
       chunks_((k + kLanes - 1) / kLanes),
-      max_distance_(MaxFootrule(k)),
+      weights_(static_cast<size_t>(k)),
       left_(static_cast<size_t>(stride()), Splat(0)),
       diagonal_(static_cast<size_t>(stride()), Splat(0)),
-      right_(static_cast<size_t>(chunks_), Splat(0)),
-      real_(static_cast<size_t>(chunks_), Splat(0)) {
+      right_(static_cast<size_t>(chunks_), Splat(0)) {
+  uint32_t total = 0;
+  for (int r = 0; r < k; ++r) {
+    weights_[static_cast<size_t>(r)] = RankWeight(distance, k, r);
+    RANKJOIN_CHECK(r == 0 || weight(r) <= weight(r - 1))
+        << "rank weights must not increase";
+    total += weight(r);
+  }
+  max_distance_ = 2 * total;
   for (int s = 0; s < k; ++s) {
-    right_[static_cast<size_t>(s / kLanes)][s % kLanes] =
-        static_cast<uint32_t>(k - s);
-    real_[static_cast<size_t>(s / kLanes)][s % kLanes] = 1;
+    right_[static_cast<size_t>(s / kLanes)][s % kLanes] = weight(s);
   }
   for (int r = 0; r < k; ++r) {
-    left_[static_cast<size_t>(r)] = Splat(static_cast<uint32_t>(k - r));
+    left_[static_cast<size_t>(r)] = Splat(weight(r));
     const int first = r / kLanes * kLanes;
     for (int s = first; s < std::min(first + kLanes, k); ++s) {
       diagonal_[static_cast<size_t>(r)][s - first] =
-          static_cast<uint32_t>(k - std::max(r, s));
+          std::min(weight(r), weight(s));
     }
+  }
+  // The m smallest weights are the last m. When they step by a constant
+  // d from w(k - 1), twice their sum is m * (d * m + 2 * w(k - 1) - d);
+  // the check below holds for both distances and every k.
+  if (k > 0) {
+    const uint32_t step = k > 1 ? weight(k - 2) - weight(k - 1) : 0;
+    bound_ = SignatureBound(step, 2 * weight(k - 1) - step);
+  }
+  uint32_t smallest_sum = 0;
+  for (int m = 1; m <= k; ++m) {
+    smallest_sum += weight(k - m);
+    RANKJOIN_CHECK(bound_.ForMissing(static_cast<uint32_t>(m)) ==
+                   2 * smallest_sum)
+        << "the signature bound needs evenly spaced smallest weights";
   }
 }
 
@@ -82,24 +107,26 @@ ItemSignature SignatureOf(const ItemId* items, int k) {
 }
 
 JoinStore JoinStore::Build(const FlatRankings& rankings,
-                           const ItemOrder& order) {
+                           const ItemOrder& order,
+                           rankjoin::Distance distance) {
   const size_t k = static_cast<size_t>(rankings.k());
   std::vector<uint16_t> canonical(rankings.size() * k);
   for (size_t i = 0; i < rankings.size(); ++i) {
     CanonicalRanks(rankings.items() + i * k, rankings.k(), order,
                    canonical.data() + i * k);
   }
-  return Assemble(rankings, std::move(canonical));
+  return Assemble(rankings, std::move(canonical), distance);
 }
 
 JoinStore JoinStore::Assemble(const FlatRankings& rankings,
-                              std::vector<uint16_t> canonical) {
+                              std::vector<uint16_t> canonical,
+                              rankjoin::Distance distance) {
   const size_t n = rankings.size();
   const size_t k = static_cast<size_t>(rankings.k());
   RANKJOIN_CHECK(canonical.size() == n * k);
   RANKJOIN_CHECK(n < kEmpty) << "too many rankings for 32-bit row indices";
   JoinStore store;
-  store.kernel_ = PairKernel(rankings.k());
+  store.kernel_ = PairKernel(rankings.k(), distance);
   store.stride_ = static_cast<size_t>(store.kernel_.stride());
   store.ids_.assign(rankings.ids(), rankings.ids() + n);
   store.items_.assign(n * store.stride_, 0);

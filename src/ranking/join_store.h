@@ -69,7 +69,7 @@ inline uint32_t SharedWeightRows(int k, const uint32_t* a, const uint32_t* b,
   return SumLanes(sum);
 }
 
-/// Sum over a_r = b_s of k - max(r, s). The compare is written out by
+/// Sum over a_r = b_s of min(w(r), w(s)). The compare is written out by
 /// fold expressions over the rows and chunks of whole-chunk rows; the
 /// rows r >= k are padding and weigh zero. Row r takes weight left[r]
 /// on the chunks before its own, diagonal[r] on its own and right[c] on
@@ -101,20 +101,6 @@ inline uint32_t SharedWeight(int chunks, const uint32_t* a,
   return SumLanes(sum);
 }
 
-/// Sum over r < k and the lanes s of b with a_r = b_s of real[c][s].
-/// kChunks > 0 fixes the chunk count at compile time.
-template <int kChunks>
-inline uint32_t SharedCount(int k, int chunks, const uint32_t* a,
-                            const uint32_t* b, const Lanes* real) {
-  const int n = kChunks > 0 ? kChunks : chunks;
-  Lanes sum = Splat(0);
-  for (int r = 0; r < k; ++r) {
-    const Lanes item = Splat(a[r]);
-    for (int c = 0; c < n; ++c) sum += Equal(item, b, c) & real[c];
-  }
-  return SumLanes(sum);
-}
-
 /// True when some a_r, r in `ranks`, equals a lane s of b that is set in
 /// `b_prefix` and in far[i][s] (`far` holds one row of chunks per rank).
 /// kChunks > 0 fixes the chunk count at compile time.
@@ -137,32 +123,126 @@ inline bool AnyFar(int chunks, const uint32_t* a, const int* ranks,
 
 }  // namespace kernel_internal
 
+/// A row's item set folded into 128 bits: item x sets bit
+/// (x * 0x9E3779B97F4A7C15) >> 57, the Fibonacci hash of the id -> row
+/// lookup. Pad lanes are not included, and the bits depend only on the
+/// item ids, so signatures of rows from different stores (R and S, a
+/// query row) compare directly.
+struct ItemSignature {
+  uint64_t words[2] = {0, 0};
+};
+
+/// The signature of the k items at `items`.
+ItemSignature SignatureOf(const ItemId* items, int k);
+
+namespace kernel_internal {
+
+/// Set bits of x and y together, counted with shifts and masks: nibble
+/// counts of both words are summed, then folded once. Without -mpopcnt,
+/// std::popcount lowers to a libgcc call per word, which made a probe
+/// of the pair loops' first pass 1.34x slower (DESIGN.md "Join store").
+inline uint32_t PopcountPair(uint64_t x, uint64_t y) {
+  constexpr uint64_t kOdd = 0x5555555555555555ull;
+  constexpr uint64_t kPairs = 0x3333333333333333ull;
+  constexpr uint64_t kNibbles = 0x0F0F0F0F0F0F0F0Full;
+  x -= (x >> 1) & kOdd;
+  y -= (y >> 1) & kOdd;
+  x = (x & kPairs) + ((x >> 2) & kPairs);
+  y = (y & kPairs) + ((y >> 2) & kPairs);
+  uint64_t sum = x + y;  // every nibble <= 8
+  sum = (sum & kNibbles) + ((sum >> 4) & kNibbles);  // every byte <= 16
+  return static_cast<uint32_t>((sum * 0x0101010101010101ull) >> 56);
+}
+
+}  // namespace kernel_internal
+
+/// A lower bound on the distance of two valid rows (k distinct items
+/// each) from their signatures alone. A bit set in one signature and
+/// clear in the other stands for at least one item the other row lacks,
+/// and both rows miss as many items of each other, so with
+/// m = ceil(popcount(a ^ b) / 2) each row holds at least m items the
+/// other lacks. Their weights are missing from the pair's shared sum, so
+/// the distance is at least twice the sum of the m smallest rank weights
+/// (PairKernel), which the kernel gives in closed form as
+/// m * (m * quadratic + linear): m(m + 1) for Footrule (the fact
+/// MinOverlap uses) and 2m for Jaccard. A pair loop copies the bound
+/// from PairKernel::signature_bound() into a local first, so that both
+/// coefficients stay in registers.
+class SignatureBound {
+ public:
+  constexpr SignatureBound(uint32_t quadratic, uint32_t linear)
+      : quadratic_(quadratic), linear_(linear) {}
+
+  /// The bound for m items missing from each row.
+  uint32_t ForMissing(uint32_t m) const {
+    return m * (m * quadratic_ + linear_);
+  }
+
+  uint32_t operator()(const ItemSignature& a, const ItemSignature& b) const {
+    const uint32_t differing = kernel_internal::PopcountPair(
+        a.words[0] ^ b.words[0], a.words[1] ^ b.words[1]);
+    return ForMissing((differing + 1) / 2);
+  }
+
+ private:
+  uint32_t quadratic_;
+  uint32_t linear_;
+};
+
+/// The distance a join store's kernel computes. Each is set by one
+/// non-increasing weight per rank, w(r); the kernel, the rank-weighted
+/// prefix (ForEachPrefixRank) and the signature bound derive everything
+/// else from the weights (ALGORITHMS.md §2).
+enum class Distance {
+  /// Spearman's Footrule with missing items at rank k (paper Section 3):
+  /// w(r) = k - r.
+  kFootrule,
+  /// The Jaccard joins' raw distance |A xor B| = 2(k - overlap) of two
+  /// size-k sets (paper Section 8): w(r) = 1.
+  kJaccard,
+};
+
 /// The verification kernel of the distributed joins and range search. It
 /// reads join-store rows: a ranking's k items in rank order, padded to a
 /// whole number of 4-lane chunks.
 ///
-/// Footrule with missing items at rank k gives two disjoint rankings the
-/// distance k(k+1); every shared item a_r = b_s takes back
-/// (k - r) + (k - s) - |r - s| = 2(k - max(r, s)) of it:
+/// Both distances are set by rank weights w(r), non-increasing in r. Two
+/// disjoint rows are 2 * (sum of w) apart, and every shared item
+/// a_r = b_s takes back 2 * min(w(r), w(s)) of it:
 ///
-///   d(a, b) = k(k+1) - 2 * sum over a_r = b_s of (k - max(r, s))
+///   d(a, b) = 2 * sum of w - 2 * sum over a_r = b_s of min(w(r), w(s))
+///
+/// Footrule's w(r) = k - r gives k(k+1) - 2 * sum of (k - max(r, s)):
+/// with missing items at rank k, a shared item takes back
+/// (k - r) + (k - s) - |r - s| = 2(k - max(r, s)). Jaccard's w(r) = 1
+/// gives 2k - 2 * overlap = |A xor B|.
 ///
 /// The kernel evaluates the sum as a k x ceil(k/4) lane-equality compare:
 /// each item of a is broadcast against every chunk of b, and each equal
-/// lane adds its weight. Left of lane r every lane weighs k - r, right of
-/// it lane s weighs k - s, so the weights take O(k) tables. Pad lanes
-/// weigh zero, whatever item they hold. Jaccard's overlap is the same
-/// compare with unit weights. Nothing branches on the items; the
-/// merge-join FootruleDistanceBounded stays as the independent oracle.
+/// lane adds its weight. Left of lane r every lane weighs w(r), right of
+/// it lane s weighs w(s), so the weights take O(k) tables. Pad lanes
+/// weigh zero, whatever item they hold. Nothing branches on the items;
+/// the merge-join FootruleDistanceBounded and SetOverlap stay as the
+/// independent oracles.
 class PairKernel {
  public:
   PairKernel() = default;
-  explicit PairKernel(int k);
+  explicit PairKernel(
+      int k, rankjoin::Distance distance = rankjoin::Distance::kFootrule);
 
   int k() const { return k_; }
   int chunks() const { return chunks_; }
   /// Lanes per row: k rounded up to whole chunks.
   int stride() const { return chunks_ * kernel_internal::kLanes; }
+
+  /// The weight w(rank) of a rank below k.
+  uint32_t weight(int rank) const {
+    return weights_[static_cast<size_t>(rank)];
+  }
+  /// 2 * sum of the weights: the distance of two disjoint rows.
+  uint32_t max_distance() const { return max_distance_; }
+  /// The signature bound of this kernel's weights.
+  SignatureBound signature_bound() const { return bound_; }
 
   /// Calls fn(std::integral_constant<int, kChunks>) with the row width as
   /// a compile-time constant (kChunks = chunks() for k <= 32, and 0 for
@@ -184,7 +264,7 @@ class PairKernel {
     }
   }
 
-  /// Raw Footrule distance of two rows.
+  /// Raw distance of two rows.
   template <int kChunks>
   uint32_t DistanceAt(const ItemId* a, const ItemId* b) const {
     if constexpr (kChunks > 0) {
@@ -204,27 +284,22 @@ class PairKernel {
     });
   }
 
-  /// Number of items two rows share.
-  uint32_t Overlap(const ItemId* a, const ItemId* b) const {
-    return WithChunks([&](auto width) {
-      return kernel_internal::SharedCount<decltype(width)::value>(
-          k_, chunks_, a, b, real_.data());
-    });
-  }
 
  private:
   int k_ = 0;
   int chunks_ = 0;
   uint32_t max_distance_ = 0;
+  SignatureBound bound_{0, 0};
+  /// w(r) for r < k.
+  std::vector<uint32_t> weights_;
   /// Per row r of a padded row (r < stride()); zero for r >= k.
-  /// left_[r]: every lane weighs k - r (the lanes s < r).
+  /// left_[r]: every lane weighs w(r) (the lanes s < r).
   std::vector<kernel_internal::Lanes> left_;
-  /// diagonal_[r]: the chunk holding lane r; lane s weighs k - max(r, s).
+  /// diagonal_[r]: the chunk holding lane r; lane s weighs
+  /// min(w(r), w(s)).
   std::vector<kernel_internal::Lanes> diagonal_;
-  /// right_[c]: lane s weighs k - s, its weight for every row r < s.
+  /// right_[c]: lane s weighs w(s), its weight for every row r < s.
   std::vector<kernel_internal::Lanes> right_;
-  /// real_[c]: lane s weighs 1.
-  std::vector<kernel_internal::Lanes> real_;
 };
 
 /// The prefix join's position filter (paper Section 4): a pair fails
@@ -266,54 +341,6 @@ class PrefixFilterKernel {
   std::vector<kernel_internal::Lanes> outer_far_;
 };
 
-/// A row's item set folded into 128 bits: item x sets bit
-/// (x * 0x9E3779B97F4A7C15) >> 57, the Fibonacci hash of the id -> row
-/// lookup. Pad lanes are not included, and the bits depend only on the
-/// item ids, so signatures of rows from different stores (R and S, a
-/// query row) compare directly.
-struct ItemSignature {
-  uint64_t words[2] = {0, 0};
-};
-
-/// The signature of the k items at `items`.
-ItemSignature SignatureOf(const ItemId* items, int k);
-
-namespace kernel_internal {
-
-/// Set bits of x and y together, counted with shifts and masks: nibble
-/// counts of both words are summed, then folded once. Without -mpopcnt,
-/// std::popcount lowers to a libgcc call per word, which made a probe
-/// of the pair loops' first pass 1.34x slower (DESIGN.md "Join store").
-inline uint32_t PopcountPair(uint64_t x, uint64_t y) {
-  constexpr uint64_t kOdd = 0x5555555555555555ull;
-  constexpr uint64_t kPairs = 0x3333333333333333ull;
-  constexpr uint64_t kNibbles = 0x0F0F0F0F0F0F0F0Full;
-  x -= (x >> 1) & kOdd;
-  y -= (y >> 1) & kOdd;
-  x = (x & kPairs) + ((x >> 2) & kPairs);
-  y = (y & kPairs) + ((y >> 2) & kPairs);
-  uint64_t sum = x + y;  // every nibble <= 8
-  sum = (sum & kNibbles) + ((sum >> 4) & kNibbles);  // every byte <= 16
-  return static_cast<uint32_t>((sum * 0x0101010101010101ull) >> 56);
-}
-
-}  // namespace kernel_internal
-
-/// A lower bound on the Footrule distance of two valid top-k rows (k
-/// distinct items each) from their signatures alone. A bit set in one
-/// signature and clear in the other stands for at least one item the
-/// other row lacks, and both rows miss as many items of each other, so
-/// with m = ceil(popcount(a ^ b) / 2) each row holds at least m items
-/// the other lacks. A Footrule distance with m unshared items per side
-/// is at least m(m + 1) (the fact MinOverlap uses), and so is d(a, b).
-inline uint32_t SignatureBound(const ItemSignature& a,
-                               const ItemSignature& b) {
-  const uint32_t differing = kernel_internal::PopcountPair(
-      a.words[0] ^ b.words[0], a.words[1] ^ b.words[1]);
-  const uint32_t m = (differing + 1) / 2;
-  return m * (m + 1);
-}
-
 /// The flat join store: one row per ranking, built once per job by the
 /// ordering phase and shared read-only by every stage of the join (the
 /// range indexes build and keep one too).
@@ -330,14 +357,17 @@ class JoinStore {
   JoinStore() = default;
 
   /// Builds the store on the calling thread, canonicalizing every
-  /// ranking under `order`.
-  static JoinStore Build(const FlatRankings& rankings, const ItemOrder& order);
+  /// ranking under `order`; its kernel computes `distance`.
+  static JoinStore Build(
+      const FlatRankings& rankings, const ItemOrder& order,
+      rankjoin::Distance distance = rankjoin::Distance::kFootrule);
 
   /// Assembles the store from canonical orders computed elsewhere (the
   /// ordering stage): `canonical` holds k ranks per ranking, in the
   /// order of `rankings`.
-  static JoinStore Assemble(const FlatRankings& rankings,
-                            std::vector<uint16_t> canonical);
+  static JoinStore Assemble(
+      const FlatRankings& rankings, std::vector<uint16_t> canonical,
+      rankjoin::Distance distance = rankjoin::Distance::kFootrule);
 
   int k() const { return kernel_.k(); }
   size_t size() const { return ids_.size(); }
@@ -367,9 +397,6 @@ class JoinStore {
 
   uint32_t Distance(RowIndex a, RowIndex b) const {
     return kernel_.Distance(items(a), items(b));
-  }
-  uint32_t Overlap(RowIndex a, RowIndex b) const {
-    return kernel_.Overlap(items(a), items(b));
   }
 
  private:

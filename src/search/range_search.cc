@@ -157,11 +157,12 @@ Result<std::vector<RankingId>> PrefixRangeIndex::Query(
   uint64_t verified = 0;
   kernel.WithChunks([&](auto width) {
     constexpr int kChunks = decltype(width)::value;
+    const SignatureBound bound = kernel.signature_bound();
     for (RowIndex row : marks.alive_rows) {
       if (marks.stamps[row] != alive || store_.id(row) == query.id()) {
         continue;
       }
-      if (SignatureBound(q_signature, store_.signature(row)) > raw_theta) {
+      if (bound(q_signature, store_.signature(row)) > raw_theta) {
         ++pruned;
         continue;
       }
@@ -251,6 +252,7 @@ Result<std::vector<RankingId>> CoarseRangeIndex::Query(
   const PairKernel& kernel = store_.kernel();
   const std::vector<ItemId> q = QueryRow(query, kernel);
   const ItemSignature q_signature = SignatureOf(q.data(), k());
+  const SignatureBound bound = kernel.signature_bound();
 
   std::vector<RankingId> result;
   for (const Group& group : groups_) {
@@ -280,8 +282,7 @@ Result<std::vector<RankingId>> CoarseRangeIndex::Query(
         result.push_back(id);
         continue;
       }
-      if (SignatureBound(q_signature, store_.signature(member.row)) >
-          raw_theta) {
+      if (bound(q_signature, store_.signature(member.row)) > raw_theta) {
         ++stats->signature_filtered;
         continue;
       }

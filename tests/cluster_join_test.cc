@@ -176,52 +176,6 @@ TEST(ClusterJoinTest, DenseNearDuplicateDataset) {
   EXPECT_GT(result->stats.cluster_members, 0u);
 }
 
-TEST(ClusterJoinTest, RandomCentroidStrategyCorrect) {
-  // The [22, 27]-style clustering must still produce the exact result
-  // set for any centroid count, including degenerate ones.
-  RankingDataset ds = SmallSkewedDataset(313);
-  minispark::Context ctx(TestCluster());
-  std::set<ResultPair> expected = Truth(ds, 0.3);
-  for (int centroids : {1, 10, 50, 1000}) {
-    ClOptions options;
-    options.theta = 0.3;
-    options.theta_c = 0.03;
-    options.clustering_strategy = ClusteringStrategy::kRandomCentroids;
-    options.random_centroids = centroids;
-    auto result = RunClusterJoin(&ctx, ds, options);
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(PairSet(result->pairs), expected) << centroids;
-  }
-}
-
-TEST(ClusterJoinTest, RandomCentroidsFormFewerClusters) {
-  // The paper's argument: with a tiny theta_c, random centroids rarely
-  // attract members, so most of the dataset degrades to singletons.
-  GeneratorOptions generator;
-  generator.k = 10;
-  generator.num_rankings = 400;
-  generator.domain_size = 400;
-  generator.near_duplicate_rate = 0.4;
-  generator.max_perturbations = 1;
-  generator.seed = 314;
-  RankingDataset ds = GenerateDataset(generator);
-  minispark::Context ctx(TestCluster());
-
-  ClOptions join_based;
-  join_based.theta = 0.3;
-  join_based.theta_c = 0.03;
-  ClOptions random = join_based;
-  random.clustering_strategy = ClusteringStrategy::kRandomCentroids;
-  random.random_centroids = 40;
-
-  auto a = RunClusterJoin(&ctx, ds, join_based);
-  auto b = RunClusterJoin(&ctx, ds, random);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(PairSet(a->pairs), PairSet(b->pairs));
-  EXPECT_GT(a->stats.cluster_members, b->stats.cluster_members);
-}
-
 TEST(ClusterJoinTest, ResolveOverlapsToggle) {
   // Keeping only the closest centroid per member must not change the
   // result set, only the expansion workload.

@@ -178,15 +178,17 @@ std::vector<ItemId> PrefixItems(const JoinStore& store, RowIndex row,
 }
 
 /// Exhaustive check of the rank-weighted prefix (ForEachPrefixRank under
-/// kOverlap) over every top-k list of a small universe and every raw
-/// threshold: each prefix holds 1 to OverlapPrefix items and is the
-/// start of the row's canonical order, and the first shared item in
-/// canonical order of every qualifying pair is in both rows' prefixes.
-/// With `check_ownership`, exactly one of the posting groups a
-/// qualifying pair meets in owns it, also when the two rows post under
-/// different thresholds at or above the pair's (the centroid join's mm
-/// and ms classes).
-void CheckWeightedPrefix(int k, uint32_t universe, bool check_ownership) {
+/// kOverlap) with the rank weights of `distance`, over every top-k list
+/// of a small universe and every raw threshold: each prefix holds 1 to
+/// OverlapPrefix items (Footrule) or floor(raw_theta / 2) + 1 items
+/// (Jaccard's unit weights) and is the start of the row's canonical
+/// order, and the first shared item in canonical order of every
+/// qualifying pair is in both rows' prefixes. With `check_ownership`,
+/// exactly one of the posting groups a qualifying pair meets in owns it,
+/// also when the two rows post under different thresholds at or above
+/// the pair's (the centroid join's mm and ms classes).
+void CheckWeightedPrefix(int k, uint32_t universe, bool check_ownership,
+                         Distance distance = Distance::kFootrule) {
   const std::vector<Ranking> lists = AllLists(k, universe);
   size_t permutations = 1;  // universe! / (universe - k)!
   for (int i = 0; i < k; ++i) permutations *= universe - i;
@@ -197,14 +199,24 @@ void CheckWeightedPrefix(int k, uint32_t universe, bool check_ownership) {
                                                {3, 2}, {4, 6}, {5, 4}};
   const ItemOrder order = ItemOrder::FromFrequencies(freq);
   const auto ordered = MakeOrderedDataset(lists, order);
-  const JoinStore store =
-      JoinStore::Build(FlatRankings::FromRankings(k, lists), order);
-  const uint32_t max_theta = MaxFootrule(k);
+  const JoinStore store = JoinStore::Build(
+      FlatRankings::FromRankings(k, lists), order, distance);
+  const bool footrule = distance == Distance::kFootrule;
+  const uint32_t max_theta = footrule ? MaxFootrule(k) : 2 * k;
+  ASSERT_EQ(store.kernel().max_distance(), max_theta);
+  // The reference distance of rows i and j.
+  auto reference = [&](size_t i, size_t j) {
+    return footrule ? FootruleDistance(ordered[i], ordered[j])
+                    : static_cast<uint32_t>(
+                          2 * (k - SetOverlap(ordered[i], ordered[j])));
+  };
 
   // prefixes[theta][row]: the row's prefix items under theta.
   std::vector<std::vector<std::vector<ItemId>>> prefixes(max_theta);
   for (uint32_t theta = 0; theta < max_theta; ++theta) {
-    const size_t longest = static_cast<size_t>(OverlapPrefix(theta, k));
+    const size_t longest = footrule
+                               ? static_cast<size_t>(OverlapPrefix(theta, k))
+                               : theta / 2 + 1;
     for (RowIndex row = 0; row < store.size(); ++row) {
       std::vector<ItemId> items = PrefixItems(store, row, theta);
       EXPECT_GE(items.size(), 1u) << "row " << row << " theta " << theta;
@@ -225,7 +237,7 @@ void CheckWeightedPrefix(int k, uint32_t universe, bool check_ownership) {
   for (uint32_t raw_theta = 0; raw_theta < max_theta; ++raw_theta) {
     for (size_t i = 0; i < ordered.size(); ++i) {
       for (size_t j = i + 1; j < ordered.size(); ++j) {
-        if (FootruleDistance(ordered[i], ordered[j]) > raw_theta) continue;
+        if (reference(i, j) > raw_theta) continue;
         ++checked;
         // The first shared item in canonical order: the order is global,
         // so it is i's first canonical item that j holds.
@@ -273,11 +285,13 @@ void CheckWeightedPrefix(int k, uint32_t universe, bool check_ownership) {
 
 /// The rank-weighted prefix at k = 3 over 6 items (120 lists; k = 3
 /// leaves one pad lane, which holds item 0, and item 0 is in the
-/// universe), with the ownership check. This validates the theory the
+/// universe), with the ownership check, under Footrule's weights and
+/// under Jaccard's unit weights. This validates the theory the
 /// distributed pipelines rely on, through the library's own EmitPrefix
 /// and PrefixOwner, independent of the pipelines themselves.
 TEST(FuzzReferenceTest, OverlapPrefixCompletenessExhaustive) {
   CheckWeightedPrefix(3, 6, /*check_ownership=*/true);
+  CheckWeightedPrefix(3, 6, /*check_ownership=*/true, Distance::kJaccard);
 }
 
 /// Completeness of the rank-weighted prefix at k = 4 over 6 items (360
@@ -322,8 +336,9 @@ TEST(FuzzReferenceTest, OrderedPrefixCompletenessExhaustive) {
   }
 }
 
-/// Jaccard prefix completeness, randomized: qualifying pairs must share
-/// a canonical prefix token.
+/// Jaccard prefix completeness, randomized: under the raw threshold
+/// 2(k - JaccardMinOverlap), the unit-weight prefixes of every
+/// qualifying pair share an item.
 TEST(FuzzReferenceTest, JaccardPrefixCompletenessRandom) {
   GeneratorOptions options;
   options.k = 8;
@@ -334,21 +349,21 @@ TEST(FuzzReferenceTest, JaccardPrefixCompletenessRandom) {
   ItemOrder order =
       ItemOrder::FromFrequencies(CountItemFrequencies(ds.rankings));
   auto ordered = MakeOrderedDataset(ds.rankings, order);
+  const JoinStore store =
+      JoinStore::Build(ds.store(), order, Distance::kJaccard);
   for (double theta : {0.2, 0.5, 0.8}) {
-    const size_t p = static_cast<size_t>(JaccardPrefix(theta, ds.k));
-    for (size_t i = 0; i < ordered.size(); ++i) {
-      for (size_t j = i + 1; j < ordered.size(); ++j) {
+    const uint32_t raw_theta =
+        static_cast<uint32_t>(2 * (ds.k - JaccardMinOverlap(theta, ds.k)));
+    for (RowIndex i = 0; i < ordered.size(); ++i) {
+      const std::vector<ItemId> a = PrefixItems(store, i, raw_theta);
+      for (RowIndex j = i + 1; j < ordered.size(); ++j) {
         if (!JaccardQualifies(SetOverlap(ordered[i], ordered[j]), ds.k,
                               theta)) {
           continue;
         }
-        bool shared = false;
-        for (size_t x = 0; x < p && !shared; ++x) {
-          for (size_t y = 0; y < p && !shared; ++y) {
-            shared = ordered[i].canonical[x].item ==
-                     ordered[j].canonical[y].item;
-          }
-        }
+        const std::vector<ItemId> b = PrefixItems(store, j, raw_theta);
+        const bool shared = std::find_first_of(a.begin(), a.end(), b.begin(),
+                                               b.end()) != a.end();
         ASSERT_TRUE(shared) << "jaccard prefix miss at theta " << theta;
       }
     }

@@ -99,6 +99,67 @@ TEST_F(IoTest, RejectsNegativeItems) {
   std::remove(path.c_str());
 }
 
+/// Loading `content` at k = 3 fails with an IoError whose message names
+/// line `line` and holds `token`.
+void ExpectRejected(const std::string& path, const std::string& content,
+                    int line, const std::string& token) {
+  std::ofstream(path) << content;
+  auto ds = ReadRankings(path, 3);
+  ASSERT_FALSE(ds.ok()) << content;
+  EXPECT_EQ(ds.status().code(), StatusCode::kIoError);
+  const std::string& message = ds.status().message();
+  EXPECT_NE(message.find(path + ":" + std::to_string(line) + ":"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("'" + token + "'"), std::string::npos) << message;
+  std::remove(path.c_str());
+}
+
+TEST_F(IoTest, RejectsItemsBeyond32Bits) {
+  // 4294967297 used to wrap to item 1, so this row equalled row 0.
+  ExpectRejected(TempPath("wide_item.txt"), "0: 1 2 3\n1: 4294967297 2 3\n",
+                 2, "4294967297");
+}
+
+TEST_F(IoTest, RejectsSignedIds) {
+  // std::stoul took "-1" as id 4294967295.
+  ExpectRejected(TempPath("signed_id.txt"), "-1: 1 2 3\n", 1, "-1");
+  ExpectRejected(TempPath("plus_id.txt"), "+1: 1 2 3\n", 1, "+1");
+}
+
+TEST_F(IoTest, RejectsIdsBeyond32Bits) {
+  // 4294967296 used to wrap to id 0 and fail as a repeated id.
+  const std::string path = TempPath("wide_id.txt");
+  std::ofstream(path) << "0: 1 2 3\n4294967296: 4 5 6\n";
+  auto ds = ReadRankings(path, 3);
+  ASSERT_FALSE(ds.ok());
+  EXPECT_EQ(ds.status().message().find("more than once"), std::string::npos);
+  std::remove(path.c_str());
+  ExpectRejected(path, "0: 1 2 3\n4294967296: 4 5 6\n", 2, "4294967296");
+}
+
+TEST_F(IoTest, RejectsFractionsAndSuffixes) {
+  ExpectRejected(TempPath("fraction.txt"), "0: 1 2 3.5\n", 1, "3.5");
+  ExpectRejected(TempPath("suffix.txt"), "0: 1 2 3x\n", 1, "3x");
+  ExpectRejected(TempPath("id_suffix.txt"), "0x: 1 2 3\n", 1, "0x");
+  ExpectRejected(TempPath("no_id.txt"), ": 1 2 3\n", 1, "");
+}
+
+TEST_F(IoTest, RejectsAnImplicitIdAfterTheLargest) {
+  // The next implicit id used to wrap to 0.
+  const std::string path = TempPath("last_id.txt");
+  std::ofstream(path) << "4294967295: 1 2 3\n";
+  auto ds = ReadRankings(path, 3);
+  ASSERT_TRUE(ds.ok()) << ds.status();
+  EXPECT_EQ(ds->rankings[0].id(), 4294967295u);
+  std::ofstream(path) << "4294967295: 1 2 3\n4 5 6\n";
+  ds = ReadRankings(path, 3);
+  ASSERT_FALSE(ds.ok());
+  EXPECT_NE(ds.status().message().find(path + ":2:"), std::string::npos)
+      << ds.status().message();
+  std::remove(path.c_str());
+}
+
 /// Writes a columnar (RKJC) file: the 20-byte header with the given k
 /// and count, then `payload_bytes` zero bytes.
 void WriteColumnarHeader(const std::string& path, uint32_t k, uint64_t count,

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <set>
 
+#include "common/random.h"
 #include "jaccard/jaccard.h"
+#include "join/local_join.h"
+#include "ranking/join_store.h"
 #include "ranking/reorder.h"
 #include "tests/test_util.h"
 
@@ -78,10 +82,26 @@ TEST(JaccardMathTest, MinOverlapMatchesClosedForm) {
   }
 }
 
-TEST(JaccardMathTest, PrefixBounds) {
-  EXPECT_EQ(JaccardPrefix(0.0, 10), 1);  // identical sets only
-  EXPECT_GE(JaccardPrefix(0.9, 10), JaccardPrefix(0.1, 10));
-  EXPECT_LE(JaccardPrefix(0.99, 10), 10);
+TEST(JaccardMathTest, UnitWeightPrefixIsTheOverlapPrefix) {
+  // Under the raw threshold 2(k - o), o = JaccardMinOverlap, the
+  // rank-weighted prefix of a Jaccard store holds k - o + 1 items: the
+  // overlap prefix of set similarity joins.
+  for (int k : {1, 2, 5, 10, 25, 40}) {
+    const RankingDataset ds = SmallSkewedDataset(710, 20, k);
+    const JoinStore store =
+        JoinStore::Build(ds.store(), ItemOrder(), Distance::kJaccard);
+    for (int step = 0; step < 100; ++step) {
+      const double theta = step / 100.0;
+      const int o = JaccardMinOverlap(theta, k);
+      const uint32_t raw_theta = static_cast<uint32_t>(2 * (k - o));
+      for (RowIndex row = 0; row < store.size(); ++row) {
+        int posted = 0;
+        ForEachPrefixRank(store, row, raw_theta, PrefixMode::kOverlap,
+                          [&posted](uint16_t) { ++posted; });
+        ASSERT_EQ(posted, k - o + 1) << "k " << k << " theta " << theta;
+      }
+    }
+  }
 }
 
 TEST(JaccardBruteForceTest, SmallHandCase) {
@@ -103,6 +123,91 @@ TEST(JaccardBruteForceTest, SmallHandCase) {
 
 std::set<ResultPair> JaccardTruth(const RankingDataset& ds, double theta) {
   return PairSet(JaccardBruteForceJoin(ds, theta).pairs);
+}
+
+/// Both Jaccard joins at every partition count in `partitions` return
+/// exactly the brute-force pairs, each once; returns the pair count.
+size_t ExpectBothJoinsExact(const RankingDataset& ds, double theta,
+                            double theta_c,
+                            std::initializer_list<int> partitions = {1, 7}) {
+  const std::set<ResultPair> expected = JaccardTruth(ds, theta);
+  minispark::Context ctx(TestCluster());
+  for (int num_partitions : partitions) {
+    JaccardJoinOptions options;
+    options.theta = theta;
+    options.theta_c = theta_c;
+    options.num_partitions = num_partitions;
+    auto vj = RunJaccardVjJoin(&ctx, ds, options);
+    auto cl = RunJaccardClusterJoin(&ctx, ds, options);
+    EXPECT_TRUE(vj.ok()) << vj.status();
+    EXPECT_TRUE(cl.ok()) << cl.status();
+    if (!vj.ok() || !cl.ok()) return 0;
+    EXPECT_EQ(PairSet(vj->pairs), expected)
+        << "vj k " << ds.k << " theta " << theta << " partitions "
+        << num_partitions;
+    EXPECT_EQ(PairSet(cl->pairs), expected)
+        << "cl k " << ds.k << " theta " << theta << " theta_c " << theta_c
+        << " partitions " << num_partitions;
+  }
+  return expected.size();
+}
+
+TEST(JaccardJoinTest, SingleItemSets) {
+  // k = 1: only equal items qualify below theta = 1.
+  const RankingDataset ds = SmallSkewedDataset(711, 200, 1);
+  for (double theta : {0.0, 0.5, 0.9}) {
+    EXPECT_GT(ExpectBothJoinsExact(ds, theta, 0.0), 0u);
+  }
+}
+
+TEST(JaccardJoinTest, FortyItemSets) {
+  // k = 40: the kernel's chunk count is known only at run time.
+  const RankingDataset ds = SmallSkewedDataset(712, 150, 40);
+  for (double theta : {0.3, 0.6}) {
+    for (double theta_c : {0.0, 0.1}) {
+      EXPECT_GT(ExpectBothJoinsExact(ds, theta, theta_c), 0u);
+    }
+  }
+}
+
+TEST(JaccardClusterJoinTest, IdenticalSetCliques) {
+  // Cliques of 20 rankings over one item set each, in different orders:
+  // with theta_c = 0 each clique's rankings are all centroids and
+  // members of each other at distance 0, the dense case of the
+  // expansion (DESIGN.md "Empirical findings").
+  RankingDataset ds = SmallSkewedDataset(713, 100, 5);
+  Rng rng(714);
+  RankingId id = 1000;
+  for (ItemId base : {7000u, 8000u, 8002u}) {
+    std::vector<ItemId> items = {base, base + 1, base + 2, 3, 4};
+    for (int copy = 0; copy < 20; ++copy) {
+      rng.Shuffle(items);
+      ds.rankings.emplace_back(id++, items);
+    }
+  }
+  for (double theta : {0.0, 0.3, 0.5}) {
+    EXPECT_GE(ExpectBothJoinsExact(ds, theta, 0.0), 3u * 20 * 19 / 2);
+  }
+}
+
+TEST(JaccardJoinTest, ThresholdReachedWithEquality) {
+  // k = 4, theta = 0.4: overlap 3 gives 1 - 3/5 = 0.4, so the pair
+  // qualifies at equality, at raw distance 2 = 2(k - 3).
+  RankingDataset ds;
+  ds.k = 4;
+  ds.rankings = {
+      Ranking(0, {1, 2, 3, 4}),
+      Ranking(1, {4, 3, 2, 9}),    // overlap 3 with 0
+      Ranking(2, {1, 2, 10, 11}),  // overlap 2 with 0: 2/3 > 0.4
+      Ranking(3, {9, 3, 2, 12}),   // overlap 3 with 1
+      Ranking(4, {20, 21, 22, 23}),
+  };
+  EXPECT_EQ(JaccardMinOverlap(0.4, 4), 3);
+  EXPECT_EQ(JaccardTruth(ds, 0.4),
+            (std::set<ResultPair>{{0, 1}, {1, 3}}));
+  for (double theta_c : {0.0, 0.1}) {
+    ExpectBothJoinsExact(ds, 0.4, theta_c, {1, 3});
+  }
 }
 
 TEST(JaccardVjJoinTest, MatchesBruteForceAcrossThetas) {
@@ -199,6 +304,12 @@ TEST(JaccardJoinTest, RejectsBadParameters) {
   options.theta = 0.8;
   options.theta_c = 0.2;  // theta + 2*theta_c > 1
   EXPECT_FALSE(RunJaccardClusterJoin(&ctx, ds, options).ok());
+  // Below 1, but within JaccardQualifies' slack of it: disjoint sets
+  // would qualify, and the raw threshold 2(k - 0) = 2k is refused.
+  options.theta = 1.0 - 5e-10;
+  options.theta_c = 0.0;
+  EXPECT_EQ(RunJaccardVjJoin(&ctx, ds, options).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(JaccardJoinTest, PartitionInvariance) {

@@ -1,8 +1,9 @@
 // The verification kernel of the join store (ranking/join_store.h),
 // checked against independent references: the hash-map
-// FootruleDistance(const Ranking&, const Ranking&), a naive set overlap,
-// a naive prefix position filter and a bit-by-bit popcount; and the
-// signature bound, which must never exceed the distance.
+// FootruleDistance(const Ranking&, const Ranking&), a naive set overlap
+// (the Jaccard kernel's 2(k - overlap)), a naive prefix position filter
+// and a bit-by-bit popcount; and the signature bound, which must never
+// exceed the distance under either distance.
 
 #include <gtest/gtest.h>
 
@@ -58,18 +59,37 @@ std::vector<ItemId> Perturb(std::vector<ItemId> a, Rng& rng) {
 }
 
 /// A two-ranking store, identity canonical order.
-JoinStore PairStore(const Ranking& a, const Ranking& b) {
+JoinStore PairStore(const Ranking& a, const Ranking& b,
+                    Distance distance = Distance::kFootrule) {
   FlatRankings::Builder builder(a.k());
   builder.Append(a.id(), a.items().data());
   builder.Append(b.id(), b.items().data());
   const FlatRankings flat = std::move(builder).Build();
-  return JoinStore::Build(flat, ItemOrder());
+  return JoinStore::Build(flat, ItemOrder(), distance);
 }
 
 int NaiveOverlap(const Ranking& a, const Ranking& b) {
   int overlap = 0;
   for (ItemId item : a.items()) overlap += b.RankOf(item) >= 0 ? 1 : 0;
   return overlap;
+}
+
+/// The raw Jaccard distance |A xor B| of two size-k sets.
+uint32_t NaiveSymmetricDifference(const Ranking& a, const Ranking& b) {
+  return static_cast<uint32_t>(2 * (a.k() - NaiveOverlap(a, b)));
+}
+
+/// The reference distance of `a` and `b` under `distance`.
+uint32_t ReferenceDistance(Distance distance, const Ranking& a,
+                           const Ranking& b) {
+  return distance == Distance::kFootrule ? FootruleDistance(a, b)
+                                         : NaiveSymmetricDifference(a, b);
+}
+
+/// The signature bound of rows `a` and `b` under the kernel of `store`.
+uint32_t BoundOf(const JoinStore& store, RowIndex a, RowIndex b) {
+  return store.kernel().signature_bound()(store.signature(a),
+                                          store.signature(b));
 }
 
 TEST(PairKernelTest, MatchesHashMapFootruleOnSeededPairs) {
@@ -83,7 +103,12 @@ TEST(PairKernelTest, MatchesHashMapFootruleOnSeededPairs) {
       const JoinStore store = PairStore(a, b);
       EXPECT_EQ(store.Distance(0, 1), FootruleDistance(a, b)) << "k " << k;
       EXPECT_EQ(store.Distance(1, 0), FootruleDistance(a, b)) << "k " << k;
-      EXPECT_EQ(static_cast<int>(store.Overlap(0, 1)), NaiveOverlap(a, b));
+      // Unit weights: k = 33 and 40 take the run-time-width kernel.
+      const JoinStore sets = PairStore(a, b, Distance::kJaccard);
+      EXPECT_EQ(sets.Distance(0, 1), NaiveSymmetricDifference(a, b))
+          << "k " << k;
+      EXPECT_EQ(sets.Distance(1, 0), NaiveSymmetricDifference(a, b))
+          << "k " << k;
     }
   }
 }
@@ -96,7 +121,9 @@ TEST(PairKernelTest, IdenticalAndDisjointPairs) {
     const JoinStore same = PairStore(a, Ranking(1, items));
     EXPECT_EQ(same.Distance(0, 1), 0u);
     EXPECT_EQ(same.Distance(0, 0), 0u);
-    EXPECT_EQ(static_cast<int>(same.Overlap(0, 1)), k);
+    const JoinStore same_sets =
+        PairStore(a, Ranking(1, items), Distance::kJaccard);
+    EXPECT_EQ(same_sets.Distance(0, 1), 0u);
 
     // Disjoint, with b's items chosen so that 0 and 0xFFFFFFFF sit in
     // a while b's pad lanes hold 0.
@@ -104,7 +131,11 @@ TEST(PairKernelTest, IdenticalAndDisjointPairs) {
     for (int r = 0; r < k; ++r) other.push_back(static_cast<ItemId>(7000 + r));
     const JoinStore disjoint = PairStore(a, Ranking(1, other));
     EXPECT_EQ(disjoint.Distance(0, 1), MaxFootrule(k));
-    EXPECT_EQ(disjoint.Overlap(0, 1), 0u);
+    EXPECT_EQ(disjoint.kernel().max_distance(), MaxFootrule(k));
+    const JoinStore disjoint_sets =
+        PairStore(a, Ranking(1, other), Distance::kJaccard);
+    EXPECT_EQ(disjoint_sets.Distance(0, 1), 2u * k);
+    EXPECT_EQ(disjoint_sets.kernel().max_distance(), 2u * k);
   }
 }
 
@@ -211,23 +242,23 @@ TEST(SignatureBoundTest, PopcountMatchesBitLoop) {
   EXPECT_EQ(kernel_internal::PopcountPair(0, 0), 0u);
 }
 
-TEST(SignatureBoundTest, NeverExceedsFootrule) {
-  // Every k, both kernel widths, items 0 and 0xFFFFFFFF included.
-  Rng rng(20206);
-  for (int k : kSizes) {
-    for (int trial = 0; trial < 300; ++trial) {
-      const std::vector<ItemId> items = RandomItems(k, rng);
-      const Ranking a(0, items);
-      const Ranking b(1, trial % 3 == 0 ? RandomItems(k, rng)
-                                        : Perturb(items, rng));
-      const JoinStore store = PairStore(a, b);
-      const uint32_t bound =
-          SignatureBound(store.signature(0), store.signature(1));
-      const uint32_t d = FootruleDistance(a, b);
-      EXPECT_LE(bound, d) << "k " << k;
-      EXPECT_LE(bound, store.Distance(0, 1)) << "k " << k;
-      EXPECT_EQ(bound,
-                SignatureBound(store.signature(1), store.signature(0)));
+TEST(SignatureBoundTest, NeverExceedsTheDistance) {
+  // Both distances, every k, both kernel widths, items 0 and 0xFFFFFFFF
+  // included.
+  for (Distance distance : {Distance::kFootrule, Distance::kJaccard}) {
+    Rng rng(20206);
+    for (int k : kSizes) {
+      for (int trial = 0; trial < 300; ++trial) {
+        const std::vector<ItemId> items = RandomItems(k, rng);
+        const Ranking a(0, items);
+        const Ranking b(1, trial % 3 == 0 ? RandomItems(k, rng)
+                                          : Perturb(items, rng));
+        const JoinStore store = PairStore(a, b, distance);
+        const uint32_t bound = BoundOf(store, 0, 1);
+        EXPECT_LE(bound, ReferenceDistance(distance, a, b)) << "k " << k;
+        EXPECT_LE(bound, store.Distance(0, 1)) << "k " << k;
+        EXPECT_EQ(bound, BoundOf(store, 1, 0));
+      }
     }
   }
 }
@@ -239,9 +270,9 @@ TEST(SignatureBoundTest, IdenticalRowsGiveZero) {
     std::vector<ItemId> reversed(items.rbegin(), items.rend());
     const JoinStore store =
         PairStore(Ranking(0, items), Ranking(1, reversed));
-    EXPECT_EQ(SignatureBound(store.signature(0), store.signature(0)), 0u);
+    EXPECT_EQ(BoundOf(store, 0, 0), 0u);
     // Same item set, other order: the signatures cannot tell them apart.
-    EXPECT_EQ(SignatureBound(store.signature(0), store.signature(1)), 0u);
+    EXPECT_EQ(BoundOf(store, 0, 1), 0u);
   }
 }
 
@@ -272,8 +303,10 @@ TEST(SignatureBoundTest, CollidingItemsStaySound) {
                                                   one_per_bit.begin() + 64 +
                                                       k));
     const JoinStore spread = PairStore(spread_a, spread_b);
-    EXPECT_EQ(SignatureBound(spread.signature(0), spread.signature(1)),
-              MaxFootrule(k));
+    EXPECT_EQ(BoundOf(spread, 0, 1), MaxFootrule(k));
+    const JoinStore spread_sets =
+        PairStore(spread_a, spread_b, Distance::kJaccard);
+    EXPECT_EQ(BoundOf(spread_sets, 0, 1), 2u * k);
 
     // a: items of bit 3 only; b: disjoint items of bit 3 and bit 77.
     std::vector<ItemId> a_items(by_bit[3].begin(), by_bit[3].begin() + k);
@@ -285,8 +318,7 @@ TEST(SignatureBoundTest, CollidingItemsStaySound) {
     const Ranking a(0, a_items);
     const Ranking b(1, b_items);
     const JoinStore store = PairStore(a, b);
-    const uint32_t bound =
-        SignatureBound(store.signature(0), store.signature(1));
+    const uint32_t bound = BoundOf(store, 0, 1);
     EXPECT_EQ(FootruleDistance(a, b), MaxFootrule(k));
     EXPECT_LE(bound, FootruleDistance(a, b)) << "k " << k;
     EXPECT_EQ(bound, k > 1 ? 2u : 0u) << "k " << k;  // one bit differs
@@ -314,13 +346,12 @@ TEST(SignatureBoundTest, SeparatelyBuiltStoresAgree) {
                                      CountItemFrequencies(r_flat)));
     const JoinStore s = JoinStore::Build(s_flat, ItemOrder());
     const JoinStore both = PairStore(a, b);
-    EXPECT_EQ(SignatureBound(r.signature(0), s.signature(0)),
-              SignatureBound(both.signature(0), both.signature(1)));
+    const SignatureBound bound = r.kernel().signature_bound();
+    EXPECT_EQ(bound(r.signature(0), s.signature(0)), BoundOf(both, 0, 1));
     const ItemSignature direct = SignatureOf(b.items().data(), k);
     EXPECT_EQ(direct.words[0], s.signature(0).words[0]);
     EXPECT_EQ(direct.words[1], s.signature(0).words[1]);
-    EXPECT_LE(SignatureBound(r.signature(0), s.signature(0)),
-              FootruleDistance(a, b));
+    EXPECT_LE(bound(r.signature(0), s.signature(0)), FootruleDistance(a, b));
   }
 }
 
