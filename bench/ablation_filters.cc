@@ -111,9 +111,7 @@ int main(int argc, char** argv) {
                {"no frequency reordering",
                 [](SimilarityJoinConfig* c) {
                   c->reorder_by_frequency = false;
-                }},
-               {"resolve cluster overlaps (non-paper variant)",
-                [](SimilarityJoinConfig* c) { c->resolve_overlaps = true; }}});
+                }}});
 
   RunPrefixModeAblation("DBLP", 0.3);
   return 0;

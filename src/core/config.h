@@ -58,9 +58,6 @@ struct SimilarityJoinConfig {
   bool reorder_by_frequency = true;
   bool singleton_optimization = true;
   bool triangle_upper_shortcut = true;
-  /// CL/CL-P: keep only the closest centroid per member (the paper
-  /// keeps clusters overlapping; see ClOptions::resolve_overlaps).
-  bool resolve_overlaps = false;
 
   /// Measure posting-list sizes after the group-by materializes and
   /// engage Algorithm-3 repartitioning only when the largest list

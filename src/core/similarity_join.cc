@@ -31,7 +31,6 @@ ClOptions ToClOptions(const SimilarityJoinConfig& config) {
   options.reorder_by_frequency = config.reorder_by_frequency;
   options.singleton_optimization = config.singleton_optimization;
   options.triangle_upper_shortcut = config.triangle_upper_shortcut;
-  options.resolve_overlaps = config.resolve_overlaps;
   // CL-P splits unconditionally; CL splits only in adaptive mode, where
   // the measured posting lists decide (repartition.h).
   options.repartition_delta =

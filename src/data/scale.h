@@ -19,9 +19,10 @@ namespace rankjoin {
 /// theta_c-similarity graph its star shape: each such copy is within a
 /// small clustering threshold of its source but not of the other copies
 /// (pairwise distance 4). Dense distance-0 cliques — which arise from
-/// exact duplicates — are deliberately not planted: they make every
-/// clique element a centroid of its own overlapping cluster and blow up
-/// the expansion joins instead of helping (see DESIGN.md).
+/// exact duplicates — are deliberately not planted: every clique element
+/// but one is a centroid, so a clique forms one cluster of two and its
+/// other elements join as singletons instead of shrinking the joining
+/// phase (see DESIGN.md).
 ///
 /// The remaining copies drift by 1..`perturbation_ops` random edit
 /// operations (adjacent swaps or item replacements).

@@ -1,7 +1,8 @@
 #include "join/cluster.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstdint>
+#include <limits>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -35,25 +36,44 @@ Clustering RunClusteringPhase(minispark::Context* ctx, const JoinStore& store,
   std::vector<ScoredPair> scored =
       internal::DistributedSelfJoin(ctx, store, spec, stats);
 
-  // Cluster formation (Fig. 3): the smaller id of each qualifying pair
-  // is the centroid, the larger one its member.
-  clustering.pairs.reserve(scored.size());
-  std::unordered_set<RankingId> centroid_ids;
-  std::unordered_set<RankingId> in_any_pair;
+  // Cluster formation (Fig. 3) with one role per ranking. The smaller id
+  // of each qualifying pair is a centroid. A ranking that is no centroid
+  // has only smaller-id partners, all of them centroids, and joins the
+  // cluster of the closest one (ties to the smaller id). Per row: the
+  // centroid flag and the closest smaller-id partner seen so far.
+  constexpr uint32_t kNoHome = std::numeric_limits<uint32_t>::max();
+  const size_t n = store.size();
+  std::vector<uint8_t> is_centroid(n, 0);
+  std::vector<RankingId> home(n, 0);
+  std::vector<uint32_t> home_distance(n, kNoHome);
   for (const ScoredPair& sp : scored) {
-    const RankingId centroid = sp.first.first;
-    const RankingId member = sp.first.second;
-    clustering.pairs.push_back(ClusterPair{centroid, member, sp.second});
-    centroid_ids.insert(centroid);
-    in_any_pair.insert(centroid);
-    in_any_pair.insert(member);
+    const auto [centroid, member] = sp.first;
+    is_centroid[store.RowOf(centroid)] = 1;
+    const RowIndex row = store.RowOf(member);
+    if (sp.second < home_distance[row] ||
+        (sp.second == home_distance[row] && centroid < home[row])) {
+      home[row] = centroid;
+      home_distance[row] = sp.second;
+    }
   }
-  clustering.centroids.assign(centroid_ids.begin(), centroid_ids.end());
-  std::sort(clustering.centroids.begin(), clustering.centroids.end());
 
-  // Singletons: rankings with no theta_c-similar partner at all.
-  for (RowIndex row = 0; row < store.size(); ++row) {
-    if (in_any_pair.find(store.id(row)) == in_any_pair.end()) {
+  // Centroids keep no memberships; every other ranking with a partner
+  // is the member of its home cluster.
+  std::vector<uint32_t> cluster_size(n, 0);
+  for (RowIndex row = 0; row < n; ++row) {
+    if (is_centroid[row] || home_distance[row] == kNoHome) continue;
+    clustering.pairs.push_back(
+        ClusterPair{home[row], store.id(row), home_distance[row]});
+    ++cluster_size[store.RowOf(home[row])];
+  }
+  // Singletons: rankings with no theta_c partner, plus the centroids
+  // whose partners all joined other clusters.
+  uint64_t max_cluster = 0;
+  for (RowIndex row = 0; row < n; ++row) {
+    if (cluster_size[row] > 0) {
+      clustering.centroids.push_back(store.id(row));
+      max_cluster = std::max<uint64_t>(max_cluster, cluster_size[row] + 1);
+    } else if (is_centroid[row] || home_distance[row] == kNoHome) {
       clustering.singletons.push_back(store.id(row));
     }
   }
@@ -69,14 +89,6 @@ Clustering RunClusteringPhase(minispark::Context* ctx, const JoinStore& store,
   registry.Add("cl.clustering.clusters", stats->clusters);
   registry.Add("cl.clustering.singletons", stats->singletons);
   registry.Add("cl.clustering.members", stats->cluster_members);
-  uint64_t max_cluster = 0;
-  if (registry.enabled()) {
-    std::unordered_map<RankingId, uint64_t> sizes;
-    for (const ClusterPair& cp : clustering.pairs) ++sizes[cp.centroid];
-    for (const auto& [centroid, size] : sizes) {
-      max_cluster = std::max(max_cluster, size + 1);  // + the centroid
-    }
-  }
   registry.Add("cl.clustering.max_cluster_size", max_cluster);
   return clustering;
 }

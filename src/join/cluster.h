@@ -13,7 +13,7 @@
 namespace rankjoin {
 
 /// One clustering-phase result tuple: `member` belongs to the cluster
-/// represented by `centroid` (the smaller id of the qualifying pair),
+/// represented by `centroid` (its closest smaller-id theta_c partner),
 /// at the given raw distance <= raw_theta_c.
 struct ClusterPair {
   RankingId centroid = 0;
@@ -21,23 +21,28 @@ struct ClusterPair {
   uint32_t distance = 0;
 };
 
-/// Output of the clustering phase (paper Section 5.1). Clusters may
-/// overlap; a ranking can be a member of several clusters and a centroid
-/// of its own at the same time.
+/// Output of the clustering phase (paper Section 5.1). Unlike the
+/// paper's overlapping clusters, every ranking has exactly one role: it
+/// is a singleton, a centroid, or the member of one cluster. So the
+/// expansion enumerates each result pair once and needs no distinct
+/// (see DESIGN.md deviation 6).
 struct Clustering {
-  /// All (centroid, member, distance) tuples.
+  /// One (centroid, member, distance) tuple per member.
   std::vector<ClusterPair> pairs;
-  /// Distinct centroids of clusters with >= 2 elements (the set C_m).
+  /// Centroids of clusters with >= 1 member (the set C_m).
   std::vector<RankingId> centroids;
-  /// Rankings that appear in no theta_c pair at all (the set C_s of
-  /// singleton-cluster representatives).
+  /// Rankings in no theta_c pair, plus the centroids left without
+  /// members (the set C_s of singleton-cluster representatives).
   std::vector<RankingId> singletons;
 };
 
 /// Runs the clustering phase: a distributed self-join of every ranking
 /// in `store` with the clustering threshold (spec.raw_theta = raw
-/// theta_c), followed by cluster formation (smaller id of each pair
-/// becomes the centroid). Join work counters accumulate into `stats`.
+/// theta_c), followed by cluster formation. The smaller id of each pair
+/// is a centroid; every other ranking in a pair joins its closest
+/// centroid (ties to the smaller id); centroids keep no memberships, and
+/// a centroid left without members becomes a singleton. Join work
+/// counters accumulate into `stats`.
 Clustering RunClusteringPhase(minispark::Context* ctx, const JoinStore& store,
                               const internal::SelfJoinSpec& spec,
                               JoinStats* stats);

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -63,7 +62,6 @@ void EmitWithTriangleBounds(const ExpansionContext& ectx, RankingId a,
                             RankingId b, int64_t lower_bound,
                             int64_t upper_bound,
                             std::vector<ResultPair>* out, JoinStats* stats) {
-  if (a == b) return;
   if (lower_bound > static_cast<int64_t>(ectx.raw_theta)) {
     ++stats->triangle_filtered;
     return;
@@ -95,42 +93,12 @@ void MergeSlots(const std::vector<JoinStats>& slots, JoinStats* stats) {
   for (const JoinStats& s : slots) stats->MergeCounters(s);
 }
 
-/// Keeps only each member's closest cluster pair (ties by smaller
-/// centroid id). Centroid/singleton classifications are left untouched:
-/// a centroid whose cluster empties stays a (conservatively thresholded)
-/// non-singleton centroid in the joining phase, which preserves
-/// completeness. Direct (centroid, member) results dropped here are
-/// recovered through the joining phase — the member's retained centroid
-/// is within 2*theta_c of the dropped one, so their centroid pair is in
-/// R_j and the member-centroid candidate reappears in the expansion.
-void ResolveOverlaps(Clustering* clustering) {
-  std::unordered_map<RankingId, size_t> best;
-  best.reserve(clustering->pairs.size());
-  for (size_t idx = 0; idx < clustering->pairs.size(); ++idx) {
-    const ClusterPair& cp = clustering->pairs[idx];
-    auto [it, inserted] = best.try_emplace(cp.member, idx);
-    if (inserted) continue;
-    const ClusterPair& incumbent = clustering->pairs[it->second];
-    if (cp.distance < incumbent.distance ||
-        (cp.distance == incumbent.distance &&
-         cp.centroid < incumbent.centroid)) {
-      it->second = idx;
-    }
-  }
-  std::vector<ClusterPair> kept;
-  kept.reserve(best.size());
-  for (size_t idx = 0; idx < clustering->pairs.size(); ++idx) {
-    auto it = best.find(clustering->pairs[idx].member);
-    if (it != best.end() && it->second == idx) {
-      kept.push_back(clustering->pairs[idx]);
-    }
-  }
-  clustering->pairs = std::move(kept);
-}
-
 /// Expansion phase (paper Section 5.3 / Algorithm 2): combines the
 /// joining-phase centroid pairs R_j with the clustering-phase tuples R_c
-/// to produce the final result set.
+/// to produce the final result set. A result pair (a, b) comes from the
+/// R_j pair of its representatives (a member's centroid, or the ranking
+/// itself), or from their shared cluster, through exactly one branch:
+/// direct, intra-cluster, R_m,c in one direction, or R_m,m.
 std::vector<ResultPair> RunExpansion(minispark::Context* ctx,
                                      const JoinStore& store,
                                      const Clustering& clustering,
@@ -341,14 +309,16 @@ std::vector<ResultPair> RunExpansion(minispark::Context* ctx,
   rm_m.Force();
   MergeSlots(jmm_slots, &expansion_stats);
 
-  // Union everything and remove duplicates (Algorithm 2 line 9).
-  minispark::Dataset<ResultPair> all = minispark::Union(
-      minispark::Union(minispark::Union(direct, intra, "expand/u1"),
-                       minispark::Union(rm_c1, rm_c2, "expand/u2"),
-                       "expand/u3"),
-      rm_m, "expand/u4");
+  // Union everything (Algorithm 2 line 9). No distinct: every ranking
+  // has one role, so each result pair maps to one R_j pair (or one
+  // cluster) and one of the branches above (DESIGN.md deviation 6).
   std::vector<ResultPair> collected =
-      minispark::Distinct(all, num_partitions, "expand/distinct").Collect();
+      minispark::Union(
+          minispark::Union(minispark::Union(direct, intra, "expand/u1"),
+                           minispark::Union(rm_c1, rm_c2, "expand/u2"),
+                           "expand/u3"),
+          rm_m, "expand/u4")
+          .Collect();
   expansion_stats.PublishCounters(&ctx->counters(), "cl.expansion");
   ctx->counters().Add("cl.expansion.result_pairs", collected.size());
   stats->MergeCounters(expansion_stats);
@@ -410,7 +380,7 @@ void RunClusterPhases(minispark::Context* ctx, const JoinStore& store,
   cluster_spec.prefix_mode = PrefixMode::kOverlap;
   cluster_spec.local_algorithm = options.clustering_algorithm;
   cluster_spec.counter_scope = "cl.clustering";
-  Clustering clustering =
+  const Clustering clustering =
       RunClusteringPhase(ctx, store, cluster_spec, &result->stats);
   result->stats.clustering_seconds = phase.ElapsedSeconds();
 
@@ -432,10 +402,6 @@ void RunClusterPhases(minispark::Context* ctx, const JoinStore& store,
 
   // Phase 4: Expansion (Algorithm 2).
   phase.Reset();
-  if (options.resolve_overlaps) {
-    ResolveOverlaps(&clustering);
-    result->stats.cluster_members = clustering.pairs.size();
-  }
   result->pairs = RunExpansion(ctx, store, clustering, rj, raw_theta,
                                num_partitions,
                                options.triangle_upper_shortcut,

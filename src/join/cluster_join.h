@@ -41,15 +41,6 @@ struct ClOptions {
   /// (see JoinGroupsWithRepartitioning's adaptive mode). Requires
   /// repartition_delta > 0.
   bool adaptive_repartition = false;
-  /// Resolve overlapping cluster memberships: keep only the closest
-  /// centroid per member (ties by smaller centroid id) before the
-  /// expansion. The paper keeps clusters overlapping, arguing that
-  /// resolving the overlap "would negatively impact the performance of
-  /// the clustering and the expansion phase" (Section 5.1); this toggle
-  /// makes that claim measurable. Correctness is unaffected: every
-  /// member keeps one representative, and cross-cluster pairs are
-  /// recovered through the joining phase as before.
-  bool resolve_overlaps = false;
 };
 
 /// Runs the four-phase clustering join (Ordering, Clustering, Joining,

@@ -155,7 +155,8 @@ minispark::Dataset<ScoredPair> JoinGroupsWithRepartitioning(
           "repartition/compositeKey");
   auto spread =
       minispark::PartitionByKey(by_composite, wide, "repartition/spread");
-  std::vector<JoinStats> self_slots(static_cast<size_t>(wide));
+  std::vector<JoinStats> self_slots(
+      static_cast<size_t>(spread.num_partitions()));
   minispark::Dataset<ScoredPair> chunk_self_results =
       spread.MapPartitionsWithIndex(
           [local_join, &self_slots](

@@ -65,8 +65,8 @@ struct JoinStats {
   /// Final distinct result pairs.
   uint64_t result_pairs = 0;
 
-  /// CL-specific: clusters with >= 2 members / singleton clusters /
-  /// total members (counting multiplicity across overlapping clusters).
+  /// CL-specific: clusters with >= 2 elements / singleton clusters /
+  /// members (each ranking is the member of at most one cluster).
   uint64_t clusters = 0;
   uint64_t singletons = 0;
   uint64_t cluster_members = 0;

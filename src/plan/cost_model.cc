@@ -24,10 +24,10 @@ constexpr double kPostingBytes = 24.0;
 /// feeding the fixed per-stage overhead term. CL runs four
 /// phases, two of them distributed self-joins; CL-P adds the
 /// repartitioning machinery's extra shuffles. The values were fitted
-/// when the self-joins, the centroid join and the R-S join still ended
-/// in a distinct stage, which they no longer run; they still count
-/// those stages and stay as they are until the constants are refit
-/// (ROADMAP.md item 6).
+/// when the self-joins, the centroid join, the R-S join and the CL
+/// expansion still ended in a distinct stage, which they no longer run;
+/// they still count those stages and stay as they are until the
+/// constants are refit (ROADMAP.md item 6).
 constexpr double kVjStages = 6.0;
 constexpr double kClStages = 14.0;
 constexpr double kClpExtraStages = 6.0;

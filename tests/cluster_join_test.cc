@@ -176,33 +176,6 @@ TEST(ClusterJoinTest, DenseNearDuplicateDataset) {
   EXPECT_GT(result->stats.cluster_members, 0u);
 }
 
-TEST(ClusterJoinTest, ResolveOverlapsToggle) {
-  // Keeping only the closest centroid per member must not change the
-  // result set, only the expansion workload.
-  GeneratorOptions generator;
-  generator.k = 10;
-  generator.num_rankings = 300;
-  generator.domain_size = 300;
-  generator.near_duplicate_rate = 0.5;
-  generator.max_perturbations = 1;
-  generator.seed = 312;
-  RankingDataset ds = GenerateDataset(generator);
-  minispark::Context ctx(TestCluster());
-  std::set<ResultPair> expected = Truth(ds, 0.3);
-  ClOptions overlapping;
-  overlapping.theta = 0.3;
-  overlapping.theta_c = 0.05;
-  ClOptions resolved = overlapping;
-  resolved.resolve_overlaps = true;
-  auto a = RunClusterJoin(&ctx, ds, overlapping);
-  auto b = RunClusterJoin(&ctx, ds, resolved);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(PairSet(a->pairs), expected);
-  EXPECT_EQ(PairSet(b->pairs), expected);
-  EXPECT_LE(b->stats.cluster_members, a->stats.cluster_members);
-}
-
 TEST(ClusterJoinTest, SingletonPrefixCounterexample) {
   // Regression for the Algorithm 1 deviation documented in cluster.h /
   // DESIGN.md: with the paper's literal singleton prefix

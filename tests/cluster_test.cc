@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "ranking/footrule.h"
 #include "ranking/join_store.h"
@@ -24,8 +28,10 @@ struct ClusterFixture {
   std::vector<OrderedRanking> ordered;
   JoinStore store;
 
-  explicit ClusterFixture(uint64_t seed, size_t n = 300) {
-    dataset = SmallSkewedDataset(seed, n);
+  explicit ClusterFixture(uint64_t seed, size_t n = 300)
+      : ClusterFixture(SmallSkewedDataset(seed, n)) {}
+
+  explicit ClusterFixture(RankingDataset ds) : dataset(std::move(ds)) {
     ItemOrder order =
         ItemOrder::FromFrequencies(CountItemFrequencies(dataset.rankings));
     ordered = MakeOrderedDataset(dataset.rankings, order);
@@ -58,46 +64,102 @@ TEST(ClusteringPhaseTest, PairsAreWithinThetaC) {
   }
 }
 
-TEST(ClusteringPhaseTest, MatchesBruteForcePairs) {
-  ClusterFixture fx(201);
-  minispark::Context ctx(TestCluster());
-  JoinStats stats;
-  const double theta_c = 0.05;
-  Clustering clustering =
-      RunClusteringPhase(&ctx, fx.store, fx.Spec(theta_c), &stats);
-  std::set<ResultPair> found;
-  for (const ClusterPair& cp : clustering.pairs) {
-    found.insert(MakeResultPair(cp.centroid, cp.member));
-  }
-  EXPECT_EQ(found, testutil::Truth(fx.dataset, theta_c));
-}
-
-TEST(ClusteringPhaseTest, SingletonsHaveNoClosePartner) {
-  ClusterFixture fx(202);
-  minispark::Context ctx(TestCluster());
-  JoinStats stats;
-  const double theta_c = 0.04;
-  Clustering clustering =
-      RunClusteringPhase(&ctx, fx.store, fx.Spec(theta_c), &stats);
+/// Checks the one-role cluster formation against the brute-force
+/// theta_c pairs: every ranking is exactly one of singleton, centroid or
+/// member; a centroid is the smaller id of some pair and has members;
+/// each member's centroid is its closest smaller-id partner (ties to the
+/// smaller id); the singletons are the unpaired rankings plus the
+/// centroids left without members.
+void ExpectOneRolePerRanking(const ClusterFixture& fx,
+                             const Clustering& clustering,
+                             const JoinStats& stats, double theta_c) {
   const uint32_t raw = RawThreshold(theta_c, fx.dataset.k);
-  std::unordered_set<RankingId> singleton_set(
-      clustering.singletons.begin(), clustering.singletons.end());
-  for (RankingId id : clustering.singletons) {
-    for (const OrderedRanking& other : fx.ordered) {
-      if (other.id == id) continue;
-      EXPECT_GT(FootruleDistance(fx.ordered[id], other), raw);
+  const size_t n = fx.ordered.size();
+  std::vector<bool> smaller_of_pair(n, false);
+  std::vector<bool> has_partner(n, false);
+  // (distance, id) of the closest smaller-id partner.
+  std::vector<std::pair<uint32_t, RankingId>> closest(
+      n, {std::numeric_limits<uint32_t>::max(), 0});
+  for (RankingId a = 0; a < n; ++a) {
+    for (RankingId b = a + 1; b < n; ++b) {
+      const uint32_t d = FootruleDistance(fx.ordered[a], fx.ordered[b]);
+      if (d > raw) continue;
+      smaller_of_pair[a] = true;
+      has_partner[a] = has_partner[b] = true;
+      closest[b] = std::min(closest[b], std::make_pair(d, a));
     }
   }
-  // Partition property: every ranking is a centroid, a member of some
-  // pair, or a singleton.
-  std::unordered_set<RankingId> covered = singleton_set;
+
+  std::vector<int> roles(n, 0);
+  std::set<RankingId> with_members;
   for (const ClusterPair& cp : clustering.pairs) {
-    covered.insert(cp.centroid);
-    covered.insert(cp.member);
+    ++roles[cp.member];
+    EXPECT_FALSE(smaller_of_pair[cp.member])
+        << "centroid " << cp.member << " is a member of " << cp.centroid;
+    EXPECT_EQ(std::make_pair(cp.distance, cp.centroid), closest[cp.member])
+        << "member " << cp.member << " is not in its closest cluster";
+    with_members.insert(cp.centroid);
   }
-  EXPECT_EQ(covered.size(), fx.dataset.size());
-  EXPECT_EQ(stats.singletons, clustering.singletons.size());
+  for (RankingId id : clustering.centroids) {
+    ++roles[id];
+    EXPECT_TRUE(smaller_of_pair[id]) << "centroid " << id;
+    EXPECT_TRUE(with_members.count(id)) << "centroid " << id << " is empty";
+  }
+  for (RankingId id : clustering.singletons) {
+    ++roles[id];
+    EXPECT_TRUE(!has_partner[id] ||
+                (smaller_of_pair[id] && with_members.count(id) == 0))
+        << "singleton " << id;
+  }
+  for (RankingId id = 0; id < n; ++id) {
+    EXPECT_EQ(roles[id], 1) << "ranking " << id;
+  }
+  EXPECT_EQ(with_members, std::set<RankingId>(clustering.centroids.begin(),
+                                              clustering.centroids.end()));
   EXPECT_EQ(stats.clusters, clustering.centroids.size());
+  EXPECT_EQ(stats.singletons, clustering.singletons.size());
+  EXPECT_EQ(stats.cluster_members, clustering.pairs.size());
+}
+
+TEST(ClusteringPhaseTest, OneRolePerRankingMatchesBruteForce) {
+  for (const auto& [seed, theta_c] :
+       std::vector<std::pair<uint64_t, double>>{{201, 0.05}, {202, 0.04}}) {
+    SCOPED_TRACE(seed);
+    ClusterFixture fx(seed);
+    minispark::Context ctx(TestCluster());
+    JoinStats stats;
+    Clustering clustering =
+        RunClusteringPhase(&ctx, fx.store, fx.Spec(theta_c), &stats);
+    EXPECT_GT(clustering.pairs.size(), 0u);
+    ExpectOneRolePerRanking(fx, clustering, stats, theta_c);
+  }
+}
+
+TEST(ClusteringPhaseTest, IdenticalCliqueAtZeroThetaC) {
+  // Rankings 0-4 are identical, 5 and 6 are not. Every clique pair is a
+  // theta_c = 0 pair, so 0-3 are centroids, and 4 joins the smallest:
+  // 1-3 are left without members and become singletons.
+  RankingDataset ds;
+  ds.k = 4;
+  for (RankingId id = 0; id < 5; ++id) {
+    ds.rankings.push_back(Ranking(id, {1, 2, 3, 4}));
+  }
+  ds.rankings.push_back(Ranking(5, {1, 2, 4, 3}));
+  ds.rankings.push_back(Ranking(6, {7, 8, 9, 10}));
+  ClusterFixture fx(std::move(ds));
+  minispark::Context ctx(TestCluster());
+  JoinStats stats;
+  Clustering clustering =
+      RunClusteringPhase(&ctx, fx.store, fx.Spec(0.0), &stats);
+  ExpectOneRolePerRanking(fx, clustering, stats, 0.0);
+  ASSERT_EQ(clustering.pairs.size(), 1u);
+  EXPECT_EQ(clustering.pairs[0].centroid, 0u);
+  EXPECT_EQ(clustering.pairs[0].member, 4u);
+  EXPECT_EQ(clustering.pairs[0].distance, 0u);
+  EXPECT_EQ(clustering.centroids, std::vector<RankingId>{0});
+  EXPECT_EQ(std::set<RankingId>(clustering.singletons.begin(),
+                                clustering.singletons.end()),
+            (std::set<RankingId>{1, 2, 3, 5, 6}));
 }
 
 TEST(ClusteringPhaseTest, CentroidsAreFirstElements) {

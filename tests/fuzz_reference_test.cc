@@ -5,7 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <sstream>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -13,12 +19,16 @@
 #include "common/random.h"
 #include "data/generator.h"
 #include "jaccard/jaccard.h"
+#include "jaccard/jaccard_join.h"
+#include "join/brute_force.h"
+#include "join/cluster_join.h"
 #include "join/local_join.h"
 #include "ranking/flat_rankings.h"
 #include "ranking/footrule.h"
 #include "ranking/join_store.h"
 #include "ranking/prefix.h"
 #include "ranking/reorder.h"
+#include "tests/test_util.h"
 
 namespace rankjoin {
 namespace {
@@ -368,6 +378,149 @@ TEST(FuzzReferenceTest, JaccardPrefixCompletenessRandom) {
       }
     }
   }
+}
+
+/// A threshold in [0, hi], either uniform or a multiple of 1 / (k(k+1)),
+/// where the raw threshold theta * k(k+1) is integral and rounding
+/// decides it.
+double RandomTheta(double hi, int k, Rng& rng) {
+  const double max_raw = static_cast<double>(MaxFootrule(k));
+  if (rng.Bernoulli(0.3)) {
+    const double steps = std::floor(hi * max_raw) + 1;
+    return std::floor(rng.NextDouble() * steps) / max_raw;
+  }
+  return rng.NextDouble() * hi;
+}
+
+/// Seeded differential test of the clustering joins: about 600 random
+/// cases, each compared with the brute-force pair set. The cases vary
+/// the data (size, k, domain, near and exact duplicate rates), the id
+/// layout, theta and theta_c, delta (small values force chunk joins),
+/// the partition and worker counts and the filter toggles, over
+/// RunClusterJoin and RunJaccardClusterJoin.
+TEST(FuzzReferenceTest, ClusterJoinsMatchBruteForceSeeded) {
+  constexpr int kCases = 600;
+  const int ks[] = {1, 2, 3, 4, 5, 10, 25};
+  const uint64_t deltas[] = {0, 2, 3, 10, 1000};
+  const char* const layouts[] = {"dense", "reversed", "near 2^32"};
+  int valid = 0;
+  int failed = 0;
+  int with_clusters = 0;
+  int with_chunk_joins = 0;
+  for (int c = 0; c < kCases; ++c) {
+    Rng rng(0xC1D5EED0000ULL + static_cast<uint64_t>(c));
+    GeneratorOptions gen;
+    gen.k = ks[rng.Uniform(std::size(ks))];
+    gen.num_rankings = 2 + rng.Uniform(149);
+    gen.domain_size =
+        static_cast<uint32_t>(gen.k + rng.Uniform(5 * gen.k + 30));
+    gen.zipf_skew = 1.2 * rng.NextDouble();
+    gen.near_duplicate_rate = 0.8 * rng.NextDouble();
+    gen.exact_duplicate_rate = rng.Bernoulli(0.5) ? 0.4 * rng.NextDouble() : 0;
+    gen.max_perturbations = static_cast<int>(1 + rng.Uniform(3));
+    gen.seed = rng.Next();
+    RankingDataset ds = GenerateDataset(gen);
+    const size_t layout = rng.Uniform(3);
+    const RankingId n = static_cast<RankingId>(ds.rankings.size());
+    for (Ranking& r : ds.rankings) {
+      RankingId id = r.id();
+      if (layout == 1) id = n - 1 - id;
+      if (layout == 2) id = UINT32_MAX - (n - 1) + id;
+      r = Ranking(id, r.items());
+    }
+
+    const bool jaccard = rng.Bernoulli(0.35);
+    const double theta = RandomTheta(jaccard ? 0.9 : 0.6, gen.k, rng);
+    double theta_c = 0;
+    if (rng.Bernoulli(0.1)) {
+      theta_c = theta;
+    } else if (!rng.Bernoulli(0.2)) {
+      theta_c = RandomTheta(std::min(theta, (1 - theta) / 2), gen.k, rng);
+    }
+    const int partitions = static_cast<int>(1 + rng.Uniform(9));
+    const int workers = static_cast<int>(1 + rng.Uniform(4));
+    const uint64_t delta = deltas[rng.Uniform(std::size(deltas))];
+    const bool position_filter = rng.Bernoulli(0.5);
+    const bool singleton_optimization = rng.Bernoulli(0.5);
+    const bool triangle_upper_shortcut = rng.Bernoulli(0.5);
+    const bool reorder = rng.Bernoulli(0.5);
+    const bool adaptive = delta > 0 && rng.Bernoulli(0.3);
+
+    std::ostringstream describe;
+    describe << "case " << c << (jaccard ? " jaccard-cl" : " cl")
+             << ": n=" << n << " k=" << gen.k
+             << " domain=" << gen.domain_size << " skew=" << gen.zipf_skew
+             << " near=" << gen.near_duplicate_rate
+             << " exact=" << gen.exact_duplicate_rate
+             << " layout=" << layouts[layout] << " theta=" << theta
+             << " theta_c=" << theta_c << " delta=" << delta
+             << " adaptive=" << adaptive << " partitions=" << partitions
+             << " workers=" << workers << " position_filter="
+             << position_filter << " singleton_opt="
+             << singleton_optimization << " triangle_shortcut="
+             << triangle_upper_shortcut << " reorder=" << reorder;
+
+    minispark::Context ctx(testutil::TestCluster(workers, partitions));
+    // The one case the options' validation rejects: the enlarged
+    // centroid threshold theta + 2 * theta_c reaches the disjoint-pair
+    // distance, in raw units or (Jaccard) normalized.
+    const int k = gen.k;
+    const bool rejected =
+        jaccard ? theta + 2 * theta_c >= 1.0 ||
+                      2 * (k - JaccardMinOverlap(theta, k)) +
+                              4 * (k - JaccardMinOverlap(theta_c, k)) >=
+                          2 * k
+                : RawThreshold(theta, k) + 2 * RawThreshold(theta_c, k) >=
+                      MaxFootrule(k);
+    std::vector<ResultPair> truth;
+    Result<JoinResult> result = [&]() -> Result<JoinResult> {
+      if (jaccard) {
+        JaccardJoinOptions options;
+        options.theta = theta;
+        options.theta_c = theta_c;
+        options.num_partitions = partitions;
+        options.reorder_by_frequency = reorder;
+        options.singleton_optimization = singleton_optimization;
+        options.triangle_upper_shortcut = triangle_upper_shortcut;
+        truth = JaccardBruteForceJoin(ds, theta).pairs;
+        return RunJaccardClusterJoin(&ctx, ds, options);
+      }
+      ClOptions options;
+      options.theta = theta;
+      options.theta_c = theta_c;
+      options.num_partitions = partitions;
+      options.position_filter = position_filter;
+      options.reorder_by_frequency = reorder;
+      options.singleton_optimization = singleton_optimization;
+      options.triangle_upper_shortcut = triangle_upper_shortcut;
+      options.repartition_delta = delta;
+      options.adaptive_repartition = adaptive;
+      truth = BruteForceJoin(ds, theta).pairs;
+      return RunClusterJoin(&ctx, ds, options);
+    }();
+    EXPECT_EQ(result.ok(), !rejected) << describe.str();
+    if (!result.ok()) {
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << describe.str() << ": " << result.status();
+      continue;
+    }
+    ++valid;
+    with_clusters += result->stats.clusters > 0;
+    with_chunk_joins += result->stats.chunk_pair_joins > 0;
+    SCOPED_TRACE(describe.str());
+    const bool same =
+        testutil::PairSet(result->pairs) == testutil::PairSet(truth);
+    failed += !same;
+    EXPECT_TRUE(same) << result->pairs.size() << " pairs, "
+                      << truth.size() << " expected";
+  }
+  std::printf(
+      "%d valid cases (%d failed), %d with clusters, %d with chunk joins\n",
+      valid, failed, with_clusters, with_chunk_joins);
+  // The sweep must keep reaching the paths it is meant to cover.
+  EXPECT_GE(valid, 500);
+  EXPECT_GE(with_clusters, 400);
+  EXPECT_GE(with_chunk_joins, 100);
 }
 
 }  // namespace

@@ -124,6 +124,31 @@ TEST(RepartitionTest, HugeDeltaSplitsNothing) {
   EXPECT_EQ(stats.chunk_pair_joins, 0u);
 }
 
+TEST(RepartitionTest, RuntimeSkewSplitKeepsChunkStats) {
+  // Runtime skew splitting can give the chunk spread more partitions
+  // than it asked for; the stats of every partition must still count.
+  testutil::ScopedEnv split_env("RANKJOIN_SPLIT_PARTITION_BYTES", nullptr);
+  testutil::ScopedEnv barrier_env("RANKJOIN_PIPELINED_STAGES", nullptr);
+  GroupsFixture fx(405);
+  minispark::Context plain_ctx(TestCluster());
+  minispark::Context::Options split_options = TestCluster();
+  split_options.split_partition_bytes = 64;
+  minispark::Context split_ctx(split_options);
+  JoinStats plain, split;
+  const std::set<ResultPair> expected =
+      Dedup(JoinGroupsWithRepartitioning(fx.MakeDataset(&plain_ctx), 2, 8,
+                                         fx.JoinFn(), fx.RsFn(), &plain)
+                .Collect());
+  const std::set<ResultPair> got =
+      Dedup(JoinGroupsWithRepartitioning(fx.MakeDataset(&split_ctx), 2, 8,
+                                         fx.JoinFn(), fx.RsFn(), &split)
+                .Collect());
+  EXPECT_GT(split_ctx.metrics().TotalSplitPartitions(), 0u);
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(split.candidates, plain.candidates);
+  EXPECT_EQ(split.verified, plain.verified);
+}
+
 TEST(RepartitionTest, ChunkPairCountMatchesFormula) {
   // A single list of size n with chunk capacity delta must produce
   // C(ceil(n/delta), 2) R-S joins.
