@@ -32,8 +32,7 @@ int main(int argc, char** argv) {
     RankingDataset ds = GenerateDataset(options);
 
     // Full-k index without reordering: the regime Eq. 4 models.
-    auto ordered = MakeOrderedDataset(ds.rankings, ItemOrder());
-    auto lengths = MeasurePostingListLengths(ordered, options.k);
+    auto lengths = MeasurePostingListLengths(ds.store().Views(), options.k);
     double sum = 0;
     double sum_sq = 0;
     for (size_t len : lengths) {

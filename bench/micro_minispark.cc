@@ -1,6 +1,6 @@
 // google-benchmark suite for the minispark dataflow primitives: shuffle
-// throughput, groupByKey, reduceByKey, join, distinct, sortByKey, and
-// the lazy stage-fusion engine (fused vs per-operator execution).
+// throughput, groupByKey, reduceByKey, join, and the lazy stage-fusion
+// engine (fused vs per-operator execution).
 // These bound the constant factors behind every distributed pipeline.
 // Lazy outputs are forced with Count() so each iteration measures the
 // full materialization, not just plan construction.
@@ -14,7 +14,6 @@
 
 #include "common/random.h"
 #include "minispark/dataset.h"
-#include "minispark/extra_ops.h"
 
 namespace rankjoin::minispark {
 namespace {
@@ -84,21 +83,6 @@ void BM_Join(benchmark::State& state) {
 }
 BENCHMARK(BM_Join)->Arg(10000);
 
-void BM_Distinct(benchmark::State& state) {
-  Context ctx(BenchCluster());
-  Rng rng(3);
-  std::vector<uint32_t> data;
-  for (int i = 0; i < state.range(0); ++i) {
-    data.push_back(static_cast<uint32_t>(rng.Uniform(1 << 12)));
-  }
-  auto ds = Parallelize(&ctx, data, 16);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Distinct(ds, 16).Count());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Distinct)->Arg(100000);
-
 // map -> filter -> flatMap -> groupByKey, the canonical narrow chain of
 // the join pipelines (prefix emission, predicate filters, re-keying).
 // With fusion the three narrow ops execute inside the shuffle-write
@@ -152,17 +136,6 @@ void BM_ChainUnfused(benchmark::State& state) {
 }
 BENCHMARK(BM_ChainUnfused)->Arg(100000);
 
-void BM_SortByKey(benchmark::State& state) {
-  Context ctx(BenchCluster());
-  auto data = MakeKv(static_cast<size_t>(state.range(0)), 1 << 20);
-  auto ds = Parallelize(&ctx, data, 16);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SortByKey(ds, 16));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SortByKey)->Arg(100000);
-
 // Same shuffle, resident vs disk: arg is the memory budget in bytes
 // (0 = unlimited). The spill counters quantify how much of the shuffle
 // hit the temp files.
@@ -195,28 +168,29 @@ void BM_ShuffleSpill(benchmark::State& state) {
 }
 BENCHMARK(BM_ShuffleSpill)->Arg(100000);
 
-// Distinct over few distinct values: most of the 64 target buckets end
-// up tiny. With a byte target the read side collapses them into a
-// handful of tasks (read_tasks/coalesced counters show the contrast).
-void DistinctCoalesceBenchmark(benchmark::State& state,
-                               uint64_t target_bytes) {
+// ReduceByKey over few distinct keys: after the map-side combine most of
+// the 64 target buckets end up tiny. With a byte target the read side
+// collapses them into a handful of tasks (read_tasks/coalesced counters
+// show the contrast).
+void ReduceCoalesceBenchmark(benchmark::State& state,
+                             uint64_t target_bytes) {
   Context::Options options = BenchCluster();
   options.target_partition_bytes = target_bytes;
   Context ctx(options);
-  Rng rng(3);
-  std::vector<uint32_t> data;
-  for (int i = 0; i < state.range(0); ++i) {
-    data.push_back(static_cast<uint32_t>(rng.Uniform(1 << 10)));
-  }
-  auto ds = Parallelize(&ctx, data, 16);
+  auto ds = Parallelize(&ctx, MakeKv(static_cast<size_t>(state.range(0)),
+                                     1 << 10),
+                        16);
   ctx.metrics().Clear();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Distinct(ds, 64, "distinct").Count());
+    benchmark::DoNotOptimize(
+        ReduceByKey(
+            ds, [](uint32_t a, uint32_t b) { return a + b; }, 64, "reduce")
+            .Count());
   }
   const double iters = static_cast<double>(state.iterations());
   double read_tasks = 0;
   for (const auto& stage : ctx.metrics().stages()) {
-    if (stage.name == "distinct/shuffle-read") {
+    if (stage.name == "reduce/shuffle-read") {
       read_tasks += static_cast<double>(stage.task_seconds.size());
     }
   }
@@ -226,15 +200,15 @@ void DistinctCoalesceBenchmark(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-void BM_DistinctFixed(benchmark::State& state) {
-  DistinctCoalesceBenchmark(state, /*target_bytes=*/0);
+void BM_ReduceFixed(benchmark::State& state) {
+  ReduceCoalesceBenchmark(state, /*target_bytes=*/0);
 }
-BENCHMARK(BM_DistinctFixed)->Arg(100000);
+BENCHMARK(BM_ReduceFixed)->Arg(100000);
 
-void BM_DistinctCoalesced(benchmark::State& state) {
-  DistinctCoalesceBenchmark(state, /*target_bytes=*/1 << 20);
+void BM_ReduceCoalesced(benchmark::State& state) {
+  ReduceCoalesceBenchmark(state, /*target_bytes=*/1 << 20);
 }
-BENCHMARK(BM_DistinctCoalesced)->Arg(100000);
+BENCHMARK(BM_ReduceCoalesced)->Arg(100000);
 
 /// Builds the canonical chain pipeline (the one ChainBenchmark
 /// measures) over `ctx` and returns the grouped result, unforced.
@@ -327,9 +301,10 @@ int RunLintDemo() {
         return kv.second % 2 == 1;
       },
       "demo/odds");
-  // A repartition feeding only another shuffle, which discards its
-  // placement: MS002.
-  auto placed = Union(evens, odds, "demo/union").Repartition(8, "demo/place");
+  // A placement shuffle feeding only another shuffle, which discards
+  // its placement: MS002.
+  auto placed = PartitionByKey(Union(evens, odds, "demo/union"), 8,
+                               "demo/place");
   auto grouped = GroupByKey(placed, 16, "demo/group");
   const std::vector<LintDiagnostic> bad = grouped.Lint();
   std::printf("demo bad plan:  %s", bad.empty()

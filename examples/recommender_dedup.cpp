@@ -58,9 +58,8 @@ int main() {
 
   ItemOrder order =
       ItemOrder::FromFrequencies(CountItemFrequencies(loaded->rankings));
-  std::vector<OrderedRanking> ordered =
-      MakeOrderedDataset(loaded->rankings, order);
-  const uint64_t delta = SuggestDeltaMeasured(ordered, prefix, 4.0);
+  const uint64_t delta =
+      SuggestDeltaMeasured(loaded->store().Views(), prefix, 4.0, &order);
   std::printf(
       "delta from Eq. 4 model: %llu; from measured reordered prefix "
       "index: %llu (used)\n",

@@ -378,7 +378,6 @@ void RunClusterPhases(minispark::Context* ctx, const JoinStore& store,
   cluster_spec.num_partitions = num_partitions;
   cluster_spec.position_filter = options.position_filter;
   cluster_spec.prefix_mode = PrefixMode::kOverlap;
-  cluster_spec.local_algorithm = options.clustering_algorithm;
   cluster_spec.counter_scope = "cl.clustering";
   const Clustering clustering =
       RunClusteringPhase(ctx, store, cluster_spec, &result->stats);

@@ -24,10 +24,6 @@ struct ClOptions {
   /// Reorder once, up front, for both the clustering and joining phases
   /// (paper Section 5, "Ordering").
   bool reorder_by_frequency = true;
-  /// Kernel used by the clustering-phase self-join; the joining phase
-  /// always walks posting lists with iterators (nested loop), the
-  /// Spark-friendly choice the CL/CL-P algorithms are built on.
-  LocalAlgorithm clustering_algorithm = LocalAlgorithm::kPrefixIndex;
   /// Lemma 5.3 singleton thresholds in the joining phase.
   bool singleton_optimization = true;
   /// Expansion: emit candidates whose triangle upper bound already

@@ -8,25 +8,6 @@
 #include "ranking/reorder.h"
 
 namespace rankjoin {
-namespace {
-
-/// Shared tail of both SuggestDeltaMeasured overloads: length-weighted
-/// expected list length (what a random prefix token hits, the same
-/// statistic Eq. 4 models) times the headroom.
-uint64_t DeltaFromLengths(const std::vector<size_t>& lengths,
-                          double headroom) {
-  double sum = 0;
-  double sum_sq = 0;
-  for (size_t len : lengths) {
-    sum += static_cast<double>(len);
-    sum_sq += static_cast<double>(len) * static_cast<double>(len);
-  }
-  const double expected = sum > 0 ? sum_sq / sum : 1.0;
-  return static_cast<uint64_t>(
-      std::llround(std::max(1.0, expected * headroom)));
-}
-
-}  // namespace
 
 double EstimatePostingListLength(size_t n, double s, size_t v_prime) {
   RANKJOIN_CHECK(v_prime >= 1);
@@ -41,21 +22,6 @@ double EstimatePostingListLength(size_t n, double s, size_t v_prime) {
     sum += static_cast<double>(n) * f * f;
   }
   return sum;
-}
-
-std::vector<size_t> MeasurePostingListLengths(
-    const std::vector<OrderedRanking>& rankings, int prefix_size) {
-  std::unordered_map<ItemId, size_t> lengths;
-  for (const OrderedRanking& r : rankings) {
-    const size_t p = std::min(static_cast<size_t>(prefix_size),
-                              r.canonical.size());
-    for (size_t i = 0; i < p; ++i) ++lengths[r.canonical[i].item];
-  }
-  std::vector<size_t> out;
-  out.reserve(lengths.size());
-  for (const auto& [item, len] : lengths) out.push_back(len);
-  std::sort(out.begin(), out.end(), std::greater<size_t>());
-  return out;
 }
 
 std::vector<size_t> MeasurePostingListLengths(
@@ -92,17 +58,20 @@ uint64_t SuggestDelta(size_t n, double s, size_t v_prime, double headroom) {
   return static_cast<uint64_t>(std::llround(delta));
 }
 
-uint64_t SuggestDeltaMeasured(const std::vector<OrderedRanking>& rankings,
-                              int prefix_size, double headroom) {
-  return DeltaFromLengths(MeasurePostingListLengths(rankings, prefix_size),
-                          headroom);
-}
-
 uint64_t SuggestDeltaMeasured(std::span<const RankingView> views,
                               int prefix_size, double headroom,
                               const ItemOrder* order) {
-  return DeltaFromLengths(
-      MeasurePostingListLengths(views, prefix_size, order), headroom);
+  // Length-weighted expected list length (what a random prefix token
+  // hits, the same statistic Eq. 4 models) times the headroom.
+  double sum = 0;
+  double sum_sq = 0;
+  for (size_t len : MeasurePostingListLengths(views, prefix_size, order)) {
+    sum += static_cast<double>(len);
+    sum_sq += static_cast<double>(len) * static_cast<double>(len);
+  }
+  const double expected = sum > 0 ? sum_sq / sum : 1.0;
+  return static_cast<uint64_t>(
+      std::llround(std::max(1.0, expected * headroom)));
 }
 
 }  // namespace rankjoin

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "ranking/flat_rankings.h"
-#include "ranking/ranking.h"
 
 namespace rankjoin {
 
@@ -23,18 +22,12 @@ class ItemOrder;
 double EstimatePostingListLength(size_t n, double s, size_t v_prime);
 
 /// Measured counterpart: the length of every posting list of an
-/// inverted index over the prefixes of `rankings` (prefix of
-/// `prefix_size` canonical entries). Used to validate Eq. 4 and in the
-/// delta-selection example.
-std::vector<size_t> MeasurePostingListLengths(
-    const std::vector<OrderedRanking>& rankings, int prefix_size);
-
-/// Columnar-store variant: measures posting-list lengths straight off
-/// RankingView records without materializing OrderedRanking copies —
-/// what the kAuto planner samples. With `order == nullptr` the prefix is
-/// the first `prefix_size` items in original rank order; with an
-/// ItemOrder it is each view's `prefix_size` canonically-smallest
-/// (rarest) items, mirroring what frequency reordering would index.
+/// inverted index over the prefixes of `views`, longest first. With
+/// `order == nullptr` the prefix is the first `prefix_size` items in
+/// original rank order; with an ItemOrder it is each view's
+/// `prefix_size` canonically-smallest (rarest) items, mirroring what
+/// frequency reordering would index. Used to validate Eq. 4, in the
+/// delta-selection example and by the kAuto planner's sample.
 std::vector<size_t> MeasurePostingListLengths(
     std::span<const RankingView> views, int prefix_size,
     const ItemOrder* order = nullptr);
@@ -46,15 +39,11 @@ uint64_t SuggestDelta(size_t n, double s, size_t v_prime,
                       double headroom = 4.0);
 
 /// Data-driven variant: derives delta from the MEASURED posting lists
-/// of the actual (frequency-reordered) prefix index instead of the Eq. 4
-/// model. More accurate when reordering has reshaped the lists — Eq. 4
-/// models the raw Zipf item distribution, but the prefix after
-/// reordering holds each ranking's rarest items (see EXPERIMENTS.md).
-uint64_t SuggestDeltaMeasured(const std::vector<OrderedRanking>& rankings,
-                              int prefix_size, double headroom = 4.0);
-
-/// Columnar-store variant of the above (same statistic over the
-/// RankingView overload of MeasurePostingListLengths).
+/// (MeasurePostingListLengths) of the actual (frequency-reordered)
+/// prefix index instead of the Eq. 4 model. More accurate when
+/// reordering has reshaped the lists — Eq. 4 models the raw Zipf item
+/// distribution, but the prefix after reordering holds each ranking's
+/// rarest items (see EXPERIMENTS.md).
 uint64_t SuggestDeltaMeasured(std::span<const RankingView> views,
                               int prefix_size, double headroom = 4.0,
                               const ItemOrder* order = nullptr);

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <charconv>
 #include <csignal>
 #include <cstdlib>
-#include <deque>
+#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -24,26 +25,35 @@ namespace {
 
 /// Exponential retry backoff never sleeps longer than this per attempt.
 constexpr int64_t kMaxBackoffMs = 100;
-/// Tasks faster than this never speculate — duplicating them costs more
-/// than the tail they could save.
-constexpr int64_t kSpeculationFloorMicros = 10000;
+/// Largest RANKJOIN_JOB_DEADLINE_MS accepted, the cap of rankjoin_cli's
+/// --deadline-ms.
+constexpr uint64_t kMaxDeadlineMs = 1000000000000000ull;
+
+/// Reads the numeric override `name` into *out when the variable is set
+/// to a whole decimal number in [0, max]. Any other value is ignored
+/// with one warning naming the variable.
+bool NumericOverride(const char* name, uint64_t max, uint64_t* out) {
+  const char* text = std::getenv(name);
+  if (text == nullptr) return false;
+  const char* end = text + std::strlen(text);
+  uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec == std::errc() && ptr == end && value <= max) {
+    *out = value;
+    return true;
+  }
+  RANKJOIN_LOG(Warning) << name << "='" << text
+                        << "' is not a decimal number in [0, " << max
+                        << "]; ignored";
+  return false;
+}
 
 /// Applies environment overrides to the options (see Options docs).
 Context::Options WithEnvOverrides(Context::Options options) {
-  if (const char* budget = std::getenv("RANKJOIN_SHUFFLE_BUDGET_BYTES")) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(budget, &end, 10);
-    if (end != budget) {
-      options.shuffle_memory_budget_bytes = static_cast<uint64_t>(parsed);
-    }
-  }
-  if (const char* split = std::getenv("RANKJOIN_SPLIT_PARTITION_BYTES")) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(split, &end, 10);
-    if (end != split) {
-      options.split_partition_bytes = static_cast<uint64_t>(parsed);
-    }
-  }
+  NumericOverride("RANKJOIN_SHUFFLE_BUDGET_BYTES", UINT64_MAX,
+                  &options.shuffle_memory_budget_bytes);
+  NumericOverride("RANKJOIN_SPLIT_PARTITION_BYTES", UINT64_MAX,
+                  &options.split_partition_bytes);
   if (const char* level = std::getenv("RANKJOIN_TRACE_LEVEL")) {
     options.trace_level = ParseTraceLevel(level);
   }
@@ -53,12 +63,9 @@ Context::Options WithEnvOverrides(Context::Options options) {
   if (const char* spec = std::getenv("RANKJOIN_FAULT_SPEC")) {
     options.fault_spec = spec;
   }
-  if (const char* port = std::getenv("RANKJOIN_STATS_PORT")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(port, &end, 10);
-    if (end != port && parsed >= 0 && parsed <= 65535) {
-      options.stats_port = static_cast<int>(parsed);
-    }
+  if (uint64_t port = 0;
+      NumericOverride("RANKJOIN_STATS_PORT", 65535, &port)) {
+    options.stats_port = static_cast<int>(port);
   }
   if (const char* pipelined = std::getenv("RANKJOIN_PIPELINED_STAGES")) {
     const std::string value(pipelined);
@@ -81,12 +88,9 @@ Context::Options WithEnvOverrides(Context::Options options) {
       options.resume = false;
     }
   }
-  if (const char* deadline = std::getenv("RANKJOIN_JOB_DEADLINE_MS")) {
-    char* end = nullptr;
-    const long long parsed = std::strtoll(deadline, &end, 10);
-    if (end != deadline && parsed >= 0) {
-      options.job_deadline_ms = static_cast<int64_t>(parsed);
-    }
+  if (uint64_t ms = 0;
+      NumericOverride("RANKJOIN_JOB_DEADLINE_MS", kMaxDeadlineMs, &ms)) {
+    options.job_deadline_ms = static_cast<int64_t>(ms);
   }
   return options;
 }
@@ -117,7 +121,7 @@ int64_t SteadyNowMicros() {
 }
 
 /// Sleeps up to `ms` milliseconds, one slice at a time, returning early
-/// once `abandon()` turns true (stage cancelled / a rival committed).
+/// once `abandon()` turns true (the stage was cancelled).
 template <typename AbandonFn>
 void InterruptibleSleepMs(int64_t ms, const AbandonFn& abandon) {
   const int64_t deadline = SteadyNowMicros() + ms * 1000;
@@ -129,40 +133,38 @@ void InterruptibleSleepMs(int64_t ms, const AbandonFn& abandon) {
 }  // namespace
 
 /// Shared state of one executing stage. Attempts run on pool workers;
-/// the driver blocks on `cv` until every slot is resolved (committed,
-/// permanently failed, or cancelled).
+/// the driver blocks on `cv` until every task has finished (succeeded,
+/// permanently failed, or been cancelled).
 struct Context::StageExec {
-  /// One task's slot. `won` is the commit claim (first successful
-  /// attempt CASes it and runs its commit thunk); the fields below the
-  /// marker are written only by that winner, under `mu`.
+  /// What one task leaves for the driver. Written only by the task's
+  /// own worker, and read by the driver after the barrier, which orders
+  /// the two through `mu`.
   struct TaskSlot {
-    std::atomic<bool> won{false};
-    std::atomic<bool> speculated{false};
-    /// Steady-clock micros when the primary attempt began user code
-    /// (-1 while still queued). Feeds the straggler scan.
-    std::atomic<int64_t> first_start_us{-1};
-    // -- guarded by StageExec::mu (the annotation language cannot name
-    // the enclosing object's mutex from a nested struct, so this stays
-    // a documented convention; every access site below holds mu) --
-    bool resolved = false;
+    /// Wall time of the successful attempt (0 when none succeeded).
     double seconds = 0.0;
+    /// Steady-clock micros when the first attempt began user code (-1
+    /// when the task was cancelled before it started).
+    int64_t first_start_us = -1;
     TaskTrace trace;
     bool traced = false;
   };
 
-  std::string name;
-  IsolatedTaskFn task;
-  /// deque: TaskSlot holds atomics and must never move. Slot atomics
-  /// are lock-free; the fields past the marker above are under mu.
-  std::deque<TaskSlot> slots;
+  StageExec(const std::string& stage_name, const TaskFn& stage_task,
+            int num_tasks)
+      : name(stage_name),
+        task(stage_task),
+        slots(static_cast<size_t>(num_tasks)) {}
+
+  const std::string& name;
+  const TaskFn& task;
+  std::vector<TaskSlot> slots;
   Mutex mu;
   CondVar cv;
-  int resolved_count GUARDED_BY(mu) = 0;
+  int finished GUARDED_BY(mu) = 0;
   /// First task failure that exhausted its retries; wins over later ones.
   Status first_error GUARDED_BY(mu);
   std::atomic<bool> cancelled{false};
   std::atomic<uint64_t> retries{0};
-  uint64_t speculative_launches GUARDED_BY(mu) = 0;  // driver-only
 };
 
 Context::Context(Options options)
@@ -182,7 +184,10 @@ Context::Context(Options options)
   }
   start_time_ = std::chrono::steady_clock::now();
   if (options_.job_deadline_ms > 0) {
-    deadline_at_us_ = options_.job_deadline_ms * 1000;
+    // Saturates: a deadline beyond INT64_MAX microseconds never passes.
+    deadline_at_us_ = options_.job_deadline_ms > INT64_MAX / 1000
+                          ? INT64_MAX
+                          : options_.job_deadline_ms * 1000;
     telemetry_.SetDeadlineRemainingMs(options_.job_deadline_ms);
   }
   if (!options_.checkpoint_dir.empty()) {
@@ -198,13 +203,9 @@ Context::~Context() {
   // directory; stop them before anything below starts tearing down.
   if (stats_server_) stats_server_->Stop();
   if (sampler_) sampler_->Stop();
-  // Speculative losers may still be draining on the pool; wait for them
-  // before removing the spill directory (the pool member itself is
-  // declared last, so its own destructor joins the workers while every
-  // other member is still alive).
-  pool_.Wait();
-  // Locked for the analysis' sake (and cheap): with the server, sampler
-  // and pool all quiesced above, nothing else can touch the spill state.
+  // Locked for the analysis' sake (and cheap): with the server and
+  // sampler stopped above, and no task running outside RunStage, nothing
+  // else can touch the spill state.
   MutexLock lock(spill_mutex_);
   if (!spill_dir_path_.empty()) {
     std::error_code ec;  // best effort; never throw from a destructor
@@ -348,81 +349,38 @@ int64_t Context::DeadlineRemainingMs() const {
   return remaining_ms > 0 ? remaining_ms : 0;
 }
 
-StageMetrics Context::RunStage(const std::string& name, int num_tasks,
-                               const TaskFn& task) {
-  // Wrapping by reference is safe here: without speculation every
-  // attempt finishes before the stage barrier releases the driver.
-  return RunStageImpl(
-      name, num_tasks,
-      [&task](int i) -> std::function<void()> {
-        task(i);
-        return nullptr;
-      },
-      /*speculatable=*/false);
-}
-
-StageMetrics Context::RunStageIsolated(const std::string& name, int num_tasks,
-                                       const IsolatedTaskFn& task) {
-  return RunStageImpl(name, num_tasks, task, /*speculatable=*/true);
-}
-
 bool Context::CurrentTaskCancelled() {
   return tl_current_stage_cancelled != nullptr &&
          tl_current_stage_cancelled->load(std::memory_order_relaxed);
 }
 
-void Context::RunTaskAttempts(const std::shared_ptr<StageExec>& ex, int index,
-                              bool speculative) {
+void Context::RunTaskAttempts(StageExec& ex, int index) {
   // Live-task gauge for the stats server; covers the whole attempt
-  // chain (injected delays and retries included — they occupy a pool
+  // chain (retries and their backoff included — they occupy a pool
   // slot just the same).
   struct LiveTaskScope {
     TelemetryHub& hub;
     explicit LiveTaskScope(TelemetryHub& h) : hub(h) { hub.OnTaskStart(); }
     ~LiveTaskScope() { hub.OnTaskFinish(); }
   } live_task_scope(telemetry_);
-  StageExec::TaskSlot& slot = ex->slots[static_cast<size_t>(index)];
+  StageExec::TaskSlot& slot = ex.slots[static_cast<size_t>(index)];
   TraceSink* sink = tracer_.enabled() ? &tracer_ : nullptr;
   const bool traced = trace_enabled();
   const bool timers = TraceTimersEnabled(options_.trace_level);
   const int max_retries = std::max(0, options_.max_task_retries);
   const int64_t backoff_ms = std::max(0, options_.retry_backoff_ms);
-  const auto abandoned = [&ex, &slot] {
-    return ex->cancelled.load(std::memory_order_relaxed) ||
-           slot.won.load(std::memory_order_acquire);
+  const auto cancelled = [&ex] {
+    return ex.cancelled.load(std::memory_order_relaxed);
   };
-  // True once THIS attempt chain holds the commit claim (slot.won): the
-  // success path CASes it before running its commit thunk, and the
-  // failure/cancellation paths CAS it before resolving the slot, so a
-  // straggling speculative duplicate can never claim-and-commit after
-  // the driver's barrier has released.
-  bool holds_claim = false;
-  for (int attempt = 0;; ++attempt) {
-    if (abandoned()) break;
-    if (!speculative && attempt == 0) {
-      // Stamped BEFORE the injected straggler delay: the scan in
-      // MaybeLaunchSpeculative must see a delayed task as started, or
-      // an injected task_delay could never trigger speculation.
-      slot.first_start_us.store(SteadyNowMicros(), std::memory_order_relaxed);
-    }
-    // Speculative attempts draw from a disjoint key range, keeping their
-    // fault schedule independent of the primary's.
-    const uint64_t attempt_key =
-        static_cast<uint64_t>(attempt) + (speculative ? (1ull << 32) : 0ull);
-    if (fault_injector_.enabled()) {
-      const int64_t delay_ms =
-          fault_injector_.TaskDelayMs(ex->name, index, attempt_key);
-      if (delay_ms > 0) InterruptibleSleepMs(delay_ms, abandoned);
-      if (abandoned()) break;
-    }
+  for (int attempt = 0; !cancelled(); ++attempt) {
+    if (attempt == 0) slot.first_start_us = SteadyNowMicros();
     const int64_t start_us = sink != nullptr ? sink->NowMicros() : 0;
     Stopwatch watch;
-    // Fresh per-attempt trace: only the winning attempt's op counts are
-    // merged, so a retried chain never double-reports.
+    // Fresh per-attempt trace: only the successful attempt's op counts
+    // are merged, so a retried chain never double-reports.
     TaskTrace trace(timers);
     Status failure;
     bool retryable = true;
-    std::function<void()> commit;
     try {
       // Cooperative stop: a cancelled or deadline-exceeded job fails
       // the attempt with its structured Status before the body runs
@@ -432,153 +390,64 @@ void Context::RunTaskAttempts(const std::shared_ptr<StageExec>& ex, int index,
       // the body consumes anything — so a retry always sees pristine
       // inputs even for destructive readers (shuffle merge-back).
       if (fault_injector_.enabled() &&
-          fault_injector_.TaskThrow(ex->name, index, attempt_key)) {
-        throw InjectedFault("injected task fault (" + ex->name + " task " +
+          fault_injector_.TaskThrow(ex.name, index,
+                                    static_cast<uint64_t>(attempt))) {
+        throw InjectedFault("injected task fault (" + ex.name + " task " +
                             std::to_string(index) + " attempt " +
                             std::to_string(attempt) + ")");
       }
       ScopedTaskTrace scoped(traced ? &trace : nullptr);
-      ScopedStageCancelProbe cancel_probe(&ex->cancelled);
-      commit = ex->task(index);
+      ScopedStageCancelProbe cancel_probe(&ex.cancelled);
+      ex.task(index);
     } catch (const NonRetryableError& e) {
       failure = e.status();
       retryable = false;
     } catch (const std::exception& e) {
-      failure = Status::Internal(ex->name + ": task " +
-                                 std::to_string(index) + " attempt " +
-                                 std::to_string(attempt) +
+      failure = Status::Internal(ex.name + ": task " + std::to_string(index) +
+                                 " attempt " + std::to_string(attempt) +
                                  " failed: " + e.what());
     } catch (...) {
-      failure = Status::Internal(ex->name + ": task " +
-                                 std::to_string(index) + " attempt " +
-                                 std::to_string(attempt) +
+      failure = Status::Internal(ex.name + ": task " + std::to_string(index) +
+                                 " attempt " + std::to_string(attempt) +
                                  " failed: unknown exception");
     }
     const double seconds = watch.ElapsedSeconds();
-    const char* category = speculative     ? "task-speculative"
-                           : attempt > 0   ? "task-retry"
-                                           : "task";
     if (sink != nullptr) {
-      sink->Record({ex->name, category, CurrentTraceTid(), start_us,
+      sink->Record({ex.name, attempt > 0 ? "task-retry" : "task",
+                    CurrentTraceTid(), start_us,
                     sink->NowMicros() - start_us, index, attempt});
     }
     if (failure.ok()) {
-      bool expected = false;
-      holds_claim = slot.won.compare_exchange_strong(
-          expected, true, std::memory_order_acq_rel);
-      if (holds_claim) {
-        // First finisher claims the slot and publishes its writes; a
-        // losing duplicate's commit thunk is simply dropped.
-        if (commit) commit();
-        if (attempt > 0 || speculative) {
-          counters_.Add("fault.task.recovered", 1);
-        }
-        MutexLock lock(ex->mu);
-        if (!slot.resolved) {
-          slot.resolved = true;
-          slot.seconds = seconds;
-          slot.trace = std::move(trace);
-          slot.traced = traced;
-          ++ex->resolved_count;
-          ex->cv.NotifyAll();
-        }
-      }
+      if (attempt > 0) counters_.Add("fault.task.recovered", 1);
+      slot.seconds = seconds;
+      slot.trace = std::move(trace);
+      slot.traced = traced;
       break;
     }
-    if (retryable && attempt < max_retries && !abandoned()) {
-      ex->retries.fetch_add(1, std::memory_order_relaxed);
+    if (retryable && attempt < max_retries && !cancelled()) {
+      ex.retries.fetch_add(1, std::memory_order_relaxed);
       counters_.Add("fault.task.retried", 1);
       if (backoff_ms > 0) {
         const int64_t ms = std::min<int64_t>(
             backoff_ms << std::min(attempt, 16), kMaxBackoffMs);
-        InterruptibleSleepMs(ms, abandoned);
+        InterruptibleSleepMs(ms, cancelled);
       }
       continue;
     }
-    // Out of retries, or non-retryable. A speculative loser never fails
-    // the stage — its primary is still running and owns the outcome.
-    if (!speculative) {
-      // Claim the slot BEFORE publishing the failure: once claimed, a
-      // straggling speculative duplicate can never win the commit CAS
-      // after the driver's barrier releases. Losing this claim means a
-      // duplicate already committed — the task succeeded after all, so
-      // the primary's failure is dropped.
-      bool expected = false;
-      holds_claim = slot.won.compare_exchange_strong(
-          expected, true, std::memory_order_acq_rel);
-      if (holds_claim) {
-        MutexLock lock(ex->mu);
-        if (ex->first_error.ok()) ex->first_error = std::move(failure);
-        ex->cancelled.store(true, std::memory_order_relaxed);
-      }
-    }
+    // Out of retries, or non-retryable: fail the stage and cancel the
+    // tasks that have not finished.
+    MutexLock lock(ex.mu);
+    if (ex.first_error.ok()) ex.first_error = std::move(failure);
+    ex.cancelled.store(true, std::memory_order_relaxed);
     break;
   }
-  // Whatever path exited the loop — commit, permanent failure, or
-  // cancellation before ever starting — the primary must resolve its
-  // slot so the driver's barrier completes, but only with the commit
-  // claim settled: a slot resolved while unclaimed would let a
-  // straggling speculative duplicate win the claim and run its commit
-  // thunk after the barrier released, racing the driver's own reads and
-  // writes. If the final CAS loses, some other attempt committed while
-  // holding the claim and owns the resolution (a speculative winner
-  // always resolves the slot itself).
-  if (!speculative) {
-    if (!holds_claim) {
-      bool expected = false;
-      holds_claim = slot.won.compare_exchange_strong(
-          expected, true, std::memory_order_acq_rel);
-    }
-    if (holds_claim) {
-      MutexLock lock(ex->mu);
-      if (!slot.resolved) {
-        slot.resolved = true;
-        ++ex->resolved_count;
-        ex->cv.NotifyAll();
-      }
-    }
-  }
+  MutexLock lock(ex.mu);
+  ++ex.finished;
+  ex.cv.NotifyAll();
 }
 
-void Context::MaybeLaunchSpeculative(const std::shared_ptr<StageExec>& ex,
-                                     int num_tasks) {
-  // The sole caller (the stage barrier) holds ex->mu; the declaration
-  // cannot carry REQUIRES(ex->mu) because StageExec is incomplete in
-  // the header, so inject the capability here instead.
-  ex->mu.AssertHeld();
-  // Wait for a trustworthy median: at least half the tasks
-  // must have finished (Spark's spark.speculation.quantile).
-  if (2 * ex->resolved_count < num_tasks) return;
-  std::vector<double> done;
-  done.reserve(static_cast<size_t>(ex->resolved_count));
-  for (const StageExec::TaskSlot& s : ex->slots) {
-    if (s.resolved) done.push_back(s.seconds);
-  }
-  if (done.empty()) return;
-  std::nth_element(done.begin(), done.begin() + done.size() / 2, done.end());
-  const double median = done[done.size() / 2];
-  const double threshold_us =
-      std::max(median * options_.speculation_multiplier * 1e6,
-               static_cast<double>(kSpeculationFloorMicros));
-  const int64_t now = SteadyNowMicros();
-  for (int i = 0; i < num_tasks; ++i) {
-    StageExec::TaskSlot& slot = ex->slots[static_cast<size_t>(i)];
-    if (slot.resolved) continue;
-    if (slot.speculated.load(std::memory_order_relaxed)) continue;
-    const int64_t started =
-        slot.first_start_us.load(std::memory_order_relaxed);
-    if (started < 0) continue;  // primary still queued, not straggling
-    if (static_cast<double>(now - started) < threshold_us) continue;
-    slot.speculated.store(true, std::memory_order_relaxed);
-    ++ex->speculative_launches;
-    counters_.Add("fault.speculation.launched", 1);
-    pool_.Submit([this, ex, i] { RunTaskAttempts(ex, i, true); });
-  }
-}
-
-StageMetrics Context::RunStageImpl(const std::string& name, int num_tasks,
-                                   const IsolatedTaskFn& task,
-                                   bool speculatable) {
+StageMetrics Context::RunStage(const std::string& name, int num_tasks,
+                               const TaskFn& task) {
   StageMetrics stage;
   stage.name = name;
   // Deadline / cancellation gate: once the job is stopped, no further
@@ -595,54 +464,34 @@ StageMetrics Context::RunStageImpl(const std::string& name, int num_tasks,
   // metrics, no pool dispatch.
   if (num_tasks <= 0) return stage;
   stage.task_seconds.assign(static_cast<size_t>(num_tasks), 0.0);
-  auto ex = std::make_shared<StageExec>();
-  ex->name = name;
-  ex->task = task;  // one copy, shared by every attempt
-  for (int i = 0; i < num_tasks; ++i) ex->slots.emplace_back();
+  StageExec ex(name, task, num_tasks);
   TraceSink* sink = tracer_.enabled() ? &tracer_ : nullptr;
   const int64_t stage_start_us = sink != nullptr ? sink->NowMicros() : 0;
   // Steady-clock reference for the queue-wait histogram (the trace
   // sink's clock above only exists when tracing is on; this one always).
   const int64_t stage_begin_us = SteadyNowMicros();
   for (int i = 0; i < num_tasks; ++i) {
-    pool_.Submit([this, ex, i] { RunTaskAttempts(ex, i, false); });
+    pool_.Submit([this, &ex, i] { RunTaskAttempts(ex, i); });
   }
-  const bool speculation = speculatable &&
-                           options_.speculation_multiplier > 0.0 &&
-                           num_tasks > 1;
-  {
-    MutexLock lock(ex->mu);
-    while (ex->resolved_count < num_tasks) {
-      if (!speculation) {
-        ex->cv.Wait(lock);
-        continue;
-      }
-      ex->cv.WaitFor(lock, std::chrono::milliseconds(2));
-      MaybeLaunchSpeculative(ex, num_tasks);
-    }
-  }
+  MutexLock lock(ex.mu);
+  while (ex.finished < num_tasks) ex.cv.Wait(lock);
   if (sink != nullptr) {
     sink->Record({stage.name, "stage", CurrentTraceTid(), stage_start_us,
                   sink->NowMicros() - stage_start_us, -1, 0});
   }
-  // Barrier passed: every slot is resolved, and only resolved-slot
-  // fields below are read (a still-draining speculative loser can no
-  // longer win, so it never writes them).
-  MutexLock lock(ex->mu);
-  stage.status = ex->first_error;
-  stage.task_retries = ex->retries.load(std::memory_order_relaxed);
-  stage.speculative_launches = ex->speculative_launches;
+  stage.status = ex.first_error;
+  stage.task_retries = ex.retries.load(std::memory_order_relaxed);
   for (int i = 0; i < num_tasks; ++i) {
-    const StageExec::TaskSlot& slot = ex->slots[static_cast<size_t>(i)];
+    const StageExec::TaskSlot& slot = ex.slots[static_cast<size_t>(i)];
     stage.task_seconds[static_cast<size_t>(i)] = slot.seconds;
     const uint64_t duration_us = static_cast<uint64_t>(slot.seconds * 1e6);
     stage.task_duration_us.Record(duration_us);
     telemetry_.task_duration_us().Record(duration_us);
-    // Queue wait = submission to the primary attempt entering user code
-    // (-1 = cancelled before it ever started; no sample then).
-    const int64_t started = slot.first_start_us.load(std::memory_order_relaxed);
-    if (started >= stage_begin_us) {
-      const uint64_t wait_us = static_cast<uint64_t>(started - stage_begin_us);
+    // Queue wait = submission to the first attempt entering user code
+    // (no sample for a task cancelled before it started).
+    if (slot.first_start_us >= stage_begin_us) {
+      const uint64_t wait_us =
+          static_cast<uint64_t>(slot.first_start_us - stage_begin_us);
       stage.queue_wait_us.Record(wait_us);
       telemetry_.queue_wait_us().Record(wait_us);
     }
@@ -660,11 +509,11 @@ StageMetrics Context::RunStageImpl(const std::string& name, int num_tasks,
                           << completed << " completed stages";
     std::raise(SIGKILL);
   }
-  // Aggregate the winning attempts' op traces by op id; ids increase in
-  // plan-construction order, so a straight chain reports in pipeline
+  // Aggregate the successful attempts' op traces by op id; ids increase
+  // in plan-construction order, so a straight chain reports in pipeline
   // order.
   std::map<uint64_t, OpMetrics> agg;
-  for (const StageExec::TaskSlot& slot : ex->slots) {
+  for (const StageExec::TaskSlot& slot : ex.slots) {
     if (!slot.traced) continue;
     for (const auto& [tag, counts] : slot.trace.slots()) {
       OpMetrics& m = agg[tag->id];

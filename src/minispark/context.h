@@ -77,24 +77,22 @@ class Context {
     /// adjacent target buckets whose combined serialized size stays
     /// within this target merge into one read task (contiguous ranges
     /// only, so key->partition contracts hold; see
-    /// PartitionRanges::Coalesce). Applies to the keyed wide operations
-    /// (PartitionByKey, GroupByKey, ReduceByKey, Join, CoGroup,
-    /// Distinct); Repartition and SortByKey keep their requested
-    /// partition count. 0 (default) = no coalescing.
+    /// PartitionRanges::Coalesce). Applies to every wide operation
+    /// (PartitionByKey, GroupByKey, ReduceByKey, Join) on the barrier
+    /// path. 0 (default) = no coalescing.
     uint64_t target_partition_bytes = 0;
     /// AQE-style runtime skew splitting, the mirror image of coalescing:
     /// after a shuffle write, any single target bucket whose serialized
     /// size exceeds this cap is read by ceil(bytes / cap) slice tasks
     /// instead of one (see PartitionRanges::SplitOversized). Applies to
-    /// the hash-keyed wide operations (PartitionByKey, GroupByKey,
-    /// ReduceByKey, Distinct), where the reader refines the key hash so
-    /// every key stays whole within one slice; Join/CoGroup (two-sided
-    /// ranges), SortByKey (sorted partition order), Repartition
-    /// (placement-only) and pipelined exchanges are not split — the lint
-    /// check MS006 surfaces oversized un-split buckets there. 0
-    /// (default) = no splitting. The RANKJOIN_SPLIT_PARTITION_BYTES
-    /// environment variable overrides this value when set — CI uses it
-    /// to force the split path under the whole test suite.
+    /// the one-sided wide operations (PartitionByKey, GroupByKey,
+    /// ReduceByKey), where the reader refines the key hash so every key
+    /// stays whole within one slice; Join (two-sided ranges) and
+    /// pipelined exchanges are not split — the lint check MS006
+    /// surfaces oversized un-split buckets there. 0 (default) = no
+    /// splitting. The RANKJOIN_SPLIT_PARTITION_BYTES environment
+    /// variable overrides this value when set — CI uses it to force the
+    /// split path under the whole test suite.
     uint64_t split_partition_bytes = 0;
     /// Directory for shuffle spill files. Empty (default) = the system
     /// temp directory. The context creates a unique subdirectory on
@@ -120,9 +118,6 @@ class Context {
     /// MS003 threshold: broadcasts with a driver-side size estimate
     /// above this many bytes are flagged.
     uint64_t lint_broadcast_max_bytes = 64ull << 20;
-    /// MS005 threshold: a lineage path with at least this many
-    /// same-signature wide nodes is flagged as a barrier-inside-loop.
-    int lint_loop_repeat_threshold = 3;
     /// Fault tolerance (fault.h): how many times one task is RE-run
     /// after a retryable failure (a throwing user lambda or an injected
     /// fault) before the stage fails. 0 = fail on the first error, like
@@ -135,15 +130,6 @@ class Context {
     /// retry_backoff_ms << k milliseconds (capped at 100 ms) before
     /// re-running. 0 = retry immediately.
     int retry_backoff_ms = 2;
-    /// Opt-in straggler mitigation: when > 0 and at least half of a
-    /// stage's tasks have finished, any task still running after
-    /// speculation_multiplier × (median completed attempt time) gets a
-    /// speculative duplicate launch — first finisher wins, the loser's
-    /// result is discarded. Only stages submitted through
-    /// RunStageIsolated (whose tasks buffer into attempt-local state and
-    /// commit atomically) speculate; 0 (default) disables. Spark's
-    /// spark.speculation.multiplier.
-    double speculation_multiplier = 0.0;
     /// Deterministic fault-injection spec (grammar in fault.h), e.g.
     /// "task_throw:p=0.05;spill_corrupt:p=0.1;seed=42". Empty (default)
     /// = no injection. The RANKJOIN_FAULT_SPEC environment variable
@@ -202,8 +188,10 @@ class Context {
     /// Once it passes, every subsequent stage submission — and every
     /// in-flight fused chain at its next record-boundary probe —
     /// returns Status kDeadlineExceeded (structured failure, never
-    /// abort). 0 (default) = no deadline. The RANKJOIN_JOB_DEADLINE_MS
-    /// environment variable overrides this value when set.
+    /// abort). 0 (default) = no deadline; a value too large to count
+    /// in microseconds is no deadline either. The
+    /// RANKJOIN_JOB_DEADLINE_MS environment variable overrides this
+    /// value when set (at most 10^15).
     int64_t job_deadline_ms = 0;
     /// What a spill/checkpoint write failure does to the job
     /// (checkpoint.h): degrade (default) or fail with a Status.
@@ -252,7 +240,6 @@ class Context {
     settings.shuffle_memory_budget_bytes =
         options_.shuffle_memory_budget_bytes;
     settings.broadcast_max_bytes = options_.lint_broadcast_max_bytes;
-    settings.loop_repeat_threshold = options_.lint_loop_repeat_threshold;
     settings.split_partition_bytes = options_.split_partition_bytes;
     settings.broadcasts = broadcasts_;
     return settings;
@@ -392,20 +379,15 @@ class Context {
   }
 
   using TaskFn = std::function<void(int)>;
-  /// Task form for stages that support speculative duplicates: the body
-  /// computes into attempt-local state and returns a commit thunk; the
-  /// engine invokes exactly one winning attempt's thunk (or none, when
-  /// the body returns null). Closures passed here must be
-  /// self-contained (capture by value / shared_ptr): a losing duplicate
-  /// can still be running when the stage returns.
-  using IsolatedTaskFn = std::function<std::function<void()>(int)>;
 
   /// Executes `num_tasks` tasks of a named stage on the pool, blocking
   /// until all complete. `task(i)` runs for every i in [0, num_tasks);
   /// num_tasks <= 0 is an explicit no-op (empty StageMetrics, no pool
   /// dispatch). Returns per-task wall times; the caller may annotate the
   /// returned record with shuffle statistics before it is stored via
-  /// AddStage.
+  /// AddStage. `task` is taken by reference, and so may capture the
+  /// caller's locals by reference: every attempt has ended when
+  /// RunStage returns.
   ///
   /// Fault tolerance: a task attempt that throws is retried up to
   /// Options::max_task_retries times with exponential backoff (each
@@ -413,21 +395,13 @@ class Context {
   /// StageMetrics::task_retries); an attempt that throws
   /// NonRetryableError — or exhausts its retries — fails the stage:
   /// StageMetrics::status carries the FIRST such error and the remaining
-  /// tasks are cancelled. Retried tasks re-run from their start, so task
-  /// bodies must be idempotent up to their own writes (the engine's call
-  /// sites reset per-task output state at attempt entry). This entry
-  /// point never speculates.
+  /// tasks are cancelled. A task's attempts run one after another on one
+  /// worker, and a retry starts only after the failed attempt returned,
+  /// so an attempt clears its own output at entry and writes it
+  /// directly (the engine's call sites do: ResetMapTask in the shuffle
+  /// writes, dest.clear() in the reads, the probe and Materialize).
   StageMetrics RunStage(const std::string& name, int num_tasks,
                         const TaskFn& task);
-
-  /// RunStage for isolated tasks (see IsolatedTaskFn): same retry
-  /// semantics, plus opt-in speculative execution of stragglers when
-  /// Options::speculation_multiplier > 0 — the duplicate emits a
-  /// "task-speculative" span and counts in
-  /// StageMetrics::speculative_launches; whichever attempt finishes
-  /// first commits, the loser's buffered writes are dropped.
-  StageMetrics RunStageIsolated(const std::string& name, int num_tasks,
-                                const IsolatedTaskFn& task);
 
   /// Stores a completed stage record in the job metrics.
   void AddStage(StageMetrics stage) { metrics_.AddStage(std::move(stage)); }
@@ -458,21 +432,9 @@ class Context {
   /// >= 0). Bind failures warn and leave the server off.
   void StartStatsExposition();
 
-  /// Both RunStage entry points funnel here.
-  StageMetrics RunStageImpl(const std::string& name, int num_tasks,
-                            const IsolatedTaskFn& task, bool speculatable);
-
-  /// The per-task attempt loop (retry, cancellation, fault injection,
-  /// win-by-CAS commit). Runs on a pool worker.
-  void RunTaskAttempts(const std::shared_ptr<StageExec>& ex, int index,
-                       bool speculative);
-
-  /// Driver-side straggler scan; launches speculative duplicates.
-  /// Expects ex->mu held — StageExec is incomplete here so the
-  /// annotation language cannot name ex->mu in a REQUIRES; the
-  /// definition asserts the capability instead (sync.h, AssertHeld).
-  void MaybeLaunchSpeculative(const std::shared_ptr<StageExec>& ex,
-                              int num_tasks);
+  /// The per-task attempt loop (retry, cancellation, fault injection).
+  /// Runs on a pool worker.
+  void RunTaskAttempts(StageExec& ex, int index);
 
   Options options_;
   JobMetrics metrics_;
@@ -498,8 +460,8 @@ class Context {
   std::chrono::steady_clock::time_point start_time_;
   /// Set iff Options::checkpoint_dir non-empty.
   std::unique_ptr<CheckpointManager> checkpoint_manager_;
-  /// Stages completed by RunStageImpl — the proc_kill_after chaos
-  /// site's trigger count.
+  /// Stages completed by RunStage — the proc_kill_after chaos site's
+  /// trigger count.
   std::atomic<int64_t> stages_completed_{0};
   /// Guards lazy creation of the spill directory and the file counter.
   Mutex spill_mutex_;
@@ -512,9 +474,9 @@ class Context {
   /// Archived diagnostics (node pointers nulled) + dedup keys.
   std::vector<LintDiagnostic> lint_report_;
   std::unordered_set<std::string> lint_seen_;
-  /// Declared LAST: destroying the pool joins the workers, which must
-  /// happen while everything a straggling speculative loser may still
-  /// touch (tracer_, counters_, the spill directory) is alive.
+  /// Declared LAST, so destroying the pool joins its (idle) workers
+  /// while every member a task touches is still alive. No task runs
+  /// outside RunStage, which waits for all of its attempts.
   ThreadPool pool_;
 };
 

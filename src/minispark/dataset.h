@@ -10,7 +10,6 @@
 #include <string>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -78,12 +77,12 @@ struct ShuffleHasher {
 /// stage. The whole chain executes as ONE fused physical stage when it is
 /// forced by a stage boundary:
 ///
-///  - driver actions: Collect(), Count(), MaxPartitionSize(),
-///    partitions(), Cache()/Persist();
-///  - wide operations: PartitionByKey, GroupByKey, ReduceByKey, Join,
-///    CoGroup, Distinct, Repartition. These pull any pending narrow chain
-///    of their inputs into the shuffle-write task, so the chain's
-///    intermediate results are never materialized at all.
+///  - driver actions: Collect(), TryCollect(), Count(), partitions(),
+///    Cache(), Force();
+///  - wide operations: PartitionByKey, GroupByKey, ReduceByKey, Join.
+///    These pull any pending narrow chain of their inputs into the
+///    shuffle-write task, so the chain's intermediate results are never
+///    materialized at all.
 ///
 /// Wide operations shuffle through the ShuffleService (shuffle.h): map
 /// tasks serialize-and-spill to temp files when the context's
@@ -259,14 +258,6 @@ class Dataset {
     return n;
   }
 
-  /// Number of elements in the largest partition (skew indicator;
-  /// action: forces; aborts on a poisoned dataset).
-  size_t MaxPartitionSize() const {
-    size_t n = 0;
-    for (const auto& p : ForceChecked()) n = std::max(n, p.size());
-    return n;
-  }
-
   /// Gathers all elements to the driver, in partition order (action:
   /// forces). At Context::Options::lint_level >= kWarn the plan is
   /// linted first; in kError mode an error-severity diagnostic aborts
@@ -321,14 +312,12 @@ class Dataset {
     return *this;
   }
 
-  /// Spark-compatible alias for Cache().
-  const Dataset<T>& Persist() const { return Cache(); }
-
   /// Forces the pending chain WITHOUT the poisoned-dataset abort and
   /// without pinning a cache node, returning the execution status.
-  /// Fault-aware consumers that need the materialized partitions (e.g.
-  /// SortByKey's boundary sampler) force through this and handle a
-  /// non-OK status instead of dying inside an action.
+  /// Callers that must run a chain now — the join pipelines, before they
+  /// read the stat slots its lambdas filled — force through this; a
+  /// failed stage then surfaces through the dataset's consumers instead
+  /// of aborting here.
   const Status& Force() const {
     Materialize();
     return state_->error;
@@ -435,13 +424,6 @@ class Dataset {
         };
     return Chain<U>(std::move(gen), "mapPartitions", name, tag);
   }
-
-  /// Redistributes elements round-robin into `n` partitions (full
-  /// shuffle, like Spark's repartition()). Stage boundary: forces the
-  /// pending chain. Routes through the ShuffleService like the keyed
-  /// shuffles (so a tight memory budget spills it to disk too), but is
-  /// never coalesced — the caller asked for exactly `n` partitions.
-  Dataset<T> Repartition(int n, const std::string& name = "repartition") const;
 
  private:
   template <typename U>
@@ -625,11 +607,10 @@ class Dataset {
   /// Forces the pending chain: runs ONE fused stage (a task per
   /// partition) that streams the chain into output partitions, records
   /// the fused ops and materialization volume, and memoizes the result.
-  /// The stage runs in isolated-task form: each attempt streams into an
-  /// attempt-local buffer and only the winning attempt's commit thunk
-  /// publishes it, so retried and speculative attempts never touch the
-  /// shared output. A stage failure (retries exhausted) poisons the
-  /// handle instead of aborting; the memoized partitions are then empty.
+  /// Each attempt clears its own output partition first and writes it
+  /// directly, so a retry after a mid-chain throw starts from an empty
+  /// partition. A stage failure (retries exhausted) poisons the handle
+  /// instead of aborting; the memoized partitions are then empty.
   ///
   /// With a CheckpointManager attached and a checkpoint-portable T, the
   /// materialized partitions are additionally persisted under the plan
@@ -684,23 +665,20 @@ class Dataset {
       }
     }
     if (!restored) {
-      Generator gen = s.gen;
       Context* ctx = s.ctx;
-      StageMetrics stage = s.ctx->RunStageIsolated(
-          JoinStrings(s.names), s.num_partitions, [gen, out, ctx](int i) {
-            auto buf = std::make_shared<std::vector<T>>();
+      StageMetrics stage = ctx->RunStage(
+          JoinStrings(s.names), s.num_partitions, [&s, &out, ctx](int i) {
+            std::vector<T>& dest = (*out)[static_cast<size_t>(i)];
+            dest.clear();
             // Deadline/cancel probe at record granularity: long fused
             // chains notice a stop request between records.
             uint64_t probe = 0;
-            gen(i, Sink([buf, &probe, ctx](const T& t) {
-                  buf->push_back(t);
-                  if (((++probe) & 1023u) == 0 && ctx->StopRequested()) {
-                    throw NonRetryableError(ctx->StopStatus());
-                  }
-                }));
-            return [out, buf, i]() {
-              (*out)[static_cast<size_t>(i)] = std::move(*buf);
-            };
+            s.gen(i, Sink([&dest, &probe, ctx](const T& t) {
+                    dest.push_back(t);
+                    if (((++probe) & 1023u) == 0 && ctx->StopRequested()) {
+                      throw NonRetryableError(ctx->StopStatus());
+                    }
+                  }));
           });
       stage.fused_ops = JoinStrings(s.ops);
       if (!stage.status.ok()) {
@@ -921,22 +899,20 @@ std::shared_ptr<const std::vector<std::vector<std::pair<K, V>>>> ShuffleByKey(
     }
   }
   HashPartitioner partitioner(n);
-  const auto make_router = [partitioner](int /*task*/) {
-    return [partitioner](const std::pair<K, V>& kv) {
-      return partitioner.PartitionOf(kv.first);
-    };
+  const auto route = [partitioner](const std::pair<K, V>& kv) {
+    return partitioner.PartitionOf(kv.first);
   };
   if (ctx->pipelined_stages()) {
     // Overlapped write/read; bucket sizes are unknown until the last
     // mapper commits, so no adaptive coalescing or splitting in this
     // mode.
-    auto parts = PipelinedExchange(input, n, name, make_router, out_status);
+    auto parts = PipelinedExchange(input, n, name, route, out_status);
     if constexpr (checkpoint_portable_v<KV>) {
       MaybeSaveWide<KV>(ctx, ckpt, *parts, out_status);
     }
     return parts;
   }
-  auto service = ShuffleWrite<std::pair<K, V>>(input, n, name, make_router);
+  auto service = ShuffleWrite<std::pair<K, V>>(input, n, name, route);
   PartitionRanges ranges = PartitionRanges::Coalesce(
       service->bucket_bytes(), ctx->target_partition_bytes());
   ranges = PartitionRanges::SplitOversized(
@@ -962,65 +938,6 @@ std::shared_ptr<const std::vector<std::vector<std::pair<K, V>>>> ShuffleByKey(
 }
 
 }  // namespace internal
-
-template <typename T>
-Dataset<T> Dataset<T>::Repartition(int n, const std::string& name) const {
-  RANKJOIN_CHECK(n >= 1);
-  Context* ctx = state_->ctx;
-  [[maybe_unused]] internal::WideCheckpointSlot ckpt;
-  if constexpr (checkpoint_portable_v<T>) {
-    ckpt = internal::OpenWideCheckpoint(ctx, "repartition", name, n,
-                                        {state_->plan.get()});
-    auto restored = std::make_shared<Partitions>();
-    if (internal::TryRestoreWide<T>(ctx, ckpt, name, restored.get()) &&
-        static_cast<int>(restored->size()) == n) {
-      Dataset<T> out(ctx, std::move(restored));
-      out.SetPlanNode(MakePlanNode(PlanNode::Kind::kWide, "repartition",
-                                   name, {state_->plan},
-                                   {.num_partitions = n,
-                                    .serde_ok = has_serde_v<T>}));
-      return out;
-    }
-  }
-  // Force first: the deterministic assignment is global-element-index
-  // mod n, and a write task's starting global index is the prefix sum of
-  // the partition sizes before it — unknown while the chain is pending.
-  const Partitions& in = Materialize();
-  auto offsets = std::make_shared<std::vector<uint64_t>>(in.size(), 0);
-  uint64_t offset = 0;
-  for (size_t i = 0; i < in.size(); ++i) {
-    (*offsets)[i] = offset;
-    offset += in[i].size();
-  }
-  // The router factory hands every attempt a FRESH counter starting at
-  // the task's prefix offset, so a retried write attempt (and lineage
-  // recovery) routes each element exactly like the first attempt did.
-  const auto make_router = [offsets, n](int task) {
-    uint64_t next = (*offsets)[static_cast<size_t>(task)];
-    return [next, n](const T&) mutable {
-      return static_cast<int>(next++ % static_cast<uint64_t>(n));
-    };
-  };
-  Status error;
-  std::shared_ptr<const Partitions> parts;
-  if (ctx->pipelined_stages()) {
-    parts = internal::PipelinedExchange(*this, n, name, make_router, &error);
-  } else {
-    auto service = internal::ShuffleWrite<T>(*this, n, name, make_router);
-    parts = internal::ShuffleRead(
-        ctx, service.get(), PartitionRanges::Identity(n), name, &error);
-  }
-  if constexpr (checkpoint_portable_v<T>) {
-    internal::MaybeSaveWide<T>(ctx, ckpt, *parts, &error);
-  }
-  Dataset<T> out(ctx, std::move(parts));
-  if (!error.ok()) out.SetError(std::move(error));
-  out.SetPlanNode(MakePlanNode(PlanNode::Kind::kWide, "repartition", name,
-                               {state_->plan},
-                               {.num_partitions = n,
-                                .serde_ok = has_serde_v<T>}));
-  return out;
-}
 
 /// Hash-partitions a key-value dataset by key (Spark partitionBy).
 /// Records with equal keys land in the same output partition. Wide
@@ -1153,15 +1070,11 @@ Dataset<std::pair<K, std::pair<V, W>>> Join(
     }
   }
   HashPartitioner partitioner(n);
-  const auto lrouter = [partitioner](int /*task*/) {
-    return [partitioner](const std::pair<K, V>& kv) {
-      return partitioner.PartitionOf(kv.first);
-    };
+  const auto lroute = [partitioner](const std::pair<K, V>& kv) {
+    return partitioner.PartitionOf(kv.first);
   };
-  const auto rrouter = [partitioner](int /*task*/) {
-    return [partitioner](const std::pair<K, W>& kw) {
-      return partitioner.PartitionOf(kw.first);
-    };
+  const auto rroute = [partitioner](const std::pair<K, W>& kw) {
+    return partitioner.PartitionOf(kw.first);
   };
   Status error;
   std::shared_ptr<const std::vector<std::vector<std::pair<K, V>>>> lparts;
@@ -1172,15 +1085,15 @@ Dataset<std::pair<K, std::pair<V, W>>> Join(
     // Two pipelined exchanges, run one after the other; both use
     // identity ranges so bucket b of each side meets in probe task b,
     // exactly as the shared coalesced ranges guarantee below.
-    lparts = internal::PipelinedExchange(left, n, name + "/L", lrouter,
+    lparts = internal::PipelinedExchange(left, n, name + "/L", lroute,
                                          &error);
-    rparts = internal::PipelinedExchange(right, n, name + "/R", rrouter,
+    rparts = internal::PipelinedExchange(right, n, name + "/R", rroute,
                                          &error);
   } else {
     auto lsvc =
-        internal::ShuffleWrite<std::pair<K, V>>(left, n, name + "/L", lrouter);
+        internal::ShuffleWrite<std::pair<K, V>>(left, n, name + "/L", lroute);
     auto rsvc = internal::ShuffleWrite<std::pair<K, W>>(right, n, name + "/R",
-                                                        rrouter);
+                                                        rroute);
     std::vector<uint64_t> combined = lsvc->bucket_bytes();
     for (size_t b = 0; b < combined.size(); ++b) {
       combined[b] += rsvc->bucket_bytes()[b];
@@ -1202,23 +1115,21 @@ Dataset<std::pair<K, std::pair<V, W>>> Join(
   auto out = std::make_shared<typename Dataset<Out>::Partitions>(
       static_cast<size_t>(num_out));
   if (error.ok()) {
-    StageMetrics stage = ctx->RunStageIsolated(
-        name + "/probe", num_out, [lparts, rparts, out](int p) {
+    StageMetrics stage = ctx->RunStage(
+        name + "/probe", num_out, [&lparts, &rparts, &out](int p) {
           const auto& lp = (*lparts)[static_cast<size_t>(p)];
           const auto& rp = (*rparts)[static_cast<size_t>(p)];
+          std::vector<Out>& dest = (*out)[static_cast<size_t>(p)];
+          dest.clear();
           std::unordered_map<K, std::vector<const V*>, ShuffleHasher> table;
           for (const auto& kv : lp) table[kv.first].push_back(&kv.second);
-          auto dest = std::make_shared<std::vector<Out>>();
           for (const auto& kw : rp) {
             auto it = table.find(kw.first);
             if (it == table.end()) continue;
             for (const V* v : it->second) {
-              dest->push_back({kw.first, {*v, kw.second}});
+              dest.push_back({kw.first, {*v, kw.second}});
             }
           }
-          return [out, dest, p]() {
-            (*out)[static_cast<size_t>(p)] = std::move(*dest);
-          };
         });
     stage.fused_ops = "joinProbe";
     if (!stage.status.ok()) {
@@ -1245,154 +1156,6 @@ Dataset<std::pair<K, std::pair<V, W>>> Join(
                                 has_serde_v<std::pair<K, W>>,
                     .max_bucket_bytes = max_bucket_bytes}));
   return result;
-}
-
-/// Groups both sides by key (Spark cogroup). Keys present on either side
-/// appear once, with the (possibly empty) value lists of each side. Like
-/// Join, both sides share one set of coalesced ranges computed on the
-/// combined bucket sizes.
-template <typename K, typename V, typename W>
-Dataset<std::pair<K, std::pair<std::vector<V>, std::vector<W>>>> CoGroup(
-    const Dataset<std::pair<K, V>>& left,
-    const Dataset<std::pair<K, W>>& right, int n = -1,
-    const std::string& name = "cogroup") {
-  Context* ctx = left.context();
-  RANKJOIN_CHECK(ctx == right.context());
-  if (n <= 0) n = ctx->default_partitions();
-  using CkptOut = std::pair<K, std::pair<std::vector<V>, std::vector<W>>>;
-  [[maybe_unused]] internal::WideCheckpointSlot ckpt;
-  if constexpr (checkpoint_portable_v<CkptOut>) {
-    ckpt = internal::OpenWideCheckpoint(
-        ctx, "cogroup", name, n,
-        {left.plan_node().get(), right.plan_node().get()});
-    auto restored =
-        std::make_shared<typename Dataset<CkptOut>::Partitions>();
-    if (internal::TryRestoreWide<CkptOut>(ctx, ckpt, name,
-                                          restored.get())) {
-      const int restored_n = static_cast<int>(restored->size());
-      Dataset<CkptOut> result(ctx, std::move(restored));
-      result.SetPlanNode(
-          MakePlanNode(PlanNode::Kind::kWide, "cogroup", name,
-                       {left.plan_node(), right.plan_node()},
-                       {.num_partitions = restored_n,
-                        .serde_ok = has_serde_v<std::pair<K, V>> &&
-                                    has_serde_v<std::pair<K, W>>}));
-      return result;
-    }
-  }
-  HashPartitioner partitioner(n);
-  const auto lrouter = [partitioner](int /*task*/) {
-    return [partitioner](const std::pair<K, V>& kv) {
-      return partitioner.PartitionOf(kv.first);
-    };
-  };
-  const auto rrouter = [partitioner](int /*task*/) {
-    return [partitioner](const std::pair<K, W>& kw) {
-      return partitioner.PartitionOf(kw.first);
-    };
-  };
-  Status error;
-  std::shared_ptr<const std::vector<std::vector<std::pair<K, V>>>> lparts;
-  std::shared_ptr<const std::vector<std::vector<std::pair<K, W>>>> rparts;
-  int num_out = n;
-  uint64_t max_bucket_bytes = 0;
-  if (ctx->pipelined_stages()) {
-    // See Join: sequential pipelined exchanges over identity ranges.
-    lparts = internal::PipelinedExchange(left, n, name + "/L", lrouter,
-                                         &error);
-    rparts = internal::PipelinedExchange(right, n, name + "/R", rrouter,
-                                         &error);
-  } else {
-    auto lsvc =
-        internal::ShuffleWrite<std::pair<K, V>>(left, n, name + "/L", lrouter);
-    auto rsvc = internal::ShuffleWrite<std::pair<K, W>>(right, n, name + "/R",
-                                                        rrouter);
-    std::vector<uint64_t> combined = lsvc->bucket_bytes();
-    for (size_t b = 0; b < combined.size(); ++b) {
-      combined[b] += rsvc->bucket_bytes()[b];
-    }
-    // Two-sided ranges are never split (see Join); record skew for MS006.
-    max_bucket_bytes = internal::MaxBucketBytes(combined);
-    const PartitionRanges ranges =
-        PartitionRanges::Coalesce(combined, ctx->target_partition_bytes());
-    lparts =
-        internal::ShuffleRead(ctx, lsvc.get(), ranges, name + "/L", &error);
-    rparts =
-        internal::ShuffleRead(ctx, rsvc.get(), ranges, name + "/R", &error);
-    num_out = ranges.NumPartitions();
-  }
-  using Out = std::pair<K, std::pair<std::vector<V>, std::vector<W>>>;
-  auto out = std::make_shared<typename Dataset<Out>::Partitions>(
-      static_cast<size_t>(num_out));
-  if (error.ok()) {
-    StageMetrics stage = ctx->RunStageIsolated(
-        name + "/merge", num_out, [lparts, rparts, out](int p) {
-          std::unordered_map<K, size_t, ShuffleHasher> slot;
-          auto dest = std::make_shared<std::vector<Out>>();
-          for (const auto& kv : (*lparts)[static_cast<size_t>(p)]) {
-            auto [it, inserted] = slot.try_emplace(kv.first, dest->size());
-            if (inserted) dest->push_back({kv.first, {{}, {}}});
-            (*dest)[it->second].second.first.push_back(kv.second);
-          }
-          for (const auto& kw : (*rparts)[static_cast<size_t>(p)]) {
-            auto [it, inserted] = slot.try_emplace(kw.first, dest->size());
-            if (inserted) dest->push_back({kw.first, {{}, {}}});
-            (*dest)[it->second].second.second.push_back(kw.second);
-          }
-          return [out, dest, p]() {
-            (*out)[static_cast<size_t>(p)] = std::move(*dest);
-          };
-        });
-    stage.fused_ops = "cogroupMerge";
-    if (!stage.status.ok()) {
-      error = stage.status;
-      *out = typename Dataset<Out>::Partitions(static_cast<size_t>(num_out));
-    }
-    for (const auto& p : *out) {
-      stage.materialized_elements += p.size();
-      stage.max_partition_size =
-          std::max<uint64_t>(stage.max_partition_size, p.size());
-    }
-    ctx->AddStage(std::move(stage));
-  }
-  if constexpr (checkpoint_portable_v<Out>) {
-    internal::MaybeSaveWide<Out>(ctx, ckpt, *out, &error);
-  }
-  Dataset<Out> result(ctx, std::move(out));
-  if (!error.ok()) result.SetError(std::move(error));
-  result.SetPlanNode(
-      MakePlanNode(PlanNode::Kind::kWide, "cogroup", name,
-                   {left.plan_node(), right.plan_node()},
-                   {.num_partitions = num_out,
-                    .serde_ok = has_serde_v<std::pair<K, V>> &&
-                                has_serde_v<std::pair<K, W>>,
-                    .max_bucket_bytes = max_bucket_bytes}));
-  return result;
-}
-
-/// Removes duplicate elements (Spark distinct). T must be equality
-/// comparable and hashable through ShuffleHash. The keying map fuses
-/// into the shuffle write; the dedup step stays lazy on the shuffled
-/// output.
-template <typename T>
-Dataset<T> Distinct(const Dataset<T>& ds, int n = -1,
-                    const std::string& name = "distinct") {
-  Context* ctx = ds.context();
-  if (n <= 0) n = ctx->default_partitions();
-  // Key by the element itself, shuffle, then dedup per partition.
-  Dataset<std::pair<T, char>> keyed = ds.Map(
-      [](const T& t) { return std::pair<T, char>(t, 0); }, name + "/key");
-  Dataset<std::pair<T, char>> shuffled = PartitionByKey(keyed, n, name);
-  return shuffled.MapPartitionsWithIndex(
-      [](int /*index*/, const std::vector<std::pair<T, char>>& part) {
-        std::unordered_set<T, ShuffleHasher> seen;
-        std::vector<T> out;
-        for (const auto& kv : part) {
-          if (seen.insert(kv.first).second) out.push_back(kv.first);
-        }
-        return out;
-      },
-      name + "/dedup");
 }
 
 /// Concatenates two datasets partition-wise (Spark union). Narrow and

@@ -73,10 +73,9 @@ Status ParseProbability(const std::string& text, double* out) {
   return Status::OK();
 }
 
-/// Hash-site discriminators: distinct constants keep the three fault
+/// Hash-site discriminators: distinct constants keep the fault
 /// kinds' schedules independent even at identical coordinates.
 constexpr uint64_t kSiteTaskThrow = 0x7461736b5f746872ull;
-constexpr uint64_t kSiteTaskDelay = 0x7461736b5f646c79ull;
 constexpr uint64_t kSiteSpillCorrupt = 0x7370696c6c5f6372ull;
 constexpr uint64_t kSiteSpillEnospc = 0x7370696c6c5f6e6full;
 constexpr uint64_t kSiteCkptCorrupt = 0x636b70745f637272ull;
@@ -101,8 +100,6 @@ Result<FaultSpec> ParseFaultSpec(const std::string& text) {
     double* p = nullptr;
     if (head == "task_throw") {
       p = &spec.task_throw_p;
-    } else if (head == "task_delay") {
-      p = &spec.task_delay_p;
     } else if (head == "spill_corrupt") {
       p = &spec.spill_corrupt_p;
     } else if (head == "spill_enospc") {
@@ -123,10 +120,6 @@ Result<FaultSpec> ParseFaultSpec(const std::string& text) {
       const std::string value = kv.substr(eq + 1);
       if (key == "p" && p != nullptr) {
         RANKJOIN_RETURN_NOT_OK(ParseProbability(value, p));
-      } else if (key == "ms" && head == "task_delay") {
-        uint64_t ms = 0;
-        RANKJOIN_RETURN_NOT_OK(ParseUint(value, &ms));
-        spec.task_delay_ms = static_cast<int64_t>(ms);
       } else if (key == "n" && head == "proc_kill_after") {
         uint64_t n = 0;
         RANKJOIN_RETURN_NOT_OK(ParseUint(value, &n));
@@ -152,26 +145,15 @@ double FaultInjector::Draw(uint64_t site, uint64_t a, uint64_t b, uint64_t c,
 }
 
 bool FaultInjector::TaskThrow(const std::string& stage, int task,
-                              uint64_t attempt_key) {
+                              uint64_t attempt) {
   if (spec_.task_throw_p <= 0.0) return false;
   const bool fire = Draw(kSiteTaskThrow, Fnv1a(stage),
-                         static_cast<uint64_t>(task), attempt_key,
+                         static_cast<uint64_t>(task), attempt,
                          0) < spec_.task_throw_p;
   if (fire && counters_ != nullptr) {
     counters_->Add("fault.task_throw.injected", 1);
   }
   return fire;
-}
-
-int64_t FaultInjector::TaskDelayMs(const std::string& stage, int task,
-                                   uint64_t attempt_key) {
-  if (spec_.task_delay_p <= 0.0 || spec_.task_delay_ms <= 0) return 0;
-  const bool fire = Draw(kSiteTaskDelay, Fnv1a(stage),
-                         static_cast<uint64_t>(task), attempt_key,
-                         0) < spec_.task_delay_p;
-  if (!fire) return 0;
-  if (counters_ != nullptr) counters_->Add("fault.task_delay.injected", 1);
-  return spec_.task_delay_ms;
 }
 
 bool FaultInjector::SpillCorrupt(uint64_t shuffle_id, int map_task,

@@ -16,13 +16,10 @@ namespace rankjoin::minispark {
 /// docs/MINISPARK.md, "Fault tolerance"). Built from a spec string of
 /// `;`-separated segments:
 ///
-///   task_throw:p=0.05;spill_corrupt:p=0.1;task_delay:p=0.02,ms=200;seed=42
+///   task_throw:p=0.05;spill_corrupt:p=0.1;seed=42
 ///
 /// - `task_throw:p=P`      every task attempt fails at its start with
 ///                         probability P (a retryable InjectedFault).
-/// - `task_delay:p=P,ms=M` every task attempt sleeps M milliseconds at
-///                         its start with probability P (straggler
-///                         simulation; feeds speculative execution).
 /// - `spill_corrupt:p=P`   every spilled bucket run is bit-flipped after
 ///                         its checksum is taken with probability P, so
 ///                         the shuffle read detects it and recovers from
@@ -43,8 +40,6 @@ namespace rankjoin::minispark {
 /// All probabilities default to 0 (that fault disabled).
 struct FaultSpec {
   double task_throw_p = 0.0;
-  double task_delay_p = 0.0;
-  int64_t task_delay_ms = 0;
   double spill_corrupt_p = 0.0;
   double spill_enospc_p = 0.0;
   double checkpoint_corrupt_p = 0.0;
@@ -55,8 +50,7 @@ struct FaultSpec {
   bool Any() const {
     return task_throw_p > 0.0 || spill_corrupt_p > 0.0 ||
            spill_enospc_p > 0.0 || checkpoint_corrupt_p > 0.0 ||
-           proc_kill_after > 0 ||
-           (task_delay_p > 0.0 && task_delay_ms > 0);
+           proc_kill_after > 0;
   }
 };
 
@@ -97,8 +91,8 @@ class NonRetryableError : public std::runtime_error {
 /// results and stable fault.* counters.
 ///
 /// Injections are tallied into the owning Context's CounterRegistry
-/// (`fault.task_throw.injected`, `fault.task_delay.injected`,
-/// `fault.spill_corrupt.injected`) when tracing is at least kCounters.
+/// (`fault.task_throw.injected`, `fault.spill_corrupt.injected`, ...)
+/// when tracing is at least kCounters.
 class FaultInjector {
  public:
   /// Disabled injector (no spec, never fires).
@@ -110,15 +104,10 @@ class FaultInjector {
   bool enabled() const { return spec_.Any(); }
   const FaultSpec& spec() const { return spec_; }
 
-  /// Should this task attempt fail at its start? `attempt_key` encodes
-  /// the attempt number (speculative attempts use a disjoint key range),
-  /// so a retry of the same task draws a fresh decision.
-  bool TaskThrow(const std::string& stage, int task, uint64_t attempt_key);
-
-  /// Milliseconds this task attempt should sleep at its start (0 = no
-  /// delay injected).
-  int64_t TaskDelayMs(const std::string& stage, int task,
-                      uint64_t attempt_key);
+  /// Should this task attempt fail at its start? `attempt` is the
+  /// attempt number, so a retry of the same task draws a fresh
+  /// decision.
+  bool TaskThrow(const std::string& stage, int task, uint64_t attempt);
 
   /// Should this spilled bucket run be corrupted after checksumming?
   /// Coordinates identify one run globally: the context-unique shuffle

@@ -27,8 +27,7 @@ std::string PartsStr(const PlanNode* node) {
 /// it did. Aggregating / joining wide ops are excluded — a shuffle
 /// after a join is a new data movement, not a redundant one.
 bool IsPlacementOnlyShuffle(const PlanNode* node) {
-  return node->kind == PlanNode::Kind::kWide &&
-         (node->op == "partitionBy" || node->op == "repartition");
+  return node->kind == PlanNode::Kind::kWide && node->op == "partitionBy";
 }
 
 /// Topological order with every node AFTER all of its ancestors
@@ -110,7 +109,7 @@ std::vector<LintDiagnostic> LintPlan(const PlanNode* root,
     for (const auto& parent : node->parents) ++consumers[parent.get()];
   }
 
-  // MS001 — multi-consumer pending lineage without Cache()/Persist().
+  // MS001 — multi-consumer pending lineage without Cache().
   // `lazy` nodes re-execute per consumer; materialized sources, wide
   // outputs, and Cache() pins are marked lazy=false at construction.
   for (const PlanNode* node : topo) {
@@ -123,7 +122,7 @@ std::vector<LintDiagnostic> LintPlan(const PlanNode* root,
       d.location = Loc(node);
       d.message = "pending chain '" + Loc(node) + "' feeds " +
                   std::to_string(it->second) +
-                  " consumers without Cache()/Persist(); every consumer "
+                  " consumers without Cache(); every consumer "
                   "re-executes the chain from its last barrier";
       diags.push_back(std::move(d));
     }

@@ -113,12 +113,6 @@ uint64_t JobMetrics::TotalTaskRetries() const {
   return total;
 }
 
-uint64_t JobMetrics::TotalSpeculativeLaunches() const {
-  uint64_t total = 0;
-  for (const auto& s : stages_) total += s.speculative_launches;
-  return total;
-}
-
 uint64_t JobMetrics::TotalRecoveredSpillRuns() const {
   uint64_t total = 0;
   for (const auto& s : stages_) total += s.recovered_spill_runs;
@@ -193,9 +187,6 @@ std::string JobMetrics::ToString() const {
       os << " split=" << s.split_partitions;
     }
     if (s.task_retries > 0) os << " retries=" << s.task_retries;
-    if (s.speculative_launches > 0) {
-      os << " speculative=" << s.speculative_launches;
-    }
     if (s.recovered_spill_runs > 0) {
       os << " recovered_runs=" << s.recovered_spill_runs;
     }
@@ -235,7 +226,6 @@ std::string JobMetrics::ToJson() const {
        << ",\"coalesced_partitions\":" << s.coalesced_partitions
        << ",\"split_partitions\":" << s.split_partitions
        << ",\"task_retries\":" << s.task_retries
-       << ",\"speculative_launches\":" << s.speculative_launches
        << ",\"recovered_spill_runs\":" << s.recovered_spill_runs
        << ",\"task_duration_us\":" << s.task_duration_us.ToJson()
        << ",\"queue_wait_us\":" << s.queue_wait_us.ToJson()
@@ -267,7 +257,6 @@ std::string JobMetrics::ToJson() const {
      << ",\"coalesced_partitions\":" << TotalCoalescedPartitions()
      << ",\"split_partitions\":" << TotalSplitPartitions()
      << ",\"task_retries\":" << TotalTaskRetries()
-     << ",\"speculative_launches\":" << TotalSpeculativeLaunches()
      << ",\"recovered_spill_runs\":" << TotalRecoveredSpillRuns()
      << ",\"task_duration_us\":" << TaskDurationHistogram().ToJson()
      << ",\"queue_wait_us\":" << QueueWaitHistogram().ToJson()

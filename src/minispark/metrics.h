@@ -80,9 +80,6 @@ struct StageMetrics {
   /// Task attempts re-run after a retryable failure (fault tolerance;
   /// see Context::Options::max_task_retries).
   uint64_t task_retries = 0;
-  /// Speculative duplicate attempts launched for straggling tasks (see
-  /// Context::Options::speculation_multiplier).
-  uint64_t speculative_launches = 0;
   /// Spill runs whose data was corrupt or missing at shuffle-read time
   /// and was regenerated from the retained lineage closure.
   uint64_t recovered_spill_runs = 0;
@@ -135,7 +132,6 @@ class JobMetrics {
   uint64_t TotalSplitPartitions() const;
   /// Fault-tolerance totals across all stages (see StageMetrics).
   uint64_t TotalTaskRetries() const;
-  uint64_t TotalSpeculativeLaunches() const;
   uint64_t TotalRecoveredSpillRuns() const;
   /// Job-level distributions: the per-stage histograms merged (exact —
   /// merging log-bucket counts loses nothing; see Histogram::Merge).

@@ -50,16 +50,15 @@ class HashPartitioner {
 /// range [begin(p), end(p)). Contiguity is what preserves the
 /// key->partition contract of the keyed wide operations — a key's bucket
 /// belongs to exactly one range, so all records of one key still land in
-/// one read partition — and, for range shuffles (sortByKey), keeps
-/// partition order equal to key-range order.
+/// one read partition.
 ///
 /// SplitOversized is the mirror image of Coalesce: where coalescing
 /// merges adjacent undersized buckets into one read partition, splitting
 /// fans a single oversized bucket out into `slices(p)` read partitions,
 /// each covering the same bucket but only slice index `slice(p)` of it.
 /// How bucket records are divided among slices is the shuffle reader's
-/// business (keyed shuffles refine the key hash so every key stays whole
-/// in one slice; placement-only shuffles stripe by mapper).
+/// business (it refines the key hash, so every key stays whole in one
+/// slice).
 class PartitionRanges {
  public:
   /// One range per bucket (no coalescing).

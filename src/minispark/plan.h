@@ -19,7 +19,7 @@ struct PlanNode {
   enum class Kind {
     kSource,  ///< Parallelize / FromGenerator / shuffle-read output
     kNarrow,  ///< map / filter / flatMap / ... (fusable)
-    kWide,    ///< shuffle boundary (partitionByKey, join, sortByKey, ...)
+    kWide,    ///< shuffle boundary (partitionBy, join)
     kCache,   ///< explicit Cache() pin
   };
 

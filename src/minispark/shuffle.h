@@ -466,9 +466,10 @@ class ShuffleService {
   /// Commits map task `map_index` for consumption: flushes its spill
   /// handle (idempotent; the barrier-path FinishWrite reuses the same
   /// close), wakes readers, then blocks inside the publish window. Call
-  /// as the LAST statement of the write task body — RunStage never
-  /// speculates and injected faults fire before the body, so reaching
-  /// this point means the attempt owns the mapper's final state.
+  /// as the LAST statement of the write task body — a task's attempts
+  /// run one after another and a failed attempt never reaches this
+  /// point, so reaching it means the attempt owns the mapper's final
+  /// state.
   void PublishMapTask(int map_index) {
     MapTask& mt = tasks_[static_cast<size_t>(map_index)];
     if (mt.spill) mt.spill->FinishWrites();
@@ -905,19 +906,18 @@ namespace internal {
 
 /// Runs the shuffle-write stage of `input` into a fresh ShuffleService:
 /// one task per input partition streams the partition — executing any
-/// pending narrow chain inside the task — and routes each record with
-/// the router `make_router(task_index)` returns. The factory form keeps
-/// retries and lineage recovery correct for stateful routers (e.g.
-/// Repartition's running counter): every attempt gets a FRESH router
-/// starting from the task's well-defined initial state. Annotates the
-/// stage record with the fused ops and the spill counters; a failed
-/// write stage poisons the service (write_status) and discards its
-/// spill files.
-template <typename T, typename MakeRouter>
+/// pending narrow chain inside the task — and sends each record to
+/// bucket `route(record)`. `route` must be a function of the record
+/// alone: a retried attempt and lineage recovery re-stream the
+/// partition and must send every record where the first attempt did.
+/// Annotates the stage record with the fused ops and the spill
+/// counters; a failed write stage poisons the service (write_status)
+/// and discards its spill files.
+template <typename T, typename Route>
 std::shared_ptr<ShuffleService<T>> ShuffleWrite(const Dataset<T>& input,
                                                 int num_buckets,
                                                 const std::string& name,
-                                                MakeRouter make_router) {
+                                                Route route) {
   Context* ctx = input.context();
   auto service = std::make_shared<ShuffleService<T>>(
       ctx, input.num_partitions(), num_buckets);
@@ -930,9 +930,8 @@ std::shared_ptr<ShuffleService<T>> ShuffleWrite(const Dataset<T>& input,
   // lifetime) so a corrupt or missing spill run can be regenerated at
   // read time by re-running the owning map task.
   service->SetRecovery(
-      [input, make_router](int m, int begin, int end,
-                           const std::function<void(int, const T&)>& collect) {
-        auto route = make_router(m);
+      [input, route](int m, int begin, int end,
+                     const std::function<void(int, const T&)>& collect) {
         input.StreamPartition(m, [&](const T& t) {
           const int b = route(t);
           if (b >= begin && b < end) collect(b, t);
@@ -942,10 +941,8 @@ std::shared_ptr<ShuffleService<T>> ShuffleWrite(const Dataset<T>& input,
   StageMetrics write_stage =
       ctx->RunStage(name + "/shuffle-write", input.num_partitions(),
                     [&](int i) {
-                      // A retried attempt starts from a clean slate (and
-                      // a fresh router).
+                      // A retried attempt starts from a clean slate.
                       service->ResetMapTask(i);
-                      auto route = make_router(i);
                       // Deadline/cancel probe at record granularity: a
                       // long fused chain must notice a stop request
                       // without waiting for the stage barrier.
@@ -979,17 +976,14 @@ std::shared_ptr<ShuffleService<T>> ShuffleWrite(const Dataset<T>& input,
 /// buckets out of the service (merging spilled runs with resident data,
 /// verifying checksums, recovering corrupt runs from lineage) into an
 /// output partition. Shuffle volume is counted inside the read tasks
-/// while they consume — no post-hoc rescan of the output. An optional
-/// `post(partition_index, &partition)` runs at the end of each task
-/// (sortByKey sorts there); pass a `post_op` label to surface it in the
-/// stage's fused_ops. A failed write stage, or a failed read task,
-/// surfaces through `*out_status` (the returned partitions are then
-/// empty/partial and the caller poisons its dataset).
-template <typename T, typename PostFn>
+/// while they consume — no post-hoc rescan of the output. A failed
+/// write stage, or a failed read task, surfaces through `*out_status`
+/// (the returned partitions are then empty/partial and the caller
+/// poisons its dataset).
+template <typename T>
 std::shared_ptr<const std::vector<std::vector<T>>> ShuffleRead(
     Context* ctx, ShuffleService<T>* service, const PartitionRanges& ranges,
-    const std::string& name, Status* out_status, PostFn post,
-    const char* post_op,
+    const std::string& name, Status* out_status,
     const typename ShuffleService<T>::RefineFn& refine = nullptr) {
   const int num_out = ranges.NumPartitions();
   auto out =
@@ -1023,9 +1017,9 @@ std::shared_ptr<const std::vector<std::vector<T>>> ShuffleRead(
         // Consumption is destructive (resident buckets are moved out),
         // so once the first record has been emitted a retry of this task
         // would silently re-emit moved-from residue: escalate any
-        // genuine mid-consumption failure (a throwing post fn, a Serde
-        // decode error, bad_alloc while growing dest) to a permanent
-        // one instead of letting the attempt loop re-run it.
+        // genuine mid-consumption failure (a Serde decode error,
+        // bad_alloc while growing dest) to a permanent one instead of
+        // letting the attempt loop re-run it.
         bool consumed = false;
         const auto non_retryable_from_here = [&](const std::string& what) {
           return NonRetryableError(Status::Internal(
@@ -1056,7 +1050,6 @@ std::shared_ptr<const std::vector<std::vector<T>>> ShuffleRead(
                           CurrentTraceTid(), start_us,
                           sink->NowMicros() - start_us, p, 0});
           }
-          post(p, &dest);
         } catch (const NonRetryableError&) {
           throw;
         } catch (const std::exception& e) {
@@ -1076,9 +1069,7 @@ std::shared_ptr<const std::vector<std::vector<T>>> ShuffleRead(
         task_records[static_cast<size_t>(p)] = records;
         task_bytes[static_cast<size_t>(p)] = bytes;
       });
-  read_stage.fused_ops =
-      post_op == nullptr ? "shuffleRead"
-                         : std::string("shuffleRead+") + post_op;
+  read_stage.fused_ops = "shuffleRead";
   for (int p = 0; p < num_out; ++p) {
     read_stage.shuffle_records += task_records[static_cast<size_t>(p)];
     read_stage.shuffle_bytes += task_bytes[static_cast<size_t>(p)];
@@ -1099,15 +1090,6 @@ std::shared_ptr<const std::vector<std::vector<T>>> ShuffleRead(
   return out;
 }
 
-template <typename T>
-std::shared_ptr<const std::vector<std::vector<T>>> ShuffleRead(
-    Context* ctx, ShuffleService<T>* service, const PartitionRanges& ranges,
-    const std::string& name, Status* out_status,
-    const typename ShuffleService<T>::RefineFn& refine = nullptr) {
-  return ShuffleRead(ctx, service, ranges, name, out_status,
-                     [](int, std::vector<T>*) {}, nullptr, refine);
-}
-
 /// Pipelined producer/consumer exchange: the overlapped equivalent of
 /// ShuffleWrite followed by ShuffleRead (Context::Options::
 /// pipelined_stages). The write stage runs on the pool as usual, but
@@ -1117,17 +1099,15 @@ std::shared_ptr<const std::vector<std::vector<T>>> ShuffleRead(
 /// downstream local work overlap instead of serializing at the barrier.
 /// Output partitions are byte-identical to the barrier path's (same
 /// mapper-major order per bucket); adaptive coalescing does not apply —
-/// ranges are always identity, one reader per bucket. `post` runs in the
-/// reader after its last mapper (sortLocal for SortByKey). Readers are
-/// single-attempt: a reader failure aborts the exchange (it could never
-/// be retried anyway — consumption is destructive), as does a failed
-/// write stage; either way *out_status carries the first error and the
-/// returned partitions are empty.
-template <typename T, typename MakeRouter, typename PostFn>
+/// ranges are always identity, one reader per bucket. `route` is as in
+/// ShuffleWrite. Readers are single-attempt: a reader failure aborts the
+/// exchange (it could never be retried anyway — consumption is
+/// destructive), as does a failed write stage; either way *out_status
+/// carries the first error and the returned partitions are empty.
+template <typename T, typename Route>
 std::shared_ptr<const std::vector<std::vector<T>>> PipelinedExchange(
     const Dataset<T>& input, int num_buckets, const std::string& name,
-    MakeRouter make_router, Status* out_status, PostFn post,
-    const char* post_op) {
+    Route route, Status* out_status) {
   Context* ctx = input.context();
   auto service = std::make_shared<ShuffleService<T>>(
       ctx, input.num_partitions(), num_buckets);
@@ -1142,9 +1122,8 @@ std::shared_ptr<const std::vector<std::vector<T>>> PipelinedExchange(
   // has already committed, so re-streaming its partition is safe even
   // while other map tasks are still writing).
   service->SetRecovery(
-      [input, make_router](int m, int begin, int end,
-                           const std::function<void(int, const T&)>& collect) {
-        auto route = make_router(m);
+      [input, route](int m, int begin, int end,
+                     const std::function<void(int, const T&)>& collect) {
         input.StreamPartition(m, [&](const T& t) {
           const int b = route(t);
           if (b >= begin && b < end) collect(b, t);
@@ -1181,7 +1160,6 @@ std::shared_ptr<const std::vector<std::vector<T>>> PipelinedExchange(
           });
           service->FinishMapperConsumed(m);
         }
-        post(p, &dest);
         task_records[static_cast<size_t>(p)] = records;
         task_bytes[static_cast<size_t>(p)] = bytes;
         if (sink != nullptr) {
@@ -1215,10 +1193,9 @@ std::shared_ptr<const std::vector<std::vector<T>>> PipelinedExchange(
   const std::string fused = input.pending_ops();
   StageMetrics write_stage =
       ctx->RunStage(name + "/shuffle-write", num_mappers, [&](int i) {
-        // A retried attempt starts from a clean slate (and a fresh
-        // router); only a fully successful attempt publishes.
+        // A retried attempt starts from a clean slate; only a fully
+        // successful attempt publishes.
         service->ResetMapTask(i);
-        auto route = make_router(i);
         uint64_t probe = 0;
         input.StreamPartition(i, [&](const T& t) {
           // Deadline/cancel probe (see the barrier write stage above).
@@ -1261,9 +1238,7 @@ std::shared_ptr<const std::vector<std::vector<T>>> PipelinedExchange(
   StageMetrics read_stage;
   read_stage.name = name + "/shuffle-read";
   read_stage.task_seconds = std::move(reader_seconds);
-  read_stage.fused_ops =
-      post_op == nullptr ? "shuffleRead(pipelined)"
-                         : std::string("shuffleRead(pipelined)+") + post_op;
+  read_stage.fused_ops = "shuffleRead(pipelined)";
   for (int p = 0; p < num_buckets; ++p) {
     read_stage.shuffle_records += task_records[static_cast<size_t>(p)];
     read_stage.shuffle_bytes += task_bytes[static_cast<size_t>(p)];
@@ -1286,14 +1261,6 @@ std::shared_ptr<const std::vector<std::vector<T>>> PipelinedExchange(
     out->assign(static_cast<size_t>(num_buckets), std::vector<T>());
   }
   return out;
-}
-
-template <typename T, typename MakeRouter>
-std::shared_ptr<const std::vector<std::vector<T>>> PipelinedExchange(
-    const Dataset<T>& input, int num_buckets, const std::string& name,
-    MakeRouter make_router, Status* out_status) {
-  return PipelinedExchange(input, num_buckets, name, std::move(make_router),
-                           out_status, [](int, std::vector<T>*) {}, nullptr);
 }
 
 }  // namespace internal

@@ -181,9 +181,8 @@ struct TraceSpan {
   std::string name;      ///< stage/task label
   /// "stage", "task", "spill", "shuffle-read", plus the fault-tolerance
   /// categories: "task-retry" (a re-run attempt after a retryable
-  /// failure), "task-speculative" (a straggler's duplicate launch), and
-  /// "spill-recovery" (a corrupt/missing spill run regenerated from
-  /// lineage).
+  /// failure) and "spill-recovery" (a corrupt/missing spill run
+  /// regenerated from lineage).
   std::string category;
   int tid = 0;           ///< CurrentTraceTid() of the recording thread
   int64_t start_us = 0;  ///< microseconds since the sink's epoch

@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "join/estimate.h"
 #include "ranking/footrule.h"
+#include "ranking/join_store.h"
 #include "ranking/prefix.h"
 #include "ranking/reorder.h"
 
@@ -145,24 +146,31 @@ DatasetProfile ProfileDataset(const FlatRankings& store, double theta,
              std::llround(static_cast<double>(delta_sample) * p.scale)));
 
   // Mini brute-force join over the sample: exact pair densities at theta
-  // and theta_c. O(sample^2) bounded distances.
-  std::vector<OrderedRanking> ordered;
-  ordered.reserve(sample.size());
-  for (const RankingView& v : sample) ordered.push_back(MakeOrdered(v, order));
+  // and theta_c, counted with the join store's kernel on a store of the
+  // sample in its frequency order. O(sample^2) distances.
+  FlatRankings::Builder builder(p.k);
+  builder.Reserve(sample.size());
+  for (const RankingView& v : sample) builder.Append(v.id, v.items);
+  const JoinStore sample_store =
+      JoinStore::Build(std::move(builder).Build(), order);
+  const PairKernel& kernel = sample_store.kernel();
+  const size_t m = sample_store.size();
   uint64_t pairs_theta = 0;
   uint64_t pairs_tc = 0;
-  for (size_t i = 0; i < ordered.size(); ++i) {
-    for (size_t j = i + 1; j < ordered.size(); ++j) {
-      const auto d =
-          FootruleDistanceBounded(ordered[i], ordered[j], raw_theta);
-      if (!d.has_value()) continue;
-      ++pairs_theta;
-      if (*d <= raw_tc) ++pairs_tc;
+  kernel.WithChunks([&](auto width) {
+    constexpr int kChunks = decltype(width)::value;
+    for (RowIndex i = 0; i < m; ++i) {
+      for (RowIndex j = i + 1; j < m; ++j) {
+        const uint32_t d = kernel.DistanceAt<kChunks>(sample_store.items(i),
+                                                      sample_store.items(j));
+        if (d > raw_theta) continue;
+        ++pairs_theta;
+        if (d <= raw_tc) ++pairs_tc;
+      }
     }
-  }
+  });
   const double total_pairs =
-      static_cast<double>(ordered.size()) *
-      static_cast<double>(ordered.size() - 1) / 2.0;
+      static_cast<double>(m) * static_cast<double>(m - 1) / 2.0;
   if (total_pairs > 0) {
     p.pair_density_theta = static_cast<double>(pairs_theta) / total_pairs;
     p.pair_density_theta_c = static_cast<double>(pairs_tc) / total_pairs;

@@ -20,7 +20,6 @@
 #include "minispark/checkpoint.h"
 #include "minispark/context.h"
 #include "minispark/dataset.h"
-#include "minispark/extra_ops.h"
 #include "minispark/plan.h"
 #include "tests/test_util.h"
 
@@ -28,20 +27,10 @@ namespace rankjoin::minispark {
 namespace {
 
 using rankjoin::testutil::PairSet;
+using rankjoin::testutil::PinnedEnv;
 using rankjoin::testutil::ScopedEnv;
 using rankjoin::testutil::SmallSkewedDataset;
 using rankjoin::testutil::TestCluster;
-
-struct PinnedEnv {
-  ScopedEnv fault{"RANKJOIN_FAULT_SPEC", nullptr};
-  ScopedEnv budget{"RANKJOIN_SHUFFLE_BUDGET_BYTES", nullptr};
-  ScopedEnv trace{"RANKJOIN_TRACE_LEVEL", nullptr};
-  ScopedEnv lint{"RANKJOIN_LINT_LEVEL", nullptr};
-  ScopedEnv pipelined{"RANKJOIN_PIPELINED_STAGES", nullptr};
-  ScopedEnv ckpt_dir{"RANKJOIN_CHECKPOINT_DIR", nullptr};
-  ScopedEnv resume{"RANKJOIN_RESUME", nullptr};
-  ScopedEnv deadline{"RANKJOIN_JOB_DEADLINE_MS", nullptr};
-};
 
 /// A fresh empty directory under the gtest temp root.
 std::string FreshDir(const std::string& name) {
@@ -312,12 +301,11 @@ TEST(CheckpointResumeTest, WideOpsRestoreAcrossContexts) {
     auto left = Parallelize(ctx, IntPairs(200, 17), 8);
     auto right = Parallelize(ctx, IntPairs(150, 17), 4);
     auto joined = *Join(left, right, 8).TryCollect();
-    auto sorted =
-        *SortByKey(Parallelize(ctx, IntPairs(300, 23), 8), 8).TryCollect();
-    auto repart = *Parallelize(ctx, std::vector<int>{1, 2, 3, 4, 5}, 4)
-                       .Repartition(2)
-                       .TryCollect();
-    return std::make_tuple(joined, sorted, repart);
+    auto grouped =
+        *GroupByKey(Parallelize(ctx, IntPairs(300, 23), 8), 8).TryCollect();
+    auto placed =
+        *PartitionByKey(Parallelize(ctx, IntPairs(120, 5), 4), 2).TryCollect();
+    return std::make_tuple(joined, grouped, placed);
   };
 
   decltype(job(nullptr)) first;

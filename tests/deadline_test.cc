@@ -2,11 +2,13 @@
 // mid-shuffle surfaces kDeadlineExceeded as a structured Status well
 // within 2x the deadline and leaks no threads; Cancel() from a second
 // thread during a pipelined chaos join drains cleanly; both knobs plumb
-// through the environment overrides.
+// through the environment overrides, and a numeric override that is
+// not a whole decimal number in range is refused with a warning.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <numeric>
@@ -23,19 +25,9 @@
 namespace rankjoin::minispark {
 namespace {
 
+using rankjoin::testutil::PinnedEnv;
 using rankjoin::testutil::ScopedEnv;
 using rankjoin::testutil::TestCluster;
-
-struct PinnedEnv {
-  ScopedEnv fault{"RANKJOIN_FAULT_SPEC", nullptr};
-  ScopedEnv budget{"RANKJOIN_SHUFFLE_BUDGET_BYTES", nullptr};
-  ScopedEnv trace{"RANKJOIN_TRACE_LEVEL", nullptr};
-  ScopedEnv lint{"RANKJOIN_LINT_LEVEL", nullptr};
-  ScopedEnv pipelined{"RANKJOIN_PIPELINED_STAGES", nullptr};
-  ScopedEnv ckpt_dir{"RANKJOIN_CHECKPOINT_DIR", nullptr};
-  ScopedEnv resume{"RANKJOIN_RESUME", nullptr};
-  ScopedEnv deadline{"RANKJOIN_JOB_DEADLINE_MS", nullptr};
-};
 
 std::vector<std::pair<int, int>> IntPairs(int n, int key_mod) {
   std::vector<std::pair<int, int>> data;
@@ -203,6 +195,88 @@ TEST(DeadlineTest, EnvOverrideConfiguresDeadline) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_TRUE(ctx.StopRequested());
   EXPECT_EQ(ctx.StopStatus().code(), StatusCode::kDeadlineExceeded);
+}
+
+/// A small ReduceByKey job that must run to completion under `ctx`.
+void ExpectSmallJobCompletes(Context* ctx) {
+  auto result = ReduceByKey(Parallelize(ctx, IntPairs(600, 11), 8),
+                            [](int a, int b) { return a + b; }, 8)
+                    .TryCollect();
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->size(), 11u);
+}
+
+TEST(DeadlineTest, EnvDeadlineAboveTheCapIsRefusedAndTheJobRuns) {
+  PinnedEnv env;
+  // 10^16 ms is above the 10^15 cap (and would overflow int64_t counted
+  // in microseconds): the override is ignored with a warning, so the job
+  // has no deadline.
+  ScopedEnv ms{"RANKJOIN_JOB_DEADLINE_MS", "10000000000000000"};
+  testing::internal::CaptureStderr();
+  Context ctx(TestCluster());
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("RANKJOIN_JOB_DEADLINE_MS"), std::string::npos) << log;
+  EXPECT_EQ(ctx.DeadlineRemainingMs(), -1);
+  ExpectSmallJobCompletes(&ctx);
+  EXPECT_FALSE(ctx.StopRequested());
+}
+
+TEST(DeadlineTest, EnvDeadlineAtTheCapIsAccepted) {
+  PinnedEnv env;
+  ScopedEnv ms{"RANKJOIN_JOB_DEADLINE_MS", "1000000000000000"};
+  Context ctx(TestCluster());
+  EXPECT_GT(ctx.DeadlineRemainingMs(), 0);
+  ExpectSmallJobCompletes(&ctx);
+  EXPECT_FALSE(ctx.StopRequested());
+}
+
+TEST(DeadlineTest, ProgrammaticDeadlineSaturatesInsteadOfOverflowing) {
+  PinnedEnv env;
+  for (const int64_t ms : {INT64_MAX / 1000 + 1, INT64_MAX}) {
+    Context::Options options = TestCluster();
+    options.job_deadline_ms = ms;
+    Context ctx(options);
+    // Too far out to count in microseconds: the deadline never passes.
+    EXPECT_EQ(ctx.DeadlineRemainingMs(), -1) << ms;
+    ExpectSmallJobCompletes(&ctx);
+    EXPECT_FALSE(ctx.StopRequested()) << ms;
+  }
+}
+
+TEST(EnvOverrideTest, NumericOverridesAreWholeDecimalsInRange) {
+  PinnedEnv env;
+  ScopedEnv port{"RANKJOIN_STATS_PORT", nullptr};
+  Context::Options options = TestCluster();
+  options.shuffle_memory_budget_bytes = 123;
+  options.split_partition_bytes = 456;
+  for (const char* bad : {"4k", "80x", "-1", "", " 7", "+7", "0x10", "1e3",
+                          "18446744073709551616"}) {
+    ScopedEnv budget{"RANKJOIN_SHUFFLE_BUDGET_BYTES", bad};
+    ScopedEnv split{"RANKJOIN_SPLIT_PARTITION_BYTES", bad};
+    testing::internal::CaptureStderr();
+    Context ctx(options);
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(ctx.shuffle_memory_budget_bytes(), 123u) << "'" << bad << "'";
+    EXPECT_EQ(ctx.split_partition_bytes(), 456u) << "'" << bad << "'";
+    EXPECT_NE(log.find("RANKJOIN_SHUFFLE_BUDGET_BYTES"), std::string::npos)
+        << log;
+    EXPECT_NE(log.find("RANKJOIN_SPLIT_PARTITION_BYTES"), std::string::npos)
+        << log;
+  }
+  for (const char* bad : {"80x", "65536", "-1", "8080 "}) {
+    ScopedEnv stats{"RANKJOIN_STATS_PORT", bad};
+    testing::internal::CaptureStderr();
+    Context ctx(options);
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(ctx.stats_port(), -1) << "'" << bad << "'";  // still off
+    EXPECT_NE(log.find("RANKJOIN_STATS_PORT"), std::string::npos) << log;
+  }
+  ScopedEnv budget{"RANKJOIN_SHUFFLE_BUDGET_BYTES", "4096"};
+  ScopedEnv split{"RANKJOIN_SPLIT_PARTITION_BYTES", "18446744073709551615"};
+  Context ctx(options);
+  EXPECT_EQ(ctx.shuffle_memory_budget_bytes(), 4096u);
+  EXPECT_EQ(ctx.split_partition_bytes(), UINT64_MAX);
+  ExpectSmallJobCompletes(&ctx);
 }
 
 // ---------------------------------------------------------------------

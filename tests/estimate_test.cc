@@ -37,9 +37,8 @@ TEST(EstimateTest, MeasuredLengthsMatchIndexSize) {
   RankingDataset ds = GenerateDataset(options);
   ItemOrder order =
       ItemOrder::FromFrequencies(CountItemFrequencies(ds.rankings));
-  auto ordered = MakeOrderedDataset(ds.rankings, order);
   const int prefix = 4;
-  auto lengths = MeasurePostingListLengths(ordered, prefix);
+  auto lengths = MeasurePostingListLengths(ds.store().Views(), prefix, &order);
   const size_t total =
       std::accumulate(lengths.begin(), lengths.end(), size_t{0});
   EXPECT_EQ(total, ds.size() * prefix);  // every prefix entry indexed once
@@ -58,8 +57,7 @@ TEST(EstimateTest, PredictsOrderOfMagnitudeOnZipfData) {
   options.near_duplicate_rate = 0.0;
   options.seed = 6;
   RankingDataset ds = GenerateDataset(options);
-  auto ordered = MakeOrderedDataset(ds.rankings, ItemOrder());
-  auto lengths = MeasurePostingListLengths(ordered, options.k);
+  auto lengths = MeasurePostingListLengths(ds.store().Views(), options.k);
 
   // Average list length weighted by list length = sum(len^2) / sum(len):
   // the expected length of the list a random token occurrence hits.

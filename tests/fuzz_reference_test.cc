@@ -17,12 +17,14 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/similarity_join.h"
 #include "data/generator.h"
 #include "jaccard/jaccard.h"
 #include "jaccard/jaccard_join.h"
 #include "join/brute_force.h"
 #include "join/cluster_join.h"
 #include "join/local_join.h"
+#include "join/rs_join.h"
 #include "ranking/flat_rankings.h"
 #include "ranking/footrule.h"
 #include "ranking/join_store.h"
@@ -392,6 +394,60 @@ double RandomTheta(double hi, int k, Rng& rng) {
   return rng.NextDouble() * hi;
 }
 
+const uint64_t kSweepDeltas[] = {0, 2, 3, 10, 1000};
+
+/// One random dataset of the seeded sweeps below: the size, k, domain,
+/// skew, near and exact duplicate rates, and an id layout (dense 0..n-1,
+/// reversed, or packed just below 2^32).
+struct SweepData {
+  GeneratorOptions gen;
+  RankingDataset ds;
+  const char* layout = "";
+};
+
+SweepData DrawSweepData(Rng& rng) {
+  const int ks[] = {1, 2, 3, 4, 5, 10, 25};
+  const char* const layouts[] = {"dense", "reversed", "near 2^32"};
+  SweepData d;
+  GeneratorOptions& gen = d.gen;
+  gen.k = ks[rng.Uniform(std::size(ks))];
+  gen.num_rankings = 2 + rng.Uniform(149);
+  gen.domain_size =
+      static_cast<uint32_t>(gen.k + rng.Uniform(5 * gen.k + 30));
+  gen.zipf_skew = 1.2 * rng.NextDouble();
+  gen.near_duplicate_rate = 0.8 * rng.NextDouble();
+  gen.exact_duplicate_rate = rng.Bernoulli(0.5) ? 0.4 * rng.NextDouble() : 0;
+  gen.max_perturbations = static_cast<int>(1 + rng.Uniform(3));
+  gen.seed = rng.Next();
+  d.ds = GenerateDataset(gen);
+  const size_t layout = rng.Uniform(3);
+  d.layout = layouts[layout];
+  const RankingId n = static_cast<RankingId>(d.ds.rankings.size());
+  for (Ranking& r : d.ds.rankings) {
+    RankingId id = r.id();
+    if (layout == 1) id = n - 1 - id;
+    if (layout == 2) id = UINT32_MAX - (n - 1) + id;
+    r = Ranking(id, r.items());
+  }
+  return d;
+}
+
+/// theta_c for a case at `theta`: theta itself, 0, or a draw below
+/// min(theta, (1 - theta) / 2).
+double DrawThetaC(double theta, int k, Rng& rng) {
+  if (rng.Bernoulli(0.1)) return theta;
+  if (rng.Bernoulli(0.2)) return 0;
+  return RandomTheta(std::min(theta, (1 - theta) / 2), k, rng);
+}
+
+std::string DescribeData(const SweepData& d) {
+  std::ostringstream os;
+  os << "n=" << d.ds.rankings.size() << " k=" << d.gen.k << " domain=" << d.gen.domain_size
+     << " skew=" << d.gen.zipf_skew << " near=" << d.gen.near_duplicate_rate
+     << " exact=" << d.gen.exact_duplicate_rate << " layout=" << d.layout;
+  return os.str();
+}
+
 /// Seeded differential test of the clustering joins: about 600 random
 /// cases, each compared with the brute-force pair set. The cases vary
 /// the data (size, k, domain, near and exact duplicate rates), the id
@@ -400,46 +456,23 @@ double RandomTheta(double hi, int k, Rng& rng) {
 /// RunClusterJoin and RunJaccardClusterJoin.
 TEST(FuzzReferenceTest, ClusterJoinsMatchBruteForceSeeded) {
   constexpr int kCases = 600;
-  const int ks[] = {1, 2, 3, 4, 5, 10, 25};
-  const uint64_t deltas[] = {0, 2, 3, 10, 1000};
-  const char* const layouts[] = {"dense", "reversed", "near 2^32"};
   int valid = 0;
   int failed = 0;
   int with_clusters = 0;
   int with_chunk_joins = 0;
   for (int c = 0; c < kCases; ++c) {
     Rng rng(0xC1D5EED0000ULL + static_cast<uint64_t>(c));
-    GeneratorOptions gen;
-    gen.k = ks[rng.Uniform(std::size(ks))];
-    gen.num_rankings = 2 + rng.Uniform(149);
-    gen.domain_size =
-        static_cast<uint32_t>(gen.k + rng.Uniform(5 * gen.k + 30));
-    gen.zipf_skew = 1.2 * rng.NextDouble();
-    gen.near_duplicate_rate = 0.8 * rng.NextDouble();
-    gen.exact_duplicate_rate = rng.Bernoulli(0.5) ? 0.4 * rng.NextDouble() : 0;
-    gen.max_perturbations = static_cast<int>(1 + rng.Uniform(3));
-    gen.seed = rng.Next();
-    RankingDataset ds = GenerateDataset(gen);
-    const size_t layout = rng.Uniform(3);
-    const RankingId n = static_cast<RankingId>(ds.rankings.size());
-    for (Ranking& r : ds.rankings) {
-      RankingId id = r.id();
-      if (layout == 1) id = n - 1 - id;
-      if (layout == 2) id = UINT32_MAX - (n - 1) + id;
-      r = Ranking(id, r.items());
-    }
+    SweepData data = DrawSweepData(rng);
+    const GeneratorOptions& gen = data.gen;
+    const RankingDataset& ds = data.ds;
 
     const bool jaccard = rng.Bernoulli(0.35);
     const double theta = RandomTheta(jaccard ? 0.9 : 0.6, gen.k, rng);
-    double theta_c = 0;
-    if (rng.Bernoulli(0.1)) {
-      theta_c = theta;
-    } else if (!rng.Bernoulli(0.2)) {
-      theta_c = RandomTheta(std::min(theta, (1 - theta) / 2), gen.k, rng);
-    }
+    const double theta_c = DrawThetaC(theta, gen.k, rng);
     const int partitions = static_cast<int>(1 + rng.Uniform(9));
     const int workers = static_cast<int>(1 + rng.Uniform(4));
-    const uint64_t delta = deltas[rng.Uniform(std::size(deltas))];
+    const uint64_t delta =
+        kSweepDeltas[rng.Uniform(std::size(kSweepDeltas))];
     const bool position_filter = rng.Bernoulli(0.5);
     const bool singleton_optimization = rng.Bernoulli(0.5);
     const bool triangle_upper_shortcut = rng.Bernoulli(0.5);
@@ -447,12 +480,8 @@ TEST(FuzzReferenceTest, ClusterJoinsMatchBruteForceSeeded) {
     const bool adaptive = delta > 0 && rng.Bernoulli(0.3);
 
     std::ostringstream describe;
-    describe << "case " << c << (jaccard ? " jaccard-cl" : " cl")
-             << ": n=" << n << " k=" << gen.k
-             << " domain=" << gen.domain_size << " skew=" << gen.zipf_skew
-             << " near=" << gen.near_duplicate_rate
-             << " exact=" << gen.exact_duplicate_rate
-             << " layout=" << layouts[layout] << " theta=" << theta
+    describe << "case " << c << (jaccard ? " jaccard-cl" : " cl") << ": "
+             << DescribeData(data) << " theta=" << theta
              << " theta_c=" << theta_c << " delta=" << delta
              << " adaptive=" << adaptive << " partitions=" << partitions
              << " workers=" << workers << " position_filter="
@@ -521,6 +550,138 @@ TEST(FuzzReferenceTest, ClusterJoinsMatchBruteForceSeeded) {
   EXPECT_GE(valid, 500);
   EXPECT_GE(with_clusters, 400);
   EXPECT_GE(with_chunk_joins, 100);
+}
+
+/// Seeded differential test of every algorithm under every engine
+/// configuration: about 500 cases on the data of the sweep above, each
+/// compared with brute force. A case draws the algorithm (VJ, VJ-NL,
+/// CL, CL-P, V-SMART and auto through RunSimilarityJoin, the R-S join,
+/// Jaccard VJ) and the engine: fused or eager narrow ops, pipelined or
+/// barrier stages, the shuffle budget (resident, 1 byte, 4 KiB), skew
+/// splitting, coalescing, seeded chaos, workers and partitions. The
+/// RANKJOIN_* env is pinned, so CI's env jobs cannot override the draw.
+TEST(FuzzReferenceTest, JoinsMatchBruteForceAcrossEngineConfigsSeeded) {
+  testutil::PinnedEnv pinned;
+  constexpr int kCases = 500;
+  const Algorithm algorithms[] = {Algorithm::kVJ,    Algorithm::kVJNL,
+                                  Algorithm::kCL,    Algorithm::kCLP,
+                                  Algorithm::kVSmart, Algorithm::kAuto};
+  const uint64_t budgets[] = {0, 1, 4096};
+  int valid = 0;
+  int failed = 0;
+  int chaos_recovered = 0;
+  int spilled = 0;
+  int pipelined_runs = 0;
+  for (int c = 0; c < kCases; ++c) {
+    Rng rng(0xE9C0F1600000ULL + static_cast<uint64_t>(c));
+    const SweepData data = DrawSweepData(rng);
+    const int k = data.gen.k;
+    // Eight join kinds: the six RunSimilarityJoin algorithms, R-S and
+    // Jaccard VJ.
+    const size_t kind = rng.Uniform(8);
+    const bool rs = kind == 6;
+    const bool jaccard = kind == 7;
+    const double theta = RandomTheta(jaccard ? 0.9 : 0.6, k, rng);
+    const double theta_c = DrawThetaC(theta, k, rng);
+    const uint64_t delta =
+        kSweepDeltas[rng.Uniform(std::size(kSweepDeltas))];
+    const int partitions = static_cast<int>(1 + rng.Uniform(9));
+    minispark::Context::Options options = testutil::TestCluster(
+        static_cast<int>(1 + rng.Uniform(4)), partitions);
+    options.fuse_narrow_ops = rng.Bernoulli(0.5);
+    options.pipelined_stages = rng.Bernoulli(0.5);
+    options.shuffle_memory_budget_bytes =
+        budgets[rng.Uniform(std::size(budgets))];
+    options.split_partition_bytes = rng.Bernoulli(0.5) ? 4096 : 0;
+    options.target_partition_bytes = rng.Bernoulli(0.5) ? 1 << 20 : 0;
+    if (rng.Bernoulli(0.5)) {
+      options.fault_spec =
+          "task_throw:p=0.05;spill_corrupt:p=0.2;seed=" + std::to_string(c);
+    }
+    options.retry_backoff_ms = 0;
+
+    const char* name = rs        ? "rs"
+                       : jaccard ? "jaccard-vj"
+                                 : AlgorithmName(algorithms[kind]);
+    std::ostringstream describe;
+    describe << "case " << c << " " << name << ": " << DescribeData(data)
+             << " theta=" << theta << " theta_c=" << theta_c
+             << " delta=" << delta << " workers=" << options.num_workers
+             << " partitions=" << partitions
+             << " fused=" << options.fuse_narrow_ops
+             << " pipelined=" << options.pipelined_stages
+             << " budget=" << options.shuffle_memory_budget_bytes
+             << " split=" << options.split_partition_bytes
+             << " target=" << options.target_partition_bytes << " fault='"
+             << options.fault_spec << "'";
+    SCOPED_TRACE(describe.str());
+
+    minispark::Context ctx(options);
+    std::vector<ResultPair> truth;
+    bool rejected = false;
+    Result<JoinResult> result = [&]() -> Result<JoinResult> {
+      if (rs) {
+        // R and S interleave the rankings, so both see every id layout.
+        RankingDataset r;
+        RankingDataset s;
+        r.k = s.k = k;
+        for (size_t i = 0; i < data.ds.rankings.size(); ++i) {
+          (i % 2 == 0 ? r : s).rankings.push_back(data.ds.rankings[i]);
+        }
+        RsJoinOptions rs_options;
+        rs_options.theta = theta;
+        rs_options.num_partitions = partitions;
+        truth = BruteForceRsJoin(r, s, theta).pairs;
+        return RunRsJoin(&ctx, r, s, rs_options);
+      }
+      if (jaccard) {
+        JaccardJoinOptions jaccard_options;
+        jaccard_options.theta = theta;
+        jaccard_options.num_partitions = partitions;
+        truth = JaccardBruteForceJoin(data.ds, theta).pairs;
+        return RunJaccardVjJoin(&ctx, data.ds, jaccard_options);
+      }
+      SimilarityJoinConfig config;
+      config.algorithm = algorithms[kind];
+      config.theta = theta;
+      config.theta_c = theta_c;
+      config.delta = delta;
+      config.num_partitions = partitions;
+      rejected = !config.Validate(k).ok();
+      truth = BruteForceJoin(data.ds, theta).pairs;
+      return RunSimilarityJoin(&ctx, data.ds, config);
+    }();
+    EXPECT_EQ(result.ok(), !rejected) << result.status();
+    if (!result.ok()) {
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << result.status();
+      continue;
+    }
+    ++valid;
+    const minispark::JobMetrics& metrics = ctx.metrics();
+    chaos_recovered += metrics.TotalTaskRetries() > 0 ||
+                       metrics.TotalRecoveredSpillRuns() > 0;
+    spilled += metrics.TotalSpilledBytes() > 0;
+    pipelined_runs += std::any_of(
+        metrics.stages().begin(), metrics.stages().end(),
+        [](const minispark::StageMetrics& stage) {
+          return stage.fused_ops.find("(pipelined)") != std::string::npos;
+        });
+    const bool same =
+        testutil::PairSet(result->pairs) == testutil::PairSet(truth);
+    failed += !same;
+    EXPECT_TRUE(same) << result->pairs.size() << " pairs, " << truth.size()
+                      << " expected";
+  }
+  std::printf(
+      "%d valid cases (%d failed): %d recovered from chaos, %d spilled, "
+      "%d ran pipelined stages\n",
+      valid, failed, chaos_recovered, spilled, pipelined_runs);
+  // The sweep must keep reaching the engine paths it is meant to cover.
+  EXPECT_GE(valid, 450);
+  EXPECT_GE(chaos_recovered, 150);
+  EXPECT_GE(spilled, 200);
+  EXPECT_GE(pipelined_runs, 150);
 }
 
 }  // namespace

@@ -61,8 +61,8 @@ TEST(IntegrationTest, FullWorkflowRoundTrip) {
       OverlapPrefix(RawThreshold(theta, loaded->k), loaded->k);
   ItemOrder order =
       ItemOrder::FromFrequencies(CountItemFrequencies(loaded->rankings));
-  auto ordered = MakeOrderedDataset(loaded->rankings, order);
-  const uint64_t delta = SuggestDeltaMeasured(ordered, prefix);
+  const uint64_t delta =
+      SuggestDeltaMeasured(loaded->store().Views(), prefix, 4.0, &order);
   EXPECT_GE(delta, 1u);
 
   // 4. Join with every algorithm; all must agree with brute force.

@@ -20,7 +20,6 @@
 #include "core/similarity_join.h"
 #include "join/rs_join.h"
 #include "minispark/dataset.h"
-#include "minispark/extra_ops.h"
 #include "minispark/serde.h"
 #include "test_util.h"
 #include "tests/test_util.h"
@@ -191,7 +190,7 @@ TEST(LintCheckTest, Ms007NotRaisedForMultiConsumerOrRootCache) {
 TEST(LintCheckTest, Ms002RedundantBackToBackShuffles) {
   Context ctx(LintCluster());
   auto ds = Parallelize(&ctx, MakeKv(64), 4);
-  auto placed = ds.Repartition(8, "fixture/place");
+  auto placed = PartitionByKey(ds, 8, "fixture/place");
   auto grouped = GroupByKey(placed, 16, "fixture/group");
   std::vector<LintDiagnostic> diags = grouped.Lint();
   ASSERT_EQ(diags.size(), 1u);
@@ -202,7 +201,7 @@ TEST(LintCheckTest, Ms002RedundantBackToBackShuffles) {
             std::string::npos);
 
   // Same partition count is still redundant placement, different text.
-  auto same = GroupByKey(ds.Repartition(8, "fixture/place8"), 8,
+  auto same = GroupByKey(PartitionByKey(ds, 8, "fixture/place8"), 8,
                          "fixture/group8");
   std::vector<LintDiagnostic> same_diags = Only(same.Lint(), "MS002");
   ASSERT_EQ(same_diags.size(), 1u);
@@ -254,9 +253,10 @@ TEST(LintCheckTest, Ms004SerdelessShuffleUnderSpillBudget) {
   Context::Options options = LintCluster();
   options.shuffle_memory_budget_bytes = 1 << 20;
   Context ctx(options);
-  std::vector<NoSerdeRecord> records(32, NoSerdeRecord{"x"});
+  std::vector<std::pair<int, NoSerdeRecord>> records;
+  for (int i = 0; i < 32; ++i) records.push_back({i, NoSerdeRecord{"x"}});
   auto ds = Parallelize(&ctx, records, 4);
-  auto placed = ds.Repartition(8, "fixture/place");
+  auto placed = PartitionByKey(ds, 8, "fixture/place");
   std::vector<LintDiagnostic> diags = placed.Lint();
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].code, "MS004");
@@ -378,7 +378,7 @@ TEST(LintCollectTest, ErrorModeAllowsWarningSeverity) {
   auto ds = Parallelize(&ctx, MakeKv(64), 4);
   // MS002 is warning severity: recorded, but the job still runs.
   auto grouped =
-      GroupByKey(ds.Repartition(8, "fixture/place"), 16, "fixture/group");
+      GroupByKey(PartitionByKey(ds, 8, "fixture/place"), 16, "fixture/group");
   EXPECT_EQ(grouped.Collect().size(), 16u);
   ASSERT_EQ(ctx.lint_report().size(), 1u);
   EXPECT_EQ(ctx.lint_report()[0].code, "MS002");
@@ -412,7 +412,7 @@ TEST(LintExplainTest, ExplainDotEmbedsDiagnosticsAndStaysValidDot) {
   Context ctx(LintCluster(LintLevel::kWarn));
   auto bad = MultiConsumerPlan(&ctx, /*fixed=*/false);
   auto grouped =
-      GroupByKey(bad.Repartition(8, "fixture/place"), 16, "fixture/group");
+      GroupByKey(PartitionByKey(bad, 8, "fixture/place"), 16, "fixture/group");
   const std::string dot = grouped.ExplainDot();
   EXPECT_EQ(dot.rfind("digraph plan {", 0), 0u);
   EXPECT_EQ(dot.substr(dot.size() - 2), "}\n");

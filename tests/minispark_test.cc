@@ -115,24 +115,6 @@ TEST(DatasetTest, MapPartitionsSeesWholePartition) {
   EXPECT_EQ(std::accumulate(collected.begin(), collected.end(), 0), 36);
 }
 
-TEST(DatasetTest, RepartitionPreservesElements) {
-  Context ctx(SmallCluster());
-  auto ds = Parallelize(&ctx, Iota(10), 2);
-  auto re = ds.Repartition(5);
-  EXPECT_EQ(re.num_partitions(), 5);
-  auto collected = re.Collect();
-  std::sort(collected.begin(), collected.end());
-  EXPECT_EQ(collected, Iota(10));
-}
-
-TEST(DatasetTest, MaxPartitionSizeReportsSkew) {
-  Context ctx(SmallCluster());
-  auto parts = std::make_shared<Dataset<int>::Partitions>(
-      Dataset<int>::Partitions{{1, 2, 3, 4}, {5}});
-  Dataset<int> ds(&ctx, parts);
-  EXPECT_EQ(ds.MaxPartitionSize(), 4u);
-}
-
 TEST(KeyValueTest, PartitionByKeyGroupsKeys) {
   Context ctx(SmallCluster());
   std::vector<std::pair<int, int>> data;
@@ -210,47 +192,6 @@ TEST(KeyValueTest, JoinMatchesKeys) {
   }
   EXPECT_EQ(key2, 1);
   EXPECT_EQ(key3, 2);
-}
-
-TEST(KeyValueTest, CoGroupIncludesUnmatchedKeys) {
-  Context ctx(SmallCluster());
-  std::vector<std::pair<int, int>> left = {{1, 10}, {2, 20}};
-  std::vector<std::pair<int, int>> right = {{2, 200}, {3, 300}};
-  auto l = Parallelize(&ctx, left, 2);
-  auto r = Parallelize(&ctx, right, 2);
-  auto cg = CoGroup(l, r, 2);
-  auto collected = cg.Collect();
-  ASSERT_EQ(collected.size(), 3u);
-  for (const auto& [k, lists] : collected) {
-    if (k == 1) {
-      EXPECT_EQ(lists.first.size(), 1u);
-      EXPECT_TRUE(lists.second.empty());
-    } else if (k == 2) {
-      EXPECT_EQ(lists.first.size(), 1u);
-      EXPECT_EQ(lists.second.size(), 1u);
-    } else {
-      EXPECT_TRUE(lists.first.empty());
-      EXPECT_EQ(lists.second.size(), 1u);
-    }
-  }
-}
-
-TEST(KeyValueTest, DistinctRemovesDuplicates) {
-  Context ctx(SmallCluster());
-  std::vector<int> data = {1, 2, 2, 3, 3, 3, 4};
-  auto ds = Parallelize(&ctx, data, 3);
-  auto collected = Distinct(ds, 2).Collect();
-  std::sort(collected.begin(), collected.end());
-  EXPECT_EQ(collected, (std::vector<int>{1, 2, 3, 4}));
-}
-
-TEST(KeyValueTest, DistinctOnPairs) {
-  Context ctx(SmallCluster());
-  using P = std::pair<uint32_t, uint32_t>;
-  std::vector<P> data = {{1, 2}, {1, 2}, {2, 1}, {3, 4}};
-  auto ds = Parallelize(&ctx, data, 2);
-  auto collected = Distinct(ds, 2).Collect();
-  EXPECT_EQ(collected.size(), 3u);
 }
 
 TEST(KeyValueTest, UnionConcatenates) {

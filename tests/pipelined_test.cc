@@ -17,27 +17,16 @@
 #include "jaccard/jaccard_join.h"
 #include "minispark/context.h"
 #include "minispark/dataset.h"
-#include "minispark/extra_ops.h"
 #include "tests/test_util.h"
 
 namespace rankjoin::minispark {
 namespace {
 
 using rankjoin::testutil::PairSet;
+using rankjoin::testutil::PinnedEnv;
 using rankjoin::testutil::ScopedEnv;
 using rankjoin::testutil::SmallSkewedDataset;
 using rankjoin::testutil::TestCluster;
-
-struct PinnedEnv {
-  ScopedEnv fault{"RANKJOIN_FAULT_SPEC", nullptr};
-  ScopedEnv budget{"RANKJOIN_SHUFFLE_BUDGET_BYTES", nullptr};
-  ScopedEnv trace{"RANKJOIN_TRACE_LEVEL", nullptr};
-  ScopedEnv lint{"RANKJOIN_LINT_LEVEL", nullptr};
-  ScopedEnv pipelined{"RANKJOIN_PIPELINED_STAGES", nullptr};
-  ScopedEnv ckpt_dir{"RANKJOIN_CHECKPOINT_DIR", nullptr};
-  ScopedEnv resume{"RANKJOIN_RESUME", nullptr};
-  ScopedEnv deadline{"RANKJOIN_JOB_DEADLINE_MS", nullptr};
-};
 
 /// Runs `job` under a barrier context and a pipelined context (both with
 /// a tiny shuffle budget so spilling is exercised) and returns both
@@ -93,54 +82,12 @@ TEST(PipelinedOpTest, ReduceByKeyIdentical) {
   EXPECT_EQ(barrier, pipelined);
 }
 
-TEST(PipelinedOpTest, DistinctIdentical) {
-  PinnedEnv env;
-  auto [barrier, pipelined] = RunBothModes([](Context* ctx) {
-    std::vector<int> data;
-    for (int i = 0; i < 500; ++i) data.push_back(i % 60);
-    return *Distinct(Parallelize(ctx, std::move(data), 8), 8).TryCollect();
-  });
-  EXPECT_EQ(barrier, pipelined);
-}
-
 TEST(PipelinedOpTest, JoinIdentical) {
   PinnedEnv env;
   auto [barrier, pipelined] = RunBothModes([](Context* ctx) {
     auto left = Parallelize(ctx, IntPairs(200, 17), 8);
     auto right = Parallelize(ctx, IntPairs(150, 17), 4);
     return *Join(left, right, 8).TryCollect();
-  });
-  EXPECT_EQ(barrier, pipelined);
-}
-
-TEST(PipelinedOpTest, CoGroupIdentical) {
-  PinnedEnv env;
-  auto [barrier, pipelined] = RunBothModes([](Context* ctx) {
-    auto left = Parallelize(ctx, IntPairs(200, 9), 8);
-    auto right = Parallelize(ctx, IntPairs(120, 9), 4);
-    return *CoGroup(left, right, 8).TryCollect();
-  });
-  EXPECT_EQ(barrier, pipelined);
-}
-
-TEST(PipelinedOpTest, RepartitionIdentical) {
-  PinnedEnv env;
-  auto [barrier, pipelined] = RunBothModes([](Context* ctx) {
-    std::vector<int> data;
-    for (int i = 0; i < 500; ++i) data.push_back(i);
-    return *Parallelize(ctx, std::move(data), 16)
-                .Repartition(5)
-                .TryCollect();
-  });
-  EXPECT_EQ(barrier, pipelined);
-}
-
-TEST(PipelinedOpTest, SortByKeyIdentical) {
-  PinnedEnv env;
-  auto [barrier, pipelined] = RunBothModes([](Context* ctx) {
-    std::vector<std::pair<int, int>> data;
-    for (int i = 0; i < 400; ++i) data.push_back({(i * 37) % 101, i});
-    return *SortByKey(Parallelize(ctx, std::move(data), 8), 8).TryCollect();
   });
   EXPECT_EQ(barrier, pipelined);
 }

@@ -2,9 +2,8 @@
 // profiling, golden strategy decisions on seeded generator datasets
 // (skewed -> CL-P, uniform-small -> VJ, duplicate-heavy -> CL),
 // auto == explicit result identity, plan JSON surfacing, the
-// ParseAlgorithm/AlgorithmName round trip for every enum value, the
-// FlatRankings span overloads of the estimate helpers, and the runtime
-// skew-splitting equivalence (split == unsplit byte-identical pairs,
+// ParseAlgorithm/AlgorithmName round trip for every enum value, and the
+// runtime skew-splitting equivalence (split == unsplit byte-identical pairs,
 // with and without chaos injection).
 
 #include "plan/planner.h"
@@ -17,9 +16,7 @@
 #include <vector>
 
 #include "core/similarity_join.h"
-#include "join/estimate.h"
 #include "plan/cost_model.h"
-#include "ranking/reorder.h"
 #include "test_util.h"
 #include "tests/test_util.h"
 
@@ -118,28 +115,6 @@ TEST(CostModelTest, ProfileIsDeterministicAndSane) {
   EXPECT_GE(a.max_list_theta, 1u);
   // The near-duplicate population must show up as compression.
   EXPECT_LT(a.centroid_fraction, 1.0);
-}
-
-// ---------------------------------------------------------------------
-// Satellite: FlatRankings span overloads of the estimate helpers agree
-// with the legacy OrderedRanking overloads.
-
-TEST(EstimateSpanOverloadTest, MatchesLegacyMeasurement) {
-  const RankingDataset data = SmallSkewedDataset(3, 300);
-  const ItemOrder order =
-      ItemOrder::FromFrequencies(CountItemFrequencies(data.store()));
-  const auto ordered = MakeOrderedDataset(data.store(), order);
-  for (int prefix : {1, 3, 5}) {
-    std::vector<size_t> legacy = MeasurePostingListLengths(ordered, prefix);
-    std::vector<size_t> flat =
-        MeasurePostingListLengths(data.store().Views(), prefix, &order);
-    std::sort(legacy.begin(), legacy.end());
-    std::sort(flat.begin(), flat.end());
-    EXPECT_EQ(legacy, flat) << "prefix " << prefix;
-    EXPECT_EQ(SuggestDeltaMeasured(ordered, prefix),
-              SuggestDeltaMeasured(data.store().Views(), prefix, 4.0,
-                                   &order));
-  }
 }
 
 // ---------------------------------------------------------------------

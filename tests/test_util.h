@@ -79,6 +79,21 @@ class ScopedEnv {
   bool had_old_ = false;
 };
 
+/// Unsets every RANKJOIN_* override that changes how a job runs, for
+/// one test's scope, so the Options the test sets are the ones in
+/// effect under every CI env job.
+struct PinnedEnv {
+  ScopedEnv fault{"RANKJOIN_FAULT_SPEC", nullptr};
+  ScopedEnv budget{"RANKJOIN_SHUFFLE_BUDGET_BYTES", nullptr};
+  ScopedEnv split{"RANKJOIN_SPLIT_PARTITION_BYTES", nullptr};
+  ScopedEnv trace{"RANKJOIN_TRACE_LEVEL", nullptr};
+  ScopedEnv lint{"RANKJOIN_LINT_LEVEL", nullptr};
+  ScopedEnv pipelined{"RANKJOIN_PIPELINED_STAGES", nullptr};
+  ScopedEnv ckpt_dir{"RANKJOIN_CHECKPOINT_DIR", nullptr};
+  ScopedEnv resume{"RANKJOIN_RESUME", nullptr};
+  ScopedEnv deadline{"RANKJOIN_JOB_DEADLINE_MS", nullptr};
+};
+
 inline minispark::Context::Options TestCluster(int workers = 4,
                                                int partitions = 8) {
   minispark::Context::Options options;

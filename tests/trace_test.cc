@@ -20,7 +20,6 @@
 
 #include "core/similarity_join.h"
 #include "minispark/dataset.h"
-#include "minispark/extra_ops.h"
 #include "minispark/trace.h"
 #include "tests/test_util.h"
 
