@@ -71,18 +71,6 @@ void BM_ReduceByKey(benchmark::State& state) {
 }
 BENCHMARK(BM_ReduceByKey)->Arg(100000);
 
-void BM_Join(benchmark::State& state) {
-  Context ctx(BenchCluster());
-  auto left = Parallelize(
-      &ctx, MakeKv(static_cast<size_t>(state.range(0)), 4096), 16);
-  auto right = Parallelize(
-      &ctx, MakeKv(static_cast<size_t>(state.range(0)), 4096), 16);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Join(left, right, 16));
-  }
-}
-BENCHMARK(BM_Join)->Arg(10000);
-
 // map -> filter -> flatMap -> groupByKey, the canonical narrow chain of
 // the join pipelines (prefix emission, predicate filters, re-keying).
 // With fusion the three narrow ops execute inside the shuffle-write

@@ -28,14 +28,8 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     MutexLock lock(mutex_);
     queue_.push(std::move(task));
-    ++in_flight_;
   }
   work_available_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  MutexLock lock(mutex_);
-  while (in_flight_ != 0) all_done_.Wait(lock);
 }
 
 void ThreadPool::WorkerLoop() {
@@ -59,11 +53,6 @@ void ThreadPool::WorkerLoop() {
     } catch (...) {
       RANKJOIN_LOG(Error) << "uncaught non-std exception in pool task "
                              "(dropped)";
-    }
-    {
-      MutexLock lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.NotifyAll();
     }
   }
 }

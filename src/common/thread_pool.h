@@ -31,9 +31,6 @@ class ThreadPool {
   /// Enqueues a task. Never blocks.
   void Submit(std::function<void()> task);
 
-  /// Blocks until every submitted task has finished executing.
-  void Wait();
-
   size_t num_threads() const { return threads_.size(); }
 
  private:
@@ -41,10 +38,8 @@ class ThreadPool {
 
   Mutex mutex_;
   CondVar work_available_;
-  CondVar all_done_;
   std::queue<std::function<void()>> queue_ GUARDED_BY(mutex_);
   std::vector<std::thread> threads_;
-  size_t in_flight_ GUARDED_BY(mutex_) = 0;
   bool shutdown_ GUARDED_BY(mutex_) = false;
 };
 

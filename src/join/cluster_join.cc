@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -42,9 +43,50 @@ Status ValidateClOptions(const ClOptions& options, int k) {
 
 namespace {
 
-/// (member id, raw distance to its centroid) — the value type of the
-/// cluster dataset keyed by centroid.
+/// One member of a cluster: (member id, raw distance to its centroid).
 using MemberRec = std::pair<RankingId, uint32_t>;
+
+/// R_c as a CSR index keyed by centroid store row: the members of the
+/// centroid in row r, with their distances to it, are
+/// members[offsets[r] .. offsets[r + 1]) in clustering order. Singletons
+/// and members own empty ranges.
+struct ClusterIndex {
+  std::vector<uint32_t> offsets;
+  std::vector<MemberRec> members;
+
+  std::span<const MemberRec> MembersOf(RowIndex centroid_row) const {
+    return {members.data() + offsets[centroid_row],
+            members.data() + offsets[centroid_row + 1]};
+  }
+};
+
+/// Counts R_c into the index on the driver (a stable counting sort by
+/// centroid row).
+ClusterIndex IndexClusters(const JoinStore& store,
+                           const std::vector<ClusterPair>& pairs) {
+  ClusterIndex index;
+  index.offsets.assign(store.size() + 1, 0);
+  for (const ClusterPair& cp : pairs) {
+    ++index.offsets[store.RowOf(cp.centroid) + 1];
+  }
+  for (size_t r = 1; r < index.offsets.size(); ++r) {
+    index.offsets[r] += index.offsets[r - 1];
+  }
+  std::vector<uint32_t> next(index.offsets.begin(), index.offsets.end() - 1);
+  index.members.resize(pairs.size());
+  for (const ClusterPair& cp : pairs) {
+    index.members[next[store.RowOf(cp.centroid)]++] = {cp.member,
+                                                       cp.distance};
+  }
+  return index;
+}
+
+/// The index's driver-side size, so MS003 sees the broadcast's real
+/// footprint (found by argument-dependent lookup in MakeBroadcast).
+size_t ApproxSize(const ClusterIndex& index) {
+  return minispark::ApproxSize(index.offsets) +
+         minispark::ApproxSize(index.members);
+}
 
 /// Shared context for the expansion kernels.
 struct ExpansionContext {
@@ -99,6 +141,10 @@ void MergeSlots(const std::vector<JoinStats>& slots, JoinStats* stats) {
 /// R_j pair of its representatives (a member's centroid, or the ranking
 /// itself), or from their shared cluster, through exactly one branch:
 /// direct, intra-cluster, R_m,c in one direction, or R_m,m.
+///
+/// R_c is built once on the driver and broadcast as a CSR index, so the
+/// expansion is two narrow passes, one over R_j and one over the
+/// centroids, with no shuffle (DESIGN.md deviation 7).
 std::vector<ResultPair> RunExpansion(minispark::Context* ctx,
                                      const JoinStore& store,
                                      const Clustering& clustering,
@@ -106,219 +152,108 @@ std::vector<ResultPair> RunExpansion(minispark::Context* ctx,
                                      uint32_t raw_theta, int num_partitions,
                                      bool upper_shortcut, JoinStats* stats) {
   ExpansionContext ectx{&store, raw_theta, upper_shortcut};
-  // All expansion kernels below tally into this phase-local accumulator
-  // (via per-partition slot vectors merged after each Cache() barrier);
-  // it is merged into the caller's stats AND published to the counter
-  // registry under "cl.expansion" at the end, so traces show the
-  // triangle-inequality prune/shortcut effectiveness of Section 5.3 in
-  // isolation.
-  JoinStats expansion_stats;
+  const minispark::Broadcast<ClusterIndex> clusters = ctx->MakeBroadcast(
+      IndexClusters(store, clustering.pairs), "cl/clusterIndex");
 
-  // R_c keyed by centroid.
-  std::vector<std::pair<RankingId, MemberRec>> cluster_kv;
-  cluster_kv.reserve(clustering.pairs.size());
-  for (const ClusterPair& cp : clustering.pairs) {
-    cluster_kv.push_back({cp.centroid, {cp.member, cp.distance}});
-  }
-  // The cluster-membership dataset is consumed by three wide operations
-  // below (groupClusters and both membership joins) — pin it so it
-  // materializes exactly once.
-  minispark::Dataset<std::pair<RankingId, MemberRec>> clusters =
-      minispark::Parallelize(ctx, std::move(cluster_kv), num_partitions);
-  clusters.Cache();
-
+  // R_j pass (Algorithm 2 lines 1-8). Direct results: R_s (both
+  // singleton, emitted as-is — their join threshold was theta) plus every
+  // centroid pair within theta. Then the members of ci against cj and of
+  // cj against ci (R_m,c; the second is the "switched centroids" join of
+  // Example 5.4), and the members of ci against the members of cj
+  // (R_m,m). A singleton owns no members, so an R_s pair stops after the
+  // direct branch.
   minispark::Dataset<CentroidPair> rj_ds =
       minispark::Parallelize(ctx, rj, num_partitions);
-
-  // Direct results: R_s (both singleton, emitted as-is — their join
-  // threshold was theta) plus every centroid pair within theta.
-  minispark::Dataset<ResultPair> direct = rj_ds.FlatMap(
-      [raw_theta](const CentroidPair& cp) {
+  std::vector<JoinStats> rj_slots(static_cast<size_t>(rj_ds.num_partitions()));
+  minispark::Dataset<ResultPair> across = rj_ds.MapPartitionsWithIndex(
+      [ectx, clusters, &rj_slots](int index,
+                                  const std::vector<CentroidPair>& part) {
         std::vector<ResultPair> out;
-        if (cp.distance <= raw_theta) {
-          out.push_back(MakeResultPair(cp.ci, cp.cj));
+        JoinStats& local = rj_slots[static_cast<size_t>(index)];
+        // Retry hygiene: a re-run attempt starts its stat slot from zero.
+        local = JoinStats();
+        for (const CentroidPair& cp : part) {
+          if (cp.distance <= ectx.raw_theta) {
+            out.push_back(MakeResultPair(cp.ci, cp.cj));
+          }
+          const std::span<const MemberRec> mis =
+              clusters->MembersOf(ectx.store->RowOf(cp.ci));
+          const std::span<const MemberRec> mjs =
+              clusters->MembersOf(ectx.store->RowOf(cp.cj));
+          const int64_t dij = cp.distance;
+          for (const MemberRec& mi : mis) {
+            const int64_t dmi = mi.second;
+            EmitWithTriangleBounds(ectx, mi.first, cp.cj,
+                                   std::abs(dij - dmi), dij + dmi, &out,
+                                   &local);
+          }
+          for (const MemberRec& mj : mjs) {
+            const int64_t dmj = mj.second;
+            EmitWithTriangleBounds(ectx, mj.first, cp.ci,
+                                   std::abs(dij - dmj), dij + dmj, &out,
+                                   &local);
+          }
+          for (const MemberRec& mi : mis) {
+            for (const MemberRec& mj : mjs) {
+              const int64_t lower = dij - static_cast<int64_t>(mi.second) -
+                                    static_cast<int64_t>(mj.second);
+              const int64_t upper = dij + static_cast<int64_t>(mi.second) +
+                                    static_cast<int64_t>(mj.second);
+              EmitWithTriangleBounds(ectx, mi.first, mj.first, lower, upper,
+                                     &out, &local);
+            }
+          }
         }
         return out;
       },
-      "expand/direct");
+      "expand/centroidPairs");
 
-  // Intra-cluster results: (centroid, member) pairs qualify outright
+  // Intra-cluster pass: (centroid, member) pairs qualify outright
   // (distance <= theta_c <= theta); member-member pairs are within
   // 2*theta_c by the triangle inequality and are emitted unverified when
   // the known distance sum already proves qualification.
-  minispark::Dataset<std::pair<RankingId, std::vector<MemberRec>>>
-      grouped_clusters = minispark::GroupByKey(clusters, num_partitions,
-                                               "expand/groupClusters");
+  minispark::Dataset<RankingId> centroid_ds =
+      minispark::Parallelize(ctx, clustering.centroids, num_partitions);
   std::vector<JoinStats> intra_slots(
-      static_cast<size_t>(grouped_clusters.num_partitions()));
-  minispark::Dataset<ResultPair> intra =
-      grouped_clusters.MapPartitionsWithIndex(
-          [ectx, &intra_slots](
-              int index,
-              const std::vector<std::pair<RankingId, std::vector<MemberRec>>>&
-                  part) {
-            std::vector<ResultPair> out;
-            JoinStats& local = intra_slots[static_cast<size_t>(index)];
-            // Retry hygiene: a re-run attempt starts its stat slot from zero.
-            local = JoinStats();
-            for (const auto& [centroid, members] : part) {
-              for (const MemberRec& m : members) {
-                out.push_back(MakeResultPair(centroid, m.first));
-              }
-              for (size_t i = 0; i + 1 < members.size(); ++i) {
-                for (size_t j = i + 1; j < members.size(); ++j) {
-                  const int64_t sum =
-                      static_cast<int64_t>(members[i].second) +
-                      members[j].second;
-                  EmitWithTriangleBounds(ectx, members[i].first,
-                                         members[j].first, /*lower_bound=*/0,
-                                         sum, &out, &local);
-                }
-              }
+      static_cast<size_t>(centroid_ds.num_partitions()));
+  minispark::Dataset<ResultPair> intra = centroid_ds.MapPartitionsWithIndex(
+      [ectx, clusters, &intra_slots](int index,
+                                     const std::vector<RankingId>& part) {
+        std::vector<ResultPair> out;
+        JoinStats& local = intra_slots[static_cast<size_t>(index)];
+        // Retry hygiene: a re-run attempt starts its stat slot from zero.
+        local = JoinStats();
+        for (const RankingId centroid : part) {
+          const std::span<const MemberRec> members =
+              clusters->MembersOf(ectx.store->RowOf(centroid));
+          for (const MemberRec& m : members) {
+            out.push_back(MakeResultPair(centroid, m.first));
+          }
+          for (size_t i = 0; i + 1 < members.size(); ++i) {
+            for (size_t j = i + 1; j < members.size(); ++j) {
+              const int64_t sum =
+                  static_cast<int64_t>(members[i].second) + members[j].second;
+              EmitWithTriangleBounds(ectx, members[i].first, members[j].first,
+                                     /*lower_bound=*/0, sum, &out, &local);
             }
-            return out;
-          },
-          "expand/intraCluster");
-  // Stat slots are filled when the chain runs — force it first.
-  // Force(), not Cache(): single downstream consumer (MS007).
-  intra.Force();
-  MergeSlots(intra_slots, &expansion_stats);
-
-  // R_m: centroid pairs with at least one non-singleton side need to be
-  // joined with the clusters (Algorithm 2 lines 3-8).
-  minispark::Dataset<CentroidPair> rm = rj_ds.Filter(
-      [](const CentroidPair& cp) {
-        return !(cp.ci_singleton && cp.cj_singleton);
-      },
-      "expand/filterRm");
-  // R_m feeds both directional re-keyings — materialize the filter once.
-  rm.Cache();
-
-  minispark::Dataset<std::pair<RankingId, CentroidPair>> rm_by_ci = rm.Map(
-      [](const CentroidPair& cp) {
-        return std::pair<RankingId, CentroidPair>(cp.ci, cp);
-      },
-      "expand/keyByCi");
-  minispark::Dataset<std::pair<RankingId, CentroidPair>> rm_by_cj = rm.Map(
-      [](const CentroidPair& cp) {
-        return std::pair<RankingId, CentroidPair>(cp.cj, cp);
-      },
-      "expand/keyByCj");
-
-  // Members of ci against cj (R_m,c, first direction).
-  auto j1 = minispark::Join(rm_by_ci, clusters, num_partitions,
-                            "expand/joinMembersCi");
-  std::vector<JoinStats> j1_slots(static_cast<size_t>(j1.num_partitions()));
-  minispark::Dataset<ResultPair> rm_c1 = j1.MapPartitionsWithIndex(
-      [ectx, &j1_slots](
-          int index,
-          const std::vector<
-              std::pair<RankingId, std::pair<CentroidPair, MemberRec>>>&
-              part) {
-        std::vector<ResultPair> out;
-        JoinStats& local = j1_slots[static_cast<size_t>(index)];
-        // Retry hygiene: a re-run attempt starts its stat slot from zero.
-        local = JoinStats();
-        for (const auto& [ci, rec] : part) {
-          const CentroidPair& cp = rec.first;
-          const MemberRec& m = rec.second;
-          const int64_t dij = cp.distance;
-          const int64_t dmi = m.second;
-          EmitWithTriangleBounds(ectx, m.first, cp.cj,
-                                 std::abs(dij - dmi), dij + dmi, &out,
-                                 &local);
+          }
         }
         return out;
       },
-      "expand/membersCi");
-  // Force (not Cache) before reading the stat slots: single consumer.
-  rm_c1.Force();
-  MergeSlots(j1_slots, &expansion_stats);
+      "expand/intraCluster");
 
-  // Members of cj against ci (R_m,c, second direction — the "switched
-  // centroids" join of Example 5.4).
-  auto j2 = minispark::Join(rm_by_cj, clusters, num_partitions,
-                            "expand/joinMembersCj");
-  std::vector<JoinStats> j2_slots(static_cast<size_t>(j2.num_partitions()));
-  minispark::Dataset<ResultPair> rm_c2 = j2.MapPartitionsWithIndex(
-      [ectx, &j2_slots](
-          int index,
-          const std::vector<
-              std::pair<RankingId, std::pair<CentroidPair, MemberRec>>>&
-              part) {
-        std::vector<ResultPair> out;
-        JoinStats& local = j2_slots[static_cast<size_t>(index)];
-        // Retry hygiene: a re-run attempt starts its stat slot from zero.
-        local = JoinStats();
-        for (const auto& [cj, rec] : part) {
-          const CentroidPair& cp = rec.first;
-          const MemberRec& m = rec.second;
-          const int64_t dij = cp.distance;
-          const int64_t dmj = m.second;
-          EmitWithTriangleBounds(ectx, m.first, cp.ci,
-                                 std::abs(dij - dmj), dij + dmj, &out,
-                                 &local);
-        }
-        return out;
-      },
-      "expand/membersCj");
-  // Force (not Cache) before reading the stat slots: single consumer.
-  rm_c2.Force();
-  MergeSlots(j2_slots, &expansion_stats);
-
-  // Members of ci against members of cj (R_m,m): re-key the first join
-  // by the second centroid and join with the clusters again.
-  minispark::Dataset<std::pair<RankingId, std::pair<CentroidPair, MemberRec>>>
-      j1_by_cj = j1.Map(
-          [](const std::pair<RankingId,
-                             std::pair<CentroidPair, MemberRec>>& rec) {
-            return std::pair<RankingId, std::pair<CentroidPair, MemberRec>>(
-                rec.second.first.cj, rec.second);
-          },
-          "expand/rekeyByCj");
-  auto jmm = minispark::Join(j1_by_cj, clusters, num_partitions,
-                             "expand/joinMembersBoth");
-  std::vector<JoinStats> jmm_slots(
-      static_cast<size_t>(jmm.num_partitions()));
-  minispark::Dataset<ResultPair> rm_m = jmm.MapPartitionsWithIndex(
-      [ectx, &jmm_slots](
-          int index,
-          const std::vector<std::pair<
-              RankingId, std::pair<std::pair<CentroidPair, MemberRec>,
-                                   MemberRec>>>& part) {
-        std::vector<ResultPair> out;
-        JoinStats& local = jmm_slots[static_cast<size_t>(index)];
-        // Retry hygiene: a re-run attempt starts its stat slot from zero.
-        local = JoinStats();
-        for (const auto& [cj, rec] : part) {
-          const CentroidPair& cp = rec.first.first;
-          const MemberRec& mi = rec.first.second;  // member of ci
-          const MemberRec& mj = rec.second;        // member of cj
-          const int64_t dij = cp.distance;
-          const int64_t lower = dij - static_cast<int64_t>(mi.second) -
-                                static_cast<int64_t>(mj.second);
-          const int64_t upper = dij + static_cast<int64_t>(mi.second) +
-                                static_cast<int64_t>(mj.second);
-          EmitWithTriangleBounds(ectx, mi.first, mj.first, lower, upper,
-                                 &out, &local);
-        }
-        return out;
-      },
-      "expand/membersBoth");
-  // Force (not Cache) before reading the stat slots: single consumer.
-  rm_m.Force();
-  MergeSlots(jmm_slots, &expansion_stats);
-
-  // Union everything (Algorithm 2 line 9). No distinct: every ranking
+  // Union both passes (Algorithm 2 line 9). No distinct: every ranking
   // has one role, so each result pair maps to one R_j pair (or one
-  // cluster) and one of the branches above (DESIGN.md deviation 6).
+  // cluster) and one of the branches above (DESIGN.md deviation 6). The
+  // collect runs both passes, so the stat slots are read after it. The
+  // phase-local accumulator is merged into the caller's stats AND
+  // published under "cl.expansion", so traces show the triangle
+  // inequality's prune/shortcut effectiveness (Section 5.3) in isolation.
   std::vector<ResultPair> collected =
-      minispark::Union(
-          minispark::Union(minispark::Union(direct, intra, "expand/u1"),
-                           minispark::Union(rm_c1, rm_c2, "expand/u2"),
-                           "expand/u3"),
-          rm_m, "expand/u4")
-          .Collect();
+      minispark::Union(across, intra, "expand/union").Collect();
+  JoinStats expansion_stats;
+  MergeSlots(rj_slots, &expansion_stats);
+  MergeSlots(intra_slots, &expansion_stats);
   expansion_stats.PublishCounters(&ctx->counters(), "cl.expansion");
   ctx->counters().Add("cl.expansion.result_pairs", collected.size());
   stats->MergeCounters(expansion_stats);

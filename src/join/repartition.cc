@@ -7,45 +7,26 @@
 namespace rankjoin {
 namespace {
 
-/// A sub-partition of one posting list (Algorithm 3): the secondary key
-/// plus the postings assigned to it.
-struct Chunk {
-  uint32_t key = 0;
-  std::vector<PrefixPosting> postings;
-};
+/// One unit of CL-P chunk work (Algorithm 3): (left, right) sub-partitions
+/// of one split posting list. A self-join unit leaves `right` empty (a
+/// sub-partition is never empty); an R-S unit holds the lower chunk
+/// index on the left.
+using ChunkUnit =
+    std::pair<std::vector<PrefixPosting>, std::vector<PrefixPosting>>;
+/// A unit keyed by (list item, unit index), the spread's shuffle key.
+using KeyedUnit = std::pair<std::pair<ItemId, uint32_t>, ChunkUnit>;
 
 /// Merges per-partition stat slots into the caller's accumulator.
 void MergeSlots(const std::vector<JoinStats>& slots, JoinStats* stats) {
   for (const JoinStats& s : slots) stats->MergeCounters(s);
 }
 
+/// Sub-partitions of at most `delta` postings a list of `size` splits into.
+uint64_t NumChunks(uint64_t size, uint64_t delta) {
+  return (size + delta - 1) / delta;
+}
+
 }  // namespace
-
-// Chunk crosses two shuffles (the composite-key spread and the chunk
-// self-join) and is not trivially copyable, so it needs its own Serde
-// for the spill path (see minispark/serde.h). Field-wise delegation:
-// the postings vector takes the POD bulk path.
-namespace minispark {
-
-template <>
-struct Serde<Chunk> {
-  static size_t Size(const Chunk& c) {
-    return Serde<uint32_t>::Size(c.key) +
-           Serde<std::vector<PrefixPosting>>::Size(c.postings);
-  }
-
-  static void Write(const Chunk& c, std::string* out) {
-    Serde<uint32_t>::Write(c.key, out);
-    Serde<std::vector<PrefixPosting>>::Write(c.postings, out);
-  }
-
-  static void Read(const char** p, const char* end, Chunk* out) {
-    Serde<uint32_t>::Read(p, end, &out->key);
-    Serde<std::vector<PrefixPosting>>::Read(p, end, &out->postings);
-  }
-};
-
-}  // namespace minispark
 
 minispark::Dataset<ScoredPair> JoinGroups(
     const minispark::Dataset<PostingGroup>& groups, LocalJoinFn local_join,
@@ -82,26 +63,36 @@ minispark::Dataset<ScoredPair> JoinGroupsWithRepartitioning(
 
   // The grouped index feeds both the small and the large split below —
   // materialize it once instead of re-running its pending chain per
-  // consumer.
+  // consumer. The driver measures the large lists on it too.
   groups.Cache();
+  uint64_t lists_split = 0;
+  uint64_t pair_joins = 0;
+  for (const auto& part : groups.partitions()) {
+    for (const PostingGroup& g : part) {
+      if (g.second.size() <= delta) continue;
+      const uint64_t chunks = NumChunks(g.second.size(), delta);
+      ++lists_split;
+      pair_joins += chunks * (chunks - 1) / 2;
+    }
+  }
 
   if (adaptive) {
-    // Adaptive CL -> CL-P upgrade: measure the materialized posting
-    // lists and only pay for the repartitioning machinery (three extra
-    // shuffles) when one actually exceeds delta.
-    uint64_t max_list = 0;
-    for (const auto& part : groups.partitions()) {
-      for (const PostingGroup& g : part) {
-        max_list = std::max<uint64_t>(max_list, g.second.size());
-      }
-    }
-    if (max_list <= delta) {
+    // Adaptive CL -> CL-P upgrade: only pay for the repartitioning
+    // machinery (an extra shuffle) when a list actually exceeds delta.
+    if (lists_split == 0) {
       return JoinGroups(groups, std::move(local_join), stats);
     }
     groups.context()->counters().Add("repartition.skew_upgrades", 1);
   }
 
-  const int wide = std::max(1, num_partitions * 2);
+  // The CL-P / repartitioning knobs of Algorithm 3, published globally
+  // (not per scope): how many oversized posting lists were split and how
+  // many chunk-pair R-S joins that cost.
+  stats->lists_repartitioned += lists_split;
+  stats->chunk_pair_joins += pair_joins;
+  groups.context()->counters().Add("repartition.lists_split", lists_split);
+  groups.context()->counters().Add("repartition.chunk_pair_joins",
+                                   pair_joins);
 
   // Split the inverted index into small and large lists (I_<=delta and
   // I_>delta in Algorithm 3).
@@ -111,112 +102,62 @@ minispark::Dataset<ScoredPair> JoinGroupsWithRepartitioning(
   minispark::Dataset<PostingGroup> large = groups.Filter(
       [delta](const PostingGroup& g) { return g.second.size() > delta; },
       "repartition/large");
-  const uint64_t lists_split = large.Count();
-  stats->lists_repartitioned += lists_split;
-  // The CL-P / repartitioning knobs of Algorithm 3, published globally
-  // (not per scope): how many oversized posting lists were split and how
-  // many chunk-pair R-S joins that cost (below).
-  groups.context()->counters().Add("repartition.lists_split", lists_split);
-
   minispark::Dataset<ScoredPair> small_results =
       JoinGroups(small, local_join, stats);
 
-  // Split each large list into sub-partitions of at most delta postings,
-  // tagged with a secondary key.
-  minispark::Dataset<std::pair<ItemId, Chunk>> chunks = large.FlatMap(
+  // Split each large list into sub-partitions of at most delta postings
+  // and emit its work units: one self-join per sub-partition and one R-S
+  // join per pair of them. Keyed by (item, unit), one shuffle spreads a
+  // list's units over num_partitions * 2 partitions.
+  minispark::Dataset<KeyedUnit> units = large.FlatMap(
       [delta](const PostingGroup& g) {
-        const size_t num_chunks =
-            (g.second.size() + delta - 1) / static_cast<size_t>(delta);
-        std::vector<std::pair<ItemId, Chunk>> out(num_chunks);
-        for (size_t c = 0; c < num_chunks; ++c) {
-          out[c].first = g.first;
-          out[c].second.key = static_cast<uint32_t>(c);
-        }
+        const size_t num_chunks = NumChunks(g.second.size(), delta);
+        std::vector<std::vector<PrefixPosting>> chunks(num_chunks);
         // Round-robin assignment keeps the sub-partitions balanced (the
         // paper assigns a random secondary key; the distribution of work
         // is the same and this stays deterministic).
         for (size_t i = 0; i < g.second.size(); ++i) {
-          out[i % num_chunks].second.postings.push_back(g.second[i]);
+          chunks[i % num_chunks].push_back(g.second[i]);
+        }
+        std::vector<KeyedUnit> out;
+        out.reserve(num_chunks * (num_chunks + 1) / 2);
+        for (size_t a = 0; a < num_chunks; ++a) {
+          out.push_back({{g.first, static_cast<uint32_t>(out.size())},
+                         {chunks[a], {}}});
+          for (size_t b = a + 1; b < num_chunks; ++b) {
+            out.push_back({{g.first, static_cast<uint32_t>(out.size())},
+                           {chunks[a], chunks[b]}});
+          }
         }
         return out;
       },
       "repartition/split");
-  // The chunks feed three shuffles (the composite-key spread plus both
-  // sides of the chunk-pair self-join) — materialize them exactly once.
-  chunks.Cache();
-
-  // Self-join every sub-partition, spread over (item, secondary key).
-  minispark::Dataset<std::pair<std::pair<ItemId, uint32_t>, Chunk>>
-      by_composite = chunks.Map(
-          [](const std::pair<ItemId, Chunk>& c) {
-            return std::pair<std::pair<ItemId, uint32_t>, Chunk>(
-                {c.first, c.second.key}, c.second);
-          },
-          "repartition/compositeKey");
-  auto spread =
-      minispark::PartitionByKey(by_composite, wide, "repartition/spread");
-  std::vector<JoinStats> self_slots(
+  auto spread = minispark::PartitionByKey(
+      units, std::max(1, num_partitions * 2), "repartition/spread");
+  std::vector<JoinStats> unit_slots(
       static_cast<size_t>(spread.num_partitions()));
-  minispark::Dataset<ScoredPair> chunk_self_results =
-      spread.MapPartitionsWithIndex(
-          [local_join, &self_slots](
-              int index,
-              const std::vector<
-                  std::pair<std::pair<ItemId, uint32_t>, Chunk>>& part) {
-            std::vector<ScoredPair> out;
-            JoinStats& local = self_slots[static_cast<size_t>(index)];
-            // Retry hygiene: a re-run attempt starts its stat slot from zero.
-            local = JoinStats();
-            for (const auto& kv : part) {
-              local_join(kv.second.postings, &out, &local);
-            }
-            return out;
-          },
-          "repartition/chunkSelfJoin");
-  // Force (not Cache) before reading the stat slots: single consumer.
-  chunk_self_results.Force();
-  MergeSlots(self_slots, stats);
-
-  // Spark-style self-join of the sub-partitions on the item id; every
-  // ordered pair of distinct secondary keys is processed by the R-S join.
-  auto chunk_pairs =
-      minispark::Join(chunks, chunks, wide, "repartition/chunkPairs");
-  auto ordered_pairs = chunk_pairs.Filter(
-      [](const std::pair<ItemId, std::pair<Chunk, Chunk>>& jp) {
-        return jp.second.first.key < jp.second.second.key;
+  minispark::Dataset<ScoredPair> chunk_results = spread.MapPartitionsWithIndex(
+      [local_join, rs_join, &unit_slots](int index,
+                                         const std::vector<KeyedUnit>& part) {
+        std::vector<ScoredPair> out;
+        JoinStats& local = unit_slots[static_cast<size_t>(index)];
+        // Retry hygiene: a re-run attempt starts its stat slot from zero.
+        local = JoinStats();
+        for (const auto& [key, unit] : part) {
+          if (unit.second.empty()) {
+            local_join(unit.first, &out, &local);
+          } else {
+            rs_join(unit.first, unit.second, &out, &local);
+          }
+        }
+        return out;
       },
-      "repartition/orderPairs");
-  const uint64_t pair_joins = ordered_pairs.Count();
-  stats->chunk_pair_joins += pair_joins;
-  groups.context()->counters().Add("repartition.chunk_pair_joins",
-                                   pair_joins);
-  std::vector<JoinStats> rs_slots(
-      static_cast<size_t>(ordered_pairs.num_partitions()));
-  minispark::Dataset<ScoredPair> chunk_rs_results =
-      ordered_pairs.MapPartitionsWithIndex(
-          [rs_join, &rs_slots](
-              int index,
-              const std::vector<std::pair<ItemId, std::pair<Chunk, Chunk>>>&
-                  part) {
-            std::vector<ScoredPair> out;
-            JoinStats& local = rs_slots[static_cast<size_t>(index)];
-            // Retry hygiene: a re-run attempt starts its stat slot from zero.
-            local = JoinStats();
-            for (const auto& jp : part) {
-              rs_join(jp.second.first.postings, jp.second.second.postings,
-                      &out, &local);
-            }
-            return out;
-          },
-          "repartition/chunkRsJoin");
+      "repartition/chunkJoin");
   // Force (not Cache) before reading the stat slots: single consumer.
-  chunk_rs_results.Force();
-  MergeSlots(rs_slots, stats);
+  chunk_results.Force();
+  MergeSlots(unit_slots, stats);
 
-  return minispark::Union(
-      minispark::Union(small_results, chunk_self_results,
-                       "repartition/unionSelf"),
-      chunk_rs_results, "repartition/unionRs");
+  return minispark::Union(small_results, chunk_results, "repartition/union");
 }
 
 }  // namespace rankjoin

@@ -32,12 +32,13 @@ minispark::Dataset<ScoredPair> JoinGroups(
     JoinStats* stats);
 
 /// Algorithm 3 of the paper: posting lists with more than `delta`
-/// rankings are split into sub-partitions of at most `delta` elements,
-/// each carrying a secondary key. Every sub-partition is self-joined
-/// with `local_join`, and every pair of sub-partitions of the same list
-/// is joined with `rs_join` after a Spark-style self-join on the item
-/// id. Sub-partition work is spread over `num_partitions * 2` partitions
-/// (the paper increases the partition count to redistribute load).
+/// rankings are split into sub-partitions of at most `delta` elements.
+/// Every sub-partition is self-joined with `local_join`, and every pair
+/// of sub-partitions of the same list is joined with `rs_join`, the
+/// lower sub-partition on the left. The split emits each of these joins
+/// as a work unit keyed by (item, unit), and one shuffle spreads the
+/// units over `num_partitions * 2` partitions (the paper increases the
+/// partition count to redistribute load; DESIGN.md deviation 2).
 ///
 /// Lists of size <= delta take the plain JoinGroups path. With
 /// delta == 0 this degrades to JoinGroups exactly.

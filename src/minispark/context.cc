@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -48,18 +49,46 @@ bool NumericOverride(const char* name, uint64_t max, uint64_t* out) {
   return false;
 }
 
+/// The on/off spellings of the boolean overrides.
+constexpr char kSwitchSpellings[] = "1/on/true/yes or 0/off/false/no";
+
+std::optional<bool> ParseSwitch(const std::string& value) {
+  if (value == "1" || value == "on" || value == "true" || value == "yes") {
+    return true;
+  }
+  if (value == "0" || value == "off" || value == "false" || value == "no") {
+    return false;
+  }
+  return std::nullopt;
+}
+
+/// Reads the override `name` into *out when `parse` accepts its value.
+/// Any other value is ignored with one warning naming the variable and
+/// the `spellings` it accepts.
+template <typename T>
+void SpelledOverride(const char* name,
+                     std::optional<T> (*parse)(const std::string&),
+                     const char* spellings, T* out) {
+  const char* text = std::getenv(name);
+  if (text == nullptr) return;
+  if (const std::optional<T> value = parse(text)) {
+    *out = *value;
+    return;
+  }
+  RANKJOIN_LOG(Warning) << name << "='" << text << "' is not one of "
+                        << spellings << "; ignored";
+}
+
 /// Applies environment overrides to the options (see Options docs).
 Context::Options WithEnvOverrides(Context::Options options) {
   NumericOverride("RANKJOIN_SHUFFLE_BUDGET_BYTES", UINT64_MAX,
                   &options.shuffle_memory_budget_bytes);
   NumericOverride("RANKJOIN_SPLIT_PARTITION_BYTES", UINT64_MAX,
                   &options.split_partition_bytes);
-  if (const char* level = std::getenv("RANKJOIN_TRACE_LEVEL")) {
-    options.trace_level = ParseTraceLevel(level);
-  }
-  if (const char* level = std::getenv("RANKJOIN_LINT_LEVEL")) {
-    options.lint_level = ParseLintLevel(level);
-  }
+  SpelledOverride("RANKJOIN_TRACE_LEVEL", ParseTraceLevel,
+                  "off/counters/timers or 0/1/2", &options.trace_level);
+  SpelledOverride("RANKJOIN_LINT_LEVEL", ParseLintLevel,
+                  "off/warn/error or 0/1/2", &options.lint_level);
   if (const char* spec = std::getenv("RANKJOIN_FAULT_SPEC")) {
     options.fault_spec = spec;
   }
@@ -67,27 +96,13 @@ Context::Options WithEnvOverrides(Context::Options options) {
       NumericOverride("RANKJOIN_STATS_PORT", 65535, &port)) {
     options.stats_port = static_cast<int>(port);
   }
-  if (const char* pipelined = std::getenv("RANKJOIN_PIPELINED_STAGES")) {
-    const std::string value(pipelined);
-    if (value == "1" || value == "on" || value == "true" || value == "yes") {
-      options.pipelined_stages = true;
-    } else if (value == "0" || value == "off" || value == "false" ||
-               value == "no") {
-      options.pipelined_stages = false;
-    }
-  }
+  SpelledOverride("RANKJOIN_PIPELINED_STAGES", ParseSwitch, kSwitchSpellings,
+                  &options.pipelined_stages);
   if (const char* dir = std::getenv("RANKJOIN_CHECKPOINT_DIR")) {
     options.checkpoint_dir = dir;
   }
-  if (const char* resume = std::getenv("RANKJOIN_RESUME")) {
-    const std::string value(resume);
-    if (value == "1" || value == "on" || value == "true" || value == "yes") {
-      options.resume = true;
-    } else if (value == "0" || value == "off" || value == "false" ||
-               value == "no") {
-      options.resume = false;
-    }
-  }
+  SpelledOverride("RANKJOIN_RESUME", ParseSwitch, kSwitchSpellings,
+                  &options.resume);
   if (uint64_t ms = 0;
       NumericOverride("RANKJOIN_JOB_DEADLINE_MS", kMaxDeadlineMs, &ms)) {
     options.job_deadline_ms = static_cast<int64_t>(ms);

@@ -77,19 +77,17 @@ class Context {
     /// adjacent target buckets whose combined serialized size stays
     /// within this target merge into one read task (contiguous ranges
     /// only, so key->partition contracts hold; see
-    /// PartitionRanges::Coalesce). Applies to every wide operation
-    /// (PartitionByKey, GroupByKey, ReduceByKey, Join) on the barrier
-    /// path. 0 (default) = no coalescing.
+    /// PartitionRanges::Coalesce). Applies to every wide operation on
+    /// the barrier path. 0 (default) = no coalescing.
     uint64_t target_partition_bytes = 0;
     /// AQE-style runtime skew splitting, the mirror image of coalescing:
     /// after a shuffle write, any single target bucket whose serialized
     /// size exceeds this cap is read by ceil(bytes / cap) slice tasks
     /// instead of one (see PartitionRanges::SplitOversized). Applies to
-    /// the one-sided wide operations (PartitionByKey, GroupByKey,
-    /// ReduceByKey), where the reader refines the key hash so every key
-    /// stays whole within one slice; Join (two-sided ranges) and
-    /// pipelined exchanges are not split — the lint check MS006
-    /// surfaces oversized un-split buckets there. 0 (default) = no
+    /// every wide operation on the barrier path: the reader refines the
+    /// key hash so every key stays whole within one slice. Pipelined
+    /// exchanges are not split — the lint check MS006 surfaces
+    /// oversized un-split buckets there. 0 (default) = no
     /// splitting. The RANKJOIN_SPLIT_PARTITION_BYTES environment
     /// variable overrides this value when set — CI uses it to force the
     /// split path under the whole test suite.
@@ -103,8 +101,9 @@ class Context {
     /// in/out element counts inside fused chains, the counter registry,
     /// and task/spill/shuffle-read trace spans; kTimers adds per-element
     /// op timing. The RANKJOIN_TRACE_LEVEL environment variable
-    /// ("off"/"counters"/"timers" or 0/1/2) overrides this value when
-    /// set — CI uses it to run the whole suite at maximum verbosity.
+    /// ("off"/"counters"/"timers" or 0/1/2; any other value is ignored
+    /// with a warning) overrides this value when set — CI uses it to run
+    /// the whole suite at maximum verbosity.
     TraceLevel trace_level = TraceLevel::kOff;
     /// Plan linting (lint.h): kOff (default) never lints automatically;
     /// kWarn lints every plan at Collect()-time, logging and recording
@@ -112,8 +111,9 @@ class Context {
     /// before any task runs when an error-severity diagnostic (MS001,
     /// MS004) is present — a bad plan is rejected cheaply instead of
     /// being discovered mid-job. The RANKJOIN_LINT_LEVEL environment
-    /// variable ("off"/"warn"/"error" or 0/1/2) overrides this value
-    /// when set — CI uses it to run the whole suite in error mode.
+    /// variable ("off"/"warn"/"error" or 0/1/2; any other value is
+    /// ignored with a warning) overrides this value when set — CI uses
+    /// it to run the whole suite in error mode.
     LintLevel lint_level = LintLevel::kOff;
     /// MS003 threshold: broadcasts with a driver-side size estimate
     /// above this many bytes are flagged.
@@ -146,8 +146,9 @@ class Context {
     /// pure scheduling A/B knob. AQE partition coalescing
     /// (target_partition_bytes) does not apply to pipelined exchanges —
     /// bucket sizes are only fully known at the barrier. The
-    /// RANKJOIN_PIPELINED_STAGES environment variable ("0"/"1"/"on"/
-    /// "off") overrides this value when set.
+    /// RANKJOIN_PIPELINED_STAGES environment variable ("1"/"on"/"true"/
+    /// "yes" or "0"/"off"/"false"/"no"; any other value is ignored with
+    /// a warning) overrides this value when set.
     bool pipelined_stages = false;
     /// Bounded publish window of a pipelined exchange: map task m blocks
     /// at publish time while m >= lowest-unconsumed-mapper + depth, which
@@ -181,8 +182,8 @@ class Context {
     /// verify (manifest epoch + CRC) are SKIPPED: their results load
     /// from disk and only downstream work re-executes. When false, a
     /// fresh start bumps the manifest epoch, invalidating prior
-    /// entries. The RANKJOIN_RESUME environment variable ("0"/"1"/
-    /// "on"/"off") overrides this value when set.
+    /// entries. The RANKJOIN_RESUME environment variable (spelled as
+    /// RANKJOIN_PIPELINED_STAGES) overrides this value when set.
     bool resume = false;
     /// Whole-job deadline in milliseconds from Context construction.
     /// Once it passes, every subsequent stage submission — and every
@@ -399,7 +400,7 @@ class Context {
   /// worker, and a retry starts only after the failed attempt returned,
   /// so an attempt clears its own output at entry and writes it
   /// directly (the engine's call sites do: ResetMapTask in the shuffle
-  /// writes, dest.clear() in the reads, the probe and Materialize).
+  /// writes, dest.clear() in the reads and Materialize).
   StageMetrics RunStage(const std::string& name, int num_tasks,
                         const TaskFn& task);
 

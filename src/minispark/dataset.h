@@ -79,10 +79,10 @@ struct ShuffleHasher {
 ///
 ///  - driver actions: Collect(), TryCollect(), Count(), partitions(),
 ///    Cache(), Force();
-///  - wide operations: PartitionByKey, GroupByKey, ReduceByKey, Join.
-///    These pull any pending narrow chain of their inputs into the
-///    shuffle-write task, so the chain's intermediate results are never
-///    materialized at all.
+///  - wide operations: PartitionByKey, GroupByKey, ReduceByKey. Each
+///    has one input; it pulls that input's pending narrow chain into
+///    the shuffle-write task, so the chain's intermediate results are
+///    never materialized at all.
 ///
 /// Wide operations shuffle through the ShuffleService (shuffle.h): map
 /// tasks serialize-and-spill to temp files when the context's
@@ -787,10 +787,10 @@ inline uint64_t MaxBucketBytes(const std::vector<uint64_t>& bucket_bytes) {
   return max;
 }
 
-/// Checkpoint plumbing shared by the wide operations. A wide op's
-/// RESULT node cannot key its checkpoint — the result partition count
-/// is only known after adaptive coalescing/splitting runs — so the key
-/// derives from the PARENT plan fingerprints mixed with the op kind,
+/// Checkpoint plumbing of the wide operations. A wide op's RESULT node
+/// cannot key its checkpoint — the result partition count is only
+/// known after adaptive coalescing/splitting runs — so the key derives
+/// from the PARENT plan fingerprint mixed with the op kind,
 /// user name, and requested bucket count, all fixed before any stage
 /// executes. The restored partition count then defines the output
 /// dataset's partitioning, which matches the original run by
@@ -802,18 +802,16 @@ struct WideCheckpointSlot {
   uint64_t occurrence = 0;
 };
 
-inline WideCheckpointSlot OpenWideCheckpoint(
-    Context* ctx, const char* op, const std::string& name, int n,
-    std::initializer_list<const PlanNode*> parents) {
+inline WideCheckpointSlot OpenWideCheckpoint(Context* ctx, const char* op,
+                                             const std::string& name, int n,
+                                             const PlanNode* parent) {
   WideCheckpointSlot slot;
   slot.mgr = ctx->checkpoint_manager();
   if (slot.mgr == nullptr) return slot;
   uint64_t fp = FingerprintMixString(0x776964655f6f70ull /* "wide_op" */, op);
   fp = FingerprintMixString(fp, name);
   fp = FingerprintMix(fp, static_cast<uint64_t>(n));
-  for (const PlanNode* parent : parents) {
-    fp = FingerprintMix(fp, PlanFingerprint(parent));
-  }
+  fp = FingerprintMix(fp, PlanFingerprint(parent));
   slot.fingerprint = fp;
   slot.key = slot.mgr->NextKey(fp, &slot.occurrence);
   return slot;
@@ -821,7 +819,7 @@ inline WideCheckpointSlot OpenWideCheckpoint(
 
 /// Attempts to restore a wide op's output from its checkpoint. True
 /// (with *out filled) only when resuming and the saved blob verified —
-/// the caller then skips the shuffle/probe stages entirely.
+/// the caller then skips the shuffle stages entirely.
 template <typename T>
 bool TryRestoreWide(Context* ctx, const WideCheckpointSlot& slot,
                     const std::string& name,
@@ -892,7 +890,7 @@ std::shared_ptr<const std::vector<std::vector<std::pair<K, V>>>> ShuffleByKey(
   [[maybe_unused]] WideCheckpointSlot ckpt;
   if constexpr (checkpoint_portable_v<KV>) {
     ckpt = OpenWideCheckpoint(ctx, "shuffleByKey", name, n,
-                              {input.plan_node().get()});
+                              input.plan_node().get());
     auto restored = std::make_shared<std::vector<std::vector<KV>>>();
     if (TryRestoreWide<KV>(ctx, ckpt, name, restored.get())) {
       return restored;
@@ -1030,132 +1028,6 @@ Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& ds, F fn,
         return out;
       },
       name + "/reduce");
-}
-
-/// Inner equi-join on key (Spark join). Produces one output record per
-/// matching (left, right) value pair. Wide operation: both sides shuffle
-/// immediately (fusing their pending chains into the shuffle writes) and
-/// the probe output is materialized. Both sides read through ONE shared
-/// set of coalesced ranges computed on the combined per-bucket sizes, so
-/// bucket b of the left and right always land in the same probe
-/// partition. NOTE: joining a dataset with itself streams its pending
-/// chain twice — Cache() it first.
-template <typename K, typename V, typename W>
-Dataset<std::pair<K, std::pair<V, W>>> Join(
-    const Dataset<std::pair<K, V>>& left,
-    const Dataset<std::pair<K, W>>& right, int n = -1,
-    const std::string& name = "join") {
-  Context* ctx = left.context();
-  RANKJOIN_CHECK(ctx == right.context());
-  if (n <= 0) n = ctx->default_partitions();
-  using CkptOut = std::pair<K, std::pair<V, W>>;
-  [[maybe_unused]] internal::WideCheckpointSlot ckpt;
-  if constexpr (checkpoint_portable_v<CkptOut>) {
-    ckpt = internal::OpenWideCheckpoint(
-        ctx, "join", name, n,
-        {left.plan_node().get(), right.plan_node().get()});
-    auto restored =
-        std::make_shared<typename Dataset<CkptOut>::Partitions>();
-    if (internal::TryRestoreWide<CkptOut>(ctx, ckpt, name,
-                                          restored.get())) {
-      const int restored_n = static_cast<int>(restored->size());
-      Dataset<CkptOut> result(ctx, std::move(restored));
-      result.SetPlanNode(
-          MakePlanNode(PlanNode::Kind::kWide, "join", name,
-                       {left.plan_node(), right.plan_node()},
-                       {.num_partitions = restored_n,
-                        .serde_ok = has_serde_v<std::pair<K, V>> &&
-                                    has_serde_v<std::pair<K, W>>}));
-      return result;
-    }
-  }
-  HashPartitioner partitioner(n);
-  const auto lroute = [partitioner](const std::pair<K, V>& kv) {
-    return partitioner.PartitionOf(kv.first);
-  };
-  const auto rroute = [partitioner](const std::pair<K, W>& kw) {
-    return partitioner.PartitionOf(kw.first);
-  };
-  Status error;
-  std::shared_ptr<const std::vector<std::vector<std::pair<K, V>>>> lparts;
-  std::shared_ptr<const std::vector<std::vector<std::pair<K, W>>>> rparts;
-  int num_out = n;
-  uint64_t max_bucket_bytes = 0;
-  if (ctx->pipelined_stages()) {
-    // Two pipelined exchanges, run one after the other; both use
-    // identity ranges so bucket b of each side meets in probe task b,
-    // exactly as the shared coalesced ranges guarantee below.
-    lparts = internal::PipelinedExchange(left, n, name + "/L", lroute,
-                                         &error);
-    rparts = internal::PipelinedExchange(right, n, name + "/R", rroute,
-                                         &error);
-  } else {
-    auto lsvc =
-        internal::ShuffleWrite<std::pair<K, V>>(left, n, name + "/L", lroute);
-    auto rsvc = internal::ShuffleWrite<std::pair<K, W>>(right, n, name + "/R",
-                                                        rroute);
-    std::vector<uint64_t> combined = lsvc->bucket_bytes();
-    for (size_t b = 0; b < combined.size(); ++b) {
-      combined[b] += rsvc->bucket_bytes()[b];
-    }
-    // No skew splitting here: the two sides share one range table, and a
-    // probe task needs its bucket's FULL left side to build the hash
-    // table. The PlanNode still records the largest combined bucket so
-    // MS006 can flag an oversized one.
-    max_bucket_bytes = internal::MaxBucketBytes(combined);
-    const PartitionRanges ranges =
-        PartitionRanges::Coalesce(combined, ctx->target_partition_bytes());
-    lparts =
-        internal::ShuffleRead(ctx, lsvc.get(), ranges, name + "/L", &error);
-    rparts =
-        internal::ShuffleRead(ctx, rsvc.get(), ranges, name + "/R", &error);
-    num_out = ranges.NumPartitions();
-  }
-  using Out = std::pair<K, std::pair<V, W>>;
-  auto out = std::make_shared<typename Dataset<Out>::Partitions>(
-      static_cast<size_t>(num_out));
-  if (error.ok()) {
-    StageMetrics stage = ctx->RunStage(
-        name + "/probe", num_out, [&lparts, &rparts, &out](int p) {
-          const auto& lp = (*lparts)[static_cast<size_t>(p)];
-          const auto& rp = (*rparts)[static_cast<size_t>(p)];
-          std::vector<Out>& dest = (*out)[static_cast<size_t>(p)];
-          dest.clear();
-          std::unordered_map<K, std::vector<const V*>, ShuffleHasher> table;
-          for (const auto& kv : lp) table[kv.first].push_back(&kv.second);
-          for (const auto& kw : rp) {
-            auto it = table.find(kw.first);
-            if (it == table.end()) continue;
-            for (const V* v : it->second) {
-              dest.push_back({kw.first, {*v, kw.second}});
-            }
-          }
-        });
-    stage.fused_ops = "joinProbe";
-    if (!stage.status.ok()) {
-      error = stage.status;
-      *out = typename Dataset<Out>::Partitions(static_cast<size_t>(num_out));
-    }
-    for (const auto& p : *out) {
-      stage.materialized_elements += p.size();
-      stage.max_partition_size =
-          std::max<uint64_t>(stage.max_partition_size, p.size());
-    }
-    ctx->AddStage(std::move(stage));
-  }
-  if constexpr (checkpoint_portable_v<Out>) {
-    internal::MaybeSaveWide<Out>(ctx, ckpt, *out, &error);
-  }
-  Dataset<Out> result(ctx, std::move(out));
-  if (!error.ok()) result.SetError(std::move(error));
-  result.SetPlanNode(
-      MakePlanNode(PlanNode::Kind::kWide, "join", name,
-                   {left.plan_node(), right.plan_node()},
-                   {.num_partitions = num_out,
-                    .serde_ok = has_serde_v<std::pair<K, V>> &&
-                                has_serde_v<std::pair<K, W>>,
-                    .max_bucket_bytes = max_bucket_bytes}));
-  return result;
 }
 
 /// Concatenates two datasets partition-wise (Spark union). Narrow and

@@ -24,8 +24,9 @@ std::string PartsStr(const PlanNode* node) {
 
 /// A shuffle whose only effect is data placement: its output rows are
 /// its input rows, so a directly following shuffle discards everything
-/// it did. Aggregating / joining wide ops are excluded — a shuffle
-/// after a join is a new data movement, not a redundant one.
+/// it did. Every wide node is such a partitionBy; grouping and reducing
+/// run in the narrow steps after it, so a shuffle that follows them has
+/// a narrow parent and is a new data movement, not a redundant one.
 bool IsPlacementOnlyShuffle(const PlanNode* node) {
   return node->kind == PlanNode::Kind::kWide && node->op == "partitionBy";
 }
@@ -58,7 +59,7 @@ std::vector<const PlanNode*> TopoOrder(const PlanNode* root) {
 
 }  // namespace
 
-LintLevel ParseLintLevel(const std::string& value) {
+std::optional<LintLevel> ParseLintLevel(const std::string& value) {
   std::string lower;
   lower.reserve(value.size());
   for (char c : value) {
@@ -71,7 +72,8 @@ LintLevel ParseLintLevel(const std::string& value) {
   if (lower == "error" || lower == "err" || lower == "2") {
     return LintLevel::kError;
   }
-  return LintLevel::kOff;
+  if (lower == "off" || lower == "0") return LintLevel::kOff;
+  return std::nullopt;
 }
 
 const char* LintLevelName(LintLevel level) {
@@ -101,9 +103,9 @@ std::vector<LintDiagnostic> LintPlan(const PlanNode* root,
   std::vector<LintDiagnostic> diags;
   const std::vector<const PlanNode*> topo = TopoOrder(root);
 
-  // Consumer edge counts. Duplicate edges (e.g. a self-join passing the
-  // same child twice) count individually: each one is a re-execution of
-  // a pending chain.
+  // Consumer edge counts. Duplicate edges (e.g. a union of a dataset
+  // with itself) count individually: each one is a re-execution of a
+  // pending chain.
   std::unordered_map<const PlanNode*, int> consumers;
   for (const PlanNode* node : topo) {
     for (const auto& parent : node->parents) ++consumers[parent.get()];
@@ -203,8 +205,9 @@ std::vector<LintDiagnostic> LintPlan(const PlanNode* root,
                 std::to_string(b.approx_bytes) +
                 " bytes, above the configured limit of " +
                 std::to_string(settings.broadcast_max_bytes) +
-                " (lint_broadcast_max_bytes); consider a shuffle join "
-                "instead of replicating it to every task";
+                " (lint_broadcast_max_bytes); consider shuffling it by "
+                "key to the tasks that need it instead of replicating it "
+                "to every task";
     diags.push_back(std::move(d));
   }
 
@@ -281,11 +284,10 @@ std::vector<LintDiagnostic> LintPlan(const PlanNode* root,
   }
 
   // MS006 — oversized un-split shuffle bucket. Wide nodes record the
-  // largest bucket's serialized size once executed; one that exceeds
-  // the split threshold without any slice tasks means runtime skew
-  // splitting could not engage there (two-sided join ranges, sorted
-  // output, placement-only or pipelined exchanges) and a single read
-  // task straggles behind the whole stage.
+  // largest bucket's serialized size once executed (pipelined exchanges
+  // record none); one that exceeds the split threshold without any
+  // slice tasks ran with runtime skew splitting off or at a higher
+  // threshold, so a single read task straggles behind the whole stage.
   if (settings.split_partition_bytes > 0) {
     for (const PlanNode* node : topo) {
       if (node->kind != PlanNode::Kind::kWide) continue;
@@ -302,8 +304,8 @@ std::vector<LintDiagnostic> LintPlan(const PlanNode* root,
                   std::to_string(settings.split_partition_bytes) +
                   " bytes, but no slice tasks were added — one read "
                   "task processes the whole skewed bucket; raise "
-                  "num_partitions, pre-aggregate the heavy key, or use "
-                  "a splittable (hash-keyed) shuffle";
+                  "num_partitions, pre-aggregate the heavy key, or "
+                  "enable runtime skew splitting (split_partition_bytes)";
       diags.push_back(std::move(d));
     }
   }

@@ -2,6 +2,7 @@
 #define RANKJOIN_MINISPARK_LINT_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,8 +25,9 @@ enum class LintLevel {
   kError = 2,
 };
 
-/// Parses "off"/"warn"/"error" (or 0/1/2); unknown strings map to kOff.
-LintLevel ParseLintLevel(const std::string& value);
+/// Parses "off"/"warn"/"error" (or 0/1/2, "warning", "err"), in any
+/// case; returns nullopt on anything else.
+std::optional<LintLevel> ParseLintLevel(const std::string& value);
 
 const char* LintLevelName(LintLevel level);
 

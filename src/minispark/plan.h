@@ -19,12 +19,12 @@ struct PlanNode {
   enum class Kind {
     kSource,  ///< Parallelize / FromGenerator / shuffle-read output
     kNarrow,  ///< map / filter / flatMap / ... (fusable)
-    kWide,    ///< shuffle boundary (partitionBy, join)
+    kWide,    ///< shuffle boundary (partitionBy)
     kCache,   ///< explicit Cache() pin
   };
 
   Kind kind = Kind::kSource;
-  /// Operator name ("map", "join", "parallelize", ...).
+  /// Operator name ("map", "partitionBy", "parallelize", ...).
   std::string op;
   /// User-facing dataset/stage name, when one was given.
   std::string name;

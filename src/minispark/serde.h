@@ -39,7 +39,7 @@ namespace rankjoin::minispark {
 /// every spill/serialize path on the trait — but it cannot spill, and
 /// the plan linter flags it (diagnostic MS004) whenever a spill budget
 /// is configured. Define a specialization next to the type to make it
-/// spillable (see Chunk in join/repartition.cc).
+/// spillable (see RankingView in ranking/flat_rankings.h).
 template <typename T, typename Enable = void>
 struct Serde;
 
@@ -174,7 +174,8 @@ namespace serde_internal {
 /// Like every is-complete-style trait, the answer is cached at the
 /// first point of instantiation — declare custom Serde specializations
 /// before the first shuffle of that record type (the natural place is
-/// right next to the type definition; see Chunk in join/repartition.cc).
+/// right next to the type definition; see RankingView in
+/// ranking/flat_rankings.h).
 template <typename T, typename Enable = void>
 struct SerdeDefined : std::false_type {};
 

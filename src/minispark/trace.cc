@@ -15,15 +15,16 @@ thread_local int g_trace_tid = -1;
 
 }  // namespace
 
-TraceLevel ParseTraceLevel(const std::string& text) {
+std::optional<TraceLevel> ParseTraceLevel(const std::string& text) {
   std::string lower;
   lower.reserve(text.size());
   for (char c : text) {
     lower += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
+  if (lower == "off" || lower == "0") return TraceLevel::kOff;
   if (lower == "counters" || lower == "1") return TraceLevel::kCounters;
   if (lower == "timers" || lower == "2") return TraceLevel::kTimers;
-  return TraceLevel::kOff;
+  return std::nullopt;
 }
 
 const char* TraceLevelName(TraceLevel level) {

@@ -7,6 +7,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,9 +35,9 @@ enum class TraceLevel : int {
   kTimers = 2,
 };
 
-/// Parses "off"/"counters"/"timers" (or "0"/"1"/"2"); returns kOff on
-/// anything unrecognized.
-TraceLevel ParseTraceLevel(const std::string& text);
+/// Parses "off"/"counters"/"timers" (or "0"/"1"/"2"), in any case;
+/// returns nullopt on anything else.
+std::optional<TraceLevel> ParseTraceLevel(const std::string& text);
 const char* TraceLevelName(TraceLevel level);
 
 inline bool TraceCountersEnabled(TraceLevel level) {

@@ -26,9 +26,13 @@ constexpr double kPostingBytes = 24.0;
 /// phases, two of them distributed self-joins; CL-P adds the
 /// repartitioning machinery's extra shuffles. The values were fitted
 /// when the self-joins, the centroid join, the R-S join and the CL
-/// expansion still ended in a distinct stage, which they no longer run;
-/// they still count those stages and stay as they are until the
-/// constants are refit (ROADMAP.md item 6).
+/// expansion still ended in a distinct stage, the expansion still
+/// joined R_m with R_c in three shuffled joins, and CL-P paired its
+/// chunks through a shuffled join. None of these runs any more: the
+/// expansion is two narrow passes over a broadcast index, and the chunk
+/// pairs are keyed units of one spread. The values still count those
+/// stages and stay as they are until the constants are refit
+/// (ROADMAP.md item 6).
 constexpr double kVjStages = 6.0;
 constexpr double kClStages = 14.0;
 constexpr double kClpExtraStages = 6.0;
@@ -288,9 +292,10 @@ CostEstimate EstimateClpCost(const DatasetProfile& p, uint64_t delta,
   const double capped_straggler = std::min(
       t.join_straggler,
       static_cast<double>(delta) * static_cast<double>(delta) / 2.0);
-  // ... in exchange for re-shuffling the oversized lists' postings
-  // through the composite-key spread and both sides of the chunk-pair
-  // self-join.
+  // ... in exchange for re-shuffling the oversized lists' postings as
+  // keyed work units. The factor 3 was fitted when they crossed a
+  // composite-key spread and both sides of a chunk-pair join; it stays
+  // until the refit (ROADMAP.md item 6).
   const double max_full =
       static_cast<double>(p.max_list_enlarged) * p.scale * p.centroid_fraction;
   const double oversized_bytes =

@@ -300,12 +300,14 @@ TEST(CheckpointResumeTest, WideOpsRestoreAcrossContexts) {
   auto job = [](Context* ctx) {
     auto left = Parallelize(ctx, IntPairs(200, 17), 8);
     auto right = Parallelize(ctx, IntPairs(150, 17), 4);
-    auto joined = *Join(left, right, 8).TryCollect();
+    auto reduced = *ReduceByKey(Union(left, right),
+                                [](int a, int b) { return a + b; }, 8)
+                        .TryCollect();
     auto grouped =
         *GroupByKey(Parallelize(ctx, IntPairs(300, 23), 8), 8).TryCollect();
     auto placed =
         *PartitionByKey(Parallelize(ctx, IntPairs(120, 5), 4), 2).TryCollect();
-    return std::make_tuple(joined, grouped, placed);
+    return std::make_tuple(reduced, grouped, placed);
   };
 
   decltype(job(nullptr)) first;

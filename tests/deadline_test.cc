@@ -279,11 +279,66 @@ TEST(EnvOverrideTest, NumericOverridesAreWholeDecimalsInRange) {
   ExpectSmallJobCompletes(&ctx);
 }
 
+TEST(EnvOverrideTest, SpelledOverridesAcceptOnlyTheirSpellings) {
+  PinnedEnv env;
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "rankjoin_env_spellings")
+          .string();
+  std::filesystem::remove_all(dir);
+  Context::Options options = TestCluster();
+  options.checkpoint_dir = dir;  // so the resume flag is observable
+  options.trace_level = TraceLevel::kCounters;
+  options.lint_level = LintLevel::kWarn;
+  options.pipelined_stages = true;
+  options.resume = true;
+  const char* names[] = {"RANKJOIN_TRACE_LEVEL", "RANKJOIN_LINT_LEVEL",
+                         "RANKJOIN_PIPELINED_STAGES", "RANKJOIN_RESUME"};
+  for (const char* bad : {"countrs", "yes_please", "", " on", "2x", "ON!"}) {
+    ScopedEnv trace{names[0], bad};
+    ScopedEnv lint{names[1], bad};
+    ScopedEnv pipelined{names[2], bad};
+    ScopedEnv resume{names[3], bad};
+    testing::internal::CaptureStderr();
+    Context ctx(options);
+    const std::string log = testing::internal::GetCapturedStderr();
+    // The programmatic options stay, and each variable is named once.
+    EXPECT_EQ(ctx.trace_level(), TraceLevel::kCounters) << "'" << bad << "'";
+    EXPECT_EQ(ctx.lint_level(), LintLevel::kWarn) << "'" << bad << "'";
+    EXPECT_TRUE(ctx.pipelined_stages()) << "'" << bad << "'";
+    EXPECT_TRUE(ctx.checkpoint_manager()->resume()) << "'" << bad << "'";
+    for (const char* name : names) {
+      const size_t at = log.find(name);
+      EXPECT_NE(at, std::string::npos) << log;
+      EXPECT_EQ(log.find(name, at + 1), std::string::npos) << log;
+    }
+  }
+  // The spellings the CI env steps use still apply.
+  Context::Options plain = TestCluster();
+  plain.checkpoint_dir = dir;
+  {
+    ScopedEnv trace{names[0], "timers"};
+    ScopedEnv lint{names[1], "error"};
+    ScopedEnv pipelined{names[2], "on"};
+    ScopedEnv resume{names[3], "1"};
+    Context ctx(plain);
+    EXPECT_EQ(ctx.trace_level(), TraceLevel::kTimers);
+    EXPECT_EQ(ctx.lint_level(), LintLevel::kError);
+    EXPECT_TRUE(ctx.pipelined_stages());
+    EXPECT_TRUE(ctx.checkpoint_manager()->resume());
+  }
+  {
+    ScopedEnv trace{names[0], "counters"};
+    Context ctx(plain);
+    EXPECT_EQ(ctx.trace_level(), TraceLevel::kCounters);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------
 // Cancellation
 // ---------------------------------------------------------------------
 
-TEST(CancelTest, CancelFromSecondThreadDuringPipelinedChaosJoinDrains) {
+TEST(CancelTest, CancelFromSecondThreadDuringPipelinedChaosShuffleDrains) {
   PinnedEnv env;
   Context::Options options = TestCluster();
   options.pipelined_stages = true;
@@ -305,7 +360,7 @@ TEST(CancelTest, CancelFromSecondThreadDuringPipelinedChaosJoinDrains) {
                     return kv;
                   });
   auto right = Parallelize(&ctx, IntPairs(300'000, 50'000), 8);
-  auto result = Join(left, right, 8).TryCollect();
+  auto result = GroupByKey(Union(left, right), 8).TryCollect();
   canceller.join();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);

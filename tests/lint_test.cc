@@ -81,7 +81,8 @@ TEST(LintLevelTest, ParsesNamesAndNumbers) {
   EXPECT_EQ(ParseLintLevel("error"), LintLevel::kError);
   EXPECT_EQ(ParseLintLevel("Err"), LintLevel::kError);
   EXPECT_EQ(ParseLintLevel("2"), LintLevel::kError);
-  EXPECT_EQ(ParseLintLevel("bogus"), LintLevel::kOff);
+  EXPECT_FALSE(ParseLintLevel("bogus").has_value());
+  EXPECT_FALSE(ParseLintLevel("").has_value());
   EXPECT_STREQ(LintLevelName(LintLevel::kWarn), "warn");
   EXPECT_STREQ(LintSeverityName(LintSeverity::kError), "error");
 }
@@ -235,6 +236,27 @@ TEST(LintCheckTest, Ms003OversizedBroadcast) {
   ASSERT_EQ(direct.size(), 1u);
   EXPECT_EQ(direct[0].code, "MS003");
   EXPECT_NE(direct[0].location.find("loose"), std::string::npos);
+}
+
+TEST(LintCheckTest, Ms003SeesTheClusterIndex) {
+  // CL broadcasts R_c as an index of 4 bytes per ranking plus 8 per
+  // member, so a limit below its offsets alone flags it.
+  ScopedEnv env("RANKJOIN_LINT_LEVEL", nullptr);
+  Context::Options options = LintCluster(LintLevel::kWarn);
+  options.lint_broadcast_max_bytes = 4 * 200;
+  Context ctx(options);
+  SimilarityJoinConfig config;
+  config.algorithm = Algorithm::kCL;
+  config.theta = 0.3;
+  ASSERT_TRUE(
+      RunSimilarityJoin(&ctx, testutil::SmallSkewedDataset(1, 200), config)
+          .ok());
+  bool flagged = false;
+  for (const LintDiagnostic& d : ctx.lint_report()) {
+    flagged |= d.code == "MS003" &&
+               d.location.find("cl/clusterIndex") != std::string::npos;
+  }
+  EXPECT_TRUE(flagged) << FormatLintDiagnostics(ctx.lint_report());
 }
 
 /// A shuffle record type deliberately outside every Serde<T>

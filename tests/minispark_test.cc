@@ -167,33 +167,6 @@ TEST(KeyValueTest, ReduceByKeySums) {
   EXPECT_EQ(total, 5050);
 }
 
-TEST(KeyValueTest, JoinMatchesKeys) {
-  Context ctx(SmallCluster());
-  std::vector<std::pair<int, std::string>> left = {
-      {1, "a"}, {2, "b"}, {3, "c"}};
-  std::vector<std::pair<int, double>> right = {
-      {2, 2.0}, {3, 3.0}, {3, 3.5}, {4, 4.0}};
-  auto l = Parallelize(&ctx, left, 2);
-  auto r = Parallelize(&ctx, right, 3);
-  auto joined = Join(l, r, 2);
-  auto collected = joined.Collect();
-  ASSERT_EQ(collected.size(), 3u);  // (2,b,2.0), (3,c,3.0), (3,c,3.5)
-  int key2 = 0;
-  int key3 = 0;
-  for (const auto& [k, vw] : collected) {
-    if (k == 2) {
-      ++key2;
-      EXPECT_EQ(vw.first, "b");
-    }
-    if (k == 3) {
-      ++key3;
-      EXPECT_EQ(vw.first, "c");
-    }
-  }
-  EXPECT_EQ(key2, 1);
-  EXPECT_EQ(key3, 2);
-}
-
 TEST(KeyValueTest, UnionConcatenates) {
   Context ctx(SmallCluster());
   auto a = Parallelize(&ctx, std::vector<int>{1, 2}, 1);
@@ -407,14 +380,14 @@ TEST(ExplainTest, WideOpsAndCacheAppearInPlan) {
   EXPECT_NE(dot.find("[materialized]"), std::string::npos);
 }
 
-TEST(ExplainTest, JoinPlanHasBothParents) {
+TEST(ExplainTest, UnionPlanHasBothParents) {
   Context ctx(SmallCluster());
   auto left = Parallelize(&ctx, Iota(10), 2).Map(
       [](const int& x) { return std::pair<int, int>(x, x); }, "leftKey");
   auto right = Parallelize(&ctx, Iota(10), 2).Map(
       [](const int& x) { return std::pair<int, int>(x, -x); }, "rightKey");
-  const std::string dot = Join(left, right, 2, "testJoin").ExplainDot();
-  EXPECT_NE(dot.find("join"), std::string::npos);
+  const std::string dot = Union(left, right, "testUnion").ExplainDot();
+  EXPECT_NE(dot.find("testUnion"), std::string::npos);
   EXPECT_NE(dot.find("leftKey"), std::string::npos);
   EXPECT_NE(dot.find("rightKey"), std::string::npos);
   // Two distinct parallelize sources feed the DAG.

@@ -82,16 +82,6 @@ TEST(PipelinedOpTest, ReduceByKeyIdentical) {
   EXPECT_EQ(barrier, pipelined);
 }
 
-TEST(PipelinedOpTest, JoinIdentical) {
-  PinnedEnv env;
-  auto [barrier, pipelined] = RunBothModes([](Context* ctx) {
-    auto left = Parallelize(ctx, IntPairs(200, 17), 8);
-    auto right = Parallelize(ctx, IntPairs(150, 17), 4);
-    return *Join(left, right, 8).TryCollect();
-  });
-  EXPECT_EQ(barrier, pipelined);
-}
-
 // ---------------------------------------------------------------------
 // Pipeline-level equality: all seven join pipelines
 // ---------------------------------------------------------------------

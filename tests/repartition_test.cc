@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/random.h"
 #include "ranking/footrule.h"
@@ -151,31 +153,55 @@ TEST(RepartitionTest, RuntimeSkewSplitKeepsChunkStats) {
 
 TEST(RepartitionTest, ChunkPairCountMatchesFormula) {
   // A single list of size n with chunk capacity delta must produce
-  // C(ceil(n/delta), 2) R-S joins.
-  GroupsFixture fx(404);
+  // C(ceil(n/delta), 2) R-S joins, find the unsplit list's pairs, and
+  // spread its work units over more than one partition.
+  GroupsFixture fx(404, /*theta=*/0.6);
   minispark::Context ctx(TestCluster());
-  // Build one artificial group of exactly 10 postings.
+  // One group of exactly 10 postings: the head of the first list of at
+  // least 10 whose head holds a qualifying pair (at theta 0.3 no head
+  // of this dataset does).
   std::vector<PostingGroup> one_group;
-  std::vector<PrefixPosting> postings(fx.group_vec[0].second.begin(),
-                                      fx.group_vec[0].second.end());
-  postings.resize(std::min<size_t>(postings.size(), 10));
-  if (postings.size() < 10) {
-    // Borrow postings from other groups to reach exactly 10.
-    for (const auto& g : fx.group_vec) {
-      for (const auto& p : g.second) {
-        if (postings.size() >= 10) break;
-        postings.push_back(p);
-      }
+  for (const auto& g : fx.group_vec) {
+    if (g.second.size() < 10) continue;
+    std::vector<PrefixPosting> head(g.second.begin(), g.second.begin() + 10);
+    std::vector<ScoredPair> pairs;
+    JoinStats probe;
+    fx.JoinFn()(head, &pairs, &probe);
+    if (!pairs.empty()) {
+      one_group.push_back({g.first, std::move(head)});
+      break;
     }
   }
-  ASSERT_EQ(postings.size(), 10u);
-  one_group.push_back({fx.group_vec[0].first, postings});
-  auto ds = minispark::Parallelize(&ctx, one_group, 2);
+  ASSERT_EQ(one_group.size(), 1u);
   JoinStats stats;
-  JoinGroupsWithRepartitioning(ds, 3, 4, fx.JoinFn(), fx.RsFn(), &stats);
+  std::vector<ScoredPair> split =
+      JoinGroupsWithRepartitioning(minispark::Parallelize(&ctx, one_group, 2),
+                                   3, 4, fx.JoinFn(), fx.RsFn(), &stats)
+          .Collect();
   // ceil(10/3) = 4 chunks -> C(4,2) = 6 R-S joins.
   EXPECT_EQ(stats.lists_repartitioned, 1u);
   EXPECT_EQ(stats.chunk_pair_joins, 6u);
+
+  JoinStats plain_stats;
+  std::vector<ScoredPair> plain =
+      JoinGroupsWithRepartitioning(minispark::Parallelize(&ctx, one_group, 2),
+                                   0, 4, fx.JoinFn(), fx.RsFn(), &plain_stats)
+          .Collect();
+  ASSERT_FALSE(plain.empty());
+  std::sort(split.begin(), split.end());
+  std::sort(plain.begin(), plain.end());
+  EXPECT_EQ(split, plain);
+
+  // 4 self-join units plus 6 R-S units, keyed by (item, unit): no read
+  // partition of the spread holds all 10.
+  uint64_t largest = 0;
+  for (const auto& stage : ctx.metrics().stages()) {
+    if (stage.name == "repartition/spread/shuffle-read") {
+      largest = stage.max_partition_size;
+    }
+  }
+  EXPECT_GT(largest, 0u);
+  EXPECT_LT(largest, 10u);
 }
 
 }  // namespace

@@ -226,15 +226,16 @@ TEST(ShuffleSpillTest, SpillCountersLandOnWriteStage) {
   EXPECT_TRUE(found_write_spill);
 }
 
-TEST(ShuffleSpillTest, JoinAndGroupIdenticalWithTinyBudget) {
+TEST(ShuffleSpillTest, UnionShuffleAndGroupIdenticalWithTinyBudget) {
   auto run = [](Context* ctx) {
     auto left = Parallelize(ctx, KeyedRecords(800), 4);
     auto right = Parallelize(ctx, KeyedRecords(900), 5);
-    auto joined = Join(left, right, 8, "spillJoin").Collect();
+    auto placed =
+        PartitionByKey(Union(left, right), 8, "spillUnion").Collect();
     auto grouped =
         GroupByKey(Parallelize(ctx, KeyedRecords(700), 4), 8, "spillGroup")
             .Collect();
-    return std::make_pair(joined, grouped);
+    return std::make_pair(placed, grouped);
   };
   Context resident_ctx(TestCluster());
   Context spill_ctx(SpillCluster(512));
@@ -361,23 +362,6 @@ TEST(CoalesceTest, ReduceByKeyJobUsesFewerReadTasks) {
   }
   EXPECT_GT(read_tasks, 0u);
   EXPECT_LT(read_tasks, 12u);
-}
-
-TEST(CoalesceTest, JoinSidesStayAligned) {
-  Context::Options options = TestCluster();
-  options.target_partition_bytes = 4096;
-  Context baseline_ctx(TestCluster());
-  Context coalesced_ctx(options);
-  auto run = [](Context* ctx) {
-    auto left = Parallelize(ctx, KeyedRecords(600), 4);
-    auto right = Parallelize(ctx, KeyedRecords(800), 3);
-    auto joined = Join(left, right, 16, "alignedJoin").Collect();
-    std::sort(joined.begin(), joined.end());
-    return joined;
-  };
-  // Coalescing may reorder output across partitions but must preserve
-  // the join content exactly (both sides share one range table).
-  EXPECT_EQ(run(&coalesced_ctx), run(&baseline_ctx));
 }
 
 TEST(CoalesceTest, GroupByKeyUnaffectedByDefault) {

@@ -47,8 +47,10 @@ TEST(TraceLevelTest, Parsing) {
   EXPECT_EQ(ParseTraceLevel("1"), TraceLevel::kCounters);
   EXPECT_EQ(ParseTraceLevel("timers"), TraceLevel::kTimers);
   EXPECT_EQ(ParseTraceLevel("2"), TraceLevel::kTimers);
-  EXPECT_EQ(ParseTraceLevel(""), TraceLevel::kOff);
-  EXPECT_EQ(ParseTraceLevel("bogus"), TraceLevel::kOff);
+  EXPECT_EQ(ParseTraceLevel("Timers"), TraceLevel::kTimers);
+  EXPECT_FALSE(ParseTraceLevel("").has_value());
+  EXPECT_FALSE(ParseTraceLevel("bogus").has_value());
+  EXPECT_FALSE(ParseTraceLevel("countrs").has_value());
 }
 
 TEST(TraceLevelTest, EnvOverridesContextOptions) {
@@ -67,10 +69,10 @@ TEST(TraceLevelTest, EnvOverridesContextOptions) {
     EXPECT_EQ(ctx.trace_level(), TraceLevel::kCounters);
   }
   {
+    // An unknown spelling keeps the programmatic level.
     ScopedEnv env("RANKJOIN_TRACE_LEVEL", "bogus");
     Context ctx(options);
-    EXPECT_EQ(ctx.trace_level(), TraceLevel::kOff);
-    EXPECT_FALSE(ctx.trace_enabled());
+    EXPECT_EQ(ctx.trace_level(), TraceLevel::kCounters);
   }
 }
 
