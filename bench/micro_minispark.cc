@@ -156,48 +156,6 @@ void BM_ShuffleSpill(benchmark::State& state) {
 }
 BENCHMARK(BM_ShuffleSpill)->Arg(100000);
 
-// ReduceByKey over few distinct keys: after the map-side combine most of
-// the 64 target buckets end up tiny. With a byte target the read side
-// collapses them into a handful of tasks (read_tasks/coalesced counters
-// show the contrast).
-void ReduceCoalesceBenchmark(benchmark::State& state,
-                             uint64_t target_bytes) {
-  Context::Options options = BenchCluster();
-  options.target_partition_bytes = target_bytes;
-  Context ctx(options);
-  auto ds = Parallelize(&ctx, MakeKv(static_cast<size_t>(state.range(0)),
-                                     1 << 10),
-                        16);
-  ctx.metrics().Clear();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ReduceByKey(
-            ds, [](uint32_t a, uint32_t b) { return a + b; }, 64, "reduce")
-            .Count());
-  }
-  const double iters = static_cast<double>(state.iterations());
-  double read_tasks = 0;
-  for (const auto& stage : ctx.metrics().stages()) {
-    if (stage.name == "reduce/shuffle-read") {
-      read_tasks += static_cast<double>(stage.task_seconds.size());
-    }
-  }
-  state.counters["read_tasks"] = read_tasks / iters;
-  state.counters["coalesced"] =
-      static_cast<double>(ctx.metrics().TotalCoalescedPartitions()) / iters;
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-void BM_ReduceFixed(benchmark::State& state) {
-  ReduceCoalesceBenchmark(state, /*target_bytes=*/0);
-}
-BENCHMARK(BM_ReduceFixed)->Arg(100000);
-
-void BM_ReduceCoalesced(benchmark::State& state) {
-  ReduceCoalesceBenchmark(state, /*target_bytes=*/1 << 20);
-}
-BENCHMARK(BM_ReduceCoalesced)->Arg(100000);
-
 /// Builds the canonical chain pipeline (the one ChainBenchmark
 /// measures) over `ctx` and returns the grouped result, unforced.
 Dataset<std::pair<uint32_t, std::vector<uint32_t>>> BuildChain(

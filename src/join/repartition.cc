@@ -61,10 +61,8 @@ minispark::Dataset<ScoredPair> JoinGroupsWithRepartitioning(
     JoinStats* stats, bool adaptive) {
   if (delta == 0) return JoinGroups(groups, std::move(local_join), stats);
 
-  // The grouped index feeds both the small and the large split below —
-  // materialize it once instead of re-running its pending chain per
-  // consumer. The driver measures the large lists on it too.
-  groups.Cache();
+  // The driver measures the large lists on the index (partitions()
+  // materializes it).
   uint64_t lists_split = 0;
   uint64_t pair_joins = 0;
   for (const auto& part : groups.partitions()) {
@@ -76,15 +74,6 @@ minispark::Dataset<ScoredPair> JoinGroupsWithRepartitioning(
     }
   }
 
-  if (adaptive) {
-    // Adaptive CL -> CL-P upgrade: only pay for the repartitioning
-    // machinery (an extra shuffle) when a list actually exceeds delta.
-    if (lists_split == 0) {
-      return JoinGroups(groups, std::move(local_join), stats);
-    }
-    groups.context()->counters().Add("repartition.skew_upgrades", 1);
-  }
-
   // The CL-P / repartitioning knobs of Algorithm 3, published globally
   // (not per scope): how many oversized posting lists were split and how
   // many chunk-pair R-S joins that cost.
@@ -93,6 +82,18 @@ minispark::Dataset<ScoredPair> JoinGroupsWithRepartitioning(
   groups.context()->counters().Add("repartition.lists_split", lists_split);
   groups.context()->counters().Add("repartition.chunk_pair_joins",
                                    pair_joins);
+  // No list exceeds delta: the split, spread and chunk-join stages would
+  // run on zero units.
+  if (lists_split == 0) {
+    return JoinGroups(groups, std::move(local_join), stats);
+  }
+  // Adaptive CL -> CL-P upgrade: the measured lists forced a split.
+  if (adaptive) {
+    groups.context()->counters().Add("repartition.skew_upgrades", 1);
+  }
+  // The index feeds both the small and the large split below: pin it,
+  // so the plan linter sees the reuse (MS001).
+  groups.Cache();
 
   // Split the inverted index into small and large lists (I_<=delta and
   // I_>delta in Algorithm 3).

@@ -40,16 +40,15 @@ minispark::Dataset<ScoredPair> JoinGroups(
 /// units over `num_partitions * 2` partitions (the paper increases the
 /// partition count to redistribute load; DESIGN.md deviation 2).
 ///
-/// Lists of size <= delta take the plain JoinGroups path. With
-/// delta == 0 this degrades to JoinGroups exactly.
+/// Lists of size <= delta take the plain JoinGroups path. A driver-side
+/// measurement of the materialized posting lists decides whether any
+/// list exceeds delta; when none does (or delta == 0) this is
+/// JoinGroups exactly, and the split, spread and chunk-join stages do
+/// not run.
 ///
-/// With `adaptive` set, the split machinery only engages after a
-/// driver-side measurement of the materialized posting lists finds one
-/// larger than delta — CL upgrades itself to CL-P mid-job when the data
-/// turns out skewed, and skips the extra shuffles entirely when it does
-/// not. Each engagement counts in the "repartition.skew_upgrades"
-/// counter. Results are identical either way (the non-adaptive path
-/// routes lists <= delta through the same JoinGroups kernel).
+/// `adaptive` only bumps the "repartition.skew_upgrades" counter when a
+/// list is split: CL runs this with its planner-measured delta, so it
+/// upgrades itself to CL-P mid-job when the data turns out skewed.
 minispark::Dataset<ScoredPair> JoinGroupsWithRepartitioning(
     const minispark::Dataset<PostingGroup>& groups, uint64_t delta,
     int num_partitions, LocalJoinFn local_join, LocalRsJoinFn rs_join,

@@ -83,8 +83,6 @@ void SpelledOverride(const char* name,
 Context::Options WithEnvOverrides(Context::Options options) {
   NumericOverride("RANKJOIN_SHUFFLE_BUDGET_BYTES", UINT64_MAX,
                   &options.shuffle_memory_budget_bytes);
-  NumericOverride("RANKJOIN_SPLIT_PARTITION_BYTES", UINT64_MAX,
-                  &options.split_partition_bytes);
   SpelledOverride("RANKJOIN_TRACE_LEVEL", ParseTraceLevel,
                   "off/counters/timers or 0/1/2", &options.trace_level);
   SpelledOverride("RANKJOIN_LINT_LEVEL", ParseLintLevel,

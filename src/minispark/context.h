@@ -73,25 +73,6 @@ class Context {
     /// value when set — CI uses it to force the disk path under the
     /// whole test suite.
     uint64_t shuffle_memory_budget_bytes = 0;
-    /// AQE-style adaptive partition coalescing: after a shuffle write,
-    /// adjacent target buckets whose combined serialized size stays
-    /// within this target merge into one read task (contiguous ranges
-    /// only, so key->partition contracts hold; see
-    /// PartitionRanges::Coalesce). Applies to every wide operation on
-    /// the barrier path. 0 (default) = no coalescing.
-    uint64_t target_partition_bytes = 0;
-    /// AQE-style runtime skew splitting, the mirror image of coalescing:
-    /// after a shuffle write, any single target bucket whose serialized
-    /// size exceeds this cap is read by ceil(bytes / cap) slice tasks
-    /// instead of one (see PartitionRanges::SplitOversized). Applies to
-    /// every wide operation on the barrier path: the reader refines the
-    /// key hash so every key stays whole within one slice. Pipelined
-    /// exchanges are not split — the lint check MS006 surfaces
-    /// oversized un-split buckets there. 0 (default) = no
-    /// splitting. The RANKJOIN_SPLIT_PARTITION_BYTES environment
-    /// variable overrides this value when set — CI uses it to force the
-    /// split path under the whole test suite.
-    uint64_t split_partition_bytes = 0;
     /// Directory for shuffle spill files. Empty (default) = the system
     /// temp directory. The context creates a unique subdirectory on
     /// first spill and removes it on destruction.
@@ -143,18 +124,11 @@ class Context {
     /// threads consume mappers as they arrive instead of waiting for the
     /// stage barrier. Off (default) keeps the classic barrier path; the
     /// two modes produce byte-identical results (tested), so this is a
-    /// pure scheduling A/B knob. AQE partition coalescing
-    /// (target_partition_bytes) does not apply to pipelined exchanges —
-    /// bucket sizes are only fully known at the barrier. The
-    /// RANKJOIN_PIPELINED_STAGES environment variable ("1"/"on"/"true"/
-    /// "yes" or "0"/"off"/"false"/"no"; any other value is ignored with
-    /// a warning) overrides this value when set.
+    /// pure scheduling A/B knob. The RANKJOIN_PIPELINED_STAGES
+    /// environment variable ("1"/"on"/"true"/"yes" or
+    /// "0"/"off"/"false"/"no"; any other value is ignored with a
+    /// warning) overrides this value when set.
     bool pipelined_stages = false;
-    /// Bounded publish window of a pipelined exchange: map task m blocks
-    /// at publish time while m >= lowest-unconsumed-mapper + depth, which
-    /// caps how far producers run ahead of consumers. 0 (default) = auto
-    /// (max(4, num_workers)).
-    int pipelined_queue_depth = 0;
     /// Live telemetry exposition (telemetry.h / stats_server.h): when
     /// >= 0, the context starts a background resource sampler and an
     /// embedded HTTP server on 127.0.0.1:<stats_port> serving Prometheus
@@ -214,23 +188,17 @@ class Context {
   uint64_t shuffle_memory_budget_bytes() const {
     return options_.shuffle_memory_budget_bytes;
   }
-  uint64_t target_partition_bytes() const {
-    return options_.target_partition_bytes;
-  }
-  uint64_t split_partition_bytes() const {
-    return options_.split_partition_bytes;
-  }
   TraceLevel trace_level() const { return options_.trace_level; }
   bool trace_enabled() const {
     return TraceCountersEnabled(options_.trace_level);
   }
   LintLevel lint_level() const { return options_.lint_level; }
   bool pipelined_stages() const { return options_.pipelined_stages; }
-  /// The resolved publish-window depth (>= 1) of pipelined exchanges.
-  int pipelined_queue_depth() const {
-    if (options_.pipelined_queue_depth > 0) {
-      return options_.pipelined_queue_depth;
-    }
+  /// Bounded publish window of a pipelined exchange, max(4,
+  /// num_workers): map task m blocks at publish time while m >=
+  /// lowest-unconsumed-mapper + window, which caps how far producers
+  /// run ahead of consumers.
+  int pipelined_window() const {
     return options_.num_workers > 4 ? options_.num_workers : 4;
   }
 
@@ -241,7 +209,6 @@ class Context {
     settings.shuffle_memory_budget_bytes =
         options_.shuffle_memory_budget_bytes;
     settings.broadcast_max_bytes = options_.lint_broadcast_max_bytes;
-    settings.split_partition_bytes = options_.split_partition_bytes;
     settings.broadcasts = broadcasts_;
     return settings;
   }

@@ -84,15 +84,13 @@ struct ShuffleHasher {
 ///    the shuffle-write task, so the chain's intermediate results are
 ///    never materialized at all.
 ///
-/// Wide operations shuffle through the ShuffleService (shuffle.h): map
-/// tasks serialize-and-spill to temp files when the context's
-/// shuffle_memory_budget_bytes is exceeded, and small adjacent target
-/// buckets coalesce into fewer read tasks when target_partition_bytes is
-/// set. Both knobs default off, in which case the shuffle stays fully
-/// resident with one read task per bucket. Record types with a usable
-/// Serde<T> (serde.h) can spill; a type without one shuffles
-/// resident-only, which the plan linter flags (MS004, lint.h) whenever
-/// a spill budget is set.
+/// Wide operations shuffle through the ShuffleService (shuffle.h), one
+/// read task per target bucket. Map tasks serialize-and-spill to temp
+/// files when the context's shuffle_memory_budget_bytes is exceeded; the
+/// budget defaults off, in which case the shuffle stays fully resident.
+/// Record types with a usable Serde<T> (serde.h) can spill; a type
+/// without one shuffles resident-only, which the plan linter flags
+/// (MS004, lint.h) whenever a spill budget is set.
 ///
 /// Forcing memoizes: the handle (and every copy of it — handles share
 /// plan state) holds the materialized partitions afterwards, so a chain
@@ -769,32 +767,13 @@ Dataset<T> Parallelize(Context* ctx, std::vector<T> data,
 
 namespace internal {
 
-/// Post-execution facts about one keyed shuffle, stamped onto the wide
-/// PlanNode so the plan linter (MS006) and ExplainDot can see skew and
-/// what the engine did about it.
-struct ShuffleByKeyInfo {
-  /// Serialized bytes of the largest target bucket (0 when pipelined —
-  /// bucket sizes are not collected in that mode).
-  uint64_t max_bucket_bytes = 0;
-  /// Extra read partitions added by runtime skew splitting.
-  int split_slices = 0;
-};
-
-/// Largest entry of a bucket-size vector (0 when empty).
-inline uint64_t MaxBucketBytes(const std::vector<uint64_t>& bucket_bytes) {
-  uint64_t max = 0;
-  for (uint64_t b : bucket_bytes) max = std::max(max, b);
-  return max;
-}
-
 /// Checkpoint plumbing of the wide operations. A wide op's RESULT node
-/// cannot key its checkpoint — the result partition count is only
-/// known after adaptive coalescing/splitting runs — so the key derives
-/// from the PARENT plan fingerprint mixed with the op kind,
-/// user name, and requested bucket count, all fixed before any stage
-/// executes. The restored partition count then defines the output
-/// dataset's partitioning, which matches the original run by
-/// construction (it IS the original run's result).
+/// only exists after its stages ran, so the key derives from the PARENT
+/// plan fingerprint mixed with the op kind, user name, and requested
+/// bucket count, all fixed before any stage executes. The restored
+/// partition count then defines the output dataset's partitioning,
+/// which matches the original run by construction (it IS the original
+/// run's result).
 struct WideCheckpointSlot {
   CheckpointManager* mgr = nullptr;
   std::string key;
@@ -870,21 +849,16 @@ void MaybeSaveWide(Context* ctx, const WideCheckpointSlot& slot,
 /// ShuffleService. The shuffle-write phase STREAMS the input — a pending
 /// narrow chain on `input` executes inside the write tasks and is never
 /// materialized — serializing buckets to spill files when the context's
-/// memory budget is exceeded. After the write, adjacent small buckets
-/// coalesce per Context::Options::target_partition_bytes (so the
-/// returned partition count may be LESS than `n`) and oversized buckets
-/// split into slice read tasks per
-/// Context::Options::split_partition_bytes (so it may also be MORE):
-/// the reader refines the key hash with its next digit above the bucket
-/// modulus, keeping every key whole within one slice. Shuffle volume is
-/// accounted inside the read tasks. A write- or read-stage failure
-/// surfaces through `*out_status` (the partitions are then empty).
-/// `out_info`, when non-null, receives the skew facts for PlanNode
-/// stamping.
+/// memory budget is exceeded. Read task p then reads bucket p into
+/// output partition p. Shuffle volume is accounted inside the read
+/// tasks. A write- or read-stage failure surfaces through `*out_status`
+/// (the partitions are then empty). `*out_max_bucket_bytes` receives the
+/// serialized size of the largest bucket for PlanNode stamping (0 when
+/// pipelined — bucket sizes are not collected in that mode).
 template <typename K, typename V>
 std::shared_ptr<const std::vector<std::vector<std::pair<K, V>>>> ShuffleByKey(
     const Dataset<std::pair<K, V>>& input, int n, const std::string& name,
-    Status* out_status, ShuffleByKeyInfo* out_info = nullptr) {
+    Status* out_status, uint64_t* out_max_bucket_bytes) {
   Context* ctx = input.context();
   using KV = std::pair<K, V>;
   [[maybe_unused]] WideCheckpointSlot ckpt;
@@ -901,9 +875,6 @@ std::shared_ptr<const std::vector<std::vector<std::pair<K, V>>>> ShuffleByKey(
     return partitioner.PartitionOf(kv.first);
   };
   if (ctx->pipelined_stages()) {
-    // Overlapped write/read; bucket sizes are unknown until the last
-    // mapper commits, so no adaptive coalescing or splitting in this
-    // mode.
     auto parts = PipelinedExchange(input, n, name, route, out_status);
     if constexpr (checkpoint_portable_v<KV>) {
       MaybeSaveWide<KV>(ctx, ckpt, *parts, out_status);
@@ -911,24 +882,10 @@ std::shared_ptr<const std::vector<std::vector<std::pair<K, V>>>> ShuffleByKey(
     return parts;
   }
   auto service = ShuffleWrite<std::pair<K, V>>(input, n, name, route);
-  PartitionRanges ranges = PartitionRanges::Coalesce(
-      service->bucket_bytes(), ctx->target_partition_bytes());
-  ranges = PartitionRanges::SplitOversized(
-      std::move(ranges), service->bucket_bytes(),
-      ctx->split_partition_bytes());
-  if (out_info != nullptr) {
-    out_info->max_bucket_bytes = MaxBucketBytes(service->bucket_bytes());
-    out_info->split_slices = ranges.SplitAdded();
+  for (uint64_t bytes : service->bucket_bytes()) {
+    *out_max_bucket_bytes = std::max(*out_max_bucket_bytes, bytes);
   }
-  // The next base-n digit of the key hash above the bucket index:
-  // records of one key always share it, so a key lands whole in exactly
-  // one slice of its (split) bucket.
-  const auto refine = [n](const std::pair<K, V>& kv) {
-    return ShuffleHash(kv.first) / static_cast<uint64_t>(n);
-  };
-  auto parts = ShuffleRead(ctx, service.get(), ranges, name, out_status,
-                           typename ShuffleService<std::pair<K, V>>::RefineFn(
-                               refine));
+  auto parts = ShuffleRead(ctx, service.get(), name, out_status);
   if constexpr (checkpoint_portable_v<KV>) {
     MaybeSaveWide<KV>(ctx, ckpt, *parts, out_status);
   }
@@ -940,9 +897,8 @@ std::shared_ptr<const std::vector<std::vector<std::pair<K, V>>>> ShuffleByKey(
 /// Hash-partitions a key-value dataset by key (Spark partitionBy).
 /// Records with equal keys land in the same output partition. Wide
 /// operation: executes immediately, pulling any pending narrow chain of
-/// `ds` into the shuffle-write tasks. With
-/// Context::Options::target_partition_bytes set, small adjacent buckets
-/// merge and the output may have fewer than `n` partitions.
+/// `ds` into the shuffle-write tasks. The output has `n` partitions
+/// (context default when n <= 0).
 template <typename K, typename V>
 Dataset<std::pair<K, V>> PartitionByKey(const Dataset<std::pair<K, V>>& ds,
                                         int n = -1,
@@ -951,8 +907,8 @@ Dataset<std::pair<K, V>> PartitionByKey(const Dataset<std::pair<K, V>>& ds,
   Context* ctx = ds.context();
   if (n <= 0) n = ctx->default_partitions();
   Status error;
-  internal::ShuffleByKeyInfo info;
-  auto parts = internal::ShuffleByKey(ds, n, name, &error, &info);
+  uint64_t max_bucket_bytes = 0;
+  auto parts = internal::ShuffleByKey(ds, n, name, &error, &max_bucket_bytes);
   Dataset<std::pair<K, V>> out(ctx, std::move(parts));
   if (!error.ok()) out.SetError(std::move(error));
   out.SetPlanNode(
@@ -960,8 +916,7 @@ Dataset<std::pair<K, V>> PartitionByKey(const Dataset<std::pair<K, V>>& ds,
                    {ds.plan_node()},
                    {.num_partitions = out.num_partitions(),
                     .serde_ok = has_serde_v<std::pair<K, V>>,
-                    .max_bucket_bytes = info.max_bucket_bytes,
-                    .split_slices = info.split_slices}));
+                    .max_bucket_bytes = max_bucket_bytes}));
   return out;
 }
 

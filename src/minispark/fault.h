@@ -139,7 +139,7 @@ class FaultInjector {
 };
 
 /// CRC-32 (IEEE 802.3 polynomial) over `n` bytes — the spill-run
-/// integrity checksum verified by ShuffleService::ReadRange.
+/// integrity checksum verified by ShuffleService::ReadBucket.
 uint32_t Crc32(const char* data, size_t n);
 
 }  // namespace rankjoin::minispark

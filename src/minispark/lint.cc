@@ -283,33 +283,6 @@ std::vector<LintDiagnostic> LintPlan(const PlanNode* root,
     }
   }
 
-  // MS006 — oversized un-split shuffle bucket. Wide nodes record the
-  // largest bucket's serialized size once executed (pipelined exchanges
-  // record none); one that exceeds the split threshold without any
-  // slice tasks ran with runtime skew splitting off or at a higher
-  // threshold, so a single read task straggles behind the whole stage.
-  if (settings.split_partition_bytes > 0) {
-    for (const PlanNode* node : topo) {
-      if (node->kind != PlanNode::Kind::kWide) continue;
-      if (node->max_bucket_bytes <= settings.split_partition_bytes) continue;
-      if (node->split_slices > 0) continue;
-      LintDiagnostic d;
-      d.code = "MS006";
-      d.severity = LintSeverity::kWarning;
-      d.node = node;
-      d.location = Loc(node);
-      d.message = "shuffle '" + Loc(node) + "' produced a bucket of " +
-                  std::to_string(node->max_bucket_bytes) +
-                  " bytes, above the split threshold of " +
-                  std::to_string(settings.split_partition_bytes) +
-                  " bytes, but no slice tasks were added — one read "
-                  "task processes the whole skewed bucket; raise "
-                  "num_partitions, pre-aggregate the heavy key, or "
-                  "enable runtime skew splitting (split_partition_bytes)";
-      diags.push_back(std::move(d));
-    }
-  }
-
   return diags;
 }
 

@@ -60,11 +60,6 @@ struct LintSettings {
   /// nodes with the same (op, name) signature — the fingerprint of a
   /// barrier rebuilt inside a driver-side loop.
   int loop_repeat_threshold = 3;
-  /// MS006 flags executed wide nodes whose largest shuffle bucket
-  /// exceeded this many bytes without runtime skew splitting engaging
-  /// (Context::Options::split_partition_bytes feeds this; 0 disables
-  /// the check).
-  uint64_t split_partition_bytes = 0;
   /// Broadcasts registered so far (MS003 input).
   std::vector<BroadcastRecord> broadcasts;
 };
@@ -94,10 +89,7 @@ struct LintDiagnostic {
 ///                   while a spill budget is set (cannot spill).
 ///   MS005 (warning) >= settings.loop_repeat_threshold same-signature
 ///                   wide nodes on one lineage path (barrier in a loop).
-///   MS006 (warning) an executed shuffle whose largest bucket exceeded
-///                   settings.split_partition_bytes without runtime
-///                   skew splitting engaging (oversized un-split
-///                   posting-list bucket: one straggler task reads it).
+///   MS006           retired; the code is not reused.
 ///   MS007 (warning) Cache() with exactly one consumer edge in this
 ///                   plan — wasted materialization, the inverse of
 ///                   MS001. A root cache (zero consumers here) is not

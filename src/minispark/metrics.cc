@@ -95,18 +95,6 @@ uint64_t JobMetrics::TotalSpilledRuns() const {
   return total;
 }
 
-uint64_t JobMetrics::TotalCoalescedPartitions() const {
-  uint64_t total = 0;
-  for (const auto& s : stages_) total += s.coalesced_partitions;
-  return total;
-}
-
-uint64_t JobMetrics::TotalSplitPartitions() const {
-  uint64_t total = 0;
-  for (const auto& s : stages_) total += s.split_partitions;
-  return total;
-}
-
 uint64_t JobMetrics::TotalTaskRetries() const {
   uint64_t total = 0;
   for (const auto& s : stages_) total += s.task_retries;
@@ -180,12 +168,6 @@ std::string JobMetrics::ToString() const {
       os << " spilled_bytes=" << s.spilled_bytes
          << " spilled_runs=" << s.spilled_runs;
     }
-    if (s.coalesced_partitions > 0) {
-      os << " coalesced=" << s.coalesced_partitions;
-    }
-    if (s.split_partitions > 0) {
-      os << " split=" << s.split_partitions;
-    }
     if (s.task_retries > 0) os << " retries=" << s.task_retries;
     if (s.recovered_spill_runs > 0) {
       os << " recovered_runs=" << s.recovered_spill_runs;
@@ -223,8 +205,6 @@ std::string JobMetrics::ToJson() const {
        << ",\"materialized_bytes\":" << s.materialized_bytes
        << ",\"spilled_bytes\":" << s.spilled_bytes
        << ",\"spilled_runs\":" << s.spilled_runs
-       << ",\"coalesced_partitions\":" << s.coalesced_partitions
-       << ",\"split_partitions\":" << s.split_partitions
        << ",\"task_retries\":" << s.task_retries
        << ",\"recovered_spill_runs\":" << s.recovered_spill_runs
        << ",\"task_duration_us\":" << s.task_duration_us.ToJson()
@@ -254,8 +234,6 @@ std::string JobMetrics::ToJson() const {
      << ",\"materialized_bytes\":" << TotalMaterializedBytes()
      << ",\"spilled_bytes\":" << TotalSpilledBytes()
      << ",\"spilled_runs\":" << TotalSpilledRuns()
-     << ",\"coalesced_partitions\":" << TotalCoalescedPartitions()
-     << ",\"split_partitions\":" << TotalSplitPartitions()
      << ",\"task_retries\":" << TotalTaskRetries()
      << ",\"recovered_spill_runs\":" << TotalRecoveredSpillRuns()
      << ",\"task_duration_us\":" << TaskDurationHistogram().ToJson()

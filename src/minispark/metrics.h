@@ -61,13 +61,6 @@ struct StageMetrics {
   uint64_t spilled_bytes = 0;
   /// Spill events (one run = one flush of a map task's resident buckets).
   uint64_t spilled_runs = 0;
-  /// Shuffle target buckets merged away by AQE-style contiguous-range
-  /// coalescing on the read side (buckets - read tasks; 0 when disabled).
-  uint64_t coalesced_partitions = 0;
-  /// Extra read partitions added by runtime skew splitting of oversized
-  /// buckets (read tasks - buckets; 0 when splitting is disabled or no
-  /// bucket crossed Context::Options::split_partition_bytes).
-  uint64_t split_partitions = 0;
   /// Per-operator breakdown of the fused chain this stage executed, in
   /// plan-construction (= pipeline) order. Empty when tracing is off or
   /// the stage ran no traced narrow ops.
@@ -126,10 +119,6 @@ class JobMetrics {
   /// Total bytes spilled to disk / spill runs across all shuffle writes.
   uint64_t TotalSpilledBytes() const;
   uint64_t TotalSpilledRuns() const;
-  /// Total shuffle buckets merged away by adaptive coalescing.
-  uint64_t TotalCoalescedPartitions() const;
-  /// Total read partitions added by runtime skew splitting.
-  uint64_t TotalSplitPartitions() const;
   /// Fault-tolerance totals across all stages (see StageMetrics).
   uint64_t TotalTaskRetries() const;
   uint64_t TotalRecoveredSpillRuns() const;

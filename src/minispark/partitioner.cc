@@ -1,7 +1,5 @@
 #include "minispark/partitioner.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace rankjoin::minispark {
@@ -18,88 +16,6 @@ uint64_t Mix64(uint64_t x) {
 HashPartitioner::HashPartitioner(int num_partitions)
     : num_partitions_(num_partitions) {
   RANKJOIN_CHECK(num_partitions >= 1);
-}
-
-PartitionRanges PartitionRanges::Identity(int num_buckets) {
-  RANKJOIN_CHECK(num_buckets >= 0);
-  PartitionRanges out;
-  out.num_buckets_ = num_buckets;
-  out.begin_.resize(static_cast<size_t>(num_buckets));
-  out.end_.resize(static_cast<size_t>(num_buckets));
-  for (int b = 0; b < num_buckets; ++b) {
-    out.begin_[static_cast<size_t>(b)] = b;
-    out.end_[static_cast<size_t>(b)] = b + 1;
-  }
-  out.slice_.assign(static_cast<size_t>(num_buckets), 0);
-  out.slices_.assign(static_cast<size_t>(num_buckets), 1);
-  return out;
-}
-
-PartitionRanges PartitionRanges::Coalesce(
-    const std::vector<uint64_t>& bucket_bytes, uint64_t target_bytes) {
-  const int n = static_cast<int>(bucket_bytes.size());
-  if (target_bytes == 0 || n == 0) return Identity(n);
-  std::vector<int> starts = {0};
-  uint64_t current = 0;
-  for (int b = 0; b < n; ++b) {
-    const uint64_t size = bucket_bytes[static_cast<size_t>(b)];
-    // Close the open range when adding this bucket would overflow the
-    // target — unless the range is still empty (an oversized bucket
-    // stays alone in its own range).
-    if (b > starts.back() && current + size > target_bytes) {
-      starts.push_back(b);
-      current = 0;
-    }
-    current += size;
-  }
-  starts.push_back(n);
-  PartitionRanges out;
-  out.num_buckets_ = n;
-  const size_t ranges = starts.size() - 1;
-  out.begin_.reserve(ranges);
-  out.end_.reserve(ranges);
-  for (size_t p = 0; p + 1 < starts.size(); ++p) {
-    out.begin_.push_back(starts[p]);
-    out.end_.push_back(starts[p + 1]);
-  }
-  out.slice_.assign(ranges, 0);
-  out.slices_.assign(ranges, 1);
-  out.coalesced_away_ = n - static_cast<int>(ranges);
-  return out;
-}
-
-PartitionRanges PartitionRanges::SplitOversized(
-    PartitionRanges base, const std::vector<uint64_t>& bucket_bytes,
-    uint64_t max_bytes, int max_slices) {
-  if (max_bytes == 0 || base.NumPartitions() == 0) return base;
-  RANKJOIN_CHECK(max_slices >= 1);
-  PartitionRanges out;
-  out.num_buckets_ = base.num_buckets_;
-  out.coalesced_away_ = base.coalesced_away_;
-  for (int p = 0; p < base.NumPartitions(); ++p) {
-    const int b = base.begin(p);
-    const bool single = base.end(p) == b + 1;
-    const uint64_t bytes =
-        single ? bucket_bytes[static_cast<size_t>(b)] : 0;
-    if (!single || base.slices(p) > 1 || bytes <= max_bytes) {
-      out.begin_.push_back(base.begin(p));
-      out.end_.push_back(base.end(p));
-      out.slice_.push_back(base.slice(p));
-      out.slices_.push_back(base.slices(p));
-      continue;
-    }
-    const uint64_t want = (bytes + max_bytes - 1) / max_bytes;
-    const int c = static_cast<int>(
-        std::min<uint64_t>(static_cast<uint64_t>(max_slices), want));
-    for (int s = 0; s < c; ++s) {
-      out.begin_.push_back(b);
-      out.end_.push_back(b + 1);
-      out.slice_.push_back(s);
-      out.slices_.push_back(c);
-    }
-    out.split_added_ += c - 1;
-  }
-  return out;
 }
 
 }  // namespace rankjoin::minispark

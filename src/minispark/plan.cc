@@ -46,7 +46,6 @@ std::shared_ptr<const PlanNode> MakePlanNode(
   node->lazy = attrs.lazy;
   node->serde_ok = attrs.serde_ok;
   node->max_bucket_bytes = attrs.max_bucket_bytes;
-  node->split_slices = attrs.split_slices;
   node->parents = std::move(parents);
   return node;
 }
@@ -173,9 +172,6 @@ std::string PlanToDot(
     }
     if (node->kind == PlanNode::Kind::kWide && node->max_bucket_bytes > 0) {
       label += "\\nmaxBucket=" + std::to_string(node->max_bucket_bytes) + "B";
-      if (node->split_slices > 0) {
-        label += " split=+" + std::to_string(node->split_slices);
-      }
     }
     if (node == root && root_materialized) label += "\\n[materialized]";
     auto note_it = notes.find(node);

@@ -49,15 +49,9 @@ struct PlanNode {
   /// this is false while a spill budget is configured.
   bool serde_ok = true;
   /// For executed wide nodes: serialized bytes of the largest shuffle
-  /// target bucket (0 when unknown / not yet run). Together with
-  /// split_slices this feeds MS006 — an oversized bucket that no slice
-  /// task split is a skew hazard the engine could not (or was not
-  /// configured to) mitigate.
+  /// target bucket (0 when unknown / not yet run). ExplainDot labels
+  /// the node with it, so a skewed shuffle shows in the plan.
   uint64_t max_bucket_bytes = 0;
-  /// For executed wide nodes: extra read partitions added by runtime
-  /// skew splitting of this shuffle's buckets (PartitionRanges::
-  /// SplitAdded), 0 when splitting did not engage.
-  int split_slices = 0;
   std::vector<std::shared_ptr<const PlanNode>> parents;
 };
 
@@ -69,7 +63,6 @@ struct PlanNodeAttrs {
   bool lazy = false;
   bool serde_ok = true;
   uint64_t max_bucket_bytes = 0;
-  int split_slices = 0;
 };
 
 /// Builds a node; convenience over aggregate init at call sites.
@@ -81,8 +74,8 @@ std::shared_ptr<const PlanNode> MakePlanNode(
 /// Stable structural fingerprint of the lineage DAG rooted at `root`:
 /// a pure hash over each node's kind, op, name, and partition count plus
 /// the fingerprints of its parents, in parent order. Deliberately
-/// EXCLUDES runtime-dependent fields (op_id, lazy, max_bucket_bytes,
-/// split_slices) so the same logical job produces the same fingerprint
+/// EXCLUDES runtime-dependent fields (op_id, lazy, max_bucket_bytes)
+/// so the same logical job produces the same fingerprint
 /// across processes — that stability is what keys the checkpoint
 /// manifest for crash resume (see docs/MINISPARK.md, "Checkpoint &
 /// resume"). A null root hashes to a fixed non-zero constant.
@@ -90,10 +83,9 @@ uint64_t PlanFingerprint(const PlanNode* root);
 
 /// Mixes one more token (a value or a string) into a fingerprint with
 /// the same stable mixer PlanFingerprint uses. Wide operations derive
-/// their checkpoint keys this way: the RESULT node's fingerprint is not
-/// available before the stages run (its partition count depends on
-/// adaptive coalescing), so the key mixes the PARENT fingerprints with
-/// the op kind, user name, and requested bucket count instead.
+/// their checkpoint keys this way: the RESULT node is only built after
+/// the stages run, so the key mixes the PARENT fingerprints with the op
+/// kind, user name, and requested bucket count instead.
 uint64_t FingerprintMix(uint64_t h, uint64_t token);
 uint64_t FingerprintMixString(uint64_t h, const std::string& s);
 

@@ -10,7 +10,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -47,7 +46,7 @@ uint64_t ShuffleRecordBytes(const T& record) {
 /// bucket, at [offset, offset + bytes) of the owning map task's spill
 /// file. A bucket spilled several times holds several segments, in
 /// arrival order. `crc` is the CRC-32 of the payload, taken at write
-/// time and verified on read (see ShuffleService::ReadRange).
+/// time and verified on read (see ShuffleService::ReadBucket).
 struct SpillSegment {
   uint64_t offset = 0;
   uint64_t bytes = 0;
@@ -131,20 +130,18 @@ class SpillFile {
 /// exceeded; the task that crosses the line then serializes its resident
 /// buckets through Serde<T> and appends them to its spill file as one
 /// run (checksummed per bucket), releasing the memory. `FinishWrite()`
-/// closes the write side and folds per-task sizes into per-bucket totals
-/// — the input to AQE-style coalescing (PartitionRanges::Coalesce).
-/// `ReadRange(begin, end, fn)` then streams every record of a contiguous
-/// bucket range back: mapper order, and within one mapper the spilled
-/// runs (oldest first) followed by the resident tail — which reproduces
-/// exactly the per-bucket arrival order, so spilling never changes
-/// shuffle output.
+/// closes the write side and folds per-task sizes into per-bucket totals.
+/// `ReadBucket(bucket, fn)` then streams every record of one bucket back:
+/// mapper order, and within one mapper the spilled runs (oldest first)
+/// followed by the resident tail — which reproduces exactly the
+/// per-bucket arrival order, so spilling never changes shuffle output.
 ///
 /// Fault tolerance:
 ///  - every spilled bucket run carries a CRC-32, verified (and the whole
-///    run pre-read) BEFORE any record of the mapper's range is emitted;
+///    run pre-read) BEFORE any record of the mapper's bucket is emitted;
 ///  - a corrupt or missing run triggers re-execution of the owning map
 ///    task from the retained lineage closure (SetRecovery), regenerating
-///    the range byte-identically; without a registered closure the read
+///    the bucket byte-identically; without a registered closure the read
 ///    fails with a NonRetryableError Status instead of emitting garbage;
 ///  - when the spill directory is unwritable the service degrades to
 ///    resident-only buffering (Context::MarkSpillDegraded) rather than
@@ -154,26 +151,17 @@ class SpillFile {
 ///
 /// Thread contract: Add() concurrently for DISTINCT map_index values
 /// (one writer per map task); FinishWrite() from the driver between the
-/// write and read stages; ReadRange() concurrently for DISJOINT bucket
-/// ranges, each bucket read at most once (resident records are moved
+/// write and read stages; ReadBucket() concurrently for DISTINCT
+/// buckets, each bucket read at most once (resident records are moved
 /// out).
 template <typename T>
 class ShuffleService {
  public:
   /// Lineage recovery closure: re-executes map task `map_task`,
-  /// collecting each record routed to a bucket in [begin, end) via
-  /// `collect(bucket, record)`, in the original arrival order.
+  /// collecting each record routed to `bucket` via `collect(record)`, in
+  /// the original arrival order.
   using RecoverFn = std::function<void(
-      int map_task, int begin, int end,
-      const std::function<void(int, const T&)>& collect)>;
-
-  /// Slice-refinement hash for runtime skew splitting: maps a record to
-  /// a 64-bit value whose `% slices` decides which slice of a split
-  /// bucket the record belongs to. Keyed shuffles pass a function of the
-  /// key only (the next hash digit above the bucket modulus), so every
-  /// key stays whole inside one slice and the key->partition contract
-  /// survives the split.
-  using RefineFn = std::function<uint64_t(const T&)>;
+      int map_task, int bucket, const std::function<void(const T&)>& collect)>;
 
   ShuffleService(Context* ctx, int num_map_tasks, int num_buckets)
       : ctx_(ctx),
@@ -196,7 +184,7 @@ class ShuffleService {
   /// Context-unique id of this shuffle (fault-injection coordinate).
   uint64_t id() const { return id_; }
 
-  /// Registers the lineage closure ReadRange falls back to when spill
+  /// Registers the lineage closure ReadBucket falls back to when spill
   /// data is corrupt or missing. Must be set before the write stage so
   /// it captures the same routing the write used.
   void SetRecovery(RecoverFn fn) { recover_ = std::move(fn); }
@@ -208,7 +196,6 @@ class ShuffleService {
   void ResetMapTask(int map_index) {
     MapTask& mt = tasks_[static_cast<size_t>(map_index)];
     for (auto& bucket : mt.resident) std::vector<T>().swap(bucket);
-    mt.sliced.clear();
     for (auto& segs : mt.segments) segs.clear();
     std::fill(mt.bucket_bytes.begin(), mt.bucket_bytes.end(), 0);
     std::fill(mt.bucket_records.begin(), mt.bucket_records.end(), 0);
@@ -261,8 +248,8 @@ class ShuffleService {
     }
   }
 
-  /// Serialized payload bytes per target bucket (resident + spilled) —
-  /// the sizes adaptive coalescing merges on. Valid after FinishWrite().
+  /// Serialized payload bytes per target bucket (resident + spilled).
+  /// Valid after FinishWrite().
   const std::vector<uint64_t>& bucket_bytes() const { return bucket_bytes_; }
 
   /// Size distribution of every spill segment this shuffle wrote
@@ -270,13 +257,9 @@ class ShuffleService {
   /// a pipelined exchange).
   const Histogram& spill_segment_hist() const { return spill_segment_hist_; }
 
-  /// Total records destined for buckets [begin, end).
-  uint64_t RecordsInRange(int begin, int end) const {
-    uint64_t total = 0;
-    for (int b = begin; b < end; ++b) {
-      total += bucket_records_[static_cast<size_t>(b)];
-    }
-    return total;
+  /// Total records destined for `bucket`. Valid after FinishWrite().
+  uint64_t RecordsInBucket(int bucket) const {
+    return bucket_records_[static_cast<size_t>(bucket)];
   }
 
   uint64_t spilled_bytes() const { return spilled_bytes_; }
@@ -313,121 +296,34 @@ class ShuffleService {
     return out;
   }
 
-  /// Read side: streams every record destined for buckets [begin, end)
-  /// into `fn(T&&)`. See the class comment for ordering, integrity
+  /// Read side: streams every record destined for `bucket` into
+  /// `fn(T&&)`. See the class comment for ordering, integrity
   /// verification, and the thread contract.
   template <typename Fn>
-  void ReadRange(int begin, int end, Fn&& fn) {
+  void ReadBucket(int bucket, Fn&& fn) {
     for (size_t m = 0; m < tasks_.size(); ++m) {
-      ReadMapperRange(static_cast<int>(m), begin, end, fn);
+      ReadMapperBucket(static_cast<int>(m), bucket, fn);
     }
   }
 
-  /// One mapper's contribution to buckets [begin, end) — the unit a
-  /// pipelined reader consumes as soon as that mapper commits. ReadRange
-  /// is exactly this, mapper-major over all mappers, which is why the
-  /// pipelined and barrier paths emit byte-identical partitions.
+  /// One mapper's contribution to `bucket` — the unit a pipelined reader
+  /// consumes as soon as that mapper commits. ReadBucket is exactly
+  /// this over all mappers in index order, which is why the pipelined
+  /// and barrier paths emit byte-identical partitions.
   template <typename Fn>
-  void ReadMapperRange(int map_index, int begin, int end, Fn&& fn) {
+  void ReadMapperBucket(int map_index, int bucket, Fn&& fn) {
     MapTask& mt = tasks_[static_cast<size_t>(map_index)];
     // Serde-less types never spill, so their segment lists stay
     // empty; the whole spill path is compiled out for them.
     if constexpr (has_serde_v<T>) {
-      bool spilled = false;
-      for (int b = begin; b < end && !spilled; ++b) {
-        spilled = !mt.segments[static_cast<size_t>(b)].empty();
-      }
-      if (spilled) {
-        if (!EmitSpilledRange(mt, begin, end, fn)) {
-          RecoverMapperRange(map_index, mt, begin, end, fn);
-        }
-        return;
-      }
-    }
-    for (int b = begin; b < end; ++b) {
-      for (T& t : mt.resident[static_cast<size_t>(b)]) fn(std::move(t));
-    }
-  }
-
-  /// --- Runtime skew splitting (PartitionRanges::SplitOversized) -----
-  ///
-  /// A split bucket is consumed by `slices` read tasks instead of one.
-  /// Because resident consumption is destructive (records are moved
-  /// out), concurrent slice tasks must never partition a shared bucket
-  /// on the fly: PresliceBuckets runs DRIVER-SIDE between FinishWrite
-  /// and the read stage and moves each mapper's resident records of
-  /// every split bucket into per-slice vectors (refine(record) % slices
-  /// picks the slice). Spilled segments are left in place; each slice
-  /// task re-reads and re-verifies them through its own file handle and
-  /// filters at decode time. Per slice the emission order stays
-  /// mapper-major, spilled runs (oldest first) before the resident
-  /// tail — so every key's records keep their exact unsplit relative
-  /// order and downstream grouping is content-identical.
-
-  /// Driver-side: pre-partitions the resident records of every split
-  /// bucket in `ranges` into per-slice storage. Call once, after
-  /// FinishWrite() and before the read stage, whenever
-  /// `ranges.HasSplits()`.
-  void PresliceBuckets(const PartitionRanges& ranges,
-                       const RefineFn& refine) {
-    for (int p = 0; p < ranges.NumPartitions(); ++p) {
-      // Each split bucket appears once per slice; preslice it on the
-      // first (slice 0) appearance only.
-      if (ranges.slices(p) <= 1 || ranges.slice(p) != 0) continue;
-      const int b = ranges.begin(p);
-      const uint64_t c = static_cast<uint64_t>(ranges.slices(p));
-      for (MapTask& mt : tasks_) {
-        std::vector<T>& bucket = mt.resident[static_cast<size_t>(b)];
-        std::vector<std::vector<T>>& slices = mt.sliced[b];
-        slices.assign(static_cast<size_t>(c), std::vector<T>());
-        for (T& t : bucket) {
-          slices[static_cast<size_t>(refine(t) % c)].push_back(
-              std::move(t));
-        }
-        std::vector<T>().swap(bucket);
-      }
-    }
-  }
-
-  /// Read side of one slice of a split bucket: streams every record of
-  /// `bucket` whose refine % slices == slice into `fn`, mapper-major.
-  /// Same integrity/recovery semantics as ReadRange; a corrupt spill run
-  /// regenerates the whole bucket from lineage and re-filters.
-  template <typename Fn>
-  void ReadBucketSlice(int bucket, int slice, int slices,
-                       const RefineFn& refine, Fn&& fn) {
-    for (size_t m = 0; m < tasks_.size(); ++m) {
-      ReadMapperBucketSlice(static_cast<int>(m), bucket, slice, slices,
-                            refine, fn);
-    }
-  }
-
-  /// One mapper's contribution to one slice of a split bucket.
-  template <typename Fn>
-  void ReadMapperBucketSlice(int map_index, int bucket, int slice,
-                             int slices, const RefineFn& refine, Fn&& fn) {
-    MapTask& mt = tasks_[static_cast<size_t>(map_index)];
-    const uint64_t c = static_cast<uint64_t>(slices);
-    if constexpr (has_serde_v<T>) {
       if (!mt.segments[static_cast<size_t>(bucket)].empty()) {
-        if (!EmitSpilledSlice(mt, bucket, slice, c, refine, fn)) {
-          // Lineage recovery regenerates the WHOLE bucket (spilled and
-          // resident alike, original arrival order) — filter it down to
-          // this slice; the presliced resident store must not be
-          // emitted on top.
-          RecoverMapperRange(
-              map_index, mt, bucket, bucket + 1, [&](T&& record) {
-                if (refine(record) % c == static_cast<uint64_t>(slice)) {
-                  fn(std::move(record));
-                }
-              });
+        if (!EmitSpilledBucket(mt, bucket, fn)) {
+          RecoverMapperBucket(map_index, mt, bucket, fn);
         }
         return;
       }
     }
-    auto it = mt.sliced.find(bucket);
-    if (it == mt.sliced.end()) return;
-    for (T& t : it->second[static_cast<size_t>(slice)]) fn(std::move(t));
+    for (T& t : mt.resident[static_cast<size_t>(bucket)]) fn(std::move(t));
   }
 
   /// --- Pipelined mode (Context::Options::pipelined_stages) ----------
@@ -551,11 +447,6 @@ class ShuffleService {
   struct MapTask {
     /// Per-bucket resident records, in arrival order.
     std::vector<std::vector<T>> resident;
-    /// Resident records of SPLIT buckets, moved out of `resident` by the
-    /// driver-side PresliceBuckets: bucket -> per-slice vectors, each in
-    /// arrival order. Concurrent slice read tasks only ever touch their
-    /// own slice vector.
-    std::unordered_map<int, std::vector<std::vector<T>>> sliced;
     /// Per-bucket spilled segments, oldest first.
     std::vector<std::vector<SpillSegment>> segments;
     /// Per-bucket serialized size / record count (resident + spilled).
@@ -663,93 +554,18 @@ class ShuffleService {
     }
   }
 
-  /// Validates and emits one mapper's [begin, end) buckets from its
-  /// spill file plus resident tails. Validate-then-emit: every segment
-  /// is read and checksummed BEFORE the first record is pushed into
-  /// `fn`, so a corrupt run never leaks partial output. Returns false
-  /// (having emitted nothing) when any segment is unreadable or fails
-  /// its CRC. Payloads are retained from the validation pass only up to
-  /// a cap: spilling happens precisely under memory pressure, so
-  /// buffering a mapper's whole bucket range could transiently hold
-  /// many times the shuffle budget — segments beyond the cap are
-  /// checksummed, dropped, and re-read (and re-verified) one at a time
-  /// during emission.
+  /// Validates and emits one mapper's `bucket` from its spill file plus
+  /// resident tail. Validate-then-emit: every segment is read and
+  /// checksummed BEFORE the first record is pushed into `fn`, so a
+  /// corrupt run never leaks partial output. Returns false (having
+  /// emitted nothing) when any segment is unreadable or fails its CRC.
+  /// Payloads are retained from the validation pass only up to a cap:
+  /// spilling happens precisely under memory pressure, so buffering a
+  /// mapper's whole bucket could transiently hold many times the shuffle
+  /// budget — segments beyond the cap are checksummed, dropped, and
+  /// re-read (and re-verified) one at a time during emission.
   template <typename Fn>
-  bool EmitSpilledRange(MapTask& mt, int begin, int end, Fn&& fn) {
-    if (!mt.spill) return false;
-    SpillFile::Reader reader(mt.spill->path());
-    if (!reader.ok()) return false;
-    const uint64_t buffer_cap =
-        std::max<uint64_t>(budget_, uint64_t{1} << 20);
-    uint64_t buffered = 0;
-    // One entry per segment of the range, in emission order; an empty
-    // payload for a non-empty segment means "re-read at emit time".
-    std::vector<std::vector<std::string>> payloads(
-        static_cast<size_t>(end - begin));
-    for (int b = begin; b < end; ++b) {
-      for (const SpillSegment& seg : mt.segments[static_cast<size_t>(b)]) {
-        std::string buf;
-        if (!reader.TryReadAt(seg.offset, seg.bytes, &buf)) return false;
-        if (Crc32(buf.data(), buf.size()) != seg.crc) return false;
-        std::vector<std::string>& kept =
-            payloads[static_cast<size_t>(b - begin)];
-        if (buffered + seg.bytes <= buffer_cap) {
-          buffered += seg.bytes;
-          kept.push_back(std::move(buf));
-        } else {
-          kept.emplace_back();
-        }
-      }
-    }
-    bool emitted = false;
-    for (int b = begin; b < end; ++b) {
-      size_t next = 0;
-      for (const SpillSegment& seg : mt.segments[static_cast<size_t>(b)]) {
-        std::string buf =
-            std::move(payloads[static_cast<size_t>(b - begin)][next++]);
-        if (buf.empty() && seg.bytes > 0) {
-          // Dropped by the cap above. The segment already validated and
-          // the handle is still open, so a failure here is disk rot
-          // between the two passes: with nothing emitted yet, lineage
-          // recovery can still take over; afterwards falling back would
-          // emit the whole range twice, so it must surface as a
-          // permanent error instead.
-          const bool ok = reader.TryReadAt(seg.offset, seg.bytes, &buf) &&
-                          Crc32(buf.data(), buf.size()) == seg.crc;
-          if (!ok) {
-            if (!emitted) return false;
-            throw NonRetryableError(Status::IoError(
-                "spill segment of '" + mt.spill->path() +
-                "' validated but failed its re-read during emission"));
-          }
-        }
-        const char* p = buf.data();
-        const char* e = p + buf.size();
-        for (uint64_t i = 0; i < seg.records; ++i) {
-          T record;
-          Serde<T>::Read(&p, e, &record);
-          emitted = true;
-          fn(std::move(record));
-        }
-        RANKJOIN_CHECK(p == e);
-      }
-      for (T& t : mt.resident[static_cast<size_t>(b)]) {
-        emitted = true;
-        fn(std::move(t));
-      }
-    }
-    return true;
-  }
-
-  /// Slice counterpart of EmitSpilledRange: validates and emits ONE
-  /// bucket's spilled segments filtered down to `slice` (refine % c),
-  /// followed by that slice's presliced resident records. Same
-  /// validate-then-emit discipline, buffer cap, and re-read escalation
-  /// as the range path. Returns false (having emitted nothing) when any
-  /// segment is unreadable or fails its CRC.
-  template <typename Fn>
-  bool EmitSpilledSlice(MapTask& mt, int bucket, int slice, uint64_t c,
-                        const RefineFn& refine, Fn&& fn) {
+  bool EmitSpilledBucket(MapTask& mt, int bucket, Fn&& fn) {
     if (!mt.spill) return false;
     SpillFile::Reader reader(mt.spill->path());
     if (!reader.ok()) return false;
@@ -758,6 +574,8 @@ class ShuffleService {
     uint64_t buffered = 0;
     const std::vector<SpillSegment>& segs =
         mt.segments[static_cast<size_t>(bucket)];
+    // One entry per segment, in emission order; an empty payload for a
+    // non-empty segment means "re-read at emit time".
     std::vector<std::string> payloads;
     payloads.reserve(segs.size());
     for (const SpillSegment& seg : segs) {
@@ -776,6 +594,12 @@ class ShuffleService {
     for (const SpillSegment& seg : segs) {
       std::string buf = std::move(payloads[next++]);
       if (buf.empty() && seg.bytes > 0) {
+        // Dropped by the cap above. The segment already validated and
+        // the handle is still open, so a failure here is disk rot
+        // between the two passes: with nothing emitted yet, lineage
+        // recovery can still take over; afterwards falling back would
+        // emit the whole bucket twice, so it must surface as a
+        // permanent error instead.
         const bool ok = reader.TryReadAt(seg.offset, seg.bytes, &buf) &&
                         Crc32(buf.data(), buf.size()) == seg.crc;
         if (!ok) {
@@ -790,37 +614,24 @@ class ShuffleService {
       for (uint64_t i = 0; i < seg.records; ++i) {
         T record;
         Serde<T>::Read(&p, e, &record);
-        if (refine(record) % c == static_cast<uint64_t>(slice)) {
-          emitted = true;
-          fn(std::move(record));
-        }
+        emitted = true;
+        fn(std::move(record));
       }
       RANKJOIN_CHECK(p == e);
     }
-    auto it = mt.sliced.find(bucket);
-    if (it != mt.sliced.end()) {
-      for (T& t : it->second[static_cast<size_t>(slice)]) {
-        emitted = true;
-        fn(std::move(t));
-      }
-    }
+    for (T& t : mt.resident[static_cast<size_t>(bucket)]) fn(std::move(t));
     return true;
   }
 
   /// Lineage fallback: re-executes map task `map_index` through the
-  /// retained recovery closure and emits its [begin, end) buckets in
-  /// the original arrival order — byte-identical to what the healthy
-  /// read would have produced. Throws NonRetryableError when no closure
-  /// is registered or the re-execution itself fails (the read task must
-  /// not be retried: its other mappers' resident data is already
-  /// consumed).
+  /// retained recovery closure and emits its `bucket` in the original
+  /// arrival order — byte-identical to what the healthy read would have
+  /// produced. Throws NonRetryableError when no closure is registered or
+  /// the re-execution itself fails (the read task must not be retried:
+  /// its other mappers' resident data is already consumed).
   template <typename Fn>
-  void RecoverMapperRange(int map_index, MapTask& mt, int begin, int end,
-                          Fn&& fn) {
-    uint64_t runs = 0;
-    for (int b = begin; b < end; ++b) {
-      runs += mt.segments[static_cast<size_t>(b)].size();
-    }
+  void RecoverMapperBucket(int map_index, MapTask& mt, int bucket, Fn&& fn) {
+    const uint64_t runs = mt.segments[static_cast<size_t>(bucket)].size();
     if (!recover_) {
       throw NonRetryableError(Status::IoError(
           "shuffle " + std::to_string(id_) + ": spill data of map task " +
@@ -829,9 +640,9 @@ class ShuffleService {
     }
     TraceSink* sink = ctx_->tracer().enabled() ? &ctx_->tracer() : nullptr;
     const int64_t start_us = sink != nullptr ? sink->NowMicros() : 0;
-    // Bucket-major regeneration buffer: preserves the exact per-bucket
-    // arrival order the segments+resident emission would have produced.
-    std::vector<std::vector<T>> regen(static_cast<size_t>(end - begin));
+    // Regenerate the whole bucket before emitting any of it, so a failed
+    // re-execution emits nothing.
+    std::vector<T> regen;
     try {
       // Serialized: two read tasks recovering the SAME map task would
       // re-execute its lineage concurrently, racing on any per-partition
@@ -841,9 +652,8 @@ class ShuffleService {
       // replays records the write stage already tallied, so letting the
       // chain's OpCounts land here would double-count logical dataflow.
       ScopedTaskTrace mask(nullptr);
-      recover_(map_index, begin, end, [&regen, begin](int b, const T& t) {
-        regen[static_cast<size_t>(b - begin)].push_back(t);
-      });
+      recover_(map_index, bucket,
+               [&regen](const T& t) { regen.push_back(t); });
     } catch (const NonRetryableError&) {
       throw;
     } catch (const std::exception& e) {
@@ -856,9 +666,7 @@ class ShuffleService {
       sink->Record({"spill recovery", "spill-recovery", CurrentTraceTid(),
                     start_us, sink->NowMicros() - start_us, map_index, 0});
     }
-    for (auto& bucket : regen) {
-      for (T& t : bucket) fn(std::move(t));
-    }
+    for (T& t : regen) fn(std::move(t));
   }
 
   /// Producer/consumer state of a pipelined exchange (see the pipelined
@@ -895,7 +703,7 @@ class ShuffleService {
   uint64_t spilled_runs_ = 0;
   std::atomic<uint64_t> recovered_runs_{0};
   RecoverFn recover_;
-  /// Serializes lineage re-execution (see RecoverMapperRange). Pure
+  /// Serializes lineage re-execution (see RecoverMapperBucket). Pure
   /// critical-section mutex: it guards the side effects of re-running
   /// lineage (per-partition user state), not any member of this class.
   Mutex recover_mu_;
@@ -904,88 +712,106 @@ class ShuffleService {
 
 namespace internal {
 
-/// Runs the shuffle-write stage of `input` into a fresh ShuffleService:
-/// one task per input partition streams the partition — executing any
-/// pending narrow chain inside the task — and sends each record to
-/// bucket `route(record)`. `route` must be a function of the record
-/// alone: a retried attempt and lineage recovery re-stream the
-/// partition and must send every record where the first attempt did.
-/// Annotates the stage record with the fused ops and the spill
-/// counters; a failed write stage poisons the service (write_status)
-/// and discards its spill files.
+/// The write side both exchanges share. Registers the lineage closure on
+/// `service`, then runs the shuffle-write stage of `input`: one task per
+/// input partition streams the partition — executing any pending narrow
+/// chain inside the task — sends each record to bucket `route(record)`,
+/// and ends its attempt with `commit(i)` (the pipelined exchange
+/// publishes the mapper there; a failed attempt never reaches it).
+/// `route` must be a function of the record alone: a retried attempt and
+/// lineage recovery re-stream the partition and must send every record
+/// where the first attempt did. `drain(status)` runs once the stage is
+/// over, before its totals are read (the pipelined exchange stops its
+/// readers there). The stage record is annotated with the fused ops
+/// (ending in `op`) and the spill counters and added to the job; a
+/// failed stage poisons the service (write_status) and discards its
+/// spill files. Returns the stage's status.
+template <typename T, typename Route, typename Commit, typename Drain>
+Status RunShuffleWrite(const Dataset<T>& input, ShuffleService<T>* service,
+                       const std::string& name, const std::string& op,
+                       Route route, Commit commit, Drain drain) {
+  Context* ctx = input.context();
+  // The retained lineage closure: holds the input handle (keeping its
+  // materialized partitions or pending chain alive for the shuffle's
+  // lifetime) so a corrupt or missing spill run can be regenerated at
+  // read time by re-running the owning map task. A pipelined reader
+  // only reads committed mappers, so re-streaming one is safe even while
+  // other map tasks are still writing.
+  service->SetRecovery([input, route](
+                           int m, int bucket,
+                           const std::function<void(const T&)>& collect) {
+    input.StreamPartition(m, [&](const T& t) {
+      if (route(t) == bucket) collect(t);
+    });
+  });
+  const std::string fused = input.pending_ops();
+  StageMetrics stage = ctx->RunStage(
+      name + "/shuffle-write", input.num_partitions(), [&](int i) {
+        // A retried attempt starts from a clean slate.
+        service->ResetMapTask(i);
+        // Deadline/cancel probe at record granularity: a long fused
+        // chain must notice a stop request without waiting for the
+        // stage barrier.
+        uint64_t probe = 0;
+        input.StreamPartition(i, [&](const T& t) {
+          if (((++probe) & 1023u) == 0 && ctx->StopRequested()) {
+            throw NonRetryableError(ctx->StopStatus());
+          }
+          service->Add(i, route(t), t);
+        });
+        commit(i);
+      });
+  drain(stage.status);
+  service->FinishWrite();
+  stage.fused_ops = fused.empty() ? op : fused + "+" + op;
+  stage.spilled_bytes = service->spilled_bytes();
+  stage.spilled_runs = service->spilled_runs();
+  for (uint64_t bucket : service->bucket_bytes()) {
+    stage.shuffle_bucket_bytes.Record(bucket);
+    ctx->telemetry().shuffle_bucket_bytes().Record(bucket);
+  }
+  stage.spill_segment_bytes.Merge(service->spill_segment_hist());
+  const Status status = stage.status;
+  if (!status.ok()) {
+    service->set_write_status(status);
+    service->DiscardSpills();
+  }
+  ctx->AddStage(std::move(stage));
+  return status;
+}
+
+/// Runs the barrier shuffle-write stage of `input` (RunShuffleWrite)
+/// into a fresh ShuffleService with `num_buckets` buckets. A failed
+/// input poisons the service without running a stage.
 template <typename T, typename Route>
 std::shared_ptr<ShuffleService<T>> ShuffleWrite(const Dataset<T>& input,
                                                 int num_buckets,
                                                 const std::string& name,
                                                 Route route) {
-  Context* ctx = input.context();
   auto service = std::make_shared<ShuffleService<T>>(
-      ctx, input.num_partitions(), num_buckets);
+      input.context(), input.num_partitions(), num_buckets);
   if (!input.status().ok()) {
     service->set_write_status(input.status());
     return service;
   }
-  // The retained lineage closure: holds the input handle (keeping its
-  // materialized partitions or pending chain alive for the shuffle's
-  // lifetime) so a corrupt or missing spill run can be regenerated at
-  // read time by re-running the owning map task.
-  service->SetRecovery(
-      [input, route](int m, int begin, int end,
-                     const std::function<void(int, const T&)>& collect) {
-        input.StreamPartition(m, [&](const T& t) {
-          const int b = route(t);
-          if (b >= begin && b < end) collect(b, t);
-        });
-      });
-  const std::string fused = input.pending_ops();
-  StageMetrics write_stage =
-      ctx->RunStage(name + "/shuffle-write", input.num_partitions(),
-                    [&](int i) {
-                      // A retried attempt starts from a clean slate.
-                      service->ResetMapTask(i);
-                      // Deadline/cancel probe at record granularity: a
-                      // long fused chain must notice a stop request
-                      // without waiting for the stage barrier.
-                      uint64_t probe = 0;
-                      input.StreamPartition(i, [&](const T& t) {
-                        if (((++probe) & 1023u) == 0 && ctx->StopRequested()) {
-                          throw NonRetryableError(ctx->StopStatus());
-                        }
-                        service->Add(i, route(t), t);
-                      });
-                    });
-  service->FinishWrite();
-  write_stage.fused_ops =
-      fused.empty() ? "shuffleWrite" : fused + "+shuffleWrite";
-  write_stage.spilled_bytes = service->spilled_bytes();
-  write_stage.spilled_runs = service->spilled_runs();
-  for (uint64_t bucket : service->bucket_bytes()) {
-    write_stage.shuffle_bucket_bytes.Record(bucket);
-    ctx->telemetry().shuffle_bucket_bytes().Record(bucket);
-  }
-  write_stage.spill_segment_bytes.Merge(service->spill_segment_hist());
-  if (!write_stage.status.ok()) {
-    service->set_write_status(write_stage.status);
-    service->DiscardSpills();
-  }
-  ctx->AddStage(std::move(write_stage));
+  RunShuffleWrite(input, service.get(), name, "shuffleWrite", route,
+                  [](int) {}, [](const Status&) {});
   return service;
 }
 
-/// Runs the shuffle-read stage: one task per coalesced range streams its
-/// buckets out of the service (merging spilled runs with resident data,
-/// verifying checksums, recovering corrupt runs from lineage) into an
-/// output partition. Shuffle volume is counted inside the read tasks
-/// while they consume — no post-hoc rescan of the output. A failed
-/// write stage, or a failed read task, surfaces through `*out_status`
-/// (the returned partitions are then empty/partial and the caller
-/// poisons its dataset).
+/// Runs the shuffle-read stage: read task p streams bucket p out of the
+/// service (merging spilled runs with resident data, verifying
+/// checksums, recovering corrupt runs from lineage) into output
+/// partition p. Shuffle volume is counted inside the read tasks while
+/// they consume — no post-hoc rescan of the output. A failed write
+/// stage, or a failed read task, surfaces through `*out_status` (the
+/// returned partitions are then empty/partial and the caller poisons its
+/// dataset).
 template <typename T>
 std::shared_ptr<const std::vector<std::vector<T>>> ShuffleRead(
-    Context* ctx, ShuffleService<T>* service, const PartitionRanges& ranges,
-    const std::string& name, Status* out_status,
-    const typename ShuffleService<T>::RefineFn& refine = nullptr) {
-  const int num_out = ranges.NumPartitions();
+    Context* ctx, ShuffleService<T>* service, const std::string& name,
+    Status* out_status) {
+  const int num_out = service->num_buckets();
   auto out =
       std::make_shared<std::vector<std::vector<T>>>(
           static_cast<size_t>(num_out));
@@ -993,12 +819,6 @@ std::shared_ptr<const std::vector<std::vector<T>>> ShuffleRead(
     if (out_status != nullptr) *out_status = service->write_status();
     return out;
   }
-  // Skew-split ranges need the slice-refinement hash; preslicing the
-  // resident records happens here on the driver, BEFORE the concurrent
-  // read tasks start (slice tasks must never carve up a shared bucket
-  // while sibling tasks are moving records out of it).
-  RANKJOIN_CHECK(!ranges.HasSplits() || refine != nullptr);
-  if (ranges.HasSplits()) service->PresliceBuckets(ranges, refine);
   std::vector<uint64_t> task_records(static_cast<size_t>(num_out), 0);
   std::vector<uint64_t> task_bytes(static_cast<size_t>(num_out), 0);
   TraceSink* sink = ctx->tracer().enabled() ? &ctx->tracer() : nullptr;
@@ -1009,8 +829,7 @@ std::shared_ptr<const std::vector<std::vector<T>>> ShuffleRead(
         // body runs, so a retried attempt re-enters here with nothing
         // consumed — but keep the slate clean regardless.
         dest.clear();
-        dest.reserve(service->RecordsInRange(ranges.begin(p), ranges.end(p)) /
-                     static_cast<uint64_t>(ranges.slices(p)));
+        dest.reserve(service->RecordsInBucket(p));
         uint64_t records = 0;
         uint64_t bytes = 0;
         const int64_t start_us = sink != nullptr ? sink->NowMicros() : 0;
@@ -1027,26 +846,20 @@ std::shared_ptr<const std::vector<std::vector<T>>> ShuffleRead(
               " failed after consuming shuffle data (not retryable): " +
               what));
         };
-        const auto emit = [&](T&& record) {
-          consumed = true;
-          bytes += ShuffleRecordBytes(record);
-          dest.push_back(std::move(record));
-          // Deadline/cancel probe; NonRetryableError passes through the
-          // catch blocks below unchanged, so the structured stop Status
-          // (kDeadlineExceeded / kCancelled) survives to the driver.
-          if (((++records) & 1023u) == 0 && ctx->StopRequested()) {
-            throw NonRetryableError(ctx->StopStatus());
-          }
-        };
         try {
-          if (ranges.slices(p) > 1) {
-            service->ReadBucketSlice(ranges.begin(p), ranges.slice(p),
-                                     ranges.slices(p), refine, emit);
-          } else {
-            service->ReadRange(ranges.begin(p), ranges.end(p), emit);
-          }
+          service->ReadBucket(p, [&](T&& record) {
+            consumed = true;
+            bytes += ShuffleRecordBytes(record);
+            dest.push_back(std::move(record));
+            // Deadline/cancel probe; NonRetryableError passes through the
+            // catch blocks below unchanged, so the structured stop Status
+            // (kDeadlineExceeded / kCancelled) survives to the driver.
+            if (((++records) & 1023u) == 0 && ctx->StopRequested()) {
+              throw NonRetryableError(ctx->StopStatus());
+            }
+          });
           if (sink != nullptr) {
-            sink->Record({name + "/read-range", "shuffle-read",
+            sink->Record({name + "/read-bucket", "shuffle-read",
                           CurrentTraceTid(), start_us,
                           sink->NowMicros() - start_us, p, 0});
           }
@@ -1078,9 +891,6 @@ std::shared_ptr<const std::vector<std::vector<T>>> ShuffleRead(
   }
   read_stage.materialized_elements = read_stage.shuffle_records;
   read_stage.materialized_bytes = read_stage.shuffle_bytes;
-  read_stage.coalesced_partitions =
-      static_cast<uint64_t>(ranges.CoalescedAway());
-  read_stage.split_partitions = static_cast<uint64_t>(ranges.SplitAdded());
   read_stage.recovered_spill_runs = service->recovered_runs();
   if (!read_stage.status.ok()) {
     if (out_status != nullptr) *out_status = read_stage.status;
@@ -1098,12 +908,11 @@ std::shared_ptr<const std::vector<std::vector<T>>> ShuffleRead(
 /// output bucket consumes mappers as they arrive — repartitioning and
 /// downstream local work overlap instead of serializing at the barrier.
 /// Output partitions are byte-identical to the barrier path's (same
-/// mapper-major order per bucket); adaptive coalescing does not apply —
-/// ranges are always identity, one reader per bucket. `route` is as in
-/// ShuffleWrite. Readers are single-attempt: a reader failure aborts the
-/// exchange (it could never be retried anyway — consumption is
-/// destructive), as does a failed write stage; either way *out_status
-/// carries the first error and the returned partitions are empty.
+/// mapper-major order per bucket). `route` is as in RunShuffleWrite.
+/// Readers are single-attempt: a reader failure aborts the exchange (it
+/// could never be retried anyway — consumption is destructive), as does
+/// a failed write stage; either way *out_status carries the first error
+/// and the returned partitions are empty.
 template <typename T, typename Route>
 std::shared_ptr<const std::vector<std::vector<T>>> PipelinedExchange(
     const Dataset<T>& input, int num_buckets, const std::string& name,
@@ -1117,20 +926,8 @@ std::shared_ptr<const std::vector<std::vector<T>>> PipelinedExchange(
     if (out_status != nullptr) *out_status = input.status();
     return out;
   }
-  // Same lineage closure as the barrier path: a corrupt spill run read
-  // by a pipelined reader regenerates from the input (the owning mapper
-  // has already committed, so re-streaming its partition is safe even
-  // while other map tasks are still writing).
-  service->SetRecovery(
-      [input, route](int m, int begin, int end,
-                     const std::function<void(int, const T&)>& collect) {
-        input.StreamPartition(m, [&](const T& t) {
-          const int b = route(t);
-          if (b >= begin && b < end) collect(b, t);
-        });
-      });
   const int num_mappers = input.num_partitions();
-  service->BeginPipelined(num_buckets, ctx->pipelined_queue_depth());
+  service->BeginPipelined(num_buckets, ctx->pipelined_window());
 
   std::vector<Status> reader_status(static_cast<size_t>(num_buckets));
   std::vector<double> reader_seconds(static_cast<size_t>(num_buckets), 0.0);
@@ -1149,7 +946,7 @@ std::shared_ptr<const std::vector<std::vector<T>>> PipelinedExchange(
       try {
         for (int m = 0; m < num_mappers; ++m) {
           if (!service->AwaitMapperCommitted(m)) return;
-          service->ReadMapperRange(m, p, p + 1, [&](T&& record) {
+          service->ReadMapperBucket(m, p, [&](T&& record) {
             bytes += ShuffleRecordBytes(record);
             dest.push_back(std::move(record));
             // Deadline/cancel probe: a stopped job aborts the exchange
@@ -1163,7 +960,7 @@ std::shared_ptr<const std::vector<std::vector<T>>> PipelinedExchange(
         task_records[static_cast<size_t>(p)] = records;
         task_bytes[static_cast<size_t>(p)] = bytes;
         if (sink != nullptr) {
-          sink->Record({name + "/read-range", "shuffle-read",
+          sink->Record({name + "/read-bucket", "shuffle-read",
                         CurrentTraceTid(), start_us,
                         sink->NowMicros() - start_us, p, 0});
         }
@@ -1190,47 +987,15 @@ std::shared_ptr<const std::vector<std::vector<T>>> PipelinedExchange(
     });
   }
 
-  const std::string fused = input.pending_ops();
-  StageMetrics write_stage =
-      ctx->RunStage(name + "/shuffle-write", num_mappers, [&](int i) {
-        // A retried attempt starts from a clean slate; only a fully
-        // successful attempt publishes.
-        service->ResetMapTask(i);
-        uint64_t probe = 0;
-        input.StreamPartition(i, [&](const T& t) {
-          // Deadline/cancel probe (see the barrier write stage above).
-          if (((++probe) & 1023u) == 0 && ctx->StopRequested()) {
-            throw NonRetryableError(ctx->StopStatus());
-          }
-          service->Add(i, route(t), t);
-        });
-        service->PublishMapTask(i);
+  Status failure = RunShuffleWrite(
+      input, service.get(), name, "shuffleWrite(pipelined)", route,
+      [&](int i) { service->PublishMapTask(i); },
+      [&](const Status& status) {
+        // Mappers owned by failed/cancelled tasks will never commit;
+        // wake the readers waiting on them.
+        if (!status.ok()) service->AbortPipelined(status);
+        for (std::thread& reader : readers) reader.join();
       });
-  if (!write_stage.status.ok()) {
-    // Mappers owned by failed/cancelled tasks will never commit; wake
-    // the readers waiting on them.
-    service->AbortPipelined(write_stage.status);
-  }
-  for (std::thread& reader : readers) reader.join();
-  // Totals the per-task accounting (spill handles are already closed by
-  // the publishes; FinishWrites is idempotent).
-  service->FinishWrite();
-  write_stage.fused_ops = fused.empty()
-                              ? "shuffleWrite(pipelined)"
-                              : fused + "+shuffleWrite(pipelined)";
-  write_stage.spilled_bytes = service->spilled_bytes();
-  write_stage.spilled_runs = service->spilled_runs();
-  for (uint64_t bucket : service->bucket_bytes()) {
-    write_stage.shuffle_bucket_bytes.Record(bucket);
-    ctx->telemetry().shuffle_bucket_bytes().Record(bucket);
-  }
-  write_stage.spill_segment_bytes.Merge(service->spill_segment_hist());
-  if (!write_stage.status.ok()) {
-    service->set_write_status(write_stage.status);
-    service->DiscardSpills();
-  }
-  Status failure = write_stage.status;
-  ctx->AddStage(std::move(write_stage));
 
   // The read side ran on dedicated threads, not through RunStage —
   // hand-build its stage record so metrics consumers see the usual

@@ -1,6 +1,7 @@
 #ifndef RANKJOIN_RANKING_REORDER_H_
 #define RANKJOIN_RANKING_REORDER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -33,6 +34,14 @@ class ItemOrder {
  private:
   std::unordered_map<ItemId, uint64_t> position_;
 };
+
+/// The order's driver-side size, the entries of its position table, so
+/// MS003 sees the broadcast's real footprint (found by
+/// argument-dependent lookup in minispark::Context::MakeBroadcast).
+inline size_t ApproxSize(const ItemOrder& order) {
+  return sizeof(ItemOrder) +
+         order.num_items() * (sizeof(ItemId) + sizeof(uint64_t));
+}
 
 /// Counts how many rankings each item appears in.
 std::unordered_map<ItemId, uint32_t> CountItemFrequencies(

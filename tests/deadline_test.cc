@@ -248,19 +248,14 @@ TEST(EnvOverrideTest, NumericOverridesAreWholeDecimalsInRange) {
   ScopedEnv port{"RANKJOIN_STATS_PORT", nullptr};
   Context::Options options = TestCluster();
   options.shuffle_memory_budget_bytes = 123;
-  options.split_partition_bytes = 456;
   for (const char* bad : {"4k", "80x", "-1", "", " 7", "+7", "0x10", "1e3",
                           "18446744073709551616"}) {
     ScopedEnv budget{"RANKJOIN_SHUFFLE_BUDGET_BYTES", bad};
-    ScopedEnv split{"RANKJOIN_SPLIT_PARTITION_BYTES", bad};
     testing::internal::CaptureStderr();
     Context ctx(options);
     const std::string log = testing::internal::GetCapturedStderr();
     EXPECT_EQ(ctx.shuffle_memory_budget_bytes(), 123u) << "'" << bad << "'";
-    EXPECT_EQ(ctx.split_partition_bytes(), 456u) << "'" << bad << "'";
     EXPECT_NE(log.find("RANKJOIN_SHUFFLE_BUDGET_BYTES"), std::string::npos)
-        << log;
-    EXPECT_NE(log.find("RANKJOIN_SPLIT_PARTITION_BYTES"), std::string::npos)
         << log;
   }
   for (const char* bad : {"80x", "65536", "-1", "8080 "}) {
@@ -271,12 +266,15 @@ TEST(EnvOverrideTest, NumericOverridesAreWholeDecimalsInRange) {
     EXPECT_EQ(ctx.stats_port(), -1) << "'" << bad << "'";  // still off
     EXPECT_NE(log.find("RANKJOIN_STATS_PORT"), std::string::npos) << log;
   }
-  ScopedEnv budget{"RANKJOIN_SHUFFLE_BUDGET_BYTES", "4096"};
-  ScopedEnv split{"RANKJOIN_SPLIT_PARTITION_BYTES", "18446744073709551615"};
-  Context ctx(options);
-  EXPECT_EQ(ctx.shuffle_memory_budget_bytes(), 4096u);
-  EXPECT_EQ(ctx.split_partition_bytes(), UINT64_MAX);
-  ExpectSmallJobCompletes(&ctx);
+  for (const auto& [text, value] :
+       {std::pair<const char*, uint64_t>{"4096", 4096},
+        std::pair<const char*, uint64_t>{"18446744073709551615",
+                                         UINT64_MAX}}) {
+    ScopedEnv budget{"RANKJOIN_SHUFFLE_BUDGET_BYTES", text};
+    Context ctx(options);
+    EXPECT_EQ(ctx.shuffle_memory_budget_bytes(), value) << text;
+    ExpectSmallJobCompletes(&ctx);
+  }
 }
 
 TEST(EnvOverrideTest, SpelledOverridesAcceptOnlyTheirSpellings) {

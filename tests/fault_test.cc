@@ -369,11 +369,9 @@ std::shared_ptr<ShuffleService<IntPair>> WriteTestShuffle(Context* ctx,
 }
 
 std::multiset<IntPair> ReadAll(Context* ctx,
-                               ShuffleService<IntPair>* service, int buckets,
+                               ShuffleService<IntPair>* service,
                                Status* status) {
-  auto parts = internal::ShuffleRead(ctx, service,
-                                     PartitionRanges::Identity(buckets), "t",
-                                     status);
+  auto parts = internal::ShuffleRead(ctx, service, "t", status);
   std::multiset<IntPair> out;
   for (const auto& p : *parts) out.insert(p.begin(), p.end());
   return out;
@@ -389,7 +387,7 @@ TEST(SpillRecoveryTest, DeletedSpillFilesRegenerateFromLineage) {
   auto expected_service = WriteTestShuffle(&ctx, buckets);
   Status clean_status;
   const auto expected =
-      ReadAll(&ctx, expected_service.get(), buckets, &clean_status);
+      ReadAll(&ctx, expected_service.get(), &clean_status);
   ASSERT_TRUE(clean_status.ok());
   ASSERT_EQ(expected.size(), 400u);
 
@@ -399,7 +397,7 @@ TEST(SpillRecoveryTest, DeletedSpillFilesRegenerateFromLineage) {
     std::filesystem::remove(path);
   }
   Status status;
-  const auto recovered = ReadAll(&ctx, service.get(), buckets, &status);
+  const auto recovered = ReadAll(&ctx, service.get(), &status);
   EXPECT_TRUE(status.ok()) << status;
   EXPECT_EQ(recovered, expected);
   EXPECT_GT(service->recovered_runs(), 0u);
@@ -428,7 +426,7 @@ TEST(SpillRecoveryTest, ExternallyCorruptedRunFailsCrcAndRegenerates) {
     file.write(&byte, 1);
   }
   Status status;
-  const auto recovered = ReadAll(&ctx, service.get(), buckets, &status);
+  const auto recovered = ReadAll(&ctx, service.get(), &status);
   EXPECT_TRUE(status.ok()) << status;
   EXPECT_EQ(recovered.size(), 400u);
   EXPECT_GT(service->recovered_runs(), 0u);
@@ -474,8 +472,7 @@ TEST(SpillRecoveryTest, NoRecoveryRegisteredIsNonRetryable) {
   for (const std::string& path : service.spill_paths()) {
     std::filesystem::remove(path);
   }
-  EXPECT_THROW(service.ReadRange(0, 2, [](IntPair&&) {}),
-               NonRetryableError);
+  EXPECT_THROW(service.ReadBucket(0, [](IntPair&&) {}), NonRetryableError);
 }
 
 TEST(SpillRecoveryTest, MidConsumptionReadFailureIsNotRetried) {
@@ -499,37 +496,38 @@ TEST(SpillRecoveryTest, MidConsumptionReadFailureIsNotRetried) {
   // be permanent.
   FlakyRecord::throw_at_value = 42;
   Status status;
-  internal::ShuffleRead(&ctx, service.get(), PartitionRanges::Identity(4),
-                        "t", &status);
+  internal::ShuffleRead(&ctx, service.get(), "t", &status);
   EXPECT_EQ(FlakyRecord::throw_at_value, -1);  // it did throw
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("not retryable"), std::string::npos);
   EXPECT_EQ(ctx.counters().Value("fault.task.retried"), 0u);
 }
 
-TEST(SpillRecoveryTest, RangeLargerThanReadBufferCapRoundTrips) {
+TEST(SpillRecoveryTest, BucketLargerThanReadBufferCapRoundTrips) {
   PinnedEnv env;
   Context::Options options = TestCluster();
   options.shuffle_memory_budget_bytes = 1;  // spill everything
   Context ctx(options);
   ShuffleService<std::string> service(&ctx, 1, 4);
-  // ~2 MiB of spilled payload — beyond the validation-pass buffering
-  // cap, so the emit pass must re-read (and re-verify) the overflow
-  // segments instead of holding the whole range in memory.
+  // ~2 MiB of spilled payload in ONE bucket — beyond the
+  // validation-pass buffering cap, so the emit pass must re-read (and
+  // re-verify) the overflow segments instead of holding the whole
+  // bucket in memory. Every fourth record goes to bucket 3.
   const std::string chunk(4096, 'x');
-  constexpr int kRecords = 512;
+  constexpr int kRecords = 640;
   for (int i = 0; i < kRecords; ++i) {
-    service.Add(0, i % 4, chunk + std::to_string(i));
+    service.Add(0, i % 4 == 0 ? 3 : 2, chunk + std::to_string(i));
   }
   service.FinishWrite();
-  ASSERT_GT(service.spilled_bytes(), uint64_t{1} << 20);
+  ASSERT_GT(service.bucket_bytes()[2], uint64_t{1} << 20);
   std::vector<std::string> got;
-  service.ReadRange(0, 4,
-                    [&](std::string&& s) { got.push_back(std::move(s)); });
-  ASSERT_EQ(got.size(), static_cast<size_t>(kRecords));
-  std::multiset<std::string> expect;
-  for (int i = 0; i < kRecords; ++i) expect.insert(chunk + std::to_string(i));
-  EXPECT_EQ(std::multiset<std::string>(got.begin(), got.end()), expect);
+  service.ReadBucket(2, [&](std::string&& s) { got.push_back(std::move(s)); });
+  std::vector<std::string> expect;
+  for (int i = 0; i < kRecords; ++i) {
+    if (i % 4 != 0) expect.push_back(chunk + std::to_string(i));
+  }
+  // Arrival order, across the re-read segments too.
+  EXPECT_EQ(got, expect);
 }
 
 TEST(SpillRecoveryTest, UnwritableSpillDirDegradesToResident) {

@@ -557,9 +557,9 @@ TEST(FuzzReferenceTest, ClusterJoinsMatchBruteForceSeeded) {
 /// compared with brute force. A case draws the algorithm (VJ, VJ-NL,
 /// CL, CL-P, V-SMART and auto through RunSimilarityJoin, the R-S join,
 /// Jaccard VJ) and the engine: fused or eager narrow ops, pipelined or
-/// barrier stages, the shuffle budget (resident, 1 byte, 4 KiB), skew
-/// splitting, coalescing, seeded chaos, workers and partitions. The
-/// RANKJOIN_* env is pinned, so CI's env jobs cannot override the draw.
+/// barrier stages, the shuffle budget (resident, 1 byte, 4 KiB), seeded
+/// chaos, workers and partitions. The RANKJOIN_* env is pinned, so CI's
+/// env jobs cannot override the draw.
 TEST(FuzzReferenceTest, JoinsMatchBruteForceAcrossEngineConfigsSeeded) {
   testutil::PinnedEnv pinned;
   constexpr int kCases = 500;
@@ -592,8 +592,6 @@ TEST(FuzzReferenceTest, JoinsMatchBruteForceAcrossEngineConfigsSeeded) {
     options.pipelined_stages = rng.Bernoulli(0.5);
     options.shuffle_memory_budget_bytes =
         budgets[rng.Uniform(std::size(budgets))];
-    options.split_partition_bytes = rng.Bernoulli(0.5) ? 4096 : 0;
-    options.target_partition_bytes = rng.Bernoulli(0.5) ? 1 << 20 : 0;
     if (rng.Bernoulli(0.5)) {
       options.fault_spec =
           "task_throw:p=0.05;spill_corrupt:p=0.2;seed=" + std::to_string(c);
@@ -610,9 +608,7 @@ TEST(FuzzReferenceTest, JoinsMatchBruteForceAcrossEngineConfigsSeeded) {
              << " partitions=" << partitions
              << " fused=" << options.fuse_narrow_ops
              << " pipelined=" << options.pipelined_stages
-             << " budget=" << options.shuffle_memory_budget_bytes
-             << " split=" << options.split_partition_bytes
-             << " target=" << options.target_partition_bytes << " fault='"
+             << " budget=" << options.shuffle_memory_budget_bytes << " fault='"
              << options.fault_spec << "'";
     SCOPED_TRACE(describe.str());
 

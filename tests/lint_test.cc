@@ -1,10 +1,10 @@
 // Plan-linter tests (minispark/lint.h): one fixture per diagnostic
-// code MS001..MS006 (each triggers exactly once, and the fixed variant
-// of the same plan is clean), level parsing and the RANKJOIN_LINT_LEVEL
-// env override, Collect()-time warn/error behavior including the
-// error-mode abort, lint-clean assertions for every production join
-// pipeline, and a regression test that ExplainDot() output with
-// diagnostics embedded stays valid DOT.
+// code MS001..MS005 and MS007 (MS006 is retired; each triggers exactly
+// once, and the fixed variant of the same plan is clean), level parsing
+// and the RANKJOIN_LINT_LEVEL env override, Collect()-time warn/error
+// behavior including the error-mode abort, lint-clean assertions for
+// every production join pipeline, and a regression test that
+// ExplainDot() output with diagnostics embedded stays valid DOT.
 
 #include "minispark/lint.h"
 
@@ -21,6 +21,7 @@
 #include "join/rs_join.h"
 #include "minispark/dataset.h"
 #include "minispark/serde.h"
+#include "ranking/reorder.h"
 #include "test_util.h"
 #include "tests/test_util.h"
 
@@ -259,6 +260,29 @@ TEST(LintCheckTest, Ms003SeesTheClusterIndex) {
   EXPECT_TRUE(flagged) << FormatLintDiagnostics(ctx.lint_report());
 }
 
+TEST(LintCheckTest, Ms003SeesTheItemOrder) {
+  // VJ broadcasts the item order as 12 bytes per item (4-byte id, 8-byte
+  // position), so a limit above sizeof(ItemOrder) but below the entries
+  // of a few hundred items flags it.
+  ScopedEnv env("RANKJOIN_LINT_LEVEL", nullptr);
+  Context::Options options = LintCluster(LintLevel::kWarn);
+  options.lint_broadcast_max_bytes = 256;
+  ASSERT_GT(options.lint_broadcast_max_bytes, sizeof(rankjoin::ItemOrder));
+  Context ctx(options);
+  SimilarityJoinConfig config;
+  config.algorithm = Algorithm::kVJ;
+  config.theta = 0.3;
+  ASSERT_TRUE(
+      RunSimilarityJoin(&ctx, testutil::SmallSkewedDataset(1, 200), config)
+          .ok());
+  bool flagged = false;
+  for (const LintDiagnostic& d : ctx.lint_report()) {
+    flagged |= d.code == "MS003" &&
+               d.location.find("vj/itemOrder") != std::string::npos;
+  }
+  EXPECT_TRUE(flagged) << FormatLintDiagnostics(ctx.lint_report());
+}
+
 /// A shuffle record type deliberately outside every Serde<T>
 /// specialization: not trivially copyable (std::string member) and not
 /// one of the covered composite shapes.
@@ -331,43 +355,6 @@ TEST(LintCheckTest, Ms005BarrierRebuiltInLoop) {
   EXPECT_EQ(Only(LintPlan(strict.plan_node().get(), settings), "MS005")
                 .size(),
             1u);
-}
-
-TEST(LintCheckTest, Ms006OversizedUnsplitShuffleBucket) {
-  // Splitting disabled (split_partition_bytes = 0): the skewed shuffle
-  // materializes one oversized bucket and records it on the plan node
-  // without slice tasks. Linting with a tiny threshold flags it. The
-  // env overrides are pinned: CI's adaptive job would otherwise enable
-  // splitting, and its pipelined job pipelined stages (whose exchanges
-  // report no bucket bytes), and either would silence the diagnostic.
-  ScopedEnv split_env("RANKJOIN_SPLIT_PARTITION_BYTES", nullptr);
-  ScopedEnv pipelined_env("RANKJOIN_PIPELINED_STAGES", nullptr);
-  Context::Options options = LintCluster();
-  options.pipelined_stages = false;
-  Context ctx(options);
-  std::vector<Kv> skewed(64, Kv{1, 1});  // every record on one key
-  auto grouped = PartitionByKey(Parallelize(&ctx, skewed, 4), 8,
-                                "fixture/skewedShuffle");
-  EXPECT_EQ(grouped.Count(), 64u);
-  LintSettings settings = ctx.lint_settings();
-  settings.split_partition_bytes = 64;
-  std::vector<LintDiagnostic> diags =
-      Only(LintPlan(grouped.plan_node().get(), settings), "MS006");
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].severity, LintSeverity::kWarning);
-  EXPECT_NE(diags[0].location.find("fixture/skewedShuffle"),
-            std::string::npos);
-
-  // With runtime splitting enabled the same plan adds slice tasks and
-  // the check stays quiet.
-  Context::Options split_options = options;
-  split_options.split_partition_bytes = 64;
-  Context split_ctx(split_options);
-  auto split_grouped =
-      PartitionByKey(Parallelize(&split_ctx, skewed, 4), 8,
-                     "fixture/skewedShuffle");
-  EXPECT_EQ(split_grouped.Count(), 64u);
-  EXPECT_TRUE(Only(split_grouped.Lint(), "MS006").empty());
 }
 
 TEST(LintCollectTest, WarnModeRecordsAndDeduplicates) {

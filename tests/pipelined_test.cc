@@ -211,10 +211,7 @@ TEST(PipelinedOptionsTest, QueueDepthResolvesToWorkerFloor) {
   Context::Options options = TestCluster(/*workers=*/2);
   options.pipelined_stages = true;
   Context ctx(options);
-  EXPECT_GE(ctx.pipelined_queue_depth(), 4);  // max(4, num_workers)
-  options.pipelined_queue_depth = 9;
-  Context explicit_ctx(options);
-  EXPECT_EQ(explicit_ctx.pipelined_queue_depth(), 9);
+  EXPECT_EQ(ctx.pipelined_window(), 4);  // max(4, num_workers)
 }
 
 }  // namespace

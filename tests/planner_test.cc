@@ -37,7 +37,6 @@ using testutil::Truth;
 
 /// Pins the env knobs that change engine behavior mid-suite.
 struct PinnedEnv {
-  ScopedEnv split{"RANKJOIN_SPLIT_PARTITION_BYTES", nullptr};
   ScopedEnv fault{"RANKJOIN_FAULT_SPEC", nullptr};
   ScopedEnv budget{"RANKJOIN_SHUFFLE_BUDGET_BYTES", nullptr};
   ScopedEnv trace{"RANKJOIN_TRACE_LEVEL", nullptr};
@@ -288,52 +287,7 @@ TEST(PlannerExecutionTest, AutoMatchesExplicitAndTruth) {
 }
 
 // ---------------------------------------------------------------------
-// Runtime skew splitting: split == unsplit identical results, with and
-// without chaos injection; the adaptive CL -> CL-P upgrade.
-
-TEST(SkewSplitTest, SplitAndUnsplitRunsAgreeOnPairs) {
-  PinnedEnv pinned;
-  const RankingDataset data = SmallSkewedDataset(31, 500);
-  SimilarityJoinConfig config;
-  config.algorithm = Algorithm::kVJ;
-  config.theta = 0.25;
-
-  Context plain_ctx(TestCluster());
-  auto plain = RunSimilarityJoin(&plain_ctx, data, config);
-  ASSERT_TRUE(plain.ok());
-
-  // A tiny threshold forces every hash-keyed shuffle bucket to split.
-  ScopedEnv split("RANKJOIN_SPLIT_PARTITION_BYTES", "256");
-  Context split_ctx(TestCluster());
-  auto split_result = RunSimilarityJoin(&split_ctx, data, config);
-  ASSERT_TRUE(split_result.ok());
-  EXPECT_GT(split_ctx.metrics().TotalSplitPartitions(), 0);
-
-  EXPECT_EQ(PairSet(plain->pairs), PairSet(split_result->pairs));
-  EXPECT_EQ(PairSet(plain->pairs), Truth(data, 0.25));
-}
-
-TEST(SkewSplitTest, SplitSurvivesChaosInjection) {
-  PinnedEnv pinned;
-  const RankingDataset data = SmallSkewedDataset(33, 400);
-  SimilarityJoinConfig config;
-  config.algorithm = Algorithm::kCL;
-  config.theta = 0.2;
-  config.theta_c = 0.05;
-
-  Context plain_ctx(TestCluster());
-  auto plain = RunSimilarityJoin(&plain_ctx, data, config);
-  ASSERT_TRUE(plain.ok());
-
-  ScopedEnv split("RANKJOIN_SPLIT_PARTITION_BYTES", "512");
-  ScopedEnv budget("RANKJOIN_SHUFFLE_BUDGET_BYTES", "4096");
-  ScopedEnv fault("RANKJOIN_FAULT_SPEC",
-                  "task_throw:p=0.05;spill_corrupt:p=0.1;seed=7");
-  Context chaos_ctx(TestCluster());
-  auto chaos = RunSimilarityJoin(&chaos_ctx, data, config);
-  ASSERT_TRUE(chaos.ok()) << chaos.status().ToString();
-  EXPECT_EQ(PairSet(plain->pairs), PairSet(chaos->pairs));
-}
+// The adaptive CL -> CL-P upgrade on measured posting-list skew.
 
 TEST(SkewSplitTest, AdaptiveClUpgradesOnMeasuredSkew) {
   PinnedEnv pinned;

@@ -120,35 +120,23 @@ TEST(RepartitionTest, HugeDeltaSplitsNothing) {
   GroupsFixture fx(403);
   minispark::Context ctx(TestCluster());
   JoinStats stats;
-  JoinGroupsWithRepartitioning(fx.MakeDataset(&ctx), 1u << 30, 8,
-                               fx.JoinFn(), fx.RsFn(), &stats);
+  JoinStats plain;
+  const std::set<ResultPair> expected =
+      Dedup(JoinGroups(fx.MakeDataset(&ctx), fx.JoinFn(), &plain).Collect());
+  ctx.metrics().Clear();
+  const std::set<ResultPair> got = Dedup(
+      JoinGroupsWithRepartitioning(fx.MakeDataset(&ctx), 1u << 30, 8,
+                                   fx.JoinFn(), fx.RsFn(), &stats)
+          .Collect());
   EXPECT_EQ(stats.lists_repartitioned, 0u);
   EXPECT_EQ(stats.chunk_pair_joins, 0u);
-}
-
-TEST(RepartitionTest, RuntimeSkewSplitKeepsChunkStats) {
-  // Runtime skew splitting can give the chunk spread more partitions
-  // than it asked for; the stats of every partition must still count.
-  testutil::ScopedEnv split_env("RANKJOIN_SPLIT_PARTITION_BYTES", nullptr);
-  testutil::ScopedEnv barrier_env("RANKJOIN_PIPELINED_STAGES", nullptr);
-  GroupsFixture fx(405);
-  minispark::Context plain_ctx(TestCluster());
-  minispark::Context::Options split_options = TestCluster();
-  split_options.split_partition_bytes = 64;
-  minispark::Context split_ctx(split_options);
-  JoinStats plain, split;
-  const std::set<ResultPair> expected =
-      Dedup(JoinGroupsWithRepartitioning(fx.MakeDataset(&plain_ctx), 2, 8,
-                                         fx.JoinFn(), fx.RsFn(), &plain)
-                .Collect());
-  const std::set<ResultPair> got =
-      Dedup(JoinGroupsWithRepartitioning(fx.MakeDataset(&split_ctx), 2, 8,
-                                         fx.JoinFn(), fx.RsFn(), &split)
-                .Collect());
-  EXPECT_GT(split_ctx.metrics().TotalSplitPartitions(), 0u);
   EXPECT_EQ(got, expected);
-  EXPECT_EQ(split.candidates, plain.candidates);
-  EXPECT_EQ(split.verified, plain.verified);
+  EXPECT_EQ(stats.candidates, plain.candidates);
+  // With no list over delta, the split, spread and chunk-join stages do
+  // not run at all.
+  for (const auto& stage : ctx.metrics().stages()) {
+    EXPECT_NE(stage.name.rfind("repartition/", 0), 0u) << stage.name;
+  }
 }
 
 TEST(RepartitionTest, ChunkPairCountMatchesFormula) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,8 +16,6 @@
 namespace rankjoin::minispark {
 namespace {
 
-using rankjoin::testutil::PairSet;
-using rankjoin::testutil::ScopedEnv;
 using rankjoin::testutil::SmallSkewedDataset;
 using rankjoin::testutil::TestCluster;
 
@@ -98,81 +95,6 @@ TEST(SerdeTest, ConcatenatedRecordsDecodeInOrder) {
     EXPECT_EQ(got, expected);
   }
   EXPECT_EQ(p, end);
-}
-
-// ---------------------------------------------------------------------
-// PartitionRanges coalescing invariants
-// ---------------------------------------------------------------------
-
-/// Checks the structural invariants every range view must satisfy:
-/// ranges are contiguous, non-empty, and cover all buckets exactly once.
-void CheckCoversAllBuckets(const PartitionRanges& ranges, int num_buckets) {
-  ASSERT_EQ(ranges.num_buckets(), num_buckets);
-  int expected_begin = 0;
-  for (int p = 0; p < ranges.NumPartitions(); ++p) {
-    EXPECT_EQ(ranges.begin(p), expected_begin);
-    EXPECT_LT(ranges.begin(p), ranges.end(p));  // never empty
-    expected_begin = ranges.end(p);
-  }
-  EXPECT_EQ(expected_begin, num_buckets);
-}
-
-TEST(PartitionRangesTest, IdentityIsOneRangePerBucket) {
-  const PartitionRanges ranges = PartitionRanges::Identity(4);
-  EXPECT_EQ(ranges.NumPartitions(), 4);
-  EXPECT_EQ(ranges.CoalescedAway(), 0);
-  CheckCoversAllBuckets(ranges, 4);
-}
-
-TEST(PartitionRangesTest, ZeroTargetDisablesCoalescing) {
-  const PartitionRanges ranges =
-      PartitionRanges::Coalesce({10, 20, 30}, /*target_bytes=*/0);
-  EXPECT_EQ(ranges.NumPartitions(), 3);
-  EXPECT_EQ(ranges.CoalescedAway(), 0);
-}
-
-TEST(PartitionRangesTest, MergesAdjacentSmallBuckets) {
-  // 10+10+10 fit in 35; the fourth starts a new range.
-  const PartitionRanges ranges =
-      PartitionRanges::Coalesce({10, 10, 10, 10}, /*target_bytes=*/35);
-  CheckCoversAllBuckets(ranges, 4);
-  EXPECT_EQ(ranges.NumPartitions(), 2);
-  EXPECT_EQ(ranges.end(0), 3);
-  EXPECT_EQ(ranges.CoalescedAway(), 2);
-}
-
-TEST(PartitionRangesTest, OversizedBucketKeepsItsOwnRange) {
-  const PartitionRanges ranges =
-      PartitionRanges::Coalesce({5, 100, 5, 5}, /*target_bytes=*/20);
-  CheckCoversAllBuckets(ranges, 4);
-  // The 100-byte bucket exceeds the target on its own: it must not drag
-  // neighbors in, and the trailing small buckets merge among themselves.
-  EXPECT_EQ(ranges.NumPartitions(), 3);
-  EXPECT_EQ(ranges.begin(1), 1);
-  EXPECT_EQ(ranges.end(1), 2);
-  EXPECT_EQ(ranges.end(2), 4);
-}
-
-TEST(PartitionRangesTest, AllEmptyBucketsCollapseToOne) {
-  const PartitionRanges ranges =
-      PartitionRanges::Coalesce({0, 0, 0, 0, 0}, /*target_bytes=*/1024);
-  CheckCoversAllBuckets(ranges, 5);
-  EXPECT_EQ(ranges.NumPartitions(), 1);
-  EXPECT_EQ(ranges.CoalescedAway(), 4);
-}
-
-TEST(PartitionRangesTest, RangeSizesRespectTargetUnlessSingle) {
-  const std::vector<uint64_t> sizes{8, 8, 8, 50, 3, 3, 3, 3, 40, 1};
-  const uint64_t target = 24;
-  const PartitionRanges ranges = PartitionRanges::Coalesce(sizes, target);
-  CheckCoversAllBuckets(ranges, static_cast<int>(sizes.size()));
-  for (int p = 0; p < ranges.NumPartitions(); ++p) {
-    uint64_t total = 0;
-    for (int b = ranges.begin(p); b < ranges.end(p); ++b) total += sizes[b];
-    if (ranges.end(p) - ranges.begin(p) > 1) {
-      EXPECT_LE(total, target) << "multi-bucket range " << p;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -294,106 +216,6 @@ TEST(PipelineSpillTest, JaccardPipelinesIdenticalUnderSpill) {
   ASSERT_TRUE(cl_a.ok() && cl_b.ok());
   EXPECT_EQ(cl_b->pairs, cl_a->pairs);
   EXPECT_GT(cl_spill.metrics().TotalSpilledBytes(), 0u);
-}
-
-// ---------------------------------------------------------------------
-// Adaptive coalescing through the wide operations. Pipelined exchanges
-// are never coalesced, so the tests that expect coalescing pin barrier
-// stages (the CI pipelined job sets RANKJOIN_PIPELINED_STAGES=on).
-// ---------------------------------------------------------------------
-
-TEST(CoalesceTest, SmallShuffleCollapsesReadTasks) {
-  ScopedEnv pipelined_env("RANKJOIN_PIPELINED_STAGES", nullptr);
-  Context::Options options = TestCluster(/*workers=*/4, /*partitions=*/16);
-  options.pipelined_stages = false;
-  options.target_partition_bytes = 1 << 20;  // far above the data size
-  Context ctx(options);
-  auto ds = Parallelize(&ctx, KeyedRecords(500), 4);
-  auto shuffled = PartitionByKey(ds, 16, "coalesced");
-  // All 16 tiny buckets fit one target: a single read partition.
-  EXPECT_LT(shuffled.num_partitions(), 16);
-  EXPECT_GT(ctx.metrics().TotalCoalescedPartitions(), 0u);
-  // No records lost, grouping contract intact: every key in one place.
-  auto parts = shuffled.partitions();
-  size_t total = 0;
-  std::set<int> seen_keys;
-  for (size_t p = 0; p < parts.size(); ++p) {
-    std::set<int> local;
-    for (const auto& kv : parts[p]) local.insert(kv.first);
-    for (int key : local) {
-      EXPECT_TRUE(seen_keys.insert(key).second)
-          << "key " << key << " split across partitions";
-    }
-    total += parts[p].size();
-  }
-  EXPECT_EQ(total, 500u);
-}
-
-TEST(CoalesceTest, ReduceByKeyJobUsesFewerReadTasks) {
-  // The acceptance scenario: a ReduceByKey job over few keys with a byte
-  // target reports coalesced partitions and fewer read tasks than
-  // default_partitions.
-  ScopedEnv pipelined_env("RANKJOIN_PIPELINED_STAGES", nullptr);
-  Context::Options options = TestCluster(/*workers=*/4, /*partitions=*/12);
-  options.pipelined_stages = false;
-  options.target_partition_bytes = 1 << 20;
-  Context ctx(options);
-  std::vector<std::pair<int, int>> data;
-  for (int i = 0; i < 4000; ++i) data.push_back({i % 97, 1});
-  auto counts = ReduceByKey(Parallelize(&ctx, data, 6),
-                            [](int a, int b) { return a + b; }, -1,
-                            "coalescedReduce");
-  std::vector<std::pair<int, int>> values = counts.Collect();
-  std::set<int> keys;
-  int total = 0;
-  for (const auto& [key, count] : values) {
-    keys.insert(key);
-    total += count;
-  }
-  EXPECT_EQ(values.size(), 97u);
-  EXPECT_EQ(keys.size(), 97u);
-  EXPECT_EQ(total, 4000);
-  EXPECT_GT(ctx.metrics().TotalCoalescedPartitions(), 0u);
-  uint64_t read_tasks = 0;
-  for (const auto& stage : ctx.metrics().stages()) {
-    if (stage.name == "coalescedReduce/shuffle-read") {
-      read_tasks = stage.task_seconds.size();
-    }
-  }
-  EXPECT_GT(read_tasks, 0u);
-  EXPECT_LT(read_tasks, 12u);
-}
-
-TEST(CoalesceTest, GroupByKeyUnaffectedByDefault) {
-  // Default options: no coalescing, partition count stays as requested.
-  Context ctx(TestCluster());
-  auto ds = Parallelize(&ctx, KeyedRecords(200), 4);
-  auto shuffled = PartitionByKey(ds, 5, "defaultShuffle");
-  EXPECT_EQ(shuffled.num_partitions(), 5);
-  EXPECT_EQ(ctx.metrics().TotalCoalescedPartitions(), 0u);
-}
-
-TEST(CoalesceTest, PipelineResultsUnchangedUnderCoalescing) {
-  const RankingDataset ds = SmallSkewedDataset(79, 250);
-  SimilarityJoinConfig config;
-  config.algorithm = Algorithm::kCLP;
-  config.theta = 0.3;
-  config.delta = 40;
-  ScopedEnv pipelined_env("RANKJOIN_PIPELINED_STAGES", nullptr);
-
-  Context baseline_ctx(TestCluster());
-  auto baseline = RunSimilarityJoin(&baseline_ctx, ds, config);
-  ASSERT_TRUE(baseline.ok());
-
-  Context::Options options = TestCluster();
-  options.pipelined_stages = false;
-  options.target_partition_bytes = 1 << 16;
-  Context coalesced_ctx(options);
-  auto coalesced = RunSimilarityJoin(&coalesced_ctx, ds, config);
-  ASSERT_TRUE(coalesced.ok());
-
-  EXPECT_EQ(PairSet(coalesced->pairs), PairSet(baseline->pairs));
-  EXPECT_GT(coalesced_ctx.metrics().TotalCoalescedPartitions(), 0u);
 }
 
 }  // namespace

@@ -85,7 +85,6 @@ class ScopedEnv {
 struct PinnedEnv {
   ScopedEnv fault{"RANKJOIN_FAULT_SPEC", nullptr};
   ScopedEnv budget{"RANKJOIN_SHUFFLE_BUDGET_BYTES", nullptr};
-  ScopedEnv split{"RANKJOIN_SPLIT_PARTITION_BYTES", nullptr};
   ScopedEnv trace{"RANKJOIN_TRACE_LEVEL", nullptr};
   ScopedEnv lint{"RANKJOIN_LINT_LEVEL", nullptr};
   ScopedEnv pipelined{"RANKJOIN_PIPELINED_STAGES", nullptr};
