@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the kernels on the join inner
 // loops: Footrule distance (plain, merge-join, bounded, lane kernel),
 // the signature bound, both also over random pairs of a 20k-row store,
-// prefix-size math, Zipf sampling, reordering, and the per-group local
-// joins.
+// prefix-size math, Zipf sampling, reordering, the canonical order of a
+// row, and the per-group local joins.
 
 #include <benchmark/benchmark.h>
 
@@ -101,6 +101,28 @@ void BM_MakeOrdered(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MakeOrdered);
+
+/// One row's canonical order (CanonicalRanks) under a frequency order,
+/// over the rows of a 4096-row store. k = 10 and 25 take the count-rank
+/// of rows up to 32 wide; k = 40 takes the sort of wider rows.
+void BM_CanonicalRanks(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  RankingDataset ds = MakeData(k, 4096);
+  const FlatRankings& flat = ds.store();
+  const ItemOrder order =
+      ItemOrder::FromFrequencies(CountItemFrequencies(flat));
+  const size_t width = static_cast<size_t>(k);
+  std::vector<uint16_t> ranks(width);
+  size_t i = 0;
+  for (auto _ : state) {
+    CanonicalRanks(flat.items() + (i % flat.size()) * width, k, order,
+                   ranks.data());
+    benchmark::DoNotOptimize(ranks.data());
+    benchmark::ClobberMemory();
+    ++i;
+  }
+}
+BENCHMARK(BM_CanonicalRanks)->Arg(10)->Arg(25)->Arg(40);
 
 /// Args: k, then 1 for the compare written out for the row's chunk
 /// count (what the pair loops run for k <= 32) or 0 for the run-time

@@ -29,9 +29,22 @@ Two classes of checks:
 
 Modes:
   check (default)      exit 1 on any violation
+  --only counters      check only the deterministic fields
+  --only times         check only the timing fields
+  --rerun B C          one more run of the matrix on each side; the
+                       timing check reads each row's fastest run per
+                       side (repeatable)
   --refresh            overwrite BASELINE with CANDIDATE and exit 0
   --inject-slowdown F  multiply candidate times by F before checking
                        (CI uses 2.0 to prove the gate actually fails)
+
+CI gates counters against the committed baseline and wall time against
+the parent tree, built and run in the same job in alternation
+(scripts/perf_gate.sh):
+  check_bench_regression.py bench/baselines/ci_small.json change_1.json \
+      --only counters
+  check_bench_regression.py parent_1.json change_1.json --only times \
+      --rerun parent_2.json change_2.json
 
 Refreshing a committed baseline (after an intentional perf change):
   RANKJOIN_METRICS_JSON=/tmp/fresh.json bench/<bench> ...
@@ -99,6 +112,19 @@ def load_rows(path, role):
             f"{role} file does not exist: {path}{hint}") from None
     except OSError as e:
         raise SystemExit(f"cannot read {role} {path}: {e}") from e
+    return rows
+
+
+def fastest(runs):
+    """Rows of the first run, each timing field the minimum over runs."""
+    rows = {key: dict(row) for key, row in runs[0].items()}
+    for run in runs[1:]:
+        for key, row in run.items():
+            if key not in rows:
+                continue
+            for field in TIME_FIELDS:
+                if field in row and field in rows[key]:
+                    rows[key][field] = min(rows[key][field], row[field])
     return rows
 
 
@@ -207,6 +233,14 @@ def main():
         help="divide by the median candidate/baseline ratio first "
              "(cancels machine-speed differences)")
     parser.add_argument(
+        "--only", choices=("counters", "times"),
+        help="run only the exact counter check or only the timing check")
+    parser.add_argument(
+        "--rerun", nargs=2, action="append", default=[],
+        metavar=("BASELINE", "CANDIDATE"),
+        help="one more run on each side; times are each row's fastest "
+             "run per side")
+    parser.add_argument(
         "--refresh", action="store_true",
         help="overwrite BASELINE with CANDIDATE instead of checking")
     parser.add_argument(
@@ -235,6 +269,11 @@ def main():
 
     base_rows = load_rows(args.baseline, "baseline")
     cand_rows = load_rows(args.candidate, "candidate")
+    base_runs = [base_rows]
+    cand_runs = [cand_rows]
+    for base_path, cand_path in args.rerun:
+        base_runs.append(load_rows(base_path, "baseline"))
+        cand_runs.append(load_rows(cand_path, "candidate"))
     failures = []
 
     base_keys = set(base_rows)
@@ -246,11 +285,13 @@ def main():
                         "(new bench row? --refresh the baseline)")
 
     common = sorted(base_keys & cand_keys)
-    for key in common:
-        check_exact(key, base_rows[key], cand_rows[key], failures)
-    check_times(common, base_rows, cand_rows, args.tolerance,
-                args.normalize, args.inject_slowdown, args.min_seconds,
-                failures)
+    if args.only != "times":
+        for key in common:
+            check_exact(key, base_rows[key], cand_rows[key], failures)
+    if args.only != "counters":
+        check_times(common, fastest(base_runs), fastest(cand_runs),
+                    args.tolerance, args.normalize, args.inject_slowdown,
+                    args.min_seconds, failures)
 
     if failures:
         print(f"FAIL: {len(failures)} regression(s) vs {args.baseline}")

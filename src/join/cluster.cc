@@ -162,14 +162,14 @@ std::vector<CentroidPair> RunCentroidJoin(
   JoinStats phase_stats;
   // Each centroid pair arrives once: groups emit only the pairs they
   // own, under either class's prefix.
-  minispark::Dataset<ScoredPair> pairs = JoinGroupsWithRepartitioning(
+  const std::vector<ScoredPair> pairs = JoinGroupsWithRepartitioning(
       groups, spec.repartition_delta, spec.num_partitions, local_join,
       rs_join, &phase_stats, spec.adaptive_repartition);
 
   std::unordered_set<RankingId> singleton_set(singletons.begin(),
                                               singletons.end());
   std::vector<CentroidPair> result;
-  for (const ScoredPair& sp : pairs.Collect()) {
+  for (const ScoredPair& sp : pairs) {
     CentroidPair cp;
     cp.ci = sp.first.first;
     cp.cj = sp.first.second;

@@ -55,11 +55,13 @@ minispark::Dataset<ScoredPair> JoinGroups(
   return result;
 }
 
-minispark::Dataset<ScoredPair> JoinGroupsWithRepartitioning(
+std::vector<ScoredPair> JoinGroupsWithRepartitioning(
     const minispark::Dataset<PostingGroup>& groups, uint64_t delta,
     int num_partitions, LocalJoinFn local_join, LocalRsJoinFn rs_join,
     JoinStats* stats, bool adaptive) {
-  if (delta == 0) return JoinGroups(groups, std::move(local_join), stats);
+  if (delta == 0) {
+    return JoinGroups(groups, std::move(local_join), stats).Collect();
+  }
 
   // The driver measures the large lists on the index (partitions()
   // materializes it).
@@ -85,15 +87,16 @@ minispark::Dataset<ScoredPair> JoinGroupsWithRepartitioning(
   // No list exceeds delta: the split, spread and chunk-join stages would
   // run on zero units.
   if (lists_split == 0) {
-    return JoinGroups(groups, std::move(local_join), stats);
+    return JoinGroups(groups, std::move(local_join), stats).Collect();
   }
   // Adaptive CL -> CL-P upgrade: the measured lists forced a split.
   if (adaptive) {
     groups.context()->counters().Add("repartition.skew_upgrades", 1);
   }
-  // The index feeds both the small and the large split below: pin it,
-  // so the plan linter sees the reuse (MS001).
-  groups.Cache();
+  // The measurement above materialized the index, so both splits below
+  // read its partitions. The two results are collected one by one, and
+  // each plan holds one of the splits, so a Cache() pin here would have
+  // one consumer per plan (MS007).
 
   // Split the inverted index into small and large lists (I_<=delta and
   // I_>delta in Algorithm 3).
@@ -158,7 +161,10 @@ minispark::Dataset<ScoredPair> JoinGroupsWithRepartitioning(
   chunk_results.Force();
   MergeSlots(unit_slots, stats);
 
-  return minispark::Union(small_results, chunk_results, "repartition/union");
+  std::vector<ScoredPair> pairs = small_results.Collect();
+  const std::vector<ScoredPair> chunk_pairs = chunk_results.Collect();
+  pairs.insert(pairs.end(), chunk_pairs.begin(), chunk_pairs.end());
+  return pairs;
 }
 
 }  // namespace rankjoin

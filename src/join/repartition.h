@@ -49,7 +49,10 @@ minispark::Dataset<ScoredPair> JoinGroups(
 /// `adaptive` only bumps the "repartition.skew_upgrades" counter when a
 /// list is split: CL runs this with its planner-measured delta, so it
 /// upgrades itself to CL-P mid-job when the data turns out skewed.
-minispark::Dataset<ScoredPair> JoinGroupsWithRepartitioning(
+///
+/// Returns every pair the joins emit, read on the driver from the
+/// results of the unsplit and the chunk joins, with no union stage.
+std::vector<ScoredPair> JoinGroupsWithRepartitioning(
     const minispark::Dataset<PostingGroup>& groups, uint64_t delta,
     int num_partitions, LocalJoinFn local_join, LocalRsJoinFn rs_join,
     JoinStats* stats, bool adaptive = false);

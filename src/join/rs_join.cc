@@ -1,7 +1,6 @@
 #include "join/rs_join.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -135,12 +134,8 @@ static Result<JoinResult> RunRsJoinImpl(minispark::Context* ctx,
   Stopwatch phase;
   ItemOrder order;
   if (options.reorder_by_frequency) {
-    std::unordered_map<ItemId, uint32_t> freq =
-        CountItemFrequencies(r.store());
-    for (const auto& [item, count] : CountItemFrequencies(s.store())) {
-      freq[item] += count;
-    }
-    order = ItemOrder::FromFrequencies(freq);
+    order = ItemOrder::FromFrequencies(MergeItemCounts(
+        {CountItemFrequencies(r.store()), CountItemFrequencies(s.store())}));
   }
   const JoinStore ro = JoinStore::Build(r.store(), order);
   const JoinStore so = JoinStore::Build(s.store(), order);

@@ -1,7 +1,6 @@
 #include "join/vj.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -40,55 +39,66 @@ Status ValidateVjOptions(const VjOptions& options, int k) {
 JoinStore OrderDataset(minispark::Context* ctx, const RankingDataset& dataset,
                        bool reorder_by_frequency, int num_partitions,
                        Distance distance) {
-  // The views borrow the columnar store's memory, which outlives the
-  // stages here because the caller holds the dataset across the join.
+  // The tasks read the columnar store's item column where it lies, which
+  // outlives the stages here because the caller holds the dataset across
+  // the join. Each partition is one range of rows, [first, second), split
+  // the way Parallelize splits the rows themselves.
   const FlatRankings& flat = dataset.store();
-  minispark::Dataset<RankingView> rankings =
-      minispark::Parallelize(ctx, flat.Views(), num_partitions);
+  const int k = flat.k();
+  if (num_partitions <= 0) num_partitions = ctx->default_partitions();
+  const size_t parts = static_cast<size_t>(num_partitions);
+  const size_t per = (flat.size() + parts - 1) / parts;
+  std::vector<std::pair<size_t, size_t>> ranges(parts);
+  for (size_t p = 0; p < parts; ++p) {
+    ranges[p] = {std::min(flat.size(), p * per),
+                 std::min(flat.size(), (p + 1) * per)};
+  }
+  minispark::Dataset<std::pair<size_t, size_t>> rows =
+      minispark::Parallelize(ctx, std::move(ranges), num_partitions);
+  const ItemId* items = flat.items();
+  const auto column = [items, k](const std::pair<size_t, size_t>& range) {
+    return items + range.first * static_cast<size_t>(k);
+  };
 
   ItemOrder order;  // identity (by item id) unless reordering is on
   if (reorder_by_frequency) {
-    auto item_ones = rankings.FlatMap(
-        [](const RankingView& v) {
-          std::vector<std::pair<ItemId, uint32_t>> out;
-          out.reserve(v.k);
-          for (uint32_t r = 0; r < v.k; ++r) out.push_back({v.items[r], 1});
+    // Each task counts its rows into one flat table; the driver sums the
+    // tables.
+    minispark::Dataset<ItemCounts> counts = rows.MapPartitionsWithIndex(
+        [column, k](int /*index*/,
+                    const std::vector<std::pair<size_t, size_t>>& part) {
+          std::vector<ItemCounts> out;
+          for (const auto& range : part) {
+            out.push_back(CountItems(
+                column(range),
+                (range.second - range.first) * static_cast<size_t>(k)));
+          }
           return out;
         },
         "vj/itemFrequency");
-    auto freq = minispark::ReduceByKey(
-        item_ones, [](uint32_t a, uint32_t b) { return a + b; },
-        num_partitions, "vj/itemFrequency");
-    std::unordered_map<ItemId, uint32_t> freq_map;
-    for (const auto& [item, count] : freq.Collect()) {
-      freq_map.emplace(item, count);
-    }
-    order = ItemOrder::FromFrequencies(freq_map);
+    order = ItemOrder::FromFrequencies(MergeItemCounts(counts.Collect()));
   }
 
   minispark::Broadcast<ItemOrder> order_bc =
       ctx->MakeBroadcast(std::move(order), "vj/itemOrder");
-  // One block of canonical ranks per partition (k per ranking, in input
-  // order); the driver concatenates the blocks into the store.
-  const int k = flat.k();
-  minispark::Dataset<std::vector<uint16_t>> blocks =
-      rankings.MapPartitionsWithIndex(
-          [order_bc, k](int /*index*/, const std::vector<RankingView>& part) {
-            const size_t width = static_cast<size_t>(k);
-            std::vector<uint16_t> block(part.size() * width);
-            for (size_t i = 0; i < part.size(); ++i) {
-              CanonicalRanks(part[i].items, k, *order_bc,
-                             block.data() + i * width);
-            }
-            return std::vector<std::vector<uint16_t>>{std::move(block)};
-          },
-          "vj/canonicalize");
-  std::vector<uint16_t> canonical;
-  canonical.reserve(flat.size() * static_cast<size_t>(k));
-  for (const std::vector<uint16_t>& block : blocks.Collect()) {
-    canonical.insert(canonical.end(), block.begin(), block.end());
+  // One block of canonical ranks and signatures per partition; the
+  // driver concatenates the blocks into the store.
+  minispark::Dataset<StoreBlock> blocks = rows.MapPartitionsWithIndex(
+      [column, k, order_bc](
+          int /*index*/, const std::vector<std::pair<size_t, size_t>>& part) {
+        std::vector<StoreBlock> out;
+        for (const auto& range : part) {
+          out.push_back(JoinStore::BuildBlock(
+              column(range), range.second - range.first, k, *order_bc));
+        }
+        return out;
+      },
+      "vj/canonicalize");
+  std::vector<const StoreBlock*> in_order;
+  for (const std::vector<StoreBlock>& part : blocks.partitions()) {
+    for (const StoreBlock& block : part) in_order.push_back(&block);
   }
-  return JoinStore::Assemble(flat, std::move(canonical), distance);
+  return JoinStore::FromBlocks(flat, in_order, distance);
 }
 
 std::vector<ScoredPair> DistributedSelfJoin(minispark::Context* ctx,
@@ -143,11 +153,9 @@ std::vector<ScoredPair> DistributedSelfJoin(minispark::Context* ctx,
   JoinStats phase_stats;
   // Every group emits only the pairs it owns (PrefixOwner), so each
   // qualifying pair arrives once.
-  std::vector<ScoredPair> collected =
-      JoinGroupsWithRepartitioning(groups, spec.repartition_delta,
-                                   spec.num_partitions, local_join, rs_join,
-                                   &phase_stats, spec.adaptive_repartition)
-          .Collect();
+  std::vector<ScoredPair> collected = JoinGroupsWithRepartitioning(
+      groups, spec.repartition_delta, spec.num_partitions, local_join,
+      rs_join, &phase_stats, spec.adaptive_repartition);
   phase_stats.PublishCounters(&ctx->counters(), spec.counter_scope);
   ctx->counters().Add(spec.counter_scope + ".pairs", collected.size());
   stats->MergeCounters(phase_stats);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 #include <sstream>
-#include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
@@ -105,11 +104,12 @@ DatasetProfile ProfileDataset(const FlatRankings& store, double theta,
 
   // Frequency order over the sample — the planner's stand-in for the
   // global broadcast order the pipelines build.
-  std::unordered_map<ItemId, uint32_t> freq;
-  for (const RankingView& v : sample) {
-    for (uint32_t r = 0; r < v.k; ++r) ++freq[v.ItemAt(static_cast<int>(r))];
-  }
-  const ItemOrder order = ItemOrder::FromFrequencies(freq);
+  FlatRankings::Builder builder(p.k);
+  builder.Reserve(sample.size());
+  for (const RankingView& v : sample) builder.Append(v.id, v.items);
+  const FlatRankings sample_flat = std::move(builder).Build();
+  const ItemOrder order =
+      ItemOrder::FromFrequencies(CountItemFrequencies(sample_flat));
 
   const uint32_t raw_theta = RawThreshold(theta, p.k);
   const uint32_t raw_tc = RawThreshold(theta_c, p.k);
@@ -152,11 +152,7 @@ DatasetProfile ProfileDataset(const FlatRankings& store, double theta,
   // Mini brute-force join over the sample: exact pair densities at theta
   // and theta_c, counted with the join store's kernel on a store of the
   // sample in its frequency order. O(sample^2) distances.
-  FlatRankings::Builder builder(p.k);
-  builder.Reserve(sample.size());
-  for (const RankingView& v : sample) builder.Append(v.id, v.items);
-  const JoinStore sample_store =
-      JoinStore::Build(std::move(builder).Build(), order);
+  const JoinStore sample_store = JoinStore::Build(sample_flat, order);
   const PairKernel& kernel = sample_store.kernel();
   const size_t m = sample_store.size();
   uint64_t pairs_theta = 0;

@@ -16,8 +16,8 @@ using kernel_internal::Splat;
 
 namespace {
 
-/// 2^64 / golden ratio: Fibonacci hashing for the id -> row lookup and
-/// the item signatures.
+/// 2^64 / golden ratio: Fibonacci hashing of the item signatures, as in
+/// the id -> row lookup (IdIndex).
 constexpr uint64_t kFibonacci = 0x9E3779B97F4A7C15ull;
 
 /// The rank weights of a distance (PairKernel): the one place that
@@ -109,43 +109,54 @@ ItemSignature SignatureOf(const ItemId* items, int k) {
 JoinStore JoinStore::Build(const FlatRankings& rankings,
                            const ItemOrder& order,
                            rankjoin::Distance distance) {
-  const size_t k = static_cast<size_t>(rankings.k());
-  std::vector<uint16_t> canonical(rankings.size() * k);
-  for (size_t i = 0; i < rankings.size(); ++i) {
-    CanonicalRanks(rankings.items() + i * k, rankings.k(), order,
-                   canonical.data() + i * k);
-  }
-  return Assemble(rankings, std::move(canonical), distance);
+  const StoreBlock block =
+      BuildBlock(rankings.items(), rankings.size(), rankings.k(), order);
+  return FromBlocks(rankings, {&block}, distance);
 }
 
-JoinStore JoinStore::Assemble(const FlatRankings& rankings,
-                              std::vector<uint16_t> canonical,
-                              rankjoin::Distance distance) {
+StoreBlock JoinStore::BuildBlock(const ItemId* items, size_t rows, int k,
+                                 const ItemOrder& order) {
+  const size_t width = static_cast<size_t>(k);
+  StoreBlock block;
+  block.canonical.resize(rows * width);
+  block.signatures.resize(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    CanonicalRanks(items + i * width, k, order,
+                   block.canonical.data() + i * width);
+    block.signatures[i] = SignatureOf(items + i * width, k);
+  }
+  return block;
+}
+
+JoinStore JoinStore::FromBlocks(const FlatRankings& rankings,
+                                const std::vector<const StoreBlock*>& blocks,
+                                rankjoin::Distance distance) {
   const size_t n = rankings.size();
   const size_t k = static_cast<size_t>(rankings.k());
-  RANKJOIN_CHECK(canonical.size() == n * k);
-  RANKJOIN_CHECK(n < kEmpty) << "too many rankings for 32-bit row indices";
+  RANKJOIN_CHECK(n < IdIndex::kAbsent)
+      << "too many rankings for 32-bit row indices";
   JoinStore store;
   store.kernel_ = PairKernel(rankings.k(), distance);
   store.stride_ = static_cast<size_t>(store.kernel_.stride());
   store.ids_.assign(rankings.ids(), rankings.ids() + n);
+  store.canonical_.reserve(n * k);
+  store.signatures_.reserve(n);
+  for (const StoreBlock* block : blocks) {
+    store.canonical_.insert(store.canonical_.end(), block->canonical.begin(),
+                            block->canonical.end());
+    store.signatures_.insert(store.signatures_.end(),
+                             block->signatures.begin(),
+                             block->signatures.end());
+  }
+  RANKJOIN_CHECK(store.canonical_.size() == n * k &&
+                 store.signatures_.size() == n)
+      << "the blocks must cover every row once";
   store.items_.assign(n * store.stride_, 0);
-  store.signatures_.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    const ItemId* items = rankings.items() + i * k;
-    std::copy_n(items, k, store.items_.data() + i * store.stride_);
-    store.signatures_[i] = SignatureOf(items, rankings.k());
+    std::copy_n(rankings.items() + i * k, k,
+                store.items_.data() + i * store.stride_);
   }
-  store.canonical_ = std::move(canonical);
-
-  size_t capacity = 16;
-  while (capacity < 2 * n) capacity <<= 1;
-  store.slots_.assign(capacity, Slot{});
-  for (size_t i = 0; i < n; ++i) {
-    Slot& slot = store.slots_[store.SlotOf(store.ids_[i])];
-    slot.id = store.ids_[i];
-    slot.row = static_cast<RowIndex>(i);
-  }
+  store.rows_ = IdIndex(store.ids_.data(), n);
   return store;
 }
 
@@ -153,23 +164,6 @@ std::vector<RowIndex> JoinStore::Rows() const {
   std::vector<RowIndex> rows(size());
   std::iota(rows.begin(), rows.end(), RowIndex{0});
   return rows;
-}
-
-size_t JoinStore::SlotOf(RankingId id) const {
-  // Fibonacci hashing; linear probing ends at the id or an empty slot.
-  const size_t mask = slots_.size() - 1;
-  size_t slot =
-      static_cast<size_t>((uint64_t{id} * kFibonacci) >> 32) & mask;
-  while (slots_[slot].row != kEmpty && slots_[slot].id != id) {
-    slot = (slot + 1) & mask;
-  }
-  return slot;
-}
-
-RowIndex JoinStore::RowOf(RankingId id) const {
-  const RowIndex row = slots_.empty() ? kEmpty : slots_[SlotOf(id)].row;
-  RANKJOIN_CHECK(row != kEmpty) << "ranking " << id << " is not in the store";
-  return row;
 }
 
 }  // namespace rankjoin

@@ -3,11 +3,15 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
+#include "minispark/checkpoint.h"
 #include "ranking/flat_rankings.h"
+#include "ranking/id_index.h"
 #include "ranking/ranking.h"
 
 namespace rankjoin {
@@ -341,6 +345,21 @@ class PrefixFilterKernel {
   std::vector<kernel_internal::Lanes> outer_far_;
 };
 
+/// One partition's share of a join store, built where its rows are (the
+/// ordering phase's canonicalize tasks): the canonical ranks (k per row)
+/// and the signatures of its rows, in row order.
+struct StoreBlock {
+  std::vector<uint16_t> canonical;
+  std::vector<ItemSignature> signatures;
+};
+
+/// The block's payload, for the materialized-bytes metric (found by
+/// argument-dependent lookup in minispark).
+inline size_t ApproxSize(const StoreBlock& block) {
+  return sizeof(StoreBlock) + block.canonical.size() * sizeof(uint16_t) +
+         block.signatures.size() * sizeof(ItemSignature);
+}
+
 /// The flat join store: one row per ranking, built once per job by the
 /// ordering phase and shared read-only by every stage of the join (the
 /// range indexes build and keep one too).
@@ -351,7 +370,11 @@ class PrefixFilterKernel {
 /// row's canonical order (the ranks of its items sorted by the global
 /// item order, rarest first; prefixes are taken from it), the ranking
 /// ids, the rows' item signatures (16 B per row) and an id -> row lookup
-/// sized by the row count.
+/// (IdIndex) sized by the row count.
+///
+/// The canonical orders and signatures come in StoreBlocks, built by
+/// BuildBlock; FromBlocks concatenates them and adds the padded rows and
+/// the lookup. Build is the one-block case on the calling thread.
 class JoinStore {
  public:
   JoinStore() = default;
@@ -362,11 +385,16 @@ class JoinStore {
       const FlatRankings& rankings, const ItemOrder& order,
       rankjoin::Distance distance = rankjoin::Distance::kFootrule);
 
-  /// Assembles the store from canonical orders computed elsewhere (the
-  /// ordering stage): `canonical` holds k ranks per ranking, in the
-  /// order of `rankings`.
-  static JoinStore Assemble(
-      const FlatRankings& rankings, std::vector<uint16_t> canonical,
+  /// The block of `rows` rankings of k items each, stored row after row
+  /// at `items`, under `order`.
+  static StoreBlock BuildBlock(const ItemId* items, size_t rows, int k,
+                               const ItemOrder& order);
+
+  /// Builds the store of `rankings` from `blocks`, which cover its rows
+  /// in order; its kernel computes `distance`.
+  static JoinStore FromBlocks(
+      const FlatRankings& rankings,
+      const std::vector<const StoreBlock*>& blocks,
       rankjoin::Distance distance = rankjoin::Distance::kFootrule);
 
   int k() const { return kernel_.k(); }
@@ -393,32 +421,57 @@ class JoinStore {
   }
 
   /// Row of ranking `id`, which must be in the store.
-  RowIndex RowOf(RankingId id) const;
+  RowIndex RowOf(RankingId id) const {
+    const RowIndex row = rows_.Find(id);
+    RANKJOIN_CHECK(row != IdIndex::kAbsent)
+        << "ranking " << id << " is not in the store";
+    return row;
+  }
 
   uint32_t Distance(RowIndex a, RowIndex b) const {
     return kernel_.Distance(items(a), items(b));
   }
 
  private:
-  static constexpr RowIndex kEmpty = ~RowIndex{0};
-  /// One open-addressing slot of the id -> row lookup.
-  struct Slot {
-    RankingId id = 0;
-    RowIndex row = kEmpty;
-  };
-
-  size_t SlotOf(RankingId id) const;
-
   PairKernel kernel_;
   size_t stride_ = 0;
   std::vector<RankingId> ids_;
   std::vector<ItemId> items_;
   std::vector<uint16_t> canonical_;
   std::vector<ItemSignature> signatures_;
-  /// Power-of-two table of at least twice the row count.
-  std::vector<Slot> slots_;
+  /// The id -> row lookup.
+  IdIndex rows_;
 };
 
 }  // namespace rankjoin
+
+namespace rankjoin::minispark {
+
+/// A store block spills and checkpoints as its two arrays. It holds no
+/// addresses, so a checkpoint of the canonicalize stage restores in a
+/// later process.
+template <>
+struct Serde<rankjoin::StoreBlock> {
+  using Canonical = Serde<std::vector<uint16_t>>;
+  using Signatures = Serde<std::vector<rankjoin::ItemSignature>>;
+
+  static size_t Size(const rankjoin::StoreBlock& v) {
+    return Canonical::Size(v.canonical) + Signatures::Size(v.signatures);
+  }
+  static void Write(const rankjoin::StoreBlock& v, std::string* out) {
+    Canonical::Write(v.canonical, out);
+    Signatures::Write(v.signatures, out);
+  }
+  static void Read(const char** p, const char* end,
+                   rankjoin::StoreBlock* out) {
+    Canonical::Read(p, end, &out->canonical);
+    Signatures::Read(p, end, &out->signatures);
+  }
+};
+
+template <>
+struct CheckpointPortable<rankjoin::StoreBlock> : std::true_type {};
+
+}  // namespace rankjoin::minispark
 
 #endif  // RANKJOIN_RANKING_JOIN_STORE_H_

@@ -8,65 +8,121 @@
 
 namespace rankjoin {
 
-ItemOrder ItemOrder::FromFrequencies(
-    const std::unordered_map<ItemId, uint32_t>& freq) {
-  std::vector<std::pair<ItemId, uint32_t>> items(freq.begin(), freq.end());
-  std::sort(items.begin(), items.end(),
+namespace {
+
+/// The widest row CanonicalRanks orders by count-rank; wider rows sort.
+constexpr int kCountRankMaxK = 32;
+
+/// Sums `entries` (item, count) entries per item. for_each(fn) calls
+/// fn(item, count) on every entry, and may run more than once. Under
+/// DenseIdsFit the table is an array of counts by item; otherwise the
+/// entries are sorted by item and each run of one item summed.
+template <typename ForEach>
+ItemCounts SumCounts(size_t entries, const ForEach& for_each) {
+  ItemCounts out;
+  if (entries == 0) return out;
+  ItemId max_id = 0;
+  for_each([&](ItemId item, uint32_t) { max_id = std::max(max_id, item); });
+  if (DenseIdsFit(max_id, entries)) {
+    std::vector<uint32_t> dense(static_cast<size_t>(max_id) + 1, 0);
+    for_each([&](ItemId item, uint32_t count) { dense[item] += count; });
+    for (size_t id = 0; id < dense.size(); ++id) {
+      if (dense[id] != 0) out.push_back({static_cast<ItemId>(id), dense[id]});
+    }
+    return out;
+  }
+  out.reserve(entries);
+  for_each([&](ItemId item, uint32_t count) { out.push_back({item, count}); });
+  std::sort(out.begin(), out.end());
+  size_t kept = 0;
+  for (const auto& [item, count] : out) {
+    if (kept > 0 && out[kept - 1].first == item) {
+      out[kept - 1].second += count;
+    } else {
+      out[kept++] = {item, count};
+    }
+  }
+  out.resize(kept);
+  return out;
+}
+
+}  // namespace
+
+ItemCounts CountItems(const ItemId* items, size_t n) {
+  return SumCounts(n, [items, n](const auto& fn) {
+    for (size_t i = 0; i < n; ++i) fn(items[i], 1);
+  });
+}
+
+ItemCounts MergeItemCounts(const std::vector<ItemCounts>& tables) {
+  size_t entries = 0;
+  for (const ItemCounts& table : tables) entries += table.size();
+  return SumCounts(entries, [&tables](const auto& fn) {
+    for (const ItemCounts& table : tables) {
+      for (const auto& [item, count] : table) fn(item, count);
+    }
+  });
+}
+
+ItemCounts CountItemFrequencies(const std::vector<Ranking>& rankings) {
+  size_t entries = 0;
+  for (const Ranking& r : rankings) entries += r.items().size();
+  return SumCounts(entries, [&rankings](const auto& fn) {
+    for (const Ranking& r : rankings) {
+      for (ItemId item : r.items()) fn(item, 1);
+    }
+  });
+}
+
+ItemCounts CountItemFrequencies(const FlatRankings& rankings) {
+  return CountItems(rankings.items(),
+                    rankings.size() * static_cast<size_t>(rankings.k()));
+}
+
+ItemOrder ItemOrder::FromFrequencies(const ItemCounts& freq) {
+  ItemCounts by_frequency = freq;
+  std::sort(by_frequency.begin(), by_frequency.end(),
             [](const auto& a, const auto& b) {
               if (a.second != b.second) return a.second < b.second;
               return a.first < b.first;
             });
+  std::vector<ItemId> items;
+  items.reserve(by_frequency.size());
+  for (const auto& entry : by_frequency) items.push_back(entry.first);
   ItemOrder order;
-  order.position_.reserve(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    // Shifted above 2^32 so that unknown item ids (raw 32-bit values)
-    // sort strictly before every known item; see PositionOf.
-    order.position_.emplace(items[i].first,
-                            static_cast<uint64_t>(i) + (uint64_t{1} << 32));
-  }
+  order.num_items_ = items.size();
+  order.places_ = IdIndex(items.data(), items.size());
   return order;
-}
-
-uint64_t ItemOrder::PositionOf(ItemId item) const {
-  auto it = position_.find(item);
-  if (it != position_.end()) return it->second;
-  // Unknown items behave like frequency-0 items: rarer than everything
-  // seen (ascending-frequency semantics), ordered among themselves by
-  // id. Known positions are shifted above 2^32, so a raw 32-bit item id
-  // always sorts before them.
-  return static_cast<uint64_t>(item);
-}
-
-std::unordered_map<ItemId, uint32_t> CountItemFrequencies(
-    const std::vector<Ranking>& rankings) {
-  std::unordered_map<ItemId, uint32_t> freq;
-  for (const Ranking& r : rankings) {
-    for (ItemId item : r.items()) ++freq[item];
-  }
-  return freq;
-}
-
-std::unordered_map<ItemId, uint32_t> CountItemFrequencies(
-    const FlatRankings& rankings) {
-  std::unordered_map<ItemId, uint32_t> freq;
-  const ItemId* items = rankings.items();
-  const size_t total = rankings.size() * static_cast<size_t>(rankings.k());
-  for (size_t i = 0; i < total; ++i) ++freq[items[i]];
-  return freq;
 }
 
 void CanonicalRanks(const ItemId* items, int k, const ItemOrder& order,
                     uint16_t* ranks) {
-  // Order positions are distinct for distinct items, so sorting the
-  // (position, rank) keys needs no tie-break; each position is looked up
-  // once instead of once per comparison.
-  thread_local std::vector<std::pair<uint64_t, uint16_t>> keys;
-  keys.clear();
-  for (int r = 0; r < k; ++r) {
-    keys.push_back({order.PositionOf(items[r]), static_cast<uint16_t>(r)});
+  // A key holds the item's order position above its rank, so the keys
+  // of a row are distinct and order as (position, rank); each position
+  // is looked up once.
+  const auto key = [&](int r) {
+    return order.PositionOf(items[r]) << 16 | static_cast<uint64_t>(r);
+  };
+  if (k <= kCountRankMaxK) {
+    // Count-rank: a key's place is the number of smaller keys. The k^2
+    // compares do not branch, and beat std::sort at these widths
+    // (EXPERIMENTS.md "Ordering without a shuffle").
+    uint64_t keys[kCountRankMaxK];
+    for (int r = 0; r < k; ++r) keys[r] = key(r);
+    for (int r = 0; r < k; ++r) {
+      int place = 0;
+      for (int s = 0; s < k; ++s) place += keys[s] < keys[r];
+      ranks[place] = static_cast<uint16_t>(r);
+    }
+    return;
   }
+  thread_local std::vector<uint64_t> keys;
+  keys.resize(static_cast<size_t>(k));
+  for (int r = 0; r < k; ++r) keys[static_cast<size_t>(r)] = key(r);
   std::sort(keys.begin(), keys.end());
-  for (int t = 0; t < k; ++t) ranks[t] = keys[static_cast<size_t>(t)].second;
+  for (int t = 0; t < k; ++t) {
+    ranks[t] = static_cast<uint16_t>(keys[static_cast<size_t>(t)] & 0xFFFF);
+  }
 }
 
 namespace {

@@ -3,51 +3,70 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ranking/flat_rankings.h"
+#include "ranking/id_index.h"
 #include "ranking/ranking.h"
 
 namespace rankjoin {
 
+/// Item frequencies as (item, count) entries, one per distinct item,
+/// sorted by item id.
+using ItemCounts = std::vector<std::pair<ItemId, uint32_t>>;
+
+/// Counts the `n` item ids at `items` into a flat table, sized by `n`
+/// (DenseIdsFit): a dense array of counts, or else a sorted array of
+/// (item, count) entries.
+ItemCounts CountItems(const ItemId* items, size_t n);
+
+/// Sums the count tables of a distributed count, whose entries repeat
+/// items across tables, under the same sizing rule.
+ItemCounts MergeItemCounts(const std::vector<ItemCounts>& tables);
+
+/// Counts how many rankings each item appears in.
+ItemCounts CountItemFrequencies(const std::vector<Ranking>& rankings);
+ItemCounts CountItemFrequencies(const FlatRankings& rankings);
+
 /// Global item statistics used to put rankings into the canonical order
 /// (paper: items sorted by ascending frequency so rare items land in the
-/// prefix). This is the broadcast variable of the VJ pipeline.
+/// prefix). This is the broadcast variable of the VJ pipeline: a flat
+/// item -> place table (IdIndex), sized by the item count.
 class ItemOrder {
  public:
   ItemOrder() = default;
 
-  /// Builds the order from item frequencies: ties broken by item id so
-  /// the canonical order is total and deterministic.
-  static ItemOrder FromFrequencies(
-      const std::unordered_map<ItemId, uint32_t>& freq);
+  /// Builds the order from item frequencies (one entry per item, in any
+  /// order): ties broken by item id so the canonical order is total and
+  /// deterministic.
+  static ItemOrder FromFrequencies(const ItemCounts& freq);
 
   /// Canonical position of an item: smaller = rarer = earlier in every
-  /// prefix. Items never seen during construction sort first (frequency
-  /// 0); they get position equal to their id's two's-complement order
-  /// below all known items.
-  uint64_t PositionOf(ItemId item) const;
+  /// prefix. Known items sit at 2^32 + their place in the order. Items
+  /// never seen during construction sort first (frequency 0): their
+  /// position is their id, below every known item.
+  uint64_t PositionOf(ItemId item) const {
+    const uint32_t place = places_.Find(item);
+    return place == IdIndex::kAbsent ? uint64_t{item}
+                                     : (uint64_t{1} << 32) + place;
+  }
 
-  size_t num_items() const { return position_.size(); }
+  size_t num_items() const { return num_items_; }
 
  private:
-  std::unordered_map<ItemId, uint64_t> position_;
+  friend size_t ApproxSize(const ItemOrder& order);
+
+  size_t num_items_ = 0;
+  IdIndex places_;
 };
 
-/// The order's driver-side size, the entries of its position table, so
-/// MS003 sees the broadcast's real footprint (found by
-/// argument-dependent lookup in minispark::Context::MakeBroadcast).
+/// The order's driver-side size, its whole table, so MS003 sees the
+/// broadcast's real footprint (found by argument-dependent lookup in
+/// minispark::Context::MakeBroadcast).
 inline size_t ApproxSize(const ItemOrder& order) {
-  return sizeof(ItemOrder) +
-         order.num_items() * (sizeof(ItemId) + sizeof(uint64_t));
+  return sizeof(ItemOrder) + order.places_.bytes();
 }
-
-/// Counts how many rankings each item appears in.
-std::unordered_map<ItemId, uint32_t> CountItemFrequencies(
-    const std::vector<Ranking>& rankings);
-std::unordered_map<ItemId, uint32_t> CountItemFrequencies(
-    const FlatRankings& rankings);
 
 /// Writes the canonical order of one ranking: the ranks of its k items
 /// sorted by ascending order position, so the rarest item comes first.

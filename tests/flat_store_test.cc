@@ -259,8 +259,8 @@ TEST(JoinStoreTest, CanonicalOrderMatchesMakeOrdered) {
 }
 
 TEST(JoinStoreTest, IdLookupIsSizedByRowCount) {
-  // Ids near 2^32 must not size anything: the lookup is a hash table
-  // over the rows.
+  // Ids near 2^32 must not size anything: the lookup is sized by the
+  // rows (IdIndex).
   FlatRankings::Builder builder(3);
   const ItemId a[] = {1, 2, 3};
   const ItemId b[] = {3, 2, 1};

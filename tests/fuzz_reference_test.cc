@@ -207,8 +207,8 @@ void CheckWeightedPrefix(int k, uint32_t universe, bool check_ownership,
   ASSERT_EQ(lists.size(), permutations);
   // Canonical order: any fixed total order works; use a scrambled one
   // to avoid accidentally aligning with item ids.
-  std::unordered_map<ItemId, uint32_t> freq = {{0, 3}, {1, 1}, {2, 5},
-                                               {3, 2}, {4, 6}, {5, 4}};
+  const ItemCounts freq = {{0, 3}, {1, 1}, {2, 5},
+                           {3, 2}, {4, 6}, {5, 4}};
   const ItemOrder order = ItemOrder::FromFrequencies(freq);
   const auto ordered = MakeOrderedDataset(lists, order);
   const JoinStore store = JoinStore::Build(

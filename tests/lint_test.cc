@@ -261,9 +261,9 @@ TEST(LintCheckTest, Ms003SeesTheClusterIndex) {
 }
 
 TEST(LintCheckTest, Ms003SeesTheItemOrder) {
-  // VJ broadcasts the item order as 12 bytes per item (4-byte id, 8-byte
-  // position), so a limit above sizeof(ItemOrder) but below the entries
-  // of a few hundred items flags it.
+  // VJ broadcasts the item order as a flat table of at least 4 bytes per
+  // item, so a limit above sizeof(ItemOrder) but below the table of a
+  // few hundred items flags it.
   ScopedEnv env("RANKJOIN_LINT_LEVEL", nullptr);
   Context::Options options = LintCluster(LintLevel::kWarn);
   options.lint_broadcast_max_bytes = 256;

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <tuple>
+#include <vector>
+
+#include "common/random.h"
 
 namespace rankjoin {
 namespace {
@@ -13,31 +18,84 @@ TEST(CountItemFrequenciesTest, CountsAcrossRankings) {
       Ranking(1, {2, 3, 4}),
       Ranking(2, {3, 4, 5}),
   };
-  auto freq = CountItemFrequencies(rankings);
-  EXPECT_EQ(freq[1], 1u);
-  EXPECT_EQ(freq[2], 2u);
-  EXPECT_EQ(freq[3], 3u);
-  EXPECT_EQ(freq[5], 1u);
+  EXPECT_EQ(CountItemFrequencies(rankings),
+            (ItemCounts{{1, 1}, {2, 2}, {3, 3}, {4, 2}, {5, 1}}));
 }
 
 TEST(ItemOrderTest, RarerItemsSortFirst) {
-  std::unordered_map<ItemId, uint32_t> freq = {{10, 5}, {20, 1}, {30, 3}};
+  const ItemCounts freq = {{10, 5}, {20, 1}, {30, 3}};
   ItemOrder order = ItemOrder::FromFrequencies(freq);
   EXPECT_LT(order.PositionOf(20), order.PositionOf(30));
   EXPECT_LT(order.PositionOf(30), order.PositionOf(10));
 }
 
 TEST(ItemOrderTest, TiesBrokenByItemId) {
-  std::unordered_map<ItemId, uint32_t> freq = {{7, 2}, {3, 2}};
+  const ItemCounts freq = {{7, 2}, {3, 2}};
   ItemOrder order = ItemOrder::FromFrequencies(freq);
   EXPECT_LT(order.PositionOf(3), order.PositionOf(7));
 }
 
 TEST(ItemOrderTest, UnknownItemsSortBeforeKnown) {
-  std::unordered_map<ItemId, uint32_t> freq = {{0, 1}};
+  const ItemCounts freq = {{0, 1}};
   ItemOrder order = ItemOrder::FromFrequencies(freq);
   // Item 999 was never counted: frequency 0, rarer than everything.
   EXPECT_LT(order.PositionOf(999), order.PositionOf(0));
+}
+
+TEST(CountItemsTest, DenseAndSparseTablesMatchAMap) {
+  // Ids below 4 per occurrence count in a dense array, ids near 2^32 in
+  // a sorted array; both give one entry per item, by id. Merging the
+  // tables of a split column gives the count of the whole.
+  Rng rng(5);
+  for (uint32_t base : {0u, 0xFFFFF000u}) {
+    std::vector<ItemId> items(3000);
+    std::map<ItemId, uint32_t> expected;
+    for (ItemId& item : items) {
+      item = base + static_cast<ItemId>(rng.Uniform(base == 0 ? 900 : 4000));
+      ++expected[item];
+    }
+    const ItemCounts whole = CountItems(items.data(), items.size());
+    EXPECT_EQ(whole, ItemCounts(expected.begin(), expected.end()));
+    const ItemCounts head = CountItems(items.data(), 1000);
+    const ItemCounts tail = CountItems(items.data() + 1000, 2000);
+    EXPECT_EQ(MergeItemCounts({head, tail}), whole);
+    EXPECT_EQ(MergeItemCounts({tail, {}, head}), whole);
+  }
+  EXPECT_TRUE(CountItems(nullptr, 0).empty());
+  EXPECT_TRUE(MergeItemCounts({}).empty());
+}
+
+TEST(ItemOrderTest, FlatTableGivesTheFrequencyPlaces) {
+  // Dense ids take an array by id, ids near 2^32 an open-addressing
+  // table. Either way a known id sits at 2^32 + its place by (count,
+  // id), and an unknown id below, inside or above the known range keeps
+  // its raw value.
+  for (const bool sparse : {false, true}) {
+    Rng rng(sparse ? 7 : 6);
+    ItemCounts freq;
+    for (uint32_t i = 0; i < 500; ++i) {
+      const ItemId id = sparse ? 0xFFFFF000u - 6 * i : 10 + 2 * i;
+      freq.push_back({id, 1 + static_cast<uint32_t>(rng.Uniform(20))});
+    }
+    ItemCounts by_place = freq;
+    std::sort(by_place.begin(), by_place.end(),
+              [](const auto& a, const auto& b) {
+                return std::tie(a.second, a.first) <
+                       std::tie(b.second, b.first);
+              });
+    const ItemOrder order = ItemOrder::FromFrequencies(freq);
+    EXPECT_EQ(order.num_items(), 500u);
+    for (size_t place = 0; place < by_place.size(); ++place) {
+      EXPECT_EQ(order.PositionOf(by_place[place].first),
+                (uint64_t{1} << 32) + place);
+    }
+    const std::vector<ItemId> unknown =
+        sparse ? std::vector<ItemId>{0, 9, 0xFFFFF000u - 6 * 499 - 1,
+                                     0xFFFFF000u - 3, 0xFFFFF001u,
+                                     0xFFFFFFFFu}
+               : std::vector<ItemId>{0, 9, 11, 507, 1009, 5000, 0xFFFFFFFFu};
+    for (ItemId id : unknown) EXPECT_EQ(order.PositionOf(id), id) << id;
+  }
 }
 
 TEST(MakeOrderedTest, CanonicalSortedByFrequency) {

@@ -80,7 +80,7 @@ TEST(RepartitionTest, DeltaZeroEqualsPlainJoin) {
   auto plain = JoinGroups(fx.MakeDataset(&ctx), fx.JoinFn(), &s1);
   auto repartitioned = JoinGroupsWithRepartitioning(
       fx.MakeDataset(&ctx), 0, 8, fx.JoinFn(), fx.RsFn(), &s2);
-  EXPECT_EQ(Dedup(plain.Collect()), Dedup(repartitioned.Collect()));
+  EXPECT_EQ(Dedup(plain.Collect()), Dedup(repartitioned));
   EXPECT_EQ(s2.lists_repartitioned, 0u);
 }
 
@@ -95,7 +95,7 @@ TEST(RepartitionTest, ResultsIdenticalAcrossDeltas) {
     JoinStats stats;
     auto result = JoinGroupsWithRepartitioning(
         fx.MakeDataset(&ctx), delta, 8, fx.JoinFn(), fx.RsFn(), &stats);
-    EXPECT_EQ(Dedup(result.Collect()), expected) << "delta " << delta;
+    EXPECT_EQ(Dedup(result), expected) << "delta " << delta;
   }
 }
 
@@ -116,6 +116,35 @@ TEST(RepartitionTest, CountsSplitLists) {
   EXPECT_GT(stats.chunk_pair_joins, 0u);
 }
 
+TEST(RepartitionTest, SplitListsRunNoUnionStage) {
+  // The pairs of the unsplit lists and of the chunk joins are read on
+  // the driver where their stages left them: no stage copies them into
+  // a union first.
+  GroupsFixture fx(405);
+  minispark::Context ctx(TestCluster());
+  size_t max_list = 0;
+  for (const auto& g : fx.group_vec) {
+    max_list = std::max(max_list, g.second.size());
+  }
+  ASSERT_GT(max_list, 2u);
+  JoinStats plain;
+  const std::set<ResultPair> expected =
+      Dedup(JoinGroups(fx.MakeDataset(&ctx), fx.JoinFn(), &plain).Collect());
+  ctx.metrics().Clear();
+  JoinStats stats;
+  const std::vector<ScoredPair> pairs = JoinGroupsWithRepartitioning(
+      fx.MakeDataset(&ctx), max_list / 2, 8, fx.JoinFn(), fx.RsFn(), &stats);
+  EXPECT_GT(stats.lists_repartitioned, 0u);
+  EXPECT_EQ(Dedup(pairs), expected);
+  bool chunk_join_ran = false;
+  for (const auto& stage : ctx.metrics().stages()) {
+    chunk_join_ran |= stage.name == "repartition/chunkJoin";
+    EXPECT_EQ(stage.name.find("repartition/union"), std::string::npos)
+        << stage.name;
+  }
+  EXPECT_TRUE(chunk_join_ran);
+}
+
 TEST(RepartitionTest, HugeDeltaSplitsNothing) {
   GroupsFixture fx(403);
   minispark::Context ctx(TestCluster());
@@ -124,10 +153,9 @@ TEST(RepartitionTest, HugeDeltaSplitsNothing) {
   const std::set<ResultPair> expected =
       Dedup(JoinGroups(fx.MakeDataset(&ctx), fx.JoinFn(), &plain).Collect());
   ctx.metrics().Clear();
-  const std::set<ResultPair> got = Dedup(
-      JoinGroupsWithRepartitioning(fx.MakeDataset(&ctx), 1u << 30, 8,
-                                   fx.JoinFn(), fx.RsFn(), &stats)
-          .Collect());
+  const std::set<ResultPair> got =
+      Dedup(JoinGroupsWithRepartitioning(fx.MakeDataset(&ctx), 1u << 30, 8,
+                                         fx.JoinFn(), fx.RsFn(), &stats));
   EXPECT_EQ(stats.lists_repartitioned, 0u);
   EXPECT_EQ(stats.chunk_pair_joins, 0u);
   EXPECT_EQ(got, expected);
@@ -164,8 +192,7 @@ TEST(RepartitionTest, ChunkPairCountMatchesFormula) {
   JoinStats stats;
   std::vector<ScoredPair> split =
       JoinGroupsWithRepartitioning(minispark::Parallelize(&ctx, one_group, 2),
-                                   3, 4, fx.JoinFn(), fx.RsFn(), &stats)
-          .Collect();
+                                   3, 4, fx.JoinFn(), fx.RsFn(), &stats);
   // ceil(10/3) = 4 chunks -> C(4,2) = 6 R-S joins.
   EXPECT_EQ(stats.lists_repartitioned, 1u);
   EXPECT_EQ(stats.chunk_pair_joins, 6u);
@@ -173,8 +200,7 @@ TEST(RepartitionTest, ChunkPairCountMatchesFormula) {
   JoinStats plain_stats;
   std::vector<ScoredPair> plain =
       JoinGroupsWithRepartitioning(minispark::Parallelize(&ctx, one_group, 2),
-                                   0, 4, fx.JoinFn(), fx.RsFn(), &plain_stats)
-          .Collect();
+                                   0, 4, fx.JoinFn(), fx.RsFn(), &plain_stats);
   ASSERT_FALSE(plain.empty());
   std::sort(split.begin(), split.end());
   std::sort(plain.begin(), plain.end());

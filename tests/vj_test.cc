@@ -200,5 +200,25 @@ TEST(VjTest, DuplicateContentRankingsAllPair) {
   EXPECT_EQ(result->pairs.size(), 3u);  // all C(3,2) pairs
 }
 
+TEST(VjTest, OrderingRunsWithoutAShuffle) {
+  // The item count is one narrow stage of per-partition tables: a job
+  // runs parallelize, vj/itemFrequency and vj/canonicalize, then the
+  // join's parallelize, its shuffle write and read, and the group join.
+  testutil::PinnedEnv env;
+  minispark::Context ctx(TestCluster());
+  VjOptions options;
+  options.theta = 0.3;
+  auto result = RunVjJoin(&ctx, SmallSkewedDataset(40), options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(ctx.metrics().NumStages(), 7u);
+  int counts = 0;
+  for (const auto& stage : ctx.metrics().stages()) {
+    EXPECT_EQ(stage.name.find("vj/itemFrequency/shuffle"), std::string::npos)
+        << stage.name;
+    counts += stage.name == "vj/itemFrequency";
+  }
+  EXPECT_EQ(counts, 1);
+}
+
 }  // namespace
 }  // namespace rankjoin
