@@ -102,10 +102,13 @@ void BM_MakeOrdered(benchmark::State& state) {
 }
 BENCHMARK(BM_MakeOrdered);
 
-/// One row's canonical order (CanonicalRanks) under a frequency order,
-/// over the rows of a 4096-row store. k = 10 and 25 take the count-rank
-/// of rows up to 32 wide; k = 40 takes the sort of wider rows.
-void BM_CanonicalRanks(benchmark::State& state) {
+using CanonicalRanksFn = void (*)(const ItemId*, int, const ItemOrder&,
+                                  uint16_t*);
+
+/// One row's canonical order under a frequency order, over the rows of a
+/// 4096-row store, by `canonical_ranks`.
+void RunCanonicalRanks(benchmark::State& state,
+                       CanonicalRanksFn canonical_ranks) {
   const int k = static_cast<int>(state.range(0));
   RankingDataset ds = MakeData(k, 4096);
   const FlatRankings& flat = ds.store();
@@ -115,14 +118,36 @@ void BM_CanonicalRanks(benchmark::State& state) {
   std::vector<uint16_t> ranks(width);
   size_t i = 0;
   for (auto _ : state) {
-    CanonicalRanks(flat.items() + (i % flat.size()) * width, k, order,
-                   ranks.data());
+    canonical_ranks(flat.items() + (i % flat.size()) * width, k, order,
+                    ranks.data());
     benchmark::DoNotOptimize(ranks.data());
     benchmark::ClobberMemory();
     ++i;
   }
 }
-BENCHMARK(BM_CanonicalRanks)->Arg(10)->Arg(25)->Arg(40);
+
+/// CanonicalRanks as the store builds it: k = 10, 25 and 40 take the
+/// count-rank of rows up to internal::kCountRankMaxK wide; k = 56 takes
+/// the sort of wider rows.
+void BM_CanonicalRanks(benchmark::State& state) {
+  RunCanonicalRanks(state, CanonicalRanks);
+}
+BENCHMARK(BM_CanonicalRanks)->Arg(10)->Arg(25)->Arg(40)->Arg(56);
+
+/// Both orderings CanonicalRanks picks between, each at every width on
+/// the same rows, so the two arms show where they cross
+/// (internal::kCountRankMaxK).
+void BM_CanonicalRanksByCount(benchmark::State& state) {
+  RunCanonicalRanks(state, internal::CanonicalRanksByCount);
+}
+BENCHMARK(BM_CanonicalRanksByCount)
+    ->Arg(10)->Arg(25)->Arg(32)->Arg(40)->Arg(48)->Arg(56)->Arg(64);
+
+void BM_CanonicalRanksBySort(benchmark::State& state) {
+  RunCanonicalRanks(state, internal::CanonicalRanksBySort);
+}
+BENCHMARK(BM_CanonicalRanksBySort)
+    ->Arg(10)->Arg(25)->Arg(32)->Arg(40)->Arg(48)->Arg(56)->Arg(64);
 
 /// Args: k, then 1 for the compare written out for the row's chunk
 /// count (what the pair loops run for k <= 32) or 0 for the run-time

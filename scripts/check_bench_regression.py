@@ -19,13 +19,8 @@ Two classes of checks:
     wall_seconds is gated row by row (above the --min-seconds noise
     floor); measured_makespan_s — a max-task statistic one slow task can
     double — only in aggregate. The aggregate check sums each field over
-    all rows and applies the same tolerance. With --normalize, each candidate
-    time is first divided by the median candidate/baseline ratio across
-    all rows — cancels machine-speed differences while still catching a
-    single run regressing relative to its peers. Note --normalize also
-    cancels a *uniform* slowdown (that is the point), so it skips the
-    aggregate check; the CI self-test that injects a uniform 2x runs
-    without it.
+    all rows and applies the same tolerance. Both sides must come from
+    the same machine: the raw ratio is what is gated.
 
 Modes:
   check (default)      exit 1 on any violation
@@ -167,16 +162,8 @@ def check_exact(key, base, cand, failures):
             f"{base_algo} -> {cand_algo}")
 
 
-def median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
-
-
-def check_times(keys, base_rows, cand_rows, tolerance, normalize,
-                slowdown, min_seconds, failures):
+def check_times(keys, base_rows, cand_rows, tolerance, slowdown,
+                min_seconds, failures):
     for field in TIME_FIELDS:
         ratios = {}
         base_total = 0.0
@@ -190,21 +177,15 @@ def check_times(keys, base_rows, cand_rows, tolerance, normalize,
             cand_total += c * slowdown
             if field in PER_ROW_FIELDS and b >= min_seconds:
                 ratios[key] = (c * slowdown) / b
-        scale = median(ratios.values()) if normalize and ratios else 1.0
-        if scale <= 0:
-            scale = 1.0
         for key, ratio in sorted(ratios.items()):
-            adjusted = ratio / scale
-            if adjusted > 1.0 + tolerance:
+            if ratio > 1.0 + tolerance:
                 failures.append(
                     f"{key[0]}#{key[1]}: {field} regressed "
-                    f"{(adjusted - 1.0) * 100:.1f}% over baseline "
-                    f"(ratio {ratio:.3f}, normalized {adjusted:.3f}, "
-                    f"tolerance {tolerance * 100:.0f}%)")
+                    f"{(ratio - 1.0) * 100:.1f}% over baseline "
+                    f"(ratio {ratio:.3f}, tolerance {tolerance * 100:.0f}%)")
         # Aggregate: per-row noise averages out over the whole matrix,
-        # so the summed time is the stablest signal. Meaningless under
-        # --normalize (a uniform factor is exactly what it cancels).
-        if not normalize and base_total > 0:
+        # so the summed time is the stablest signal.
+        if base_total > 0:
             total_ratio = cand_total / base_total
             if total_ratio > 1.0 + tolerance:
                 failures.append(
@@ -228,10 +209,6 @@ def main():
         help="skip the per-row time check when the baseline value is "
              "below this (noise floor, default 0.05); such rows still "
              "count toward the aggregate check")
-    parser.add_argument(
-        "--normalize", action="store_true",
-        help="divide by the median candidate/baseline ratio first "
-             "(cancels machine-speed differences)")
     parser.add_argument(
         "--only", choices=("counters", "times"),
         help="run only the exact counter check or only the timing check")
@@ -290,8 +267,8 @@ def main():
             check_exact(key, base_rows[key], cand_rows[key], failures)
     if args.only != "counters":
         check_times(common, fastest(base_runs), fastest(cand_runs),
-                    args.tolerance, args.normalize, args.inject_slowdown,
-                    args.min_seconds, failures)
+                    args.tolerance, args.inject_slowdown, args.min_seconds,
+                    failures)
 
     if failures:
         print(f"FAIL: {len(failures)} regression(s) vs {args.baseline}")

@@ -3,9 +3,8 @@
 #
 #   scripts/perf_gate.sh PARENT_BUILD_DIR CHANGE_BUILD_DIR [OUT_DIR]
 #
-# Both build trees must be Release builds with the bench targets. The
-# small bench matrix (fig12_partitions, search_sweet_spot,
-# outlook_jaccard, fig10_partitioning_threshold) runs from the parent
+# Both build trees must be configured for Release; the script builds
+# the benches below in each. The small bench matrix runs from the parent
 # and the change in alternation, twice each, with counters traced and
 # metrics JSON written to OUT_DIR (default: a fresh temp dir). Then:
 #
@@ -13,8 +12,8 @@
 #     exactly (a difference is a behavior change);
 #  2. the change's wall time must stay within the checker's tolerance of
 #     the parent's, per row and in aggregate, each row taking its fastest
-#     run per side; no --normalize, because a change that speeds up some
-#     rows more than others makes the median ratio misjudge the rest;
+#     run per side (both sides run on the same machine, so the raw ratio
+#     is gated);
 #  3. the timing check must fire on the change's own run with an
 #     injected uniform 2x slowdown, which proves it can fail.
 set -euo pipefail
@@ -29,11 +28,16 @@ out=${3:-$(mktemp -d)}
 mkdir -p "$out"
 root=$(cd "$(dirname "$0")/.." && pwd)
 check="$root/scripts/check_bench_regression.py"
+benches=(fig12_partitions search_sweet_spot outlook_jaccard
+         fig10_partitioning_threshold)
+
+for build in "$parent" "$change"; do
+  cmake --build "$build" -j"$(nproc)" --target "${benches[@]}"
+done
 
 run_matrix() {  # BUILD_DIR OUT_JSON
   rm -f "$2"
-  for bench in fig12_partitions search_sweet_spot outlook_jaccard \
-               fig10_partitioning_threshold; do
+  for bench in "${benches[@]}"; do
     RANKJOIN_TRACE_LEVEL=counters RANKJOIN_METRICS_JSON="$2" \
       "$1/bench/$bench" > /dev/null
   done

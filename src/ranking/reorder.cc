@@ -10,9 +10,6 @@ namespace rankjoin {
 
 namespace {
 
-/// The widest row CanonicalRanks orders by count-rank; wider rows sort.
-constexpr int kCountRankMaxK = 32;
-
 /// Sums `entries` (item, count) entries per item. for_each(fn) calls
 /// fn(item, count) on every entry, and may run more than once. Under
 /// DenseIdsFit the table is an array of counts by item; otherwise the
@@ -95,33 +92,54 @@ ItemOrder ItemOrder::FromFrequencies(const ItemCounts& freq) {
   return order;
 }
 
-void CanonicalRanks(const ItemId* items, int k, const ItemOrder& order,
-                    uint16_t* ranks) {
-  // A key holds the item's order position above its rank, so the keys
-  // of a row are distinct and order as (position, rank); each position
-  // is looked up once.
-  const auto key = [&](int r) {
-    return order.PositionOf(items[r]) << 16 | static_cast<uint64_t>(r);
-  };
-  if (k <= kCountRankMaxK) {
-    // Count-rank: a key's place is the number of smaller keys. The k^2
-    // compares do not branch, and beat std::sort at these widths
-    // (EXPERIMENTS.md "Ordering without a shuffle").
-    uint64_t keys[kCountRankMaxK];
-    for (int r = 0; r < k; ++r) keys[r] = key(r);
-    for (int r = 0; r < k; ++r) {
-      int place = 0;
-      for (int s = 0; s < k; ++s) place += keys[s] < keys[r];
-      ranks[place] = static_cast<uint16_t>(r);
-    }
-    return;
+namespace internal {
+
+namespace {
+
+/// A key holds the item's order position above its rank, so the keys of
+/// a row are distinct and order as (position, rank); each position is
+/// looked up once.
+uint64_t CanonicalKey(const ItemId* items, int r, const ItemOrder& order) {
+  return order.PositionOf(items[r]) << 16 | static_cast<uint64_t>(r);
+}
+
+}  // namespace
+
+void CanonicalRanksByCount(const ItemId* items, int k,
+                           const ItemOrder& order, uint16_t* ranks) {
+  // A key's place is the number of smaller keys; the k^2 compares do not
+  // branch.
+  RANKJOIN_DCHECK(k <= kCountRankMaxWidth);
+  uint64_t keys[kCountRankMaxWidth];
+  for (int r = 0; r < k; ++r) keys[r] = CanonicalKey(items, r, order);
+  for (int r = 0; r < k; ++r) {
+    int place = 0;
+    for (int s = 0; s < k; ++s) place += keys[s] < keys[r];
+    ranks[place] = static_cast<uint16_t>(r);
   }
+}
+
+void CanonicalRanksBySort(const ItemId* items, int k, const ItemOrder& order,
+                          uint16_t* ranks) {
   thread_local std::vector<uint64_t> keys;
   keys.resize(static_cast<size_t>(k));
-  for (int r = 0; r < k; ++r) keys[static_cast<size_t>(r)] = key(r);
+  for (int r = 0; r < k; ++r) {
+    keys[static_cast<size_t>(r)] = CanonicalKey(items, r, order);
+  }
   std::sort(keys.begin(), keys.end());
   for (int t = 0; t < k; ++t) {
     ranks[t] = static_cast<uint16_t>(keys[static_cast<size_t>(t)] & 0xFFFF);
+  }
+}
+
+}  // namespace internal
+
+void CanonicalRanks(const ItemId* items, int k, const ItemOrder& order,
+                    uint16_t* ranks) {
+  if (k <= internal::kCountRankMaxK) {
+    internal::CanonicalRanksByCount(items, k, order, ranks);
+  } else {
+    internal::CanonicalRanksBySort(items, k, order, ranks);
   }
 }
 

@@ -75,6 +75,28 @@ inline size_t ApproxSize(const ItemOrder& order) {
 void CanonicalRanks(const ItemId* items, int k, const ItemOrder& order,
                     uint16_t* ranks);
 
+namespace internal {
+
+/// The widest row CanonicalRanks orders by count-rank; wider rows sort.
+/// BM_CanonicalRanksByCount and BM_CanonicalRanksBySort (micro_kernels)
+/// time both on the same rows: count-rank won every run at widths up to
+/// 48, and the two traded places at 56 and 64 (EXPERIMENTS.md "Ordering
+/// without a shuffle").
+inline constexpr int kCountRankMaxK = 48;
+/// The widest row CanonicalRanksByCount takes (its key buffer), above
+/// kCountRankMaxK so the benchmark can time it past the crossover.
+inline constexpr int kCountRankMaxWidth = 64;
+
+/// The two orderings CanonicalRanks picks between by k, with the same
+/// output: count-rank (a row's k^2 key compares, for k <=
+/// kCountRankMaxWidth) and std::sort of its k keys.
+void CanonicalRanksByCount(const ItemId* items, int k, const ItemOrder& order,
+                           uint16_t* ranks);
+void CanonicalRanksBySort(const ItemId* items, int k, const ItemOrder& order,
+                          uint16_t* ranks);
+
+}  // namespace internal
+
 /// Transforms one ranking into its join representation: entries carry the
 /// original rank; `canonical` is sorted by the global item order and
 /// `by_item` by item id (see OrderedRanking).

@@ -148,11 +148,15 @@ TEST(OrderDatasetTest, IdsNearTwoToThe32AmongSmallIds) {
 }
 
 TEST(OrderDatasetTest, NarrowAndWideRows) {
-  // k = 1, and k = 40, whose canonical order takes the sort of rows
-  // wider than 32.
+  // k = 1; k = 40, which still takes the count-rank; and k = 56, whose
+  // canonical order takes the sort of rows wider than kCountRankMaxK.
+  static_assert(40 <= internal::kCountRankMaxK &&
+                56 > internal::kCountRankMaxK);
   CheckOrdering(testutil::SmallSkewedDataset(33, 300, 1), 7, true);
   CheckOrdering(testutil::SmallSkewedDataset(34, 300, 40), 7, true);
   CheckOrdering(testutil::SmallSkewedDataset(35, 300, 40), 5, false);
+  CheckOrdering(testutil::SmallSkewedDataset(37, 300, 56), 7, true);
+  CheckOrdering(testutil::SmallSkewedDataset(38, 300, 56), 5, false);
 }
 
 TEST(OrderDatasetTest, JaccardStore) {

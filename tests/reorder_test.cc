@@ -98,6 +98,40 @@ TEST(ItemOrderTest, FlatTableGivesTheFrequencyPlaces) {
   }
 }
 
+TEST(CanonicalRanksTest, CountRankAndSortAgree) {
+  // CanonicalRanks picks count-rank or a sort by k; both must give the
+  // same ranks at every width either takes, with known items (placed by
+  // frequency) and unknown ones (placed by id) mixed in one row.
+  Rng rng(11);
+  ItemCounts freq;
+  for (ItemId id = 0; id < 200; id += 2) {
+    freq.push_back({id, 1 + static_cast<uint32_t>(rng.Uniform(5))});
+  }
+  const ItemOrder order = ItemOrder::FromFrequencies(freq);
+  for (int k = 1; k <= internal::kCountRankMaxWidth; ++k) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<ItemId> items;
+      while (items.size() < static_cast<size_t>(k)) {
+        const auto id = static_cast<ItemId>(rng.Uniform(300));
+        if (std::find(items.begin(), items.end(), id) == items.end()) {
+          items.push_back(id);
+        }
+      }
+      std::vector<uint16_t> by_count(static_cast<size_t>(k));
+      std::vector<uint16_t> by_sort(static_cast<size_t>(k));
+      internal::CanonicalRanksByCount(items.data(), k, order,
+                                      by_count.data());
+      internal::CanonicalRanksBySort(items.data(), k, order, by_sort.data());
+      ASSERT_EQ(by_count, by_sort) << "k = " << k;
+      for (int t = 1; t < k; ++t) {
+        ASSERT_LT(order.PositionOf(items[by_sort[t - 1]]),
+                  order.PositionOf(items[by_sort[t]]))
+            << "k = " << k;
+      }
+    }
+  }
+}
+
 TEST(MakeOrderedTest, CanonicalSortedByFrequency) {
   // Frequencies: item 5 -> 3, item 7 -> 2, item 1 -> 1. Canonical order
   // of ranking 0 is therefore [1, 7, 5] (ascending frequency).
