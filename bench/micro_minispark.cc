@@ -1,6 +1,6 @@
 // google-benchmark suite for the minispark dataflow primitives: shuffle
-// throughput, groupByKey, reduceByKey, join, and the lazy stage-fusion
-// engine (fused vs per-operator execution).
+// throughput, groupByKey, reduceByKey, and a narrow chain fused into its
+// shuffle write.
 // These bound the constant factors behind every distributed pipeline.
 // Lazy outputs are forced with Count() so each iteration measures the
 // full materialization, not just plan construction.
@@ -73,14 +73,11 @@ BENCHMARK(BM_ReduceByKey)->Arg(100000);
 
 // map -> filter -> flatMap -> groupByKey, the canonical narrow chain of
 // the join pipelines (prefix emission, predicate filters, re-keying).
-// With fusion the three narrow ops execute inside the shuffle-write
-// stage; without it every operator materializes its own dataset. The
+// The three narrow ops execute inside the shuffle-write stage. The
 // counters report stages executed and elements materialized per
 // iteration so EXPERIMENTS.md can quote them directly.
-void ChainBenchmark(benchmark::State& state, bool fuse) {
-  Context::Options options = BenchCluster();
-  options.fuse_narrow_ops = fuse;
-  Context ctx(options);
+void BM_ChainFused(benchmark::State& state) {
+  Context ctx(BenchCluster());
   const size_t n = static_cast<size_t>(state.range(0));
   auto ds = Parallelize(&ctx, MakeKv(n, 1024), 16);
   ctx.metrics().Clear();
@@ -113,16 +110,7 @@ void ChainBenchmark(benchmark::State& state, bool fuse) {
       iters;
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-
-void BM_ChainFused(benchmark::State& state) {
-  ChainBenchmark(state, /*fuse=*/true);
-}
 BENCHMARK(BM_ChainFused)->Arg(100000);
-
-void BM_ChainUnfused(benchmark::State& state) {
-  ChainBenchmark(state, /*fuse=*/false);
-}
-BENCHMARK(BM_ChainUnfused)->Arg(100000);
 
 // Same shuffle, resident vs disk: arg is the memory budget in bytes
 // (0 = unlimited). The spill counters quantify how much of the shuffle
@@ -215,11 +203,10 @@ int DumpMetricsJson(const std::string& path) {
 }
 
 /// `--lint` wiring: runs the plan linter (lint.h) over the canonical
-/// chain pipeline (expected clean) and over a deliberately bad plan —
-/// a pending narrow chain feeding two consumers without Cache() (MS001)
-/// and a repartition whose placement the next shuffle discards (MS002)
-/// — and prints both reports, demonstrating the diagnostic format
-/// without needing a dataset file.
+/// chain pipeline (expected clean) and over a deliberately bad plan — a
+/// repartition whose placement the next shuffle discards (MS002) — and
+/// prints both reports, demonstrating the diagnostic format without
+/// needing a dataset file.
 int RunLintDemo() {
   Context::Options options = BenchCluster();
   options.lint_level = LintLevel::kWarn;
@@ -236,21 +223,9 @@ int RunLintDemo() {
         return std::pair<uint32_t, uint32_t>(kv.first, kv.second + 1);
       },
       "demo/shift");
-  // Two consumers of the pending chain, never cached: MS001.
-  auto evens = shifted.Filter(
-      [](const std::pair<uint32_t, uint32_t>& kv) {
-        return kv.second % 2 == 0;
-      },
-      "demo/evens");
-  auto odds = shifted.Filter(
-      [](const std::pair<uint32_t, uint32_t>& kv) {
-        return kv.second % 2 == 1;
-      },
-      "demo/odds");
   // A placement shuffle feeding only another shuffle, which discards
   // its placement: MS002.
-  auto placed = PartitionByKey(Union(evens, odds, "demo/union"), 8,
-                               "demo/place");
+  auto placed = PartitionByKey(shifted, 8, "demo/place");
   auto grouped = GroupByKey(placed, 16, "demo/group");
   const std::vector<LintDiagnostic> bad = grouped.Lint();
   std::printf("demo bad plan:  %s", bad.empty()

@@ -53,10 +53,10 @@ void Usage(const char* argv0) {
       "  --stats-port N     serve live /metrics (Prometheus) and /healthz\n"
       "                     on 127.0.0.1:N while the join runs (0 picks an\n"
       "                     ephemeral port; same as RANKJOIN_STATS_PORT)\n"
-      "  --lint             lint every plan the run collects (MS001..MS007,\n"
+      "  --lint             lint every plan the run collects (MS002..MS005,\n"
       "                     see docs/MINISPARK.md) and print the report;\n"
       "                     RANKJOIN_LINT_LEVEL=error additionally rejects\n"
-      "                     bad plans before any task runs\n"
+      "                     a bad plan before its pending chain runs\n"
       "  --mmap FILE        load a binary columnar dataset (data/io.h\n"
       "                     RKJC format) by mmap instead of --input\n"
       "  --pipelined        overlap shuffle write/read stages (same as\n"

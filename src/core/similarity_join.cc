@@ -105,9 +105,10 @@ Result<JoinResult> RunSimilarityJoin(minispark::Context* ctx,
                                      const RankingDataset& dataset,
                                      const SimilarityJoinConfig& config) {
   RANKJOIN_RETURN_NOT_OK(config.Validate(dataset.k));
-  // The pipelines are each StopAware already; wrapping the facade too
-  // covers the planner's sampling stages and any future dispatch path.
-  return minispark::StopAware([&]() -> Result<JoinResult> {
+  // The pipelines each catch a JobFailedError already; wrapping the
+  // facade too covers the planner's sampling stages and any future
+  // dispatch path.
+  return minispark::CatchJobFailure([&]() -> Result<JoinResult> {
     if (config.algorithm == Algorithm::kAuto) {
       return PlanAndExecute(ctx, dataset, config);
     }

@@ -57,8 +57,8 @@ Status ValidateOptions(const JaccardJoinOptions& options, int k,
 
 /// Validates, orders `dataset` into a Distance::kJaccard store and runs
 /// `phases(store, num_partitions, &result)` on it, with the ordering and
-/// total times recorded. A Cancel()/deadline stop anywhere inside
-/// unwinds here as a Status.
+/// total times recorded. A failed stage or a Cancel()/deadline stop
+/// anywhere inside unwinds here as a Status.
 template <typename Phases>
 Result<JoinResult> RunOnJaccardStore(minispark::Context* ctx,
                                      const RankingDataset& dataset,
@@ -66,7 +66,7 @@ Result<JoinResult> RunOnJaccardStore(minispark::Context* ctx,
                                      bool clustering, Phases&& phases) {
   RANKJOIN_RETURN_NOT_OK(ValidateOptions(options, dataset.k, clustering));
   RANKJOIN_RETURN_NOT_OK(dataset.Validate());
-  return minispark::StopAware([&]() -> Result<JoinResult> {
+  return minispark::CatchJobFailure([&]() -> Result<JoinResult> {
     const int num_partitions = options.num_partitions > 0
                                    ? options.num_partitions
                                    : ctx->default_partitions();

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <numeric>
 #include <span>
 #include <utility>
 #include <vector>
@@ -130,9 +131,66 @@ void EmitWithTriangleBounds(const ExpansionContext& ectx, RankingId a,
   }
 }
 
-/// Merges the per-partition stat slots into the accumulator.
-void MergeSlots(const std::vector<JoinStats>& slots, JoinStats* stats) {
-  for (const JoinStats& s : slots) stats->MergeCounters(s);
+/// Expands one R_j pair (Algorithm 2 lines 1-8). Direct results: R_s
+/// (both singleton, emitted as-is — their join threshold was theta) plus
+/// every centroid pair within theta. Then the members of ci against cj
+/// and of cj against ci (R_m,c; the second is the "switched centroids"
+/// join of Example 5.4), and the members of ci against the members of cj
+/// (R_m,m). A singleton owns no members, so an R_s pair stops after the
+/// direct branch.
+void ExpandCentroidPair(const ExpansionContext& ectx,
+                        const ClusterIndex& clusters, const CentroidPair& cp,
+                        std::vector<ResultPair>* out, JoinStats* stats) {
+  if (cp.distance <= ectx.raw_theta) {
+    out->push_back(MakeResultPair(cp.ci, cp.cj));
+  }
+  const std::span<const MemberRec> mis =
+      clusters.MembersOf(ectx.store->RowOf(cp.ci));
+  const std::span<const MemberRec> mjs =
+      clusters.MembersOf(ectx.store->RowOf(cp.cj));
+  const int64_t dij = cp.distance;
+  for (const MemberRec& mi : mis) {
+    const int64_t dmi = mi.second;
+    EmitWithTriangleBounds(ectx, mi.first, cp.cj, std::abs(dij - dmi),
+                           dij + dmi, out, stats);
+  }
+  for (const MemberRec& mj : mjs) {
+    const int64_t dmj = mj.second;
+    EmitWithTriangleBounds(ectx, mj.first, cp.ci, std::abs(dij - dmj),
+                           dij + dmj, out, stats);
+  }
+  for (const MemberRec& mi : mis) {
+    for (const MemberRec& mj : mjs) {
+      const int64_t lower = dij - static_cast<int64_t>(mi.second) -
+                            static_cast<int64_t>(mj.second);
+      const int64_t upper = dij + static_cast<int64_t>(mi.second) +
+                            static_cast<int64_t>(mj.second);
+      EmitWithTriangleBounds(ectx, mi.first, mj.first, lower, upper, out,
+                             stats);
+    }
+  }
+}
+
+/// Expands one centroid's own cluster: (centroid, member) pairs qualify
+/// outright (distance <= theta_c <= theta); member-member pairs are
+/// within 2*theta_c by the triangle inequality and are emitted
+/// unverified when the known distance sum already proves qualification.
+void ExpandCluster(const ExpansionContext& ectx, const ClusterIndex& clusters,
+                   RankingId centroid, std::vector<ResultPair>* out,
+                   JoinStats* stats) {
+  const std::span<const MemberRec> members =
+      clusters.MembersOf(ectx.store->RowOf(centroid));
+  for (const MemberRec& m : members) {
+    out->push_back(MakeResultPair(centroid, m.first));
+  }
+  for (size_t i = 0; i + 1 < members.size(); ++i) {
+    for (size_t j = i + 1; j < members.size(); ++j) {
+      const int64_t sum =
+          static_cast<int64_t>(members[i].second) + members[j].second;
+      EmitWithTriangleBounds(ectx, members[i].first, members[j].first,
+                             /*lower_bound=*/0, sum, out, stats);
+    }
+  }
 }
 
 /// Expansion phase (paper Section 5.3 / Algorithm 2): combines the
@@ -143,117 +201,56 @@ void MergeSlots(const std::vector<JoinStats>& slots, JoinStats* stats) {
 /// direct, intra-cluster, R_m,c in one direction, or R_m,m.
 ///
 /// R_c is built once on the driver and broadcast as a CSR index, so the
-/// expansion is two narrow passes, one over R_j and one over the
-/// centroids, with no shuffle (DESIGN.md deviation 7).
+/// expansion is one narrow pass with no shuffle (DESIGN.md deviation 7)
+/// over the unit indices 0 .. |R_j| + |centroids| - 1: unit u < |R_j|
+/// expands the R_j pair rj[u], and every later unit one centroid's
+/// cluster. The result holds the R_j results first, then the
+/// intra-cluster ones (Algorithm 2 line 9's union).
 std::vector<ResultPair> RunExpansion(minispark::Context* ctx,
                                      const JoinStore& store,
                                      const Clustering& clustering,
                                      const std::vector<CentroidPair>& rj,
                                      uint32_t raw_theta, int num_partitions,
                                      bool upper_shortcut, JoinStats* stats) {
-  ExpansionContext ectx{&store, raw_theta, upper_shortcut};
+  const ExpansionContext ectx{&store, raw_theta, upper_shortcut};
   const minispark::Broadcast<ClusterIndex> clusters = ctx->MakeBroadcast(
       IndexClusters(store, clustering.pairs), "cl/clusterIndex");
-
-  // R_j pass (Algorithm 2 lines 1-8). Direct results: R_s (both
-  // singleton, emitted as-is — their join threshold was theta) plus every
-  // centroid pair within theta. Then the members of ci against cj and of
-  // cj against ci (R_m,c; the second is the "switched centroids" join of
-  // Example 5.4), and the members of ci against the members of cj
-  // (R_m,m). A singleton owns no members, so an R_s pair stops after the
-  // direct branch.
-  minispark::Dataset<CentroidPair> rj_ds =
-      minispark::Parallelize(ctx, rj, num_partitions);
-  std::vector<JoinStats> rj_slots(static_cast<size_t>(rj_ds.num_partitions()));
-  minispark::Dataset<ResultPair> across = rj_ds.MapPartitionsWithIndex(
-      [ectx, clusters, &rj_slots](int index,
-                                  const std::vector<CentroidPair>& part) {
+  const std::vector<RankingId>& centroids = clustering.centroids;
+  RANKJOIN_CHECK(rj.size() + centroids.size() <= UINT32_MAX);
+  std::vector<uint32_t> units(rj.size() + centroids.size());
+  std::iota(units.begin(), units.end(), 0u);
+  minispark::Dataset<uint32_t> unit_ds =
+      minispark::Parallelize(ctx, std::move(units), num_partitions);
+  std::vector<JoinStats> slots(static_cast<size_t>(unit_ds.num_partitions()));
+  minispark::Dataset<ResultPair> expanded = unit_ds.MapPartitionsWithIndex(
+      [ectx, clusters, &rj, &centroids, &slots](
+          int index, const std::vector<uint32_t>& part) {
         std::vector<ResultPair> out;
-        JoinStats& local = rj_slots[static_cast<size_t>(index)];
+        JoinStats& local = slots[static_cast<size_t>(index)];
         // Retry hygiene: a re-run attempt starts its stat slot from zero.
         local = JoinStats();
-        for (const CentroidPair& cp : part) {
-          if (cp.distance <= ectx.raw_theta) {
-            out.push_back(MakeResultPair(cp.ci, cp.cj));
-          }
-          const std::span<const MemberRec> mis =
-              clusters->MembersOf(ectx.store->RowOf(cp.ci));
-          const std::span<const MemberRec> mjs =
-              clusters->MembersOf(ectx.store->RowOf(cp.cj));
-          const int64_t dij = cp.distance;
-          for (const MemberRec& mi : mis) {
-            const int64_t dmi = mi.second;
-            EmitWithTriangleBounds(ectx, mi.first, cp.cj,
-                                   std::abs(dij - dmi), dij + dmi, &out,
-                                   &local);
-          }
-          for (const MemberRec& mj : mjs) {
-            const int64_t dmj = mj.second;
-            EmitWithTriangleBounds(ectx, mj.first, cp.ci,
-                                   std::abs(dij - dmj), dij + dmj, &out,
-                                   &local);
-          }
-          for (const MemberRec& mi : mis) {
-            for (const MemberRec& mj : mjs) {
-              const int64_t lower = dij - static_cast<int64_t>(mi.second) -
-                                    static_cast<int64_t>(mj.second);
-              const int64_t upper = dij + static_cast<int64_t>(mi.second) +
-                                    static_cast<int64_t>(mj.second);
-              EmitWithTriangleBounds(ectx, mi.first, mj.first, lower, upper,
-                                     &out, &local);
-            }
+        for (const uint32_t unit : part) {
+          if (unit < rj.size()) {
+            ExpandCentroidPair(ectx, *clusters, rj[unit], &out, &local);
+          } else {
+            ExpandCluster(ectx, *clusters, centroids[unit - rj.size()], &out,
+                          &local);
           }
         }
         return out;
       },
-      "expand/centroidPairs");
+      "expand");
 
-  // Intra-cluster pass: (centroid, member) pairs qualify outright
-  // (distance <= theta_c <= theta); member-member pairs are within
-  // 2*theta_c by the triangle inequality and are emitted unverified when
-  // the known distance sum already proves qualification.
-  minispark::Dataset<RankingId> centroid_ds =
-      minispark::Parallelize(ctx, clustering.centroids, num_partitions);
-  std::vector<JoinStats> intra_slots(
-      static_cast<size_t>(centroid_ds.num_partitions()));
-  minispark::Dataset<ResultPair> intra = centroid_ds.MapPartitionsWithIndex(
-      [ectx, clusters, &intra_slots](int index,
-                                     const std::vector<RankingId>& part) {
-        std::vector<ResultPair> out;
-        JoinStats& local = intra_slots[static_cast<size_t>(index)];
-        // Retry hygiene: a re-run attempt starts its stat slot from zero.
-        local = JoinStats();
-        for (const RankingId centroid : part) {
-          const std::span<const MemberRec> members =
-              clusters->MembersOf(ectx.store->RowOf(centroid));
-          for (const MemberRec& m : members) {
-            out.push_back(MakeResultPair(centroid, m.first));
-          }
-          for (size_t i = 0; i + 1 < members.size(); ++i) {
-            for (size_t j = i + 1; j < members.size(); ++j) {
-              const int64_t sum =
-                  static_cast<int64_t>(members[i].second) + members[j].second;
-              EmitWithTriangleBounds(ectx, members[i].first, members[j].first,
-                                     /*lower_bound=*/0, sum, &out, &local);
-            }
-          }
-        }
-        return out;
-      },
-      "expand/intraCluster");
-
-  // Union both passes (Algorithm 2 line 9). No distinct: every ranking
-  // has one role, so each result pair maps to one R_j pair (or one
-  // cluster) and one of the branches above (DESIGN.md deviation 6). The
-  // collect runs both passes, so the stat slots are read after it. The
-  // phase-local accumulator is merged into the caller's stats AND
-  // published under "cl.expansion", so traces show the triangle
-  // inequality's prune/shortcut effectiveness (Section 5.3) in isolation.
-  std::vector<ResultPair> collected =
-      minispark::Union(across, intra, "expand/union").Collect();
+  // No distinct: every ranking has one role, so each result pair maps to
+  // one R_j pair (or one cluster) and one of the branches above
+  // (DESIGN.md deviation 6). The collect runs the pass, so the stat
+  // slots are read after it. The phase-local accumulator is merged into
+  // the caller's stats AND published under "cl.expansion", so traces
+  // show the triangle inequality's prune/shortcut effectiveness
+  // (Section 5.3) in isolation.
+  std::vector<ResultPair> collected = expanded.Collect();
   JoinStats expansion_stats;
-  MergeSlots(rj_slots, &expansion_stats);
-  MergeSlots(intra_slots, &expansion_stats);
+  for (const JoinStats& slot : slots) expansion_stats.MergeCounters(slot);
   expansion_stats.PublishCounters(&ctx->counters(), "cl.expansion");
   ctx->counters().Add("cl.expansion.result_pairs", collected.size());
   stats->MergeCounters(expansion_stats);
@@ -269,8 +266,9 @@ static Result<JoinResult> RunClusterJoinImpl(minispark::Context* ctx,
 Result<JoinResult> RunClusterJoin(minispark::Context* ctx,
                                   const RankingDataset& dataset,
                                   const ClOptions& options) {
-  // A Cancel()/deadline stop anywhere inside unwinds here as a Status.
-  return minispark::StopAware(
+  // A failed stage or a Cancel()/deadline stop anywhere inside unwinds
+  // here as a Status.
+  return minispark::CatchJobFailure(
       [&] { return RunClusterJoinImpl(ctx, dataset, options); });
 }
 

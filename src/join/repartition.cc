@@ -47,9 +47,7 @@ minispark::Dataset<ScoredPair> JoinGroups(
       "joinGroups");
   // Force the fused chain before harvesting the per-partition stat
   // slots: under lazy execution the local joins have not run until the
-  // dataset is materialized. Force(), not Cache(): the result has a
-  // single downstream consumer, so a cache pin would be wasted
-  // materialization (MS007).
+  // dataset is materialized.
   result.Force();
   MergeSlots(slots, stats);
   return result;
@@ -94,9 +92,7 @@ std::vector<ScoredPair> JoinGroupsWithRepartitioning(
     groups.context()->counters().Add("repartition.skew_upgrades", 1);
   }
   // The measurement above materialized the index, so both splits below
-  // read its partitions. The two results are collected one by one, and
-  // each plan holds one of the splits, so a Cache() pin here would have
-  // one consumer per plan (MS007).
+  // read its partitions.
 
   // Split the inverted index into small and large lists (I_<=delta and
   // I_>delta in Algorithm 3).
@@ -157,7 +153,7 @@ std::vector<ScoredPair> JoinGroupsWithRepartitioning(
         return out;
       },
       "repartition/chunkJoin");
-  // Force (not Cache) before reading the stat slots: single consumer.
+  // Force before reading the stat slots.
   chunk_results.Force();
   MergeSlots(unit_slots, stats);
 

@@ -1,6 +1,7 @@
 #include "join/rs_join.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -110,8 +111,9 @@ static Result<JoinResult> RunRsJoinImpl(minispark::Context* ctx,
 Result<JoinResult> RunRsJoin(minispark::Context* ctx,
                              const RankingDataset& r, const RankingDataset& s,
                              const RsJoinOptions& options) {
-  // A Cancel()/deadline stop anywhere inside unwinds here as a Status.
-  return minispark::StopAware(
+  // A failed stage or a Cancel()/deadline stop anywhere inside unwinds
+  // here as a Status.
+  return minispark::CatchJobFailure(
       [&] { return RunRsJoinImpl(ctx, r, s, options); });
 }
 
@@ -142,24 +144,28 @@ static Result<JoinResult> RunRsJoinImpl(minispark::Context* ctx,
   result.stats.ordering_seconds = phase.ElapsedSeconds();
 
   phase.Reset();
-  // Both sides emit prefix postings tagged with their origin.
-  auto emit_side = [&](const JoinStore& side, bool from_s) {
-    auto ds = minispark::Parallelize(ctx, side.Rows(), num_partitions);
-    const JoinStore* side_ptr = &side;
-    return ds.FlatMap(
-        [side_ptr, raw_theta, from_s](RowIndex row) {
-          std::vector<std::pair<ItemId, SidedPosting>> out;
-          for (const auto& [item, posting] :
-               EmitPrefix(*side_ptr, row, raw_theta, PrefixMode::kOverlap)) {
-            out.push_back({item, SidedPosting{from_s, posting}});
-          }
-          return out;
-        },
-        from_s ? "rsJoin/prefixS" : "rsJoin/prefixR");
-  };
+  // Both sides emit prefix postings tagged with their origin, from one
+  // pass over the unit indices 0 .. |R| + |S| - 1: unit u < |R| is row u
+  // of R, and every later unit a row of S.
+  RANKJOIN_CHECK(ro.size() + so.size() <= UINT32_MAX);
+  std::vector<uint32_t> units(ro.size() + so.size());
+  std::iota(units.begin(), units.end(), 0u);
   auto postings =
-      minispark::Union(emit_side(ro, false), emit_side(so, true),
-                       "rsJoin/unionSides");
+      minispark::Parallelize(ctx, std::move(units), num_partitions)
+          .FlatMap(
+              [&ro, &so, raw_theta](uint32_t unit) {
+                const bool from_s = unit >= ro.size();
+                const JoinStore& side = from_s ? so : ro;
+                const RowIndex row =
+                    from_s ? unit - static_cast<uint32_t>(ro.size()) : unit;
+                std::vector<std::pair<ItemId, SidedPosting>> out;
+                for (const auto& [item, posting] :
+                     EmitPrefix(side, row, raw_theta, PrefixMode::kOverlap)) {
+                  out.push_back({item, SidedPosting{from_s, posting}});
+                }
+                return out;
+              },
+              "rsJoin/prefix");
   auto groups =
       minispark::GroupByKey(postings, num_partitions, "rsJoin/group");
 

@@ -171,8 +171,9 @@ static Result<JoinResult> RunVjJoinImpl(minispark::Context* ctx,
 Result<JoinResult> RunVjJoin(minispark::Context* ctx,
                              const RankingDataset& dataset,
                              const VjOptions& options) {
-  // A Cancel()/deadline stop anywhere inside unwinds here as a Status.
-  return minispark::StopAware(
+  // A failed stage or a Cancel()/deadline stop anywhere inside unwinds
+  // here as a Status.
+  return minispark::CatchJobFailure(
       [&] { return RunVjJoinImpl(ctx, dataset, options); });
 }
 

@@ -28,8 +28,9 @@ static Result<JoinResult> RunVSmartJoinImpl(minispark::Context* ctx,
 Result<JoinResult> RunVSmartJoin(minispark::Context* ctx,
                                  const RankingDataset& dataset,
                                  const VSmartOptions& options) {
-  // A Cancel()/deadline stop anywhere inside unwinds here as a Status.
-  return minispark::StopAware(
+  // A failed stage or a Cancel()/deadline stop anywhere inside unwinds
+  // here as a Status.
+  return minispark::CatchJobFailure(
       [&] { return RunVSmartJoinImpl(ctx, dataset, options); });
 }
 
@@ -100,8 +101,6 @@ static Result<JoinResult> RunVSmartJoinImpl(minispark::Context* ctx,
       },
       "vsmart/emitPartials");
   // Force the partial-emission stage before reading the stat slots.
-  // Force(), not Cache(): the stage feeds only the reduce below, so a
-  // cache pin would be wasted materialization (MS007).
   partials.Force();
   for (const JoinStats& s : slots) result.stats.MergeCounters(s);
 

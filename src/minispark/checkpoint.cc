@@ -76,8 +76,6 @@ const char* DiskPressurePolicyName(DiskPressurePolicy policy) {
   switch (policy) {
     case DiskPressurePolicy::kDropCheckpoints:
       return "drop-checkpoints";
-    case DiskPressurePolicy::kResidentOnly:
-      return "resident-only";
     case DiskPressurePolicy::kFail:
       return "fail";
   }

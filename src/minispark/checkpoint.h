@@ -27,15 +27,11 @@ class TelemetryHub;  // telemetry.h; only checkpoint call sites need it
 ///   (the pre-existing MarkSpillDegraded path). The job keeps running
 ///   and stays correct — it just loses durability / the disk overflow
 ///   valve.
-/// - kResidentOnly: same as kDropCheckpoints (one disk failure disables
-///   every disk writer at once), spelled out for callers that want the
-///   intent explicit.
 /// - kFail: the job fails with a structured IoError Status instead of
 ///   degrading — for deployments where silently losing durability is
 ///   worse than losing the run.
 enum class DiskPressurePolicy {
   kDropCheckpoints = 0,
-  kResidentOnly,
   kFail,
 };
 

@@ -50,7 +50,7 @@ bool NumericOverride(const char* name, uint64_t max, uint64_t* out) {
 }
 
 /// The on/off spellings of the boolean overrides.
-constexpr char kSwitchSpellings[] = "1/on/true/yes or 0/off/false/no";
+constexpr char kSwitchSpellings[] = "one of 1/on/true/yes or 0/off/false/no";
 
 std::optional<bool> ParseSwitch(const std::string& value) {
   if (value == "1" || value == "on" || value == "true" || value == "yes") {
@@ -60,6 +60,12 @@ std::optional<bool> ParseSwitch(const std::string& value) {
     return false;
   }
   return std::nullopt;
+}
+
+/// The fault spec itself, when ParseFaultSpec accepts it.
+std::optional<std::string> ParseValidFaultSpec(const std::string& value) {
+  if (!ParseFaultSpec(value).ok()) return std::nullopt;
+  return value;
 }
 
 /// Reads the override `name` into *out when `parse` accepts its value.
@@ -75,8 +81,8 @@ void SpelledOverride(const char* name,
     *out = *value;
     return;
   }
-  RANKJOIN_LOG(Warning) << name << "='" << text << "' is not one of "
-                        << spellings << "; ignored";
+  RANKJOIN_LOG(Warning) << name << "='" << text << "' is not " << spellings
+                        << "; ignored";
 }
 
 /// Applies environment overrides to the options (see Options docs).
@@ -84,12 +90,13 @@ Context::Options WithEnvOverrides(Context::Options options) {
   NumericOverride("RANKJOIN_SHUFFLE_BUDGET_BYTES", UINT64_MAX,
                   &options.shuffle_memory_budget_bytes);
   SpelledOverride("RANKJOIN_TRACE_LEVEL", ParseTraceLevel,
-                  "off/counters/timers or 0/1/2", &options.trace_level);
+                  "one of off/counters/timers or 0/1/2", &options.trace_level);
   SpelledOverride("RANKJOIN_LINT_LEVEL", ParseLintLevel,
-                  "off/warn/error or 0/1/2", &options.lint_level);
-  if (const char* spec = std::getenv("RANKJOIN_FAULT_SPEC")) {
-    options.fault_spec = spec;
-  }
+                  "one of off/warn/error or 0/1/2", &options.lint_level);
+  SpelledOverride("RANKJOIN_FAULT_SPEC", ParseValidFaultSpec,
+                  "a fault spec such as 'task_throw:p=0.05;seed=42' "
+                  "(grammar in minispark/fault.h)",
+                  &options.fault_spec);
   if (uint64_t port = 0;
       NumericOverride("RANKJOIN_STATS_PORT", 65535, &port)) {
     options.stats_port = static_cast<int>(port);
@@ -190,9 +197,8 @@ Context::Context(Options options)
   RANKJOIN_CHECK(options_.default_partitions >= 1);
   if (!options_.fault_spec.empty()) {
     Result<FaultSpec> spec = ParseFaultSpec(options_.fault_spec);
-    RANKJOIN_CHECK(spec.ok())
-        << "bad fault spec (Options::fault_spec / RANKJOIN_FAULT_SPEC): "
-        << spec.status().ToString();
+    RANKJOIN_CHECK(spec.ok()) << "bad Options::fault_spec: "
+                              << spec.status().ToString();
     fault_injector_ = FaultInjector(*spec, &counters_);
   }
   start_time_ = std::chrono::steady_clock::now();

@@ -58,12 +58,6 @@ class Context {
     int num_workers = 4;
     /// Partition count used when an operation does not specify one.
     int default_partitions = 8;
-    /// When true (default), chains of narrow transformations build a lazy
-    /// plan and execute as one fused stage at the next wide operation or
-    /// action. When false, every transformation materializes immediately
-    /// (a barrier after every op) — the pre-fusion eager semantics, kept
-    /// as an A/B baseline for tests and benchmarks.
-    bool fuse_narrow_ops = true;
     /// Job-wide cap on the bytes a shuffle's map-side buckets may keep
     /// resident. Once the (serialized-size) total across all map tasks
     /// exceeds it, the task that crossed the line spills its buckets to
@@ -89,8 +83,8 @@ class Context {
     /// Plan linting (lint.h): kOff (default) never lints automatically;
     /// kWarn lints every plan at Collect()-time, logging and recording
     /// diagnostics (Context::lint_report()); kError additionally aborts
-    /// before any task runs when an error-severity diagnostic (MS001,
-    /// MS004) is present — a bad plan is rejected cheaply instead of
+    /// before the collected chain runs when an error-severity diagnostic
+    /// (MS004) is present — a bad plan is rejected cheaply instead of
     /// being discovered mid-job. The RANKJOIN_LINT_LEVEL environment
     /// variable ("off"/"warn"/"error" or 0/1/2; any other value is
     /// ignored with a warning) overrides this value when set — CI uses
@@ -104,8 +98,8 @@ class Context {
     /// fault) before the stage fails. 0 = fail on the first error, like
     /// the pre-fault engine. A task that exhausts its retries fails the
     /// stage with the FIRST error; the remaining tasks are cancelled and
-    /// the Status surfaces from the action (Dataset::TryCollect) instead
-    /// of aborting the process.
+    /// the Status surfaces from the action (Dataset::TryCollect, or a
+    /// JobFailedError from the others) instead of aborting the process.
     int max_task_retries = 4;
     /// Base of the exponential retry backoff: attempt k sleeps
     /// retry_backoff_ms << k milliseconds (capped at 100 ms) before
@@ -115,7 +109,8 @@ class Context {
     /// "task_throw:p=0.05;spill_corrupt:p=0.1;seed=42". Empty (default)
     /// = no injection. The RANKJOIN_FAULT_SPEC environment variable
     /// overrides this value when set — CI uses it to run the whole suite
-    /// under chaos. A malformed spec aborts at Context construction.
+    /// under chaos; a malformed value is ignored with a warning. A
+    /// malformed spec set here aborts at Context construction.
     std::string fault_spec = {};
     /// Pipelined producer/consumer stage execution (shuffle.h): when
     /// true, the wide operations overlap their shuffle-write and
@@ -184,7 +179,6 @@ class Context {
 
   int num_workers() const { return options_.num_workers; }
   int default_partitions() const { return options_.default_partitions; }
-  bool fusion_enabled() const { return options_.fuse_narrow_ops; }
   uint64_t shuffle_memory_budget_bytes() const {
     return options_.shuffle_memory_budget_bytes;
   }
@@ -203,7 +197,7 @@ class Context {
   }
 
   /// Snapshot of the lint-relevant execution environment (thresholds +
-  /// registered broadcasts) that LintPlan needs beyond the DAG itself.
+  /// registered broadcasts) that LintPlan needs beyond the lineage itself.
   LintSettings lint_settings() const {
     LintSettings settings;
     settings.shuffle_memory_budget_bytes =

@@ -4,9 +4,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -26,36 +26,37 @@
 
 namespace rankjoin::minispark {
 
-/// Thrown by the CHECK-semantics actions (Collect(), Count(), ...) when
-/// the dataset failed because the job was cooperatively stopped —
-/// Context::Cancel() or a job deadline. A stop is routine control flow,
-/// not a programming error, so it unwinds out of arbitrarily deep
-/// pipeline code instead of aborting; Result-returning entry points
-/// convert it back into its structured Status with StopAware() below.
-/// Every other poisoned-dataset cause keeps CHECK semantics.
-class JobStoppedError : public std::exception {
+/// Thrown by the actions (Collect(), Count(), partitions()) on a failed
+/// dataset: a stage that exhausted its task retries, a kFail
+/// disk-pressure IoError, or a cooperative stop (Context::Cancel(), a
+/// job deadline). The failure unwinds out of arbitrarily deep pipeline
+/// code instead of aborting; Result-returning entry points convert it
+/// back into its structured Status with CatchJobFailure() below.
+class JobFailedError : public std::runtime_error {
  public:
-  explicit JobStoppedError(Status status) : status_(std::move(status)) {}
+  explicit JobFailedError(Status status)
+      : std::runtime_error(status.ToString()), status_(std::move(status)) {}
   const Status& status() const { return status_; }
-  const char* what() const noexcept override { return "job stopped"; }
 
  private:
   Status status_;
 };
 
-/// Runs a pipeline body, converting a JobStoppedError unwind into the
-/// stop Status as an error value. Wrap the body of any Result-returning
-/// pipeline entry point whose internals use CHECK-semantics actions:
+/// Runs a pipeline body, converting a JobFailedError unwind into its
+/// Status as an error value. Wrap the body of any Result-returning
+/// pipeline entry point whose internals use the throwing actions:
 ///
 ///   Result<JoinResult> RunFooJoin(...) {
-///     return minispark::StopAware([&]() -> Result<JoinResult> { ... });
+///     return minispark::CatchJobFailure([&]() -> Result<JoinResult> {
+///       ...
+///     });
 ///   }
 template <typename Fn>
-auto StopAware(Fn&& fn) -> decltype(fn()) {
+auto CatchJobFailure(Fn&& fn) -> decltype(fn()) {
   try {
     return fn();
-  } catch (const JobStoppedError& stopped) {
-    return stopped.status();
+  } catch (const JobFailedError& failed) {
+    return failed.status();
   }
 }
 
@@ -72,13 +73,13 @@ struct ShuffleHasher {
 /// a Spark RDD.
 ///
 /// Evaluation is LAZY: narrow transformations (Map, Filter, FlatMap,
-/// MapPartitionsWithIndex, Union) build a lightweight logical plan — a
+/// MapPartitionsWithIndex) build a lightweight logical plan — a
 /// push-based generator composed per element — instead of running a
 /// stage. The whole chain executes as ONE fused physical stage when it is
 /// forced by a stage boundary:
 ///
 ///  - driver actions: Collect(), TryCollect(), Count(), partitions(),
-///    Cache(), Force();
+///    Force();
 ///  - wide operations: PartitionByKey, GroupByKey, ReduceByKey. Each
 ///    has one input; it pulls that input's pending narrow chain into
 ///    the shuffle-write task, so the chain's intermediate results are
@@ -96,20 +97,16 @@ struct ShuffleHasher {
 /// plan state) holds the materialized partitions afterwards, so a chain
 /// executes at most once per forcing consumer. A dataset consumed by
 /// SEVERAL wide operations re-streams its pending chain once per
-/// consumer unless it is materialized first — call Cache() when a
+/// consumer unless it is materialized first — call Force() when a
 /// dataset is reused across stages, and always before harvesting side
 /// effects (e.g. per-partition stat slots) of its lambdas. Lambdas in a
 /// pending chain must not capture references that die before the chain
 /// is forced.
 ///
-/// Alongside the executable plan, every handle carries a lineage DAG of
-/// cheap PlanNodes (plan.h); ExplainDot() renders the whole logical plan
-/// — pending narrow chains, shuffle boundaries, Cache() pins — as
-/// Graphviz DOT at any point, before or after execution.
-///
-/// Setting Context::Options::fuse_narrow_ops = false restores the old
-/// eager semantics (every op materializes immediately), which tests and
-/// benches use as the unfused baseline.
+/// Every operation has one input, so a handle's lineage is a chain of
+/// cheap PlanNodes (plan.h), each pointing at its one parent, back to a
+/// source. ExplainDot() renders it — pending narrow ops and shuffle
+/// boundaries — as Graphviz DOT at any point, before or after execution.
 ///
 /// Dataset handles are cheap to copy (shared ownership of the plan
 /// state). All driver-side calls must come from one thread.
@@ -133,30 +130,8 @@ class Dataset {
     state_->num_partitions = static_cast<int>(partitions->size());
     state_->materialized = std::move(partitions);
     state_->plan =
-        MakePlanNode(PlanNode::Kind::kSource, "source", "", {},
+        MakePlanNode(PlanNode::Kind::kSource, "source", "", nullptr,
                      {.num_partitions = state_->num_partitions});
-  }
-
-  /// Creates a lazy dataset from a generator (used by Union and by
-  /// tests). `op` is the logical op kind recorded in StageMetrics when
-  /// the chain is forced; `name` the user-facing stage label.
-  static Dataset<T> FromGenerator(Context* ctx, int num_partitions,
-                                  Generator gen, const std::string& op,
-                                  const std::string& name) {
-    RANKJOIN_CHECK(ctx != nullptr);
-    RANKJOIN_CHECK(num_partitions >= 0);
-    auto state = std::make_shared<State>();
-    state->ctx = ctx;
-    state->num_partitions = num_partitions;
-    state->gen = std::move(gen);
-    state->ops.push_back(op);
-    state->names.push_back(name);
-    state->plan = MakePlanNode(PlanNode::Kind::kSource, op, name, {},
-                               {.num_partitions = num_partitions,
-                                .lazy = ctx->fusion_enabled()});
-    Dataset<T> ds(std::move(state));
-    if (!ctx->fusion_enabled()) ds.Materialize();
-    return ds;
   }
 
   Context* context() const { return state_->ctx; }
@@ -165,8 +140,8 @@ class Dataset {
   /// Outcome of this dataset's production. A dataset is POISONED (non-OK
   /// status) when the stage that produced it — or any ancestor stage —
   /// failed after exhausting task retries. Poisoned datasets carry empty
-  /// partitions; aborting actions (Collect, Count, partitions) refuse
-  /// them with a CHECK, TryCollect surfaces the Status, and wide
+  /// partitions; the actions (Collect, Count, partitions) refuse them by
+  /// throwing JobFailedError, TryCollect returns the Status, and wide
   /// operations propagate the poison downstream without running stages.
   const Status& status() const { return state_->error; }
 
@@ -178,7 +153,7 @@ class Dataset {
   /// (empty when materialized). Exposed for metrics and tests.
   std::string pending_ops() const { return JoinStrings(state_->ops); }
 
-  /// Root of this dataset's lineage DAG (see plan.h). Never null.
+  /// Root of this dataset's lineage chain (see plan.h). Never null.
   std::shared_ptr<const PlanNode> plan_node() const { return state_->plan; }
 
   /// Replaces the lineage root. Internal hook for the wide operations
@@ -197,8 +172,8 @@ class Dataset {
   void SetError(Status error) const { state_->error = std::move(error); }
 
   /// Renders the whole logical plan of this dataset — every ancestor op
-  /// back to the sources, including pending (not yet executed) narrow
-  /// chains, shuffle boundaries, and Cache() pins — as Graphviz DOT.
+  /// back to the source, including pending (not yet executed) narrow
+  /// ops and shuffle boundaries — as Graphviz DOT.
   /// Purely driver-side: never forces the chain. With tracing on
   /// (Context::Options::trace_level >= kCounters), nodes whose ops have
   /// already executed are annotated with the observed in/out record
@@ -235,7 +210,7 @@ class Dataset {
     return dot;
   }
 
-  /// Runs the plan linter (lint.h) over this dataset's whole lineage DAG
+  /// Runs the plan linter (lint.h) over this dataset's whole lineage chain
   /// with the context's current settings (thresholds, spill budget,
   /// registered broadcasts), regardless of lint_level. Purely
   /// driver-side: never forces the chain. Diagnostics' node pointers
@@ -244,12 +219,12 @@ class Dataset {
     return LintPlan(state_->plan.get(), state_->ctx->lint_settings());
   }
 
-  /// Materialized partitions; forces the pending chain. Aborts on a
-  /// poisoned dataset (use status()/TryCollect() to handle failures).
+  /// Materialized partitions; forces the pending chain. Throws
+  /// JobFailedError on a poisoned dataset.
   const Partitions& partitions() const { return ForceChecked(); }
 
   /// Total number of elements across partitions (action: forces;
-  /// aborts on a poisoned dataset).
+  /// throws JobFailedError on a poisoned dataset).
   size_t Count() const {
     size_t n = 0;
     for (const auto& p : ForceChecked()) n += p.size();
@@ -259,9 +234,10 @@ class Dataset {
   /// Gathers all elements to the driver, in partition order (action:
   /// forces). At Context::Options::lint_level >= kWarn the plan is
   /// linted first; in kError mode an error-severity diagnostic aborts
-  /// the job here, before any task runs. Aborts on a poisoned dataset;
-  /// callers that want to HANDLE execution failures (task retry
-  /// exhaustion, unrecoverable spill loss) use TryCollect() instead.
+  /// the job here, before the pending chain runs (the wide operations
+  /// under it ran when they were built). Throws JobFailedError on a
+  /// poisoned dataset (task retry exhaustion, unrecoverable spill loss,
+  /// a stop); TryCollect() returns the Status instead.
   std::vector<T> Collect() const {
     MaybeAutoLint();
     const Partitions& parts = ForceChecked();
@@ -275,47 +251,23 @@ class Dataset {
     return out;
   }
 
-  /// Collect() that surfaces execution failure as a Status instead of
-  /// aborting: forces the chain and returns either all elements in
-  /// partition order or the first error of the failed stage (with every
-  /// ancestor failure propagated through). The non-aborting action is
-  /// the API seam fault-tolerant drivers consume.
+  /// Collect() that returns a failed stage's Status instead of throwing:
+  /// either all elements in partition order or the first error of the
+  /// failed stage (with every ancestor failure propagated through).
   Result<std::vector<T>> TryCollect() const {
-    MaybeAutoLint();
-    const Partitions& parts = Materialize();
-    if (!state_->error.ok()) return state_->error;
-    size_t total = 0;
-    for (const auto& p : parts) total += p.size();
-    std::vector<T> out;
-    out.reserve(total);
-    for (const auto& p : parts) {
-      out.insert(out.end(), p.begin(), p.end());
-    }
-    return out;
+    return CatchJobFailure([this]() -> Result<std::vector<T>> {
+      return Collect();
+    });
   }
 
-  /// Forces the pending chain NOW and pins the result in this handle
-  /// (and all copies), so that every later consumer — including several
-  /// wide operations — reads the partitions instead of re-running the
-  /// chain. The minispark analog of rdd.cache(); required before
-  /// harvesting side effects of chain lambdas.
-  const Dataset<T>& Cache() const {
-    if (!state_->cached) {
-      state_->cached = true;
-      state_->plan =
-          MakePlanNode(PlanNode::Kind::kCache, "cache", "", {state_->plan},
-                       {.num_partitions = state_->num_partitions});
-    }
-    Materialize();
-    return *this;
-  }
-
-  /// Forces the pending chain WITHOUT the poisoned-dataset abort and
-  /// without pinning a cache node, returning the execution status.
-  /// Callers that must run a chain now — the join pipelines, before they
-  /// read the stat slots its lambdas filled — force through this; a
-  /// failed stage then surfaces through the dataset's consumers instead
-  /// of aborting here.
+  /// Forces the pending chain NOW, without throwing on a failed stage,
+  /// and returns the execution status. The handle (and all copies) keeps
+  /// the result, so every later consumer — including several wide
+  /// operations — reads the partitions instead of re-running the chain.
+  /// Required before harvesting side effects of chain lambdas: the join
+  /// pipelines force before they read the stat slots their lambdas
+  /// filled, and a failed stage then surfaces through the dataset's
+  /// consumers.
   const Status& Force() const {
     Materialize();
     return state_->error;
@@ -440,11 +392,10 @@ class Dataset {
     /// Logical op kinds and user names of the pending chain, in order.
     std::vector<std::string> ops;
     std::vector<std::string> names;
-    bool cached = false;
     /// Non-OK once a producing stage (or an ancestor) failed. Poisoned
     /// handles hold empty partitions; see Dataset::status().
     Status error;
-    /// Lineage DAG root (plan.h). Strings and parent pointers only.
+    /// Lineage chain root (plan.h). Strings and parent pointers only.
     std::shared_ptr<const PlanNode> plan;
   };
 
@@ -495,9 +446,7 @@ class Dataset {
   }
 
   /// Builds the lazy successor dataset for a narrow op, inheriting this
-  /// handle's pending chain metadata (fused op list). With fusion
-  /// disabled the successor materializes immediately, reproducing the
-  /// eager engine.
+  /// handle's pending chain metadata (fused op list).
   template <typename U>
   Dataset<U> Chain(typename Dataset<U>::Generator gen, const std::string& op,
                    const std::string& name,
@@ -514,13 +463,10 @@ class Dataset {
     state->ops.push_back(op);
     state->names.push_back(name);
     state->plan =
-        MakePlanNode(PlanNode::Kind::kNarrow, op, name, {state_->plan},
+        MakePlanNode(PlanNode::Kind::kNarrow, op, name, state_->plan,
                      {.op_id = tag != nullptr ? tag->id : 0,
-                      .num_partitions = state_->num_partitions,
-                      .lazy = state_->ctx->fusion_enabled()});
-    Dataset<U> out(std::move(state));
-    if (!state_->ctx->fusion_enabled()) out.Materialize();
-    return out;
+                      .num_partitions = state_->num_partitions});
+    return Dataset<U>(std::move(state));
   }
 
   /// Chain() for per-element steps: `step(element, emit)` pushes the
@@ -586,19 +532,11 @@ class Dataset {
   }
 
   /// Materialize() plus the poisoned-dataset check shared by the
-  /// CHECK-semantics actions. Cooperative stops (Cancel(), deadline)
-  /// throw JobStoppedError so they unwind to a StopAware() entry point
-  /// as a structured Status; genuine failures abort.
+  /// throwing actions: a failed dataset throws JobFailedError, which
+  /// unwinds to a CatchJobFailure() entry point as its Status.
   const Partitions& ForceChecked() const {
     const Partitions& parts = Materialize();
-    const Status& error = state_->error;
-    if (error.code() == StatusCode::kCancelled ||
-        error.code() == StatusCode::kDeadlineExceeded) {
-      throw JobStoppedError(error);
-    }
-    RANKJOIN_CHECK(error.ok())
-        << "action on a failed dataset: " << error.ToString()
-        << " (use TryCollect()/status() to handle execution failures)";
+    if (!state_->error.ok()) throw JobFailedError(state_->error);
     return parts;
   }
 
@@ -612,9 +550,8 @@ class Dataset {
   ///
   /// With a CheckpointManager attached and a checkpoint-portable T, the
   /// materialized partitions are additionally persisted under the plan
-  /// fingerprint (computed BEFORE the non-lazy lineage swap below, so a
-  /// resumed driver computes the same one), and a resume run restores
-  /// them instead of executing the stage when the saved blob verifies.
+  /// fingerprint, and a resume run restores them instead of executing
+  /// the stage when the saved blob verifies.
   const Partitions& Materialize() const {
     State& s = *state_;
     if (s.materialized) return *s.materialized;
@@ -714,20 +651,6 @@ class Dataset {
     s.gen = nullptr;
     s.ops.clear();
     s.names.clear();
-    // The handle now memoizes its partitions: consumers attached from
-    // here on read them instead of re-running the chain. Swap in a
-    // non-lazy copy of the lineage node so those later consumers don't
-    // trip the linter's recompute check (MS001); consumers attached
-    // while the chain was still pending keep edges to the old (lazy)
-    // node and are still flagged — they really did re-execute it.
-    if (s.plan->lazy) {
-      s.plan = MakePlanNode(s.plan->kind, s.plan->op, s.plan->name,
-                            s.plan->parents,
-                            {.op_id = s.plan->op_id,
-                             .num_partitions = s.plan->num_partitions,
-                             .lazy = false,
-                             .serde_ok = s.plan->serde_ok});
-    }
     return *s.materialized;
   }
 
@@ -760,8 +683,8 @@ Dataset<T> Parallelize(Context* ctx, std::vector<T> data,
   }
   ctx->AddStage(std::move(stage));
   Dataset<T> out(ctx, std::move(parts));
-  out.SetPlanNode(MakePlanNode(PlanNode::Kind::kSource, "parallelize", "", {},
-                               {.num_partitions = num_partitions}));
+  out.SetPlanNode(MakePlanNode(PlanNode::Kind::kSource, "parallelize", "",
+                               nullptr, {.num_partitions = num_partitions}));
   return out;
 }
 
@@ -913,7 +836,7 @@ Dataset<std::pair<K, V>> PartitionByKey(const Dataset<std::pair<K, V>>& ds,
   if (!error.ok()) out.SetError(std::move(error));
   out.SetPlanNode(
       MakePlanNode(PlanNode::Kind::kWide, "partitionBy", name,
-                   {ds.plan_node()},
+                   ds.plan_node(),
                    {.num_partitions = out.num_partitions(),
                     .serde_ok = has_serde_v<std::pair<K, V>>,
                     .max_bucket_bytes = max_bucket_bytes}));
@@ -945,76 +868,31 @@ Dataset<std::pair<K, std::vector<V>>> GroupByKey(
 }
 
 /// Merges values per key with a binary combiner (Spark reduceByKey).
-/// Combines map-side before shuffling, like Spark's combiner.
+/// Combines map-side before shuffling, like Spark's combiner: the same
+/// merge step runs as the map-side combine, which fuses with the
+/// upstream chain and the shuffle write, and as the reduce after it.
 template <typename K, typename V, typename F>
 Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& ds, F fn,
                                      int n = -1,
                                      const std::string& name = "reduceByKey") {
-  // Map-side combine; fuses with the upstream chain and the shuffle
-  // write.
-  Dataset<std::pair<K, V>> combined = ds.MapPartitionsWithIndex(
-      [fn](int /*index*/, const std::vector<std::pair<K, V>>& part) {
-        std::unordered_map<K, size_t, ShuffleHasher> slot;
-        std::vector<std::pair<K, V>> out;
-        for (const auto& kv : part) {
-          auto [it, inserted] = slot.try_emplace(kv.first, out.size());
-          if (inserted) {
-            out.push_back(kv);
-          } else {
-            out[it->second].second = fn(out[it->second].second, kv.second);
-          }
-        }
-        return out;
-      },
-      name + "/combine");
-  Dataset<std::pair<K, V>> shuffled = PartitionByKey(combined, n, name);
-  return shuffled.MapPartitionsWithIndex(
-      [fn](int /*index*/, const std::vector<std::pair<K, V>>& part) {
-        std::unordered_map<K, size_t, ShuffleHasher> slot;
-        std::vector<std::pair<K, V>> out;
-        for (const auto& kv : part) {
-          auto [it, inserted] = slot.try_emplace(kv.first, out.size());
-          if (inserted) {
-            out.push_back(kv);
-          } else {
-            out[it->second].second = fn(out[it->second].second, kv.second);
-          }
-        }
-        return out;
-      },
-      name + "/reduce");
-}
-
-/// Concatenates two datasets partition-wise (Spark union). Narrow and
-/// lazy: partitions of `a` keep their indices, partitions of `b` follow;
-/// each side's pending chain fuses into whatever forces the union.
-template <typename T>
-Dataset<T> Union(const Dataset<T>& a, const Dataset<T>& b,
-                 const std::string& name = "union") {
-  Context* ctx = a.context();
-  RANKJOIN_CHECK(ctx == b.context());
-  const int na = a.num_partitions();
-  const int total = na + b.num_partitions();
-  typename Dataset<T>::Generator gen =
-      [a, b, na](int i, const typename Dataset<T>::Sink& emit) {
-        if (i < na) {
-          a.StreamPartition(i, emit);
-        } else {
-          b.StreamPartition(i - na, emit);
-        }
-      };
-  Dataset<T> out =
-      Dataset<T>::FromGenerator(ctx, total, std::move(gen), "union", name);
-  if (!a.status().ok()) {
-    out.SetError(a.status());
-  } else if (!b.status().ok()) {
-    out.SetError(b.status());
-  }
-  out.SetPlanNode(MakePlanNode(PlanNode::Kind::kNarrow, "union", name,
-                               {a.plan_node(), b.plan_node()},
-                               {.num_partitions = total,
-                                .lazy = ctx->fusion_enabled()}));
-  return out;
+  const auto merge = [fn](int /*index*/,
+                          const std::vector<std::pair<K, V>>& part) {
+    std::unordered_map<K, size_t, ShuffleHasher> slot;
+    std::vector<std::pair<K, V>> out;
+    for (const auto& kv : part) {
+      auto [it, inserted] = slot.try_emplace(kv.first, out.size());
+      if (inserted) {
+        out.push_back(kv);
+      } else {
+        out[it->second].second = fn(out[it->second].second, kv.second);
+      }
+    }
+    return out;
+  };
+  Dataset<std::pair<K, V>> combined =
+      ds.MapPartitionsWithIndex(merge, name + "/combine");
+  return PartitionByKey(combined, n, name)
+      .MapPartitionsWithIndex(merge, name + "/reduce");
 }
 
 }  // namespace rankjoin::minispark

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 namespace rankjoin::minispark {
@@ -31,30 +30,16 @@ bool IsPlacementOnlyShuffle(const PlanNode* node) {
   return node->kind == PlanNode::Kind::kWide && node->op == "partitionBy";
 }
 
-/// Topological order with every node AFTER all of its ancestors
-/// (parents point upstream), via iterative post-order DFS.
-std::vector<const PlanNode*> TopoOrder(const PlanNode* root) {
-  std::vector<const PlanNode*> topo;
-  if (root == nullptr) return topo;
-  std::unordered_set<const PlanNode*> done;
-  std::vector<std::pair<const PlanNode*, size_t>> stack;
-  stack.emplace_back(root, 0);
-  while (!stack.empty()) {
-    auto& [node, next_parent] = stack.back();
-    if (done.count(node) > 0) {
-      stack.pop_back();
-      continue;
-    }
-    if (next_parent < node->parents.size()) {
-      const PlanNode* parent = node->parents[next_parent++].get();
-      if (done.count(parent) == 0) stack.emplace_back(parent, 0);
-    } else {
-      done.insert(node);
-      topo.push_back(node);
-      stack.pop_back();
-    }
+/// The lineage chain from its source down to `root`, so every node
+/// comes after its parent.
+std::vector<const PlanNode*> SourceFirst(const PlanNode* root) {
+  std::vector<const PlanNode*> chain;
+  for (const PlanNode* node = root; node != nullptr;
+       node = node->parent.get()) {
+    chain.push_back(node);
   }
-  return topo;
+  std::reverse(chain.begin(), chain.end());
+  return chain;
 }
 
 }  // namespace
@@ -101,99 +86,36 @@ const char* LintSeverityName(LintSeverity severity) {
 std::vector<LintDiagnostic> LintPlan(const PlanNode* root,
                                      const LintSettings& settings) {
   std::vector<LintDiagnostic> diags;
-  const std::vector<const PlanNode*> topo = TopoOrder(root);
+  const std::vector<const PlanNode*> chain = SourceFirst(root);
 
-  // Consumer edge counts. Duplicate edges (e.g. a union of a dataset
-  // with itself) count individually: each one is a re-execution of a
-  // pending chain.
-  std::unordered_map<const PlanNode*, int> consumers;
-  for (const PlanNode* node : topo) {
-    for (const auto& parent : node->parents) ++consumers[parent.get()];
-  }
-
-  // MS001 — multi-consumer pending lineage without Cache().
-  // `lazy` nodes re-execute per consumer; materialized sources, wide
-  // outputs, and Cache() pins are marked lazy=false at construction.
-  for (const PlanNode* node : topo) {
-    auto it = consumers.find(node);
-    if (node->lazy && it != consumers.end() && it->second >= 2) {
-      LintDiagnostic d;
-      d.code = "MS001";
-      d.severity = LintSeverity::kError;
-      d.node = node;
-      d.location = Loc(node);
-      d.message = "pending chain '" + Loc(node) + "' feeds " +
-                  std::to_string(it->second) +
-                  " consumers without Cache(); every consumer "
-                  "re-executes the chain from its last barrier";
-      diags.push_back(std::move(d));
+  // MS002 — back-to-back shuffles. A placement-only shuffle directly
+  // under another wide op did its data movement for nothing: the second
+  // shuffle discards the first one's placement.
+  for (const PlanNode* node : chain) {
+    const PlanNode* parent = node->parent.get();
+    if (node->kind != PlanNode::Kind::kWide || parent == nullptr ||
+        !IsPlacementOnlyShuffle(parent)) {
+      continue;
     }
-  }
-
-  // MS007 — Cache() with exactly one consumer in the linted plan: the
-  // inverse of MS001. A pin that only ever feeds one downstream chain
-  // bought nothing — the chain would have streamed through it anyway —
-  // while paying a full materialization of the dataset. A cache at the
-  // DAG root (zero consumer edges) is NOT flagged: the linted plan IS
-  // the cached dataset, and its reuse (Collect() twice, later plans)
-  // happens outside this DAG. That blind spot is symmetric: a
-  // single-consumer cache whose dataset handle is also collected
-  // directly is a cross-plan reuse this per-plan walk cannot see, which
-  // is why MS007 is a warning while MS001 is an error.
-  for (const PlanNode* node : topo) {
-    if (node->kind != PlanNode::Kind::kCache) continue;
-    auto it = consumers.find(node);
-    if (it == consumers.end() || it->second != 1) continue;
-    // The pin itself is just named "cache"; the chain it pins carries
-    // the user-facing name, so point the diagnostic there.
-    const PlanNode* pinned =
-        node->parents.empty() ? node : node->parents.front().get();
+    const bool same_count = parent->num_partitions > 0 &&
+                            parent->num_partitions == node->num_partitions;
     LintDiagnostic d;
-    d.code = "MS007";
+    d.code = "MS002";
     d.severity = LintSeverity::kWarning;
-    d.node = node;
-    d.location = Loc(pinned);
-    d.message = "cache over '" + Loc(pinned) +
-                "' has exactly one consumer in this plan; the "
-                "materialization buys no reuse here — drop the Cache() "
-                "(or use Force() if the chain must run eagerly), or "
-                "keep the pin only if the dataset is reused by a later "
-                "plan";
+    d.node = parent;
+    d.location = Loc(parent);
+    d.message = "shuffle '" + Loc(parent) + "'" + PartsStr(parent) +
+                " feeds only shuffle '" + Loc(node) + "'" + PartsStr(node) +
+                ", which discards its placement (" +
+                (same_count ? "redundant repartition"
+                            : "incompatible partition counts") +
+                "); drop the first shuffle";
     diags.push_back(std::move(d));
   }
 
-  // MS002 — back-to-back shuffles. A placement-only shuffle whose sole
-  // consumer is another wide op did its data movement for nothing: the
-  // second shuffle discards the first one's placement. A Cache() pin in
-  // between is taken as intent to reuse the placed data elsewhere and
-  // suppresses the check.
-  for (const PlanNode* node : topo) {
-    if (node->kind != PlanNode::Kind::kWide) continue;
-    for (const auto& parent_ptr : node->parents) {
-      const PlanNode* parent = parent_ptr.get();
-      if (!IsPlacementOnlyShuffle(parent)) continue;
-      if (consumers[parent] != 1) continue;
-      const bool same_count = parent->num_partitions > 0 &&
-                              parent->num_partitions == node->num_partitions;
-      LintDiagnostic d;
-      d.code = "MS002";
-      d.severity = LintSeverity::kWarning;
-      d.node = parent;
-      d.location = Loc(parent);
-      d.message = "shuffle '" + Loc(parent) + "'" + PartsStr(parent) +
-                  " feeds only shuffle '" + Loc(node) + "'" +
-                  PartsStr(node) +
-                  ", which discards its placement (" +
-                  (same_count ? "redundant repartition"
-                              : "incompatible partition counts") +
-                  "); drop the first shuffle";
-      diags.push_back(std::move(d));
-    }
-  }
-
   // MS003 — oversized broadcast. Broadcasts are driver-side values
-  // copied into every task closure, so they live outside the DAG; the
-  // registry arrives via settings.
+  // copied into every task closure, so they live outside the lineage;
+  // the registry arrives via settings.
   for (const BroadcastRecord& b : settings.broadcasts) {
     if (b.approx_bytes <= settings.broadcast_max_bytes) continue;
     LintDiagnostic d;
@@ -215,7 +137,7 @@ std::vector<LintDiagnostic> LintPlan(const PlanNode* root,
   // budget is set. The shuffle still runs, but resident-only: it can
   // never honor the budget.
   if (settings.shuffle_memory_budget_bytes > 0) {
-    for (const PlanNode* node : topo) {
+    for (const PlanNode* node : chain) {
       if (node->kind != PlanNode::Kind::kWide || node->serde_ok) continue;
       LintDiagnostic d;
       d.code = "MS004";
@@ -234,53 +156,32 @@ std::vector<LintDiagnostic> LintPlan(const PlanNode* root,
   }
 
   // MS005 — barrier inside a loop. A driver-side loop that rebuilds the
-  // same shuffle per iteration leaves a fingerprint in the lineage: a
-  // chain of same-signature wide nodes along one root-to-source path.
-  // DP over the topo order: per node, the best same-signature wide
-  // chain length among its ancestry, keyed by (op, name) signature.
-  {
-    std::unordered_map<const PlanNode*,
-                       std::unordered_map<std::string, int>>
-        best_chain;
-    std::unordered_map<std::string, std::pair<int, const PlanNode*>>
-        deepest;  // signature -> (max chain, node reaching it)
-    for (const PlanNode* node : topo) {
-      std::unordered_map<std::string, int> merged;
-      for (const auto& parent : node->parents) {
-        for (const auto& [sig, len] : best_chain[parent.get()]) {
-          int& slot = merged[sig];
-          slot = std::max(slot, len);
-        }
-      }
-      if (node->kind == PlanNode::Kind::kWide) {
-        const std::string sig = node->op + '\x1f' + node->name;
-        int& slot = merged[sig];
-        slot += 1;
-        auto& record = deepest[sig];
-        if (slot > record.first) record = {slot, node};
-      }
-      best_chain[node] = std::move(merged);
-    }
-    for (const PlanNode* node : topo) {
-      for (const auto& [sig, record] : deepest) {
-        if (record.second != node) continue;
-        if (record.first < settings.loop_repeat_threshold) continue;
-        LintDiagnostic d;
-        d.code = "MS005";
-        d.severity = LintSeverity::kWarning;
-        d.node = node;
-        d.location = Loc(node);
-        d.message = "wide op '" + Loc(node) + "' appears " +
-                    std::to_string(record.first) +
-                    " times along one lineage path (threshold " +
-                    std::to_string(settings.loop_repeat_threshold) +
-                    "): a barrier rebuilt per loop iteration "
-                    "re-materializes its whole prefix each time; hoist "
-                    "it out of the loop or Cache() the loop-invariant "
-                    "prefix";
-        diags.push_back(std::move(d));
-      }
-    }
+  // same shuffle per iteration leaves a fingerprint in the lineage: the
+  // same (op, name) signature on several wide nodes of the chain. The
+  // diagnostic points at the signature's last (most downstream) node.
+  std::unordered_map<std::string, std::pair<int, const PlanNode*>> repeats;
+  for (const PlanNode* node : chain) {
+    if (node->kind != PlanNode::Kind::kWide) continue;
+    auto& [count, last] = repeats[node->op + '\x1f' + node->name];
+    ++count;
+    last = node;
+  }
+  for (const PlanNode* node : chain) {
+    if (node->kind != PlanNode::Kind::kWide) continue;
+    const auto& [count, last] = repeats[node->op + '\x1f' + node->name];
+    if (last != node || count < settings.loop_repeat_threshold) continue;
+    LintDiagnostic d;
+    d.code = "MS005";
+    d.severity = LintSeverity::kWarning;
+    d.node = node;
+    d.location = Loc(node);
+    d.message = "wide op '" + Loc(node) + "' appears " +
+                std::to_string(count) + " times along the lineage (threshold " +
+                std::to_string(settings.loop_repeat_threshold) +
+                "): a barrier rebuilt per loop iteration "
+                "re-materializes its whole prefix each time; hoist it out "
+                "of the loop or Force() the loop-invariant prefix";
+    diags.push_back(std::move(d));
   }
 
   return diags;

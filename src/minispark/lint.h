@@ -40,13 +40,13 @@ const char* LintSeverityName(LintSeverity severity);
 
 /// One broadcast variable registered with Context::MakeBroadcast, with
 /// its driver-side size estimate (ApproxSize). Broadcasts live outside
-/// the lineage DAG, so the linter receives them through LintSettings.
+/// the lineage, so the linter receives them through LintSettings.
 struct BroadcastRecord {
   std::string name;
   uint64_t approx_bytes = 0;
 };
 
-/// Execution-environment facts the checks need beyond the DAG itself.
+/// Execution-environment facts the checks need beyond the lineage itself.
 /// Context::lint_settings() fills this from its Options; tests can
 /// construct one directly to probe a single check.
 struct LintSettings {
@@ -56,7 +56,7 @@ struct LintSettings {
   uint64_t shuffle_memory_budget_bytes = 0;
   /// MS003 flags broadcasts estimated above this many bytes.
   uint64_t broadcast_max_bytes = 64ull << 20;
-  /// MS005 flags a lineage path containing at least this many wide
+  /// MS005 flags a lineage chain containing at least this many wide
   /// nodes with the same (op, name) signature — the fingerprint of a
   /// barrier rebuilt inside a driver-side loop.
   int loop_repeat_threshold = 3;
@@ -69,37 +69,33 @@ struct LintSettings {
 /// the cross-plan report); `location` is a stable human-readable
 /// rendering of the same spot.
 struct LintDiagnostic {
-  std::string code;        ///< stable id: "MS001" .. "MS007"
+  std::string code;        ///< stable id: "MS002" .. "MS005"
   LintSeverity severity = LintSeverity::kWarning;
   std::string message;
   const PlanNode* node = nullptr;
   std::string location;    ///< e.g. "map (vj/scored)" or "broadcast 'order'"
 };
 
-/// Walks the lineage DAG rooted at `root` and returns every diagnostic,
-/// in DAG discovery order. Checks:
+/// Walks the lineage chain rooted at `root` and returns every
+/// diagnostic, grouped by check, each group in chain order from the
+/// source. Checks:
 ///
-///   MS001 (error)   multi-consumer pending lineage without Cache() —
-///                   each consumer re-executes the chain.
 ///   MS002 (warning) back-to-back shuffles: a placement-only shuffle
-///                   (partitionBy / repartition) whose only consumer is
-///                   another shuffle that discards its partitioning.
+///                   (partitionBy) directly under another shuffle, which
+///                   discards its partitioning.
 ///   MS003 (warning) broadcast above settings.broadcast_max_bytes.
 ///   MS004 (error)   shuffle of a record type with no usable Serde<T>
 ///                   while a spill budget is set (cannot spill).
 ///   MS005 (warning) >= settings.loop_repeat_threshold same-signature
-///                   wide nodes on one lineage path (barrier in a loop).
-///   MS006           retired; the code is not reused.
-///   MS007 (warning) Cache() with exactly one consumer edge in this
-///                   plan — wasted materialization, the inverse of
-///                   MS001. A root cache (zero consumers here) is not
-///                   flagged: its reuse happens outside the linted DAG.
+///                   wide nodes on the chain (barrier in a loop).
+///
+/// MS001, MS006 and MS007 are retired; the codes are not reused.
 ///
 /// `root == nullptr` yields only the broadcast check (MS003).
 std::vector<LintDiagnostic> LintPlan(const PlanNode* root,
                                      const LintSettings& settings);
 
-/// Renders diagnostics one per line: "MS001 [error] message (location)".
+/// Renders diagnostics one per line: "MS004 [error] message (location)".
 std::string FormatLintDiagnostics(
     const std::vector<LintDiagnostic>& diagnostics);
 

@@ -68,7 +68,7 @@ struct StageMetrics {
   /// Outcome of the stage. OK when every task committed; otherwise the
   /// FIRST task failure that exhausted its retries (remaining tasks are
   /// cancelled). Actions surface this instead of aborting — see
-  /// Dataset::TryCollect.
+  /// Dataset::TryCollect and JobFailedError.
   Status status;
   /// Task attempts re-run after a retryable failure (fault tolerance;
   /// see Context::Options::max_task_retries).
@@ -130,9 +130,10 @@ class JobMetrics {
   Histogram SpillSegmentHistogram() const;
 
   /// Sums each traced operator's counts across all stages (an op that
-  /// executed in several stages — e.g. a chain forked by Union — reports
-  /// its total). Key = OpMetrics::op_id. Used by Dataset::ExplainDot to
-  /// annotate plan nodes with observed record counts after a run.
+  /// executed in several stages — a pending chain streamed by more than
+  /// one consumer — reports its total). Key = OpMetrics::op_id. Used by
+  /// Dataset::ExplainDot to annotate plan nodes with observed record
+  /// counts after a run.
   std::unordered_map<uint64_t, OpMetrics> AggregatedOpMetrics() const;
 
   /// Multi-line human-readable per-stage summary; with tracing on, each

@@ -14,8 +14,6 @@ const char* ShapeFor(PlanNode::Kind kind) {
       return "box";
     case PlanNode::Kind::kWide:
       return "box";
-    case PlanNode::Kind::kCache:
-      return "folder";
   }
   return "box";
 }
@@ -35,18 +33,16 @@ std::string Escape(const std::string& s) {
 
 std::shared_ptr<const PlanNode> MakePlanNode(
     PlanNode::Kind kind, std::string op, std::string name,
-    std::vector<std::shared_ptr<const PlanNode>> parents,
-    PlanNodeAttrs attrs) {
+    std::shared_ptr<const PlanNode> parent, PlanNodeAttrs attrs) {
   auto node = std::make_shared<PlanNode>();
   node->kind = kind;
   node->op = std::move(op);
   node->name = std::move(name);
   node->op_id = attrs.op_id;
   node->num_partitions = attrs.num_partitions;
-  node->lazy = attrs.lazy;
   node->serde_ok = attrs.serde_ok;
   node->max_bucket_bytes = attrs.max_bucket_bytes;
-  node->parents = std::move(parents);
+  node->parent = std::move(parent);
   return node;
 }
 
@@ -87,28 +83,29 @@ uint64_t FpFnv1a(const std::string& s) {
   return h;
 }
 
-uint64_t FingerprintNode(
-    const PlanNode* node,
-    std::unordered_map<const PlanNode*, uint64_t>* memo) {
-  if (node == nullptr) return 0x706c616e5f6e696cull;  // "plan_nil"
-  if (auto it = memo->find(node); it != memo->end()) return it->second;
-  uint64_t h = FpMix64(0x706c616e5f667072ull);  // "plan_fpr"
-  h = FpMix64(h ^ static_cast<uint64_t>(node->kind));
-  h = FpMix64(h ^ FpFnv1a(node->op));
-  h = FpMix64(h ^ FpFnv1a(node->name));
-  h = FpMix64(h ^ static_cast<uint64_t>(node->num_partitions));
-  for (const auto& parent : node->parents) {
-    h = FpMix64(h ^ FingerprintNode(parent.get(), memo));
-  }
-  (*memo)[node] = h;
-  return h;
-}
-
 }  // namespace
 
 uint64_t PlanFingerprint(const PlanNode* root) {
-  std::unordered_map<const PlanNode*, uint64_t> memo;
-  return FingerprintNode(root, &memo);
+  if (root == nullptr) return 0x706c616e5f6e696cull;  // "plan_nil"
+  // Hash from the source down: a node mixes its own fields, then its
+  // parent's fingerprint.
+  std::vector<const PlanNode*> chain;
+  for (const PlanNode* node = root; node != nullptr;
+       node = node->parent.get()) {
+    chain.push_back(node);
+  }
+  uint64_t parent_fp = 0;
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    const PlanNode* node = *it;
+    uint64_t h = FpMix64(0x706c616e5f667072ull);  // "plan_fpr"
+    h = FpMix64(h ^ static_cast<uint64_t>(node->kind));
+    h = FpMix64(h ^ FpFnv1a(node->op));
+    h = FpMix64(h ^ FpFnv1a(node->name));
+    h = FpMix64(h ^ static_cast<uint64_t>(node->num_partitions));
+    if (node->parent != nullptr) h = FpMix64(h ^ parent_fp);
+    parent_fp = h;
+  }
+  return parent_fp;
 }
 
 uint64_t FingerprintMix(uint64_t h, uint64_t token) {
@@ -138,22 +135,15 @@ std::string PlanToDot(
   os << "digraph plan {\n"
      << "  rankdir=BT;\n"
      << "  node [fontname=\"Helvetica\", fontsize=10];\n";
-  // DFS: assign ids in discovery order, then emit nodes and edges. The
-  // DAG is small (one node per logical op), so recursion depth is not a
-  // concern, but an explicit stack keeps it iterative anyway.
-  std::unordered_map<const PlanNode*, int> ids;
-  std::vector<const PlanNode*> stack;
+  // Node i is the i-th operator up the chain from the root; the edges
+  // follow the nodes.
   std::vector<const PlanNode*> order;
-  if (root != nullptr) stack.push_back(root);
-  while (!stack.empty()) {
-    const PlanNode* node = stack.back();
-    stack.pop_back();
-    if (ids.count(node) > 0) continue;
-    ids[node] = static_cast<int>(ids.size());
+  for (const PlanNode* node = root; node != nullptr;
+       node = node->parent.get()) {
     order.push_back(node);
-    for (const auto& parent : node->parents) stack.push_back(parent.get());
   }
-  for (const PlanNode* node : order) {
+  for (size_t id = 0; id < order.size(); ++id) {
+    const PlanNode* node = order[id];
     std::string label = Escape(node->op);
     if (!node->name.empty() && node->name != node->op) {
       label += "\\n" + Escape(node->name);
@@ -180,13 +170,11 @@ std::string PlanToDot(
         label += "\\n[" + Escape(note) + "]";
       }
     }
-    os << "  n" << ids[node] << " [label=\"" << label
+    os << "  n" << id << " [label=\"" << label
        << "\", shape=" << ShapeFor(node->kind);
     if (node->kind == PlanNode::Kind::kWide) {
       // Doubled border marks the stage boundary a shuffle introduces.
       os << ", peripheries=2, style=bold";
-    } else if (node->kind == PlanNode::Kind::kCache) {
-      os << ", style=filled, fillcolor=lightgrey";
     }
     if (note_it != notes.end()) {
       // Flagged by the plan linter: draw border and text in red so the
@@ -195,10 +183,8 @@ std::string PlanToDot(
     }
     os << "];\n";
   }
-  for (const PlanNode* node : order) {
-    for (const auto& parent : node->parents) {
-      os << "  n" << ids[parent.get()] << " -> n" << ids[node] << ";\n";
-    }
+  for (size_t id = 1; id < order.size(); ++id) {
+    os << "  n" << id << " -> n" << id - 1 << ";\n";
   }
   os << "}\n";
   return os.str();

@@ -11,16 +11,17 @@
 
 namespace rankjoin::minispark {
 
-/// One logical operator in a dataset's lineage DAG. Nodes are cheap
-/// (strings + parent pointers, no closures or data) and immutable once
-/// built, so every Dataset handle keeps a shared_ptr to its plan root
-/// and whole-plan rendering stays available after execution.
+/// One logical operator in a dataset's lineage chain. Every operator
+/// has one input, so a node has one parent (none for a source). Nodes
+/// are cheap (strings + a parent pointer, no closures or data) and
+/// immutable once built, so every Dataset handle keeps a shared_ptr to
+/// its plan root and whole-plan rendering stays available after
+/// execution.
 struct PlanNode {
   enum class Kind {
-    kSource,  ///< Parallelize / FromGenerator / shuffle-read output
+    kSource,  ///< Parallelize / shuffle-read output
     kNarrow,  ///< map / filter / flatMap / ... (fusable)
     kWide,    ///< shuffle boundary (partitionBy)
-    kCache,   ///< explicit Cache() pin
   };
 
   Kind kind = Kind::kSource;
@@ -29,7 +30,7 @@ struct PlanNode {
   /// User-facing dataset/stage name, when one was given.
   std::string name;
   /// Trace identity of the op (OpTag::id) when the node was built with
-  /// tracing enabled, 0 otherwise. Links the lineage DAG to the
+  /// tracing enabled, 0 otherwise. Links the lineage chain to the
   /// per-operator counts in StageMetrics::op_metrics so ExplainDot can
   /// annotate nodes with observed record flow after a run.
   uint64_t op_id = 0;
@@ -37,12 +38,6 @@ struct PlanNode {
   /// the plan linter reason about adjacent shuffles (MS002) without
   /// touching the physical layer.
   int num_partitions = 0;
-  /// True when the producing handle was still PENDING (an unfused or
-  /// fused-but-unmaterialized narrow chain) at node-construction time:
-  /// every downstream consumer re-executes the chain. False for
-  /// materialized sources, wide outputs, and Cache() pins. This is the
-  /// recompute hazard MS001 looks for on multi-consumer nodes.
-  bool lazy = false;
   /// For wide (shuffle) nodes: whether the shuffled record type has a
   /// usable Serde (has_serde_v<T>), i.e. whether this shuffle could
   /// spill to disk if a budget forces it. MS004 flags wide nodes where
@@ -52,7 +47,8 @@ struct PlanNode {
   /// target bucket (0 when unknown / not yet run). ExplainDot labels
   /// the node with it, so a skewed shuffle shows in the plan.
   uint64_t max_bucket_bytes = 0;
-  std::vector<std::shared_ptr<const PlanNode>> parents;
+  /// The operator's input; null for a source.
+  std::shared_ptr<const PlanNode> parent;
 };
 
 /// Optional per-node attributes for MakePlanNode; designated-initializer
@@ -60,7 +56,6 @@ struct PlanNode {
 struct PlanNodeAttrs {
   uint64_t op_id = 0;
   int num_partitions = 0;
-  bool lazy = false;
   bool serde_ok = true;
   uint64_t max_bucket_bytes = 0;
 };
@@ -68,30 +63,29 @@ struct PlanNodeAttrs {
 /// Builds a node; convenience over aggregate init at call sites.
 std::shared_ptr<const PlanNode> MakePlanNode(
     PlanNode::Kind kind, std::string op, std::string name,
-    std::vector<std::shared_ptr<const PlanNode>> parents,
-    PlanNodeAttrs attrs = {});
+    std::shared_ptr<const PlanNode> parent, PlanNodeAttrs attrs = {});
 
-/// Stable structural fingerprint of the lineage DAG rooted at `root`:
+/// Stable structural fingerprint of the lineage chain rooted at `root`:
 /// a pure hash over each node's kind, op, name, and partition count plus
-/// the fingerprints of its parents, in parent order. Deliberately
-/// EXCLUDES runtime-dependent fields (op_id, lazy, max_bucket_bytes)
-/// so the same logical job produces the same fingerprint
-/// across processes — that stability is what keys the checkpoint
-/// manifest for crash resume (see docs/MINISPARK.md, "Checkpoint &
-/// resume"). A null root hashes to a fixed non-zero constant.
+/// the fingerprint of its parent. Deliberately EXCLUDES runtime-dependent
+/// fields (op_id, max_bucket_bytes) so the same logical job produces the
+/// same fingerprint across processes — that stability is what keys the
+/// checkpoint manifest for crash resume (see docs/MINISPARK.md,
+/// "Checkpoint & resume"). A null root hashes to a fixed non-zero
+/// constant.
 uint64_t PlanFingerprint(const PlanNode* root);
 
 /// Mixes one more token (a value or a string) into a fingerprint with
 /// the same stable mixer PlanFingerprint uses. Wide operations derive
 /// their checkpoint keys this way: the RESULT node is only built after
-/// the stages run, so the key mixes the PARENT fingerprints with the op
+/// the stages run, so the key mixes the PARENT fingerprint with the op
 /// kind, user name, and requested bucket count instead.
 uint64_t FingerprintMix(uint64_t h, uint64_t token);
 uint64_t FingerprintMixString(uint64_t h, const std::string& s);
 
-/// Renders the lineage DAG rooted at `root` as Graphviz DOT: narrow ops
+/// Renders the lineage chain rooted at `root` as Graphviz DOT: narrow ops
 /// as plain boxes, wide ops (stage boundaries) as doubled boxes, sources
-/// as ellipses, Cache() pins as folders. `root_materialized` marks the
+/// as ellipses. `root_materialized` marks the
 /// root with the "materialized" annotation (the handle holds partitions,
 /// nothing is pending).
 std::string PlanToDot(const PlanNode* root, bool root_materialized);
@@ -108,7 +102,7 @@ std::string PlanToDot(
 
 /// Like the observed form, but additionally highlights every node with
 /// an entry in `notes` (keyed by node pointer): the note strings —
-/// typically lint diagnostic codes such as "MS001" — are appended to the
+/// typically lint diagnostic codes such as "MS004" — are appended to the
 /// node label in brackets and the node is drawn in red. Nodes without
 /// notes render exactly as before, and the output stays valid DOT.
 std::string PlanToDot(

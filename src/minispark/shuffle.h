@@ -519,7 +519,7 @@ class ShuffleService {
         if (ctx_->disk_pressure_policy() == DiskPressurePolicy::kFail) {
           fail_status = cause;
         } else {
-          // kDropCheckpoints / kResidentOnly: degrade — spills stay
+          // kDropCheckpoints: degrade — spills stay
           // resident, checkpointing stops — and keep running.
           ctx_->OnSpillDiskPressure(cause);
         }

@@ -49,8 +49,7 @@ inline bool TraceTimersEnabled(TraceLevel level) {
 
 /// Identity of one traced logical operator. Created by the Context when a
 /// narrow op is chained (tracing on) and captured by that op's generator
-/// closure, so per-op attribution survives arbitrary fusion — including a
-/// chain forked by Union, where a position index would collide. Ids are
+/// closure, so per-op attribution survives arbitrary fusion. Ids are
 /// unique per Context and increase in plan-construction order, which for
 /// a straight-line chain is exactly pipeline order.
 struct OpTag {

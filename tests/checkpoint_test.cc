@@ -120,19 +120,20 @@ TEST(CheckpointBlobTest, InjectedCorruptionIsDetected) {
 // ---------------------------------------------------------------------
 
 TEST(CheckpointFingerprintTest, StableAndStructureSensitive) {
-  auto src = MakePlanNode(PlanNode::Kind::kSource, "parallelize", "", {},
-                          {.num_partitions = 8});
-  auto map = MakePlanNode(PlanNode::Kind::kNarrow, "map", "m", {src},
-                          {.op_id = 17, .lazy = true});
-  // An identical rebuild (different op_id / lazy — runtime noise) must
-  // fingerprint the same: that is what keys resume across processes.
-  auto src2 = MakePlanNode(PlanNode::Kind::kSource, "parallelize", "", {},
-                           {.num_partitions = 8});
-  auto map2 = MakePlanNode(PlanNode::Kind::kNarrow, "map", "m", {src2},
-                           {.op_id = 99, .lazy = false});
+  auto src = MakePlanNode(PlanNode::Kind::kSource, "parallelize", "",
+                          nullptr, {.num_partitions = 8});
+  auto map = MakePlanNode(PlanNode::Kind::kNarrow, "map", "m", src,
+                          {.op_id = 17, .max_bucket_bytes = 5});
+  // An identical rebuild (different op_id / bucket size — runtime noise)
+  // must fingerprint the same: that is what keys resume across
+  // processes.
+  auto src2 = MakePlanNode(PlanNode::Kind::kSource, "parallelize", "",
+                           nullptr, {.num_partitions = 8});
+  auto map2 = MakePlanNode(PlanNode::Kind::kNarrow, "map", "m", src2,
+                           {.op_id = 99});
   EXPECT_EQ(PlanFingerprint(map.get()), PlanFingerprint(map2.get()));
 
-  auto renamed = MakePlanNode(PlanNode::Kind::kNarrow, "map", "other", {src});
+  auto renamed = MakePlanNode(PlanNode::Kind::kNarrow, "map", "other", src);
   EXPECT_NE(PlanFingerprint(map.get()), PlanFingerprint(renamed.get()));
   EXPECT_NE(PlanFingerprint(map.get()), PlanFingerprint(src.get()));
   EXPECT_NE(PlanFingerprint(nullptr), 0u);
@@ -298,9 +299,10 @@ TEST(CheckpointResumeTest, WideOpsRestoreAcrossContexts) {
   options.shuffle_memory_budget_bytes = 256;  // force spills too
 
   auto job = [](Context* ctx) {
-    auto left = Parallelize(ctx, IntPairs(200, 17), 8);
-    auto right = Parallelize(ctx, IntPairs(150, 17), 4);
-    auto reduced = *ReduceByKey(Union(left, right),
+    std::vector<std::pair<int, int>> both = IntPairs(200, 17);
+    const std::vector<std::pair<int, int>> right = IntPairs(150, 17);
+    both.insert(both.end(), right.begin(), right.end());
+    auto reduced = *ReduceByKey(Parallelize(ctx, std::move(both), 12),
                                 [](int a, int b) { return a + b; }, 8)
                         .TryCollect();
     auto grouped =

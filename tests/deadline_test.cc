@@ -134,9 +134,9 @@ TEST(DeadlineTest, MidShuffleDeadlineWithinTwiceTheBudgetNoLeakedThreads) {
 }
 
 TEST(DeadlineTest, ExpiredDeadlineSurfacesThroughPipelinesAsStatus) {
-  // The join pipelines use CHECK-semantics actions internally; a stop
-  // must unwind through them to the Result-returning entry point as a
-  // structured Status (JobStoppedError + StopAware), never abort.
+  // The join pipelines use throwing actions internally; a stop must
+  // unwind through them to the Result-returning entry point as a
+  // structured Status (JobFailedError + CatchJobFailure), never abort.
   PinnedEnv env;
   Context::Options options = TestCluster();
   options.job_deadline_ms = 1;
@@ -310,6 +310,25 @@ TEST(EnvOverrideTest, SpelledOverridesAcceptOnlyTheirSpellings) {
       EXPECT_EQ(log.find(name, at + 1), std::string::npos) << log;
     }
   }
+  // A malformed fault spec is ignored the same way; the programmatic
+  // spec stays.
+  Context::Options seeded = TestCluster();
+  seeded.fault_spec = "task_throw:p=0;seed=3";
+  for (const char* bad : {"task_throw:p=banana", "task_throw", "bogus:p=1",
+                          "seed=x", "countrs"}) {
+    ScopedEnv fault{"RANKJOIN_FAULT_SPEC", bad};
+    testing::internal::CaptureStderr();
+    Context ctx(seeded);
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(ctx.fault_injector().spec().seed, 3u) << "'" << bad << "'";
+    EXPECT_NE(log.find("RANKJOIN_FAULT_SPEC"), std::string::npos) << log;
+  }
+  for (const auto& [text, seed] : {std::pair<const char*, uint64_t>{"", 42},
+                                   {"task_throw:p=0;seed=9", 9}}) {
+    ScopedEnv fault{"RANKJOIN_FAULT_SPEC", text};
+    Context ctx(seeded);
+    EXPECT_EQ(ctx.fault_injector().spec().seed, seed) << "'" << text << "'";
+  }
   // The spellings the CI env steps use still apply.
   Context::Options plain = TestCluster();
   plain.checkpoint_dir = dir;
@@ -349,7 +368,10 @@ TEST(CancelTest, CancelFromSecondThreadDuringPipelinedChaosShuffleDrains) {
     ctx.Cancel();
   });
   // Map-side sleeps keep every wave busy well past the cancel point.
-  auto left = Parallelize(&ctx, IntPairs(400'000, 50'000), 8)
+  std::vector<std::pair<int, int>> both = IntPairs(400'000, 50'000);
+  const std::vector<std::pair<int, int>> more = IntPairs(300'000, 50'000);
+  both.insert(both.end(), more.begin(), more.end());
+  auto slow = Parallelize(&ctx, std::move(both), 16)
                   .Map([](std::pair<int, int> kv) {
                     if (kv.second % 500 == 0) {
                       std::this_thread::sleep_for(
@@ -357,8 +379,7 @@ TEST(CancelTest, CancelFromSecondThreadDuringPipelinedChaosShuffleDrains) {
                     }
                     return kv;
                   });
-  auto right = Parallelize(&ctx, IntPairs(300'000, 50'000), 8);
-  auto result = GroupByKey(Union(left, right), 8).TryCollect();
+  auto result = GroupByKey(slow, 8).TryCollect();
   canceller.join();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -19,6 +20,11 @@
 
 #include "core/similarity_join.h"
 #include "jaccard/jaccard_join.h"
+#include "join/cluster_join.h"
+#include "join/rs_join.h"
+#include "join/vj.h"
+#include "join/vj_nl.h"
+#include "join/vsmart.h"
 #include "minispark/context.h"
 #include "minispark/dataset.h"
 #include "minispark/shuffle.h"
@@ -628,6 +634,86 @@ TEST(ChaosTest, JaccardPipelinesAreByteIdenticalUnderInjection) {
     EXPECT_EQ(PairSet(clean->pairs), PairSet(chaos->pairs)) << label;
     ExpectChaosActivity(chaos_ctx, label);
   }
+}
+
+// ---------------------------------------------------------------------
+// Failed stages through the join entry points
+// ---------------------------------------------------------------------
+
+/// A stage that runs out of retries fails the job with its Status from
+/// every Result-returning entry point instead of aborting the process.
+TEST(JobFailureTest, EveryEntryPointReturnsTheFailedStage) {
+  rankjoin::testutil::PinnedEnv env;
+  const RankingDataset dataset = SmallSkewedDataset(/*seed=*/5, /*n=*/220,
+                                                    /*k=*/8);
+  const RankingDataset other = SmallSkewedDataset(/*seed=*/6, /*n=*/150,
+                                                  /*k=*/8);
+  VjOptions vj;
+  vj.theta = 0.3;
+  ClOptions cl;
+  cl.theta = 0.3;
+  ClOptions clp = cl;
+  clp.repartition_delta = 8;  // splits lists
+  RsJoinOptions rs;
+  rs.theta = 0.3;
+  VSmartOptions vsmart;
+  vsmart.theta = 0.3;
+  JaccardJoinOptions jaccard;
+  jaccard.theta = 0.35;
+  SimilarityJoinConfig auto_config;
+  auto_config.algorithm = Algorithm::kAuto;
+  auto_config.theta = 0.3;
+  using Run = std::function<Result<JoinResult>(Context*)>;
+  const std::vector<std::pair<const char*, Run>> entry_points = {
+      {"vj", [&](Context* ctx) { return RunVjJoin(ctx, dataset, vj); }},
+      {"vj-nl", [&](Context* ctx) { return RunVjNlJoin(ctx, dataset, vj); }},
+      {"cl", [&](Context* ctx) { return RunClusterJoin(ctx, dataset, cl); }},
+      {"cl-p",
+       [&](Context* ctx) { return RunClusterJoin(ctx, dataset, clp); }},
+      {"rs", [&](Context* ctx) { return RunRsJoin(ctx, dataset, other, rs); }},
+      {"v-smart",
+       [&](Context* ctx) { return RunVSmartJoin(ctx, dataset, vsmart); }},
+      {"jaccard-vj",
+       [&](Context* ctx) { return RunJaccardVjJoin(ctx, dataset, jaccard); }},
+      {"jaccard-cl",
+       [&](Context* ctx) {
+         return RunJaccardClusterJoin(ctx, dataset, jaccard);
+       }},
+      {"auto",
+       [&](Context* ctx) {
+         return RunSimilarityJoin(ctx, dataset, auto_config);
+       }},
+  };
+  for (const auto& [label, run] : entry_points) {
+    SCOPED_TRACE(label);
+    Context::Options options = TestCluster();
+    options.fault_spec = "task_throw:p=1;seed=1";  // every attempt fails
+    options.retry_backoff_ms = 0;
+    Context ctx(options);
+    const Result<JoinResult> result = run(&ctx);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+    EXPECT_NE(result.status().message().find("injected task fault"),
+              std::string::npos)
+        << result.status();
+  }
+}
+
+/// The kFail disk-pressure policy's IoError reaches the join's caller.
+TEST(JobFailureTest, DiskPressureFailReturnsIoError) {
+  rankjoin::testutil::PinnedEnv env;
+  Context::Options options = TestCluster();
+  options.shuffle_memory_budget_bytes = 64;
+  options.fault_spec = "spill_enospc:p=1;seed=1";
+  options.retry_backoff_ms = 0;
+  options.disk_pressure_policy = DiskPressurePolicy::kFail;
+  Context ctx(options);
+  VjOptions vj;
+  vj.theta = 0.3;
+  const Result<JoinResult> result =
+      RunVjJoin(&ctx, SmallSkewedDataset(/*seed=*/5, /*n=*/220, /*k=*/8), vj);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError) << result.status();
 }
 
 }  // namespace

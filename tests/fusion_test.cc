@@ -1,7 +1,7 @@
 // Property tests for the lazy stage-fused execution engine: every join
-// pipeline must produce bit-identical results with narrow-op fusion on
-// (lazy default) and off (eager per-operator baseline), and fusion must
-// actually reduce the number of stages and materialized elements.
+// pipeline must produce the brute-force pair set, each pair once, with
+// its narrow chains fused into their stages, and fusion must actually
+// run a narrow chain as one stage.
 #include <set>
 #include <string>
 #include <vector>
@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "core/similarity_join.h"
-#include "join/rs_join.h"
 #include "minispark/dataset.h"
 #include "minispark/metrics.h"
 #include "tests/test_util.h"
@@ -23,14 +22,6 @@ using testutil::SmallSkewedDataset;
 using testutil::TestCluster;
 using testutil::Truth;
 
-Context::Options FusedCluster() { return TestCluster(); }
-
-Context::Options UnfusedCluster() {
-  Context::Options options = TestCluster();
-  options.fuse_narrow_ops = false;
-  return options;
-}
-
 SimilarityJoinConfig ConfigFor(Algorithm algorithm) {
   SimilarityJoinConfig config;
   config.algorithm = algorithm;
@@ -40,10 +31,9 @@ SimilarityJoinConfig ConfigFor(Algorithm algorithm) {
   return config;
 }
 
-/// Every algorithm of the paper's evaluation returns the same pair set
-/// (each qualifying pair exactly once, smaller id first) whether narrow
-/// chains are fused or the engine materializes after every operator.
-TEST(FusionPropertyTest, FusedMatchesUnfusedForEveryAlgorithm) {
+/// Every algorithm of the paper's evaluation returns the brute-force
+/// pair set, each qualifying pair exactly once (smaller id first).
+TEST(FusionPropertyTest, EveryAlgorithmReturnsEachTruePairOnce) {
   const RankingDataset dataset = SmallSkewedDataset(/*seed=*/7, /*n=*/300);
   const std::set<ResultPair> truth = Truth(dataset, 0.25);
   const Algorithm algorithms[] = {Algorithm::kBruteForce, Algorithm::kVJ,
@@ -51,76 +41,19 @@ TEST(FusionPropertyTest, FusedMatchesUnfusedForEveryAlgorithm) {
                                   Algorithm::kCLP,        Algorithm::kVSmart};
   for (Algorithm algorithm : algorithms) {
     SCOPED_TRACE(AlgorithmName(algorithm));
-    Context fused_ctx(FusedCluster());
-    Context unfused_ctx(UnfusedCluster());
-    auto fused =
-        RunSimilarityJoin(&fused_ctx, dataset, ConfigFor(algorithm));
-    auto unfused =
-        RunSimilarityJoin(&unfused_ctx, dataset, ConfigFor(algorithm));
-    ASSERT_TRUE(fused.ok()) << fused.status().message();
-    ASSERT_TRUE(unfused.ok()) << unfused.status().message();
+    Context ctx(TestCluster());
+    auto result = RunSimilarityJoin(&ctx, dataset, ConfigFor(algorithm));
+    ASSERT_TRUE(result.ok()) << result.status().message();
     // Each exactly once: no duplicates hiding behind the set compare.
-    EXPECT_EQ(fused->pairs.size(), PairSet(fused->pairs).size());
-    EXPECT_EQ(PairSet(fused->pairs), PairSet(unfused->pairs));
-    EXPECT_EQ(PairSet(fused->pairs), truth);
+    EXPECT_EQ(result->pairs.size(), PairSet(result->pairs).size());
+    EXPECT_EQ(PairSet(result->pairs), truth);
   }
-}
-
-/// Same property for the two-dataset R-S join.
-TEST(FusionPropertyTest, RsJoinFusedMatchesUnfused) {
-  const RankingDataset r = SmallSkewedDataset(/*seed=*/11, /*n=*/150);
-  const RankingDataset s = SmallSkewedDataset(/*seed=*/13, /*n=*/150);
-  RsJoinOptions options;
-  options.theta = 0.25;
-  const std::set<ResultPair> truth =
-      PairSet(BruteForceRsJoin(r, s, options.theta).pairs);
-
-  Context fused_ctx(FusedCluster());
-  Context unfused_ctx(UnfusedCluster());
-  auto fused = RunRsJoin(&fused_ctx, r, s, options);
-  auto unfused = RunRsJoin(&unfused_ctx, r, s, options);
-  ASSERT_TRUE(fused.ok()) << fused.status().message();
-  ASSERT_TRUE(unfused.ok()) << unfused.status().message();
-  EXPECT_EQ(PairSet(fused->pairs), PairSet(unfused->pairs));
-  EXPECT_EQ(PairSet(fused->pairs), truth);
-}
-
-/// The fused and unfused runs also agree on the join statistics that are
-/// independent of stage structure (candidates inspected, result pairs).
-TEST(FusionPropertyTest, StatsAgreeAcrossModes) {
-  const RankingDataset dataset = SmallSkewedDataset(/*seed=*/3, /*n=*/200);
-  Context fused_ctx(FusedCluster());
-  Context unfused_ctx(UnfusedCluster());
-  const SimilarityJoinConfig config = ConfigFor(Algorithm::kVJ);
-  auto fused = RunSimilarityJoin(&fused_ctx, dataset, config);
-  auto unfused = RunSimilarityJoin(&unfused_ctx, dataset, config);
-  ASSERT_TRUE(fused.ok());
-  ASSERT_TRUE(unfused.ok());
-  EXPECT_EQ(fused->stats.candidates, unfused->stats.candidates);
-  EXPECT_EQ(fused->stats.verified, unfused->stats.verified);
-  EXPECT_EQ(fused->stats.result_pairs, unfused->stats.result_pairs);
-}
-
-/// Fusion collapses the CL pipeline's narrow chains (prefix flatMaps,
-/// key maps, dedup maps) into its shuffles: the fused run must execute
-/// strictly fewer stages AND materialize strictly fewer elements.
-TEST(FusionMetricsTest, ClPipelineRunsFewerStagesWhenFused) {
-  const RankingDataset dataset = SmallSkewedDataset(/*seed=*/7, /*n=*/300);
-  Context fused_ctx(FusedCluster());
-  Context unfused_ctx(UnfusedCluster());
-  const SimilarityJoinConfig config = ConfigFor(Algorithm::kCL);
-  ASSERT_TRUE(RunSimilarityJoin(&fused_ctx, dataset, config).ok());
-  ASSERT_TRUE(RunSimilarityJoin(&unfused_ctx, dataset, config).ok());
-  EXPECT_LT(fused_ctx.metrics().NumStages(),
-            unfused_ctx.metrics().NumStages());
-  EXPECT_LT(fused_ctx.metrics().TotalMaterializedElements(),
-            unfused_ctx.metrics().TotalMaterializedElements());
 }
 
 /// A narrow three-op chain executes as exactly one stage (plus the
 /// source), and the stage advertises the fused logical ops.
 TEST(FusionMetricsTest, NarrowChainFusesToSingleStage) {
-  Context ctx(FusedCluster());
+  Context ctx(TestCluster());
   std::vector<int> data(256);
   for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<int>(i);
   auto chain =
@@ -137,20 +70,20 @@ TEST(FusionMetricsTest, NarrowChainFusesToSingleStage) {
   EXPECT_EQ(stage.materialized_elements, 256u);
 }
 
-/// Cache() materializes a chain exactly once: repeated actions on the
-/// cached dataset add no further stages to the job metrics.
-TEST(FusionMetricsTest, CacheMaterializesOnceViaJobMetrics) {
-  Context ctx(FusedCluster());
+/// Force() materializes a chain exactly once: repeated actions on the
+/// forced dataset add no further stages to the job metrics.
+TEST(FusionMetricsTest, ForceMaterializesOnceViaJobMetrics) {
+  Context ctx(TestCluster());
   std::vector<int> data(64);
   for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<int>(i);
   auto chain = minispark::Parallelize(&ctx, data, 4)
                    .Map([](const int& x) { return x * 3; }, "triple");
-  chain.Cache();
-  const size_t after_cache = ctx.metrics().NumStages();
+  chain.Force();
+  const size_t after_force = ctx.metrics().NumStages();
   chain.Collect();
   chain.Count();
   chain.Collect();
-  EXPECT_EQ(ctx.metrics().NumStages(), after_cache);
+  EXPECT_EQ(ctx.metrics().NumStages(), after_force);
 }
 
 }  // namespace

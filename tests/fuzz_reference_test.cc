@@ -556,10 +556,10 @@ TEST(FuzzReferenceTest, ClusterJoinsMatchBruteForceSeeded) {
 /// configuration: about 500 cases on the data of the sweep above, each
 /// compared with brute force. A case draws the algorithm (VJ, VJ-NL,
 /// CL, CL-P, V-SMART and auto through RunSimilarityJoin, the R-S join,
-/// Jaccard VJ) and the engine: fused or eager narrow ops, pipelined or
-/// barrier stages, the shuffle budget (resident, 1 byte, 4 KiB), seeded
-/// chaos, workers and partitions. The RANKJOIN_* env is pinned, so CI's
-/// env jobs cannot override the draw.
+/// Jaccard VJ) and the engine: pipelined or barrier stages, the shuffle
+/// budget (resident, 1 byte, 4 KiB), seeded chaos, workers and
+/// partitions. The RANKJOIN_* env is pinned, so CI's env jobs cannot
+/// override the draw.
 TEST(FuzzReferenceTest, JoinsMatchBruteForceAcrossEngineConfigsSeeded) {
   testutil::PinnedEnv pinned;
   constexpr int kCases = 500;
@@ -588,7 +588,6 @@ TEST(FuzzReferenceTest, JoinsMatchBruteForceAcrossEngineConfigsSeeded) {
     const int partitions = static_cast<int>(1 + rng.Uniform(9));
     minispark::Context::Options options = testutil::TestCluster(
         static_cast<int>(1 + rng.Uniform(4)), partitions);
-    options.fuse_narrow_ops = rng.Bernoulli(0.5);
     options.pipelined_stages = rng.Bernoulli(0.5);
     options.shuffle_memory_budget_bytes =
         budgets[rng.Uniform(std::size(budgets))];
@@ -606,7 +605,6 @@ TEST(FuzzReferenceTest, JoinsMatchBruteForceAcrossEngineConfigsSeeded) {
              << " theta=" << theta << " theta_c=" << theta_c
              << " delta=" << delta << " workers=" << options.num_workers
              << " partitions=" << partitions
-             << " fused=" << options.fuse_narrow_ops
              << " pipelined=" << options.pipelined_stages
              << " budget=" << options.shuffle_memory_budget_bytes << " fault='"
              << options.fault_spec << "'";

@@ -1,10 +1,10 @@
 // Plan-linter tests (minispark/lint.h): one fixture per diagnostic
-// code MS001..MS005 and MS007 (MS006 is retired; each triggers exactly
-// once, and the fixed variant of the same plan is clean), level parsing
-// and the RANKJOIN_LINT_LEVEL env override, Collect()-time warn/error
-// behavior including the error-mode abort, lint-clean assertions for
-// every production join pipeline, and a regression test that
-// ExplainDot() output with diagnostics embedded stays valid DOT.
+// code MS002..MS005 (MS001, MS006 and MS007 are retired; each triggers
+// exactly once, and the fixed variant of the same plan is clean), level
+// parsing and the RANKJOIN_LINT_LEVEL env override, Collect()-time
+// warn/error behavior including the error-mode abort, lint-clean
+// assertions for every production join pipeline, and a regression test
+// that ExplainDot() output with diagnostics embedded stays valid DOT.
 
 #include "minispark/lint.h"
 
@@ -57,20 +57,39 @@ std::vector<LintDiagnostic> Only(const std::vector<LintDiagnostic>& diags,
   return out;
 }
 
-/// The canonical bad plan: a pending narrow chain feeding two consumers
-/// without Cache() (MS001). With `fixed`, the chain is cached first and
-/// the plan is clean.
-Dataset<Kv> MultiConsumerPlan(Context* ctx, bool fixed) {
-  auto ds = Parallelize(ctx, MakeKv(64), 4);
-  auto shifted = ds.Map(
-      [](const Kv& kv) { return Kv(kv.first, kv.second + 1); },
-      "fixture/shift");
-  if (fixed) shifted.Cache();
-  auto evens = shifted.Filter(
-      [](const Kv& kv) { return kv.second % 2 == 0; }, "fixture/evens");
-  auto odds = shifted.Filter(
-      [](const Kv& kv) { return kv.second % 2 == 1; }, "fixture/odds");
-  return Union(evens, odds, "fixture/union");
+/// A shuffle record type deliberately outside every Serde<T>
+/// specialization: not trivially copyable (std::string member) and not
+/// one of the covered composite shapes.
+struct NoSerdeRecord {
+  std::string payload;
+};
+
+static_assert(!has_serde_v<NoSerdeRecord>,
+              "fixture type must not be serializable");
+static_assert(has_serde_v<std::pair<uint32_t, std::string>>,
+              "covered composites must stay serializable");
+
+/// The canonical bad plan: a shuffle of `V` records followed by a
+/// pending map, linted in a context with a spill budget. With a record
+/// type that has no Serde (NoSerdeRecord) the shuffle cannot spill
+/// (MS004, error severity); with a serializable one the plan is clean.
+/// The map stays pending, so Collect() lints before it runs.
+template <typename V>
+Dataset<int> ShufflePlan(Context* ctx, V value) {
+  std::vector<std::pair<int, V>> records;
+  for (int i = 0; i < 64; ++i) records.push_back({i % 16, value});
+  auto placed =
+      PartitionByKey(Parallelize(ctx, std::move(records), 4), 8,
+                     "fixture/place");
+  return placed.Map([](const std::pair<int, V>& kv) { return kv.first; },
+                    "fixture/key");
+}
+
+/// LintCluster() with a spill budget, which arms MS004.
+Context::Options BudgetCluster(LintLevel level = LintLevel::kOff) {
+  Context::Options options = LintCluster(level);
+  options.shuffle_memory_budget_bytes = 1 << 20;
+  return options;
 }
 
 TEST(LintLevelTest, ParsesNamesAndNumbers) {
@@ -104,89 +123,6 @@ TEST(LintLevelTest, EnvOverridesOptions) {
     Context ctx(LintCluster(LintLevel::kWarn));
     EXPECT_EQ(ctx.lint_level(), LintLevel::kWarn);
   }
-}
-
-TEST(LintCheckTest, Ms001MultiConsumerPendingChain) {
-  Context ctx(LintCluster());
-  auto bad = MultiConsumerPlan(&ctx, /*fixed=*/false);
-  std::vector<LintDiagnostic> diags = bad.Lint();
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].code, "MS001");
-  EXPECT_EQ(diags[0].severity, LintSeverity::kError);
-  EXPECT_NE(diags[0].node, nullptr);
-  EXPECT_NE(diags[0].location.find("fixture/shift"), std::string::npos);
-
-  auto fixed = MultiConsumerPlan(&ctx, /*fixed=*/true);
-  EXPECT_TRUE(fixed.Lint().empty());
-}
-
-TEST(LintCheckTest, Ms001NotRaisedForConsumersOfMaterializedChain) {
-  Context ctx(LintCluster());
-  auto ds = Parallelize(&ctx, MakeKv(64), 4);
-  auto shifted = ds.Map(
-      [](const Kv& kv) { return Kv(kv.first, kv.second + 1); },
-      "fixture/shift");
-  // Forcing memoizes the handle: consumers attached afterwards read the
-  // materialized partitions instead of re-running the chain, so they
-  // must not trip the recompute check.
-  shifted.Count();
-  auto evens = shifted.Filter(
-      [](const Kv& kv) { return kv.second % 2 == 0; }, "fixture/evens");
-  auto odds = shifted.Filter(
-      [](const Kv& kv) { return kv.second % 2 == 1; }, "fixture/odds");
-  EXPECT_TRUE(Union(evens, odds, "fixture/union").Lint().empty());
-}
-
-TEST(LintCheckTest, Ms007SingleConsumerCache) {
-  Context ctx(LintCluster());
-  auto ds = Parallelize(&ctx, MakeKv(64), 4);
-  auto shifted = ds.Map(
-      [](const Kv& kv) { return Kv(kv.first, kv.second + 1); },
-      "fixture/shift");
-  shifted.Cache();
-  // One consumer hangs off the pin: the materialization buys no reuse.
-  auto evens = shifted.Filter(
-      [](const Kv& kv) { return kv.second % 2 == 0; }, "fixture/evens");
-  std::vector<LintDiagnostic> diags = Only(evens.Lint(), "MS007");
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].severity, LintSeverity::kWarning);
-  EXPECT_NE(diags[0].node, nullptr);
-  EXPECT_NE(diags[0].location.find("fixture/shift"), std::string::npos);
-  EXPECT_NE(diags[0].message.find("exactly one consumer"),
-            std::string::npos);
-}
-
-TEST(LintCheckTest, Ms007FixedByDroppingTheCache) {
-  Context ctx(LintCluster());
-  auto ds = Parallelize(&ctx, MakeKv(64), 4);
-  auto shifted = ds.Map(
-      [](const Kv& kv) { return Kv(kv.first, kv.second + 1); },
-      "fixture/shift");
-  // The MS007 fix when the chain must still run eagerly (e.g. to fill
-  // stat slots): Force() materializes without pinning a cache node, so
-  // the single-consumer plan below carries no wasted pin.
-  shifted.Force();
-  auto evens = shifted.Filter(
-      [](const Kv& kv) { return kv.second % 2 == 0; }, "fixture/evens");
-  EXPECT_TRUE(evens.Lint().empty());
-}
-
-TEST(LintCheckTest, Ms007NotRaisedForMultiConsumerOrRootCache) {
-  Context ctx(LintCluster());
-  // Two consumers: the pin earns its keep — this is the MS001 fix and
-  // must stay clean under MS007 too.
-  auto fixed = MultiConsumerPlan(&ctx, /*fixed=*/true);
-  EXPECT_TRUE(Only(fixed.Lint(), "MS007").empty());
-
-  // A cache at the DAG root has zero consumer edges in its own plan;
-  // its reuse (repeated Collect(), later plans) is invisible to the
-  // per-plan walk, so it is not flagged.
-  auto ds = Parallelize(&ctx, MakeKv(64), 4);
-  auto shifted = ds.Map(
-      [](const Kv& kv) { return Kv(kv.first, kv.second + 1); },
-      "fixture/shift");
-  shifted.Cache();
-  EXPECT_TRUE(shifted.Lint().empty());
 }
 
 TEST(LintCheckTest, Ms002RedundantBackToBackShuffles) {
@@ -283,40 +219,26 @@ TEST(LintCheckTest, Ms003SeesTheItemOrder) {
   EXPECT_TRUE(flagged) << FormatLintDiagnostics(ctx.lint_report());
 }
 
-/// A shuffle record type deliberately outside every Serde<T>
-/// specialization: not trivially copyable (std::string member) and not
-/// one of the covered composite shapes.
-struct NoSerdeRecord {
-  std::string payload;
-};
-
-static_assert(!has_serde_v<NoSerdeRecord>,
-              "fixture type must not be serializable");
-static_assert(has_serde_v<std::pair<uint32_t, std::string>>,
-              "covered composites must stay serializable");
-
 TEST(LintCheckTest, Ms004SerdelessShuffleUnderSpillBudget) {
-  Context::Options options = LintCluster();
-  options.shuffle_memory_budget_bytes = 1 << 20;
-  Context ctx(options);
-  std::vector<std::pair<int, NoSerdeRecord>> records;
-  for (int i = 0; i < 32; ++i) records.push_back({i, NoSerdeRecord{"x"}});
-  auto ds = Parallelize(&ctx, records, 4);
-  auto placed = PartitionByKey(ds, 8, "fixture/place");
-  std::vector<LintDiagnostic> diags = placed.Lint();
+  Context ctx(BudgetCluster());
+  auto bad = ShufflePlan(&ctx, NoSerdeRecord{"x"});
+  std::vector<LintDiagnostic> diags = bad.Lint();
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].code, "MS004");
   EXPECT_EQ(diags[0].severity, LintSeverity::kError);
   EXPECT_NE(diags[0].location.find("fixture/place"), std::string::npos);
   // The shuffle itself still works — resident-only.
-  EXPECT_EQ(placed.Count(), 32u);
+  EXPECT_EQ(bad.Count(), 64u);
 
   // Without a spill budget the same plan is harmless. Probed through
   // LintPlan directly so a RANKJOIN_SHUFFLE_BUDGET_BYTES env override
   // (CI's forced-spill job) cannot re-arm the check.
   LintSettings no_budget = ctx.lint_settings();
   no_budget.shuffle_memory_budget_bytes = 0;
-  EXPECT_TRUE(LintPlan(placed.plan_node().get(), no_budget).empty());
+  EXPECT_TRUE(LintPlan(bad.plan_node().get(), no_budget).empty());
+
+  // Fixed: serializable records can spill — clean.
+  EXPECT_TRUE(ShufflePlan(&ctx, uint32_t{7}).Lint().empty());
 }
 
 /// `iterations` rounds of per-iteration work (a narrow op) followed by
@@ -359,11 +281,11 @@ TEST(LintCheckTest, Ms005BarrierRebuiltInLoop) {
 
 TEST(LintCollectTest, WarnModeRecordsAndDeduplicates) {
   ScopedEnv env("RANKJOIN_LINT_LEVEL", "warn");
-  Context ctx(LintCluster(LintLevel::kWarn));
-  auto bad = MultiConsumerPlan(&ctx, /*fixed=*/false);
+  Context ctx(BudgetCluster(LintLevel::kWarn));
+  auto bad = ShufflePlan(&ctx, NoSerdeRecord{"x"});
   EXPECT_EQ(bad.Collect().size(), 64u);
   ASSERT_EQ(ctx.lint_report().size(), 1u);
-  EXPECT_EQ(ctx.lint_report()[0].code, "MS001");
+  EXPECT_EQ(ctx.lint_report()[0].code, "MS004");
   // Archived diagnostics must not point into a plan that may die.
   EXPECT_EQ(ctx.lint_report()[0].node, nullptr);
   // A second Collect() of the same plan lints again but dedups.
@@ -374,10 +296,10 @@ TEST(LintCollectTest, WarnModeRecordsAndDeduplicates) {
 TEST(LintCollectDeathTest, ErrorModeRejectsBadPlanBeforeRunning) {
   // Error level must hold in the forked death-test child too: at a
   // lower level the child would proceed past the lint gate and try to
-  // run the job on thread-pool threads fork() did not duplicate.
+  // run the pending map on thread-pool threads fork() did not duplicate.
   ScopedEnv env("RANKJOIN_LINT_LEVEL", "error");
-  Context ctx(LintCluster(LintLevel::kError));
-  auto bad = MultiConsumerPlan(&ctx, /*fixed=*/false);
+  Context ctx(BudgetCluster(LintLevel::kError));
+  auto bad = ShufflePlan(&ctx, NoSerdeRecord{"x"});
   EXPECT_DEATH(bad.Collect(), "plan rejected by lint");
 }
 
@@ -395,39 +317,40 @@ TEST(LintCollectTest, ErrorModeAllowsWarningSeverity) {
 
 TEST(LintCollectTest, OffModeNeverRecords) {
   ScopedEnv env("RANKJOIN_LINT_LEVEL", nullptr);
-  Context ctx(LintCluster(LintLevel::kOff));
-  auto bad = MultiConsumerPlan(&ctx, /*fixed=*/false);
+  Context ctx(BudgetCluster(LintLevel::kOff));
+  auto bad = ShufflePlan(&ctx, NoSerdeRecord{"x"});
   bad.Collect();
   EXPECT_TRUE(ctx.lint_report().empty());
   // Explicit Lint() still works at off level.
-  EXPECT_EQ(Only(bad.Lint(), "MS001").size(), 1u);
+  EXPECT_EQ(Only(bad.Lint(), "MS004").size(), 1u);
 }
 
 TEST(LintFormatTest, FormatsCodeSeverityMessageLocation) {
   LintDiagnostic d;
-  d.code = "MS001";
+  d.code = "MS004";
   d.severity = LintSeverity::kError;
-  d.message = "pending chain feeds 2 consumers";
-  d.location = "map (x)";
+  d.message = "shuffle cannot spill";
+  d.location = "partitionBy (x)";
   const std::string line = FormatLintDiagnostics({d});
-  EXPECT_NE(line.find("MS001 [error] "), std::string::npos);
-  EXPECT_NE(line.find("pending chain feeds 2 consumers"),
-            std::string::npos);
-  EXPECT_NE(line.find("(at map (x))"), std::string::npos);
+  EXPECT_NE(line.find("MS004 [error] "), std::string::npos);
+  EXPECT_NE(line.find("shuffle cannot spill"), std::string::npos);
+  EXPECT_NE(line.find("(at partitionBy (x))"), std::string::npos);
 }
 
 TEST(LintExplainTest, ExplainDotEmbedsDiagnosticsAndStaysValidDot) {
   ScopedEnv env("RANKJOIN_LINT_LEVEL", "warn");
-  Context ctx(LintCluster(LintLevel::kWarn));
-  auto bad = MultiConsumerPlan(&ctx, /*fixed=*/false);
-  auto grouped =
-      GroupByKey(PartitionByKey(bad, 8, "fixture/place"), 16, "fixture/group");
+  Context ctx(BudgetCluster(LintLevel::kWarn));
+  auto bad = ShufflePlan(&ctx, NoSerdeRecord{"x"});
+  auto keyed = bad.Map([](const int& key) { return Kv(key, 1); },
+                       "fixture/rekey");
+  auto grouped = GroupByKey(PartitionByKey(keyed, 8, "fixture/replace"), 16,
+                            "fixture/group");
   const std::string dot = grouped.ExplainDot();
   EXPECT_EQ(dot.rfind("digraph plan {", 0), 0u);
   EXPECT_EQ(dot.substr(dot.size() - 2), "}\n");
   // Diagnostic codes are rendered into the offending nodes' labels and
   // the nodes are drawn in red.
-  EXPECT_NE(dot.find("MS001"), std::string::npos);
+  EXPECT_NE(dot.find("MS004"), std::string::npos);
   EXPECT_NE(dot.find("MS002"), std::string::npos);
   EXPECT_NE(dot.find("color=red, fontcolor=red"), std::string::npos);
   // Structurally valid DOT: balanced braces/brackets, even quote count.
@@ -437,9 +360,9 @@ TEST(LintExplainTest, ExplainDotEmbedsDiagnosticsAndStaysValidDot) {
   }
   EXPECT_EQ(std::count(dot.begin(), dot.end(), '"') % 2, 0);
   // Without lint findings the rendering is unchanged: no red nodes.
-  Context clean_ctx(LintCluster(LintLevel::kWarn));
+  Context clean_ctx(BudgetCluster(LintLevel::kWarn));
   const std::string clean_dot =
-      MultiConsumerPlan(&clean_ctx, /*fixed=*/true).ExplainDot();
+      ShufflePlan(&clean_ctx, uint32_t{7}).ExplainDot();
   EXPECT_EQ(clean_dot.find("color=red"), std::string::npos);
 }
 

@@ -167,15 +167,6 @@ TEST(KeyValueTest, ReduceByKeySums) {
   EXPECT_EQ(total, 5050);
 }
 
-TEST(KeyValueTest, UnionConcatenates) {
-  Context ctx(SmallCluster());
-  auto a = Parallelize(&ctx, std::vector<int>{1, 2}, 1);
-  auto b = Parallelize(&ctx, std::vector<int>{3}, 1);
-  auto u = Union(a, b);
-  EXPECT_EQ(u.num_partitions(), 2);
-  EXPECT_EQ(u.Collect(), (std::vector<int>{1, 2, 3}));
-}
-
 TEST(BroadcastTest, SharesValue) {
   Context ctx(SmallCluster());
   Broadcast<std::vector<int>> bc = ctx.MakeBroadcast(Iota(5));
@@ -266,20 +257,20 @@ TEST(LazyTest, NarrowChainFusesIntoOneStage) {
   EXPECT_TRUE(found);
 }
 
-TEST(LazyTest, CacheMaterializesExactlyOnce) {
+TEST(LazyTest, ForceMaterializesExactlyOnce) {
   Context ctx(SmallCluster());
   std::atomic<int> calls{0};
   auto ds = Parallelize(&ctx, Iota(10), 2).Map([&calls](const int& x) {
     ++calls;
     return x;
   });
-  ds.Cache();
+  EXPECT_TRUE(ds.Force().ok());
   EXPECT_TRUE(ds.materialized());
   EXPECT_EQ(calls.load(), 10);
   // Further actions reuse the materialized partitions.
   ds.Collect();
   ds.Count();
-  ds.Cache();
+  ds.Force();
   EXPECT_EQ(calls.load(), 10);
 }
 
@@ -294,20 +285,6 @@ TEST(LazyTest, CopiedHandlesShareMaterialization) {
   copy.Collect();
   ds.Collect();
   EXPECT_EQ(calls.load(), 6);
-}
-
-TEST(LazyTest, FusionDisabledRunsEagerly) {
-  Context::Options options = SmallCluster();
-  options.fuse_narrow_ops = false;
-  Context ctx(options);
-  std::atomic<int> calls{0};
-  auto ds = Parallelize(&ctx, Iota(5), 2).Map([&calls](const int& x) {
-    ++calls;
-    return x;
-  });
-  // Eager mode materializes every operator immediately.
-  EXPECT_TRUE(ds.materialized());
-  EXPECT_EQ(calls.load(), 5);
 }
 
 TEST(LazyTest, NarrowChainFusesIntoShuffleWrite) {
@@ -364,39 +341,23 @@ TEST(ExplainTest, PendingChainRendersWithoutForcing) {
   EXPECT_NE(dot.find("->"), std::string::npos);
 }
 
-TEST(ExplainTest, WideOpsAndCacheAppearInPlan) {
+TEST(ExplainTest, WideOpsAppearInPlan) {
   Context ctx(SmallCluster());
   auto keyed = Parallelize(&ctx, Iota(30), 3).Map(
       [](const int& x) { return std::pair<int, int>(x % 5, x); }, "key");
   auto grouped = GroupByKey(keyed, 3, "byMod");
-  grouped.Cache();
+  grouped.Force();
   const std::string dot = grouped.ExplainDot();
-  // Shuffle boundary (doubled box), its user name, the group-side narrow
-  // step, and the Cache() pin all show up; the root is materialized.
+  // Shuffle boundary (doubled box), its user name and the group-side
+  // narrow step show up, one edge per op up the chain; the root is
+  // materialized.
   EXPECT_NE(dot.find("partitionBy"), std::string::npos);
   EXPECT_NE(dot.find("byMod"), std::string::npos);
+  EXPECT_NE(dot.find("byMod/group"), std::string::npos);
   EXPECT_NE(dot.find("peripheries=2"), std::string::npos);
-  EXPECT_NE(dot.find("cache"), std::string::npos);
   EXPECT_NE(dot.find("[materialized]"), std::string::npos);
-}
-
-TEST(ExplainTest, UnionPlanHasBothParents) {
-  Context ctx(SmallCluster());
-  auto left = Parallelize(&ctx, Iota(10), 2).Map(
-      [](const int& x) { return std::pair<int, int>(x, x); }, "leftKey");
-  auto right = Parallelize(&ctx, Iota(10), 2).Map(
-      [](const int& x) { return std::pair<int, int>(x, -x); }, "rightKey");
-  const std::string dot = Union(left, right, "testUnion").ExplainDot();
-  EXPECT_NE(dot.find("testUnion"), std::string::npos);
-  EXPECT_NE(dot.find("leftKey"), std::string::npos);
-  EXPECT_NE(dot.find("rightKey"), std::string::npos);
-  // Two distinct parallelize sources feed the DAG.
-  size_t sources = 0;
-  for (size_t pos = dot.find("parallelize"); pos != std::string::npos;
-       pos = dot.find("parallelize", pos + 1)) {
-    ++sources;
-  }
-  EXPECT_EQ(sources, 2u);
+  EXPECT_NE(dot.find("n1 -> n0;\n  n2 -> n1;\n  n3 -> n2;\n}"),
+            std::string::npos);
 }
 
 }  // namespace

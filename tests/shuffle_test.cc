@@ -148,12 +148,14 @@ TEST(ShuffleSpillTest, SpillCountersLandOnWriteStage) {
   EXPECT_TRUE(found_write_spill);
 }
 
-TEST(ShuffleSpillTest, UnionShuffleAndGroupIdenticalWithTinyBudget) {
+TEST(ShuffleSpillTest, ShuffleAndGroupIdenticalWithTinyBudget) {
   auto run = [](Context* ctx) {
-    auto left = Parallelize(ctx, KeyedRecords(800), 4);
-    auto right = Parallelize(ctx, KeyedRecords(900), 5);
+    std::vector<std::pair<int, std::string>> both = KeyedRecords(800);
+    const std::vector<std::pair<int, std::string>> more = KeyedRecords(900);
+    both.insert(both.end(), more.begin(), more.end());
     auto placed =
-        PartitionByKey(Union(left, right), 8, "spillUnion").Collect();
+        PartitionByKey(Parallelize(ctx, std::move(both), 9), 8, "spillBoth")
+            .Collect();
     auto grouped =
         GroupByKey(Parallelize(ctx, KeyedRecords(700), 4), 8, "spillGroup")
             .Collect();

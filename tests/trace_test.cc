@@ -2,8 +2,8 @@
 // counts inside fused chains, the filter-effectiveness counter
 // registry, Chrome-trace export, and the metrics edge cases they rely
 // on. The acceptance property lives here too: the CL pipeline's
-// counters must be identical whether narrow chains are fused or eager
-// and whether the shuffle stays resident or spills.
+// counters must be identical whether the shuffle stays resident or
+// spills.
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -238,44 +238,20 @@ std::map<std::string, OpMetrics> OpMetricsByName(const Context& ctx) {
   return by_name;
 }
 
-/// Per-operator counts observed inside one fused stage must equal the
-/// per-stage materialized counts of the eager engine, where every op is
-/// its own stage.
-TEST(OpMetricsTest, FusedPerOpCountsMatchUnfusedStageCounts) {
+/// Per-operator counts observed inside one fused stage follow the
+/// records through every op of the chain.
+TEST(OpMetricsTest, FusedChainCountsEveryOp) {
   ScopedEnv env("RANKJOIN_TRACE_LEVEL", "counters");
-
-  Context::Options fused_options = TestCluster();
-  Context fused_ctx(fused_options);
-  const size_t fused_groups = BuildChain(&fused_ctx).Count();
-
-  Context::Options unfused_options = TestCluster();
-  unfused_options.fuse_narrow_ops = false;
-  Context unfused_ctx(unfused_options);
-  const size_t unfused_groups = BuildChain(&unfused_ctx).Count();
-  EXPECT_EQ(fused_groups, unfused_groups);
-
-  const auto fused_ops = OpMetricsByName(fused_ctx);
-  std::map<std::string, uint64_t> unfused_materialized;
-  for (const auto& stage : unfused_ctx.metrics().stages()) {
-    unfused_materialized[stage.name] += stage.materialized_elements;
-  }
-
-  for (const char* op : {"chain/shift", "chain/evens", "chain/mirror"}) {
-    SCOPED_TRACE(op);
-    auto it = fused_ops.find(op);
-    ASSERT_NE(it, fused_ops.end());
-    auto materialized = unfused_materialized.find(op);
-    ASSERT_NE(materialized, unfused_materialized.end());
-    EXPECT_EQ(it->second.records_out, materialized->second);
-  }
-  // And the counts are internally consistent along the chain: 1000 in,
-  // half pass the filter, the flatMap doubles them back to 1000.
-  EXPECT_EQ(fused_ops.at("chain/shift").records_in, 1000u);
-  EXPECT_EQ(fused_ops.at("chain/shift").records_out, 1000u);
-  EXPECT_EQ(fused_ops.at("chain/evens").records_in, 1000u);
-  EXPECT_EQ(fused_ops.at("chain/evens").records_out, 500u);
-  EXPECT_EQ(fused_ops.at("chain/mirror").records_in, 500u);
-  EXPECT_EQ(fused_ops.at("chain/mirror").records_out, 1000u);
+  Context ctx(TestCluster());
+  BuildChain(&ctx).Count();
+  const auto ops = OpMetricsByName(ctx);
+  // 1000 in, half pass the filter, the flatMap doubles them back to 1000.
+  EXPECT_EQ(ops.at("chain/shift").records_in, 1000u);
+  EXPECT_EQ(ops.at("chain/shift").records_out, 1000u);
+  EXPECT_EQ(ops.at("chain/evens").records_in, 1000u);
+  EXPECT_EQ(ops.at("chain/evens").records_out, 500u);
+  EXPECT_EQ(ops.at("chain/mirror").records_in, 500u);
+  EXPECT_EQ(ops.at("chain/mirror").records_out, 1000u);
 }
 
 TEST(OpMetricsTest, OffLevelRecordsNoOpMetrics) {
@@ -349,9 +325,9 @@ std::vector<std::pair<std::string, uint64_t>> RunClpAndSnapshot(
 /// The acceptance criterion of the observability layer: the CL
 /// pipeline's filter-effectiveness counters (clusters, candidates,
 /// prunes, verifications, result pairs) are a property of the
-/// algorithm, not of the engine configuration — fused vs eager and
-/// resident vs spilled shuffles must publish identical snapshots.
-TEST(ClCountersTest, ConsistentAcrossFusionAndSpill) {
+/// algorithm, not of the engine configuration — resident vs spilled
+/// shuffles must publish identical snapshots.
+TEST(ClCountersTest, ConsistentAcrossSpill) {
   ScopedEnv env("RANKJOIN_TRACE_LEVEL", "counters");
   // The spill budget env var (set by the CI spill job) would collapse
   // the resident/spill contrast — pin it off for this test.
@@ -360,33 +336,22 @@ TEST(ClCountersTest, ConsistentAcrossFusionAndSpill) {
   // to the spill contexts only — pin it off for the snapshot compare.
   ScopedEnv fault_env("RANKJOIN_FAULT_SPEC", nullptr);
 
-  Context::Options fused = TestCluster();
-  Context::Options unfused = TestCluster();
-  unfused.fuse_narrow_ops = false;
+  Context::Options resident = TestCluster();
   Context::Options spilled = TestCluster();
   spilled.shuffle_memory_budget_bytes = 1;  // spill every shuffle
-  Context::Options spilled_unfused = spilled;
-  spilled_unfused.fuse_narrow_ops = false;
 
-  std::set<ResultPair> fused_pairs, unfused_pairs, spilled_pairs,
-      spilled_unfused_pairs;
-  const auto fused_counters = RunClpAndSnapshot(fused, &fused_pairs);
-  const auto unfused_counters = RunClpAndSnapshot(unfused, &unfused_pairs);
+  std::set<ResultPair> resident_pairs, spilled_pairs;
+  const auto resident_counters =
+      RunClpAndSnapshot(resident, &resident_pairs);
   const auto spilled_counters = RunClpAndSnapshot(spilled, &spilled_pairs);
-  const auto spilled_unfused_counters =
-      RunClpAndSnapshot(spilled_unfused, &spilled_unfused_pairs);
 
-  ASSERT_FALSE(fused_counters.empty());
-  EXPECT_EQ(fused_pairs, unfused_pairs);
-  EXPECT_EQ(fused_pairs, spilled_pairs);
-  EXPECT_EQ(fused_pairs, spilled_unfused_pairs);
-  EXPECT_EQ(fused_counters, unfused_counters);
-  EXPECT_EQ(fused_counters, spilled_counters);
-  EXPECT_EQ(fused_counters, spilled_unfused_counters);
+  ASSERT_FALSE(resident_counters.empty());
+  EXPECT_EQ(resident_pairs, spilled_pairs);
+  EXPECT_EQ(resident_counters, spilled_counters);
 
   // The paper-meaningful counters exist and are plausible.
-  std::map<std::string, uint64_t> by_name(fused_counters.begin(),
-                                          fused_counters.end());
+  std::map<std::string, uint64_t> by_name(resident_counters.begin(),
+                                          resident_counters.end());
   EXPECT_GT(by_name.at("cl.centroidJoin.candidates"), 0u);
   EXPECT_GT(by_name.at("cl.clustering.clusters"), 0u);
   EXPECT_GT(by_name.at("cl.result_pairs"), 0u);
