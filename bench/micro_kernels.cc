@@ -2,15 +2,19 @@
 // loops: Footrule distance (plain, merge-join, bounded, lane kernel),
 // the signature bound, both also over random pairs of a 20k-row store,
 // prefix-size math, Zipf sampling, reordering, the canonical order of a
-// row, and the per-group local joins.
+// row, and the per-group local joins (plain and in (x, y) buckets).
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "data/generator.h"
+#include "data/scale.h"
 #include "join/local_join.h"
 #include "ranking/footrule.h"
 #include "ranking/join_store.h"
@@ -292,6 +296,94 @@ void BM_LocalPrefixJoin(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_LocalPrefixJoin)->Range(64, 1024)->Complexity();
+
+/// The posting groups of DBLPx20 (DblpLikeOptions scaled x20, 80k
+/// rankings: at theta 0.3 the largest group holds 678 postings, at 0.05
+/// 129) under the rank-weighted prefix at `theta`, each group's
+/// postings in row order.
+struct DblpGroups {
+  JoinStore store;
+  uint32_t raw_theta = 0;
+  std::vector<std::vector<PrefixPosting>> groups;
+};
+
+const DblpGroups& DblpGroupsAt(int theta_percent) {
+  static std::map<int, DblpGroups> cache;
+  auto [it, fresh] = cache.try_emplace(theta_percent);
+  DblpGroups& out = it->second;
+  if (!fresh) return out;
+  const GeneratorOptions base = DblpLikeOptions();
+  const RankingDataset ds = ScaleDataset(GenerateDataset(base), 20,
+                                         base.domain_size, 3);
+  const ItemOrder order =
+      ItemOrder::FromFrequencies(CountItemFrequencies(ds.rankings));
+  out.store = JoinStore::Build(ds.store(), order);
+  out.raw_theta = RawThreshold(0.01 * theta_percent, base.k);
+  std::map<ItemId, std::vector<PrefixPosting>> by_item;
+  for (RowIndex row = 0; row < out.store.size(); ++row) {
+    for (const auto& [item, posting] : EmitPrefix(
+             out.store, row, out.raw_theta, PrefixMode::kOverlap)) {
+      by_item[item].push_back(posting);
+    }
+  }
+  for (auto& [item, group] : by_item) out.groups.push_back(std::move(group));
+  return out;
+}
+
+/// The plain pair loop against the bucketed one (arg 2: 0 plain, 1
+/// bucketed) on DBLP-like posting groups of one size (arg 0): the first
+/// postings of up to 64 DBLPx20 groups at least that large, at theta
+/// arg 1 / 100. Arg 3 picks the join: 0 LocalPrefixJoin (VJ and CL's
+/// clustering), 1 the key-rank pair loop of NestedLoopJoin (VJ-NL, the
+/// centroid join, chunk pairs). Both loops run on the same groups, so
+/// the time ratio of the two arms at each size is what sets
+/// local_join_internal::kMinBucketedGroup.
+void BM_GroupJoin(benchmark::State& state) {
+  const size_t size = static_cast<size_t>(state.range(0));
+  const DblpGroups& data = DblpGroupsAt(static_cast<int>(state.range(1)));
+  const size_t min_bucketed =
+      state.range(2) != 0 ? 2 : std::numeric_limits<size_t>::max();
+  std::vector<std::vector<PrefixPosting>> picked;
+  for (const auto& group : data.groups) {
+    if (group.size() < size) continue;
+    picked.emplace_back(group.begin(),
+                        group.begin() + static_cast<ptrdiff_t>(size));
+    if (picked.size() == 64) break;
+  }
+  if (picked.empty()) {
+    state.SkipWithError("no group that large");
+    return;
+  }
+  LocalJoinOptions options;
+  options.store = &data.store;
+  options.raw_theta = data.raw_theta;
+  const local_join_internal::KeyRankFilter filter{true};
+  JoinStats stats;
+  std::vector<ScoredPair> out;
+  for (auto _ : state) {
+    for (const auto& group : picked) {
+      if (state.range(3) == 0) {
+        local_join_internal::LocalPrefixJoinFrom(group, options,
+                                                 min_bucketed, &out, &stats);
+      } else {
+        local_join_internal::KeyRankFilter key_rank = filter;
+        local_join_internal::JoinSelf(
+            data.store, group, UniformThreshold{data.raw_theta}, key_rank,
+            data.store.k(), min_bucketed, &out, &stats);
+      }
+      out.clear();
+    }
+  }
+  state.counters["groups"] = static_cast<double>(picked.size());
+  state.counters["candidates_per_group"] =
+      static_cast<double>(stats.candidates) /
+      static_cast<double>(state.iterations() * picked.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(picked.size()));
+}
+BENCHMARK(BM_GroupJoin)
+    ->ArgsProduct({{4, 8, 12, 16, 20, 24, 32, 48, 64, 128, 256, 512}, {30, 5}, {0, 1},
+                   {0, 1}});
 
 }  // namespace
 }  // namespace rankjoin

@@ -16,11 +16,14 @@ Two classes of checks:
     sink health) and the planner's chosen algorithm when a plan is
     embedded. A mismatch means behavior changed, not noise.
   * Timing fields must stay within --tolerance of the baseline ratio.
-    wall_seconds is gated row by row (above the --min-seconds noise
-    floor); measured_makespan_s — a max-task statistic one slow task can
-    double — only in aggregate. The aggregate check sums each field over
-    all rows and applies the same tolerance. Both sides must come from
-    the same machine: the raw ratio is what is gated.
+    wall_seconds is gated row by row and per label, each label's rows
+    summed (e.g. every theta of cl-p/ORKU), both above the --min-seconds
+    noise floor; measured_makespan_s — a max-task statistic one slow
+    task can double — only in aggregate. Most rows sit below the floor,
+    so the per-label sums are what catch a slowdown confined to a few
+    rows. The aggregate check sums each field over all rows and applies
+    the same tolerance. Both sides must come from the same machine: the
+    raw ratio is what is gated.
 
 Modes:
   check (default)      exit 1 on any violation
@@ -166,6 +169,7 @@ def check_times(keys, base_rows, cand_rows, tolerance, slowdown,
                 min_seconds, failures):
     for field in TIME_FIELDS:
         ratios = {}
+        label_totals = {}
         base_total = 0.0
         cand_total = 0.0
         for key in keys:
@@ -175,14 +179,25 @@ def check_times(keys, base_rows, cand_rows, tolerance, slowdown,
                 continue
             base_total += b
             cand_total += c * slowdown
-            if field in PER_ROW_FIELDS and b >= min_seconds:
-                ratios[key] = (c * slowdown) / b
+            if field in PER_ROW_FIELDS:
+                if b >= min_seconds:
+                    ratios[key] = (c * slowdown) / b
+                totals = label_totals.setdefault(key[0], [0.0, 0.0])
+                totals[0] += b
+                totals[1] += c * slowdown
         for key, ratio in sorted(ratios.items()):
             if ratio > 1.0 + tolerance:
                 failures.append(
                     f"{key[0]}#{key[1]}: {field} regressed "
                     f"{(ratio - 1.0) * 100:.1f}% over baseline "
                     f"(ratio {ratio:.3f}, tolerance {tolerance * 100:.0f}%)")
+        for label, (b, c) in sorted(label_totals.items()):
+            if b >= min_seconds and c / b > 1.0 + tolerance:
+                failures.append(
+                    f"{label}: summed {field} of its rows regressed "
+                    f"{(c / b - 1.0) * 100:.1f}% over baseline "
+                    f"({c:.3f}s vs {b:.3f}s, "
+                    f"tolerance {tolerance * 100:.0f}%)")
         # Aggregate: per-row noise averages out over the whole matrix,
         # so the summed time is the stablest signal.
         if base_total > 0:
@@ -206,9 +221,10 @@ def main():
         help="allowed fractional slowdown per row (default 0.5)")
     parser.add_argument(
         "--min-seconds", type=float, default=0.05,
-        help="skip the per-row time check when the baseline value is "
-             "below this (noise floor, default 0.05); such rows still "
-             "count toward the aggregate check")
+        help="skip the per-row and per-label time checks when the "
+             "baseline row (or label sum) is below this (noise floor, "
+             "default 0.05); such rows still count toward their label "
+             "and the aggregate check")
     parser.add_argument(
         "--only", choices=("counters", "times"),
         help="run only the exact counter check or only the timing check")

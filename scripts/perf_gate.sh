@@ -11,9 +11,9 @@
 #  1. the change's counters must equal bench/baselines/ci_small.json
 #     exactly (a difference is a behavior change);
 #  2. the change's wall time must stay within the checker's tolerance of
-#     the parent's, per row and in aggregate, each row taking its fastest
-#     run per side (both sides run on the same machine, so the raw ratio
-#     is gated);
+#     the parent's, per row, per label (a label's rows summed) and in
+#     aggregate, each row taking its fastest run per side (both sides run
+#     on the same machine, so the raw ratio is gated);
 #  3. the timing check must fire on the change's own run with an
 #     injected uniform 2x slowdown, which proves it can fail.
 set -euo pipefail

@@ -12,22 +12,6 @@
 #include "ranking/footrule.h"
 
 namespace rankjoin {
-namespace {
-
-/// Pair threshold under Lemma 5.3, selected by the singleton flags.
-struct MixedThresholds {
-  uint32_t mm = 0;  // both non-singleton: theta + 2*theta_c
-  uint32_t ms = 0;  // mixed: theta + theta_c
-  uint32_t ss = 0;  // both singleton: theta
-
-  uint32_t operator()(const PrefixPosting& a, const PrefixPosting& b) const {
-    if (a.singleton && b.singleton) return ss;
-    if (a.singleton || b.singleton) return ms;
-    return mm;
-  }
-};
-
-}  // namespace
 
 Clustering RunClusteringPhase(minispark::Context* ctx, const JoinStore& store,
                               const internal::SelfJoinSpec& spec,

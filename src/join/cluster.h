@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "join/local_join.h"
 #include "join/stats.h"
 #include "join/vj.h"
 #include "minispark/context.h"
@@ -55,6 +56,24 @@ struct CentroidPair {
   uint32_t distance = 0;
   bool ci_singleton = false;
   bool cj_singleton = false;
+};
+
+/// Pair threshold of the centroid join under Lemma 5.3, selected by the
+/// postings' singleton flags (a Threshold of NestedLoopJoin).
+struct MixedThresholds {
+  uint32_t mm = 0;  // both non-singleton: theta + 2*theta_c
+  uint32_t ms = 0;  // mixed: theta + theta_c
+  uint32_t ss = 0;  // both singleton: theta
+
+  uint32_t operator()(const PrefixPosting& a, const PrefixPosting& b) const {
+    if (a.singleton && b.singleton) return ss;
+    if (a.singleton || b.singleton) return ms;
+    return mm;
+  }
+  /// The pair loops take sub-keys under mm, the largest: a larger
+  /// threshold gives every posting more sub-keys, so a pair under ms or
+  /// ss still meets in the bucket of its first two shared items.
+  uint32_t largest() const { return mm; }
 };
 
 /// Configuration of the joining phase over centroids.

@@ -1,5 +1,7 @@
 #include "join/local_join.h"
 
+#include <algorithm>
+
 #include "ranking/footrule.h"
 
 namespace rankjoin {
@@ -18,9 +20,212 @@ std::vector<std::pair<ItemId, PrefixPosting>> EmitPrefix(
 
 namespace local_join_internal {
 
-std::vector<uint32_t>& SurvivorBuffer() {
-  thread_local std::vector<uint32_t> survivors;
-  return survivors;
+Scratch& ThreadScratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
+
+namespace {
+
+/// Appends the sub-postings of `postings` under `raw_theta` to `out`,
+/// posting by posting.
+void CollectSubPostings(const JoinStore& store,
+                        const std::vector<PrefixPosting>& postings,
+                        uint32_t raw_theta, std::vector<SubPosting>* out) {
+  out->clear();
+  for (size_t i = 0; i < postings.size(); ++i) {
+    const SubKeys keys = SubKeysOf(store, postings[i], raw_theta);
+    const ItemId* items = store.items(postings[i].row);
+    const uint16_t* canonical = store.canonical(postings[i].row);
+    for (int p = keys.key + 1; p < keys.end; ++p) {
+      out->push_back(SubPosting{0, items[canonical[p]],
+                                static_cast<uint32_t>(i),
+                                static_cast<uint16_t>(keys.key),
+                                static_cast<uint16_t>(p)});
+    }
+  }
+}
+
+/// Whether x's bucket comes before y's: by slot, then by item.
+bool BucketBefore(const SubPosting& x, const SubPosting& y) {
+  return x.slot < y.slot || (x.slot == y.slot && x.item < y.item);
+}
+
+/// The end of the bucket that starts at `begin`.
+uint32_t BucketEnd(const std::vector<SubPosting>& entries, uint32_t begin) {
+  uint32_t end = begin + 1;
+  while (end < entries.size() && entries[end].item == entries[begin].item &&
+         entries[end].slot == entries[begin].slot) {
+    ++end;
+  }
+  return end;
+}
+
+/// Orders `entries` by (slot, item) under 2^bits slots.
+void SortBySlot(std::vector<SubPosting>* entries, int bits) {
+  thread_local std::vector<SubPosting> sorted;
+  thread_local std::vector<uint32_t> starts;
+  // Fibonacci hashing, as ItemSignature does: consecutive item ids land
+  // in distant slots.
+  constexpr uint64_t kFibonacci = 0x9E3779B97F4A7C15ull;
+  starts.assign((size_t{1} << bits) + 1, 0);
+  for (SubPosting& e : *entries) {
+    e.slot = static_cast<uint32_t>((uint64_t{e.item} * kFibonacci) >>
+                                   (64 - bits));
+    ++starts[e.slot + 1];
+  }
+  for (size_t s = 1; s < starts.size(); ++s) starts[s] += starts[s - 1];
+  sorted.resize(entries->size());
+  for (const SubPosting& e : *entries) sorted[starts[e.slot]++] = e;
+  // A slot holds one item but for collisions; the insertion pass orders
+  // those by item and leaves every run of one item in place.
+  for (size_t i = 1; i < sorted.size(); ++i) {
+    if (!BucketBefore(sorted[i], sorted[i - 1])) continue;
+    const SubPosting e = sorted[i];
+    size_t j = i;
+    for (; j > 0 && BucketBefore(e, sorted[j - 1]); --j) {
+      sorted[j] = sorted[j - 1];
+    }
+    sorted[j] = e;
+  }
+  entries->swap(sorted);
+}
+
+/// Slot bits for `count` sub-postings: at least twice as many slots.
+int SlotBits(size_t count) {
+  int bits = 1;
+  while ((size_t{1} << bits) < 2 * count) ++bits;
+  return bits;
+}
+
+}  // namespace
+
+bool BucketGroup(const JoinStore& left_store,
+                 const std::vector<PrefixPosting>& left,
+                 const JoinStore& right_store,
+                 const std::vector<PrefixPosting>* right, uint32_t key_theta,
+                 Scratch* scratch) {
+  std::vector<SubPosting>& lefts = scratch->left;
+  std::vector<SubPosting>& rights = scratch->right;
+  std::vector<Bucket>& buckets = scratch->buckets;
+  buckets.clear();
+  CollectSubPostings(left_store, left, key_theta, &lefts);
+  uint64_t pairs = 0;
+  if (right == nullptr) {
+    SortBySlot(&lefts, SlotBits(lefts.size()));
+    for (uint32_t begin = 0, end; begin < lefts.size(); begin = end) {
+      end = BucketEnd(lefts, begin);
+      const uint64_t size = end - begin;
+      if (size < 2) continue;
+      pairs += size * (size - 1) / 2;
+      buckets.push_back({begin, end, 0, 0});
+    }
+    const uint64_t n = left.size();
+    return pairs < n * (n - 1) / 2;
+  }
+  CollectSubPostings(right_store, *right, key_theta, &rights);
+  const int bits = SlotBits(std::max(lefts.size(), rights.size()));
+  SortBySlot(&lefts, bits);
+  SortBySlot(&rights, bits);
+  uint32_t l = 0;
+  uint32_t r = 0;
+  while (l < lefts.size() && r < rights.size()) {
+    if (BucketBefore(lefts[l], rights[r])) {
+      l = BucketEnd(lefts, l);
+    } else if (BucketBefore(rights[r], lefts[l])) {
+      r = BucketEnd(rights, r);
+    } else {
+      const uint32_t l_end = BucketEnd(lefts, l);
+      const uint32_t r_end = BucketEnd(rights, r);
+      pairs += uint64_t{l_end - l} * (r_end - r);
+      buckets.push_back({l, l_end, r, r_end});
+      l = l_end;
+      r = r_end;
+    }
+  }
+  return pairs < uint64_t{left.size()} * right->size();
+}
+
+namespace {
+
+/// No position filter: the pass of LocalPrefixJoin when no rank
+/// difference can fail the filter, or the filter is off.
+struct NoFilter {
+  void SetOuter(uint32_t) {}
+  template <int kChunks>
+  bool Fires(uint32_t, const PrefixPosting&, const PrefixPosting&,
+             uint32_t) const {
+    return false;
+  }
+};
+
+/// The position filter over every item in both prefixes
+/// (PrefixFilterKernel), with the group members' prefix lanes: all-ones
+/// on the ranks of each member's prefix items (the rule EmitPrefix used
+/// to put it into the group).
+class PrefixLaneFilter {
+ public:
+  PrefixLaneFilter(const JoinStore& store,
+                   const std::vector<PrefixPosting>& group,
+                   const LocalJoinOptions& options)
+      : store_(store),
+        group_(group),
+        kernel_(store.kernel(), options.raw_theta),
+        stride_(static_cast<size_t>(store.kernel().stride())) {
+    thread_local std::vector<uint32_t> lanes;
+    lanes.assign(group.size() * stride_, 0);
+    for (size_t i = 0; i < group.size(); ++i) {
+      uint32_t* row_lanes = &lanes[i * stride_];
+      ForEachPrefixRank(store, group[i].row, options.raw_theta,
+                        options.prefix_mode,
+                        [row_lanes](uint16_t rank) { row_lanes[rank] = ~0u; });
+    }
+    lanes_ = lanes.data();
+  }
+
+  void SetOuter(uint32_t member) {
+    kernel_.SetOuter(store_.items(group_[member].row), Lanes(member));
+  }
+
+  template <int kChunks>
+  bool Fires(uint32_t member, const PrefixPosting&, const PrefixPosting& b,
+             uint32_t) const {
+    return kernel_.FiresAt<kChunks>(store_.items(b.row), Lanes(member));
+  }
+
+ private:
+  const uint32_t* Lanes(uint32_t member) const {
+    return lanes_ + member * stride_;
+  }
+
+  const JoinStore& store_;
+  const std::vector<PrefixPosting>& group_;
+  PrefixFilterKernel kernel_;
+  size_t stride_;
+  const uint32_t* lanes_ = nullptr;
+};
+
+}  // namespace
+
+void LocalPrefixJoinFrom(const std::vector<PrefixPosting>& group,
+                         const LocalJoinOptions& options,
+                         size_t min_bucketed, std::vector<ScoredPair>* out,
+                         JoinStats* stats) {
+  if (group.size() < 2) return;
+  const JoinStore& store = *options.store;
+  const UniformThreshold threshold{options.raw_theta};
+  const int rank_limit =
+      PrefixRankLimit(store.k(), options.raw_theta, options.prefix_mode);
+  if (!options.position_filter ||
+      !PrefixFilterKernel(store.kernel(), options.raw_theta).can_fail()) {
+    NoFilter none;
+    JoinSelf(store, group, threshold, none, rank_limit, min_bucketed, out,
+             stats);
+    return;
+  }
+  PrefixLaneFilter filter(store, group, options);
+  JoinSelf(store, group, threshold, filter, rank_limit, min_bucketed, out,
+           stats);
 }
 
 }  // namespace local_join_internal
@@ -28,110 +233,18 @@ std::vector<uint32_t>& SurvivorBuffer() {
 void LocalPrefixJoin(const std::vector<PrefixPosting>& group,
                      const LocalJoinOptions& options,
                      std::vector<ScoredPair>* out, JoinStats* stats) {
-  const size_t n = group.size();
-  if (n < 2) return;
-  const JoinStore& store = *options.store;
-  const PairKernel& kernel = store.kernel();
-  const uint32_t raw_theta = options.raw_theta;
-  const int rank_limit =
-      PrefixRankLimit(store.k(), raw_theta, options.prefix_mode);
-  std::vector<uint32_t>& survivors = local_join_internal::SurvivorBuffer();
-  survivors.resize(n);
-  uint64_t near_pairs = 0;
-  uint64_t verified = 0;
-  uint64_t passed = 0;
-  uint64_t repeats = 0;
-
-  // Per outer row i, a branch-free first pass appends the inner rows j
-  // that `far(j)` keeps and the signature bound does not rule out to
-  // `survivors`; the kernel then runs on those only, and a qualifying
-  // pair is emitted when the group owns it. `set_outer(i)` runs before
-  // row i's first pass.
-  auto pair_loop = [&](auto width, auto&& set_outer, auto&& far) {
-    constexpr int kChunks = decltype(width)::value;
-    const SignatureBound bound = kernel.signature_bound();
-    for (size_t i = 0; i + 1 < n; ++i) {
-      set_outer(i);
-      const ItemSignature& a_signature = store.signature(group[i].row);
-      size_t near = 0;
-      size_t kept = 0;
-      for (size_t j = i + 1; j < n; ++j) {
-        const bool filtered = far(j);
-        const bool close =
-            bound(a_signature, store.signature(group[j].row)) <= raw_theta;
-        survivors[kept] = static_cast<uint32_t>(j);
-        near += !filtered;
-        kept += !filtered & close;
-      }
-      near_pairs += near;
-      verified += kept;
-      if (kept == 0) continue;
-      const PrefixOwner owner(store, group[i], rank_limit);
-      const ItemId* a = store.items(group[i].row);
-      for (size_t s = 0; s < kept; ++s) {
-        const RowIndex b = group[survivors[s]].row;
-        const uint32_t d = kernel.DistanceAt<kChunks>(a, store.items(b));
-        if (d > raw_theta) continue;
-        ++passed;
-        if (owner.Repeats(store.items(b))) {
-          ++repeats;
-        } else {
-          out->push_back(
-              {MakeResultPair(store.id(group[i].row), store.id(b)), d});
-        }
-      }
-    }
-  };
-
-  PrefixFilterKernel filter(kernel, raw_theta);
-  if (!options.position_filter || !filter.can_fail()) {
-    kernel.WithChunks([&](auto width) {
-      pair_loop(width, [](size_t) {}, [](size_t) { return false; });
-    });
-  } else {
-    // Prefix lanes of every member, all-ones on the ranks of its prefix
-    // items (the rule EmitPrefix used to put it into this group).
-    const size_t stride = static_cast<size_t>(kernel.stride());
-    thread_local std::vector<uint32_t> prefix;
-    prefix.assign(n * stride, 0);
-    for (size_t i = 0; i < n; ++i) {
-      uint32_t* lanes = &prefix[i * stride];
-      ForEachPrefixRank(store, group[i].row, raw_theta, options.prefix_mode,
-                        [lanes](uint16_t rank) { lanes[rank] = ~0u; });
-    }
-    kernel.WithChunks([&](auto width) {
-      constexpr int kChunks = decltype(width)::value;
-      pair_loop(
-          width,
-          [&](size_t i) {
-            filter.SetOuter(store.items(group[i].row), &prefix[i * stride]);
-          },
-          [&](size_t j) {
-            return filter.FiresAt<kChunks>(store.items(group[j].row),
-                                           &prefix[j * stride]);
-          });
-    });
-  }
-  const uint64_t pairs = static_cast<uint64_t>(n) * (n - 1) / 2;
-  stats->candidates += pairs;
-  stats->position_filtered += pairs - near_pairs;
-  stats->signature_filtered += near_pairs - verified;
-  stats->verified += verified;
-  stats->verify_passed += passed;
-  stats->repeat_pairs += repeats;
+  local_join_internal::LocalPrefixJoinFrom(
+      group, options, local_join_internal::kMinBucketedGroup, out, stats);
 }
 
 void LocalNestedLoopJoin(const std::vector<PrefixPosting>& group,
                          const LocalJoinOptions& options,
                          std::vector<ScoredPair>* out, JoinStats* stats) {
-  const uint32_t raw_theta = options.raw_theta;
   NestedLoopJoin(
-      *options.store, group,
-      [raw_theta](const PrefixPosting&, const PrefixPosting&) {
-        return raw_theta;
-      },
+      *options.store, group, UniformThreshold{options.raw_theta},
       options.position_filter,
-      PrefixRankLimit(options.store->k(), raw_theta, options.prefix_mode),
+      PrefixRankLimit(options.store->k(), options.raw_theta,
+                      options.prefix_mode),
       out, stats);
 }
 
@@ -139,14 +252,11 @@ void LocalNestedLoopJoinRS(const std::vector<PrefixPosting>& left,
                            const std::vector<PrefixPosting>& right,
                            const LocalJoinOptions& options,
                            std::vector<ScoredPair>* out, JoinStats* stats) {
-  const uint32_t raw_theta = options.raw_theta;
   NestedLoopJoinRS(
-      *options.store, left, right,
-      [raw_theta](const PrefixPosting&, const PrefixPosting&) {
-        return raw_theta;
-      },
+      *options.store, left, right, UniformThreshold{options.raw_theta},
       options.position_filter,
-      PrefixRankLimit(options.store->k(), raw_theta, options.prefix_mode),
+      PrefixRankLimit(options.store->k(), options.raw_theta,
+                      options.prefix_mode),
       out, stats);
 }
 

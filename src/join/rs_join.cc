@@ -21,47 +21,34 @@ struct SidedPosting {
   PrefixPosting posting;
 };
 
-/// R x S kernel over one posting group: every cross-side pair that
-/// survives the key-item position filter and the signature bound is
-/// verified, and a qualifying pair is emitted when the group owns it
+/// R x S kernel over one posting group: the group's R and S postings
+/// joined as the two sides of NestedLoopJoinRS (in (x, y) buckets when
+/// the group is large), so every cross-side pair that survives the
+/// key-item position filter, the signature bound and the ownership test
 /// (PrefixOwner; both sides were emitted under kOverlap, where the rule
-/// needs no prefix length). Rows of R index `r`, rows of S index `s`.
+/// needs no prefix length) is verified, and the qualifying ones are
+/// emitted as (r_id, s_id), deliberately not normalized by id. Rows of R
+/// index `r`, rows of S index `s`.
 void RsGroupJoin(const JoinStore& r, const JoinStore& s,
                  const std::vector<SidedPosting>& group, uint32_t raw_theta,
                  bool position_filter, std::vector<ScoredPair>* out,
                  JoinStats* stats) {
-  const PairKernel& kernel = r.kernel();
-  const SignatureBound bound = kernel.signature_bound();
-  for (const SidedPosting& a : group) {
-    if (a.from_s) continue;
-    const PrefixOwner owner(r, a.posting, r.k());
-    for (const SidedPosting& b : group) {
-      if (!b.from_s) continue;
-      ++stats->candidates;
-      if (position_filter &&
-          !PositionFilterPasses(a.posting.key_rank, b.posting.key_rank,
-                                raw_theta)) {
-        ++stats->position_filtered;
-        continue;
-      }
-      if (bound(r.signature(a.posting.row), s.signature(b.posting.row)) >
-          raw_theta) {
-        ++stats->signature_filtered;
-        continue;
-      }
-      ++stats->verified;
-      const ItemId* b_items = s.items(b.posting.row);
-      const uint32_t d = kernel.Distance(r.items(a.posting.row), b_items);
-      if (d > raw_theta) continue;
-      ++stats->verify_passed;
-      if (owner.Repeats(b_items)) {
-        ++stats->repeat_pairs;
-      } else {
-        // (r_id, s_id) — deliberately NOT normalized by id.
-        out->push_back({{r.id(a.posting.row), s.id(b.posting.row)}, d});
-      }
-    }
+  thread_local std::vector<PrefixPosting> r_side;
+  thread_local std::vector<PrefixPosting> s_side;
+  r_side.clear();
+  s_side.clear();
+  for (const SidedPosting& p : group) {
+    (p.from_s ? s_side : r_side).push_back(p.posting);
   }
+  local_join_internal::JoinSides(
+      r, r_side, s, s_side, UniformThreshold{raw_theta},
+      local_join_internal::KeyRankFilter{position_filter}, r.k(),
+      local_join_internal::kMinBucketedGroup,
+      [&r, &s, out](const PrefixPosting& a, const PrefixPosting& b,
+                    uint32_t d) {
+        out->push_back({{r.id(a.row), s.id(b.row)}, d});
+      },
+      stats);
 }
 
 Status ValidateRs(const RankingDataset& r, const RankingDataset& s,

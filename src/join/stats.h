@@ -38,7 +38,10 @@ using ScoredPair = std::pair<ResultPair, uint32_t>;
 /// synchronized) CounterRegistry.
 struct JoinStats {
   /// Candidate pairs produced by the index / nested loop before any
-  /// distance computation (after prefix grouping, before filters).
+  /// distance computation (after prefix grouping, before filters). A
+  /// prefix-join group that runs in (x, y) buckets counts the pairs of
+  /// its buckets, so a pair that shares several second key items counts
+  /// once per bucket.
   uint64_t candidates = 0;
   /// Candidates removed by the position filter.
   uint64_t position_filtered = 0;
@@ -52,12 +55,15 @@ struct JoinStats {
   uint64_t verified = 0;
   /// Verification calls whose distance qualified (<= theta). The
   /// difference verified - verify_passed is the price of imperfect
-  /// filtering.
+  /// filtering. A prefix join verifies only the pairs a group owns, so
+  /// this is the number of pairs it emits.
   uint64_t verify_passed = 0;
-  /// Qualifying pairs a prefix join's posting group verified but did
-  /// not emit, because the pair also meets in the group of an earlier
-  /// shared prefix item, which emits it (PrefixOwner). In a prefix
-  /// join, verify_passed - repeat_pairs is the number of pairs emitted.
+  /// Candidates a prefix join's posting group passed the filters for
+  /// but skipped before the kernel, because the pair belongs to the
+  /// group of an earlier shared prefix item or, in a bucketed group, to
+  /// the bucket of an earlier second shared item (PrefixOwner). In a
+  /// prefix join candidates = position_filtered + signature_filtered +
+  /// repeat_pairs + verified.
   uint64_t repeat_pairs = 0;
   /// Pairs emitted without a distance computation because a metric upper
   /// bound already guaranteed qualification (CL expansion shortcut).

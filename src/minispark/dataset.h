@@ -659,7 +659,9 @@ class Dataset {
 
 /// Creates a Dataset by splitting `data` into `num_partitions` contiguous
 /// chunks (like sc.parallelize). Uses the context default when
-/// `num_partitions` <= 0. Source datasets are born materialized.
+/// `num_partitions` <= 0. Source datasets are born materialized: the
+/// split runs on the driver and records no stage, so the first stage of
+/// a pipeline is the first one that runs its operators.
 template <typename T>
 Dataset<T> Parallelize(Context* ctx, std::vector<T> data,
                        int num_partitions = -1) {
@@ -672,16 +674,6 @@ Dataset<T> Parallelize(Context* ctx, std::vector<T> data,
   for (size_t i = 0; i < n; ++i) {
     (*parts)[per == 0 ? 0 : i / per].push_back(std::move(data[i]));
   }
-  StageMetrics stage = ctx->RunStage("parallelize", num_partitions, [](int) {});
-  stage.fused_ops = "parallelize";
-  stage.materialized_elements = n;
-  stage.max_partition_size = 0;
-  for (const auto& p : *parts) {
-    stage.materialized_bytes += ApproxSize(p);
-    stage.max_partition_size =
-        std::max<uint64_t>(stage.max_partition_size, p.size());
-  }
-  ctx->AddStage(std::move(stage));
   Dataset<T> out(ctx, std::move(parts));
   out.SetPlanNode(MakePlanNode(PlanNode::Kind::kSource, "parallelize", "",
                                nullptr, {.num_partitions = num_partitions}));

@@ -226,18 +226,17 @@ TEST(ClusterJoinTest, SparseDatasetAllSingletons) {
 }
 
 TEST(ClusterJoinTest, ExpansionRunsAsOneStage) {
-  // A CL job runs the ordering (parallelize, vj/itemFrequency,
-  // vj/canonicalize), the clustering and centroid joins (parallelize,
-  // shuffle write and read, group join each), and the expansion: one
-  // parallelize of unit indices and one fused pass over R_j and the
-  // centroids.
+  // A CL job runs the ordering (vj/itemFrequency, vj/canonicalize), the
+  // clustering and centroid joins (shuffle write and read, group join
+  // each), and the expansion: one fused pass over the unit indices of
+  // R_j and the centroids. Parallelize records no stage.
   testutil::PinnedEnv env;
   minispark::Context ctx(TestCluster());
   ClOptions options;
   options.theta = 0.3;
   auto result = RunClusterJoin(&ctx, SmallSkewedDataset(40), options);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(ctx.metrics().NumStages(), 13u);
+  EXPECT_EQ(ctx.metrics().NumStages(), 9u);
   int expansions = 0;
   for (const auto& stage : ctx.metrics().stages()) {
     EXPECT_EQ(stage.name.find("union"), std::string::npos) << stage.name;

@@ -154,6 +154,43 @@ Ownership OwnershipOf(const JoinStore& store, RowIndex a, uint32_t theta_a,
   return result;
 }
 
+/// The (x, y) buckets rows `a` and `b` meet in when their groups run
+/// bucketed with sub-keys under `key_theta` (SubKeysOf; the pair loops
+/// take the group's largest pair threshold), a's postings emitted under
+/// `theta_a` and b's under `theta_b`, and how many of them own the pair:
+/// PrefixOwner with the second key's position, asked from either row.
+Ownership BucketOwnershipOf(const JoinStore& store, RowIndex a,
+                            uint32_t theta_a, RowIndex b, uint32_t theta_b,
+                            uint32_t key_theta) {
+  Ownership result;
+  const ItemId* a_items = store.items(a);
+  const ItemId* b_items = store.items(b);
+  for (const auto& [item, posting_a] :
+       EmitPrefix(store, a, theta_a, PrefixMode::kOverlap)) {
+    for (const auto& [other, posting_b] :
+         EmitPrefix(store, b, theta_b, PrefixMode::kOverlap)) {
+      if (other != item) continue;
+      const SubKeys keys_a = SubKeysOf(store, posting_a, key_theta);
+      const SubKeys keys_b = SubKeysOf(store, posting_b, key_theta);
+      for (int p = keys_a.key + 1; p < keys_a.end; ++p) {
+        const ItemId y = a_items[store.canonical(a)[p]];
+        for (int q = keys_b.key + 1; q < keys_b.end; ++q) {
+          if (b_items[store.canonical(b)[q]] != y) continue;
+          ++result.met;
+          const bool a_outer =
+              !PrefixOwner(store, a, keys_a.key, p).Repeats(b_items);
+          const bool b_outer =
+              !PrefixOwner(store, b, keys_b.key, q).Repeats(a_items);
+          EXPECT_EQ(a_outer, b_outer)
+              << "bucket (" << item << ", " << y << ")";
+          result.owners += a_outer;
+        }
+      }
+    }
+  }
+  return result;
+}
+
 /// All k-permutations of the items 0 .. universe - 1, ids in order.
 std::vector<Ranking> AllLists(int k, uint32_t universe) {
   std::vector<Ranking> lists;
@@ -198,7 +235,10 @@ std::vector<ItemId> PrefixItems(const JoinStore& store, RowIndex row,
 /// qualifying pair is in both rows' prefixes. With `check_ownership`,
 /// exactly one of the posting groups a qualifying pair meets in owns it,
 /// also when the two rows post under different thresholds at or above
-/// the pair's (the centroid join's mm and ms classes).
+/// the pair's (the centroid join's mm and ms classes); and where every
+/// pair qualifying under the larger posting threshold shares two items
+/// (SharesTwoItems), exactly one (x, y) bucket of all groups owns it
+/// with sub-keys under that threshold, the bucketed pair loops' rule.
 void CheckWeightedPrefix(int k, uint32_t universe, bool check_ownership,
                          Distance distance = Distance::kFootrule) {
   const std::vector<Ranking> lists = AllLists(k, universe);
@@ -246,6 +286,7 @@ void CheckWeightedPrefix(int k, uint32_t universe, bool check_ownership,
   };
 
   size_t checked = 0;
+  size_t bucketed = 0;
   for (uint32_t raw_theta = 0; raw_theta < max_theta; ++raw_theta) {
     for (size_t i = 0; i < ordered.size(); ++i) {
       for (size_t j = i + 1; j < ordered.size(); ++j) {
@@ -287,20 +328,34 @@ void CheckWeightedPrefix(int k, uint32_t universe, bool check_ownership,
                 << "pair (" << i << "," << j << ") meets in " << o.met
                 << " groups at raw_theta " << raw_theta
                 << ", posted under " << theta_i << "/" << theta_j;
+            const uint32_t key_theta = std::max(theta_i, theta_j);
+            if (!SharesTwoItems(store.kernel(), key_theta)) continue;
+            ++bucketed;
+            const Ownership buckets = BucketOwnershipOf(
+                store, static_cast<RowIndex>(i), theta_i,
+                static_cast<RowIndex>(j), theta_j, key_theta);
+            ASSERT_EQ(buckets.owners, 1)
+                << "pair (" << i << "," << j << ") meets in " << buckets.met
+                << " buckets at raw_theta " << raw_theta << ", posted under "
+                << theta_i << "/" << theta_j;
           }
         }
       }
     }
   }
   EXPECT_GT(checked, 0u);
+  if (check_ownership) {
+    EXPECT_GT(bucketed, 0u);
+  }
 }
 
 /// The rank-weighted prefix at k = 3 over 6 items (120 lists; k = 3
 /// leaves one pad lane, which holds item 0, and item 0 is in the
-/// universe), with the ownership check, under Footrule's weights and
-/// under Jaccard's unit weights. This validates the theory the
-/// distributed pipelines rely on, through the library's own EmitPrefix
-/// and PrefixOwner, independent of the pipelines themselves.
+/// universe), with the ownership checks of groups and of (x, y)
+/// buckets, under Footrule's weights and under Jaccard's unit weights.
+/// This validates the theory the distributed pipelines rely on, through
+/// the library's own EmitPrefix, SubKeysOf and PrefixOwner, independent
+/// of the pipelines themselves.
 TEST(FuzzReferenceTest, OverlapPrefixCompletenessExhaustive) {
   CheckWeightedPrefix(3, 6, /*check_ownership=*/true);
   CheckWeightedPrefix(3, 6, /*check_ownership=*/true, Distance::kJaccard);

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "common/random.h"
+#include "join/cluster.h"
 #include "ranking/footrule.h"
 #include "ranking/reorder.h"
 #include "tests/test_util.h"
@@ -23,21 +24,31 @@ struct GroupFixture {
   JoinStore store;
   std::vector<PrefixPosting> group;
 
-  GroupFixture(int n, int k, uint32_t domain, uint64_t seed) {
+  /// With `near_copies`, every third ranking is the one before it with
+  /// two adjacent ranks swapped, so that pairs qualify at every
+  /// threshold.
+  GroupFixture(int n, int k, uint32_t domain, uint64_t seed,
+               Distance distance = Distance::kFootrule,
+               bool near_copies = false) {
     Rng rng(seed);
     dataset.k = k;
     for (int i = 0; i < n; ++i) {
       std::vector<ItemId> items{0};  // shared key item
+      if (near_copies && i % 3 == 2) {
+        items = dataset.rankings.back().items();
+        const size_t r = rng.Uniform(static_cast<uint64_t>(k - 1));
+        std::swap(items[r], items[r + 1]);
+      }
       while (static_cast<int>(items.size()) < k) {
         ItemId candidate = static_cast<ItemId>(1 + rng.Uniform(domain));
         if (std::find(items.begin(), items.end(), candidate) == items.end()) {
           items.push_back(candidate);
         }
       }
-      rng.Shuffle(items);
+      if (!near_copies || i % 3 != 2) rng.Shuffle(items);
       dataset.rankings.emplace_back(static_cast<RankingId>(i), items);
     }
-    store = JoinStore::Build(dataset.store(), ItemOrder());
+    store = JoinStore::Build(dataset.store(), ItemOrder(), distance);
     for (RowIndex row = 0; row < store.size(); ++row) {
       const int key_rank = dataset.rankings[row].RankOf(0);
       group.push_back(
@@ -45,21 +56,34 @@ struct GroupFixture {
     }
   }
 
+  /// The position filter applies to Footrule only: sets have no ranks.
   LocalJoinOptions Options(uint32_t raw_theta) const {
     LocalJoinOptions options;
     options.store = &store;
     options.raw_theta = raw_theta;
-    options.position_filter = true;
+    options.position_filter = store.kernel().weight(0) > 1;
     return options;
   }
 };
 
-std::set<ResultPair> GroundTruth(const GroupFixture& fx, uint32_t raw_theta) {
+/// The brute-force distance of two rankings under `distance`: Footrule,
+/// or Jaccard's raw |A xor B| = 2(k - overlap).
+uint32_t ReferenceDistance(const Ranking& a, const Ranking& b,
+                           Distance distance) {
+  if (distance == Distance::kFootrule) return FootruleDistance(a, b);
+  int overlap = 0;
+  for (ItemId item : a.items()) overlap += b.RankOf(item) >= 0;
+  return static_cast<uint32_t>(2 * (a.k() - overlap));
+}
+
+std::set<ResultPair> GroundTruth(const GroupFixture& fx, uint32_t raw_theta,
+                                 Distance distance = Distance::kFootrule) {
   std::set<ResultPair> expected;
   const std::vector<Ranking>& rankings = fx.dataset.rankings;
   for (size_t i = 0; i < rankings.size(); ++i) {
     for (size_t j = i + 1; j < rankings.size(); ++j) {
-      if (FootruleDistance(rankings[i], rankings[j]) <= raw_theta) {
+      if (ReferenceDistance(rankings[i], rankings[j], distance) <=
+          raw_theta) {
         expected.insert(MakeResultPair(rankings[i].id(), rankings[j].id()));
       }
     }
@@ -81,7 +105,9 @@ TEST(LocalNestedLoopJoinTest, MatchesGroundTruth) {
   std::vector<ScoredPair> out;
   LocalNestedLoopJoin(fx.group, fx.Options(raw_theta), &out, &stats);
   EXPECT_EQ(PairsOf(out), GroundTruth(fx, raw_theta));
-  EXPECT_EQ(stats.candidates, 60u * 59u / 2u);
+  // The group runs in (x, y) buckets, which hold fewer pairs than it.
+  EXPECT_LT(stats.candidates, 60u * 59u / 2u);
+  EXPECT_EQ(stats.verify_passed, out.size());
 }
 
 TEST(LocalNestedLoopJoinTest, DistancesAreCorrect) {
@@ -100,7 +126,8 @@ TEST(LocalNestedLoopJoinTest, DistancesAreCorrect) {
 
 TEST(LocalPrefixJoinTest, MatchesGroundTruth) {
   // Every member holds the key item in its prefix, so the pair loop sees
-  // every pair; the prefix-item position filter only drops pairs that
+  // every pair (or, in (x, y) buckets, every pair that shares a second
+  // key item); the prefix-item position filter only drops pairs that
   // cannot qualify.
   const int k = 10;
   for (uint64_t seed : {1u, 2u, 3u}) {
@@ -111,10 +138,10 @@ TEST(LocalPrefixJoinTest, MatchesGroundTruth) {
       std::vector<ScoredPair> out;
       LocalPrefixJoin(fx.group, fx.Options(raw_theta), &out, &stats);
       EXPECT_EQ(PairsOf(out), GroundTruth(fx, raw_theta)) << theta;
-      EXPECT_EQ(stats.candidates, 50u * 49u / 2u);
-      EXPECT_EQ(stats.candidates, stats.position_filtered +
-                                      stats.signature_filtered +
-                                      stats.verified);
+      EXPECT_LE(stats.candidates, 50u * 49u / 2u);
+      EXPECT_EQ(stats.candidates,
+                stats.position_filtered + stats.signature_filtered +
+                    stats.repeat_pairs + stats.verified);
       EXPECT_EQ(stats.verify_passed, out.size());
       for (const ScoredPair& sp : out) {
         EXPECT_EQ(FootruleDistance(fx.dataset.rankings[sp.first.first],
@@ -201,20 +228,176 @@ TEST(LocalRsJoinTest, SkipsSelfPairs) {
 }
 
 // ---------------------------------------------------------------------
+// (x, y) buckets. Groups of at least kMinBucketedGroup postings pair only
+// the postings that share a second key item where every qualifying pair
+// shares two items (SharesTwoItems): for Footrule below raw theta
+// k(k - 1), for Jaccard below 2k - 2. Each join must return exactly the
+// brute-force pairs, each once, below the bound, at it (where the plain
+// loop runs) and at 0.1 and 0.3 of the largest distance.
+// ---------------------------------------------------------------------
+
+constexpr int kBucketGroup =
+    2 * static_cast<int>(local_join_internal::kMinBucketedGroup) + 9;
+
+struct BucketCase {
+  int k;
+  Distance distance;
+};
+
+constexpr BucketCase kBucketCases[] = {
+    {10, Distance::kFootrule}, {25, Distance::kFootrule},
+    {10, Distance::kJaccard}};
+
+std::string Describe(const BucketCase& c, uint32_t raw_theta) {
+  return std::string(c.distance == Distance::kJaccard ? "jaccard" : "footrule") +
+         " k " + std::to_string(c.k) + " raw theta " +
+         std::to_string(raw_theta);
+}
+
+/// 0.1 and 0.3 of the largest distance, and the applicability bound
+/// minus one and itself.
+std::vector<uint32_t> BucketThetas(const BucketCase& c) {
+  const uint32_t k = static_cast<uint32_t>(c.k);
+  const bool footrule = c.distance == Distance::kFootrule;
+  const uint32_t max = footrule ? k * (k + 1) : 2 * k;
+  const uint32_t bound = footrule ? k * (k - 1) : 2 * k - 2;
+  return {max / 10, max * 3 / 10, bound - 1, bound};
+}
+
+/// Every candidate is position filtered, signature filtered, left to
+/// another group or bucket before the kernel, or verified; every
+/// emitted pair passed the kernel.
+void ExpectCounterIdentity(const JoinStats& stats, size_t emitted,
+                           const std::string& what) {
+  EXPECT_EQ(stats.candidates, stats.position_filtered +
+                                  stats.signature_filtered +
+                                  stats.repeat_pairs + stats.verified)
+      << what;
+  EXPECT_EQ(stats.verify_passed, emitted) << what;
+}
+
+TEST(BucketedJoinTest, SelfJoinsMatchBruteForce) {
+  for (const BucketCase& c : kBucketCases) {
+    GroupFixture fx(kBucketGroup, c.k, 10 * c.k, 51, c.distance,
+                    /*near_copies=*/true);
+    const uint64_t n = fx.group.size();
+    for (uint32_t raw_theta : BucketThetas(c)) {
+      const std::string what = Describe(c, raw_theta);
+      const bool bucketed = SharesTwoItems(fx.store.kernel(), raw_theta);
+      EXPECT_EQ(bucketed, raw_theta != BucketThetas(c).back()) << what;
+      const std::set<ResultPair> truth =
+          GroundTruth(fx, raw_theta, c.distance);
+      EXPECT_FALSE(truth.empty()) << what;
+      for (bool prefix_join : {true, false}) {
+        JoinStats stats;
+        std::vector<ScoredPair> out;
+        if (prefix_join) {
+          LocalPrefixJoin(fx.group, fx.Options(raw_theta), &out, &stats);
+        } else {
+          LocalNestedLoopJoin(fx.group, fx.Options(raw_theta), &out, &stats);
+        }
+        EXPECT_EQ(PairsOf(out), truth) << what;
+        EXPECT_EQ(out.size(), truth.size()) << what;
+        ExpectCounterIdentity(stats, out.size(), what);
+        // Just below the bound nearly every item is a sub-key, and the
+        // group runs the plain loop when its buckets hold more pairs.
+        if (raw_theta < BucketThetas(c)[2]) {
+          EXPECT_LT(stats.candidates, n * (n - 1) / 2) << what;
+        } else {
+          EXPECT_LE(stats.candidates, n * (n - 1) / 2) << what;
+        }
+        if (!bucketed) {
+          EXPECT_EQ(stats.candidates, n * (n - 1) / 2) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(BucketedJoinTest, MixedThresholdsMatchBruteForce) {
+  // The centroid join's pair loop: every third posting is a singleton,
+  // and a pair's threshold depends on how many singletons it holds.
+  // Sub-keys are taken under the largest threshold.
+  for (const BucketCase& c : kBucketCases) {
+    GroupFixture fx(kBucketGroup, c.k, 10 * c.k, 52, c.distance,
+                    /*near_copies=*/true);
+    for (size_t i = 0; i < fx.group.size(); i += 3) {
+      fx.group[i].singleton = true;
+    }
+    for (uint32_t raw_theta : BucketThetas(c)) {
+      const std::string what = Describe(c, raw_theta);
+      const MixedThresholds thresholds{raw_theta, raw_theta * 2 / 3,
+                                       raw_theta / 3};
+      std::set<ResultPair> truth;
+      const std::vector<Ranking>& rankings = fx.dataset.rankings;
+      for (size_t i = 0; i < rankings.size(); ++i) {
+        for (size_t j = i + 1; j < rankings.size(); ++j) {
+          if (ReferenceDistance(rankings[i], rankings[j], c.distance) <=
+              thresholds(fx.group[i], fx.group[j])) {
+            truth.insert(MakeResultPair(rankings[i].id(), rankings[j].id()));
+          }
+        }
+      }
+      JoinStats stats;
+      std::vector<ScoredPair> out;
+      NestedLoopJoin(fx.store, fx.group, thresholds,
+                     fx.Options(raw_theta).position_filter, c.k, &out,
+                     &stats);
+      EXPECT_EQ(PairsOf(out), truth) << what;
+      EXPECT_EQ(out.size(), truth.size()) << what;
+      ExpectCounterIdentity(stats, out.size(), what);
+    }
+  }
+}
+
+TEST(BucketedJoinTest, ChunkPairsMatchBruteForce) {
+  // NestedLoopJoinRS over two halves of a group, as CL-P's chunk pairs
+  // run it: the cross pairs of the brute-force result.
+  for (const BucketCase& c : kBucketCases) {
+    GroupFixture fx(kBucketGroup, c.k, 10 * c.k, 53, c.distance,
+                    /*near_copies=*/true);
+    const size_t half = fx.group.size() / 2;
+    const std::vector<PrefixPosting> left(fx.group.begin(),
+                                          fx.group.begin() + half);
+    const std::vector<PrefixPosting> right(fx.group.begin() + half,
+                                           fx.group.end());
+    for (uint32_t raw_theta : BucketThetas(c)) {
+      const std::string what = Describe(c, raw_theta);
+      std::set<ResultPair> truth;
+      for (const ResultPair& p : GroundTruth(fx, raw_theta, c.distance)) {
+        if ((p.first < half) != (p.second < half)) truth.insert(p);
+      }
+      JoinStats stats;
+      std::vector<ScoredPair> out;
+      LocalNestedLoopJoinRS(left, right, fx.Options(raw_theta), &out,
+                            &stats);
+      EXPECT_EQ(PairsOf(out), truth) << what;
+      EXPECT_EQ(out.size(), truth.size()) << what;
+      ExpectCounterIdentity(stats, out.size(), what);
+      if (raw_theta < BucketThetas(c)[2]) {
+        EXPECT_LT(stats.candidates, left.size() * right.size()) << what;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // Counter contract: the pair loops' counters over the posting groups the
-// VJ pipeline builds with the rank-weighted prefix (EmitPrefix). Any
-// change to the prefix rule, the position filter, the signature bound
-// or the ownership rule shows here. The signature bound splits the
-// pairs that reach the distance decision into signature_filtered and
-// verified, and the ownership rule splits verify_passed into the
-// emitted pairs (one per distinct qualifying pair, checked against
-// brute force) and repeat_pairs.
+// VJ pipeline builds with the rank-weighted prefix (EmitPrefix), the
+// large ones in (x, y) buckets. Any change to the prefix rule, the
+// sub-key rule, the group size that buckets, the position filter, the
+// signature bound or the ownership rule shows here. Past the position
+// filter the signature bound and then the ownership test (before the
+// kernel) split the pairs into signature_filtered, repeat_pairs and
+// verified, and verify_passed is the emitted pairs (one per distinct
+// qualifying pair, checked against brute force).
 // ---------------------------------------------------------------------
 
 struct Counts {
   uint64_t candidates;
   uint64_t position_filtered;
-  /// Pairs past the position filter: signature_filtered + verified.
+  /// Pairs past the position filter: signature_filtered +
+  /// repeat_pairs + verified.
   uint64_t decided;
   uint64_t signature_filtered;
   uint64_t verify_passed;
@@ -230,36 +413,47 @@ struct PinnedCase {
   Counts nested_loop;
 };
 
+// The groups of the n = 300 and 200 cases hold at most 13 postings and
+// run the plain loop; the n = 3000 cases' largest groups (30 and 64
+// postings) run in (x, y) buckets.
 const PinnedCase kPinned[] = {
-    {21, 300, 10, 0.05, {196, 97, 99, 59, 22, 2}, {196, 97, 99, 59, 22, 2}},
-    {21, 300, 10, 0.10, {318, 45, 273, 212, 37, 10},
-     {318, 45, 273, 212, 37, 10}},
-    {21, 300, 10, 0.20, {1156, 0, 1156, 1013, 115, 53},
-     {1156, 0, 1156, 1013, 115, 53}},
-    {21, 300, 10, 0.30, {1975, 0, 1975, 1687, 163, 90},
-     {1975, 0, 1975, 1687, 163, 90}},
-    {22, 200, 25, 0.05, {413, 32, 381, 269, 77, 36},
-     {413, 32, 381, 269, 77, 36}},
-    {22, 200, 25, 0.10, {1033, 0, 1033, 839, 172, 108},
-     {1033, 0, 1033, 839, 172, 108}},
-    {22, 200, 25, 0.20, {2920, 0, 2920, 2545, 361, 281},
-     {2920, 0, 2920, 2545, 361, 281}},
-    {22, 200, 25, 0.30, {5833, 0, 5833, 4670, 557, 473},
-     {5833, 0, 5833, 4670, 557, 473}},
-    {23, 300, 5, 0.05, {128, 90, 38, 31, 0, 0}, {128, 90, 38, 31, 0, 0}},
-    {23, 300, 5, 0.10, {192, 68, 124, 88, 17, 0},
-     {192, 68, 124, 88, 17, 0}},
-    {23, 300, 5, 0.20, {426, 36, 390, 295, 46, 10},
-     {426, 35, 391, 296, 46, 10}},
-    {23, 300, 5, 0.30, {667, 0, 667, 526, 68, 23},
-     {667, 0, 667, 526, 68, 23}},
+    {21, 300, 10, 0.05, {196, 97, 99, 59, 20, 4},
+     {196, 97, 99, 59, 20, 4}},
+    {21, 300, 10, 0.10, {318, 45, 273, 212, 27, 14},
+     {318, 45, 273, 212, 27, 14}},
+    {21, 300, 10, 0.20, {1156, 0, 1156, 1013, 62, 56},
+     {1156, 0, 1156, 1013, 62, 56}},
+    {21, 300, 10, 0.30, {1975, 0, 1975, 1687, 73, 98},
+     {1975, 0, 1975, 1687, 73, 98}},
+    {22, 200, 25, 0.05, {413, 32, 381, 269, 41, 41},
+     {413, 32, 381, 269, 41, 41}},
+    {22, 200, 25, 0.10, {1033, 0, 1033, 839, 64, 111},
+     {1033, 0, 1033, 839, 64, 111}},
+    {22, 200, 25, 0.20, {2920, 0, 2920, 2545, 80, 284},
+     {2920, 0, 2920, 2545, 80, 284}},
+    {22, 200, 25, 0.30, {5833, 0, 5833, 4670, 84, 591},
+     {5833, 0, 5833, 4670, 84, 591}},
+    {23, 300, 5, 0.05, {128, 90, 38, 31, 0, 0},
+     {128, 90, 38, 31, 0, 0}},
+    {23, 300, 5, 0.10, {192, 68, 124, 88, 17, 2},
+     {192, 68, 124, 88, 17, 2}},
+    {23, 300, 5, 0.20, {426, 36, 390, 295, 36, 11},
+     {426, 35, 391, 296, 36, 11}},
+    {23, 300, 5, 0.30, {667, 0, 667, 526, 45, 23},
+     {667, 0, 667, 526, 45, 23}},
+    {24, 3000, 10, 0.10, {26799, 5104, 21695, 20641, 441, 407},
+     {26799, 5093, 21706, 20652, 441, 407}},
+    {24, 3000, 10, 0.30, {21348, 0, 21348, 12803, 882, 4582},
+     {21348, 0, 21348, 12803, 882, 4582}},
 };
 
 void ExpectCounts(const JoinStats& got, const Counts& want,
                   const std::string& what) {
   EXPECT_EQ(got.candidates, want.candidates) << what;
   EXPECT_EQ(got.position_filtered, want.position_filtered) << what;
-  EXPECT_EQ(got.signature_filtered + got.verified, want.decided) << what;
+  EXPECT_EQ(got.signature_filtered + got.repeat_pairs + got.verified,
+            want.decided)
+      << what;
   EXPECT_EQ(got.signature_filtered, want.signature_filtered) << what;
   EXPECT_EQ(got.verify_passed, want.verify_passed) << what;
   EXPECT_EQ(got.repeat_pairs, want.repeat_pairs) << what;
@@ -298,7 +492,10 @@ TEST(LocalJoinCountersTest, MatchPinnedValues) {
     for (const auto& [stats, out] :
          {std::pair(&prefix_join, &prefix_out),
           std::pair(&nested_loop, &nested_out)}) {
-      EXPECT_EQ(stats->verify_passed - stats->repeat_pairs, truth.size())
+      EXPECT_EQ(stats->verify_passed, truth.size()) << what;
+      EXPECT_EQ(stats->candidates,
+                stats->position_filtered + stats->signature_filtered +
+                    stats->repeat_pairs + stats->verified)
           << what;
       std::vector<ResultPair> pairs;
       for (const ScoredPair& sp : *out) pairs.push_back(sp.first);

@@ -248,8 +248,8 @@ TEST(LazyTest, NarrowChainFusesIntoOneStage) {
                    "dup");
   EXPECT_EQ(out.pending_ops(), "map+filter+flatMap");
   EXPECT_EQ(out.Collect().size(), 100u);
-  // One stage for the source, ONE for the whole fused chain.
-  EXPECT_EQ(ctx.metrics().NumStages(), 2u);
+  // The source records no stage; ONE runs the whole fused chain.
+  EXPECT_EQ(ctx.metrics().NumStages(), 1u);
   bool found = false;
   for (const auto& stage : ctx.metrics().stages()) {
     found |= stage.fused_ops == "map+filter+flatMap";
@@ -321,8 +321,9 @@ TEST(LazyTest, MaterializedElementsCounted) {
     }
   }
   EXPECT_EQ(filter_stage_elements, 10u);
-  // 50 from parallelize + 10 from the filter output.
-  EXPECT_EQ(ctx.metrics().TotalMaterializedElements(), 60u);
+  // The filter output only: the source is split on the driver and
+  // records no stage.
+  EXPECT_EQ(ctx.metrics().TotalMaterializedElements(), 10u);
 }
 
 TEST(ExplainTest, PendingChainRendersWithoutForcing) {

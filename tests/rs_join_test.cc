@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "common/random.h"
+#include "data/generator.h"
 #include "tests/test_util.h"
 
 namespace rankjoin {
@@ -27,6 +29,41 @@ TEST(RsJoinTest, MatchesBruteForceAcrossThetas) {
     auto result = RunRsJoin(&ctx, r, s, options);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(PairSet(result->pairs), RsTruth(r, s, theta)) << theta;
+  }
+}
+
+TEST(RsJoinTest, LargeGroupsMatchBruteForce) {
+  // Over a 30-item domain most posting groups hold more than
+  // kMinBucketedGroup postings of both sides, so they join in (x, y)
+  // buckets below raw theta k(k - 1) = 90, and in the plain loop at it.
+  auto small_domain = [](uint64_t seed) {
+    GeneratorOptions options;
+    options.num_rankings = 150;
+    options.domain_size = 30;
+    options.seed = seed;
+    return GenerateDataset(options);
+  };
+  const RankingDataset r = small_domain(902);
+  RankingDataset s = small_domain(903);
+  // Perturbed copies of every fifth R ranking, so pairs qualify at
+  // every threshold.
+  Rng rng(904);
+  for (size_t i = 0; i < r.size(); i += 5) {
+    s.rankings.push_back(PerturbRanking(r.rankings[i],
+                                        static_cast<RankingId>(s.size()),
+                                        30, 1 + static_cast<int>(i % 2),
+                                        rng));
+  }
+  minispark::Context ctx(TestCluster());
+  for (double theta : {0.1, 0.3, 89.5 / 110, 90.5 / 110}) {
+    RsJoinOptions options;
+    options.theta = theta;
+    auto result = RunRsJoin(&ctx, r, s, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    const std::set<ResultPair> truth = RsTruth(r, s, theta);
+    EXPECT_FALSE(truth.empty()) << theta;
+    EXPECT_EQ(PairSet(result->pairs), truth) << theta;
+    EXPECT_EQ(result->stats.verify_passed, truth.size()) << theta;
   }
 }
 

@@ -202,15 +202,15 @@ TEST(VjTest, DuplicateContentRankingsAllPair) {
 
 TEST(VjTest, OrderingRunsWithoutAShuffle) {
   // The item count is one narrow stage of per-partition tables: a job
-  // runs parallelize, vj/itemFrequency and vj/canonicalize, then the
-  // join's parallelize, its shuffle write and read, and the group join.
+  // runs vj/itemFrequency and vj/canonicalize, then the join's shuffle
+  // write and read, and the group join. Parallelize records no stage.
   testutil::PinnedEnv env;
   minispark::Context ctx(TestCluster());
   VjOptions options;
   options.theta = 0.3;
   auto result = RunVjJoin(&ctx, SmallSkewedDataset(40), options);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(ctx.metrics().NumStages(), 7u);
+  EXPECT_EQ(ctx.metrics().NumStages(), 5u);
   int counts = 0;
   for (const auto& stage : ctx.metrics().stages()) {
     EXPECT_EQ(stage.name.find("vj/itemFrequency/shuffle"), std::string::npos)
