@@ -331,13 +331,13 @@ const DblpGroups& DblpGroupsAt(int theta_percent) {
 }
 
 /// The plain pair loop against the bucketed one (arg 2: 0 plain, 1
-/// bucketed) on DBLP-like posting groups of one size (arg 0): the first
-/// postings of up to 64 DBLPx20 groups at least that large, at theta
-/// arg 1 / 100. Arg 3 picks the join: 0 LocalPrefixJoin (VJ and CL's
-/// clustering), 1 the key-rank pair loop of NestedLoopJoin (VJ-NL, the
-/// centroid join, chunk pairs). Both loops run on the same groups, so
-/// the time ratio of the two arms at each size is what sets
-/// local_join_internal::kMinBucketedGroup.
+/// bucketed) of LocalPrefixJoin (VJ and CL's clustering) on DBLP-like
+/// posting groups of one size (arg 0): the first postings of up to 64
+/// DBLPx20 groups at least that large, at theta arg 1 / 100. Both loops
+/// run on the same groups, so the time ratio of the two arms at each size
+/// is what sets local_join_internal::kMinBucketedGroup. NestedLoopJoin's
+/// key-rank loop (VJ-NL, the centroid join, chunk pairs) is the same
+/// loop where the position filter can fire.
 void BM_GroupJoin(benchmark::State& state) {
   const size_t size = static_cast<size_t>(state.range(0));
   const DblpGroups& data = DblpGroupsAt(static_cast<int>(state.range(1)));
@@ -357,20 +357,12 @@ void BM_GroupJoin(benchmark::State& state) {
   LocalJoinOptions options;
   options.store = &data.store;
   options.raw_theta = data.raw_theta;
-  const local_join_internal::KeyRankFilter filter{true};
   JoinStats stats;
   std::vector<ScoredPair> out;
   for (auto _ : state) {
     for (const auto& group : picked) {
-      if (state.range(3) == 0) {
-        local_join_internal::LocalPrefixJoinFrom(group, options,
-                                                 min_bucketed, &out, &stats);
-      } else {
-        local_join_internal::KeyRankFilter key_rank = filter;
-        local_join_internal::JoinSelf(
-            data.store, group, UniformThreshold{data.raw_theta}, key_rank,
-            data.store.k(), min_bucketed, &out, &stats);
-      }
+      local_join_internal::LocalPrefixJoinFrom(group, options, min_bucketed,
+                                               &out, &stats);
       out.clear();
     }
   }
@@ -382,8 +374,8 @@ void BM_GroupJoin(benchmark::State& state) {
                           static_cast<int64_t>(picked.size()));
 }
 BENCHMARK(BM_GroupJoin)
-    ->ArgsProduct({{4, 8, 12, 16, 20, 24, 32, 48, 64, 128, 256, 512}, {30, 5}, {0, 1},
-                   {0, 1}});
+    ->ArgsProduct(
+        {{4, 8, 12, 16, 20, 24, 32, 48, 64, 128, 256, 512}, {30, 5}, {0, 1}});
 
 }  // namespace
 }  // namespace rankjoin

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
-#include <unordered_set>
+#include <numeric>
 
 #include "common/logging.h"
 #include "join/local_join.h"
@@ -13,52 +12,73 @@
 
 namespace rankjoin {
 
+namespace {
+
+/// One direction of a theta_c pair in the clustering pass's CSR: the
+/// partner's store row and the pair's raw distance.
+struct Partner {
+  RowIndex row;
+  uint32_t distance;
+};
+
+}  // namespace
+
 Clustering RunClusteringPhase(minispark::Context* ctx, const JoinStore& store,
                               const internal::SelfJoinSpec& spec,
                               JoinStats* stats) {
   Clustering clustering;
-  std::vector<ScoredPair> scored =
+  const std::vector<ScoredPair> scored =
       internal::DistributedSelfJoin(ctx, store, spec, stats);
 
-  // Cluster formation (Fig. 3) with one role per ranking. The smaller id
-  // of each qualifying pair is a centroid. A ranking that is no centroid
-  // has only smaller-id partners, all of them centroids, and joins the
-  // cluster of the closest one (ties to the smaller id). Per row: the
-  // centroid flag and the closest smaller-id partner seen so far.
-  constexpr uint32_t kNoHome = std::numeric_limits<uint32_t>::max();
+  // The theta_c pairs as a CSR over store rows, in both directions: the
+  // partners of row r are partners[offsets[r] .. offsets[r + 1]).
   const size_t n = store.size();
-  std::vector<uint8_t> is_centroid(n, 0);
-  std::vector<RankingId> home(n, 0);
-  std::vector<uint32_t> home_distance(n, kNoHome);
+  RANKJOIN_CHECK(scored.size() <= UINT32_MAX / 2);
+  std::vector<uint32_t> offsets(n + 1, 0);
   for (const ScoredPair& sp : scored) {
-    const auto [centroid, member] = sp.first;
-    is_centroid[store.RowOf(centroid)] = 1;
-    const RowIndex row = store.RowOf(member);
-    if (sp.second < home_distance[row] ||
-        (sp.second == home_distance[row] && centroid < home[row])) {
-      home[row] = centroid;
-      home_distance[row] = sp.second;
-    }
+    ++offsets[store.RowOf(sp.first.first) + 1];
+    ++offsets[store.RowOf(sp.first.second) + 1];
+  }
+  for (size_t r = 1; r <= n; ++r) offsets[r] += offsets[r - 1];
+  std::vector<Partner> partners(offsets[n]);
+  std::vector<uint32_t> next(offsets.begin(), offsets.end() - 1);
+  for (const ScoredPair& sp : scored) {
+    const RowIndex a = store.RowOf(sp.first.first);
+    const RowIndex b = store.RowOf(sp.first.second);
+    partners[next[a]++] = {b, sp.second};
+    partners[next[b]++] = {a, sp.second};
   }
 
-  // Centroids keep no memberships; every other ranking with a partner
-  // is the member of its home cluster.
-  std::vector<uint32_t> cluster_size(n, 0);
-  for (RowIndex row = 0; row < n; ++row) {
-    if (is_centroid[row] || home_distance[row] == kNoHome) continue;
-    clustering.pairs.push_back(
-        ClusterPair{home[row], store.id(row), home_distance[row]});
-    ++cluster_size[store.RowOf(home[row])];
-  }
-  // Singletons: rankings with no theta_c partner, plus the centroids
-  // whose partners all joined other clusters.
+  // Leader clustering (Fig. 3) with one role per ranking, in id order.
+  // An unassigned ranking claims its unassigned partners as members, each
+  // at its pair distance, and is their centroid; with none left it is a
+  // singleton. Every smaller id is assigned before a ranking's turn, so a
+  // member's id is larger than its centroid's.
+  std::vector<RowIndex> by_id(n);
+  std::iota(by_id.begin(), by_id.end(), RowIndex{0});
+  std::sort(by_id.begin(), by_id.end(), [&store](RowIndex a, RowIndex b) {
+    return store.id(a) < store.id(b);
+  });
+  std::vector<uint8_t> assigned(n, 0);
   uint64_t max_cluster = 0;
-  for (RowIndex row = 0; row < n; ++row) {
-    if (cluster_size[row] > 0) {
-      clustering.centroids.push_back(store.id(row));
-      max_cluster = std::max<uint64_t>(max_cluster, cluster_size[row] + 1);
-    } else if (is_centroid[row] || home_distance[row] == kNoHome) {
-      clustering.singletons.push_back(store.id(row));
+  for (const RowIndex row : by_id) {
+    if (assigned[row]) continue;
+    assigned[row] = 1;
+    const RankingId leader = store.id(row);
+    const size_t first = clustering.pairs.size();
+    for (uint32_t e = offsets[row]; e < offsets[row + 1]; ++e) {
+      const Partner& partner = partners[e];
+      if (assigned[partner.row]) continue;
+      assigned[partner.row] = 1;
+      clustering.pairs.push_back(
+          ClusterPair{leader, store.id(partner.row), partner.distance});
+    }
+    const size_t members = clustering.pairs.size() - first;
+    if (members == 0) {
+      clustering.singletons.push_back(leader);
+    } else {
+      clustering.centroids.push_back(leader);
+      max_cluster = std::max<uint64_t>(max_cluster, members + 1);
     }
   }
 
@@ -150,17 +170,10 @@ std::vector<CentroidPair> RunCentroidJoin(
       groups, spec.repartition_delta, spec.num_partitions, local_join,
       rs_join, &phase_stats, spec.adaptive_repartition);
 
-  std::unordered_set<RankingId> singleton_set(singletons.begin(),
-                                              singletons.end());
   std::vector<CentroidPair> result;
+  result.reserve(pairs.size());
   for (const ScoredPair& sp : pairs) {
-    CentroidPair cp;
-    cp.ci = sp.first.first;
-    cp.cj = sp.first.second;
-    cp.distance = sp.second;
-    cp.ci_singleton = singleton_set.count(cp.ci) > 0;
-    cp.cj_singleton = singleton_set.count(cp.cj) > 0;
-    result.push_back(cp);
+    result.push_back({sp.first.first, sp.first.second, sp.second});
   }
   phase_stats.PublishCounters(&ctx->counters(), "cl.centroidJoin");
   ctx->counters().Add("cl.centroidJoin.pairs", result.size());

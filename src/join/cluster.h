@@ -14,8 +14,8 @@
 namespace rankjoin {
 
 /// One clustering-phase result tuple: `member` belongs to the cluster
-/// represented by `centroid` (its closest smaller-id theta_c partner),
-/// at the given raw distance <= raw_theta_c.
+/// represented by `centroid`, a smaller-id theta_c partner, at their raw
+/// pair distance <= raw_theta_c.
 struct ClusterPair {
   RankingId centroid = 0;
   RankingId member = 0;
@@ -32,30 +32,29 @@ struct Clustering {
   std::vector<ClusterPair> pairs;
   /// Centroids of clusters with >= 1 member (the set C_m).
   std::vector<RankingId> centroids;
-  /// Rankings in no theta_c pair, plus the centroids left without
-  /// members (the set C_s of singleton-cluster representatives).
+  /// Rankings with no unassigned theta_c partner at their turn (the set
+  /// C_s of singleton-cluster representatives).
   std::vector<RankingId> singletons;
 };
 
 /// Runs the clustering phase: a distributed self-join of every ranking
 /// in `store` with the clustering threshold (spec.raw_theta = raw
-/// theta_c), followed by cluster formation. The smaller id of each pair
-/// is a centroid; every other ranking in a pair joins its closest
-/// centroid (ties to the smaller id); centroids keep no memberships, and
-/// a centroid left without members becomes a singleton. Join work
-/// counters accumulate into `stats`.
+/// theta_c), followed by leader clustering over the collected pairs. In
+/// id order, a ranking not yet assigned claims every theta_c partner not
+/// yet assigned as a member, at the pair distance, and is the centroid
+/// of that cluster; a ranking with no such partner is a singleton. So
+/// every centroid has a member, and every member a larger id than its
+/// centroid. Join work counters accumulate into `stats`.
 Clustering RunClusteringPhase(minispark::Context* ctx, const JoinStore& store,
                               const internal::SelfJoinSpec& spec,
                               JoinStats* stats);
 
 /// One joining-phase result: a qualifying centroid pair with its
-/// distance and the singleton markers needed by the expansion.
+/// distance.
 struct CentroidPair {
   RankingId ci = 0;  // smaller id
   RankingId cj = 0;
   uint32_t distance = 0;
-  bool ci_singleton = false;
-  bool cj_singleton = false;
 };
 
 /// Pair threshold of the centroid join under Lemma 5.3, selected by the

@@ -151,58 +151,9 @@ namespace {
 /// No position filter: the pass of LocalPrefixJoin when no rank
 /// difference can fail the filter, or the filter is off.
 struct NoFilter {
-  void SetOuter(uint32_t) {}
-  template <int kChunks>
-  bool Fires(uint32_t, const PrefixPosting&, const PrefixPosting&,
-             uint32_t) const {
+  bool Fires(const PrefixPosting&, const PrefixPosting&, uint32_t) const {
     return false;
   }
-};
-
-/// The position filter over every item in both prefixes
-/// (PrefixFilterKernel), with the group members' prefix lanes: all-ones
-/// on the ranks of each member's prefix items (the rule EmitPrefix used
-/// to put it into the group).
-class PrefixLaneFilter {
- public:
-  PrefixLaneFilter(const JoinStore& store,
-                   const std::vector<PrefixPosting>& group,
-                   const LocalJoinOptions& options)
-      : store_(store),
-        group_(group),
-        kernel_(store.kernel(), options.raw_theta),
-        stride_(static_cast<size_t>(store.kernel().stride())) {
-    thread_local std::vector<uint32_t> lanes;
-    lanes.assign(group.size() * stride_, 0);
-    for (size_t i = 0; i < group.size(); ++i) {
-      uint32_t* row_lanes = &lanes[i * stride_];
-      ForEachPrefixRank(store, group[i].row, options.raw_theta,
-                        options.prefix_mode,
-                        [row_lanes](uint16_t rank) { row_lanes[rank] = ~0u; });
-    }
-    lanes_ = lanes.data();
-  }
-
-  void SetOuter(uint32_t member) {
-    kernel_.SetOuter(store_.items(group_[member].row), Lanes(member));
-  }
-
-  template <int kChunks>
-  bool Fires(uint32_t member, const PrefixPosting&, const PrefixPosting& b,
-             uint32_t) const {
-    return kernel_.FiresAt<kChunks>(store_.items(b.row), Lanes(member));
-  }
-
- private:
-  const uint32_t* Lanes(uint32_t member) const {
-    return lanes_ + member * stride_;
-  }
-
-  const JoinStore& store_;
-  const std::vector<PrefixPosting>& group_;
-  PrefixFilterKernel kernel_;
-  size_t stride_;
-  const uint32_t* lanes_ = nullptr;
 };
 
 }  // namespace
@@ -216,15 +167,13 @@ void LocalPrefixJoinFrom(const std::vector<PrefixPosting>& group,
   const UniformThreshold threshold{options.raw_theta};
   const int rank_limit =
       PrefixRankLimit(store.k(), options.raw_theta, options.prefix_mode);
-  if (!options.position_filter ||
-      !PrefixFilterKernel(store.kernel(), options.raw_theta).can_fail()) {
-    NoFilter none;
-    JoinSelf(store, group, threshold, none, rank_limit, min_bucketed, out,
-             stats);
+  if (options.position_filter &&
+      PositionFilterCanFire(store.k(), options.raw_theta)) {
+    JoinSelf(store, group, threshold, KeyRankFilter{}, rank_limit,
+             min_bucketed, out, stats);
     return;
   }
-  PrefixLaneFilter filter(store, group, options);
-  JoinSelf(store, group, threshold, filter, rank_limit, min_bucketed, out,
+  JoinSelf(store, group, threshold, NoFilter{}, rank_limit, min_bucketed, out,
            stats);
 }
 

@@ -323,9 +323,7 @@ bool BucketGroup(const JoinStore& left_store,
 /// under each pair's own threshold.
 struct KeyRankFilter {
   bool enabled = true;
-  void SetOuter(uint32_t) {}
-  template <int kChunks>
-  bool Fires(uint32_t, const PrefixPosting& a, const PrefixPosting& b,
+  bool Fires(const PrefixPosting& a, const PrefixPosting& b,
              uint32_t theta) const {
     return enabled & !PositionFilterPasses(a.key_rank, b.key_rank, theta);
   }
@@ -354,9 +352,9 @@ struct LoopCounts {
 /// The pairs of outer posting `a` and the `count` inner postings
 /// `inner[member(j)]` of another side (or later in its own), in two
 /// passes. A branch-free first pass applies the position filter
-/// (`filter`, set to the outer posting) and then the signature bound,
-/// each under the pair's own raw threshold, and appends the survivors'
-/// indices j to `survivors` (room for `count`). The second pass asks the
+/// (`filter`) and then the signature bound, each under the pair's own
+/// raw threshold, and appends the survivors' indices j to `survivors`
+/// (room for `count`). The second pass asks the
 /// ownership test `owner()` first and runs the kernel at width kChunks
 /// (see PairKernel::WithChunks) only on the pairs the group or bucket
 /// owns, then calls `emit(a, b, d)` for the qualifying ones. Pairs of
@@ -382,8 +380,7 @@ void JoinOuter(const JoinStore& a_store, const JoinStore& b_store,
     const PrefixPosting& b = inner[m];
     const uint32_t theta = pair_theta(a, b);
     const bool other = !one_store | (a.row != b.row);
-    const bool passes =
-        other & !filter.template Fires<kChunks>(m, a, b, theta);
+    const bool passes = other & !filter.Fires(a, b, theta);
     const bool close = bound(a_signature, b_store.signature(b.row)) <= theta;
     survivors[kept] = static_cast<uint32_t>(j);
     others += other;
@@ -419,11 +416,11 @@ void JoinOuter(const JoinStore& a_store, const JoinStore& b_store,
 /// Every pair of `group` (one store), in the plain loop or, when the
 /// group runs bucketed (Bucketed, from `min_bucketed` postings, and
 /// BucketGroup under threshold.largest()), the pairs of each (x, y)
-/// bucket. `filter` is set to each outer member before its pairs. Emits
-/// each qualifying pair the group and bucket own, smaller id first.
+/// bucket, each pair under the position filter `filter`. Emits each
+/// qualifying pair the group and bucket own, smaller id first.
 template <typename Threshold, typename Filter>
 void JoinSelf(const JoinStore& store, const std::vector<PrefixPosting>& group,
-              const Threshold& threshold, Filter& filter, int rank_limit,
+              const Threshold& threshold, const Filter& filter, int rank_limit,
               size_t min_bucketed, std::vector<ScoredPair>* out,
               JoinStats* stats) {
   const size_t n = group.size();
@@ -446,7 +443,6 @@ void JoinSelf(const JoinStore& store, const std::vector<PrefixPosting>& group,
     constexpr int kChunks = decltype(width)::value;
     if (!bucketed) {
       for (uint32_t i = 0; i + 1 < n; ++i) {
-        filter.SetOuter(i);
         JoinOuter<kChunks>(
             store, store, postings[i], postings, n - i - 1,
             [i](size_t j) { return i + 1 + static_cast<uint32_t>(j); },
@@ -460,7 +456,6 @@ void JoinSelf(const JoinStore& store, const std::vector<PrefixPosting>& group,
       for (uint32_t i = bucket.left_begin; i + 1 < bucket.left_end; ++i) {
         const SubPosting& outer = entries[i];
         const SubPosting* later = &entries[i + 1];
-        filter.SetOuter(outer.member);
         JoinOuter<kChunks>(
             store, store, postings[outer.member], postings,
             bucket.left_end - i - 1,
@@ -550,10 +545,10 @@ void NestedLoopJoin(const JoinStore& store,
                     const Threshold& threshold, bool position_filter,
                     int rank_limit, std::vector<ScoredPair>* out,
                     JoinStats* stats) {
-  local_join_internal::KeyRankFilter filter{position_filter};
-  local_join_internal::JoinSelf(store, group, threshold, filter, rank_limit,
-                                local_join_internal::kMinBucketedGroup, out,
-                                stats);
+  local_join_internal::JoinSelf(
+      store, group, threshold,
+      local_join_internal::KeyRankFilter{position_filter}, rank_limit,
+      local_join_internal::kMinBucketedGroup, out, stats);
 }
 
 /// R-S variant of NestedLoopJoin: every pair of one posting from `left`
@@ -581,11 +576,11 @@ void NestedLoopJoinRS(const JoinStore& store,
 /// prefix item: a plain pair loop over the group yields exactly the
 /// candidates an inverted index over the members' prefixes would, and
 /// large groups pair only the members that share a second key item. Each
-/// pair passes the position filter over the items in both prefixes and
-/// the signature bound before the ownership test and the kernel run on
-/// it. Emits the qualifying pairs the group owns (PrefixOwner) into
-/// `out`, smaller id first, so across all groups every pair is emitted
-/// once.
+/// pair passes the position filter on the key item's ranks (where a rank
+/// difference can fail it, PositionFilterCanFire) and the signature
+/// bound before the ownership test and the kernel run on it. Emits the
+/// qualifying pairs the group owns (PrefixOwner) into `out`, smaller id
+/// first, so across all groups every pair is emitted once.
 void LocalPrefixJoin(const std::vector<PrefixPosting>& group,
                      const LocalJoinOptions& options,
                      std::vector<ScoredPair>* out, JoinStats* stats);

@@ -17,7 +17,7 @@ namespace rankjoin {
 /// Per-posting-list join kernel (paper Sections 4 and 4.1).
 enum class LocalAlgorithm {
   /// Prefix join per group (VJ): every pair of the group, with the
-  /// position filter on the items both prefixes hold.
+  /// position filter on the key item's ranks where it can fire.
   kPrefixIndex,
   /// Iterator-style nested loop with the position filter (VJ-NL).
   kNestedLoop,

@@ -61,6 +61,12 @@ constexpr bool PositionFilterPasses(int rank_a, int rank_b,
   return 2 * diff <= raw_theta;
 }
 
+/// Whether the position filter can fail any pair of rankings of length
+/// k: some rank difference (at most k - 1) exceeds raw_theta / 2.
+constexpr bool PositionFilterCanFire(int k, uint32_t raw_theta) {
+  return raw_theta / 2 + 1 < static_cast<uint32_t>(k);
+}
+
 }  // namespace rankjoin
 
 #endif  // RANKJOIN_RANKING_FOOTRULE_H_

@@ -1,7 +1,6 @@
 #include "ranking/join_store.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 #include <utility>
 
@@ -68,32 +67,6 @@ PairKernel::PairKernel(int k, rankjoin::Distance distance)
     RANKJOIN_CHECK(bound_.ForMissing(static_cast<uint32_t>(m)) ==
                    2 * smallest_sum)
         << "the signature bound needs evenly spaced smallest weights";
-  }
-}
-
-PrefixFilterKernel::PrefixFilterKernel(const PairKernel& kernel,
-                                       uint32_t raw_theta)
-    : kernel_(&kernel),
-      half_theta_(static_cast<int>(std::min<uint32_t>(
-          raw_theta / 2, static_cast<uint32_t>(kernel.k())))) {}
-
-void PrefixFilterKernel::SetOuter(const ItemId* a, const uint32_t* a_prefix) {
-  a_ = a;
-  outer_ranks_.clear();
-  outer_far_.clear();
-  const int k = kernel_->k();
-  const int chunks = kernel_->chunks();
-  for (int r = 0; r < k; ++r) {
-    if (a_prefix[r] == 0) continue;
-    outer_ranks_.push_back(r);
-    const size_t first = outer_far_.size();
-    outer_far_.resize(first + static_cast<size_t>(chunks), Splat(0));
-    // 2|r - s| > raw_theta  <=>  |r - s| > floor(raw_theta / 2).
-    for (int s = 0; s < k; ++s) {
-      if (std::abs(r - s) > half_theta_) {
-        outer_far_[first + static_cast<size_t>(s / kLanes)][s % kLanes] = ~0u;
-      }
-    }
   }
 }
 

@@ -105,26 +105,6 @@ inline uint32_t SharedWeight(int chunks, const uint32_t* a,
   return SumLanes(sum);
 }
 
-/// True when some a_r, r in `ranks`, equals a lane s of b that is set in
-/// `b_prefix` and in far[i][s] (`far` holds one row of chunks per rank).
-/// kChunks > 0 fixes the chunk count at compile time.
-template <int kChunks>
-inline bool AnyFar(int chunks, const uint32_t* a, const int* ranks,
-                   size_t count, const Lanes* far, const uint32_t* b,
-                   const uint32_t* b_prefix) {
-  const int n = kChunks > 0 ? kChunks : chunks;
-  Lanes hit = Splat(0);
-  for (size_t i = 0; i < count; ++i) {
-    const Lanes item = Splat(a[ranks[i]]);
-    for (int c = 0; c < n; ++c) {
-      Lanes in_prefix;
-      std::memcpy(&in_prefix, b_prefix + c * kLanes, sizeof(in_prefix));
-      hit |= Equal(item, b, c) & in_prefix & far[i * n + c];
-    }
-  }
-  return AnyLane(hit);
-}
-
 }  // namespace kernel_internal
 
 /// A row's item set folded into 128 bits: item x sets bit
@@ -304,45 +284,6 @@ class PairKernel {
   std::vector<kernel_internal::Lanes> diagonal_;
   /// right_[c]: lane s weighs w(s), its weight for every row r < s.
   std::vector<kernel_internal::Lanes> right_;
-};
-
-/// The prefix join's position filter (paper Section 4): a pair fails
-/// when an item in both prefixes has ranks r and s with
-/// 2|r - s| > raw_theta. A row's prefix is given as lanes, all-ones on
-/// the ranks in the prefix. The pair loop fixes the outer row once with
-/// SetOuter and then checks every inner row against it: the outer row's
-/// prefix items are compared with the inner row's chunks, and an equal
-/// lane counts when it is in the inner prefix and far from the outer
-/// item's rank.
-class PrefixFilterKernel {
- public:
-  PrefixFilterKernel(const PairKernel& kernel, uint32_t raw_theta);
-
-  /// False when no rank difference can exceed raw_theta / 2: then the
-  /// filter passes every pair.
-  bool can_fail() const { return half_theta_ + 1 < kernel_->k(); }
-
-  /// Fixes the outer row `a` and its prefix lanes (stride() lanes).
-  void SetOuter(const ItemId* a, const uint32_t* a_prefix);
-
-  /// Whether the filter removes the pair of the outer row and `b`.
-  /// kChunks as in PairKernel::WithChunks.
-  template <int kChunks>
-  bool FiresAt(const ItemId* b, const uint32_t* b_prefix) const {
-    return kernel_internal::AnyFar<kChunks>(
-        kernel_->chunks(), a_, outer_ranks_.data(), outer_ranks_.size(),
-        outer_far_.data(), b, b_prefix);
-  }
-
- private:
-  const PairKernel* kernel_;
-  int half_theta_ = 0;
-  const ItemId* a_ = nullptr;
-  /// Ranks of the outer row's prefix items.
-  std::vector<int> outer_ranks_;
-  /// Per outer prefix rank, per chunk: all-ones on the real lanes s with
-  /// |r - s| > raw_theta / 2.
-  std::vector<kernel_internal::Lanes> outer_far_;
 };
 
 /// One partition's share of a join store, built where its rows are (the

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -23,8 +24,8 @@ using testutil::TestCluster;
 
 struct ClusterFixture {
   RankingDataset dataset;
-  /// Merge-join representation for the oracle distances (ids are dense,
-  /// so ordered[id] is ranking `id`).
+  /// Merge-join representation for the oracle distances, indexed by id
+  /// (the ids are 0 .. n - 1 in any row order).
   std::vector<OrderedRanking> ordered;
   JoinStore store;
 
@@ -34,7 +35,10 @@ struct ClusterFixture {
   explicit ClusterFixture(RankingDataset ds) : dataset(std::move(ds)) {
     ItemOrder order =
         ItemOrder::FromFrequencies(CountItemFrequencies(dataset.rankings));
-    ordered = MakeOrderedDataset(dataset.rankings, order);
+    ordered.resize(dataset.rankings.size());
+    for (OrderedRanking& o : MakeOrderedDataset(dataset.rankings, order)) {
+      ordered[o.id] = std::move(o);
+    }
     store = JoinStore::Build(dataset.store(), order);
   }
 
@@ -64,58 +68,90 @@ TEST(ClusteringPhaseTest, PairsAreWithinThetaC) {
   }
 }
 
-/// Checks the one-role cluster formation against the brute-force
-/// theta_c pairs: every ranking is exactly one of singleton, centroid or
-/// member; a centroid is the smaller id of some pair and has members;
-/// each member's centroid is its closest smaller-id partner (ties to the
-/// smaller id); the singletons are the unpaired rankings plus the
-/// centroids left without members.
-void ExpectOneRolePerRanking(const ClusterFixture& fx,
-                             const Clustering& clustering,
-                             const JoinStats& stats, double theta_c) {
+/// Checks the leader clustering against the brute-force theta_c pairs:
+/// every ranking is exactly one of singleton, centroid or member; every
+/// member is a theta_c partner of its centroid, at the recorded distance,
+/// with a larger id; every centroid has a member; every partner of a
+/// singleton was claimed before the singleton's turn, by a centroid of
+/// smaller id; and the clustering equals a replay of the id-order rule.
+void ExpectLeaderClustering(const ClusterFixture& fx,
+                            const Clustering& clustering,
+                            const JoinStats& stats, double theta_c) {
   const uint32_t raw = RawThreshold(theta_c, fx.dataset.k);
   const size_t n = fx.ordered.size();
-  std::vector<bool> smaller_of_pair(n, false);
-  std::vector<bool> has_partner(n, false);
-  // (distance, id) of the closest smaller-id partner.
-  std::vector<std::pair<uint32_t, RankingId>> closest(
-      n, {std::numeric_limits<uint32_t>::max(), 0});
+  // partners[a]: (b, distance) of every theta_c pair of a.
+  std::vector<std::vector<std::pair<RankingId, uint32_t>>> partners(n);
   for (RankingId a = 0; a < n; ++a) {
     for (RankingId b = a + 1; b < n; ++b) {
       const uint32_t d = FootruleDistance(fx.ordered[a], fx.ordered[b]);
       if (d > raw) continue;
-      smaller_of_pair[a] = true;
-      has_partner[a] = has_partner[b] = true;
-      closest[b] = std::min(closest[b], std::make_pair(d, a));
+      partners[a].push_back({b, d});
+      partners[b].push_back({a, d});
     }
   }
 
+  constexpr RankingId kNone = std::numeric_limits<RankingId>::max();
   std::vector<int> roles(n, 0);
+  std::vector<RankingId> centroid_of(n, kNone);
   std::set<RankingId> with_members;
   for (const ClusterPair& cp : clustering.pairs) {
     ++roles[cp.member];
-    EXPECT_FALSE(smaller_of_pair[cp.member])
-        << "centroid " << cp.member << " is a member of " << cp.centroid;
-    EXPECT_EQ(std::make_pair(cp.distance, cp.centroid), closest[cp.member])
-        << "member " << cp.member << " is not in its closest cluster";
+    centroid_of[cp.member] = cp.centroid;
     with_members.insert(cp.centroid);
+    EXPECT_LT(cp.centroid, cp.member) << "member " << cp.member;
+    EXPECT_LE(cp.distance, raw) << "member " << cp.member;
+    EXPECT_EQ(FootruleDistance(fx.ordered[cp.centroid],
+                               fx.ordered[cp.member]),
+              cp.distance)
+        << "member " << cp.member;
   }
   for (RankingId id : clustering.centroids) {
     ++roles[id];
-    EXPECT_TRUE(smaller_of_pair[id]) << "centroid " << id;
     EXPECT_TRUE(with_members.count(id)) << "centroid " << id << " is empty";
   }
   for (RankingId id : clustering.singletons) {
     ++roles[id];
-    EXPECT_TRUE(!has_partner[id] ||
-                (smaller_of_pair[id] && with_members.count(id) == 0))
-        << "singleton " << id;
+    for (const auto& [partner, d] : partners[id]) {
+      EXPECT_LT(centroid_of[partner], id)
+          << "singleton " << id << " had partner " << partner
+          << " unassigned at its turn";
+    }
   }
   for (RankingId id = 0; id < n; ++id) {
     EXPECT_EQ(roles[id], 1) << "ranking " << id;
   }
   EXPECT_EQ(with_members, std::set<RankingId>(clustering.centroids.begin(),
                                               clustering.centroids.end()));
+
+  // The rule replayed: in id order, an unassigned ranking claims its
+  // unassigned partners.
+  std::vector<bool> assigned(n, false);
+  std::set<std::tuple<RankingId, RankingId, uint32_t>> want_pairs;
+  std::set<RankingId> want_centroids;
+  std::set<RankingId> want_singletons;
+  for (RankingId id = 0; id < n; ++id) {
+    if (assigned[id]) continue;
+    assigned[id] = true;
+    bool claimed = false;
+    for (const auto& [partner, d] : partners[id]) {
+      if (assigned[partner]) continue;
+      assigned[partner] = true;
+      want_pairs.insert({id, partner, d});
+      claimed = true;
+    }
+    (claimed ? want_centroids : want_singletons).insert(id);
+  }
+  std::set<std::tuple<RankingId, RankingId, uint32_t>> got_pairs;
+  for (const ClusterPair& cp : clustering.pairs) {
+    got_pairs.insert({cp.centroid, cp.member, cp.distance});
+  }
+  EXPECT_EQ(got_pairs, want_pairs);
+  EXPECT_EQ(std::set<RankingId>(clustering.centroids.begin(),
+                                clustering.centroids.end()),
+            want_centroids);
+  EXPECT_EQ(std::set<RankingId>(clustering.singletons.begin(),
+                                clustering.singletons.end()),
+            want_singletons);
   EXPECT_EQ(stats.clusters, clustering.centroids.size());
   EXPECT_EQ(stats.singletons, clustering.singletons.size());
   EXPECT_EQ(stats.cluster_members, clustering.pairs.size());
@@ -131,35 +167,53 @@ TEST(ClusteringPhaseTest, OneRolePerRankingMatchesBruteForce) {
     Clustering clustering =
         RunClusteringPhase(&ctx, fx.store, fx.Spec(theta_c), &stats);
     EXPECT_GT(clustering.pairs.size(), 0u);
-    ExpectOneRolePerRanking(fx, clustering, stats, theta_c);
+    ExpectLeaderClustering(fx, clustering, stats, theta_c);
   }
 }
 
-TEST(ClusteringPhaseTest, IdenticalCliqueAtZeroThetaC) {
-  // Rankings 0-4 are identical, 5 and 6 are not. Every clique pair is a
-  // theta_c = 0 pair, so 0-3 are centroids, and 4 joins the smallest:
-  // 1-3 are left without members and become singletons.
+/// Rankings 0-4 are identical, 5 and 6 are not: at theta_c = 0 the
+/// clique is one 5-ranking cluster led by ranking 0. The rows are in
+/// `row_ids` order.
+void ExpectCliqueIsOneCluster(const std::vector<RankingId>& row_ids) {
   RankingDataset ds;
   ds.k = 4;
-  for (RankingId id = 0; id < 5; ++id) {
-    ds.rankings.push_back(Ranking(id, {1, 2, 3, 4}));
+  for (RankingId id : row_ids) {
+    if (id < 5) {
+      ds.rankings.push_back(Ranking(id, {1, 2, 3, 4}));
+    } else if (id == 5) {
+      ds.rankings.push_back(Ranking(5, {1, 2, 4, 3}));
+    } else {
+      ds.rankings.push_back(Ranking(6, {7, 8, 9, 10}));
+    }
   }
-  ds.rankings.push_back(Ranking(5, {1, 2, 4, 3}));
-  ds.rankings.push_back(Ranking(6, {7, 8, 9, 10}));
   ClusterFixture fx(std::move(ds));
   minispark::Context ctx(TestCluster());
   JoinStats stats;
   Clustering clustering =
       RunClusteringPhase(&ctx, fx.store, fx.Spec(0.0), &stats);
-  ExpectOneRolePerRanking(fx, clustering, stats, 0.0);
-  ASSERT_EQ(clustering.pairs.size(), 1u);
-  EXPECT_EQ(clustering.pairs[0].centroid, 0u);
-  EXPECT_EQ(clustering.pairs[0].member, 4u);
-  EXPECT_EQ(clustering.pairs[0].distance, 0u);
+  ExpectLeaderClustering(fx, clustering, stats, 0.0);
   EXPECT_EQ(clustering.centroids, std::vector<RankingId>{0});
+  std::set<RankingId> members;
+  for (const ClusterPair& cp : clustering.pairs) {
+    EXPECT_EQ(cp.centroid, 0u);
+    EXPECT_EQ(cp.distance, 0u);
+    members.insert(cp.member);
+  }
+  EXPECT_EQ(clustering.pairs.size(), 4u);
+  EXPECT_EQ(members, (std::set<RankingId>{1, 2, 3, 4}));
   EXPECT_EQ(std::set<RankingId>(clustering.singletons.begin(),
                                 clustering.singletons.end()),
-            (std::set<RankingId>{1, 2, 3, 5, 6}));
+            (std::set<RankingId>{5, 6}));
+}
+
+TEST(ClusteringPhaseTest, IdenticalCliqueAtZeroThetaC) {
+  ExpectCliqueIsOneCluster({0, 1, 2, 3, 4, 5, 6});
+}
+
+TEST(ClusteringPhaseTest, LeaderRuleVisitsIdsNotRows) {
+  // The same rankings with the rows in descending id order: the leader
+  // is still the smallest id.
+  ExpectCliqueIsOneCluster({6, 5, 4, 3, 2, 1, 0});
 }
 
 TEST(ClusteringPhaseTest, CentroidsAreFirstElements) {
@@ -204,11 +258,15 @@ TEST(CentroidJoinTest, RespectsPerTypeThresholds) {
   CentroidJoinSpec spec = fx.JoinSpec(0.2);
   auto pairs = RunCentroidJoin(&fx.ctx, fx.store, fx.clustering.centroids,
                                fx.clustering.singletons, spec, &fx.stats);
+  const std::unordered_set<RankingId> singletons(
+      fx.clustering.singletons.begin(), fx.clustering.singletons.end());
   for (const CentroidPair& cp : pairs) {
+    const bool ci_singleton = singletons.count(cp.ci) > 0;
+    const bool cj_singleton = singletons.count(cp.cj) > 0;
     uint32_t bound;
-    if (cp.ci_singleton && cp.cj_singleton) {
+    if (ci_singleton && cj_singleton) {
       bound = spec.raw_theta;
-    } else if (cp.ci_singleton || cp.cj_singleton) {
+    } else if (ci_singleton || cj_singleton) {
       bound = spec.raw_theta + spec.raw_theta_c;
     } else {
       bound = spec.raw_theta + 2 * spec.raw_theta_c;

@@ -161,5 +161,20 @@ TEST(ThresholdTest, PositionFilterBoundary) {
   EXPECT_TRUE(PositionFilterPasses(7, 7, 0));
 }
 
+TEST(ThresholdTest, PositionFilterCanFireIffSomeRankPairFails) {
+  for (int k = 1; k <= 12; ++k) {
+    for (uint32_t raw_theta = 0; raw_theta <= MaxFootrule(k); ++raw_theta) {
+      bool some_fails = false;
+      for (int r = 0; r < k; ++r) {
+        for (int s = 0; s < k; ++s) {
+          some_fails |= !PositionFilterPasses(r, s, raw_theta);
+        }
+      }
+      EXPECT_EQ(PositionFilterCanFire(k, raw_theta), some_fails)
+          << "k " << k << " raw_theta " << raw_theta;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rankjoin

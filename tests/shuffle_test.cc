@@ -174,7 +174,21 @@ TEST(ShuffleSpillTest, ShuffleAndGroupIdenticalWithTinyBudget) {
 // Spill-correctness across the full join pipelines
 // ---------------------------------------------------------------------
 
+/// A spilling cluster with barrier stages, whatever the environment
+/// says (with the ScopedEnv of each test below). Under pipelined stages
+/// a job this small spills only when its readers drain the published
+/// runs more slowly than the writers fill them, so the spill assertions
+/// would depend on timing. pipelined_test and the engine-configuration
+/// oracle check the pair sets under pipelined stages.
+Context::Options BarrierSpillCluster(uint64_t budget) {
+  Context::Options options = SpillCluster(budget);
+  options.pipelined_stages = false;
+  return options;
+}
+
 TEST(PipelineSpillTest, AllRankingPipelinesIdenticalUnderSpill) {
+  const rankjoin::testutil::ScopedEnv barrier{"RANKJOIN_PIPELINED_STAGES",
+                                              nullptr};
   const RankingDataset ds = SmallSkewedDataset(77, 300);
   for (Algorithm algorithm : {Algorithm::kVJ, Algorithm::kVJNL,
                               Algorithm::kCL, Algorithm::kCLP,
@@ -188,7 +202,7 @@ TEST(PipelineSpillTest, AllRankingPipelinesIdenticalUnderSpill) {
     auto resident = RunSimilarityJoin(&resident_ctx, ds, config);
     ASSERT_TRUE(resident.ok()) << AlgorithmName(algorithm);
 
-    Context spill_ctx(SpillCluster(2048));
+    Context spill_ctx(BarrierSpillCluster(2048));
     auto spilled = RunSimilarityJoin(&spill_ctx, ds, config);
     ASSERT_TRUE(spilled.ok()) << AlgorithmName(algorithm);
 
@@ -199,12 +213,14 @@ TEST(PipelineSpillTest, AllRankingPipelinesIdenticalUnderSpill) {
 }
 
 TEST(PipelineSpillTest, JaccardPipelinesIdenticalUnderSpill) {
+  const rankjoin::testutil::ScopedEnv barrier{"RANKJOIN_PIPELINED_STAGES",
+                                              nullptr};
   const RankingDataset ds = SmallSkewedDataset(78, 250);
   JaccardJoinOptions options;
   options.theta = 0.3;
 
   Context vj_resident(TestCluster());
-  Context vj_spill(SpillCluster(2048));
+  Context vj_spill(BarrierSpillCluster(2048));
   auto vj_a = RunJaccardVjJoin(&vj_resident, ds, options);
   auto vj_b = RunJaccardVjJoin(&vj_spill, ds, options);
   ASSERT_TRUE(vj_a.ok() && vj_b.ok());
@@ -212,7 +228,7 @@ TEST(PipelineSpillTest, JaccardPipelinesIdenticalUnderSpill) {
   EXPECT_GT(vj_spill.metrics().TotalSpilledBytes(), 0u);
 
   Context cl_resident(TestCluster());
-  Context cl_spill(SpillCluster(2048));
+  Context cl_spill(BarrierSpillCluster(2048));
   auto cl_a = RunJaccardClusterJoin(&cl_resident, ds, options);
   auto cl_b = RunJaccardClusterJoin(&cl_spill, ds, options);
   ASSERT_TRUE(cl_a.ok() && cl_b.ok());

@@ -355,47 +355,5 @@ TEST(SignatureBoundTest, SeparatelyBuiltStoresAgree) {
   }
 }
 
-TEST(PrefixFilterKernelTest, MatchesNaivePrefixFilter) {
-  Rng rng(20204);
-  for (int k : kSizes) {
-    for (int trial = 0; trial < 200; ++trial) {
-      const std::vector<ItemId> items = RandomItems(k, rng);
-      const Ranking a(0, items);
-      const Ranking b(1, Perturb(items, rng));
-      const JoinStore store = PairStore(a, b);
-      const PairKernel& kernel = store.kernel();
-      const uint32_t raw_theta =
-          static_cast<uint32_t>(rng.Uniform(MaxFootrule(k)));
-      // Random prefixes, as rank sets.
-      const size_t stride = static_cast<size_t>(kernel.stride());
-      std::vector<uint32_t> a_prefix(stride, 0);
-      std::vector<uint32_t> b_prefix(stride, 0);
-      for (int r = 0; r < k; ++r) {
-        a_prefix[static_cast<size_t>(r)] = rng.Uniform(2) ? ~0u : 0u;
-        b_prefix[static_cast<size_t>(r)] = rng.Uniform(2) ? ~0u : 0u;
-      }
-      bool expected = false;
-      for (int r = 0; r < k; ++r) {
-        const int s = b.RankOf(a.ItemAt(r));
-        if (s < 0 || !a_prefix[static_cast<size_t>(r)] ||
-            !b_prefix[static_cast<size_t>(s)]) {
-          continue;
-        }
-        expected |= !PositionFilterPasses(r, s, raw_theta);
-      }
-      PrefixFilterKernel filter(kernel, raw_theta);
-      filter.SetOuter(store.items(0), a_prefix.data());
-      const bool fires = kernel.WithChunks([&](auto width) {
-        return filter.FiresAt<decltype(width)::value>(store.items(1),
-                                                      b_prefix.data());
-      });
-      EXPECT_EQ(fires, expected) << "k " << k;
-      if (!filter.can_fail()) {
-        EXPECT_FALSE(fires);
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace rankjoin
